@@ -91,20 +91,18 @@ class ZipfWorkingSet(AccessPattern):
             )
         if pages_per_execution <= 0:
             raise ValueError(f"pages per execution must be positive: {pages_per_execution}")
-        self._range = pages
         self.working_set = working_set
         self.pages_per_execution = pages_per_execution
-        self._stream = stream
         layout = list(range(working_set))
         stream.shuffle(layout)
-        self._layout = layout
-        self._layout_array = np.asarray(layout, dtype=np.int64)
+        # Rank -> page id, translated (and bounds-checked) once for every
+        # page the pattern can ever emit.
+        self._page_layout = pages.page_array(np.asarray(layout, dtype=np.int64))
         self._zipf = ZipfGenerator(working_set, theta, stream)
 
     def pages_for_execution(self) -> ExecutionAccess:
         ranks = self._zipf.sample_many(self.pages_per_execution)
-        demand = self._range.page_array(self._layout_array[ranks]).tolist()
-        return ExecutionAccess(demand=demand)
+        return ExecutionAccess(demand=self._page_layout[ranks].tolist())
 
     def footprint_pages(self) -> int:
         return self.working_set
@@ -214,12 +212,10 @@ class IndexLookup(AccessPattern):
         self.index = index
         self.lookups_per_execution = lookups_per_execution
         self.rows_per_lookup = rows_per_lookup
-        self._stream = stream
+        # Keys map to rows directly; skew comes from the Zipf ranks.
         space = min(key_space or index.table.row_count, index.table.row_count)
-        layout = None  # keys map to rows directly; skew comes from the Zipf ranks
         self._zipf = ZipfGenerator(space, key_theta, stream)
         self._space = space
-        self._layout = layout
 
     def pages_for_execution(self) -> ExecutionAccess:
         demand: list[int] = []
@@ -327,10 +323,13 @@ class CompositePattern(AccessPattern):
         self.parts = list(parts)
 
     def pages_for_execution(self) -> ExecutionAccess:
-        result = ExecutionAccess()
+        demand: list[int] = []
+        prefetch: list[int] = []
         for part in self.parts:
-            result = result.merged(part.pages_for_execution())
-        return result
+            access = part.pages_for_execution()
+            demand.extend(access.demand)
+            prefetch.extend(access.prefetch)
+        return ExecutionAccess(demand=demand, prefetch=prefetch)
 
     def footprint_pages(self) -> int:
         return sum(part.footprint_pages() for part in self.parts)

@@ -37,6 +37,31 @@ class BTreeIndex:
     internal_pages: PageRange
     leaf_pages: PageRange
 
+    def __post_init__(self) -> None:
+        # The tree geometry never changes, so the per-level arithmetic of a
+        # point lookup is tabulated once: top-down, one
+        # ``(stride, last_offset, first_page_id)`` per internal level, with
+        # the clamp to the allocated internal range folded in.  Level L has
+        # ceil(leaves / fanout^L) pages laid out consecutively after the
+        # levels above it.
+        level_sizes: list[int] = []
+        size = self.leaf_count
+        while size > 1:
+            size = -(-size // self.fanout)
+            level_sizes.append(size)
+        start = self.internal_pages.start
+        cap = self.internal_pages.count - 1
+        levels: list[tuple[int, int, int]] = []
+        offset_base = 0
+        for size in reversed(level_sizes):
+            stride = max(1, self.leaf_count // size)
+            last = max(0, min(size - 1, cap - offset_base))
+            levels.append((stride, last, start + min(offset_base, cap)))
+            offset_base += size
+        if not levels:
+            levels = [(1, 0, start)]  # single-page tree: the root is the only internal page
+        self._levels = levels
+
     @classmethod
     def create(
         cls,
@@ -77,12 +102,14 @@ class BTreeIndex:
     def leaf_count(self) -> int:
         return self.leaf_pages.count
 
-    def leaf_of_row(self, row: int) -> int:
-        """The leaf page id covering logical row ``row``."""
+    def _leaf_index(self, row: int) -> int:
         if not 0 <= row < self.table.row_count:
             raise IndexError(f"row {row} outside table {self.table.name!r}")
-        leaf_index = min(row // self.leaf_entries, self.leaf_count - 1)
-        return self.leaf_pages.page(leaf_index)
+        return min(row // self.leaf_entries, self.leaf_pages.count - 1)
+
+    def leaf_of_row(self, row: int) -> int:
+        """The leaf page id covering logical row ``row``."""
+        return self.leaf_pages.start + self._leaf_index(row)
 
     def lookup_path(self, row: int) -> list[int]:
         """Page ids touched by a point lookup: root, internals, leaf.
@@ -91,29 +118,12 @@ class BTreeIndex:
         repeated lookups of the same key touch identical pages — the property
         that makes index traffic cache-friendly.
         """
-        leaf_index = min(row // self.leaf_entries, self.leaf_count - 1)
-        path: list[int] = []
-        # Walk conceptual levels top-down; level L has ceil(leaves / fanout^L)
-        # pages laid out consecutively after the previous levels.
-        level_sizes: list[int] = []
-        size = self.leaf_count
-        while size > 1:
-            size = -(-size // self.fanout)
-            level_sizes.append(size)
-        # level_sizes is bottom-up (parents of leaves first); visit top-down.
-        offset_base = 0
-        offsets: list[int] = []
-        for size in reversed(level_sizes):
-            stride = max(1, self.leaf_count // size)
-            offsets.append(offset_base + min(leaf_index // stride, size - 1))
-            offset_base += size
-        if not offsets:
-            offsets = [0]  # single-page tree: the root is the only internal page
-        path.extend(
-            self.internal_pages.page(min(o, self.internal_pages.count - 1))
-            for o in offsets
-        )
-        path.append(self.leaf_of_row(row))
+        leaf_index = self._leaf_index(row)
+        path = [
+            first + min(leaf_index // stride, last)
+            for stride, last, first in self._levels
+        ]
+        path.append(self.leaf_pages.start + leaf_index)
         return path
 
     def range_path(self, start_row: int, row_span: int) -> list[int]:

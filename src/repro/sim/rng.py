@@ -13,11 +13,17 @@ relies on:
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from collections.abc import Sequence
 
 import numpy as np
 
-__all__ = ["SeedSequenceFactory", "RandomStream", "ZipfGenerator"]
+__all__ = [
+    "SeedSequenceFactory",
+    "RandomStream",
+    "CumulativeSampler",
+    "ZipfGenerator",
+]
 
 
 def _derive_seed(root_seed: int, name: str) -> int:
@@ -68,18 +74,51 @@ class RandomStream:
         """Pick one element, optionally with (unnormalised) weights."""
         if weights is None:
             return items[int(self._rng.integers(0, len(items)))]
-        probs = np.asarray(weights, dtype=float)
-        total = probs.sum()
-        if total <= 0:
-            raise ValueError("choice weights must have a positive sum")
-        index = int(self._rng.choice(len(items), p=probs / total))
-        return items[index]
+        return items[CumulativeSampler.from_weights(weights).draw(self)]
 
     def shuffle(self, items: list) -> None:
         self._rng.shuffle(items)
 
     def __repr__(self) -> str:
         return f"RandomStream(name={self.name!r}, seed={self.seed})"
+
+
+class CumulativeSampler:
+    """Weighted index draws from a CDF computed once.
+
+    ``CumulativeSampler(p).draw(stream)`` equals
+    ``int(stream.generator.choice(len(p), p=p))`` bit for bit: without a
+    size, ``choice`` normalises ``p.cumsum()`` by its last element and looks
+    one ``random()`` up in it from the right.  The constructor performs
+    exactly those operations in that order, once; a draw is then one
+    ``random()`` and a bisection over the CDF as a list — the same index and
+    the same single double consumed from the stream, without ``choice``'s
+    per-call argument validation.  Meant for small supports (mix classes,
+    transition rows), not for row-count sized CDFs.
+    """
+
+    __slots__ = ("_cdf",)
+
+    def __init__(self, probabilities: Sequence[float]) -> None:
+        probs = np.asarray(probabilities, dtype=float)
+        if not (probs >= 0).all():
+            raise ValueError("choice probabilities must be non-negative")
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        self._cdf: list[float] = cdf.tolist()
+
+    @classmethod
+    def from_weights(cls, weights: Sequence[float]) -> "CumulativeSampler":
+        """A sampler over unnormalised weights (``p = weights / sum``)."""
+        probs = np.asarray(weights, dtype=float)
+        total = probs.sum()
+        if not total > 0:
+            raise ValueError("choice weights must have a positive sum")
+        return cls(probs / total)
+
+    def draw(self, stream: RandomStream) -> int:
+        """One index in ``[0, len(p))``; consumes one double of ``stream``."""
+        return bisect_right(self._cdf, stream._rng.random())
 
 
 class SeedSequenceFactory:
@@ -127,15 +166,15 @@ class ZipfGenerator:
 
     def sample(self) -> int:
         """Draw one rank in ``[0, n)``; rank 0 is the most popular."""
-        u = self._stream.uniform()
-        return int(np.searchsorted(self._cdf, u, side="left"))
+        u = self._stream._rng.random()
+        return int(self._cdf.searchsorted(u, "left"))
 
     def sample_many(self, count: int) -> np.ndarray:
         """Draw ``count`` ranks as an int64 array."""
         if count < 0:
             raise ValueError(f"count must be non-negative: {count}")
-        us = self._stream.generator.uniform(size=count)
-        return np.searchsorted(self._cdf, us, side="left").astype(np.int64)
+        us = self._stream._rng.random(count)
+        return self._cdf.searchsorted(us, "left")
 
     def probability(self, rank: int) -> float:
         """Exact probability mass of ``rank``."""

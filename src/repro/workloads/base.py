@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from ..engine.indexes import IndexCatalog
 from ..engine.query import QueryClass, QueryClassRegistry
 from ..engine.tables import Schema
-from ..sim.rng import RandomStream, SeedSequenceFactory
+from ..sim.rng import CumulativeSampler, RandomStream, SeedSequenceFactory
 
 __all__ = ["MixEntry", "Workload"]
 
@@ -55,6 +55,11 @@ class Workload:
         self._registry = QueryClassRegistry(self.app)
         for entry in self.mix:
             self._registry.register(entry.query_class)
+        # sample_class's cache: a sampler and the mix it was built from.
+        # ``mix`` is a public list that callers rebind and mutate in place,
+        # so the cache is validated by content on every draw, not by hooks.
+        self._sampled_mix: tuple[MixEntry, ...] | None = None
+        self._sampler: CumulativeSampler | None = None
 
     @property
     def registry(self) -> QueryClassRegistry:
@@ -82,10 +87,15 @@ class Workload:
 
     def sample_class(self, stream: RandomStream) -> QueryClass:
         """Draw one query class according to the mix weights."""
-        if not self.mix:
-            raise ValueError(f"workload {self.app!r} has an empty mix")
-        entries = [entry.query_class for entry in self.mix]
-        return stream.choice(entries, weights=self.weights())
+        mix = tuple(self.mix)
+        if mix != self._sampled_mix:
+            if not mix:
+                raise ValueError(f"workload {self.app!r} has an empty mix")
+            self._sampler = CumulativeSampler.from_weights(
+                [entry.weight for entry in mix]
+            )
+            self._sampled_mix = mix
+        return mix[self._sampler.draw(stream)].query_class
 
     def normalized_weights(self) -> dict[str, float]:
         """Per-class mix frequencies normalised to sum to 1.0."""

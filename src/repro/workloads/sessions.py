@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..sim.rng import RandomStream
+from ..sim.rng import CumulativeSampler, RandomStream
 from .base import Workload
 
 __all__ = ["MarkovSessionModel", "session_model_from_mix"]
@@ -60,12 +60,13 @@ class MarkovSessionModel:
         if missing:
             raise ValueError(f"classes without transition rows: {missing}")
         self._matrix = matrix
+        # Rows are immutable: one sampler each, built from the row exactly
+        # as ``Generator.choice(n, p=row)`` would see it (not re-normalised).
+        self._samplers = [CumulativeSampler(row) for row in matrix]
 
     def next_class(self, current: str, stream: RandomStream) -> str:
         """Sample the next interaction from ``current``'s transition row."""
-        row = self._matrix[self._index[current]]
-        pick = stream.generator.choice(len(self.classes), p=row)
-        return self.classes[int(pick)]
+        return self.classes[self._samplers[self._index[current]].draw(stream)]
 
     def transition_probability(self, source: str, target: str) -> float:
         return float(self._matrix[self._index[source], self._index[target]])

@@ -14,7 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.chaos import ChaosConfig, build_chaos_plan, run_chaos
+from repro.experiments.chaos import (
+    ChaosConfig,
+    ChaosStormConfig,
+    build_chaos_plan,
+    run_chaos,
+    run_chaos_storm,
+)
 from repro.experiments.runner import ClusterHarness
 from repro.faults import FaultPlan
 from repro.obs import Observability, telemetry_lines
@@ -66,6 +72,28 @@ class TestChaosReactions:
         assert chaos.final_latency == pytest.approx(
             baseline["final_latency"], rel=0, abs=0
         )
+
+
+class TestStormStaleBacklog:
+    """A replica caught up from the write log while the controller is down
+    or propagation is stalled still carries the stale entries in its pending
+    queue.  When the async write path then picks it as primary, the
+    force-applied backlog must drop them as ``drain_pending`` does; it used
+    to re-execute them and raise "writes must apply in order"."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ChaosStormConfig(seed=7, events=8),
+            ChaosStormConfig(seed=32),
+            ChaosStormConfig(seed=1009, workload_seed=1009, clients=30),
+        ],
+        ids=["seed7-events8", "seed32", "seed1009-clients30"],
+    )
+    def test_storm_runs_to_completion(self, config):
+        result = run_chaos_storm(config)
+        assert len(result.sla_series) + result.missed_intervals == config.intervals
+        assert result.duplicate_actions == 0
 
 
 class TestChaosPlan:

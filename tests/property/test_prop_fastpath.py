@@ -1,0 +1,353 @@
+"""Differential tests pinning the per-query fast path to its old formulas.
+
+The class draw, the Zipf rank draws, the B+-tree lookup path, the Zipf
+working set's page vector and the composite pattern were rewritten to do
+per query only what changes per query.  The formulas they replaced live on
+here as oracles.  "Equal" always means two things: the same values, and the
+same number of doubles consumed from the stream — checked by comparing the
+next ``random()`` of both generators afterwards — because every seeded
+artefact depends on where each generator sits after each call.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.engine.access import (
+    AccessPattern,
+    CompositePattern,
+    ExecutionAccess,
+    ZipfWorkingSet,
+)
+from repro.engine.indexes import BTreeIndex
+from repro.engine.pages import PageRange, PageSpaceAllocator
+from repro.engine.tables import Table
+from repro.sim.rng import CumulativeSampler, RandomStream, ZipfGenerator
+from repro.workloads.sessions import MarkovSessionModel
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+positive_weight = st.floats(
+    min_value=1e-9, max_value=1e9, allow_nan=False, allow_infinity=False
+)
+weight_vectors = st.lists(
+    st.one_of(st.just(0.0), positive_weight), min_size=1, max_size=40
+).filter(lambda weights: any(w > 0 for w in weights))
+
+
+def stream_pair(seed: int) -> tuple[RandomStream, np.random.Generator]:
+    """A stream for the new code and an equally seeded generator for the old."""
+    stream = RandomStream(seed, "fastpath")
+    return stream, np.random.default_rng(stream.seed)
+
+
+def assert_same_position(stream: RandomStream, oracle: np.random.Generator) -> None:
+    assert stream.generator.random() == oracle.random()
+
+
+# --------------------------------------------------------------------- #
+# Class draw: CumulativeSampler == Generator.choice                     #
+# --------------------------------------------------------------------- #
+
+
+@given(weights=weight_vectors, seed=seeds)
+@settings(max_examples=200, deadline=None)
+def test_sampler_equals_generator_choice(weights, seed):
+    stream, oracle = stream_pair(seed)
+    sampler = CumulativeSampler.from_weights(weights)
+    w = np.asarray(weights, dtype=float)
+    p = w / w.sum()
+    for _ in range(50):
+        assert sampler.draw(stream) == int(oracle.choice(len(w), p=p))
+    assert_same_position(stream, oracle)
+
+
+class _FixedUniforms:
+    """Stands in for a stream's generator: ``random()`` replays a script."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self, size=None):
+        return next(self._values)
+
+
+@given(weights=weight_vectors)
+@settings(max_examples=200, deadline=None)
+def test_sampler_cdf_and_tie_side_are_those_of_choice(weights):
+    """Random uniforms land within an ulp of a CDF step about once in 1e16
+    draws, so the CDF's bits and the side a tie falls on are pinned directly:
+    ``choice`` computes ``cdf = p.cumsum(); cdf /= cdf[-1]`` and looks ``u``
+    up with ``side="right"``."""
+    w = np.asarray(weights, dtype=float)
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    sampler = CumulativeSampler.from_weights(weights)
+    assert sampler._cdf == cdf.tolist()
+    ties = [0.0] + [u for u in cdf.tolist() if u < 1.0]
+    stream = RandomStream(0, "ties")
+    stream._rng = _FixedUniforms(ties)
+    for u in ties:
+        index = sampler.draw(stream)
+        assert index == int(cdf.searchsorted(u, side="right"))
+        assert weights[index] > 0
+
+
+@given(weights=weight_vectors, seed=seeds)
+@settings(max_examples=100, deadline=None)
+def test_stream_choice_equals_generator_choice(weights, seed):
+    stream, oracle = stream_pair(seed)
+    items = list(range(len(weights)))
+    w = np.asarray(weights, dtype=float)
+    p = w / w.sum()
+    for _ in range(20):
+        assert stream.choice(items, weights) == int(oracle.choice(len(w), p=p))
+    assert_same_position(stream, oracle)
+
+
+@given(weights=weight_vectors)
+@settings(max_examples=100, deadline=None)
+def test_sampler_never_picks_a_zero_weight(weights):
+    stream = RandomStream(11, "zero")
+    sampler = CumulativeSampler.from_weights(weights)
+    assert all(weights[sampler.draw(stream)] > 0 for _ in range(100))
+
+
+@pytest.mark.parametrize("weights", [[0.0], [0.0, 0.0, 0.0], [float("nan"), 1.0]])
+def test_sampler_rejects_a_non_positive_sum(weights):
+    with pytest.raises(ValueError):
+        CumulativeSampler.from_weights(weights)
+
+
+def test_sampler_rejects_negative_probabilities():
+    with pytest.raises(ValueError):
+        CumulativeSampler.from_weights([2.0, -1.0])
+
+
+@given(
+    rows=st.lists(weight_vectors, min_size=1, max_size=6),
+    seed=seeds,
+)
+@settings(max_examples=100, deadline=None)
+def test_markov_step_equals_generator_choice_on_the_row(rows, seed):
+    """The old ``next_class`` handed the stored matrix row to ``choice``
+    as it was (normalised once at construction, not again per draw)."""
+    size = len(rows)
+    names = [f"c{i}" for i in range(size)]
+    transitions = {}
+    for source, weights in zip(names, rows):
+        row = {names[j]: w for j, w in enumerate(weights[:size]) if w > 0}
+        transitions[source] = row or {source: 1.0}
+    model = MarkovSessionModel(names, transitions)
+    stream, oracle = stream_pair(seed)
+    current = names[0]
+    for _ in range(40):
+        row = np.array([model.transition_probability(current, t) for t in names])
+        expected = names[int(oracle.choice(size, p=row))]
+        current = model.next_class(current, stream)
+        assert current == expected
+    assert_same_position(stream, oracle)
+
+
+# --------------------------------------------------------------------- #
+# Zipf ranks: random() + ndarray.searchsorted == uniform() + np.search… #
+# --------------------------------------------------------------------- #
+
+
+@given(
+    n=st.integers(min_value=1, max_value=5000),
+    theta=st.floats(min_value=0.0, max_value=2.5),
+    seed=seeds,
+    count=st.integers(min_value=0, max_value=64),
+)
+@settings(max_examples=150, deadline=None)
+def test_zipf_draws_equal_the_old_formulas(n, theta, seed, count):
+    stream, oracle = stream_pair(seed)
+    zipf = ZipfGenerator(n, theta, stream)
+    cdf = np.cumsum(np.arange(1, n + 1, dtype=float) ** (-theta))
+    cdf /= cdf[-1]
+    for _ in range(10):
+        u = float(oracle.uniform(0.0, 1.0))
+        assert zipf.sample() == int(np.searchsorted(cdf, u, side="left"))
+    us = oracle.uniform(size=count)
+    expected = np.searchsorted(cdf, us, side="left").astype(np.int64)
+    ranks = zipf.sample_many(count)
+    assert ranks.dtype == np.int64
+    assert ranks.tolist() == expected.tolist()
+    # Scalar and batched draws interleave on one generator.
+    u = float(oracle.uniform(0.0, 1.0))
+    assert zipf.sample() == int(np.searchsorted(cdf, u, side="left"))
+    assert_same_position(stream, oracle)
+
+
+@pytest.mark.parametrize("n,theta", [(1, 0.8), (7, 0.0), (300, 0.6), (300, 2.5)])
+def test_zipf_ties_fall_on_the_lower_rank(n, theta):
+    """``side="left"``: a uniform equal to a CDF step yields that step's rank."""
+    cdf = np.cumsum(np.arange(1, n + 1, dtype=float) ** (-theta))
+    cdf /= cdf[-1]
+    ties = [0.0] + cdf.tolist()[:-1]
+    stream = RandomStream(0, "ties")
+    zipf = ZipfGenerator(n, theta, stream)
+    stream._rng = _FixedUniforms(ties + [np.asarray(ties)])
+    expected = [int(np.searchsorted(cdf, u, side="left")) for u in ties]
+    assert [zipf.sample() for _ in ties] == expected
+    assert zipf.sample_many(len(ties)).tolist() == expected
+
+
+# --------------------------------------------------------------------- #
+# Point-lookup path: tabulated levels == per-lookup derivation          #
+# --------------------------------------------------------------------- #
+
+
+def lookup_path_oracle(index: BTreeIndex, row: int) -> list[int]:
+    """``BTreeIndex.lookup_path`` as it was before the level table."""
+    leaf_index = min(row // index.leaf_entries, index.leaf_count - 1)
+    path: list[int] = []
+    level_sizes: list[int] = []
+    size = index.leaf_count
+    while size > 1:
+        size = -(-size // index.fanout)
+        level_sizes.append(size)
+    offset_base = 0
+    offsets: list[int] = []
+    for size in reversed(level_sizes):
+        stride = max(1, index.leaf_count // size)
+        offsets.append(offset_base + min(leaf_index // stride, size - 1))
+        offset_base += size
+    if not offsets:
+        offsets = [0]
+    path.extend(
+        index.internal_pages.page(min(o, index.internal_pages.count - 1))
+        for o in offsets
+    )
+    path.append(index.leaf_of_row(row))
+    return path
+
+
+def make_index(rows: int, fanout: int, leaf_entries: int) -> BTreeIndex:
+    allocator = PageSpaceAllocator(base=1000)
+    table = Table.create(allocator, "t", row_count=rows, row_bytes=512)
+    return BTreeIndex.create(
+        allocator, "idx", table, fanout=fanout, leaf_entries=leaf_entries
+    )
+
+
+@pytest.mark.parametrize("rows", [1, 50, 399, 400, 401, 10_000, 123_457])
+@pytest.mark.parametrize("fanout", [2, 3, 7, 200])
+@pytest.mark.parametrize("leaf_entries", [1, 10, 400])
+def test_lookup_path_equals_the_per_lookup_derivation(rows, fanout, leaf_entries):
+    index = make_index(rows, fanout, leaf_entries)
+    step = max(1, rows // 997)
+    probes = set(range(0, rows, step)) | {0, rows - 1, rows // 2}
+    for row in sorted(probes):
+        assert index.lookup_path(row) == lookup_path_oracle(index, row)
+    for row in (-1, rows, rows + 10):
+        with pytest.raises(IndexError):
+            index.lookup_path(row)
+
+
+def test_lookup_path_of_a_single_leaf_tree_is_root_then_leaf():
+    index = make_index(rows=50, fanout=200, leaf_entries=400)
+    assert index.height == 1
+    assert index.lookup_path(49) == [
+        index.internal_pages.start,
+        index.leaf_pages.start,
+    ]
+
+
+@given(
+    rows=st.integers(min_value=1, max_value=200_000),
+    fanout=st.integers(min_value=2, max_value=300),
+    leaf_entries=st.integers(min_value=1, max_value=500),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_lookup_path_property(rows, fanout, leaf_entries, data):
+    index = make_index(rows, fanout, leaf_entries)
+    for _ in range(20):
+        row = data.draw(st.integers(min_value=0, max_value=rows - 1))
+        assert index.lookup_path(row) == lookup_path_oracle(index, row)
+
+
+def test_lookup_path_clamps_to_an_undersized_internal_range():
+    """A hand-built tree whose internal range is smaller than its levels
+    clamps every offset to the last internal page, as the old code did."""
+    allocator = PageSpaceAllocator()
+    table = Table.create(allocator, "t", row_count=10_000, row_bytes=512)
+    index = BTreeIndex(
+        name="idx",
+        table=table,
+        fanout=3,
+        leaf_entries=10,
+        height=8,
+        internal_pages=allocator.allocate("internal", 5),
+        leaf_pages=allocator.allocate("leaf", 1000),
+    )
+    for row in range(0, 10_000, 37):
+        assert index.lookup_path(row) == lookup_path_oracle(index, row)
+
+
+# --------------------------------------------------------------------- #
+# Page vectors                                                          #
+# --------------------------------------------------------------------- #
+
+
+@given(
+    working_set=st.integers(min_value=1, max_value=400),
+    theta=st.floats(min_value=0.0, max_value=1.5),
+    per_execution=st.integers(min_value=1, max_value=60),
+    seed=seeds,
+)
+@settings(max_examples=100, deadline=None)
+def test_zipf_working_set_equals_range_page_array_of_the_layout(
+    working_set, theta, per_execution, seed
+):
+    pages = PageRange("t", start=700, count=400)
+    stream, oracle = stream_pair(seed)
+    pattern = ZipfWorkingSet(pages, working_set, theta, per_execution, stream)
+    # The old construction and per-execution formula, on the twin generator.
+    layout = list(range(working_set))
+    oracle.shuffle(layout)
+    layout_array = np.asarray(layout, dtype=np.int64)
+    cdf = np.cumsum(np.arange(1, working_set + 1, dtype=float) ** (-theta))
+    cdf /= cdf[-1]
+    for _ in range(5):
+        ranks = np.searchsorted(cdf, oracle.uniform(size=per_execution), side="left")
+        expected = pages.page_array(layout_array[ranks]).tolist()
+        access = pattern.pages_for_execution()
+        assert access.demand == expected
+        assert all(type(page) is int for page in access.demand)
+        assert access.prefetch == []
+    assert_same_position(stream, oracle)
+
+
+class _Scripted(AccessPattern):
+    def __init__(self, accesses):
+        self._accesses = iter(accesses)
+
+    def pages_for_execution(self):
+        return next(self._accesses)
+
+    def footprint_pages(self):
+        return 0
+
+
+page_lists = st.lists(st.integers(min_value=0, max_value=10_000), max_size=12)
+accesses = st.builds(ExecutionAccess, demand=page_lists, prefetch=page_lists)
+
+
+@given(parts=st.lists(accesses, min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_composite_equals_a_fold_of_merged(parts):
+    folded = ExecutionAccess()
+    for access in parts:
+        folded = folded.merged(access)
+    before = [(list(a.demand), list(a.prefetch)) for a in parts]
+    composite = CompositePattern([_Scripted([a]) for a in parts])
+    result = composite.pages_for_execution()
+    assert result.demand == folded.demand
+    assert result.prefetch == folded.prefetch
+    assert result.total_pages == folded.total_pages
+    # The parts' own lists are neither aliased nor extended.
+    assert [(a.demand, a.prefetch) for a in parts] == before
+    assert all(result.demand is not a.demand for a in parts)

@@ -194,6 +194,24 @@ class TestPendingWriteDrain:
         assert scheduler.pending_stale_dropped_total == 1
         assert scheduler.replicas["r1"].engine.executor.executions == executions
 
+    def test_stale_entries_dropped_when_primary_force_applies_backlog(self):
+        scheduler = self.make_async()
+        scheduler.submit(make_class(write=True), 0.0)  # primary r0, queued for r1
+        scheduler.replicas["r1"].fail()
+        scheduler.replicas["r1"].recover()
+        assert scheduler.catch_up("r1", 10.0) == 1
+        executions = scheduler.replicas["r1"].engine.executor.executions
+        # Round-robin makes r1 the next primary while a propagation stall
+        # keeps drain_pending from running: its backlog still holds the
+        # replayed write, which must be dropped, not re-executed.
+        scheduler.stall_propagation(50.0)
+        scheduler.submit(make_class(write=True), 10.0)
+        assert scheduler.pending_stale_dropped_total == 1
+        assert (
+            scheduler.replicas["r1"].engine.executor.executions == executions + 1
+        )
+        assert scheduler.replication.watermarks["r1"] == 2
+
     def test_propagation_stall_holds_the_queue(self):
         scheduler = self.make_async()
         scheduler.submit(make_class(write=True), 0.0)

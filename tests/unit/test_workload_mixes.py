@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.engine.query import QueryClass
+from repro.sim.rng import SeedSequenceFactory
+from repro.workloads.base import MixEntry, Workload
 from repro.workloads.rubis import RUBIS_MIXES, build_rubis
 from repro.workloads.tpcw import TPCW_MIXES, build_tpcw
 
@@ -67,8 +70,6 @@ class TestRubisMixes:
             build_rubis(mix="chaos")
 
     def test_browsing_write_classes_never_sampled(self):
-        from repro.sim.rng import SeedSequenceFactory
-
         workload = build_rubis(mix="browsing")
         stream = SeedSequenceFactory(77).stream("mix")
         for _ in range(500):
@@ -164,3 +165,103 @@ class TestMixNormalization:
 
         signature = inspect.signature(ClosedLoopDriver.__init__)
         assert signature.parameters["think_time_mean"].default == 1.0
+
+
+class TestSampleClassFollowsTheLiveMix:
+    """``sample_class`` caches its sampler; ``Workload.mix`` is a public
+    list that callers rebind and mutate in place.  After every kind of
+    change the next draws must be those of a fresh workload holding the
+    same mix, driven by an equally seeded stream."""
+
+    DRAWS = 60
+
+    @staticmethod
+    def stream(name="mix"):
+        return SeedSequenceFactory(41).stream(name)
+
+    def warm(self, workload):
+        """Populate the cache from the mix as built."""
+        stream = self.stream("warm")
+        return [workload.sample_class(stream).name for _ in range(self.DRAWS)]
+
+    def assert_follows(self, workload):
+        fresh = Workload(
+            app=workload.app,
+            schema=workload.schema,
+            catalog=workload.catalog,
+            mix=list(workload.mix),
+        )
+        a, b = self.stream(), self.stream()
+        drawn = [workload.sample_class(a) for _ in range(self.DRAWS)]
+        expected = [fresh.sample_class(b) for _ in range(self.DRAWS)]
+        assert [c.name for c in drawn] == [c.name for c in expected]
+        assert all(x is y for x, y in zip(drawn, expected))
+        assert a.generator.random() == b.generator.random()
+        return [c.name for c in drawn]
+
+    def test_scale_weights(self):
+        workload = build_tpcw(seed=3)
+        self.warm(workload)
+        workload.scale_weights({"best_seller": 1e6})
+        assert set(self.assert_follows(workload)) == {"best_seller"}
+
+    def test_add_class(self):
+        workload = build_tpcw(seed=3)
+        self.warm(workload)
+        newcomer = QueryClass(
+            name="report", app=workload.app, query_id=99,
+            template="select report", pattern=workload.class_named("home").pattern,
+        )
+        workload.add_class(newcomer, weight=1e6)
+        assert set(self.assert_follows(workload)) == {"report"}
+
+    def test_rebinding_the_mix(self):
+        workload = build_tpcw(seed=3)
+        self.warm(workload)
+        workload.mix = [e for e in workload.mix if e.query_class.is_write]
+        names = self.assert_follows(workload)
+        assert all(workload.class_named(n).is_write for n in names)
+
+    def test_in_place_item_assignment(self):
+        workload = build_tpcw(seed=3)
+        self.warm(workload)
+        for i, entry in enumerate(workload.mix):
+            workload.mix[i] = MixEntry(entry.query_class, 1.0 if i == 4 else 0.0)
+        assert set(self.assert_follows(workload)) == {
+            workload.mix[4].query_class.name
+        }
+
+    def test_in_place_pop(self):
+        workload = build_tpcw(seed=3)
+        self.warm(workload)
+        while len(workload.mix) > 1:
+            workload.mix.pop()
+        assert set(self.assert_follows(workload)) == {
+            workload.mix[0].query_class.name
+        }
+
+    def test_emptied_mix_raises(self):
+        workload = build_tpcw(seed=3)
+        self.warm(workload)
+        workload.mix.clear()
+        with pytest.raises(ValueError, match="empty mix"):
+            workload.sample_class(self.stream())
+
+    def test_all_zero_weights_raise_every_time(self):
+        workload = build_tpcw(seed=3)
+        self.warm(workload)
+        workload.mix = [MixEntry(e.query_class, 0.0) for e in workload.mix]
+        stream = self.stream()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="positive sum"):
+                workload.sample_class(stream)
+
+    def test_without_class_copy_has_its_own_cache(self):
+        workload = build_tpcw(seed=3)
+        before = self.warm(workload)
+        copy = workload.without_class("best_seller")
+        assert "best_seller" not in self.assert_follows(copy)
+        copy.scale_weights({"home": 0.0})
+        assert "home" not in self.assert_follows(copy)
+        # The original still draws from its own, unchanged mix.
+        assert self.warm(workload) == before
