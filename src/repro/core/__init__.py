@@ -26,12 +26,10 @@ from .metrics import MEMORY_METRICS, Metric, MetricVector, vector_from_stats
 from .mrc_sampling import SamplingStats, sample_trace, sampled_mrc
 from .mrc import (
     DEFAULT_ACCEPTABLE_THRESHOLD,
-    FenwickTree,
     MissRatioCurve,
     MRCParameters,
     MRCTracker,
     stack_distances,
-    stack_distances_fenwick,
 )
 from .outliers import (
     Fences,
@@ -63,7 +61,6 @@ __all__ = [
     "DiagnosisConfig",
     "Fences",
     "LogAnalyzer",
-    "FenwickTree",
     "MEMORY_METRICS",
     "Metric",
     "MetricVector",
@@ -94,7 +91,6 @@ __all__ = [
     "sample_trace",
     "sampled_mrc",
     "stack_distances",
-    "stack_distances_fenwick",
     "top_k_heavyweight",
     "vector_from_stats",
 ]

@@ -122,7 +122,9 @@ class UniformWorkingSet(AccessPattern):
             raise ValueError(
                 f"working set {working_set} outside (0, {pages.count}]"
             )
-        self._range = pages
+        # Offsets are drawn from [0, working_set) and working_set fits the
+        # range (checked above), so executions translate without re-checking.
+        self._start = pages.start
         self.working_set = working_set
         self.pages_per_execution = pages_per_execution
         self._stream = stream
@@ -131,8 +133,7 @@ class UniformWorkingSet(AccessPattern):
         offsets = self._stream.integers_array(
             0, self.working_set, self.pages_per_execution
         )
-        demand = self._range.page_array(offsets).tolist()
-        return ExecutionAccess(demand=demand)
+        return ExecutionAccess(demand=(self._start + offsets).tolist())
 
     def footprint_pages(self) -> int:
         return self.working_set
@@ -158,10 +159,12 @@ class SequentialChunkScan(AccessPattern):
             raise ValueError(f"scan chunk must be positive: {chunk}")
         if readahead < 0:
             raise ValueError(f"readahead must be non-negative: {readahead}")
-        self._range = pages
         self.region = min(region or pages.count, pages.count)
         if self.region <= 0:
             raise ValueError(f"scan region must be positive: {self.region}")
+        # Offsets are taken modulo region and region fits the range (clamped
+        # above), so executions translate without re-checking.
+        self._start = pages.start
         self.chunk = min(chunk, self.region)
         self.readahead = readahead
         self._cursor = 0
@@ -171,8 +174,8 @@ class SequentialChunkScan(AccessPattern):
         )
 
     def pages_for_execution(self) -> ExecutionAccess:
-        demand = self._range.page_array(
-            (self._cursor + self._chunk_steps) % self.region
+        demand = (
+            self._start + (self._cursor + self._chunk_steps) % self.region
         ).tolist()
         self._cursor = (self._cursor + self.chunk) % self.region
         # Sequential read-ahead covers the chunk being scanned plus a
@@ -183,8 +186,9 @@ class SequentialChunkScan(AccessPattern):
         prefetch = list(demand)
         if len(self._readahead_steps):
             prefetch.extend(
-                self._range.page_array(
-                    (self._cursor + self._readahead_steps) % self.region
+                (
+                    self._start
+                    + (self._cursor + self._readahead_steps) % self.region
                 ).tolist()
             )
         return ExecutionAccess(demand=demand, prefetch=prefetch)

@@ -14,21 +14,33 @@ keep per-query-class hit/miss/read-ahead counters, which is exactly the
 signal the outlier detector consumes.
 
 Every pool also exposes a *batched* fast path — :meth:`BufferPool.access_many`
-and :meth:`BufferPool.prefetch_many` — that processes one execution's whole
-page vector per call: residency and LRU maintenance run over hoisted locals,
-hit/miss counts accumulate in plain ints and reach :class:`PoolStats` once
-per batch through :meth:`PoolStats.record_batch`, and read-ahead vectors are
-deduplicated with numpy set operations before touching the pool.  The batched
-path is bit-exact with the per-page loop: same hit/miss/eviction sequence,
-same LRU order, same counters (the property suite in
-``tests/property/test_prop_bufferpool_batched.py`` pins this differentially).
+and :meth:`BufferPool.prefetch_many` — that takes one execution's whole page
+vector (a Python list; that is what every access pattern emits) per call and
+keeps the per-page work inside the C-implemented ``OrderedDict``:
+
+* a demand batch's leading run of hits is one ``map(move_to_end, ...)``
+  drained in C; ``move_to_end`` raises ``KeyError`` at the first non-resident
+  page with every page before it already reordered, and only from there on
+  does a Python loop (hoisted locals) take over;
+* a read-ahead batch goes through ``filterfalse(pages.__contains__, ...)``,
+  which probes the *live* dict lazily, one page at a time, so only pages that
+  must be fetched ever reach Python;
+* hit/miss, read-ahead and eviction counts accumulate in plain ints and reach
+  :class:`PoolStats` once per batch.
+
+There is one demand path and one read-ahead path, whatever the batch size or
+hit ratio.  Both are bit-exact with per-page :meth:`BufferPool.access` /
+a per-page read-ahead loop: same hit/miss/eviction sequence, same LRU order,
+same counters (``tests/property/test_prop_bufferpool_batched.py`` pins this
+against the per-page oracles in ``tests/oracles/``).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import filterfalse
 
 import numpy as np
 
@@ -39,6 +51,16 @@ __all__ = [
     "PartitionedBufferPool",
     "replay_trace",
 ]
+
+# Consumes an iterator at C speed, keeping nothing (the itertools recipe).
+_drain = deque(maxlen=0).extend
+
+
+def _as_page_list(page_ids: Iterable[int] | np.ndarray) -> list[int]:
+    """A batch that did not arrive as a list or tuple, as a list of ints."""
+    if isinstance(page_ids, np.ndarray):
+        return page_ids.tolist()
+    return list(page_ids)
 
 
 @dataclass
@@ -147,24 +169,16 @@ class BufferPool:
     ) -> int:
         """Reference a whole page vector; returns the number of hits.
 
-        Bit-exact with calling :meth:`access` per page, in order.  Subclasses
-        override this with a batch-local fast path; the default delegates.
+        Bit-exact with calling :meth:`access` per page, in order.
         """
-        if isinstance(page_ids, np.ndarray):
-            page_ids = page_ids.tolist()
-        hits = 0
-        for page_id in page_ids:
-            if self.access(page_id, query_class):
-                hits += 1
-        return hits
+        raise NotImplementedError
 
     def prefetch_many(
         self, page_ids: Sequence[int] | np.ndarray, query_class: str = ""
     ) -> int:
-        """Batched :meth:`prefetch`; returns the number of pages fetched."""
-        if isinstance(page_ids, np.ndarray):
-            page_ids = page_ids.tolist()
-        return self.prefetch(page_ids, query_class)
+        """:meth:`prefetch` of one execution's read-ahead vector; returns the
+        number of pages fetched."""
+        raise NotImplementedError
 
     def resident(self, page_id: int) -> bool:
         raise NotImplementedError
@@ -213,12 +227,22 @@ class LRUBufferPool(BufferPool):
         return False
 
     def prefetch(self, page_ids: Iterable[int], query_class: str = "") -> int:
+        pages = self._pages
+        pop = pages.popitem
+        capacity = self.capacity
         fetched = 0
-        for page_id in page_ids:
-            if page_id in self._pages:
-                continue
-            self._admit(page_id)
+        evicted = 0
+        # filterfalse probes the live dict one page at a time, so a page
+        # evicted by an admission of this very batch, or a duplicate of a
+        # page it admitted, is judged as the per-page loop would judge it.
+        for page_id in filterfalse(pages.__contains__, page_ids):
+            while len(pages) >= capacity:
+                pop(last=False)
+                evicted += 1
+            pages[page_id] = None
             fetched += 1
+        if evicted:
+            self._record_evictions(evicted)
         if fetched:
             self.stats.record_readahead(query_class, fetched)
         return fetched
@@ -228,59 +252,61 @@ class LRUBufferPool(BufferPool):
     ) -> int:
         """Batched :meth:`access` over one execution's demand vector.
 
-        Residency probes, LRU reordering, and eviction run against hoisted
-        locals; hit/miss totals reach :class:`PoolStats` once per batch.
+        The leading run of hits is reordered without leaving C; from the
+        first miss on, residency probes, LRU reordering and eviction run
+        against hoisted locals.  Totals reach :class:`PoolStats` once per
+        batch.
         """
-        if isinstance(page_ids, np.ndarray):
-            page_ids = page_ids.tolist()
+        if not isinstance(page_ids, (list, tuple)):
+            # Also keeps a caller's generator out of the try below: the only
+            # KeyError it can see is move_to_end's.
+            page_ids = _as_page_list(page_ids)
         pages = self._pages
         move = pages.move_to_end
+        total = len(page_ids)
+        rest = iter(page_ids)
+        try:
+            _drain(map(move, rest))
+        except KeyError as first_miss:
+            # Raised for the first non-resident page, which `rest` has
+            # already consumed; every page before it is reordered.
+            page_id = first_miss.args[0]
+        else:
+            self.stats.record_batch(query_class, total, 0)
+            return total
         pop = pages.popitem
         capacity = self.capacity
-        hits = 0
-        total = 0
+        misses = 1
         evicted = 0
-        for page_id in page_ids:
-            total += 1
+        # Admit the first miss, then finish `rest` page by page.  (Chaining
+        # the page back in front of `rest` would save these four lines and
+        # cost every later page an extra iterator hop: +7 % on miss-heavy
+        # workloads.)
+        while len(pages) >= capacity:
+            pop(last=False)
+            evicted += 1
+        pages[page_id] = None
+        for page_id in rest:
             if page_id in pages:
                 move(page_id)
-                hits += 1
             else:
+                misses += 1
                 while len(pages) >= capacity:
                     pop(last=False)
                     evicted += 1
                 pages[page_id] = None
         if evicted:
             self._record_evictions(evicted)
-        self.stats.record_batch(query_class, hits, total - hits)
-        return hits
+        self.stats.record_batch(query_class, total - misses, misses)
+        return total - misses
 
     def prefetch_many(
         self, page_ids: Sequence[int] | np.ndarray, query_class: str = ""
     ) -> int:
-        """Batched :meth:`prefetch` over one execution's read-ahead vector.
-
-        When the vector arrives as an ndarray and the whole candidate set
-        fits without displacing anything, duplicates are stripped with numpy
-        set operations (first occurrence wins) and the survivors are admitted
-        in one pass.  Any batch that could trigger evictions mid-way falls
-        back to the per-page loop, whose interleaving of admissions and
-        evictions is the semantic contract.
-        """
+        """:meth:`prefetch` of one execution's read-ahead vector; like
+        :meth:`access_many` a trace point that ``benchmarks/perf`` wraps by
+        owner and name."""
         if isinstance(page_ids, np.ndarray):
-            if len(page_ids) == 0:
-                return 0
-            unique, first_index = np.unique(page_ids, return_index=True)
-            if len(self._pages) + len(unique) <= self.capacity:
-                pages = self._pages
-                fetched = 0
-                for page_id in page_ids[np.sort(first_index)].tolist():
-                    if page_id not in pages:
-                        pages[page_id] = None
-                        fetched += 1
-                if fetched:
-                    self.stats.record_readahead(query_class, fetched)
-                return fetched
             page_ids = page_ids.tolist()
         return self.prefetch(page_ids, query_class)
 
@@ -389,6 +415,8 @@ class PartitionedBufferPool(BufferPool):
         self, page_ids: Sequence[int] | np.ndarray, query_class: str = ""
     ) -> int:
         """Batched access: one partition lookup and one stats flush per batch."""
+        if not isinstance(page_ids, (list, tuple)):
+            page_ids = _as_page_list(page_ids)
         hits = self._pool_for(query_class).access_many(page_ids, query_class)
         self.stats.record_batch(query_class, hits, len(page_ids) - hits)
         return hits
@@ -424,8 +452,6 @@ def replay_trace(
     same-class accesses, which preserves the exact access interleaving.
     """
     if classes is None:
-        if not isinstance(pages, (list, np.ndarray)):
-            pages = list(pages)
         pool.access_many(pages, query_class)
         return pool.stats
     run_pages: list[int] = []

@@ -17,6 +17,8 @@ from repro.engine.access import (
     AccessPattern,
     CompositePattern,
     ExecutionAccess,
+    SequentialChunkScan,
+    UniformWorkingSet,
     ZipfWorkingSet,
 )
 from repro.engine.indexes import BTreeIndex
@@ -319,6 +321,58 @@ def test_zipf_working_set_equals_range_page_array_of_the_layout(
         assert all(type(page) is int for page in access.demand)
         assert access.prefetch == []
     assert_same_position(stream, oracle)
+
+
+@given(
+    working_set=st.integers(min_value=1, max_value=400),
+    per_execution=st.integers(min_value=0, max_value=60),
+    seed=seeds,
+)
+@settings(max_examples=100, deadline=None)
+def test_uniform_working_set_equals_range_page_array_of_the_offsets(
+    working_set, per_execution, seed
+):
+    """Bounds are checked at construction; each execution still emits what
+    the per-execution ``PageRange.page_array`` (min/max-checked) emitted."""
+    pages = PageRange("t", start=700, count=400)
+    stream, oracle = stream_pair(seed)
+    pattern = UniformWorkingSet(pages, working_set, per_execution, stream)
+    for _ in range(5):
+        offsets = oracle.integers(0, working_set, size=per_execution)
+        access = pattern.pages_for_execution()
+        assert access.demand == pages.page_array(offsets).tolist()
+        assert all(type(page) is int for page in access.demand)
+        assert access.prefetch == []
+    assert_same_position(stream, oracle)
+
+
+@given(
+    count=st.integers(min_value=1, max_value=300),
+    chunk=st.integers(min_value=1, max_value=400),
+    readahead=st.integers(min_value=0, max_value=400),
+    region=st.one_of(st.none(), st.integers(min_value=1, max_value=500)),
+)
+@settings(max_examples=150, deadline=None)
+def test_sequential_scan_equals_range_page_array_of_the_offsets(
+    count, chunk, readahead, region
+):
+    """Same for the cyclic scan, whatever the clamping of chunk, read-ahead
+    and region: every emitted offset passes the range's own bounds check."""
+    pages = PageRange("t", start=2_000_000, count=count)
+    scan = SequentialChunkScan(pages, chunk, readahead=readahead, region=region)
+    span = min(region or count, count)
+    size = min(chunk, span)
+    cursor = 0
+    for _ in range(6):
+        demand = pages.page_array((cursor + np.arange(size)) % span).tolist()
+        cursor = (cursor + size) % span
+        ahead = pages.page_array(
+            (cursor + np.arange(min(readahead, span))) % span
+        ).tolist()
+        access = scan.pages_for_execution()
+        assert access.demand == demand
+        assert access.prefetch == demand + ahead
+        assert all(type(page) is int for page in access.prefetch)
 
 
 class _Scripted(AccessPattern):

@@ -7,7 +7,8 @@ with an actual LRU buffer pool at every capacity, for any trace.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.mrc import MissRatioCurve, stack_distances, stack_distances_fenwick
+from oracles.fenwick import stack_distances_fenwick
+from repro.core.mrc import MissRatioCurve, stack_distances
 from repro.engine.bufferpool import LRUBufferPool
 
 traces = st.lists(st.integers(min_value=0, max_value=25), min_size=0, max_size=300)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.lru import prefetch_per_page
 from repro.engine.bufferpool import (
     LRUBufferPool,
     PartitionedBufferPool,
@@ -317,20 +318,24 @@ class TestBatchedAccess:
             PoolStats().record_batch("q", hits=-1, misses=0)
 
     def test_prefetch_many_ndarray_dedups_first_occurrence(self):
-        pool = LRUBufferPool(8)
-        fetched = pool.prefetch_many(np.asarray([5, 3, 5, 3, 7]), "q")
-        assert fetched == 3
-        assert pool.lru_order() == [5, 3, 7]
-        assert pool.stats.readaheads == 3
+        # One read-ahead path for lists and ndarrays: the residency filter
+        # drops the repeats, first occurrence wins, keys are Python ints.
+        for vector in ([5, 3, 5, 3, 7], np.asarray([5, 3, 5, 3, 7])):
+            pool = LRUBufferPool(8)
+            fetched = pool.prefetch_many(vector, "q")
+            assert fetched == 3
+            assert pool.lru_order() == [5, 3, 7]
+            assert all(type(page) is int for page in pool.lru_order())
+            assert pool.stats.readaheads == 3
 
     def test_prefetch_many_overflow_matches_per_page_loop(self):
-        # Duplicates spanning an eviction: the numpy dedup fast path must
-        # not engage, because the second occurrence of 1 re-fetches it.
+        # Duplicates spanning an eviction: the second occurrence of 1 finds
+        # it evicted by this very batch and re-fetches it.
         vector = [1, 2, 3, 1]
         fast = LRUBufferPool(2)
-        fast.prefetch_many(np.asarray(vector), "q")
+        assert fast.prefetch_many(np.asarray(vector), "q") == 4
         slow = LRUBufferPool(2)
-        slow.prefetch(vector, "q")
+        prefetch_per_page(slow, vector, "q")
         assert fast.lru_order() == slow.lru_order()
         assert fast.stats.readaheads == slow.stats.readaheads
         assert fast.total_evictions == slow.total_evictions

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles.fenwick import FenwickTree
 from repro.core.mrc import (
-    FenwickTree,
     MissRatioCurve,
     MRCParameters,
     MRCTracker,
