@@ -9,15 +9,11 @@ Refresh the committed baselines after an intentional behaviour change::
 
     PYTHONPATH=src python benchmarks/baseline.py --write-baselines
 
-Check this machine's run against the committed baselines (exits non-zero
-only on artefact drift; timing drift outside the tolerance band warns)::
+Check this machine's run against the committed baselines and evaluate every
+scenario's invariants (exits non-zero on artefact drift or a broken
+invariant; timing drift outside the tolerance band only warns)::
 
     PYTHONPATH=src python benchmarks/baseline.py --check --parallel 4
-
-Fold wall-clock means from a ``pytest --benchmark-json=out.json`` run of
-the benchmarks suite into the committed baselines' ``timing`` blocks::
-
-    PYTHONPATH=src python benchmarks/baseline.py --merge-timings out.json
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.experiments.bench import (  # noqa: E402
     add_bench_arguments,
-    merge_pytest_benchmark_timings,
     run_bench_command,
 )
 
@@ -42,25 +37,7 @@ def main(argv: list[str] | None = None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     add_bench_arguments(parser)
-    parser.add_argument(
-        "--merge-timings",
-        type=str,
-        default=None,
-        metavar="JSON",
-        help="fold a pytest-benchmark JSON report's mean timings into the "
-        "committed baselines, then exit",
-    )
-    args = parser.parse_args(argv)
-    if args.merge_timings:
-        updated = merge_pytest_benchmark_timings(
-            args.merge_timings, args.baseline_dir
-        )
-        for name in updated:
-            print(f"timing updated: BENCH_{name}.json")
-        if not updated:
-            print("no benchmark timings matched a committed baseline")
-        return 0
-    return run_bench_command(args)
+    return run_bench_command(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -35,6 +35,24 @@ from .diagnosis import (
 
 __all__ = ["ControllerConfig", "AppIntervalReport", "ClusterController"]
 
+_FINE_KINDS = frozenset(
+    {
+        ActionKind.APPLY_QUOTAS,
+        ActionKind.RESCHEDULE_CLASS,
+        ActionKind.REMOVE_CLASS_FOR_IO,
+        ActionKind.REPORT_LOCK_CONTENTION,
+    }
+)
+
+QUOTA_THRASH_BAND = 0.15
+"""Re-imposing a near-identical quota only cold-restarts the partition, so a
+proposal within this relative band of the standing quota counts as already
+applied — on the quota path and for planner ``SET_QUOTA`` steps alike."""
+
+
+def _within_thrash_band(pages: int, current: int | None) -> bool:
+    return current is not None and abs(pages - current) <= QUOTA_THRASH_BAND * current
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -256,20 +274,14 @@ class ClusterController:
                 )
                 if sla_met[app]:
                     self._violation_streak[app] = 0
-                    if self.config.use_forecast:
-                        report.actions = self._forecast_react(app, timestamp)
+                    report.actions = self._respond(app, timestamp, violating=False)
                     if self.config.scale_down:
                         self._maybe_scale_down(app, timestamp)
                 elif metrics.queries > 0:
                     self._violation_streak[app] = (
                         self._violation_streak.get(app, 0) + 1
                     )
-                    if self.config.use_forecast:
-                        report.actions = self._forecast_react(
-                            app, timestamp, violating=True
-                        )
-                    else:
-                        report.actions = self._react(app, timestamp)
+                    report.actions = self._respond(app, timestamp, violating=True)
                 for action in report.actions:
                     registry.counter(
                         "controller.actions", app=app, kind=action.kind.value
@@ -309,10 +321,20 @@ class ClusterController:
             self._low_util_streak[app] = 0
 
     # ------------------------------------------------------------------ #
-    # Reaction                                                           #
+    # Reaction: gates → act-ahead → reactive proposer → actuation        #
     # ------------------------------------------------------------------ #
 
-    def _react(self, app: str, timestamp: float) -> list[Action]:
+    def _respond(self, app: str, timestamp: float, violating: bool) -> list[Action]:
+        """The one reaction pipeline, run once per app and interval.
+
+        The gates come first and are shared: nothing — reactive or
+        predictive — may act where any of them holds back.  Behind them the
+        act-ahead proposer runs when a forecaster exists; whatever it
+        applies ends the interval.  Otherwise a violating app gets exactly
+        one reactive proposer (coarse-only | planner | diagnosis).
+        """
+        if not violating and self.forecaster is None:
+            return []
         # Cold-start grace: violations in the first intervals after launch
         # come from an empty buffer pool, not from a real change.
         if self._interval_index < self.config.startup_grace_intervals:
@@ -334,66 +356,211 @@ class ClusterController:
         degraded = self._degraded_evidence(app)
         if degraded is not None:
             registry = self.obs.registry
-            if registry.enabled:
+            if violating and registry.enabled:
                 registry.counter(
                     "controller.degraded_skips", app=app, reason=degraded
                 ).inc()
             return []
-        scheduler = self.schedulers[app]
-        views = self._views_of(app)
+        if self.forecaster is not None:
+            actions = self._act_ahead(app, timestamp)
+            if actions:
+                return actions
+        if not violating:
+            return []
         if not self.config.fine_grained:
-            action = Action(
+            # The coarse-only baseline never stamps the action grace: it
+            # provisions on every violating interval past startup grace.
+            coarse = Action(
                 kind=ActionKind.COARSE_FALLBACK,
                 app=app,
                 reason="fine-grained retuning disabled (coarse-only baseline)",
             )
-            with self.obs.tracer.span(
-                "actions.apply", attrs={"app": app, "kinds": action.kind.value}
-            ) as span:
-                applied = self._apply(action, timestamp)
-                span.set_attr("applied", int(applied))
-                span.add_cost(1)
-            return [action]
-
+            self._actuate_all(app, [coarse], timestamp)
+            return [coarse]
         if self.config.use_planner:
-            return self._react_with_planner(app, timestamp)
+            return self._react_with_plan(app, timestamp)
+        return self._react_with_diagnosis(app, timestamp)
 
+    def _act_ahead(self, app: str, timestamp: float) -> list[Action]:
+        """Act ahead of a *predicted* violation (``use_forecast``).
+
+        Fires the planner against the predicted snapshot so the fix lands
+        before the breach — or, for an app already violating whose forecast
+        says the violation persists, instead of the patience ladder.
+        Returns what it applied; an empty list (cold or low-confidence
+        forecast, predicted recovery, nothing applicable) hands the interval
+        to the reactive proposer unchanged.  It runs behind the gates
+        because ``consider`` spends act-ahead budget and emits a forecast
+        record: a held-back interval predicts on nothing.
+        """
+        forecaster = self.forecaster
+        if self.schedulers[app].health.any_down:
+            # Mid-failover the topology the forecaster learned no longer
+            # exists; planning against it only thrashes the survivors.
+            # Hold predictive fire until the cluster is whole again.
+            return []
+        decision, forecast = forecaster.consider(app, self._interval_index)
+        if not decision.act or forecast is None:
+            return []
+        plan = self._plan(
+            app,
+            "forecast.plan",
+            "forecast.plans",
+            self.config.forecast_seed,
+            horizon=forecast.horizon,
+        )
+        if plan.empty:
+            # No fine-grained move improves the predicted snapshot, but the
+            # violation forecast stands: scale out ahead of the breach (the
+            # PerfEnforce move).  The predicted latency comes from the whole
+            # app, not one class, so added capacity is the remaining lever.
+            scale_out = Action(
+                kind=ActionKind.PROVISION_REPLICA,
+                app=app,
+                reason=(
+                    f"forecast: predicted latency "
+                    f"{decision.predicted_latency:.3f} > threshold "
+                    f"{decision.threshold:.3f}, no fine-grained move"
+                ),
+            )
+            if self._actuate_all(app, [scale_out], timestamp):
+                self._last_action_interval[app] = self._interval_index
+                forecaster.note_scale_out()
+                return [scale_out]
+        else:
+            actions = self._commit_plan(app, plan, timestamp)
+            if actions:
+                forecaster.note_plan_applied()
+                return actions
+        # Nothing changed — the server pool is exhausted, or every step
+        # no-opped at apply time (quota within the thrash band, class
+        # already placed): refund the act-ahead token.
+        forecaster.note_empty_plan(app, self._interval_index)
+        return []
+
+    def _react_with_plan(self, app: str, timestamp: float) -> list[Action]:
+        """Reactive proposer under ``use_planner``: the global capacity
+        planner instead of the single-server quota path.  Returns the
+        actions *applied*."""
+        plan = self._plan(
+            app, "planner.plan", "planner.plans", self.config.planner_seed
+        )
+        if not plan.empty:
+            return self._commit_plan(app, plan, timestamp)
+        # Same escalation contract as the diagnosis path: a planner with no
+        # improving move left is "fine-grained exhausted".
+        if not self._exhausted(app):
+            return []
+        fallback = Action(
+            kind=ActionKind.COARSE_FALLBACK,
+            app=app,
+            reason=(
+                "planner found no improving move after "
+                f"{self._violation_streak.get(app, 0)} intervals of violation"
+            ),
+        )
+        if self._actuate_all(app, [fallback], timestamp):
+            self._last_action_interval[app] = self._interval_index
+        return [fallback]
+
+    def _react_with_diagnosis(self, app: str, timestamp: float) -> list[Action]:
+        """Reactive proposer of the paper: diagnose, then quota/reschedule.
+        Returns every action *proposed*, applied or not."""
         diagnosis = diagnose(
-            app, scheduler, views, self.config.diagnosis, obs=self.obs
+            app,
+            self.schedulers[app],
+            self._views_of(app),
+            self.config.diagnosis,
+            obs=self.obs,
         )
         self.diagnoses.append(diagnosis)
         actions = list(diagnosis.actions)
-        streak = self._violation_streak.get(app, 0)
-        fine_kinds = {
-            ActionKind.APPLY_QUOTAS,
-            ActionKind.RESCHEDULE_CLASS,
-            ActionKind.REMOVE_CLASS_FOR_IO,
-            ActionKind.REPORT_LOCK_CONTENTION,
-        }
         # The diagnosis itself escalates to COARSE_FALLBACK when it finds
-        # nothing actionable; here the controller additionally escalates when
-        # fine-grained actions were *tried* and the SLA is still violated
-        # past the patience budget, or when diagnosis has been inconclusive
-        # for much longer (it may legitimately wait for window coverage).
-        tried_fine = self._fine_action_tried.get(app, False)
-        exhausted = (streak > self.config.fallback_patience and tried_fine) or (
-            streak > 2 * self.config.fallback_patience + 2
-        )
-        if exhausted and all(
-            a.kind in fine_kinds or a.kind is ActionKind.NO_ACTION for a in actions
+        # nothing actionable; here the controller additionally escalates
+        # when the patience ladder is exhausted and diagnosis still only
+        # proposes fine-grained moves (or nothing).
+        if self._exhausted(app) and all(
+            a.kind in _FINE_KINDS or a.kind is ActionKind.NO_ACTION for a in actions
         ):
             actions = [
                 Action(
                     kind=ActionKind.COARSE_FALLBACK,
                     app=app,
                     reason=(
-                        f"SLA still violated after {streak} intervals of "
+                        "SLA still violated after "
+                        f"{self._violation_streak.get(app, 0)} intervals of "
                         "fine-grained retuning"
                     ),
                 )
             ]
-        if any(a.kind in fine_kinds for a in actions):
+        if any(a.kind in _FINE_KINDS for a in actions):
             self._fine_action_tried[app] = True
+        if self._actuate_all(app, actions, timestamp):
+            self._last_action_interval[app] = self._interval_index
+        return actions
+
+    def _exhausted(self, app: str) -> bool:
+        """The patience ladder: fine-grained actions were *tried* and the
+        SLA is still violated past the patience budget, or the proposer has
+        been inconclusive for much longer (it may legitimately wait for
+        window coverage)."""
+        streak = self._violation_streak.get(app, 0)
+        patience = self.config.fallback_patience
+        return (streak > patience and self._fine_action_tried.get(app, False)) or (
+            streak > 2 * patience + 2
+        )
+
+    def _plan(
+        self,
+        app: str,
+        span_name: str,
+        counter: str,
+        seed: int,
+        horizon: int | None = None,
+    ):
+        """Search a capacity plan for ``app`` — against the cluster as it
+        stands, or as forecast ``horizon`` intervals ahead — and log it."""
+        # Imported lazily: planner and forecast depend on core, so a
+        # module-level import would be a cycle — and the default path never
+        # needs either.
+        from ..planner import PlannerConfig, build_snapshot, search_plan
+
+        attrs = {"app": app}
+        if horizon is not None:
+            attrs["horizon"] = horizon
+        with self.obs.tracer.span(span_name, attrs=attrs) as span:
+            snapshot = build_snapshot(self, app=app, obs=self.obs)
+            if horizon is not None:
+                from ..forecast import predicted_snapshot
+
+                snapshot = predicted_snapshot(
+                    snapshot,
+                    horizon,
+                    self.forecaster.app_forecasts(),
+                    self.forecaster.class_forecasts(),
+                )
+            plan = search_plan(snapshot, PlannerConfig(seed=seed), obs=self.obs)
+            span.set_attr("steps", len(plan.steps))
+        self.plans.append(plan)
+        registry = self.obs.registry
+        if registry.enabled:
+            registry.counter(counter, app=app).inc()
+        return plan
+
+    def _commit_plan(self, app: str, plan, timestamp: float) -> list[Action]:
+        """Apply ``plan``; whatever it changed starts the action grace and
+        counts as fine-grained retuning tried."""
+        actions = self.apply_plan(plan, timestamp)
+        if actions:
+            self._last_action_interval[app] = self._interval_index
+            self._fine_action_tried[app] = True
+        return actions
+
+    def _actuate_all(
+        self, app: str, actions: list[Action], timestamp: float
+    ) -> list[Action]:
+        """Apply ``actions`` under one ``actions.apply`` span; returns the
+        ones that changed something."""
         with self.obs.tracer.span(
             "actions.apply",
             attrs={
@@ -401,73 +568,13 @@ class ClusterController:
                 "kinds": ",".join(sorted({a.kind.value for a in actions})),
             },
         ) as span:
-            applied = [a for a in actions if self._apply(a, timestamp)]
+            applied = [a for a in actions if self.apply_action(a, timestamp)]
             span.set_attr("applied", len(applied))
             span.add_cost(len(actions))
-        if applied:
-            self._last_action_interval[app] = self._interval_index
-        return actions
+        return applied
 
     # ------------------------------------------------------------------ #
-    # Planner-driven reaction (ControllerConfig.use_planner)             #
-    # ------------------------------------------------------------------ #
-
-    def _react_with_planner(self, app: str, timestamp: float) -> list[Action]:
-        """Ask the global capacity planner instead of the quota path."""
-        # Imported lazily: the planner depends on core, so a module-level
-        # import would be a cycle — and the default path never needs it.
-        from ..planner import PlannerConfig, build_snapshot, search_plan
-
-        registry = self.obs.registry
-        with self.obs.tracer.span(
-            "planner.plan", attrs={"app": app}
-        ) as span:
-            snapshot = build_snapshot(self, app=app, obs=self.obs)
-            plan = search_plan(
-                snapshot,
-                PlannerConfig(seed=self.config.planner_seed),
-                obs=self.obs,
-            )
-            span.set_attr("steps", len(plan.steps))
-        self.plans.append(plan)
-        if registry.enabled:
-            registry.counter("planner.plans", app=app).inc()
-        streak = self._violation_streak.get(app, 0)
-        if plan.empty:
-            # Same escalation contract as the fine-grained path: a planner
-            # with no improving move left is "fine-grained exhausted".
-            exhausted = (
-                streak > self.config.fallback_patience
-                and self._fine_action_tried.get(app, False)
-            ) or streak > 2 * self.config.fallback_patience + 2
-            if not exhausted:
-                return []
-            action = Action(
-                kind=ActionKind.COARSE_FALLBACK,
-                app=app,
-                reason=(
-                    f"planner found no improving move after {streak} "
-                    "intervals of violation"
-                ),
-            )
-            with self.obs.tracer.span(
-                "actions.apply",
-                attrs={"app": app, "kinds": action.kind.value},
-            ) as span:
-                applied = self._apply(action, timestamp)
-                span.set_attr("applied", int(applied))
-                span.add_cost(1)
-            if applied:
-                self._last_action_interval[app] = self._interval_index
-            return [action]
-        actions = self.apply_plan(plan, timestamp)
-        if actions:
-            self._last_action_interval[app] = self._interval_index
-            self._fine_action_tried[app] = True
-        return actions
-
-    # ------------------------------------------------------------------ #
-    # Predictive reaction (ControllerConfig.use_forecast)                #
+    # Forecast observation (ControllerConfig.use_forecast)               #
     # ------------------------------------------------------------------ #
 
     def _observe_forecasts(
@@ -479,7 +586,7 @@ class ClusterController:
 
         Called once per interval, before the report loop, so the engine's
         forecasts already include this interval's measurements when
-        :meth:`_forecast_react` consults them.  Also resolves any act-ahead
+        :meth:`_act_ahead` consults them.  Also resolves any act-ahead
         predictions whose windows this interval closes.
         """
         # Lazy for the same reason as the planner: forecast depends on the
@@ -554,121 +661,6 @@ class ClusterController:
             registry.gauge("forecast.budget_remaining").set(
                 self.forecaster.policy.budget
             )
-
-    def _forecast_react(
-        self, app: str, timestamp: float, violating: bool = False
-    ) -> list[Action]:
-        """Act ahead of a *predicted* violation.
-
-        Two cases share the same forecast/policy/planner machinery:
-
-        * ``violating=False`` — the app currently meets its SLA but the
-          forecast says it won't for long: fire the planner against the
-          predicted snapshot so the fix lands before the breach.
-        * ``violating=True`` — the app is already violating and the
-          forecast says the violation *persists* beyond the horizon: skip
-          the reactive path's fine-grained patience ladder and go straight
-          to the capacity planner, sparing the intervals the ladder would
-          have burned.  When the forecast is cold, low-confidence, or
-          predicts recovery, this falls back to the classic reactive path
-          unchanged (the confidence/fallback contract).
-
-        Reuses the reactive path's guards — startup grace, post-action
-        grace, quarantined evidence — before the forecast is even
-        consulted, so predictive action can never thrash where reactive
-        action would have held back.  A grace-skipped interval emits no
-        forecast record: nothing was predicted on.
-        """
-
-        def fallback() -> list[Action]:
-            return self._react(app, timestamp) if violating else []
-
-        if self.forecaster is None:
-            return fallback()
-        if self._interval_index < self.config.startup_grace_intervals:
-            return fallback()
-        last_action = self._last_action_interval.get(app)
-        if (
-            last_action is not None
-            and self._interval_index - last_action
-            <= self.config.action_grace_intervals
-        ):
-            return fallback()
-        if self._degraded_evidence(app) is not None:
-            return fallback()
-        if self.schedulers[app].health.any_down:
-            # Mid-failover the topology the forecaster learned no longer
-            # exists; planning against it only thrashes the survivors.
-            # Hold predictive fire until the cluster is whole again.
-            return fallback()
-        decision, forecast = self.forecaster.consider(
-            app, self._interval_index
-        )
-        if not decision.act or forecast is None:
-            return fallback()
-        from ..forecast import predicted_snapshot
-        from ..planner import PlannerConfig, build_snapshot, search_plan
-
-        registry = self.obs.registry
-        with self.obs.tracer.span(
-            "forecast.plan",
-            attrs={"app": app, "horizon": forecast.horizon},
-        ) as span:
-            snapshot = build_snapshot(self, app=app, obs=self.obs)
-            predicted = predicted_snapshot(
-                snapshot,
-                forecast.horizon,
-                self.forecaster.app_forecasts(),
-                self.forecaster.class_forecasts(),
-            )
-            plan = search_plan(
-                predicted,
-                PlannerConfig(seed=self.config.forecast_seed),
-                obs=self.obs,
-            )
-            span.set_attr("steps", len(plan.steps))
-        self.plans.append(plan)
-        if registry.enabled:
-            registry.counter("forecast.plans", app=app).inc()
-        if plan.empty:
-            # No fine-grained move improves the predicted snapshot, but the
-            # violation forecast stands: scale out ahead of the breach (the
-            # PerfEnforce move).  The predicted latency comes from the whole
-            # app, not one class, so added capacity is the remaining lever.
-            action = Action(
-                kind=ActionKind.PROVISION_REPLICA,
-                app=app,
-                reason=(
-                    f"forecast: predicted latency "
-                    f"{decision.predicted_latency:.3f} > threshold "
-                    f"{decision.threshold:.3f}, no fine-grained move"
-                ),
-            )
-            with self.obs.tracer.span(
-                "actions.apply",
-                attrs={"app": app, "kinds": action.kind.value},
-            ) as span:
-                applied = self._apply(action, timestamp)
-                span.set_attr("applied", int(applied))
-                span.add_cost(1)
-            if not applied:
-                # Server pool exhausted: nothing we can do ahead of time.
-                self.forecaster.note_empty_plan(app, self._interval_index)
-                return fallback()
-            self._last_action_interval[app] = self._interval_index
-            self.forecaster.note_scale_out()
-            return [action]
-        actions = self.apply_plan(plan, timestamp)
-        if actions:
-            self._last_action_interval[app] = self._interval_index
-            self._fine_action_tried[app] = True
-            self.forecaster.note_plan_applied()
-            return actions
-        # Every step no-opped at apply time (quota within the thrash
-        # guard, class already placed): nothing changed, so treat it
-        # like an empty plan and refund the act-ahead token.
-        self.forecaster.note_empty_plan(app, self._interval_index)
-        return fallback()
 
     def apply_plan(self, plan, timestamp: float) -> list[Action]:
         """Actuate a :class:`~repro.planner.plan.CapacityPlan`.
@@ -763,10 +755,9 @@ class ClusterController:
                 _, replica = self._engine_replica(engine_name)
             except KeyError:
                 return None
-            current = replica.engine.quotas.get(step.context_key)
-            # Same thrash guard as the quota path: re-imposing a
-            # near-identical quota only cold-restarts the partition.
-            if current is not None and abs(step.pages - current) <= 0.15 * current:
+            if _within_thrash_band(
+                step.pages, replica.engine.quotas.get(step.context_key)
+            ):
                 return None
             replica.engine.set_quota(step.context_key, step.pages)
             return Action(
@@ -874,9 +865,6 @@ class ClusterController:
             )
         return applied
 
-    def _apply(self, action: Action, timestamp: float) -> bool:
-        return self.apply_action(action, timestamp)
-
     def _actuate(self, action: Action, timestamp: float) -> bool:
         """Actuate one action; returns whether anything actually changed."""
         scheduler = self.schedulers[action.app]
@@ -887,10 +875,7 @@ class ClusterController:
             changed = False
             existing = replica.engine.quotas
             for context, pages in action.quota_map().items():
-                current = existing.get(context)
-                # Re-imposing a near-identical quota only cold-restarts the
-                # partitions; treat within-15% proposals as already applied.
-                if current is not None and abs(pages - current) <= 0.15 * current:
+                if _within_thrash_band(pages, existing.get(context)):
                     continue
                 replica.engine.set_quota(context, pages)
                 changed = True

@@ -16,6 +16,11 @@ corresponding benchmark asserts on (latencies, quotas, feasibility flags),
   perf trajectory; :func:`compare_with_baseline` separates **artefact
   drift** (a correctness regression — hard failure) from **timing drift**
   (machine-dependent — warn outside the tolerance band);
+* :data:`BENCH_INVARIANTS` holds, next to the scenarios they guard, the
+  properties a subsystem exists to provide *whatever the baseline says*
+  (quarantined windows emit no action, detection-quality floors, no
+  ungated act-ahead, ...): one predicate ``artefact -> list[str]`` per
+  scenario, evaluated by ``--check`` on the artefact it has just produced;
 * :func:`run_bench_command` is the shared CLI driver behind both
   ``repro bench`` and ``benchmarks/baseline.py``.
 """
@@ -28,13 +33,16 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from ..analysis.export import to_jsonable
+from ..workloads.zoo import ZOO_SCENARIOS
 from .parallel import SweepTask, run_sweep
 
 __all__ = [
     "BENCH_SCENARIOS",
+    "BENCH_INVARIANTS",
     "BenchRun",
     "BaselineComparison",
     "DEFAULT_BASELINE_DIR",
@@ -46,7 +54,6 @@ __all__ = [
     "write_baseline",
     "load_baseline",
     "compare_with_baseline",
-    "merge_pytest_benchmark_timings",
     "add_bench_arguments",
     "run_bench_command",
 ]
@@ -69,6 +76,13 @@ behavioural change in a scenario trips it."""
 # --------------------------------------------------------------------- #
 # Imports live inside each function: scenario modules pull in the whole
 # cluster stack, and worker processes only pay for what they run.
+#
+# A scenario's ``check_<name>`` is its invariant predicate: the messages of
+# the properties its artefact ``a`` breaks, empty when it breaks none.
+
+
+def _broken(*checks: tuple[bool, str]) -> list[str]:
+    return [message for holds, message in checks if not holds]
 
 
 def bench_fig3_cpu_saturation() -> dict:
@@ -259,8 +273,34 @@ def bench_chaos_failover() -> dict:
     }
 
 
-def control_chaos_artefact(result) -> dict:
-    """Artefact dict for a :class:`ControlChaosResult` (shared with CI smoke)."""
+def check_chaos_failover(a: dict) -> list[str]:
+    """The degradation contract of the fault subsystem."""
+    return _broken(
+        (0 <= a["reroute_intervals"] <= 1,
+         "crashed replica not routed around within 1 interval: "
+         f"{a['reroute_intervals']}"),
+        (a["quarantined_intervals"] >= 2,
+         "stats gap + metric corruption should quarantine two windows, got "
+         f"{a['quarantined_intervals']}"),
+        (a["actions_during_quarantine"] == 0,
+         "controller emitted retuning actions from quarantined windows: "
+         f"{a['actions_during_quarantine']}"),
+        (a["violating_degraded_intervals"] >= 1,
+         "the storm no longer produces a violating+degraded interval, so "
+         "the refusal path went unexercised"),
+        (0 <= a["sla_recovery_intervals"] <= 3,
+         "SLA not recovered within 3 intervals of the replica rejoining: "
+         f"{a['sla_recovery_intervals']}"),
+        (a["sla_met_at_end"], "SLA not met at the end of the run"),
+        (a["unmatched_faults"] == 0,
+         f"{a['unmatched_faults']} fault event(s) found no target"),
+    )
+
+
+def bench_chaos_control_plane() -> dict:
+    from .control_chaos import ControlChaosConfig, run_control_chaos
+
+    result = run_control_chaos(ControlChaosConfig())
     supervisor = result.supervisor
     journal = supervisor.journal
     reconcile = supervisor.last_reconcile
@@ -293,10 +333,26 @@ def control_chaos_artefact(result) -> dict:
     }
 
 
-def bench_chaos_control_plane() -> dict:
-    from .control_chaos import ControlChaosConfig, run_control_chaos
-
-    return control_chaos_artefact(run_control_chaos(ControlChaosConfig()))
+def check_chaos_control_plane(a: dict) -> list[str]:
+    """The exactly-once contract of crash recovery."""
+    recovery = a["sla_recovery_intervals_after_restart"]
+    return _broken(
+        (not a["cold_start"],
+         "restart cold-started instead of restoring a checkpoint"),
+        (a["corrupt_skipped"] >= 1,
+         "the corrupted checkpoint was not exercised — restore never had to "
+         "fall back past it"),
+        (not a["duplicate_applied"],
+         f"action(s) applied more than once: {a['duplicate_applied'][:3]}"),
+        (a["open_intents"] == 0,
+         f"{a['open_intents']} intent(s) left open after reconcile"),
+        (a["stale_attempt_fenced"],
+         "the stale pre-crash action was not fenced"),
+        (recovery is not None and 0 <= recovery <= 2,
+         "SLA not recovered within 2 intervals of the restart close: "
+         f"{recovery}"),
+        (a["sla_met_at_end"], "SLA not met at the end of the run"),
+    )
 
 
 def bench_planner_sweep() -> dict:
@@ -305,40 +361,101 @@ def bench_planner_sweep() -> dict:
     return to_jsonable(run_planner_sweep())
 
 
+def check_planner_sweep(a: dict) -> list[str]:
+    """The planning contract of the capacity planner."""
+    quota, planner = a["quota"], a["planner"]
+    return _broken(
+        (quota["intervals_to_action"] >= 0,
+         "quota path never acted on the contention"),
+        (planner["intervals_to_action"] >= 0,
+         "planner never acted on the contention"),
+        (planner["intervals_to_action"] <= quota["intervals_to_action"]
+         or quota["intervals_to_action"] < 0,
+         "planner slower than the quota path: "
+         f"{planner['intervals_to_action']} vs {quota['intervals_to_action']} "
+         "intervals to action"),
+        *(
+            (outcome["recovered_sla_met"],
+             f"{outcome['mode']} mode did not recover the SLA (latency "
+             f"{outcome['recovered_latency']:.3f}s)")
+            for outcome in (quota, planner)
+        ),
+        (a["plan_steps"] >= 1, "plan is empty at the contended planning point"),
+        (bool(a["plan_digest"]), "plan digest missing (determinism pin lost)"),
+        (a["validation_ok"],
+         "what-if validation failed: max relative error "
+         f"{a['validation_max_error']:.0%} exceeds its 25% budget"),
+        (a["validation_checks"] >= 1, "validation checked no classes"),
+    )
+
+
+ZOO_QUALITY_FLOORS = {
+    "diurnal": (1.0, 1.0),
+    "flash_crowd": (0.55, 0.99),
+    "noisy_neighbour": (0.2, 0.99),
+}
+"""Zoo scenario → (precision floor, recall floor), measured at seed 7.
+
+``diurnal`` is the false-positive control (pure CPU saturation, no guilty
+class): any class-level detection there is a regression.  The other
+precision floors are deliberately low: they pin the detector's *measured*
+false-positive behaviour (collateral outliers whose stable miss counts are
+near zero), not an aspirational one.  Raising a floor must come from a
+detector improvement, not from relabelling."""
+
+
 def _bench_zoo(name: str) -> dict:
     from .zoo import run_zoo, zoo_artefact
 
     return zoo_artefact(run_zoo(name))
 
 
-def bench_zoo_diurnal() -> dict:
-    return _bench_zoo("diurnal")
-
-
-def bench_zoo_flash_crowd() -> dict:
-    return _bench_zoo("flash_crowd")
-
-
-def bench_zoo_working_set_drift() -> dict:
-    return _bench_zoo("working_set_drift")
-
-
-def bench_zoo_olap_storm() -> dict:
-    return _bench_zoo("olap_storm")
-
-
-def bench_zoo_write_burst() -> dict:
-    return _bench_zoo("write_burst")
-
-
-def bench_zoo_noisy_neighbour() -> dict:
-    return _bench_zoo("noisy_neighbour")
+def _check_zoo_quality(
+    precision_floor: float, recall_floor: float, a: dict
+) -> list[str]:
+    quality = a["quality"]
+    return _broken(
+        (quality["precision"] >= precision_floor,
+         f"precision {quality['precision']:.3f} below the pinned floor "
+         f"{precision_floor:.2f}"),
+        (quality["recall"] >= recall_floor,
+         f"recall {quality['recall']:.3f} below the pinned floor "
+         f"{recall_floor:.2f}"),
+    )
 
 
 def bench_forecast_eval() -> dict:
     from .forecast_eval import forecast_eval_artefact, run_forecast_eval
 
     return forecast_eval_artefact(run_forecast_eval())
+
+
+def check_forecast_eval(a: dict) -> list[str]:
+    """Predictive enforcement keeps its win and never thrashes."""
+    avoided = a["scenarios"].get("flash_crowd", {}).get("intervals_avoided", 0)
+    validation = a.get("validation")
+    checks = [
+        (avoided >= 1,
+         f"flash_crowd: predictive avoided {avoided} SLA-violation intervals "
+         "vs reactive; the gate requires at least 1"),
+        (validation is not None and validation["ok"],
+         f"planning-point what-if validation missing or failed: {validation}"),
+    ]
+    for name, scenario in sorted(a["scenarios"].items()):
+        acted = scenario["acted"]
+        mutations = scenario["plans_applied"] + scenario["scale_outs"]
+        checks += [
+            (acted <= 2,
+             f"{name}: {acted} act-aheads fired (max 2) — the policy is "
+             "thrashing"),
+            (mutations <= acted,
+             f"{name}: {mutations} cluster mutations from {acted} act-aheads "
+             "— an ungated action slipped past the policy"),
+            (scenario["budget_remaining"] >= 1,
+             f"{name}: false-positive budget exhausted — predictive "
+             "enforcement silently degraded to reactive"),
+        ]
+    return _broken(*checks)
 
 
 BENCH_SCENARIOS = {
@@ -357,35 +474,21 @@ BENCH_SCENARIOS = {
     "chaos_failover": bench_chaos_failover,
     "chaos_control_plane": bench_chaos_control_plane,
     "planner_sweep": bench_planner_sweep,
-    "zoo_diurnal": bench_zoo_diurnal,
-    "zoo_flash_crowd": bench_zoo_flash_crowd,
-    "zoo_working_set_drift": bench_zoo_working_set_drift,
-    "zoo_olap_storm": bench_zoo_olap_storm,
-    "zoo_write_burst": bench_zoo_write_burst,
-    "zoo_noisy_neighbour": bench_zoo_noisy_neighbour,
+    **{f"zoo_{name}": partial(_bench_zoo, name) for name in ZOO_SCENARIOS},
     "forecast_eval": bench_forecast_eval,
 }
 
-PYTEST_BENCH_ALIASES = {
-    "test_fig3_cpu_saturation": "fig3_cpu_saturation",
-    "test_fig4_index_drop": "fig4_index_drop",
-    "test_fig5_mrc_bestseller": "fig5_mrc_bestseller",
-    "test_fig6_mrc_rubis": "fig6_mrc_rubis",
-    "test_table1_buffer_partitioning": "table1_buffer_partitioning",
-    "test_table2_memory_contention": "table2_memory_contention",
-    "test_table3_io_contention": "table3_io_contention",
-    "test_lock_contention": "lock_contention",
-    "test_sweep_client_load": "sweep_client_load",
-    "test_sweep_pool_size": "sweep_pool_size",
-    "test_ablation_quota_vs_reschedule": "ablations",
-    "test_ablation_coarse_vs_fine": "ablations",
-    "test_ablation_topk_vs_outliers": "ablations",
-    "test_ablation_routing_policies": "ablations",
-    "test_ablation_mrc_window": "ablations",
-    "test_ablation_sampled_mrc": "ablation_sampled_mrc",
+BENCH_INVARIANTS = {
+    "chaos_failover": check_chaos_failover,
+    "chaos_control_plane": check_chaos_control_plane,
+    "planner_sweep": check_planner_sweep,
+    **{
+        f"zoo_{name}": partial(_check_zoo_quality, *floors)
+        for name, floors in ZOO_QUALITY_FLOORS.items()
+    },
+    "forecast_eval": check_forecast_eval,
 }
-"""pytest-benchmark test name → registry scenario (the five ablation
-benches fold into the one ``ablations`` scenario; their timings sum)."""
+"""Scenario → invariant predicate (see the ``check_*`` functions above)."""
 
 
 # --------------------------------------------------------------------- #
@@ -597,38 +700,6 @@ def compare_with_baseline(
     )
 
 
-def merge_pytest_benchmark_timings(
-    json_path: str | Path, directory: str | Path
-) -> list[str]:
-    """Fold a ``pytest --benchmark-json`` report into existing baselines.
-
-    Matches benchmark test names through :data:`PYTEST_BENCH_ALIASES`,
-    sums the mean timings that map to the same scenario (the five ablation
-    benches), and rewrites each matched baseline's ``timing.seconds``.
-    Returns the names of the scenarios updated.
-    """
-    report = json.loads(Path(json_path).read_text())
-    totals: dict[str, float] = {}
-    for entry in report.get("benchmarks", []):
-        test_name = str(entry.get("name", "")).split("[", 1)[0]
-        scenario = PYTEST_BENCH_ALIASES.get(test_name)
-        if scenario is None:
-            continue
-        mean = float(entry.get("stats", {}).get("mean", 0.0))
-        totals[scenario] = totals.get(scenario, 0.0) + mean
-    updated = []
-    for scenario, seconds in sorted(totals.items()):
-        baseline = load_baseline(directory, scenario)
-        if baseline is None:
-            continue
-        baseline["timing"] = {"seconds": round(seconds, 6)}
-        baseline_path(directory, scenario).write_text(
-            json.dumps(baseline, indent=2, sort_keys=True) + "\n"
-        )
-        updated.append(scenario)
-    return updated
-
-
 # --------------------------------------------------------------------- #
 # CLI driver (shared by `repro bench` and benchmarks/baseline.py)       #
 # --------------------------------------------------------------------- #
@@ -648,8 +719,10 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--write-baselines", action="store_true",
                         help="write/refresh BENCH_<name>.json from this run")
     parser.add_argument("--check", action="store_true",
-                        help="compare against committed baselines: exit "
-                             "non-zero on artefact drift, warn on timing "
+                        help="compare against committed baselines and "
+                             "evaluate the scenarios' invariants: exit "
+                             "non-zero on artefact drift or a broken "
+                             "invariant, warn on timing "
                              # argparse %-expands help strings, so the
                              # percent sign must be doubled.
                              f"outside the ±{TIMING_TOLERANCE * 100:.0f}%% "
@@ -696,19 +769,12 @@ def run_bench_command(args: argparse.Namespace) -> int:
 
     baseline_dir = Path(getattr(args, "baseline_dir", DEFAULT_BASELINE_DIR))
     check = bool(getattr(args, "check", False))
-    comparisons: dict[str, BaselineComparison | None] = {}
-    if check:
-        for run in runs:
-            baseline = load_baseline(baseline_dir, run.name)
-            comparisons[run.name] = (
-                compare_with_baseline(run, baseline)
-                if baseline is not None
-                else None
-            )
-
     table = Table(
         title=f"benchmark scenarios ({'parallel ' + str(workers) if workers and workers > 1 else 'serial'})",
-        headers=["scenario", "seconds", "baseline (s)", "timing", "artefact"],
+        headers=[
+            "scenario", "seconds", "baseline (s)", "timing", "artefact",
+            "invariants",
+        ],
     )
     failures: list[str] = []
     warnings: list[str] = []
@@ -719,20 +785,18 @@ def run_bench_command(args: argparse.Namespace) -> int:
             if baseline and baseline.get("timing", {}).get("seconds")
             else "-"
         )
-        comparison = comparisons.get(run.name)
-        if not check:
-            timing_cell = "-"
-            artefact_cell = "-"
-        elif comparison is None:
-            timing_cell = "no baseline"
-            artefact_cell = "no baseline"
+        timing_cell = artefact_cell = invariant_cell = "-"
+        if check and run.name in BENCH_INVARIANTS:
+            broken = BENCH_INVARIANTS[run.name](run.artefact)
+            invariant_cell = "BROKEN" if broken else "ok"
+            failures.extend(f"{run.name}: invariant — {line}" for line in broken)
+        if check and baseline is None:
+            timing_cell = artefact_cell = "no baseline"
             failures.append(f"{run.name}: no committed baseline")
-        else:
-            timing_cell = (
-                f"{comparison.timing_ratio:.2f}x"
-                if comparison.timing_ratio is not None
-                else "-"
-            )
+        elif check:
+            comparison = compare_with_baseline(run, baseline)
+            if comparison.timing_ratio is not None:
+                timing_cell = f"{comparison.timing_ratio:.2f}x"
             if not comparison.timing_ok:
                 timing_cell += " (warn)"
                 warnings.append(
@@ -746,7 +810,8 @@ def run_bench_command(args: argparse.Namespace) -> int:
                     + "; ".join(comparison.drift[:5])
                 )
         table.add_row(
-            run.name, f"{run.seconds:.3f}", recorded, timing_cell, artefact_cell
+            run.name, f"{run.seconds:.3f}", recorded, timing_cell,
+            artefact_cell, invariant_cell,
         )
     print(table.render())
     print(f"\nartefact digest: {artefact_digest(runs)}")

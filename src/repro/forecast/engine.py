@@ -191,7 +191,7 @@ class ForecastEngine:
     # ------------------------------------------------------------------ #
 
     def stats(self) -> dict:
-        """JSON-able engine counters (the forecast_smoke gate's view)."""
+        """JSON-able engine counters (the ``forecast_eval`` artefact's source)."""
         acted = [r for r in self.records if r.acted]
         return {
             "decisions": len(self.records),

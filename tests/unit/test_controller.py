@@ -1,15 +1,19 @@
 """Unit tests for the cluster controller's feedback loop."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster.replica import Replica
 from repro.cluster.resource_manager import ResourceManager
-from repro.cluster.scheduler import Scheduler
+from repro.cluster.scheduler import AppIntervalMetrics, Scheduler
 from repro.cluster.server import PhysicalServer, ServerSpec
 from repro.core.controller import ClusterController, ControllerConfig
-from repro.core.diagnosis import Action, ActionKind
+from repro.core.diagnosis import Action, ActionKind, Diagnosis
 from repro.engine.access import AccessPattern, ExecutionAccess
 from repro.engine.query import QueryClass
+from repro.forecast import AppForecast, Decision
+from repro.obs import Observability
 
 
 class _ScriptedPattern(AccessPattern):
@@ -28,11 +32,11 @@ def make_class(name="q", app="app", cpu=5.0):
     return QueryClass(name, app, 1, f"select {name}", _ScriptedPattern(), cpu_cost=cpu)
 
 
-def make_cluster(servers=3, config=None, cores=1):
+def make_cluster(servers=3, config=None, cores=1, obs=None):
     manager = ResourceManager()
     for index in range(servers):
         manager.add_server(PhysicalServer(f"s{index}", ServerSpec(cores=cores)))
-    controller = ClusterController(manager, config=config)
+    controller = ClusterController(manager, config=config, obs=obs)
     scheduler = Scheduler("app")
     controller.add_scheduler(scheduler)
     manager.allocate_replica(scheduler, 0.0)
@@ -162,7 +166,7 @@ class TestApplyActions:
             replica=replica.name,
             quotas=(("app/q", 512),),
         )
-        assert controller._apply(action, 0.0)
+        assert controller.apply_action(action, 0.0)
         assert replica.engine.quotas == {"app/q": 512}
 
     def test_reapplying_similar_quota_is_noop(self):
@@ -175,7 +179,7 @@ class TestApplyActions:
             replica=replica.name,
             quotas=(("app/q", 512),),
         )
-        controller._apply(first, 0.0)
+        controller.apply_action(first, 0.0)
         similar = Action(
             kind=ActionKind.APPLY_QUOTAS,
             app="app",
@@ -183,7 +187,7 @@ class TestApplyActions:
             replica=replica.name,
             quotas=(("app/q", 540),),
         )
-        assert not controller._apply(similar, 0.0)
+        assert not controller.apply_action(similar, 0.0)
         assert replica.engine.quotas == {"app/q": 512}
 
     def test_reschedule_provisions_when_no_alternative(self):
@@ -196,7 +200,7 @@ class TestApplyActions:
             replica=replica.name,
             context_key="app/q",
         )
-        assert controller._apply(action, 0.0)
+        assert controller.apply_action(action, 0.0)
         assert len(scheduler.replicas) == 2
         placement = scheduler.placement_of("app/q")
         assert len(placement) == 1 and placement[0] != replica.name
@@ -218,19 +222,19 @@ class TestApplyActions:
             replica=victim_replica.name,
             context_key="other/hog",  # ...but the context belongs to `other`
         )
-        controller._apply(action, 0.0)
+        controller.apply_action(action, 0.0)
         assert "other/hog" in other.pinned_contexts()
 
     def test_coarse_fallback_provisions_exclusive(self):
         _, controller, scheduler = make_cluster(servers=2)
         action = Action(kind=ActionKind.COARSE_FALLBACK, app="app", reason="t")
-        assert controller._apply(action, 0.0)
+        assert controller.apply_action(action, 0.0)
         assert len(scheduler.replicas) == 2
 
     def test_no_action_applies_nothing(self):
         _, controller, scheduler = make_cluster()
         action = Action(kind=ActionKind.NO_ACTION, app="app", reason="t")
-        assert not controller._apply(action, 0.0)
+        assert not controller.apply_action(action, 0.0)
 
 
 class TestReporting:
@@ -443,3 +447,348 @@ class TestApplyPlan:
             pool=scheduler.replicas[replica_name].engine.name,
         )
         assert controller.apply_plan(self.make_plan(step), 10.0) == []
+
+
+# --------------------------------------------------------------------- #
+# The reaction pipeline: gates → act-ahead → reactive proposer          #
+# --------------------------------------------------------------------- #
+
+
+class _ScriptedForecaster:
+    """Stands in for ``ForecastEngine``: wants to act ahead on every
+    interval it is asked about, and records what the controller told it."""
+
+    def __init__(self):
+        self.policy = SimpleNamespace(budget=0)
+        self.considered = []  # (interval, streak, replicas) at each consider
+        self.refunded = []
+        self.plans_applied = 0
+        self.scale_outs = 0
+        self.probe = lambda: ()
+
+    def observe_interval(self, interval, apps, classes):
+        pass
+
+    def app_forecasts(self):
+        return {}
+
+    def class_forecasts(self):
+        return {}
+
+    def consider(self, app, interval):
+        self.considered.append((interval, *self.probe()))
+        decision = Decision(
+            app=app, interval=interval, act=True, reason="act",
+            predicted_latency=2.0, threshold=1.0,
+        )
+        return decision, AppForecast(app, 2, 2.0, 1.0, 1.0)
+
+    def note_empty_plan(self, app, interval):
+        self.refunded.append(interval)
+
+    def note_plan_applied(self):
+        self.plans_applied += 1
+
+    def note_scale_out(self):
+        self.scale_outs += 1
+
+
+PROPOSERS = {
+    "classic": {},
+    "coarse-only": {"fine_grained": False},
+    "planner": {"use_planner": True},
+    "forecast": {"use_forecast": True},
+    "both": {"use_planner": True, "use_forecast": True},
+}
+
+
+@pytest.fixture
+def planner_script(monkeypatch):
+    """Replace snapshot + search by a script: ``script.pages`` is the quota
+    the next plans impose on ``app/q`` (``None`` = an empty plan)."""
+    from repro.planner.plan import CapacityPlan, PlanStep, PlanStepKind
+
+    script = SimpleNamespace(pages=1000)
+
+    def search_plan(controller, config, obs=None):
+        engine = next(iter(controller.schedulers["app"].replicas.values())).engine
+        steps = () if script.pages is None else (
+            PlanStep(
+                kind=PlanStepKind.SET_QUOTA, app="app", context_key="app/q",
+                pool=engine.name, pages=script.pages,
+            ),
+        )
+        return CapacityPlan(
+            seed=config.seed, interval_index=0, score_before=1.0,
+            score_after=0.0, steps=steps,
+        )
+
+    # The "snapshot" is the controller itself: all the script needs.
+    monkeypatch.setattr(
+        "repro.planner.build_snapshot", lambda controller, app, obs=None: controller
+    )
+    monkeypatch.setattr("repro.planner.search_plan", search_plan)
+    monkeypatch.setattr(
+        "repro.forecast.predicted_snapshot", lambda snapshot, *forecasts: snapshot
+    )
+    return script
+
+
+def make_reacting(proposer, servers=3, obs=None, **overrides):
+    settings = {"startup_grace_intervals": 0, **PROPOSERS[proposer], **overrides}
+    _, controller, scheduler = make_cluster(
+        servers, ControllerConfig(**settings), obs=obs
+    )
+    if controller.config.use_forecast:
+        controller.forecaster = _ScriptedForecaster()
+    return controller, scheduler
+
+
+def violate(controller, scheduler):
+    saturate(scheduler)
+    return controller.close_interval((controller.interval_index + 1) * 10.0)[0]
+
+
+def meet(controller, scheduler):
+    scheduler.submit(make_class(cpu=0.001), 0.0)
+    return controller.close_interval((controller.interval_index + 1) * 10.0)[0]
+
+
+def hold_startup(controller, scheduler):
+    assert controller.config.startup_grace_intervals > controller.interval_index
+
+
+def hold_action_grace(controller, scheduler):
+    controller._last_action_interval["app"] = controller.interval_index
+
+
+def hold_degraded(controller, scheduler):
+    for analyzer in controller.analyzers():
+        analyzer.inject_stats_gap()
+
+
+def hold_replica_down(controller, scheduler):
+    spare = controller.resource_manager.allocate_replica(scheduler, 0.0)
+    controller.track_replica(spare)
+    scheduler.health.mark_down(spare.name, 0.0, "test")
+
+
+# hold-back → (arm it, config overrides, the interval it is observed on).
+# A down replica holds back the act-ahead proposer only, so it is observed
+# on an SLA-meeting interval; the others on a violating one.
+HOLD_BACKS = {
+    "startup grace": (hold_startup, {"startup_grace_intervals": 10}, violate),
+    "action grace": (hold_action_grace, {}, violate),
+    "degraded window": (hold_degraded, {}, violate),
+    "replica down": (hold_replica_down, {}, meet),
+}
+
+
+class TestReactionMatrix:
+    @pytest.mark.parametrize("proposer", PROPOSERS)
+    def test_unheld_violation_reaches_its_proposer(self, proposer, planner_script):
+        controller, scheduler = make_reacting(proposer)
+        report = violate(controller, scheduler)
+        assert report.actions
+        config = controller.config
+        planned = config.use_planner or config.use_forecast
+        assert len(controller.plans) == (1 if planned else 0)
+        assert len(controller.diagnoses) == (
+            1 if config.fine_grained and not planned else 0
+        )
+        if config.use_forecast:
+            assert len(controller.forecaster.considered) == 1
+            assert controller.forecaster.plans_applied == 1
+
+    @pytest.mark.parametrize("hold_back", HOLD_BACKS)
+    @pytest.mark.parametrize("proposer", PROPOSERS)
+    def test_held_back_interval_does_nothing(
+        self, proposer, hold_back, planner_script
+    ):
+        arm, overrides, observe = HOLD_BACKS[hold_back]
+        controller, scheduler = make_reacting(proposer, **overrides)
+        arm(controller, scheduler)
+        replicas = len(scheduler.replicas)
+        report = observe(controller, scheduler)
+        assert report.sla_met is (observe is meet)
+        assert report.actions == []
+        assert controller.plans == []
+        assert controller.diagnoses == []
+        assert len(scheduler.replicas) == replicas
+        if controller.config.use_forecast:
+            assert controller.forecaster.considered == []
+
+    def test_down_replica_still_lets_the_reactive_proposer_act(
+        self, planner_script
+    ):
+        controller, scheduler = make_reacting("both")
+        hold_replica_down(controller, scheduler)
+        report = violate(controller, scheduler)
+        assert controller.forecaster.considered == []
+        assert len(controller.plans) == 1  # the reactive plan, not a forecast one
+        assert [a.kind for a in report.actions] == [ActionKind.APPLY_QUOTAS]
+
+
+class TestPipelineContract:
+    """One pinned case per behaviour an artefact or digest depends on."""
+
+    def test_coarse_only_provisions_on_consecutive_intervals(self):
+        controller, scheduler = make_reacting("coarse-only", servers=4)
+        for expected in (2, 3, 4):
+            report = violate(controller, scheduler)
+            assert [a.kind for a in report.actions] == [ActionKind.COARSE_FALLBACK]
+            assert len(scheduler.replicas) == expected
+        assert controller._last_action_interval == {}
+
+    @pytest.mark.parametrize("proposer", ["classic", "forecast"])
+    def test_degraded_skip_counted_for_a_violating_app_only(self, proposer):
+        obs = Observability()
+        controller, scheduler = make_reacting(proposer, obs=obs)
+        skips = obs.registry.counter(
+            "controller.degraded_skips", app="app", reason="stats-gap"
+        )
+        hold_degraded(controller, scheduler)
+        meet(controller, scheduler)
+        assert skips.value == 0
+        hold_degraded(controller, scheduler)
+        violate(controller, scheduler)
+        assert skips.value == 1
+
+    def test_unapplied_scale_out_hands_over_to_the_reactive_planner(
+        self, planner_script
+    ):
+        planner_script.pages = None  # every plan comes back empty
+        controller, scheduler = make_reacting("both", servers=1)  # no spare
+        report = violate(controller, scheduler)
+        forecaster = controller.forecaster
+        assert len(forecaster.considered) == 1
+        assert forecaster.refunded == [0] and forecaster.scale_outs == 0
+        assert len(controller.plans) == 2  # forecast.plan, then planner.plan
+        assert report.actions == []  # streak 1: the ladder is not exhausted
+        assert controller._last_action_interval == {}
+
+    def test_unapplied_scale_out_hands_over_to_diagnosis(self, planner_script):
+        planner_script.pages = None
+        controller, scheduler = make_reacting("forecast", servers=1)
+        violate(controller, scheduler)
+        assert controller.forecaster.refunded == [0]
+        assert len(controller.plans) == 1 and len(controller.diagnoses) == 1
+
+    def test_applied_scale_out_ends_the_interval(self, planner_script):
+        planner_script.pages = None
+        controller, scheduler = make_reacting("both")
+        report = violate(controller, scheduler)
+        assert [a.kind for a in report.actions] == [ActionKind.PROVISION_REPLICA]
+        assert controller.forecaster.scale_outs == 1
+        assert len(controller.plans) == 1
+        assert controller._last_action_interval == {"app": 0}
+        assert not controller._fine_action_tried.get("app", False)
+
+    def test_noop_plan_is_refunded_and_not_counted_as_tried(self, planner_script):
+        controller, scheduler = make_reacting("both")
+        engine = next(iter(scheduler.replicas.values())).engine
+        engine.set_quota("app/q", 1000)  # the scripted step is inside the band
+        report = violate(controller, scheduler)
+        assert report.actions == []
+        assert controller.forecaster.refunded == [0]
+        assert controller.forecaster.plans_applied == 0
+        assert len(controller.plans) == 2
+        assert controller._last_action_interval == {}
+        assert controller._fine_action_tried == {}
+
+    @pytest.mark.parametrize(
+        "tried,fallback_at", [(False, 5), (True, 2)], ids=["untried", "tried"]
+    )
+    def test_exhausted_empty_plan_falls_back_even_unapplied(
+        self, planner_script, tried, fallback_at
+    ):
+        # patience 1: tried → streak > 1; untried → streak > 2 * 1 + 2.
+        planner_script.pages = None
+        controller, scheduler = make_reacting(
+            "planner", servers=1, fallback_patience=1
+        )
+        controller._fine_action_tried["app"] = tried
+        for streak in range(1, fallback_at):
+            assert violate(controller, scheduler).actions == [], streak
+        report = violate(controller, scheduler)
+        assert [a.kind for a in report.actions] == [ActionKind.COARSE_FALLBACK]
+        assert len(scheduler.replicas) == 1  # no server left: not applied...
+        assert controller._last_action_interval == {}  # ...so no grace stamp
+        assert len(controller.plans) == fallback_at
+
+    def test_applied_fallback_starts_the_action_grace(self, planner_script):
+        planner_script.pages = None
+        controller, scheduler = make_reacting(
+            "planner", servers=2, fallback_patience=1
+        )
+        controller._fine_action_tried["app"] = True
+        violate(controller, scheduler)
+        violate(controller, scheduler)
+        assert len(scheduler.replicas) == 2
+        assert controller._last_action_interval == {"app": 1}
+
+    def test_diagnosis_path_escalates_on_the_same_ladder(self, monkeypatch):
+        proposed = Action(kind=ActionKind.NO_ACTION, app="app", reason="waiting")
+        monkeypatch.setattr(
+            "repro.core.controller.diagnose",
+            lambda app, *args, **kwargs: Diagnosis(app=app, actions=[proposed]),
+        )
+        controller, scheduler = make_reacting("classic", fallback_patience=1)
+        for _ in range(4):
+            assert violate(controller, scheduler).actions == [proposed]
+        report = violate(controller, scheduler)  # streak 5 > 2 * 1 + 2
+        assert [a.kind for a in report.actions] == [ActionKind.COARSE_FALLBACK]
+        assert len(controller.diagnoses) == 5
+
+    def test_diagnosis_path_returns_proposals_planner_path_applications(
+        self, monkeypatch, planner_script
+    ):
+        def within_band(app, scheduler, *args, **kwargs):
+            replica = next(iter(scheduler.replicas.values()))
+            return Diagnosis(
+                app=app,
+                actions=[
+                    Action(kind=ActionKind.NO_ACTION, app=app, reason="nothing"),
+                    Action(
+                        kind=ActionKind.APPLY_QUOTAS, app=app, reason="requota",
+                        replica=replica.name, quotas=(("app/q", 1000),),
+                    ),
+                ],
+            )
+
+        monkeypatch.setattr("repro.core.controller.diagnose", within_band)
+        for proposer, proposed, tried in (("classic", 2, True), ("planner", 0, False)):
+            controller, scheduler = make_reacting(proposer)
+            engine = next(iter(scheduler.replicas.values())).engine
+            engine.set_quota("app/q", 1000)  # both proposals no-op at apply time
+            report = violate(controller, scheduler)
+            assert len(report.actions) == proposed
+            assert controller._fine_action_tried.get("app", False) is tried
+            assert controller._last_action_interval == {}
+
+    def test_unmet_sla_without_queries_is_left_alone(self, monkeypatch):
+        controller, scheduler = make_reacting("classic")
+        violate(controller, scheduler)
+        monkeypatch.setattr(AppIntervalMetrics, "sla_met", lambda self, sla: False)
+        report = controller.close_interval(20.0)[0]
+        assert not report.sla_met and report.actions == []
+        assert controller.violation_streak("app") == 1
+        assert len(controller.diagnoses) == 1
+
+    def test_met_sla_resets_streak_then_acts_ahead_then_scales_down(
+        self, planner_script
+    ):
+        controller, scheduler = make_reacting(
+            "forecast", scale_down=True, scale_down_patience=1
+        )
+        spare = controller.resource_manager.allocate_replica(scheduler, 0.0)
+        controller.track_replica(spare)
+        controller._violation_streak["app"] = 3
+        controller.forecaster.probe = lambda: (
+            controller.violation_streak("app"), len(scheduler.replicas)
+        )
+        report = meet(controller, scheduler)
+        # consider saw the streak already reset and both replicas still there.
+        assert controller.forecaster.considered == [(0, 0, 2)]
+        assert [a.kind for a in report.actions] == [ActionKind.APPLY_QUOTAS]
+        assert len(scheduler.replicas) == 1

@@ -161,6 +161,23 @@ class TestEngineObsHook:
             set_engine_obs(None)
         assert engine_obs() is NULL_OBS
 
+    def test_hook_changes_nothing_the_simulation_sees(self):
+        def drive(engine):
+            records = [
+                engine.execute(make_class(name, demand=demand))
+                for name, demand in (("a", [1, 2, 3]), ("b", [3, 4]), ("a", [1, 2, 3]))
+            ]
+            engine.flush_logs()
+            return records, engine.log.peek()
+
+        plain = drive(make_engine(pool_pages=4))
+        set_engine_obs(Observability())
+        try:
+            hooked = drive(make_engine(pool_pages=4))
+        finally:
+            set_engine_obs(None)
+        assert hooked == plain
+
     def test_hook_survives_pool_rebuild(self):
         obs = Observability()
         set_engine_obs(obs)
