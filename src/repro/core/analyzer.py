@@ -258,9 +258,7 @@ class LogAnalyzer:
         self.mrc._curves.clear()
         self.mrc._parameters.clear()
         self.mrc.recomputations = 0
-        self.mrc_cache._entries.clear()
-        self.mrc_cache.hits = 0
-        self.mrc_cache.misses = 0
+        self.mrc_cache.reset()
         self._last_vectors = {}
         self._mrc_window_len = {}
         self._intervals_closed = 0
@@ -444,7 +442,7 @@ class LogAnalyzer:
         if not self.engine.log.has_window(context_key):
             return None
         window = self.engine.log.window_for(context_key)
-        trace = window.snapshot()
+        keep = len(window)
         variant = "full"
         if recent_only:
             marks = self._seen_marks.get(context_key)
@@ -455,10 +453,8 @@ class LogAnalyzer:
             variant = f"recent:{min_tail}:{base}"
             if marks:
                 tail = window.total_seen - base
-                tail = max(min(tail, len(trace)), min(min_tail, len(trace)))
-                trace = trace[-tail:]
-        if len(trace) > MAX_MRC_TRACE:
-            trace = trace[-MAX_MRC_TRACE:]
+                keep = max(min(tail, keep), min(min_tail, keep))
+        trace = window.snapshot(last=min(keep, MAX_MRC_TRACE))
         cache_key = MRCCacheKey(
             window_version=window.total_seen,
             pool_pages=self.engine.pool_pages,

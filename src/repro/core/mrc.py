@@ -13,12 +13,17 @@ references increment ``Hit[inf]``.  The paper's Equation (1):
 Stack distances are computed in ``O(N log N)`` — but fully vectorised:
 the distance of reference ``i`` with previous occurrence ``prev[i]`` is
 ``(i - prev[i]) - #{k < i : prev[k] > prev[i]}`` (each later re-reference
-of another page collapses one duplicate in the interval), and the
-count-earlier-greater term is evaluated level-by-level with sorted blocks
-and ``numpy.searchsorted`` (a CDQ divide-and-conquer flattened into array
-passes).  The classical per-element Fenwick-tree formulation lives in the
-test tree (``tests/oracles/fenwick.py``) as the reference the property suite
-checks the vectorised path against.
+of another page collapses one duplicate in the interval).  ``prev`` comes
+from one sort of packed ``(page, position)`` keys.  The count-earlier-greater
+term is evaluated over the warm references only, by a top-down stable
+partition: listed in ``prev`` order, they are split level by level into the
+earlier and the later half of their block, and the distance an element of
+the later half moves to the right is the number of earlier references with a
+larger ``prev`` that the split resolves — so every level is a compare and
+two gathers over one packed array, with neither a sort nor a search.  The
+classical per-element Fenwick-tree formulation lives in the test tree
+(``tests/oracles/fenwick.py``) as the reference the unit and property suites
+check the vectorised path against.
 
 Two parameters summarise a curve (paper §3.3):
 
@@ -54,42 +59,118 @@ the paper leaves the constant unspecified — 0.05 places the acceptable
 memory at the knee of both convex and nearly flat curves)."""
 
 
-def _count_earlier_greater(values: np.ndarray) -> np.ndarray:
-    """``out[i] = #{k < i : values[k] > values[i]}`` without a Python loop.
+_LEAF = 64
+"""Largest block the partition levels leave to the direct in-block count
+(measured flat between 16 and 96 on the controller's windows; DESIGN §6)."""
 
-    A CDQ divide-and-conquer over positions, run bottom-up: at each level
-    the array is viewed as blocks of ``size``; every odd block queries its
-    left sibling, which is already available fully sorted.  All queries of
-    a level collapse into one ``searchsorted`` by shifting each block's
-    values into a disjoint range (``block index * span``), so the
-    concatenation of the per-block sorted runs is globally sorted.
+
+def _previous_occurrence(pages: np.ndarray) -> np.ndarray:
+    """``prev[i]``: the last position before ``i`` that holds ``pages[i]``, or -1.
+
+    One plain sort does the grouping: page and position are packed into a
+    single ``int64`` key (``page << bits | position``), so sorting the keys
+    lists every page's positions in increasing order, and neighbours with an
+    equal page part are consecutive occurrences.  The keys are distinct, so
+    the sort need not be stable.
     """
-    n = len(values)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    n_pad = 1 << max(1, (n - 1).bit_length()) if n > 1 else 1
-    lo = int(values.min()) - 1
-    arr = np.full(n_pad, lo, dtype=np.int64)  # padding never exceeds a query
-    arr[:n] = values
-    counts = np.zeros(n_pad, dtype=np.int64)
-    span = int(arr.max()) - lo + 2
-    idx = np.arange(n_pad, dtype=np.int64)
-    size = 1
-    while size < n_pad:
-        nblocks = n_pad // size
-        block_of = idx // size
-        shifted = arr + block_of * span
-        flat = np.sort(shifted.reshape(nblocks, size), axis=1).ravel()
-        query = (block_of & 1) == 1
-        qi = idx[query]
-        left = block_of[qi] - 1
-        qval = arr[qi] + left * span
-        pos = np.searchsorted(flat, qval, side="right")
-        # Elements of the left sibling strictly greater than the query value:
-        # the block ends at (left + 1) * size in the flattened sorted runs.
-        counts[qi] += (left + 1) * size - pos
-        size *= 2
-    return counts[:n]
+    n = len(pages)
+    bits = (n - 1).bit_length()
+    low = int(pages.min())
+    if (int(pages.max()) - low) >> (63 - bits):
+        # Ids spread too wide for one key.  Only equality of pages matters,
+        # so dense ids serve as well.
+        pages, low = np.unique(pages, return_inverse=True)[1], 0
+    key = pages - low
+    key <<= bits
+    key |= np.arange(n, dtype=np.int64)
+    key.sort()
+    position = key & ((1 << bits) - 1)
+    key >>= bits
+    prev = np.empty(n, dtype=np.int64)
+    prev[position[0]] = -1
+    prev[position[1:]] = np.where(key[1:] == key[:-1], position[:-1], -1)
+    return prev
+
+
+def _intervening_reuses(prev: np.ndarray, n: int) -> np.ndarray:
+    """``out[j] = #{k < j : prev[k] > prev[j]}`` for distinct ``prev`` in ``[0, n)``.
+
+    ``prev`` holds the previous occurrences of the warm references, in trace
+    order, so ``j`` is a reference's *rank* among them.  The ranks are listed
+    in increasing ``prev`` order and then sorted back into rank order by a
+    top-down stable partition: a block that holds the ranks
+    ``[base, base + size)`` is split into the lower and the upper half of
+    that range, each keeping its ``prev`` order.  An upper-half element that
+    moves ``d`` places to the right has jumped over exactly the ``d``
+    lower-half elements that stood behind it, i.e. the ``d`` references
+    before it in the trace whose ``prev`` is larger: its displacement *is*
+    its count at that level (DESIGN §6).  Rank and running count travel
+    packed in one unsigned word, rank in the high bits, so that one compare
+    against the block's middle rank tells the halves apart and the
+    displacement is added without a shift.
+
+    All blocks of a level are split at once: the lower halves are gathered
+    into the front of the output and the upper halves into the back, so the
+    blocks end up in bit-reversed order, which ``bases`` tracks and nothing
+    else depends on.  Blocks of at most ``_LEAF`` ranks are finished by
+    comparing every pair inside a block directly.  Padding ranks (beyond
+    ``m``, behind everything in ``prev`` order) make all blocks equal-sized;
+    they are never in a lower half relative to a real rank, so they count
+    for nobody.
+    """
+    m = len(prev)
+    levels = max(0, (-(-m // _LEAF) - 1).bit_length())
+    leaf = -(-m >> levels)
+    n_pad = leaf << levels
+    count_bits = max(1, (n_pad - 1).bit_length())
+    # MAX_MRC_TRACE keeps the controller's windows on the 32-bit word.
+    word = np.uint32 if count_bits <= 16 else np.uint64
+    shift = word(count_bits)
+
+    # The ranks in increasing ``prev`` order: ``prev`` values are distinct
+    # positions, so scattering each rank to its ``prev`` slot sorts them.
+    slot = np.full(n, n_pad, dtype=word)
+    slot[prev] = np.arange(m, dtype=word)
+    packed = np.empty(n_pad, dtype=word)
+    np.compress(slot < n_pad, slot, out=packed[:m])
+    packed[m:] = np.arange(m, n_pad, dtype=word)
+    packed <<= shift
+
+    split = np.empty_like(packed)
+    shifted = np.empty_like(packed)
+    upper = np.empty(n_pad, dtype=bool)
+    offset = np.arange(n_pad, dtype=word)
+    bases = np.zeros(1, dtype=word)
+    middle = n_pad >> 1
+    for level in range(levels):
+        size = n_pad >> level
+        half = size >> 1
+        blocks = packed.reshape(-1, size)
+        np.greater_equal(
+            blocks, ((bases + word(half)) << shift)[:, None],
+            out=upper.reshape(-1, size),
+        )
+        # Upper half: new offset ``half + j`` minus old offset, added to the
+        # count (the subtraction may wrap; the sum below undoes it).
+        np.subtract(blocks, offset[:size], out=shifted.reshape(-1, size))
+        np.compress(upper, shifted, out=split[middle:])
+        moved = split[middle:].reshape(-1, half)
+        moved += offset[half:size]
+        np.logical_not(upper, out=upper)
+        np.compress(upper, packed, out=split[:middle])
+        bases = np.concatenate([bases, bases + word(half)])
+        packed, split = split, packed
+
+    # Leaves, one block per column: count the later, smaller ranks directly.
+    columns = np.ascontiguousarray(packed.reshape(-1, leaf).T)
+    behind = np.zeros(columns.shape, dtype=np.uint8)
+    for step in range(1, leaf):
+        smaller = columns[step:] < columns[: leaf - step]
+        behind[: leaf - step] += smaller.view(np.uint8)
+    columns += behind
+    counts = np.empty(n_pad, dtype=np.int64)
+    counts[columns >> shift] = columns & word((1 << count_bits) - 1)
+    return counts[:m]
 
 
 def stack_distances(trace: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -103,25 +184,22 @@ def stack_distances(trace: Sequence[int] | np.ndarray) -> np.ndarray:
     ``trace[i]`` (or -1), the distance is ``i - prev[i]`` minus the number
     of references in between whose page re-appears before ``i`` — i.e.
     ``#{k < i : prev[k] > prev[i]}`` — because each such re-reference
-    collapses one duplicate in the interval.  Produces bit-identical
-    output to the per-element Fenwick-tree oracle in
-    ``tests/oracles/fenwick.py``.
+    collapses one duplicate in the interval.  Cold references are dropped
+    before counting: -1 is never the larger ``prev`` and their own count is
+    unused.  Produces bit-identical output to the per-element Fenwick-tree
+    oracle in ``tests/oracles/fenwick.py``.
     """
     pages = np.asarray(trace, dtype=np.int64)
     n = len(pages)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    order = np.argsort(pages, kind="stable")
-    sorted_pages = pages[order]
-    prev_sorted = np.empty(n, dtype=np.int64)
-    prev_sorted[0] = -1
-    same_page = sorted_pages[1:] == sorted_pages[:-1]
-    prev_sorted[1:] = np.where(same_page, order[:-1], -1)
-    prev = np.empty(n, dtype=np.int64)
-    prev[order] = prev_sorted
-    counts = _count_earlier_greater(prev)
-    idx = np.arange(n, dtype=np.int64)
-    return np.where(prev < 0, 0, idx - prev - counts)
+    distances = np.zeros(n, dtype=np.int64)
+    if n < 2:
+        return distances
+    prev = _previous_occurrence(pages)
+    warm = np.flatnonzero(prev >= 0)
+    if len(warm):
+        prev = prev[warm]
+        distances[warm] = warm - prev - _intervening_reuses(prev, n)
+    return distances
 
 
 class MissRatioCurve:
@@ -137,12 +215,24 @@ class MissRatioCurve:
     @classmethod
     def from_trace(cls, trace: Sequence[int] | np.ndarray) -> "MissRatioCurve":
         """Run Mattson's algorithm over ``trace`` and build the curve."""
-        distances = stack_distances(trace)
-        cold = int(np.count_nonzero(distances == 0))
+        return cls.from_distances(stack_distances(trace))
+
+    @classmethod
+    def from_distances(
+        cls, distances: np.ndarray, rate: float = 1.0
+    ) -> "MissRatioCurve":
+        """Histogram stack distances (0 marks a cold miss) into a curve.
+
+        ``rate < 1`` says the distances come from a trace spatially sampled
+        at that rate (:mod:`repro.core.mrc_sampling`) and rescales them back
+        to full-trace stack depths; miss *ratios* need no count rescaling.
+        """
         warm = distances[distances > 0]
+        cold = len(distances) - len(warm)
+        if rate < 1.0 and len(warm):
+            warm = np.maximum(1, np.round(warm / rate)).astype(np.int64)
         max_depth = int(warm.max()) if len(warm) else 0
-        hits = np.bincount(warm, minlength=max_depth + 1)
-        return cls(hits, cold)
+        return cls(np.bincount(warm, minlength=max_depth + 1), cold)
 
     @property
     def max_depth(self) -> int:
@@ -333,6 +423,16 @@ class MRCCache:
 
     def clear(self) -> None:
         self._entries.clear()
+
+    def reset(self) -> None:
+        """Back to the freshly constructed state: no entries, zero tallies.
+
+        Publishes nothing to the registry — the crash model
+        (``LogAnalyzer.amnesia``) must emit no telemetry of its own.
+        """
+        self.clear()
+        self.hits = 0
+        self.misses = 0
 
 
 class MRCTracker:

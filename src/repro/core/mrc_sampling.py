@@ -93,12 +93,4 @@ def sampled_mrc(
     curve is bit-identical to :meth:`MissRatioCurve.from_trace`.
     """
     kept, stats = sample_trace(trace, rate, seed)
-    distances = stack_distances(kept)
-    cold = int(np.count_nonzero(distances == 0))
-    warm = distances[distances > 0]
-    if rate < 1.0 and len(warm):
-        # Rescale sampled distances back to full-trace stack depths.
-        warm = np.maximum(1, np.round(warm / rate)).astype(np.int64)
-    max_depth = int(warm.max()) if len(warm) else 0
-    hits = np.bincount(warm, minlength=max_depth + 1)
-    return MissRatioCurve(hits, cold), stats
+    return MissRatioCurve.from_distances(stack_distances(kept), rate), stats

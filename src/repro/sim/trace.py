@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -125,9 +126,22 @@ class AccessWindow:
         self._buffer.extend(page_ids)
         self._total_seen += len(page_ids)
 
-    def snapshot(self) -> np.ndarray:
-        """The window contents, oldest first, as an int64 array."""
-        return np.fromiter(self._buffer, dtype=np.int64, count=len(self._buffer))
+    def snapshot(self, last: int | None = None) -> np.ndarray:
+        """The window contents, oldest first, as an int64 array.
+
+        ``last=k`` returns only the ``k`` newest entries (all of them when
+        the window holds fewer) and reads only those: the analyses cap
+        their trace well below the window's capacity.
+        """
+        size = len(self._buffer)
+        if last is None or last >= size:
+            return np.fromiter(self._buffer, dtype=np.int64, count=size)
+        if last < 0:
+            raise ValueError(f"last must be non-negative: {last}")
+        newest_first = np.fromiter(
+            islice(reversed(self._buffer), last), dtype=np.int64, count=last
+        )
+        return newest_first[::-1]
 
     def clear(self) -> None:
         self._buffer.clear()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles.fenwick import FenwickTree
+from oracles.fenwick import FenwickTree, stack_distances_fenwick
 from repro.core.mrc import (
     MissRatioCurve,
     MRCParameters,
@@ -86,6 +86,79 @@ class TestStackDistances:
             return out
 
         assert stack_distances(trace).tolist() == naive(trace.tolist())
+
+
+def reuse_trace(length: int, pages: int, seed: int = 0) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, pages, size=length)
+
+
+class TestStackDistanceSeams:
+    """Differential checks against the Fenwick oracle where the partition
+    kernel changes shape: block counts, leaf sizes, word width, key packing."""
+
+    @pytest.mark.parametrize("exponent", range(1, 14))
+    def test_lengths_around_powers_of_two(self, exponent):
+        for length in (2**exponent - 1, 2**exponent, 2**exponent + 1):
+            trace = reuse_trace(length, pages=length // 4 + 1, seed=exponent)
+            assert np.array_equal(
+                stack_distances(trace), stack_distances_fenwick(trace)
+            ), length
+
+    @pytest.mark.parametrize(
+        "warm", [1, 2, 63, 64, 65, 127, 128, 129, 64 * 8 - 1, 64 * 8 + 1, 4097]
+    )
+    def test_warm_counts_around_leaf_and_level_changes(self, warm):
+        # 3 cold references, then exactly ``warm`` re-references.
+        trace = np.concatenate([[7, 8, 9], reuse_trace(warm, pages=3) + 7])
+        assert np.array_equal(stack_distances(trace), stack_distances_fenwick(trace))
+
+    def test_more_than_65536_warm_references_use_the_wide_word(self):
+        trace = reuse_trace(70_000, pages=300, seed=3)
+        assert np.array_equal(stack_distances(trace), stack_distances_fenwick(trace))
+
+    def test_all_cold(self):
+        assert not stack_distances(np.arange(1000)[::-1]).any()
+
+    def test_single_page(self):
+        assert stack_distances([5] * 200).tolist() == [0] + [1] * 199
+
+    def test_two_alternating_pages(self):
+        assert stack_distances([1, 2] * 100).tolist() == [0, 0] + [2] * 198
+
+    @pytest.mark.parametrize(
+        "pages",
+        [
+            [-3, -1, -3, -2, -1, -3],
+            [2**32 + 5, 2**40, 2**32 + 5, -9, 2**40, -9],
+            # too spread to pack page and position into one 64-bit key
+            [-(2**62), 2**62, -(2**62), 5, 2**62, 5, -(2**62)],
+        ],
+        ids=["negative", "beyond-32-bit", "beyond-one-key"],
+    )
+    def test_page_ids_outside_the_small_non_negative_range(self, pages):
+        assert np.array_equal(stack_distances(pages), stack_distances_fenwick(pages))
+
+    def test_input_kinds_agree_and_input_is_left_alone(self):
+        base = reuse_trace(3000, pages=40, seed=9)
+        expected = stack_distances_fenwick(base)
+        frozen = base.copy()
+        frozen.flags.writeable = False
+        strided = np.repeat(base, 2)[::2]
+        reversed_view = base[::-1].copy()[::-1]
+        for trace in (
+            base.tolist(), tuple(base.tolist()), base.astype(np.int32),
+            frozen, strided, reversed_view,
+        ):
+            assert np.array_equal(stack_distances(trace), expected)
+        assert np.array_equal(frozen, base)
+        assert stack_distances(frozen).dtype == np.int64
+
+    def test_prefix_identity_on_a_long_trace(self):
+        # distance i depends on references before i only: a cheap large-n check
+        trace = reuse_trace(100_000, pages=20_000, seed=16)
+        whole = stack_distances(trace)
+        for cut in (1, 4096, 65_537, 99_999):
+            assert np.array_equal(whole[:cut], stack_distances(trace[:cut])), cut
 
 
 class TestMissRatioCurve:

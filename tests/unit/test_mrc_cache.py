@@ -94,6 +94,19 @@ class TestMRCCacheUnit:
         assert obs.registry.value("mrc.cache.hits") == 1.0
         assert obs.registry.value("mrc.cache.misses") == 1.0
 
+    def test_reset_forgets_entries_and_tallies_without_telemetry(self):
+        obs = Observability()
+        cache = MRCCache(registry=obs.registry)
+        key = MRCCacheKey(1, 64)
+        cache.get("c", key)
+        cache.put("c", key, "v")
+        cache.get("c", key)
+        cache.reset()
+        assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
+        # the registry keeps what was published; reset itself publishes nothing
+        assert obs.registry.value("mrc.cache.hits") == 1.0
+        assert obs.registry.value("mrc.cache.misses") == 1.0
+
 
 class TestAnalyzerCaching:
     def _warm_analyzer(self):

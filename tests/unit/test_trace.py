@@ -89,6 +89,22 @@ class TestAccessWindow:
         window.record(7)
         assert window.snapshot().dtype == np.int64
 
+    @pytest.mark.parametrize("recorded", [6, 10, 27], ids=["unwrapped", "full", "wrapped"])
+    def test_snapshot_last_is_the_tail_of_the_full_snapshot(self, recorded):
+        window = AccessWindow(10)
+        window.record_many(range(100, 100 + recorded))
+        full = window.snapshot()
+        for k in (0, 1, len(full), len(full) + 1):
+            tail = window.snapshot(last=k)
+            assert tail.dtype == np.int64
+            assert tail.tolist() == full[len(full) - min(k, len(full)):].tolist()
+
+    def test_snapshot_rejects_negative_last(self):
+        window = AccessWindow(4)
+        window.record(7)
+        with pytest.raises(ValueError):
+            window.snapshot(last=-1)
+
 
 class TestInterleave:
     def test_round_robin_chunks(self):
