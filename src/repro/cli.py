@@ -22,160 +22,26 @@ the reproduced table/series next to the paper's reference numbers.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from collections.abc import Sequence
+from functools import partial
 
 from .analysis.report import Table, format_series
+from .experiments.bench import (
+    SCENARIOS,
+    Scenario,
+    add_bench_arguments,
+    positive_int,
+    run_bench_command,
+)
 
 __all__ = ["main"]
 
 
-def _fig3(args) -> int:
-    from .experiments.cpu_saturation import CPUSaturationConfig, run_cpu_saturation
-
-    result = run_cpu_saturation(CPUSaturationConfig(intervals=args.intervals or 72))
-    print(
-        format_series(
-            "Figure 3(a) — clients",
-            [(t, float(c)) for t, c in result.load_series],
-            x_label="t (s)",
-            y_label="clients",
-        )
-    )
-    print()
-    print(
-        format_series(
-            "Figure 3(b) — replicas",
-            [(t, float(a)) for t, a in result.allocation_series],
-            x_label="t (s)",
-            y_label="replicas",
-        )
-    )
-    print()
-    print(
-        format_series(
-            "Figure 3(c) — mean latency (SLA 1 s)",
-            result.latency_series,
-            x_label="t (s)",
-            y_label="latency",
-        )
-    )
-    print(f"\npeak replicas: {result.peak_replicas}")
-    return 0
-
-
-def _fig4(args) -> int:
-    from .experiments.index_drop import IndexDropConfig, run_index_drop
-
-    result = run_index_drop(IndexDropConfig(clients=args.clients or 60))
-    for metric in ("latency", "throughput", "misses", "readaheads"):
-        print(result.ratio_table(metric).render())
-        print()
-    print(f"outlier contexts: {result.outlier_contexts}")
-    print(
-        f"latency: {result.latency_before:.2f} s -> "
-        f"{result.latency_violation:.2f} s -> {result.latency_after:.2f} s"
-    )
-    for action in result.actions:
-        for context, pages in action.quota_map().items():
-            print(f"quota enforced: {context} = {pages} pages (paper: 3695)")
-    return 0
-
-
-def _fig5(args) -> int:
-    from .experiments.mrc_curves import (
-        run_fig5_bestseller,
-        run_fig5_bestseller_degraded,
-    )
-
-    indexed = run_fig5_bestseller(executions=args.executions or 400)
-    degraded = run_fig5_bestseller_degraded(executions=(args.executions or 400) // 5)
-    print(indexed.to_table().render())
-    print(
-        f"\nindexed plan:  acceptable {indexed.params.acceptable_memory} pages "
-        "(paper: 6982)"
-    )
-    print(
-        f"degraded plan: acceptable {degraded.params.acceptable_memory} pages; "
-        f"ideal miss ratio {degraded.params.ideal_miss_ratio:.2f} "
-        "(flat curve — the quota search allots pool-minus-others, paper: 3695)"
-    )
-    return 0
-
-
-def _fig6(args) -> int:
-    from .experiments.mrc_curves import run_fig6_search_items_by_region
-
-    result = run_fig6_search_items_by_region(executions=args.executions or 200)
-    print(result.to_table().render())
-    print(
-        f"\nacceptable memory: {result.params.acceptable_memory} pages "
-        "(paper: 7906 of an 8192-page pool)"
-    )
-    return 0
-
-
-def _table1(args) -> int:
-    from .experiments.buffer_partitioning import (
-        BufferPartitioningConfig,
-        run_buffer_partitioning,
-    )
-
-    result = run_buffer_partitioning(BufferPartitioningConfig())
-    print(result.to_table().render())
-    print(f"\nBestSeller quota: {result.quota_pages} pages (paper: 3695)")
-    print("paper: shared 95.5/96.2, partitioned 95.7/99.5, exclusive 96.1/99.9")
-    return 0
-
-
-def _table2(args) -> int:
-    from .experiments.memory_contention import (
-        MemoryContentionConfig,
-        run_memory_contention,
-    )
-
-    result = run_memory_contention(MemoryContentionConfig())
-    print(result.to_table().render())
-    print("\npaper: 0.54/8.73 -> 5.42/4.29 -> 1.27/6.44")
-    print(f"rescheduled: {result.rescheduled_context}")
-    return 0
-
-
-def _table3(args) -> int:
-    from .experiments.io_contention import IOContentionConfig, run_io_contention
-
-    result = run_io_contention(
-        IOContentionConfig(clients_per_instance=args.clients or 150)
-    )
-    print(result.to_table().render())
-    print("\npaper: 1.5/97 -> 4.8/30 -> 1.5/95")
-    print(
-        f"heaviest I/O context: {result.heaviest_io_context} "
-        f"({result.heaviest_io_share:.0%}; paper: 87%)"
-    )
-    return 0
-
-
-def _locks(args) -> int:
-    from .experiments.lock_contention import (
-        LockContentionConfig,
-        run_lock_contention,
-    )
-
-    result = run_lock_contention(LockContentionConfig(clients=args.clients or 50))
-    table = Table(
-        title="Lock contention (wrong-arguments AdminUpdate)",
-        headers=["phase", "mean latency (s)", "lock-wait share"],
-    )
-    table.add_row("baseline", f"{result.latency_before:.2f}",
-                  f"{result.baseline_lock_wait_share:.1%}")
-    table.add_row("fault", f"{result.latency_during:.2f}",
-                  f"{result.lock_wait_share:.1%}")
-    print(table.render())
-    print(f"\nreported aggressor: {result.reported_aggressor}")
-    if result.reports:
-        print(f"report: {result.reports[0].reason}")
-    return 0
+def _given(value, default):
+    """An optional flag's value, or ``default`` when it was not given."""
+    return default if value is None else value
 
 
 def _obs(args) -> int:
@@ -210,8 +76,8 @@ def _obs(args) -> int:
         from .analysis.export import allocation_records
         from .experiments.runner import quickstart_scenario
 
-        intervals = args.intervals or 12
-        clients = args.clients or 25
+        intervals = _given(args.intervals, 12)
+        clients = _given(args.clients, 25)
         harness, _ = quickstart_scenario(
             obs=obs, intervals=intervals, clients=clients
         )
@@ -232,7 +98,7 @@ def _obs(args) -> int:
     else:
         from .experiments.index_drop import IndexDropConfig, run_index_drop
 
-        clients = args.clients or 60
+        clients = _given(args.clients, 60)
         run_index_drop(IndexDropConfig(clients=clients), obs=obs)
         meta = {"scenario": "index-drop", "clients": clients, "seed": 7}
     lines = telemetry_lines(obs, meta=meta) + allocation_lines
@@ -304,8 +170,8 @@ def _chaos_storm(args) -> int:
     config = ChaosStormConfig(
         seed=args.seed,
         events=args.events,
-        intervals=args.intervals or ChaosStormConfig.intervals,
-        clients=args.clients or ChaosStormConfig.clients,
+        intervals=_given(args.intervals, ChaosStormConfig.intervals),
+        clients=_given(args.clients, ChaosStormConfig.clients),
     )
     # The plan is a pure function of (seed, config): print it up front so
     # the operator sees what is about to hit the cluster, then replay it.
@@ -355,11 +221,10 @@ def _chaos(args) -> int:
 
     if getattr(args, "seed", None) is not None:
         return _chaos_storm(args)
-    config = ChaosConfig()
-    if args.intervals:
-        config = ChaosConfig(intervals=args.intervals)
-    if args.clients:
-        config = ChaosConfig(intervals=config.intervals, clients=args.clients)
+    config = ChaosConfig(
+        intervals=_given(args.intervals, ChaosConfig.intervals),
+        clients=_given(args.clients, ChaosConfig.clients),
+    )
     result = run_chaos(config)
     print(
         format_series(
@@ -533,16 +398,34 @@ def _forecast(args) -> int:
     return status
 
 
-def _bench(args) -> int:
-    """``repro bench`` — run the benchmark scenario registry.
+PAPER_SCENARIOS = {
+    entry.command: entry for entry in SCENARIOS.values() if entry.command
+}
+"""``repro fig3 … locks``: the scenarios of the table that name a command,
+in the paper's order."""
 
-    ``--parallel N`` shards the scenarios across N worker processes;
-    artefacts are byte-identical to a serial run (every scenario seeds its
-    own RNGs), only the wall clock changes.
-    """
-    from .experiments.bench import run_bench_command
+KNOB_HELP = {
+    "clients": "override the emulated client population",
+    "intervals": "override the number of measurement intervals",
+    "executions": "override trace length (MRC commands)",
+}
+"""A paper scenario's knobs are the keyword arguments of its run; each
+becomes a ``--<knob>`` flag of its command (and of ``all``)."""
 
-    return run_bench_command(args)
+
+def _knobs(entry: Scenario) -> list[str]:
+    return list(inspect.signature(entry.run).parameters)
+
+
+def _reproduce(entry: Scenario, args) -> int:
+    """``repro fig3 … locks`` — run one scenario, print its rendering."""
+    overrides = {
+        knob: getattr(args, knob)
+        for knob in _knobs(entry)
+        if getattr(args, knob) is not None
+    }
+    print(entry.render(entry.run(**overrides)))
+    return 0
 
 
 def _list(args) -> int:
@@ -554,29 +437,24 @@ def _list(args) -> int:
 
 
 def _all(args) -> int:
-    status = 0
-    for name in ("fig3", "fig4", "fig5", "fig6", "table1", "table2", "table3", "locks"):
+    for name, entry in PAPER_SCENARIOS.items():
         print(f"\n{'=' * 20} {name} {'=' * 20}")
-        status |= _COMMANDS[name][0](args)
-    return status
+        _reproduce(entry, args)
+    return 0
 
 
 _COMMANDS = {
     "list": (_list, "list the reproducible artefacts"),
-    "fig3": (_fig3, "sine client load, reactive CPU provisioning"),
-    "fig4": (_fig4, "index drop: metric ratios, outliers, quota"),
-    "fig5": (_fig5, "BestSeller miss-ratio curve"),
-    "fig6": (_fig6, "SearchItemsByRegion miss-ratio curve"),
-    "table1": (_table1, "buffer-pool organisations: hit ratios"),
-    "table2": (_table2, "shared-pool memory contention (TPC-W + RUBiS)"),
-    "table3": (_table3, "Xen dom0 I/O contention (two RUBiS domains)"),
-    "locks": (_locks, "lock-contention anomaly (the paper's future work)"),
+    **{
+        name: (partial(_reproduce, entry), entry.help)
+        for name, entry in PAPER_SCENARIOS.items()
+    },
     "chaos": (_chaos, "fault-injection storm: failover, quarantine, recovery"),
     "plan": (_plan, "capacity planner: print/validate/apply a cluster plan"),
     "forecast": (_forecast, "predictive SLA enforcement: reactive vs forecast"),
     "obs": (_obs, "telemetry: span timings, recomputations, actions"),
     "zoo": (_zoo, "workload zoo: anomaly scenarios, detection quality"),
-    "bench": (_bench, "benchmark scenarios: run, time, check baselines"),
+    "bench": (run_bench_command, "benchmark scenarios: run, time, check baselines"),
     "all": (_all, "run every artefact in order"),
 }
 
@@ -603,9 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 default="index-drop",
                                 help="which scenario to instrument (default: "
                                      "index-drop, the full retuning pipeline)")
-            report.add_argument("--clients", type=int, default=None,
+            report.add_argument("--clients", type=positive_int, default=None,
                                 help="override the emulated client population")
-            report.add_argument("--intervals", type=int, default=None,
+            report.add_argument("--intervals", type=positive_int, default=None,
                                 help="override the number of measurement intervals")
             report.add_argument("--export", type=str, default=None,
                                 help="also write telemetry JSONL to this path")
@@ -614,8 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "instead of running the scenario")
             continue
         if name == "bench":
-            from .experiments.bench import add_bench_arguments
-
             bench = subparsers.add_parser(name, help=help_text)
             add_bench_arguments(bench)
             continue
@@ -634,9 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
             continue
         if name == "chaos":
             chaos = subparsers.add_parser(name, help=help_text)
-            chaos.add_argument("--clients", type=int, default=None,
+            chaos.add_argument("--clients", type=positive_int, default=None,
                                help="override the emulated client population")
-            chaos.add_argument("--intervals", type=int, default=None,
+            chaos.add_argument("--intervals", type=positive_int, default=None,
                                help="override the number of measurement "
                                     "intervals")
             chaos.add_argument("--seed", type=int, default=None,
@@ -644,14 +520,14 @@ def build_parser() -> argparse.ArgumentParser:
                                     "of the scripted one (the plan is "
                                     "printed before the replay; same seed, "
                                     "same storm)")
-            chaos.add_argument("--events", type=int, default=6,
+            chaos.add_argument("--events", type=positive_int, default=6,
                                help="events in the random storm "
                                     "(default: %(default)s; only with "
                                     "--seed)")
             continue
         if name == "forecast":
             forecast = subparsers.add_parser(name, help=help_text)
-            forecast.add_argument("--horizon", type=int, default=None,
+            forecast.add_argument("--horizon", type=positive_int, default=None,
                                   help="forecast horizon in intervals "
                                        "(default: 2)")
             forecast.add_argument("--margin", type=float, default=None,
@@ -679,12 +555,13 @@ def build_parser() -> argparse.ArgumentParser:
                               help="also write the plan as JSON to this path")
             continue
         sub = subparsers.add_parser(name, help=help_text)
-        sub.add_argument("--clients", type=int, default=None,
-                         help="override the emulated client population")
-        sub.add_argument("--intervals", type=int, default=None,
-                         help="override the number of measurement intervals")
-        sub.add_argument("--executions", type=int, default=None,
-                         help="override trace length (MRC commands)")
+        if name in PAPER_SCENARIOS:
+            knobs = _knobs(PAPER_SCENARIOS[name])
+        else:
+            knobs = list(KNOB_HELP) if name == "all" else []
+        for knob in knobs:
+            sub.add_argument(f"--{knob}", type=positive_int, default=None,
+                             help=KNOB_HELP[knob])
     return parser
 
 

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..analysis.report import Table
 from ..core.controller import ControllerConfig
 from ..core.diagnosis import Action, ActionKind
 from ..core.metrics import Metric
 from ..workloads.tpcw import build_tpcw, inject_unqualified_admin_update
 from .index_drop import CPU_SCALE, EXPERIMENT_COST_MODEL, scale_cpu_costs
 from .runner import ClusterHarness
-from .results import PlacementRow
 
 __all__ = ["LockContentionConfig", "LockContentionResult", "run_lock_contention"]
 
@@ -57,11 +57,16 @@ class LockContentionResult:
     reports: list[Action] = field(default_factory=list)
     victim_wait_time: float = 0.0
 
-    def rows(self) -> list[PlacementRow]:
-        return [
-            PlacementRow("baseline", self.latency_before, 0.0),
-            PlacementRow("unqualified AdminUpdate", self.latency_during, 0.0),
-        ]
+    def to_table(self) -> Table:
+        table = Table(
+            title="Lock contention (wrong-arguments AdminUpdate)",
+            headers=["phase", "mean latency (s)", "lock-wait share"],
+        )
+        table.add_row("baseline", f"{self.latency_before:.2f}",
+                      f"{self.baseline_lock_wait_share:.1%}")
+        table.add_row("fault", f"{self.latency_during:.2f}",
+                      f"{self.lock_wait_share:.1%}")
+        return table
 
 
 def _lock_wait_share(analyzer, app: str, interval_length: float) -> float:
