@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..engine.access import AccessPattern, ExecutionAccess
+from ..engine.access import AccessPattern, ExecutionAccess, ZipfPages
 from ..engine.query import normalize_template
 from ..sim.rng import RandomStream, SeedSequenceFactory, ZipfGenerator
 from ..sim.trace import PageAccessTrace
@@ -313,18 +313,16 @@ class FittedPattern(AccessPattern):
         self.model = model
         self.pages_per_execution = pages_per_execution
         self._pages = np.asarray(model.pages, dtype=np.int64)
-        self._stream = stream
         self._cursor = 0
-        self._zipf = (
-            ZipfGenerator(len(model.pages), model.theta, stream)
+        self._zipf_replay = (
+            ZipfPages(self._pages, model.theta, pages_per_execution, stream)
             if model.kind == "zipf"
             else None
         )
 
     def pages_for_execution(self) -> ExecutionAccess:
-        if self._zipf is not None:
-            ranks = self._zipf.sample_many(self.pages_per_execution)
-            return ExecutionAccess(demand=self._pages[ranks].tolist())
+        if self._zipf_replay is not None:
+            return self._zipf_replay.pages_for_execution()
         indices = (self._cursor + np.arange(self.pages_per_execution)) % len(
             self._pages
         )

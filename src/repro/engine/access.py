@@ -13,6 +13,14 @@ structure that the paper's experiments hinge on:
   curve near 1 until the entire footprint fits in memory — which is exactly
   what the un-indexed BestSeller and the I/O-hungry SearchItemsByRegion
   degenerate into.
+
+Patterns whose executions are a few dozen pages long (:class:`ZipfPages`,
+:class:`IndexLookup`) derive from :class:`BlockServedPattern`: they draw, map
+and translate about :data:`BLOCK_PAGES` pages' worth of executions in one numpy
+pass and hand each execution a slice of the resulting list, because at that
+size numpy's per-call overhead, not the arithmetic, is the cost.  This is
+invisible to every seeded artefact as long as each pattern is the only
+consumer of its stream (see :class:`~repro.sim.rng.ZipfGenerator`).
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ from .tables import Table
 __all__ = [
     "ExecutionAccess",
     "AccessPattern",
+    "BlockServedPattern",
+    "ZipfPages",
     "ZipfWorkingSet",
     "UniformWorkingSet",
     "SequentialChunkScan",
@@ -39,7 +49,11 @@ __all__ = [
 ]
 
 
-@dataclass
+BLOCK_PAGES = 1024
+"""Pages a :class:`BlockServedPattern` generates ahead (at least one execution)."""
+
+
+@dataclass(slots=True)
 class ExecutionAccess:
     """Page references produced by one execution of a query."""
 
@@ -68,7 +82,59 @@ class AccessPattern:
         raise NotImplementedError
 
 
-class ZipfWorkingSet(AccessPattern):
+class BlockServedPattern(AccessPattern):
+    """Executions of a fixed page count, generated a block at a time.
+
+    Subclasses implement :meth:`_generate`; executions are handed out first
+    in, first out, so execution *k* receives exactly the pages it would have
+    received had each execution been generated on its own.
+    """
+
+    def __init__(self, pages_per_execution: int) -> None:
+        self._width = pages_per_execution
+        self._block_executions = max(1, BLOCK_PAGES // pages_per_execution)
+        self._block: list[int] = []
+        self._next = 0
+
+    def _generate(self, executions: int) -> list[int]:
+        """The pages of the next ``executions`` executions, concatenated."""
+        raise NotImplementedError
+
+    def pages_for_execution(self) -> ExecutionAccess:
+        start = self._next
+        if start == len(self._block):
+            self._block = self._generate(self._block_executions)
+            start = 0
+        self._next = end = start + self._width
+        return ExecutionAccess(self._block[start:end])
+
+
+class ZipfPages(BlockServedPattern):
+    """Zipf-skewed references over a page vector ordered by popularity rank."""
+
+    def __init__(
+        self,
+        pages_by_rank: np.ndarray,
+        theta: float,
+        pages_per_execution: int,
+        stream: RandomStream,
+    ) -> None:
+        if pages_per_execution <= 0:
+            raise ValueError(f"pages per execution must be positive: {pages_per_execution}")
+        super().__init__(pages_per_execution)
+        self.pages_per_execution = pages_per_execution
+        self._pages_by_rank = pages_by_rank
+        self._zipf = ZipfGenerator(len(pages_by_rank), theta, stream)
+
+    def _generate(self, executions: int) -> list[int]:
+        ranks = self._zipf.sample_many(executions * self.pages_per_execution)
+        return self._pages_by_rank[ranks].tolist()
+
+    def footprint_pages(self) -> int:
+        return len(self._pages_by_rank)
+
+
+class ZipfWorkingSet(ZipfPages):
     """Zipf-skewed references over a working set of pages.
 
     The working set is a deterministic pseudo-random permutation of a slice
@@ -89,23 +155,17 @@ class ZipfWorkingSet(AccessPattern):
                 f"working set {working_set} outside (0, {pages.count}] "
                 f"for range {pages.name!r}"
             )
-        if pages_per_execution <= 0:
-            raise ValueError(f"pages per execution must be positive: {pages_per_execution}")
         self.working_set = working_set
-        self.pages_per_execution = pages_per_execution
         layout = list(range(working_set))
         stream.shuffle(layout)
         # Rank -> page id, translated (and bounds-checked) once for every
         # page the pattern can ever emit.
-        self._page_layout = pages.page_array(np.asarray(layout, dtype=np.int64))
-        self._zipf = ZipfGenerator(working_set, theta, stream)
-
-    def pages_for_execution(self) -> ExecutionAccess:
-        ranks = self._zipf.sample_many(self.pages_per_execution)
-        return ExecutionAccess(demand=self._page_layout[ranks].tolist())
-
-    def footprint_pages(self) -> int:
-        return self.working_set
+        super().__init__(
+            pages.page_array(np.asarray(layout, dtype=np.int64)),
+            theta,
+            pages_per_execution,
+            stream,
+        )
 
 
 class UniformWorkingSet(AccessPattern):
@@ -159,7 +219,7 @@ class SequentialChunkScan(AccessPattern):
             raise ValueError(f"scan chunk must be positive: {chunk}")
         if readahead < 0:
             raise ValueError(f"readahead must be non-negative: {readahead}")
-        self.region = min(region or pages.count, pages.count)
+        self.region = pages.count if region is None else min(region, pages.count)
         if self.region <= 0:
             raise ValueError(f"scan region must be positive: {self.region}")
         # Offsets are taken modulo region and region fits the range (clamped
@@ -197,7 +257,7 @@ class SequentialChunkScan(AccessPattern):
         return self.region
 
 
-class IndexLookup(AccessPattern):
+class IndexLookup(BlockServedPattern):
     """Point lookups through a B+-tree followed by data-page fetches."""
 
     def __init__(
@@ -213,24 +273,30 @@ class IndexLookup(AccessPattern):
             raise ValueError("lookups per execution must be positive")
         if rows_per_lookup <= 0:
             raise ValueError("rows per lookup must be positive")
+        super().__init__(
+            lookups_per_execution * (len(index.lookup_path(0)) + rows_per_lookup)
+        )
         self.index = index
         self.lookups_per_execution = lookups_per_execution
         self.rows_per_lookup = rows_per_lookup
         # Keys map to rows directly; skew comes from the Zipf ranks.
-        space = min(key_space or index.table.row_count, index.table.row_count)
+        row_count = index.table.row_count
+        space = row_count if key_space is None else min(key_space, row_count)
         self._zipf = ZipfGenerator(space, key_theta, stream)
-        self._space = space
+        self._row_stride = max(1, row_count // space)
+        self._row_offsets = np.arange(rows_per_lookup, dtype=np.int64)
 
-    def pages_for_execution(self) -> ExecutionAccess:
-        demand: list[int] = []
+    def _generate(self, executions: int) -> list[int]:
         table = self.index.table
-        for _ in range(self.lookups_per_execution):
-            row = self._zipf.sample() * max(1, table.row_count // self._space)
-            row = min(row, table.row_count - 1)
-            demand.extend(self.index.lookup_path(row))
-            for offset in range(self.rows_per_lookup):
-                demand.append(table.page_of_row(min(row + offset, table.row_count - 1)))
-        return ExecutionAccess(demand=demand)
+        last_row = table.row_count - 1
+        ranks = self._zipf.sample_many(executions * self.lookups_per_execution)
+        rows = np.minimum(ranks * self._row_stride, last_row)
+        path = self.index.lookup_path_columns(rows)
+        data = table.page_of_row_array(
+            np.minimum(rows[:, None] + self._row_offsets, last_row)
+        )
+        # One row per lookup: root, internals, leaf, then the data pages.
+        return np.concatenate((path, data), axis=1).ravel().tolist()
 
     def footprint_pages(self) -> int:
         return (
@@ -258,7 +324,6 @@ class IndexRangeScan(AccessPattern):
         self.index = index
         self.row_span = row_span
         self.data_page_fraction = data_page_fraction
-        self._stream = stream
         starts = max(1, index.table.row_count - row_span)
         self._zipf = ZipfGenerator(starts, start_theta, stream)
 
@@ -331,9 +396,9 @@ class CompositePattern(AccessPattern):
         prefetch: list[int] = []
         for part in self.parts:
             access = part.pages_for_execution()
-            demand.extend(access.demand)
-            prefetch.extend(access.prefetch)
-        return ExecutionAccess(demand=demand, prefetch=prefetch)
+            demand += access.demand
+            prefetch += access.prefetch
+        return ExecutionAccess(demand, prefetch)
 
     def footprint_pages(self) -> int:
         return sum(part.footprint_pages() for part in self.parts)

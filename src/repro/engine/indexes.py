@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .pages import PageRange, PageSpaceAllocator
 from .tables import Table
 
@@ -125,6 +127,19 @@ class BTreeIndex:
         ]
         path.append(self.leaf_pages.start + leaf_index)
         return path
+
+    def lookup_path_columns(self, rows: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`lookup_path`: one row of page ids per table row."""
+        if len(rows) and (
+            int(rows.min()) < 0 or int(rows.max()) >= self.table.row_count
+        ):
+            raise IndexError(f"rows outside table {self.table.name!r}")
+        leaf_index = np.minimum(rows // self.leaf_entries, self.leaf_pages.count - 1)
+        columns = np.empty((len(rows), len(self._levels) + 1), dtype=np.int64)
+        for column, (stride, last, first) in enumerate(self._levels):
+            columns[:, column] = first + np.minimum(leaf_index // stride, last)
+        columns[:, -1] = self.leaf_pages.start + leaf_index
+        return columns
 
     def range_path(self, start_row: int, row_span: int) -> list[int]:
         """Pages touched by a leaf-level range scan of ``row_span`` rows."""

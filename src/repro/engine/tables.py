@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .pages import PAGE_SIZE_BYTES, PageRange, PageSpaceAllocator
 
 __all__ = ["Table", "Schema"]
@@ -56,6 +58,12 @@ class Table:
         if not 0 <= row < self.row_count:
             raise IndexError(f"row {row} outside table {self.name!r}")
         return self.pages.page(row // self.rows_per_page)
+
+    def page_of_row_array(self, rows: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`page_of_row`: page ids for an array of rows."""
+        if rows.size and (int(rows.min()) < 0 or int(rows.max()) >= self.row_count):
+            raise IndexError(f"rows outside table {self.name!r}")
+        return self.pages.page_array(rows // self.rows_per_page)
 
     def scan_pages(self, start_page: int = 0, count: int | None = None) -> list[int]:
         """Page ids of a (partial) sequential scan starting at ``start_page``."""

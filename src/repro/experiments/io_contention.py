@@ -26,7 +26,7 @@ from ..cluster.vm import XenHost
 from ..core.controller import ClusterController, ControllerConfig
 from ..core.diagnosis import ActionKind
 from ..core.metrics import Metric
-from ..workloads.rubis import SEARCH_ITEMS_BY_REGION, build_rubis
+from ..workloads.rubis import build_rubis
 from .index_drop import CPU_SCALE, EXPERIMENT_COST_MODEL, scale_cpu_costs
 from .results import IOContentionResult, PlacementRow
 from .runner import ClusterHarness
@@ -173,8 +173,3 @@ def _io_share(harness: ClusterHarness) -> tuple[str | None, float]:
         vectors.items(), key=lambda item: item[1].get(Metric.IO_BLOCK_REQUESTS)
     )
     return (top_key, top_vector.get(Metric.IO_BLOCK_REQUESTS) / total)
-
-
-def expected_removed_class() -> str:
-    """The class the paper removes: SearchItemsByRegion."""
-    return SEARCH_ITEMS_BY_REGION

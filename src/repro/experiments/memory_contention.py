@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from ..cluster.server import ServerSpec
 from ..core.controller import ControllerConfig
 from ..core.diagnosis import ActionKind
-from ..workloads.rubis import SEARCH_ITEMS_BY_REGION, build_rubis
+from ..workloads.rubis import build_rubis
 from ..workloads.tpcw import build_tpcw
 from .index_drop import CPU_SCALE, EXPERIMENT_COST_MODEL, scale_cpu_costs
 from .results import MemoryContentionResult, PlacementRow
@@ -119,8 +119,3 @@ def run_memory_contention(
         )
     )
     return result
-
-
-def expected_rescheduled_context() -> str:
-    """The context the paper expects to move: RUBiS SearchItemsByRegion."""
-    return f"{build_rubis().app}/{SEARCH_ITEMS_BY_REGION}"

@@ -26,6 +26,10 @@ __all__ = [
 ]
 
 
+ZIPF_BLOCK_DRAWS = 1024
+"""Uniforms a :class:`ZipfGenerator` draws and looks up per refill."""
+
+
 def _derive_seed(root_seed: int, name: str) -> int:
     """Derive a 64-bit child seed from a root seed and a stream name."""
     digest = hashlib.sha256(f"{root_seed}:{name}".encode()).digest()
@@ -149,6 +153,16 @@ class ZipfGenerator:
     The implementation precomputes the CDF and samples by inverse transform,
     so draws are O(log n) and the distribution is exact (unlike
     ``numpy.random.zipf``, which is unbounded).
+
+    *Draw-ahead.*  Uniforms are drawn and looked up :data:`ZIPF_BLOCK_DRAWS`
+    at a time, and :meth:`sample` and :meth:`sample_many` hand the resulting
+    ranks out first in, first out.  ``Generator.random(n)`` fills its output
+    from the same ``next_double`` that ``random()`` returns once, one 64-bit
+    word per double either way, so the k-th rank handed out is the rank the
+    k-th scalar draw would have produced.  That holds only while this
+    generator is its stream's sole consumer: a second consumer would see the
+    stream a block further on.  Every refill therefore checks that the bit
+    generator is where the previous refill left it, and raises otherwise.
     """
 
     def __init__(self, n: int, theta: float, stream: RandomStream) -> None:
@@ -163,18 +177,49 @@ class ZipfGenerator:
         weights = ranks ** (-theta)
         self._cdf = np.cumsum(weights)
         self._cdf /= self._cdf[-1]
+        self._ranks = np.empty(0, dtype=np.int64)  # drawn ahead, unread from _next on
+        self._next = 0
+        self._state_after_refill: dict | None = None
+
+    def _refill(self, shortfall: int) -> None:
+        """Append at least ``shortfall`` fresh ranks to the unread tail."""
+        rng = self._stream._rng
+        if (
+            self._state_after_refill is not None
+            and rng.bit_generator.state != self._state_after_refill
+        ):
+            raise RuntimeError(
+                f"stream {self._stream.name!r} was drawn from by someone other "
+                "than the ZipfGenerator reading ahead on it: a draw-ahead "
+                "stream must have exactly one consumer"
+            )
+        us = rng.random(max(ZIPF_BLOCK_DRAWS, shortfall))
+        self._state_after_refill = rng.bit_generator.state
+        fresh = self._cdf.searchsorted(us, "left")
+        tail = self._ranks[self._next :]
+        self._ranks = np.concatenate((tail, fresh)) if len(tail) else fresh
+        self._next = 0
 
     def sample(self) -> int:
         """Draw one rank in ``[0, n)``; rank 0 is the most popular."""
-        u = self._stream._rng.random()
-        return int(self._cdf.searchsorted(u, "left"))
+        position = self._next
+        if position == len(self._ranks):
+            self._refill(1)
+            position = 0
+        self._next = position + 1
+        return self._ranks.item(position)
 
     def sample_many(self, count: int) -> np.ndarray:
         """Draw ``count`` ranks as an int64 array."""
         if count < 0:
             raise ValueError(f"count must be non-negative: {count}")
-        us = self._stream._rng.random(count)
-        return self._cdf.searchsorted(us, "left")
+        end = self._next + count
+        if end > len(self._ranks):
+            self._refill(end - len(self._ranks))
+            end = count
+        ranks = self._ranks[self._next : end]
+        self._next = end
+        return ranks
 
     def probability(self, rank: int) -> float:
         """Exact probability mass of ``rank``."""

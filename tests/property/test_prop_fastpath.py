@@ -3,29 +3,58 @@
 The class draw, the Zipf rank draws, the B+-tree lookup path, the Zipf
 working set's page vector and the composite pattern were rewritten to do
 per query only what changes per query.  The formulas they replaced live on
-here as oracles.  "Equal" always means two things: the same values, and the
-same number of doubles consumed from the stream — checked by comparing the
-next ``random()`` of both generators afterwards — because every seeded
-artefact depends on where each generator sits after each call.
+here and in ``tests/oracles/pagegen.py`` as oracles.  "Equal" always means
+two things: the same values, and the same doubles consumed from the stream,
+because every seeded artefact depends on which double reaches which
+execution.  For code that draws what it returns, the second half is checked
+by comparing the next ``random()`` of both generators afterwards.  The Zipf
+generator draws ahead, so its stream sits up to a block further on; there
+the check is that N executions *crossing at least two refills* equal N
+executions of the oracle — a double lost, repeated or reordered at a refill
+shifts every value after it.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.pagegen import (
+    ZipfOracle,
+    per_execution_locks,
+    per_execution_twin,
+    per_execution_workload,
+)
+from repro.analysis.traceload import ClassModel, FittedPattern
 from repro.engine.access import (
+    BLOCK_PAGES,
     AccessPattern,
     CompositePattern,
     ExecutionAccess,
+    IndexLookup,
+    IndexRangeScan,
     SequentialChunkScan,
     UniformWorkingSet,
+    ZipfPages,
     ZipfWorkingSet,
 )
 from repro.engine.indexes import BTreeIndex
+from repro.engine.locks import LockMode, RowGroupLockPattern
 from repro.engine.pages import PageRange, PageSpaceAllocator
 from repro.engine.tables import Table
-from repro.sim.rng import CumulativeSampler, RandomStream, ZipfGenerator
+from repro.sim.rng import (
+    ZIPF_BLOCK_DRAWS,
+    CumulativeSampler,
+    RandomStream,
+    ZipfGenerator,
+)
 from repro.workloads.sessions import MarkovSessionModel
+from repro.workloads.tpcw import (
+    O_DATE_INDEX,
+    build_tpcw,
+    inject_unqualified_admin_update,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -47,6 +76,23 @@ def assert_same_position(stream: RandomStream, oracle: np.random.Generator) -> N
     assert stream.generator.random() == oracle.random()
 
 
+def twin_streams(seed: int) -> tuple[RandomStream, RandomStream]:
+    """Two equally seeded streams: one to read ahead on, one for the oracle."""
+    return RandomStream(seed, "fastpath"), RandomStream(seed, "fastpath")
+
+
+def executions_crossing_two_refills(pages_per_execution: int) -> int:
+    return 2 * max(ZIPF_BLOCK_DRAWS, BLOCK_PAGES) // pages_per_execution + 3
+
+
+def assert_same_executions(pattern: AccessPattern, oracle: AccessPattern, count: int):
+    for _ in range(count):
+        access, expected = pattern.pages_for_execution(), oracle.pages_for_execution()
+        assert access.demand == expected.demand
+        assert access.prefetch == expected.prefetch
+        assert all(type(page) is int for page in access.demand)
+
+
 # --------------------------------------------------------------------- #
 # Class draw: CumulativeSampler == Generator.choice                     #
 # --------------------------------------------------------------------- #
@@ -65,13 +111,18 @@ def test_sampler_equals_generator_choice(weights, seed):
 
 
 class _FixedUniforms:
-    """Stands in for a stream's generator: ``random()`` replays a script."""
+    """Stands in for a stream's generator: ``random()`` replays a script, one
+    value per scalar call, and pads a block draw with 0.5 once it runs out."""
+
+    bit_generator = SimpleNamespace(state=None)
 
     def __init__(self, values):
         self._values = iter(values)
 
     def random(self, size=None):
-        return next(self._values)
+        if size is None:
+            return next(self._values)
+        return np.asarray([next(self._values, 0.5) for _ in range(size)])
 
 
 @given(weights=weight_vectors)
@@ -156,30 +207,78 @@ def test_markov_step_equals_generator_choice_on_the_row(rows, seed):
 # --------------------------------------------------------------------- #
 
 
+def assert_zipf_equals_oracle(zipf_class, n, theta, seed, counts) -> None:
+    """Scalar and vector draws interleaved on one generator, across refills."""
+    stream, twin = twin_streams(seed)
+    zipf = zipf_class(n, theta, stream)
+    oracle = ZipfOracle(n, theta, twin)
+    drawn = 0
+    while drawn <= 2 * ZIPF_BLOCK_DRAWS:
+        for count in counts:
+            assert zipf.sample() == oracle.sample()
+            ranks = zipf.sample_many(count)
+            assert ranks.dtype == np.int64
+            assert ranks.tolist() == oracle.sample_many(count).tolist()
+            drawn += 1 + count
+
+
+zipf_counts = st.lists(
+    st.one_of(
+        st.integers(min_value=0, max_value=64),
+        st.integers(min_value=ZIPF_BLOCK_DRAWS - 2, max_value=ZIPF_BLOCK_DRAWS + 300),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
 @given(
     n=st.integers(min_value=1, max_value=5000),
     theta=st.floats(min_value=0.0, max_value=2.5),
     seed=seeds,
-    count=st.integers(min_value=0, max_value=64),
+    counts=zipf_counts,
 )
 @settings(max_examples=150, deadline=None)
-def test_zipf_draws_equal_the_old_formulas(n, theta, seed, count):
-    stream, oracle = stream_pair(seed)
-    zipf = ZipfGenerator(n, theta, stream)
-    cdf = np.cumsum(np.arange(1, n + 1, dtype=float) ** (-theta))
-    cdf /= cdf[-1]
-    for _ in range(10):
-        u = float(oracle.uniform(0.0, 1.0))
-        assert zipf.sample() == int(np.searchsorted(cdf, u, side="left"))
-    us = oracle.uniform(size=count)
-    expected = np.searchsorted(cdf, us, side="left").astype(np.int64)
-    ranks = zipf.sample_many(count)
-    assert ranks.dtype == np.int64
-    assert ranks.tolist() == expected.tolist()
-    # Scalar and batched draws interleave on one generator.
-    u = float(oracle.uniform(0.0, 1.0))
-    assert zipf.sample() == int(np.searchsorted(cdf, u, side="left"))
-    assert_same_position(stream, oracle)
+def test_zipf_draws_equal_the_old_formulas(n, theta, seed, counts):
+    assert_zipf_equals_oracle(ZipfGenerator, n, theta, seed, counts)
+
+
+class _LastInFirstOut(ZipfGenerator):
+    """Mutant: serves the newest rank of the block first."""
+
+    def sample(self) -> int:
+        return int(self.sample_many(1)[0])
+
+    def sample_many(self, count: int) -> np.ndarray:
+        if self._next + count > len(self._ranks):
+            self._refill(self._next + count - len(self._ranks))
+        keep = len(self._ranks) - count
+        ranks, self._ranks = self._ranks[keep:], self._ranks[:keep]
+        return ranks
+
+
+class _TailDiscardingRefill(ZipfGenerator):
+    """Mutant: a refill throws away the ranks not yet handed out."""
+
+    def _refill(self, shortfall: int) -> None:
+        self._next = len(self._ranks)
+        super()._refill(shortfall)
+
+
+@pytest.mark.parametrize("mutant", [_LastInFirstOut, _TailDiscardingRefill])
+def test_the_zipf_check_catches_a_reordering_or_lossy_block(mutant):
+    assert_zipf_equals_oracle(ZipfGenerator, 300, 0.6, 5, [3, 40])
+    with pytest.raises(AssertionError):
+        assert_zipf_equals_oracle(mutant, 300, 0.6, 5, [3, 40])
+
+
+def test_a_second_consumer_of_a_draw_ahead_stream_is_an_error():
+    stream = RandomStream(3, "shared")
+    zipf = ZipfGenerator(50, 0.8, stream)
+    zipf.sample()
+    stream.uniform()
+    with pytest.raises(RuntimeError, match="exactly one consumer"):
+        zipf.sample_many(ZIPF_BLOCK_DRAWS)
 
 
 @pytest.mark.parametrize("n,theta", [(1, 0.8), (7, 0.0), (300, 0.6), (300, 2.5)])
@@ -190,7 +289,7 @@ def test_zipf_ties_fall_on_the_lower_rank(n, theta):
     ties = [0.0] + cdf.tolist()[:-1]
     stream = RandomStream(0, "ties")
     zipf = ZipfGenerator(n, theta, stream)
-    stream._rng = _FixedUniforms(ties + [np.asarray(ties)])
+    stream._rng = _FixedUniforms(ties + ties)
     expected = [int(np.searchsorted(cdf, u, side="left")) for u in ties]
     assert [zipf.sample() for _ in ties] == expected
     assert zipf.sample_many(len(ties)).tolist() == expected
@@ -300,7 +399,7 @@ def test_lookup_path_clamps_to_an_undersized_internal_range():
     per_execution=st.integers(min_value=1, max_value=60),
     seed=seeds,
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_zipf_working_set_equals_range_page_array_of_the_layout(
     working_set, theta, per_execution, seed
 ):
@@ -313,14 +412,246 @@ def test_zipf_working_set_equals_range_page_array_of_the_layout(
     layout_array = np.asarray(layout, dtype=np.int64)
     cdf = np.cumsum(np.arange(1, working_set + 1, dtype=float) ** (-theta))
     cdf /= cdf[-1]
-    for _ in range(5):
+    for _ in range(executions_crossing_two_refills(per_execution)):
         ranks = np.searchsorted(cdf, oracle.uniform(size=per_execution), side="left")
         expected = pages.page_array(layout_array[ranks]).tolist()
         access = pattern.pages_for_execution()
         assert access.demand == expected
         assert all(type(page) is int for page in access.demand)
         assert access.prefetch == []
-    assert_same_position(stream, oracle)
+
+
+@given(
+    footprint=st.integers(min_value=1, max_value=300),
+    theta=st.floats(min_value=0.0, max_value=1.5),
+    per_execution=st.integers(min_value=1, max_value=1500),
+    seed=seeds,
+)
+@settings(max_examples=40, deadline=None)
+def test_zipf_pages_and_the_trace_replay_equal_the_per_execution_oracle(
+    footprint, theta, per_execution, seed
+):
+    """Also executions longer than a block (one execution per block)."""
+    model = ClassModel(
+        name="c",
+        kind="zipf",
+        accesses=10 * footprint,
+        footprint=footprint,
+        theta=theta,
+        pages=tuple(range(5000, 5000 + 3 * footprint, 3)),
+    )
+    count = executions_crossing_two_refills(per_execution)
+    stream, twin = twin_streams(seed)
+    pages_by_rank = np.asarray(model.pages, dtype=np.int64)
+    assert_same_executions(
+        ZipfPages(pages_by_rank, theta, per_execution, stream),
+        per_execution_twin(ZipfPages(pages_by_rank, theta, per_execution, twin)),
+        count,
+    )
+    stream, twin = twin_streams(seed)
+    replay = FittedPattern(model, per_execution, stream)
+    assert_same_executions(
+        replay,
+        per_execution_twin(ZipfPages(pages_by_rank, theta, per_execution, twin)),
+        count,
+    )
+    assert replay.footprint_pages() == footprint
+
+
+@given(
+    rows=st.integers(min_value=1, max_value=200_000),
+    fanout=st.integers(min_value=2, max_value=300),
+    leaf_entries=st.integers(min_value=1, max_value=500),
+    lookups=st.integers(min_value=1, max_value=3),
+    rows_per_lookup=st.integers(min_value=1, max_value=5),
+    key_space=st.one_of(st.none(), st.integers(min_value=1, max_value=300_000)),
+    theta=st.floats(min_value=0.0, max_value=1.5),
+    seed=seeds,
+)
+@settings(max_examples=60, deadline=None)
+def test_index_lookup_equals_the_per_row_tree_walk(
+    rows, fanout, leaf_entries, lookups, rows_per_lookup, key_space, theta, seed
+):
+    index = make_index(rows, fanout, leaf_entries)
+    stream, twin = twin_streams(seed)
+
+    def build(on: RandomStream) -> IndexLookup:
+        return IndexLookup(
+            index,
+            on,
+            lookups_per_execution=lookups,
+            rows_per_lookup=rows_per_lookup,
+            key_theta=theta,
+            key_space=key_space,
+        )
+
+    assert_same_executions(
+        build(stream),
+        per_execution_twin(build(twin)),
+        executions_crossing_two_refills(lookups),
+    )
+
+
+@given(
+    rows=st.integers(min_value=2, max_value=200_000),
+    leaf_entries=st.integers(min_value=1, max_value=500),
+    span=st.integers(min_value=1, max_value=3000),
+    theta=st.floats(min_value=0.0, max_value=1.5),
+    seed=seeds,
+)
+@settings(max_examples=20, deadline=None)
+def test_index_range_scan_takes_the_ranks_of_scalar_draws(
+    rows, leaf_entries, span, theta, seed
+):
+    index = make_index(rows, 50, leaf_entries)
+    stream, twin = twin_streams(seed)
+    assert_same_executions(
+        IndexRangeScan(index, stream, row_span=span, start_theta=theta),
+        per_execution_twin(
+            IndexRangeScan(index, twin, row_span=span, start_theta=theta)
+        ),
+        executions_crossing_two_refills(1),
+    )
+
+
+@given(
+    group_count=st.integers(min_value=1, max_value=40),
+    groups=st.integers(min_value=1, max_value=4),
+    span_share=st.floats(min_value=0.0, max_value=1.0),
+    theta=st.floats(min_value=0.0, max_value=1.5),
+    seed=seeds,
+)
+@settings(max_examples=20, deadline=None)
+def test_lock_sets_take_the_ranks_of_scalar_draws(
+    group_count, groups, span_share, theta, seed
+):
+    span = max(1, round(span_share * group_count))
+    stream, twin = twin_streams(seed)
+
+    def build(on: RandomStream) -> RowGroupLockPattern:
+        return RowGroupLockPattern(
+            "t", group_count, LockMode.SHARED, on,
+            groups_per_execution=groups, theta=theta, span=span,
+        )
+
+    pattern, oracle = build(stream), per_execution_locks(build(twin))
+    for _ in range(executions_crossing_two_refills(groups)):
+        assert pattern.requests() == oracle.requests()
+
+
+# --------------------------------------------------------------------- #
+# Swaps that land in the middle of a block                              #
+# --------------------------------------------------------------------- #
+
+
+def _assert_same_workload_steps(workload, oracle, steps: int) -> None:
+    for query_class, expected in zip(workload.classes(), oracle.classes()):
+        for _ in range(steps):
+            access, wanted = query_class.execute_pages(), expected.execute_pages()
+            assert access.demand == wanted.demand
+            assert access.prefetch == wanted.prefetch
+            if query_class.lock_pattern is not None:
+                assert (
+                    query_class.lock_pattern.requests()
+                    == expected.lock_pattern.requests()
+                )
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_tpcw_survives_swaps_in_the_middle_of_a_block(seed):
+    """The four ways a class changes what it executes mid-run — a plan switch
+    by ``catalog.drop`` (and back), a wholesale replacement of pattern and
+    lock pattern, a composite wrapped around a live leaf and unwrapped again
+    (``write_burst``) and a ``pattern =`` reassignment (``working_set_drift``)
+    — each after a number of executions that is no multiple of any block."""
+    workload = build_tpcw(seed=seed)
+    oracle = per_execution_workload(build_tpcw(seed=seed))
+    sides = (workload, oracle)
+    _assert_same_workload_steps(workload, oracle, 37)
+
+    for side in sides:
+        side.catalog.drop(O_DATE_INDEX)
+    _assert_same_workload_steps(workload, oracle, 53)
+    for side in sides:
+        side.catalog.restore(O_DATE_INDEX)
+        inject_unqualified_admin_update(side)
+    admin = oracle.class_named("admin_update")
+    admin.lock_pattern = per_execution_locks(admin.lock_pattern)
+    _assert_same_workload_steps(workload, oracle, 3)
+
+    saved = []
+    for side in sides:
+        confirm = side.class_named("buy_confirm")
+        saved.append(confirm.pattern)
+        confirm.pattern = CompositePattern(
+            [
+                confirm.pattern,
+                SequentialChunkScan(
+                    side.schema.table("cc_xacts").pages, chunk=40, region=2000
+                ),
+            ]
+        )
+        item = side.schema.table("item")
+        drifted = ZipfWorkingSet(item.pages, 5000, 0.3, 60, side.seeds.stream("drift"))
+        side.class_named("new_products").pattern = (
+            drifted if side is workload else per_execution_twin(drifted)
+        )
+    _assert_same_workload_steps(workload, oracle, 41)
+    for side, pattern in zip(sides, saved):
+        side.class_named("buy_confirm").pattern = pattern
+    _assert_same_workload_steps(workload, oracle, 2 * BLOCK_PAGES // 12 + 5)
+
+
+@pytest.mark.parametrize("mutant", [_LastInFirstOut, _TailDiscardingRefill])
+def test_the_pattern_check_catches_a_reordering_or_lossy_block(mutant, monkeypatch):
+    pages = PageRange("t", start=0, count=500)
+
+    def differential() -> None:
+        stream, twin = twin_streams(11)
+        assert_same_executions(
+            ZipfWorkingSet(pages, 300, 0.6, 7, stream),
+            per_execution_twin(ZipfWorkingSet(pages, 300, 0.6, 7, twin)),
+            executions_crossing_two_refills(7),
+        )
+
+    differential()
+    monkeypatch.setattr("repro.engine.access.ZipfGenerator", mutant)
+    with pytest.raises(AssertionError):
+        differential()
+
+
+# --------------------------------------------------------------------- #
+# Vectorised bounds checks                                              #
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("rows", [1, 400, 10_000])
+def test_vectorised_lookups_reject_the_rows_the_scalar_ones_reject(rows):
+    index = make_index(rows, fanout=7, leaf_entries=10)
+    table = index.table
+    inside = np.asarray([0, rows // 2, rows - 1], dtype=np.int64)
+    assert index.lookup_path_columns(inside).tolist() == [
+        index.lookup_path(int(row)) for row in inside
+    ]
+    assert table.page_of_row_array(inside).tolist() == [
+        table.page_of_row(int(row)) for row in inside
+    ]
+    for row in (-1, rows, rows + 10):
+        with pytest.raises(IndexError):
+            index.lookup_path(row)
+        with pytest.raises(IndexError):
+            table.page_of_row(row)
+        for position in range(len(inside) + 1):
+            probe = np.insert(inside, position, row)
+            with pytest.raises(IndexError):
+                index.lookup_path_columns(probe)
+            with pytest.raises(IndexError):
+                table.page_of_row_array(probe)
+            with pytest.raises(IndexError):
+                table.page_of_row_array(probe.reshape(2, 2))
+    empty = np.empty(0, dtype=np.int64)
+    assert index.lookup_path_columns(empty).shape == (0, len(index.lookup_path(0)))
+    assert table.page_of_row_array(empty).tolist() == []
 
 
 @given(

@@ -64,6 +64,16 @@ class TestZipfWorkingSet:
         with pytest.raises(ValueError):
             ZipfWorkingSet(table.pages, table.page_count + 1, 0.8, 10, seeds.stream("z"))
 
+    def test_two_patterns_on_one_stream_are_an_error(self, setup):
+        """Both read ahead, so they would reorder each other's draws."""
+        _, table, _, seeds = setup
+        first = ZipfWorkingSet(table.pages, 100, 0.8, 25, seeds.stream("same-name"))
+        second = ZipfWorkingSet(table.pages, 100, 0.8, 25, seeds.stream("same-name"))
+        with pytest.raises(RuntimeError, match="exactly one consumer"):
+            for _ in range(200):
+                first.pages_for_execution()
+                second.pages_for_execution()
+
     def test_no_prefetch(self, setup):
         _, table, _, seeds = setup
         pattern = ZipfWorkingSet(table.pages, 100, 0.8, 10, seeds.stream("z"))
@@ -117,6 +127,11 @@ class TestSequentialChunkScan:
         scan = SequentialChunkScan(table.pages, chunk=10, region=500)
         assert scan.footprint_pages() == 500
 
+    def test_zero_region_is_rejected_not_read_as_whole_range(self, setup):
+        _, table, _, _ = setup
+        with pytest.raises(ValueError, match="region must be positive"):
+            SequentialChunkScan(table.pages, chunk=10, region=0)
+
     def test_rejects_bad_chunk(self, setup):
         _, table, _, _ = setup
         with pytest.raises(ValueError):
@@ -153,6 +168,11 @@ class TestIndexLookup:
             demand = pattern.pages_for_execution().demand
             leaves.update(p for p in demand if index.leaf_pages.contains(p))
         assert len(leaves) <= 10
+
+    def test_zero_key_space_is_rejected_not_read_as_whole_table(self, setup):
+        _, _, index, seeds = setup
+        with pytest.raises(ValueError, match="must be positive"):
+            IndexLookup(index, seeds.stream("l"), key_space=0)
 
     def test_rejects_zero_lookups(self, setup):
         _, _, index, seeds = setup
