@@ -203,7 +203,10 @@ def stack_distances(trace: Sequence[int] | np.ndarray) -> np.ndarray:
 
 
 class MissRatioCurve:
-    """The full MR(m) function of one page trace."""
+    """The full MR(m) function of one page trace.
+
+    A curve is a value: nothing changes it after construction.
+    """
 
     def __init__(self, hit_counts: np.ndarray, cold_misses: int) -> None:
         """``hit_counts[d]`` (1-based ``d``; index 0 unused) is Hit[d]."""
@@ -211,6 +214,9 @@ class MissRatioCurve:
         self.cold_misses = int(cold_misses)
         self.total_accesses = int(self._hits.sum()) + self.cold_misses
         self._cumulative = np.cumsum(self._hits)
+        # The checkpoint text of ``_hits``; ``repro.recovery.state`` fills it
+        # on the first checkpoint that holds this curve and reads it after.
+        self._encoded_hits: str | None = None
 
     @classmethod
     def from_trace(cls, trace: Sequence[int] | np.ndarray) -> "MissRatioCurve":

@@ -16,10 +16,17 @@ byte-identity suite pins both.  Restoration performs direct attribute
 assignment only; it never goes through ``store``/``put`` paths that would
 increment observability counters, preserving the recovery subsystem's
 zero-telemetry contract.
+
+A miss-ratio curve is an immutable value, so its hit histogram is encoded
+once — one text of comma-separated counts, kept on the curve — and every
+later checkpoint, and both places a curve appears in the payload, reuse
+that text; restore hands the text it parsed to the restored curve.  A
+checkpoint therefore costs what changed since the last one (DESIGN §13).
 """
 
 from __future__ import annotations
 
+import json
 from collections import deque
 
 import numpy as np
@@ -38,7 +45,7 @@ __all__ = [
     "wipe_cluster_state",
 ]
 
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 
 # ---------------------------------------------------------------------- #
@@ -77,17 +84,26 @@ def _params_from_jsonable(payload: dict | None) -> MRCParameters | None:
     return MRCParameters(**payload)
 
 
+def _encode_hits(hits: np.ndarray) -> str:
+    """The hit histogram as comma-separated decimal counts."""
+    return json.dumps(hits.tolist(), separators=(",", ":"))[1:-1]
+
+
 def _curve_to_jsonable(curve: MissRatioCurve) -> dict:
-    return {
-        "hits": [int(count) for count in curve._hits],
-        "cold": curve.cold_misses,
-    }
+    # Encoded by the first checkpoint that holds the curve, reused after.
+    text = curve._encoded_hits
+    if text is None:
+        text = curve._encoded_hits = _encode_hits(curve._hits)
+    return {"hits": text, "cold": curve.cold_misses}
 
 
 def _curve_from_jsonable(payload: dict) -> MissRatioCurve:
-    return MissRatioCurve(
-        np.asarray(payload["hits"], dtype=np.int64), payload["cold"]
+    text = payload["hits"]
+    curve = MissRatioCurve(
+        np.fromstring(text, dtype=np.int64, sep=","), payload["cold"]
     )
+    curve._encoded_hits = text  # restore -> export re-encodes nothing
+    return curve
 
 
 # ---------------------------------------------------------------------- #
@@ -227,16 +243,18 @@ def export_controller_state(controller) -> dict:
         "low_util_streak": dict(controller._low_util_streak),
         "last_action_interval": dict(controller._last_action_interval),
         "fine_action_tried": dict(controller._fine_action_tried),
-        "planner_seed": controller.config.planner_seed,
     }
 
 
 def wipe_controller_state(controller) -> None:
     """The crash model for the controller proper.
 
-    Streaks, grace bookkeeping and accumulated reports are process memory
-    and die with the process; schedulers, decision managers and resource
-    manager are the surviving cluster, reachable again on restart.
+    Streaks, grace bookkeeping, accumulated reports and the forecast engine
+    (Holt levels, act-ahead budget, cooldown, pending records) are process
+    memory and die with the process; schedulers, decision managers and
+    resource manager are the surviving cluster, reachable again on restart.
+    The forecaster is not checkpointed: it restarts cold, rebuilt by the
+    first interval close under ``use_forecast``.
     """
     controller._violation_streak = {}
     controller._low_util_streak = {}
@@ -245,6 +263,7 @@ def wipe_controller_state(controller) -> None:
     controller.reports = []
     controller.diagnoses = []
     controller.plans = []
+    controller.forecaster = None
     controller._interval_index = 0
 
 

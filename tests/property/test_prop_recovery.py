@@ -7,7 +7,9 @@ Two pins, both byte-level on exported telemetry:
 * interrupting a run at an arbitrary interval with checkpoint → wipe →
   restore, then resuming, exports exactly the bytes of the uninterrupted
   run — the serialized state is *complete*: nothing the rest of the run
-  depends on lives outside it.
+  depends on lives outside it.  The split comes after at least two
+  checkpoints, so the snapshot is built from curve texts that earlier
+  checkpoints encoded and left on the curves (encode-once, DESIGN §13).
 
 Every Hypothesis example runs two full simulations, so the example
 budgets are deliberately small; the split point and cluster shape are the
@@ -49,6 +51,7 @@ def run_interrupted(clients, intervals, split):
         RecoveryConfig(checkpoint_every_intervals=1)
     )
     harness.run(intervals=split)
+    assert supervisor.checkpoints.taken >= 2
     state = supervisor.snapshot()
     supervisor.wipe()
     supervisor.restore_state(state)
@@ -70,14 +73,14 @@ def test_recovery_enabled_is_byte_invisible(clients, intervals):
 
 @given(
     clients=st.integers(min_value=6, max_value=14),
-    intervals=st.integers(min_value=2, max_value=6),
+    intervals=st.integers(min_value=3, max_value=6),
     data=st.data(),
 )
 @settings(max_examples=8, deadline=None)
 def test_checkpoint_restore_resume_is_byte_identical(clients, intervals, data):
     """Interrupt anywhere: restore must reproduce the uninterrupted run."""
     split = data.draw(
-        st.integers(min_value=1, max_value=intervals - 1), label="split"
+        st.integers(min_value=2, max_value=intervals - 1), label="split"
     )
     interrupted = run_interrupted(clients, intervals, split)
     uninterrupted = run_uninterrupted(clients, intervals, recovery=True)

@@ -12,10 +12,12 @@ import json
 
 import pytest
 
+from oracles.checkpoint import per_element_checkpoints
 from repro.core.controller import ControllerConfig
 from repro.core.diagnosis import Action, ActionKind
 from repro.experiments.runner import ClusterHarness
 from repro.faults import FaultPlan
+from repro.recovery import state as recovery_state
 from repro.recovery import (
     ActionJournal,
     CheckpointStore,
@@ -186,11 +188,143 @@ class TestStateRoundTrip:
         assert harness.controller.interval_index == 0
 
     def test_version_mismatch_rejected(self):
-        harness, supervisor, _ = make_harness()
+        harness, supervisor, _ = make_harness(clients=14)
+        harness.run(intervals=4)
         state = supervisor.snapshot()
         state["version"] = 99
         with pytest.raises(ValueError, match="version"):
             supervisor.restore_state(state)
+        # A version-1 payload (list-encoded hits, planner_seed present) is
+        # refused by its version, before the curve decoder ever sees a list.
+        with per_element_checkpoints():
+            old = supervisor.snapshot()
+        old["version"] = 1
+        old["controller"]["planner_seed"] = 0
+        curves = old["analyzers"][0]["mrc"]["curves"]
+        assert curves and all(
+            isinstance(curve["hits"], list) for curve in curves.values()
+        )
+        with pytest.raises(ValueError, match="unsupported checkpoint version: 1"):
+            supervisor.restore_state(json.loads(json.dumps(old)))
+
+    def test_planner_seed_is_config_not_state(self):
+        _, supervisor, _ = make_harness()
+        assert "planner_seed" not in supervisor.snapshot()["controller"]
+
+
+def tracked_curves(harness):
+    return {
+        (analyzer.server_name, key): curve
+        for analyzer in harness.controller.analyzers()
+        for key, curve in analyzer.mrc._curves.items()
+    }
+
+
+def curve_values(harness):
+    return {
+        key: (curve._hits.tolist(), curve.cold_misses)
+        for key, curve in tracked_curves(harness).items()
+    }
+
+
+class TestCurvesEncodedOnce:
+    def count_encodings(self, monkeypatch):
+        calls = []
+        encode_hits = recovery_state._encode_hits
+
+        def counting(hits):
+            calls.append(len(hits))
+            return encode_hits(hits)
+
+        monkeypatch.setattr(recovery_state, "_encode_hits", counting)
+        return calls
+
+    def test_checkpoint_without_new_curves_encodes_nothing(self, monkeypatch):
+        harness, supervisor, _ = make_harness(clients=14)
+        harness.run(intervals=5)
+        for curve in tracked_curves(harness).values():
+            curve._encoded_hits = None  # as if no checkpoint had seen them
+        calls = self.count_encodings(monkeypatch)
+        first = supervisor.checkpoint_now(harness.clock.now)
+        curves = tracked_curves(harness)
+        # Every curve is encoded once although tracker and cache both
+        # hold it, and not again by the next checkpoint.
+        assert len(calls) == len({id(c) for c in curves.values()}) > 0
+        del calls[:]
+        second = supervisor.checkpoint_now(harness.clock.now)
+        assert calls == []
+        assert second.payload == first.payload
+
+    def test_runs_without_recovery_never_encode(self):
+        workload = build_tpcw(seed=7)
+        harness = ClusterHarness.single_app(workload, servers=2, clients=14)
+        harness.run(intervals=4)
+        curves = tracked_curves(harness)
+        assert curves
+        assert all(c._encoded_hits is None for c in curves.values())
+
+    def test_export_restore_export_is_the_same_payload(self, monkeypatch):
+        harness, supervisor, _ = make_harness(clients=14)
+        harness.run(intervals=5)
+        payload = json.dumps(supervisor.snapshot(), separators=(",", ":"))
+        supervisor.wipe()
+        parsed = json.loads(payload)
+        supervisor.restore_state(parsed)
+        calls = self.count_encodings(monkeypatch)
+        again = supervisor.snapshot()
+        assert calls == []  # restored curves carry the text they came from
+        assert json.dumps(again, separators=(",", ":")) == payload
+        assert any(a["mrc"]["curves"] for a in parsed["analyzers"])
+        for before, after in zip(parsed["analyzers"], again["analyzers"]):
+            for key, curve in before["mrc"]["curves"].items():
+                assert after["mrc"]["curves"][key]["hits"] is curve["hits"]
+
+    def test_corruption_falls_back_across_shared_encodings(self):
+        harness, supervisor, _ = make_harness(clients=14)
+        harness.run(intervals=4)
+        at_four = curve_values(harness)
+        harness.run(intervals=2)  # checkpoints at 2, 4, 6 share curve texts
+        texts = [
+            {
+                curve["hits"]
+                for analyzer in json.loads(checkpoint.payload)["analyzers"]
+                for curve in analyzer["mrc"]["curves"].values()
+            }
+            for checkpoint in supervisor.checkpoints.checkpoints
+        ]
+        assert texts[1] & texts[2]
+        supervisor.corrupt_latest_checkpoint()
+        supervisor.crash(harness.clock.now)
+        supervisor.restart(harness.clock.now + 1.0)
+        assert supervisor.restored_interval == 4
+        assert supervisor.checkpoints.corrupt_skipped == 1
+        assert curve_values(harness) == at_four
+
+
+class TestForecasterDiesWithTheController:
+    def test_crash_drops_the_forecaster_and_restart_builds_a_cold_one(self):
+        workload = build_tpcw(seed=7)
+        harness = ClusterHarness.single_app(
+            workload, servers=2, clients=8,
+            config=ControllerConfig(use_forecast=True),
+        )
+        supervisor = harness.enable_recovery()
+        harness.run(intervals=3)
+        controller = harness.controller
+        learned = controller.forecaster
+        assert learned is not None and learned.apps
+        learned.policy.budget = 0  # a spent act-ahead budget must not survive
+        supervisor.crash(harness.clock.now)
+        assert controller.forecaster is None
+        supervisor.restart(harness.clock.now + 1.0)
+        assert controller.forecaster is None  # not checkpointed: cold
+        harness.run(intervals=1)
+        fresh = controller.forecaster
+        assert fresh is not None and fresh is not learned
+        assert fresh.policy.budget == fresh.policy.config.false_positive_budget
+        assert not [r for r in fresh.records if r.outcome == "pending"]
+        assert fresh.policy.stats()["pending"] == 0
+        assert all(f.latency.observations == 1 for f in fresh.apps.values())
 
 
 class TestFencedActuation:
