@@ -86,13 +86,11 @@ class Replica:
         """Run one query here, charging demand to the host."""
         if not self.online:
             raise ReplicaOfflineError(f"replica {self.name!r} is offline")
+        host = self.host
         record = self.engine.execute(
-            query_class,
-            timestamp=timestamp,
-            cpu_factor=self.host.cpu_factor,
-            io_factor=self.host.io_factor,
+            query_class, timestamp, host.cpu_factor, host.io_factor
         )
-        self.host.note_demand(query_class.cpu_cost, float(record.io_block_requests))
+        host.note_demand(query_class.cpu_cost, float(record.io_block_requests))
         return record
 
     def apply_write(self, sequence: int) -> None:

@@ -14,7 +14,9 @@ database tier (paper Figure 2).  It
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from bisect import insort
+from collections import deque
+from dataclasses import dataclass
 
 from ..engine.query import QueryClass
 from ..engine.statslog import ExecutionRecord
@@ -40,7 +42,8 @@ class AppIntervalMetrics:
     def observe(self, latency: float) -> None:
         self.queries += 1
         self.total_latency += latency
-        self.max_latency = max(self.max_latency, latency)
+        if latency > self.max_latency:
+            self.max_latency = latency
 
     @property
     def mean_latency(self) -> float:
@@ -119,6 +122,9 @@ class Scheduler:
         self.async_replication = async_replication
         self.propagation_delay = propagation_delay
         self.replicas: dict[str, Replica] = {}
+        # sorted(self.replicas), kept by add_replica / remove_replica (the
+        # only two mutators of the dict) so no read has to sort it again.
+        self._replica_names: list[str] = []
         self.replication = ReplicationState(app=app)
         # Failure handling: the scheduler's *belief* about replica health
         # (failures are silent; the first failed execution marks a replica
@@ -142,8 +148,6 @@ class Scheduler:
         # awaiting asynchronous application.
         self._pending: dict[str, list] = {}
         # Recent write history for catch-up of recovered replicas.
-        from collections import deque
-
         self._write_log: deque = deque(maxlen=10_000)
 
     # ------------------------------------------------------------------ #
@@ -159,6 +163,7 @@ class Scheduler:
         if replica.name in self.replicas:
             raise ValueError(f"replica {replica.name!r} already attached")
         self.replicas[replica.name] = replica
+        insort(self._replica_names, replica.name)
         self.replication.add_replica(replica.name, synced=synced)
         replica.applied_writes = self.replication.watermarks[replica.name]
 
@@ -170,6 +175,7 @@ class Scheduler:
                 f"cannot remove the last replica of app {self.app!r}"
             )
         replica = self.replicas.pop(replica_name)
+        self._replica_names.remove(replica_name)
         self.replication.remove_replica(replica_name)
         self._pending.pop(replica_name, None)
         self.health.forget(replica_name)
@@ -183,7 +189,8 @@ class Scheduler:
         return replica
 
     def replica_names(self) -> list[str]:
-        return sorted(self.replicas)
+        """The attached replicas' names, sorted (a copy: safe to mutate)."""
+        return list(self._replica_names)
 
     # ------------------------------------------------------------------ #
     # Query-class placement (the fine-grained scheduling unit)           #
@@ -220,22 +227,9 @@ class Scheduler:
             return self.replica_names()
         return sorted(targets)
 
-    def clear_placement(self, context_key: str) -> None:
-        self._placement.pop(context_key, None)
-
     def pinned_contexts(self) -> dict[str, list[str]]:
         """Every explicitly placed class and the replicas it is pinned to."""
         return {key: sorted(targets) for key, targets in self._placement.items()}
-
-    def placements_for(
-        self, context_keys: list[str]
-    ) -> dict[str, list[str]]:
-        """Placement of each requested class (pinned or default full set).
-
-        Bulk form of :meth:`placement_of` for snapshot assembly — one call
-        per scheduler instead of one per class.
-        """
-        return {key: self.placement_of(key) for key in context_keys}
 
     def move_class(
         self, context_key: str, to_replica: str, epoch: int | None = None
@@ -313,7 +307,7 @@ class Scheduler:
                 delay += self.retry_backoff * (2 ** (failures - 1))
                 continue
             if delay:
-                record = replace(record, latency=record.latency + delay)
+                record = record._replace(latency=record.latency + delay)
             return record
 
     def _route_read(self, key: str) -> str | None:
@@ -324,16 +318,20 @@ class Scheduler:
         first failure marks it down.  A class whose pinned placement has no
         usable replica fails over to the full replica set rather than stall.
         """
+        pinned = self._placement.get(key)
+        watermarks = self.replication.watermarks
+        committed = self.replication.committed
+        is_up = self.health.is_up
         eligible = [
             name
-            for name in self.placement_of(key)
-            if self.replication.is_current(name) and self.health.is_up(name)
+            for name in (sorted(pinned) if pinned else self._replica_names)
+            if watermarks[name] == committed and is_up(name)
         ]
-        if not eligible and self._placement.get(key):
+        if not eligible and pinned:
             eligible = [
                 name
-                for name in self.replica_names()
-                if self.replication.is_current(name) and self.health.is_up(name)
+                for name in self._replica_names
+                if watermarks[name] == committed and is_up(name)
             ]
             if eligible:
                 registry = self.obs.registry
@@ -364,7 +362,7 @@ class Scheduler:
         token = self.replication.begin_write()
         self._write_log.append((token, query_class))
         slowest: ExecutionRecord | None = None
-        for name in self.replica_names():
+        for name in self._replica_names:
             replica = self.replicas[name]
             if not replica.online:
                 self.mark_down(name, timestamp, reason="write-skipped")
@@ -416,7 +414,7 @@ class Scheduler:
         """Asynchronous propagation: one replica now, the rest later."""
         token = self.replication.begin_write()
         self._write_log.append((token, query_class))
-        names = self.replica_names()
+        names = self._replica_names
         primary_cursor = self._round_robin.get("__writes__", 0)
         self._round_robin["__writes__"] = primary_cursor + 1
         online = []
@@ -483,7 +481,7 @@ class Scheduler:
             return 0
         applied = 0
         dropped = 0
-        for name in self.replica_names():
+        for name in self._replica_names:
             queue = self._pending.get(name)
             if not queue:
                 continue

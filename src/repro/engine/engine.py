@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from dataclasses import replace
-
 from ..obs import NULL_OBS, Observability
 from .bufferpool import BufferPool, LRUBufferPool, PartitionedBufferPool
 from .executor import CostModel, QueryExecutor
@@ -104,12 +102,7 @@ class DatabaseEngine:
     ) -> ExecutionRecord:
         """Execute one query on the next worker thread and log the record."""
         self.apps.add(query_class.app)
-        record = self.executor.execute(
-            query_class,
-            timestamp=timestamp,
-            cpu_factor=cpu_factor,
-            io_factor=io_factor,
-        )
+        record = self.executor.execute(query_class, timestamp, cpu_factor, io_factor)
         if query_class.lock_pattern is not None:
             # Strict 2PL: locks are held for the execution's duration, so a
             # slow query (or one locking broad ranges) stalls everything that
@@ -117,12 +110,11 @@ class DatabaseEngine:
             grant = self.locks.acquire(
                 record.context_key,
                 query_class.lock_pattern.requests(),
-                now=timestamp,
-                hold_for=record.latency,
+                timestamp,
+                record.latency,
             )
             if grant.waited:
-                record = replace(
-                    record,
+                record = record._replace(
                     latency=record.latency + grant.wait_time,
                     lock_waits=1,
                     lock_wait_time=grant.wait_time,

@@ -115,40 +115,35 @@ class QueryExecutor:
         needed).  The vector is passed through as-is — no tuple copy.
         """
         access = query_class.execute_pages()
+        demand, prefetch = access.demand, access.prefetch
         key = query_class.context_key
+        pool = self.pool
         instrumented = self.obs.enabled
         started = time.perf_counter() if instrumented else 0.0
         # Read-ahead is issued first: it anticipates the demand accesses, so
         # prefetched pages are resident by the time the query touches them.
-        readahead_fetches = (
-            self.pool.prefetch_many(access.prefetch, key)
-            if len(access.prefetch)
-            else 0
-        )
-        hits = self.pool.access_many(access.demand, key)
-        misses = len(access.demand) - hits
+        readahead_fetches = pool.prefetch_many(prefetch, key) if len(prefetch) else 0
+        hits = pool.access_many(demand, key)
+        page_accesses = len(demand)
+        misses = page_accesses - hits
         if instrumented:
             self._pool_seconds += time.perf_counter() - started
-            self._pool_pages += len(access.demand) + len(access.prefetch)
-            self._batch_hist.observe(len(access.demand))
+            self._pool_pages += page_accesses + len(prefetch)
+            self._batch_hist.observe(page_accesses)
             if self._pool_seconds > 0.0:
                 self._pps_gauge.set(self._pool_pages / self._pool_seconds)
         latency = self.cost_model.latency(
-            cpu_cost=query_class.cpu_cost,
-            hits=hits,
-            misses=misses,
-            readahead_fetches=readahead_fetches,
-            cpu_factor=cpu_factor,
-            io_factor=io_factor,
+            query_class.cpu_cost, hits, misses, readahead_fetches, cpu_factor, io_factor
         )
         self.executions += 1
+        # Positional, in ExecutionRecord's field order (lock fields default).
         return ExecutionRecord(
-            timestamp=timestamp,
-            context_key=key,
-            latency=latency,
-            page_accesses=len(access.demand),
-            misses=misses,
-            readaheads=readahead_fetches,
-            io_block_requests=misses + readahead_fetches,
-            pages=access.demand if record_pages else (),
+            timestamp,
+            key,
+            latency,
+            page_accesses,
+            misses,
+            readahead_fetches,
+            misses + readahead_fetches,
+            demand if record_pages else (),
         )

@@ -91,12 +91,19 @@ class LockStats:
         return self.total_wait_time / self.waits if self.waits else 0.0
 
 
-@dataclass(order=True)
+_UNCONTENDED = LockGrant(0.0)
+"""The grant of every acquisition that found no conflict (a shared value)."""
+
+
+@dataclass(eq=False)
 class _Hold:
+    """One installed lock.  Identity equality: two holds with equal fields
+    are still two holds (expiry must remove the one that expired)."""
+
     release_time: float
-    resource: tuple[str, int] = field(compare=False)
-    mode: LockMode = field(compare=False)
-    owner: str = field(compare=False)
+    resource: tuple[str, int]
+    mode: LockMode
+    owner: str
 
 
 class LockManager:
@@ -110,21 +117,23 @@ class LockManager:
 
     def __init__(self) -> None:
         self._holds: dict[tuple[str, int], list[_Hold]] = defaultdict(list)
-        self._expiry: list[_Hold] = []  # min-heap by release time
+        # Min-heap of (release time, install sequence, hold): the sequence
+        # breaks ties, so tuples compare in C and never reach the hold.
+        self._expiry: list[tuple[float, int, _Hold]] = []
+        self._installed = 0
         self.stats: dict[str, LockStats] = defaultdict(LockStats)
         self.waits_for = WaitsForGraph()
 
     def _expire(self, now: float) -> None:
-        while self._expiry and self._expiry[0].release_time <= now:
-            hold = heapq.heappop(self._expiry)
-            holders = self._holds.get(hold.resource)
-            if holders:
-                try:
-                    holders.remove(hold)
-                except ValueError:
-                    pass
-                if not holders:
-                    del self._holds[hold.resource]
+        expiry = self._expiry
+        while expiry and expiry[0][0] <= now:
+            hold = heapq.heappop(expiry)[2]
+            # Every hold on the heap is in its resource's list exactly once
+            # (acquire installs both together, only this loop removes either).
+            holders = self._holds[hold.resource]
+            holders.remove(hold)
+            if not holders:
+                del self._holds[hold.resource]
 
     def acquire(
         self,
@@ -142,10 +151,11 @@ class LockManager:
         if hold_for < 0:
             raise ValueError(f"hold duration must be non-negative: {hold_for}")
         self._expire(now)
+        holds = self._holds
         wait_until = now
         conflicts: list[tuple[str, str]] = []
         for request in requests:
-            for hold in self._holds.get(request.resource, ()):
+            for hold in holds.get(request.resource, ()):
                 if hold.owner == owner:
                     continue  # re-entrant: the class already holds it
                 if request.mode.conflicts_with(hold.mode):
@@ -153,18 +163,19 @@ class LockManager:
                         wait_until = hold.release_time
                     conflicts.append((owner, hold.owner))
                     self.waits_for.add_edge(owner, hold.owner)
-        wait_time = wait_until - now
         release_time = wait_until + hold_for
+        expiry = self._expiry
+        sequence = self._installed
         for request in requests:
-            hold = _Hold(
-                release_time=release_time,
-                resource=request.resource,
-                mode=request.mode,
-                owner=owner,
-            )
-            self._holds[request.resource].append(hold)
-            heapq.heappush(self._expiry, hold)
-        grant = LockGrant(wait_time=wait_time, conflicts=tuple(conflicts))
+            resource = request.resource
+            hold = _Hold(release_time, resource, request.mode, owner)
+            holds[resource].append(hold)
+            sequence += 1
+            heapq.heappush(expiry, (release_time, sequence, hold))
+        self._installed = sequence
+        grant = (
+            LockGrant(wait_until - now, tuple(conflicts)) if conflicts else _UNCONTENDED
+        )
         self.stats[owner].record(grant)
         return grant
 
@@ -219,18 +230,25 @@ class RowGroupLockPattern:
         self.groups_per_execution = groups_per_execution
         self.span = span
         self._zipf = ZipfGenerator(group_count, theta, stream)
+        # A request is a frozen value: one per row group, made on first use.
+        self._interned: dict[int, LockRequest] = {}
+
+    def _request(self, group: int) -> LockRequest:
+        request = self._interned.get(group)
+        if request is None:
+            request = self._interned[group] = LockRequest((self.table, group), self.mode)
+        return request
 
     def requests(self) -> list[LockRequest]:
         """The lock set of one execution."""
+        if self.groups_per_execution == 1 and self.span == 1:
+            return [self._request(self._zipf.sample())]
         wanted: set[int] = set()
         for _ in range(self.groups_per_execution):
             start = self._zipf.sample()
             for offset in range(self.span):
                 wanted.add((start + offset) % self.group_count)
-        return [
-            LockRequest(resource=(self.table, group), mode=self.mode)
-            for group in sorted(wanted)
-        ]
+        return [self._request(group) for group in sorted(wanted)]
 
 
 class CompositeLockPattern:

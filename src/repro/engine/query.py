@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .access import AccessPattern, ExecutionAccess
 
@@ -70,9 +71,10 @@ class QueryClass:
         if self.cpu_cost < 0:
             raise ValueError(f"cpu cost must be non-negative: {self.cpu_cost}")
 
-    @property
+    @cached_property
     def context_key(self) -> str:
-        """Globally unique identifier of this query context."""
+        """Globally unique identifier of this query context (``app`` and
+        ``name`` are never reassigned, so it is formatted once)."""
         return f"{self.app}/{self.name}"
 
     def execute_pages(self) -> ExecutionAccess:

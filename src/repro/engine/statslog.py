@@ -18,7 +18,8 @@ This module reproduces that pipeline:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,9 +28,13 @@ from ..sim.trace import AccessWindow
 __all__ = ["ExecutionRecord", "ClassIntervalStats", "ThreadLogBuffer", "EngineLog"]
 
 
-@dataclass(frozen=True)
-class ExecutionRecord:
-    """One query execution as seen by the instrumentation layer."""
+class ExecutionRecord(NamedTuple):
+    """One query execution as seen by the instrumentation layer.
+
+    An immutable value built once per query, hence a tuple: the executor
+    builds it positionally (field order is pinned by a test) and the two
+    places that amend one use ``_replace``.
+    """
 
     timestamp: float
     context_key: str

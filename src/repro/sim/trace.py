@@ -119,10 +119,11 @@ class AccessWindow:
         repeated appends would, so this is equivalent to :meth:`record` per
         page at a fraction of the cost; ndarrays are converted once.
         """
-        if isinstance(page_ids, np.ndarray):
-            page_ids = page_ids.tolist()
-        elif not isinstance(page_ids, (list, tuple)):
-            page_ids = [int(page_id) for page_id in page_ids]
+        if not isinstance(page_ids, (list, tuple)):  # the engine hands over lists
+            if isinstance(page_ids, np.ndarray):
+                page_ids = page_ids.tolist()
+            else:
+                page_ids = [int(page_id) for page_id in page_ids]
         self._buffer.extend(page_ids)
         self._total_seen += len(page_ids)
 

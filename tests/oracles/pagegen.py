@@ -32,6 +32,8 @@ from repro.engine.locks import LockRequest, RowGroupLockPattern
 from repro.sim.rng import RandomStream, ZipfGenerator
 from repro.workloads.base import Workload
 
+from .locks import requests_per_execution
+
 __all__ = [
     "ZipfOracle",
     "ZipfPagesOracle",
@@ -114,16 +116,7 @@ class RowGroupLockOracle:
         self._zipf = zipf
 
     def requests(self) -> list[LockRequest]:
-        pattern = self._pattern
-        wanted: set[int] = set()
-        for _ in range(pattern.groups_per_execution):
-            start = self._zipf.sample()
-            for offset in range(pattern.span):
-                wanted.add((start + offset) % pattern.group_count)
-        return [
-            LockRequest(resource=(pattern.table, group), mode=pattern.mode)
-            for group in sorted(wanted)
-        ]
+        return requests_per_execution(self._pattern, self._zipf)
 
 
 def per_execution_twin(pattern: AccessPattern) -> AccessPattern:

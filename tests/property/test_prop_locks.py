@@ -2,7 +2,14 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.locks import LockManager, LockMode, LockRequest
+from oracles.locks import PerHoldHeapManager, live_holds, requests_per_execution
+from repro.engine.locks import (
+    LockManager,
+    LockMode,
+    LockRequest,
+    RowGroupLockPattern,
+)
+from repro.sim.rng import RandomStream
 
 
 @st.composite
@@ -107,3 +114,72 @@ def test_shared_only_traffic_never_waits(calls):
         requests = [LockRequest(("t", g), LockMode.SHARED) for g in groups]
         grant = manager.acquire(owner, requests, now=now, hold_for=hold)
         assert not grant.waited
+
+
+# --------------------------------------------------------------------- #
+# Differential: interned lock sets and the tuple heap against the        #
+# formulations they replaced (tests/oracles/locks.py)                    #
+# --------------------------------------------------------------------- #
+
+
+@given(
+    group_count=st.integers(min_value=1, max_value=12),
+    groups=st.integers(min_value=1, max_value=4),
+    span=st.integers(min_value=1, max_value=12),
+    mode=st.sampled_from([LockMode.SHARED, LockMode.EXCLUSIVE]),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=60, deadline=None)
+def test_interned_lock_sets_equal_freshly_built_ones(
+    group_count, groups, span, mode, seed
+):
+    span = min(span, group_count)  # span == group_count wraps all the way round
+
+    def build() -> RowGroupLockPattern:
+        return RowGroupLockPattern(
+            "t", group_count, mode, RandomStream(seed, "locks"),
+            groups_per_execution=groups, span=span,
+        )
+
+    pattern, twin = build(), build()
+    seen: dict[tuple[str, int], LockRequest] = {}
+    for _ in range(40):
+        lock_set = pattern.requests()
+        assert lock_set == requests_per_execution(twin)
+        for request in lock_set:
+            # One value per row group, whichever execution asks for it.
+            assert seen.setdefault(request.resource, request) is request
+
+
+# Few distinct instants and durations, so release times tie often.
+tied_calls = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c", "d"]),
+        st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3),
+        st.sampled_from([LockMode.SHARED, LockMode.EXCLUSIVE]),
+        st.sampled_from([0.0, 0.0, 0.5, 1.0]),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(calls=tied_calls)
+@settings(max_examples=150, deadline=None)
+def test_tuple_heap_manager_matches_the_heap_of_holds(calls):
+    manager, oracle = LockManager(), PerHoldHeapManager()
+    now = 0.0
+    for owner, groups, mode, gap, hold in calls:
+        now += gap
+        requests = [LockRequest(("t", g), mode) for g in sorted(set(groups))]
+        grant = manager.acquire(owner, requests, now, hold)
+        expected = oracle.acquire(owner, requests, now, hold)
+        assert grant == expected
+        assert grant.waited == expected.waited
+        assert live_holds(manager) == live_holds(oracle)
+        assert manager.stats == oracle.stats
+        assert manager.waits_for.edges() == oracle.waits_for.edges()
+        assert len(manager._expiry) == len(oracle._expiry)
+    assert manager.held_resources(now + 10.0) == oracle.held_resources(now + 10.0) == 0
+    assert not manager._holds and not manager._expiry

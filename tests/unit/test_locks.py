@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine.locks import (
+    _Hold,
     LockGrant,
     LockManager,
     LockMode,
@@ -114,6 +115,62 @@ class TestLockManager:
     def test_rejects_negative_hold(self):
         with pytest.raises(ValueError):
             LockManager().acquire("a", [req(0)], now=0.0, hold_for=-1.0)
+
+    def test_uncontended_grants_are_one_shared_value(self):
+        manager = LockManager()
+        first = manager.acquire("a", [req(0)], now=0.0, hold_for=1.0)
+        second = manager.acquire("b", [req(1)], now=0.0, hold_for=1.0)
+        assert first is second
+        assert (first.wait_time, first.conflicts, first.waited) == (0.0, (), False)
+        with pytest.raises(AttributeError):
+            first.wait_time = 1.0
+
+
+class TestHoldExpiry:
+    def test_holds_are_equal_only_to_themselves(self):
+        resource = ("t", 0)
+        one = _Hold(2.0, resource, LockMode.SHARED, "a")
+        other = _Hold(2.0, resource, LockMode.SHARED, "b")
+        assert one != other
+        assert one != _Hold(2.0, resource, LockMode.SHARED, "a")
+        holders = [one, other]
+        holders.remove(other)
+        assert holders == [one] and holders[0] is one
+
+    def test_equal_release_times_on_one_resource_all_expire(self):
+        manager = LockManager()
+        shared = req(0, LockMode.SHARED)
+        manager.acquire("a", [shared], now=0.0, hold_for=2.0)
+        manager.acquire("b", [shared], now=0.0, hold_for=2.0)
+        assert [h.owner for h in manager._holds[("t", 0)]] == ["a", "b"]
+        assert manager.held_resources(1.0) == 1
+        assert manager.held_resources(2.0 + 1e-9) == 0
+        assert not manager._holds and not manager._expiry
+
+    def test_equal_release_times_on_different_resources(self):
+        manager = LockManager()
+        manager.acquire("a", [req(0)], now=0.0, hold_for=2.0)
+        manager.acquire("b", [req(1)], now=0.0, hold_for=2.0)
+        # Only resource 0 is asked about: b's equal-time hold plays no part.
+        grant = manager.acquire("c", [req(0)], now=1.0, hold_for=3.0)
+        assert grant.wait_time == pytest.approx(1.0)
+        assert grant.conflicts == (("c", "a"),)
+        assert [h.owner for h in manager._holds[("t", 0)]] == ["a", "c"]
+        assert [h.owner for h in manager._holds[("t", 1)]] == ["b"]
+        # a and b expire together; c (installed at t=2, held to t=5) stays.
+        assert manager.held_resources(2.5) == 1
+        assert [h.owner for h in manager._holds[("t", 0)]] == ["c"]
+        assert manager.held_resources(5.0) == 0
+
+    def test_expiry_ties_never_compare_holds(self):
+        # Equal release times fall through to the install sequence; a hold
+        # has no ordering, so reaching it would raise TypeError.
+        manager = LockManager()
+        for owner in "abcdefgh":
+            manager.acquire(owner, [req(0, LockMode.SHARED), req(1, LockMode.SHARED)],
+                            now=0.0, hold_for=1.0)
+        assert manager.held_resources(0.5) == 2
+        assert manager.held_resources(1.0) == 0
 
 
 class TestLockStats:

@@ -1,0 +1,108 @@
+"""What ``benchmarks/perf/`` needs of ``src/``, as a test.
+
+The benchmark measures layers from outside: ``layers.TRACE_POINTS`` names one
+public function per layer, a ``Tracer`` patches each at class (or module)
+level *after import*, and the count callbacks read positional arguments and
+result attributes.  A traced run is ``INCORRECT`` when any layer of
+``layers.DATA_PLANE`` records no call, so none of those functions may be
+inlined away, renamed, held as a bound function taken at import time, or
+called with the counted argument passed by keyword (the callbacks index
+``args[1]`` of ``access_many`` / ``prefetch_many`` / ``Scheduler.submit`` /
+``LogAnalyzer.close_interval``, ``args[2]`` of ``record_window``, ``args[0]``
+of ``stack_distances``, and read ``.total_pages``, ``.waited``, ``.is_write``).
+
+Reads ``benchmarks/perf/`` and ``BENCHMARK.json``; edits neither.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.cluster.scheduler import Scheduler
+from repro.cluster.server import ServerSpec
+from repro.core.controller import ControllerConfig
+from repro.experiments.runner import ClusterHarness
+from repro.workloads import build_tpcw
+from repro.workloads.tpcw import O_DATE_INDEX
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(ROOT / "benchmarks" / "perf"))
+
+import layers  # noqa: E402
+from tracer import Tracer  # noqa: E402
+
+
+@pytest.fixture
+def tracer():
+    tracer = Tracer()
+    layers.install(tracer)
+    tracer.current_interval = 0  # counts and the ledger skip spans outside one
+    try:
+        yield tracer
+    finally:
+        tracer.uninstall()
+
+
+def single_app() -> ClusterHarness:
+    return ClusterHarness.single_app(
+        build_tpcw(7), servers=1, clients=12, pool_pages=4096,
+        server_spec=ServerSpec(cores=16),
+    )
+
+
+def two_replicas_with_quotas() -> ClusterHarness:
+    """``spill_mix`` in small: partitioned pools, read-ahead, replicated
+    writes, lock waits."""
+    workload = build_tpcw(7, mix="ordering")
+    workload.catalog.drop(O_DATE_INDEX)
+    harness = ClusterHarness.single_app(
+        workload, servers=2, clients=12, pool_pages=1024,
+        config=ControllerConfig(startup_grace_intervals=10**9),
+        server_spec=ServerSpec(cores=16),
+    )
+    scheduler = harness.scheduler(workload.app)
+    second = harness.resource_manager.allocate_replica(
+        scheduler, timestamp=0.0, pool_pages=1024
+    )
+    harness.controller.track_replica(second)
+    for replica in harness.replicas_of(workload.app):
+        replica.engine.set_quota(f"{workload.app}/best_seller", 256)
+    return harness
+
+
+@pytest.mark.parametrize("build", [single_app, two_replicas_with_quotas])
+def test_every_data_plane_layer_records_and_no_count_callback_raises(tracer, build):
+    build().run(3)  # a callback that cannot read its argument raises here
+
+    ledger = tracer.ledger()
+    silent = [layer for layer in layers.DATA_PLANE if ledger[layer][1] == 0]
+    assert not silent, f"trace points that saw no call: {silent}"
+    queries = tracer.counts["workloads.clients.run_interval.queries"]
+    assert queries > 0
+    assert ledger["workloads.base.sample_class"][1] == queries
+    assert ledger["cluster.scheduler.submit"][1] == queries
+    assert ledger["engine.executor.execute"][1] == ledger["engine.engine.execute"][1]
+    assert ledger["engine.executor.execute"][1] >= queries
+    assert tracer.counts["engine.query.execute_pages.pages"] > 0
+    assert tracer.counts["engine.statslog.record_window.pages"] > 0
+    if build is two_replicas_with_quotas:
+        assert tracer.counts["cluster.scheduler.submit.writes"] > 0
+        assert tracer.counts["engine.bufferpool.prefetch_many.pages"] > 0
+        assert ledger["engine.locks.acquire"][1] > 0
+
+    metrics = layers.per_layer_metrics(
+        tracer, dict.fromkeys(layers.RECORDER_COUNTS, 0), wall_s=1.0
+    )
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert sorted(metrics) == sorted(entry["name"] for entry in declared)
+
+
+def test_uninstall_puts_the_originals_back():
+    original = vars(Scheduler)["submit"]
+    tracer = Tracer()
+    layers.install(tracer)
+    assert vars(Scheduler)["submit"].__wrapped__ is original
+    tracer.uninstall()
+    assert vars(Scheduler)["submit"] is original

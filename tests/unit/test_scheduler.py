@@ -85,12 +85,6 @@ class TestPlacement:
         scheduler.move_class("app/q", "r2")
         assert scheduler.placement_of("app/q") == ["r2"]
 
-    def test_clear_placement(self):
-        scheduler = make_scheduler(2)
-        scheduler.move_class("app/q", "r1")
-        scheduler.clear_placement("app/q")
-        assert scheduler.placement_of("app/q") == ["r0", "r1"]
-
     def test_pinned_contexts(self):
         scheduler = make_scheduler(2)
         scheduler.move_class("app/q", "r1")
