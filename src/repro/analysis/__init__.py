@@ -1,6 +1,6 @@
 """Result analysis helpers: tables, series, latency, traces, export."""
 
-from .export import export_quality, export_result, to_jsonable
+from .export import export_result, to_jsonable
 from .incidents import Incident, extract_incidents, render_incident_report
 from .latency import LatencyAggregate, summarize_latencies
 from .quality import (
@@ -33,7 +33,6 @@ __all__ = [
     "QualityReport",
     "Table",
     "compress_trace",
-    "export_quality",
     "export_result",
     "extract_incidents",
     "render_incident_report",

@@ -1,12 +1,11 @@
-"""JSON export of experiment results and run telemetry.
+"""JSON export of experiment results.
 
 Benchmarks and the CLI print human tables; downstream tooling (plotting,
 regression dashboards) wants machine-readable output.  ``to_jsonable``
 converts any of the experiment result dataclasses — nested dataclasses,
 enums, numpy scalars and all — into plain JSON types, and ``export_result``
-writes them to disk.  ``export_telemetry`` writes an instrumented run's
-spans and metric snapshots as deterministic JSONL (see
-:mod:`repro.obs.export` for the schema).
+writes them to disk.  (JSONL record streams — telemetry, allocation,
+quality, forecast, journal — are :mod:`repro.obs.export`'s.)
 """
 
 from __future__ import annotations
@@ -18,16 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "to_jsonable",
-    "export_result",
-    "export_telemetry",
-    "allocation_records",
-    "export_allocation_history",
-    "export_quality",
-    "forecast_records",
-    "export_forecast",
-]
+__all__ = ["to_jsonable", "export_result"]
 
 
 def to_jsonable(value):
@@ -66,114 +56,3 @@ def export_result(path: str | Path, result, indent: int = 2) -> Path:
     payload = to_jsonable(result)
     path.write_text(json.dumps(payload, indent=indent, sort_keys=True) + "\n")
     return path
-
-
-def allocation_records(manager) -> list[dict]:
-    """The resource manager's allocation timeline as JSONL-ready records.
-
-    Each :class:`~repro.cluster.resource_manager.AllocationEvent` becomes a
-    ``{"record": "allocation", ...}`` dict, the machine-allocation history
-    the paper plots in Figure 3 — collected since PR 1 but never surfaced.
-    """
-    return [
-        {
-            "record": "allocation",
-            "timestamp": event.timestamp,
-            "app": event.app,
-            "action": event.action,
-            "server": event.server,
-            "replica": event.replica,
-            "replica_count": event.replica_count,
-        }
-        for event in manager.history
-    ]
-
-
-def export_allocation_history(path: str | Path, manager) -> Path:
-    """Write the allocation timeline as JSONL; returns the path."""
-    path = Path(path)
-    lines = [
-        json.dumps(record, sort_keys=True)
-        for record in allocation_records(manager)
-    ]
-    path.write_text("".join(line + "\n" for line in lines))
-    return path
-
-
-def export_quality(path: str | Path, reports, meta=None) -> Path:
-    """Write detection-quality reports as deterministic JSONL.
-
-    ``reports`` is an iterable of :class:`repro.analysis.quality.QualityReport`;
-    each becomes one ``{"record": "quality", ...}`` line (the shape
-    ``repro obs report`` renders).  An optional ``meta`` dict is written
-    first as a ``{"record": "meta", ...}`` line, mirroring telemetry
-    exports.
-    """
-    from .quality import quality_records
-
-    path = Path(path)
-    records: list[dict] = []
-    if meta is not None:
-        records.append({"record": "meta", **to_jsonable(meta)})
-    for report in reports:
-        records.extend(quality_records(report))
-    path.write_text(
-        "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
-    )
-    return path
-
-
-def forecast_records(records) -> list[dict]:
-    """Forecast decision records as JSONL-ready dicts.
-
-    ``records`` is an iterable of :class:`repro.forecast.ForecastRecord`
-    (e.g. ``engine.records``); each becomes one ``{"record": "forecast",
-    ...}`` dict — the per-interval prediction, the act-ahead policy's
-    verdict, and (once its window closed) the real outcome.
-    """
-    return [
-        {
-            "record": "forecast",
-            "interval": record.interval,
-            "app": record.app,
-            "horizon": record.horizon,
-            "predicted_latency": round(record.predicted_latency, 6),
-            "threshold": round(record.threshold, 6),
-            "confidence": round(record.confidence, 6),
-            "decision": record.decision,
-            "acted": record.acted,
-            "seed": record.seed,
-            "outcome": record.outcome,
-        }
-        for record in records
-    ]
-
-
-def export_forecast(path: str | Path, records, meta=None) -> Path:
-    """Write forecast records as deterministic JSONL; returns the path.
-
-    An optional ``meta`` dict is written first as a ``{"record": "meta",
-    ...}`` line, mirroring telemetry and quality exports; the result is
-    the artifact ``repro obs report`` renders and CI uploads.
-    """
-    path = Path(path)
-    lines: list[dict] = []
-    if meta is not None:
-        lines.append({"record": "meta", **to_jsonable(meta)})
-    lines.extend(forecast_records(records))
-    path.write_text(
-        "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
-    )
-    return path
-
-
-def export_telemetry(path: str | Path, observability, meta=None) -> Path:
-    """Write an instrumented run's telemetry as deterministic JSONL.
-
-    Thin front door over :func:`repro.obs.export.write_telemetry` so that
-    every export lives under ``repro.analysis``; imported lazily because
-    ``repro.obs.report`` renders through this package's tables.
-    """
-    from ..obs.export import write_telemetry
-
-    return write_telemetry(path, observability, meta=meta)

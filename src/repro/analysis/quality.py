@@ -159,10 +159,10 @@ def score_detections(
 
 
 def quality_records(report: QualityReport) -> list[dict]:
-    """A quality report as JSONL-ready ``{"record": "quality", ...}`` dicts.
+    """A quality report as ``{"record": "quality", ...}`` dicts.
 
     One summary record per scenario — the shape ``repro obs report``
-    renders and :func:`repro.analysis.export.export_quality` writes.
+    renders and ``repro zoo --export`` writes.
     """
     return [
         {

@@ -102,10 +102,6 @@ class CompressionReport:
     rows: list[dict] = field(default_factory=list)
 
     @property
-    def max_error(self) -> float:
-        return max((row["error"] for row in self.rows), default=0.0)
-
-    @property
     def within_tolerance(self) -> bool:
         return all(row["within_tolerance"] for row in self.rows)
 

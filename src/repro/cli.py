@@ -26,6 +26,7 @@ import inspect
 import sys
 from collections.abc import Sequence
 from functools import partial
+from pathlib import Path
 
 from .analysis.report import Table, format_series
 from .experiments.bench import (
@@ -46,21 +47,19 @@ def _given(value, default):
 
 def _obs(args) -> int:
     """``repro obs report`` — run the instrumented quickstart, summarise it."""
-    from .obs import Observability, telemetry_lines
+    from .obs import Observability, telemetry_records, write_records
     from .obs.report import TelemetrySummary
 
     if getattr(args, "input", None):
         try:
-            text = open(args.input, encoding="utf-8").read()
-        except OSError as error:
+            text = Path(args.input).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as error:
             print(f"repro obs report: cannot read {args.input}: {error}",
                   file=sys.stderr)
             return 2
         try:
-            summary = TelemetrySummary.from_lines(
-                line for line in text.splitlines() if line
-            )
-        except ValueError as error:  # bad JSON or unknown record type
+            summary = TelemetrySummary.from_lines(text.splitlines())
+        except ValueError as error:  # says which line, and what is wrong
             print(f"repro obs report: malformed telemetry in {args.input}: "
                   f"{error}", file=sys.stderr)
             return 2
@@ -69,11 +68,9 @@ def _obs(args) -> int:
 
     obs = Observability()
     scenario = getattr(args, "scenario", "index-drop")
-    allocation_lines: list[str] = []
+    allocations: list[dict] = []
     if scenario == "quickstart":
-        import json as _json
-
-        from .analysis.export import allocation_records
+        from .cluster.resource_manager import allocation_records
         from .experiments.runner import quickstart_scenario
 
         intervals = _given(args.intervals, 12)
@@ -89,27 +86,19 @@ def _obs(args) -> int:
         }
         # Feed the allocation timeline to the report only: the exported
         # telemetry (and its byte-identical golden) stays untouched.
-        allocation_lines = [
-            _json.dumps(record, sort_keys=True)
-            for record in allocation_records(
-                harness.controller.resource_manager
-            )
-        ]
+        allocations = allocation_records(harness.controller.resource_manager)
     else:
         from .experiments.index_drop import IndexDropConfig, run_index_drop
 
         clients = _given(args.clients, 60)
         run_index_drop(IndexDropConfig(clients=clients), obs=obs)
         meta = {"scenario": "index-drop", "clients": clients, "seed": 7}
-    lines = telemetry_lines(obs, meta=meta) + allocation_lines
+    records = telemetry_records(obs, meta)
     if getattr(args, "export", None):
-        from .analysis.export import export_telemetry
-
-        path = export_telemetry(args.export, obs, meta=meta)
+        path = write_records(args.export, records)
         print(f"telemetry written: {path}")
         print()
-    summary = TelemetrySummary.from_lines(lines)
-    print(summary.render())
+    print(TelemetrySummary.from_records(records + allocations).render())
     return 0
 
 
@@ -274,6 +263,7 @@ def _zoo(args) -> int:
             print(f"  {name:20s} {scenario.description}")
         return 0
 
+    from .analysis.quality import quality_records
     from .experiments.zoo import run_zoo
 
     names = [args.scenario] if args.scenario else zoo_scenario_names()
@@ -288,11 +278,12 @@ def _zoo(args) -> int:
         headers=["scenario", "precision", "recall", "F1", "tp", "fp", "fn",
                  "actions"],
     )
-    reports = []
+    records = [{"record": "meta", "scenario": "zoo", "seed": seed,
+                "runs": names}]
     for name in names:
         result = run_zoo(name, seed=seed)
         quality = result.quality
-        reports.append(quality)
+        records += quality_records(quality)
         table.add_row(
             name,
             f"{quality.precision:.3f}",
@@ -305,13 +296,9 @@ def _zoo(args) -> int:
         )
     print(table.render())
     if getattr(args, "export", None):
-        from .analysis.export import export_quality
+        from .obs import write_records
 
-        path = export_quality(
-            args.export,
-            reports,
-            meta={"scenario": "zoo", "seed": seed, "runs": names},
-        )
+        path = write_records(args.export, records)
         print(f"\nquality report written: {path}")
     return 0
 
@@ -331,13 +318,10 @@ def _forecast(args) -> int:
         run_forecast_eval,
     )
 
-    config = ForecastEvalConfig()
-    if args.horizon is not None:
-        config = ForecastEvalConfig(horizon=args.horizon)
-    if args.margin is not None:
-        config = ForecastEvalConfig(
-            horizon=config.horizon, margin=args.margin
-        )
+    config = ForecastEvalConfig(
+        horizon=_given(args.horizon, ForecastEvalConfig.horizon),
+        margin=_given(args.margin, ForecastEvalConfig.margin),
+    )
     result = run_forecast_eval(config)
     artefact = forecast_eval_artefact(result)
 
@@ -383,16 +367,13 @@ def _forecast(args) -> int:
         path = export_result(args.export, artefact)
         print(f"\nartefact written: {path}")
     if args.records:
-        from .analysis.export import export_forecast
+        from .forecast.score import forecast_records
+        from .obs import write_records
 
-        path = export_forecast(
-            args.records,
-            result.records(),
-            meta={
-                "scenario": "forecast_eval",
-                "seed": config.seed,
-                "horizon": config.horizon,
-            },
+        meta = {"record": "meta", "scenario": "forecast_eval",
+                "seed": config.seed, "horizon": config.horizon}
+        path = write_records(
+            args.records, [meta, *forecast_records(result.records())]
         )
         print(f"forecast records written: {path}")
     return status

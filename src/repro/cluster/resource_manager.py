@@ -12,14 +12,14 @@ when the pool is exhausted unless ``exclusive`` is requested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from ..engine.executor import CostModel
 from .replica import Replica
 from .scheduler import Scheduler
 from .server import PhysicalServer
 
-__all__ = ["AllocationEvent", "ResourceManager"]
+__all__ = ["AllocationEvent", "ResourceManager", "allocation_records"]
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,17 @@ class AllocationEvent:
     server: str
     replica: str
     replica_count: int
+
+
+def allocation_records(manager: "ResourceManager") -> list[dict]:
+    """The allocation timeline as ``{"record": "allocation", ...}`` dicts.
+
+    One per :class:`AllocationEvent`, in order: the machine-allocation
+    history the paper plots in Figure 3.
+    """
+    return [
+        {"record": "allocation", **asdict(event)} for event in manager.history
+    ]
 
 
 class ResourceManager:
@@ -68,9 +79,6 @@ class ResourceManager:
 
     def idle_servers(self) -> list[str]:
         return sorted(name for name, apps in self._hosted.items() if not apps)
-
-    def servers_hosting(self, app: str) -> list[str]:
-        return sorted(name for name, apps in self._hosted.items() if app in apps)
 
     # ------------------------------------------------------------------ #
     # Provisioning                                                       #
@@ -186,14 +194,6 @@ class ResourceManager:
             seq = int(replica.name[len(prefix):])
             if seq > self._replica_seq.get(replica.app, 0):
                 self._replica_seq[replica.app] = seq
-
-    def allocation_timeline(self, app: str) -> list[tuple[float, int]]:
-        """(timestamp, replica count) points for one application."""
-        return [
-            (event.timestamp, event.replica_count)
-            for event in self.history
-            if event.app == app
-        ]
 
     @property
     def pool_size(self) -> int:

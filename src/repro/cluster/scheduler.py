@@ -588,6 +588,3 @@ class Scheduler:
                     len(self.health.down_replicas())
                 )
         return finished
-
-    def peek_metrics(self) -> AppIntervalMetrics:
-        return self._metrics

@@ -185,10 +185,6 @@ class PhysicalServer:
                 raise ValueError(f"I/O slowdown cannot speed up: {io}")
             self.fault_io_multiplier = float(io)
 
-    def clear_fault_slowdown(self) -> None:
-        self.fault_cpu_multiplier = 1.0
-        self.fault_io_multiplier = 1.0
-
     @property
     def cpu_factor(self) -> float:
         factor = self.load.cpu_factor

@@ -23,7 +23,6 @@ from ..engine.engine import DatabaseEngine
 from ..obs import NULL_OBS, Observability
 from .metrics import Metric, MetricVector, vector_from_stats
 from .mrc import MissRatioCurve, MRCCache, MRCCacheKey, MRCParameters, MRCTracker
-from .mrc_sampling import sampled_mrc
 from .outliers import OutlierReport, detect_outliers, top_k_heavyweight
 from .signature import SignatureStore
 
@@ -61,16 +60,10 @@ class LogAnalyzer:
         engine: DatabaseEngine,
         server_name: str,
         obs: Observability | None = None,
-        mrc_sampling_rate: float = 1.0,
     ) -> None:
-        if not 0.0 < mrc_sampling_rate <= 1.0:
-            raise ValueError(
-                f"MRC sampling rate must be in (0, 1]: {mrc_sampling_rate}"
-            )
         self.engine = engine
         self.server_name = server_name
         self.obs = obs if obs is not None else NULL_OBS
-        self.mrc_sampling_rate = mrc_sampling_rate
         self.signatures = SignatureStore(server=server_name)
         self.mrc = MRCTracker(
             server_memory_pages=engine.pool_pages, registry=self.obs.registry
@@ -246,7 +239,7 @@ class LogAnalyzer:
         """Forget everything learned: the control-plane crash model.
 
         A monitoring-agent restart keeps its configuration (engine
-        attachment, server identity, sampling rate) but loses process
+        attachment, server identity) but loses process
         memory: signatures, miss-ratio curves and their cache, window
         watermarks, quarantine history and any armed fault hooks.  The
         data plane — the engine's statistics log and buffer pool — is
@@ -400,23 +393,12 @@ class LogAnalyzer:
         return self.recompute_mrc(context_key)
 
     def _build_curve(self, trace, span) -> tuple[MissRatioCurve, MRCParameters]:
-        """One stack-distance analysis, exact or SHARDS-sampled.
-
-        The span records the exact-vs-sampled work units: ``exact_units``
-        is what a full analysis would have processed, ``cost`` (and
-        ``sampled_units``) is what this one actually did.
-        """
-        rate = self.mrc_sampling_rate
+        """One exact stack-distance analysis; the span records its work
+        units (``exact_units`` and ``cost`` are both the trace length)."""
         span.set_attr("exact_units", len(trace))
-        if rate < 1.0:
-            curve, stats = sampled_mrc(trace, rate=rate)
-            span.set_attr("mode", "sampled")
-            span.set_attr("sampled_units", stats.sampled_length)
-            span.add_cost(stats.sampled_length)
-        else:
-            curve = MissRatioCurve.from_trace(trace)
-            span.set_attr("mode", "exact")
-            span.add_cost(len(trace))
+        curve = MissRatioCurve.from_trace(trace)
+        span.set_attr("mode", "exact")
+        span.add_cost(len(trace))
         params = curve.parameters(
             self.mrc.server_memory_pages, self.mrc.acceptable_threshold
         )
@@ -576,7 +558,6 @@ class DecisionManager:
 
     server_name: str
     obs: Observability = NULL_OBS
-    mrc_sampling_rate: float = 1.0
 
     def __post_init__(self) -> None:
         self._analyzers: dict[str, LogAnalyzer] = {}
@@ -584,12 +565,7 @@ class DecisionManager:
     def attach_engine(self, engine: DatabaseEngine) -> LogAnalyzer:
         if engine.name in self._analyzers:
             return self._analyzers[engine.name]
-        analyzer = LogAnalyzer(
-            engine,
-            self.server_name,
-            obs=self.obs,
-            mrc_sampling_rate=self.mrc_sampling_rate,
-        )
+        analyzer = LogAnalyzer(engine, self.server_name, obs=self.obs)
         self._analyzers[engine.name] = analyzer
         return analyzer
 

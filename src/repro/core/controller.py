@@ -66,12 +66,6 @@ class ControllerConfig:
     scale_down: bool = False
     scale_down_cpu_threshold: float = 0.25
     scale_down_patience: int = 2
-    mrc_sampling_rate: float = 1.0
-    """SHARDS-style spatial sampling rate for MRC recomputation during
-    diagnosis: 1.0 (default) runs the exact stack-distance analysis, lower
-    rates analyse only the hashed subset of pages and rescale distances
-    (see :mod:`repro.core.mrc_sampling`), cutting the recompute cost by
-    roughly the same factor."""
     use_planner: bool = False
     """Route violations through the global capacity planner
     (:mod:`repro.planner`) instead of the single-server quota path.  Off by
@@ -107,8 +101,6 @@ class ControllerConfig:
             raise ValueError("scale-down threshold must be in (0, 1)")
         if self.scale_down_patience < 1:
             raise ValueError("scale-down patience must be at least 1")
-        if not 0 < self.mrc_sampling_rate <= 1:
-            raise ValueError("MRC sampling rate must be in (0, 1]")
         if self.forecast_horizon < 1:
             raise ValueError("forecast horizon must be at least 1")
         if self.forecast_margin <= 0:
@@ -202,11 +194,7 @@ class ClusterController:
         host_name = replica.host.name
         manager = self._decision_managers.get(host_name)
         if manager is None:
-            manager = DecisionManager(
-                server_name=host_name,
-                obs=self.obs,
-                mrc_sampling_rate=self.config.mrc_sampling_rate,
-            )
+            manager = DecisionManager(server_name=host_name, obs=self.obs)
             self._decision_managers[host_name] = manager
         self.register_host(replica.host)
         self.resource_manager.register_existing(replica)

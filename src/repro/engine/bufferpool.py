@@ -332,9 +332,6 @@ class LRUBufferPool(BufferPool):
         """Resident page ids from least to most recently used."""
         return list(self._pages.keys())
 
-    def evict_all(self) -> None:
-        self._pages.clear()
-
 
 class PartitionedBufferPool(BufferPool):
     """A pool split into named LRU partitions with fixed page quotas.

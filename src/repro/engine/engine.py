@@ -169,10 +169,6 @@ class DatabaseEngine:
         self._quotas.pop(context_key, None)
         self._rebuild_pool()
 
-    def clear_all_quotas(self) -> None:
-        self._quotas.clear()
-        self._rebuild_pool()
-
     def reset_pool(self) -> None:
         """Discard every resident page and all pool counters (crash restart).
 

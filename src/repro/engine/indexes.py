@@ -153,10 +153,6 @@ class BTreeIndex:
             path.append(self.leaf_pages.page(leaf_index))
         return path
 
-    def expected_lookup_pages(self) -> int:
-        """Pages per point lookup (tree height, incl. the leaf)."""
-        return self.height
-
 
 class IndexCatalog:
     """The set of indexes available to an engine; supports online drop/add.

@@ -118,18 +118,10 @@ def build_chaos_plan(config: ChaosConfig, app: str) -> FaultPlan:
     )
 
 
-def run_chaos(
-    config: ChaosConfig | None = None,
-    controller_config=None,
-) -> ChaosResult:
-    """Run the chaos scenario and collect the degradation artefacts.
-
-    ``controller_config`` overrides the harness's stock controller
-    configuration (the forecast eval passes ``use_forecast=True`` here to
-    compare predictive against reactive enforcement under failover).
-    """
-    config = config if config is not None else ChaosConfig()
-    workload = build_tpcw(seed=config.seed)
+def _chaos_cluster(config, workload_seed: int, controller_config=None):
+    """The cluster both chaos runs storm: TPC-W on two replicas (CPU-scaled,
+    ``config``'s servers / clients / SLA); returns ``(workload, harness)``."""
+    workload = build_tpcw(seed=workload_seed)
     scale_cpu_costs(workload, CPU_SCALE)
     harness = ClusterHarness.single_app(
         workload,
@@ -148,6 +140,22 @@ def run_chaos(
     # failure, not provisioning lead time.
     second = harness.resource_manager.allocate_replica(scheduler, timestamp=0.0)
     harness.controller.track_replica(second)
+    return workload, harness
+
+
+def run_chaos(
+    config: ChaosConfig | None = None,
+    controller_config=None,
+) -> ChaosResult:
+    """Run the chaos scenario and collect the degradation artefacts.
+
+    ``controller_config`` overrides the harness's stock controller
+    configuration (the forecast eval passes ``use_forecast=True`` here to
+    compare predictive against reactive enforcement under failover).
+    """
+    config = config if config is not None else ChaosConfig()
+    workload, harness = _chaos_cluster(config, config.seed, controller_config)
+    scheduler = harness.scheduler(workload.app)
 
     victim = f"{workload.app}-r1"
     injector = harness.install_faults(build_chaos_plan(config, workload.app))
@@ -292,20 +300,7 @@ def run_chaos_storm(config: ChaosStormConfig | None = None) -> ChaosStormResult:
     """Replay one seeded storm; recovery is enabled so control-plane
     crashes have a supervisor to land on."""
     config = config if config is not None else ChaosStormConfig()
-    workload = build_tpcw(seed=config.workload_seed)
-    scale_cpu_costs(workload, CPU_SCALE)
-    harness = ClusterHarness.single_app(
-        workload,
-        servers=config.servers,
-        clients=config.clients,
-        sla_latency=config.sla_latency,
-        server_spec=ServerSpec(cores=2),
-        cost_model=EXPERIMENT_COST_MODEL,
-    )
-    scheduler = harness.scheduler(workload.app)
-    scheduler.async_replication = True
-    second = harness.resource_manager.allocate_replica(scheduler, timestamp=0.0)
-    harness.controller.track_replica(second)
+    workload, harness = _chaos_cluster(config, config.workload_seed)
     supervisor = harness.enable_recovery()
 
     plan = build_storm_plan(config, workload.app)

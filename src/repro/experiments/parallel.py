@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SweepTask", "run_sweep", "parallel_map"]
+__all__ = ["SweepTask", "run_sweep"]
 
 
 @dataclass(frozen=True)
@@ -84,21 +84,3 @@ def run_sweep(
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         futures = [pool.submit(_execute, task) for task in tasks]
         return [future.result() for future in futures]
-
-
-def parallel_map(
-    fn: Callable,
-    items: Sequence,
-    workers: int | None = None,
-    name: str = "map",
-) -> list:
-    """``[fn(item) for item in items]`` sharded across workers.
-
-    A convenience front door over :func:`run_sweep` for sweeps whose points
-    differ only in one argument.  ``fn`` must be a module-level callable.
-    """
-    tasks = [
-        SweepTask(name=f"{name}/{index}", fn=fn, args=(item,))
-        for index, item in enumerate(items)
-    ]
-    return run_sweep(tasks, workers=workers)

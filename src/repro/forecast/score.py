@@ -18,11 +18,12 @@ Three questions decide whether predictive enforcement earns its keep:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 __all__ = [
     "ForecastRecord",
     "ForecastScore",
+    "forecast_records",
     "score_forecasts",
     "validation_summary",
 ]
@@ -46,6 +47,25 @@ class ForecastRecord:
     outcome: str = "pending"
     """``pending`` until the horizon window closes, then ``hit`` or
     ``false_alarm`` (act-ahead records only; the rest stay ``none``)."""
+
+
+def forecast_records(records) -> list[dict]:
+    """Forecast decisions as ``{"record": "forecast", ...}`` dicts.
+
+    One per :class:`ForecastRecord` (e.g. of ``engine.records``): the
+    per-interval prediction, the act-ahead policy's verdict, and (once its
+    window closed) the real outcome.
+    """
+    return [
+        {
+            "record": "forecast",
+            **asdict(record),
+            "predicted_latency": round(record.predicted_latency, 6),
+            "threshold": round(record.threshold, 6),
+            "confidence": round(record.confidence, 6),
+        }
+        for record in records
+    ]
 
 
 def resolve_records(

@@ -29,7 +29,14 @@ from .registry import (
 )
 from .tracer import NULL_TRACER, NullTracer, Span, Tracer
 from .provider import NULL_OBS, Observability
-from .export import telemetry_lines, telemetry_records, write_telemetry
+from .export import (
+    read_records,
+    record_lines,
+    telemetry_lines,
+    telemetry_records,
+    write_records,
+    write_telemetry,
+)
 
 __all__ = [
     "Counter",
@@ -45,7 +52,10 @@ __all__ = [
     "Observability",
     "Span",
     "Tracer",
+    "read_records",
+    "record_lines",
     "telemetry_lines",
     "telemetry_records",
+    "write_records",
     "write_telemetry",
 ]

@@ -1,7 +1,7 @@
 """Summarise exported telemetry: the ``repro obs report`` backend.
 
-Parses the JSONL produced by :mod:`repro.obs.export` (or consumes a live
-:class:`~repro.obs.provider.Observability`) and renders the three views an
+Takes the records :mod:`repro.obs.export` reads back (or a live
+:class:`~repro.obs.provider.Observability`) and renders the views an
 operator of the retuning pipeline wants first:
 
 * **per-stage span profile** — calls, simulated time and deterministic work
@@ -9,21 +9,67 @@ operator of the retuning pipeline wants first:
 * **MRC recomputations per application** — the paper's expensive step, and
   the laziness the design is protecting;
 * **action-kind histogram** — what the controller actually decided;
-* **machine-allocation timeline** — the resource manager's replica
-  allocate/release events (Figure 3's currency), when the input telemetry
-  carries ``allocation`` records from
-  :func:`repro.analysis.export.allocation_records`.
+* **the flat streams** — one table per record kind in :data:`SECTIONS`
+  (machine allocations, detection quality, forecast decisions, the action
+  journal), each present only when the input carries records of its kind:
+  plain telemetry carries none, which keeps its goldens untouched.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 
 from ..analysis.report import Table
+from .export import read_records, telemetry_records
 
-__all__ = ["StageProfile", "TelemetrySummary", "summarize_telemetry"]
+__all__ = ["StageProfile", "SECTIONS", "TelemetrySummary"]
+
+
+def _forecast_footer(records: list[dict]) -> str:
+    acted = sum(1 for r in records if r["acted"])
+    hits = sum(1 for r in records if r["outcome"] == "hit")
+    false_alarms = sum(1 for r in records if r["outcome"] == "false_alarm")
+    return f"Acted ahead {acted}× — {hits} hits, {false_alarms} false alarms"
+
+
+SECTIONS: dict[str, tuple] = {
+    "allocation": (
+        "Machine allocation timeline",
+        (("time (s)", "timestamp", ".1f"), ("app", "app", ""),
+         ("action", "action", ""), ("server", "server", ""),
+         ("replica", "replica", ""), ("replicas after", "replica_count", "")),
+        None,
+    ),
+    "quality": (
+        "Detection quality vs injected ground truth",
+        (("scenario", "scenario", ""), ("precision", "precision", ".3f"),
+         ("recall", "recall", ".3f"), ("F1", "f1", ".3f"),
+         ("tp", "true_positives", ""), ("fp", "false_positives", ""),
+         ("fn", "false_negatives", "")),
+        None,
+    ),
+    "forecast": (
+        "Forecast decisions (predictive SLA enforcement)",
+        (("interval", "interval", ""), ("app", "app", ""),
+         ("predicted", "predicted_latency", ".3f"),
+         ("threshold", "threshold", ".3f"),
+         ("confidence", "confidence", ".2f"), ("decision", "decision", ""),
+         ("outcome", "outcome", "")),
+        _forecast_footer,
+    ),
+    "journal": (
+        "Action journal (the controller's write-ahead log)",
+        (("seq", "seq", ""), ("entry", "kind", ""), ("epoch", "epoch", ""),
+         ("interval", "interval_index", ""), ("action", "action_kind", ""),
+         ("app", "app", ""), ("applied", "applied", ""), ("note", "note", "")),
+        None,
+    ),
+}
+"""The flat streams, in rendering order: record kind → (title, columns,
+footer).  A column is ``(header, record key, format spec)``: an empty spec
+leaves the value to :class:`Table` (``str``; booleans as yes / no) and
+``None`` prints as ``-``; a footer is a function of the kind's records."""
 
 
 @dataclass(frozen=True)
@@ -44,45 +90,38 @@ class StageProfile:
 class TelemetrySummary:
     """Parsed telemetry, queryable and renderable."""
 
-    meta: dict = field(default_factory=dict)
-    spans: list[dict] = field(default_factory=list)
-    metrics: list[dict] = field(default_factory=list)
-    allocations: list[dict] = field(default_factory=list)
-    quality: list[dict] = field(default_factory=list)
-    forecasts: list[dict] = field(default_factory=list)
+    records: dict[str, list[dict]] = field(default_factory=dict)
+    """Every record, grouped by kind, in input order."""
+
+    @classmethod
+    def from_records(cls, records: Iterable[dict]) -> "TelemetrySummary":
+        summary = cls()
+        for record in records:
+            summary.records.setdefault(record["record"], []).append(record)
+        return summary
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "TelemetrySummary":
-        summary = cls()
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            kind = record.get("record")
-            if kind == "meta":
-                summary.meta = record
-            elif kind == "span":
-                summary.spans.append(record)
-            elif kind == "metric":
-                summary.metrics.append(record)
-            elif kind == "allocation":
-                summary.allocations.append(record)
-            elif kind == "quality":
-                summary.quality.append(record)
-            elif kind == "forecast":
-                summary.forecasts.append(record)
-            else:
-                raise ValueError(f"unknown telemetry record type: {kind!r}")
-        return summary
+        """Parse and validate JSONL lines (``ValueError`` on a bad one)."""
+        return cls.from_records(read_records(lines))
 
     @classmethod
     def from_observability(
         cls, observability, meta: dict | None = None
     ) -> "TelemetrySummary":
-        from .export import telemetry_lines
+        return cls.from_records(telemetry_records(observability, meta))
 
-        return cls.from_lines(telemetry_lines(observability, meta))
+    @property
+    def meta(self) -> dict:
+        return self.records.get("meta", [{}])[-1]
+
+    @property
+    def spans(self) -> list[dict]:
+        return self.records.get("span", [])
+
+    @property
+    def metrics(self) -> list[dict]:
+        return self.records.get("metric", [])
 
     # ------------------------------------------------------------------ #
     # Queries                                                            #
@@ -107,35 +146,25 @@ class TelemetrySummary:
         )
         return profiles
 
-    def _counter_values(self, name: str) -> list[tuple[dict, float]]:
-        return [
-            (record["labels"], record["value"])
-            for record in self.metrics
-            if record["type"] == "counter" and record["name"] == name
-        ]
+    def _counter_by(self, name: str, label: str) -> dict[str, float]:
+        """The counter ``name`` summed per value of one of its labels."""
+        counts: dict[str, float] = {}
+        for record in self.metrics:
+            if record["type"] == "counter" and record["name"] == name:
+                key = record["labels"].get(label, "?")
+                counts[key] = counts.get(key, 0.0) + record["value"]
+        return counts
 
     def mrc_recomputations_by_app(self) -> dict[str, float]:
         """Per-application count of the pipeline's expensive step."""
-        counts: dict[str, float] = {}
-        for labels, value in self._counter_values("mrc.recomputations"):
-            app = labels.get("app", "?")
-            counts[app] = counts.get(app, 0.0) + value
-        return counts
+        return self._counter_by("mrc.recomputations", "app")
 
     def action_histogram(self) -> dict[str, float]:
         """Emitted controller actions, keyed by :class:`ActionKind` value."""
-        counts: dict[str, float] = {}
-        for labels, value in self._counter_values("controller.actions"):
-            kind = labels.get("kind", "?")
-            counts[kind] = counts.get(kind, 0.0) + value
-        return counts
+        return self._counter_by("controller.actions", "kind")
 
     def sla_violations_by_app(self) -> dict[str, float]:
-        counts: dict[str, float] = {}
-        for labels, value in self._counter_values("scheduler.sla_violations"):
-            app = labels.get("app", "?")
-            counts[app] = counts.get(app, 0.0) + value
-        return counts
+        return self._counter_by("scheduler.sla_violations", "app")
 
     # ------------------------------------------------------------------ #
     # Rendering                                                          #
@@ -143,10 +172,13 @@ class TelemetrySummary:
 
     def render(self) -> str:
         sections = [self._render_meta(), self._render_stages(),
-                    self._render_mrc(), self._render_actions(),
-                    self._render_allocations(), self._render_quality(),
-                    self._render_forecasts()]
-        return "\n\n".join(section for section in sections if section)
+                    self._render_mrc(), self._render_actions()]
+        sections += [
+            self._render_section(*SECTIONS[kind], self.records[kind])
+            for kind in SECTIONS
+            if kind in self.records
+        ]
+        return "\n\n".join(sections)
 
     def _render_meta(self) -> str:
         parts = [
@@ -210,85 +242,19 @@ class TelemetrySummary:
             rendered += f"\n\nSLA violations per app: {noted}"
         return rendered
 
-
-    def _render_allocations(self) -> str:
-        # Only rendered when allocation records are present: fault-free
-        # telemetry exports carry none, keeping their goldens untouched.
-        if not self.allocations:
-            return ""
-        table = Table(
-            title="Machine allocation timeline",
-            headers=["time (s)", "app", "action", "server", "replica",
-                     "replicas after"],
-        )
-        for event in self.allocations:
+    @staticmethod
+    def _render_section(title, columns, footer, records: list[dict]) -> str:
+        table = Table(title=title, headers=[header for header, _, _ in columns])
+        for record in records:
             table.add_row(
-                f"{event.get('timestamp', 0.0):.1f}",
-                event.get("app", "?"),
-                event.get("action", "?"),
-                event.get("server", "?"),
-                event.get("replica", "?"),
-                event.get("replica_count", "?"),
+                *(
+                    "-" if record[key] is None
+                    else format(record[key], spec) if spec
+                    else record[key]
+                    for _, key, spec in columns
+                )
             )
-        return table.render()
-
-
-    def _render_quality(self) -> str:
-        # Only rendered when quality records are present (zoo exports);
-        # telemetry goldens without them stay byte-identical.
-        if not self.quality:
-            return ""
-        table = Table(
-            title="Detection quality vs injected ground truth",
-            headers=["scenario", "precision", "recall", "F1", "tp", "fp",
-                     "fn"],
-        )
-        for record in self.quality:
-            table.add_row(
-                record.get("scenario", "?"),
-                f"{record.get('precision', 0.0):.3f}",
-                f"{record.get('recall', 0.0):.3f}",
-                f"{record.get('f1', 0.0):.3f}",
-                str(record.get("true_positives", "?")),
-                str(record.get("false_positives", "?")),
-                str(record.get("false_negatives", "?")),
-            )
-        return table.render()
-
-
-    def _render_forecasts(self) -> str:
-        # Only rendered when forecast records are present (predictive-mode
-        # exports); telemetry goldens without them stay byte-identical.
-        if not self.forecasts:
-            return ""
-        table = Table(
-            title="Forecast decisions (predictive SLA enforcement)",
-            headers=["interval", "app", "predicted", "threshold",
-                     "confidence", "decision", "outcome"],
-        )
-        for record in self.forecasts:
-            table.add_row(
-                str(record.get("interval", "?")),
-                record.get("app", "?"),
-                f"{record.get('predicted_latency', 0.0):.3f}",
-                f"{record.get('threshold', 0.0):.3f}",
-                f"{record.get('confidence', 0.0):.2f}",
-                record.get("decision", "?"),
-                record.get("outcome", "?"),
-            )
-        acted = sum(1 for r in self.forecasts if r.get("acted"))
-        hits = sum(1 for r in self.forecasts if r.get("outcome") == "hit")
-        false_alarms = sum(
-            1 for r in self.forecasts if r.get("outcome") == "false_alarm"
-        )
         rendered = table.render()
-        rendered += (
-            f"\n\nActed ahead {acted}× — {hits} hits, "
-            f"{false_alarms} false alarms"
-        )
+        if footer is not None:
+            rendered += "\n\n" + footer(records)
         return rendered
-
-
-def summarize_telemetry(lines: Iterable[str]) -> TelemetrySummary:
-    """Parse JSONL telemetry lines into a queryable summary."""
-    return TelemetrySummary.from_lines(lines)

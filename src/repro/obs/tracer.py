@@ -137,10 +137,6 @@ class Tracer:
         span.end = max(self.now, span.start)
         self._finished.append(span)
 
-    @property
-    def current_span(self) -> Span | None:
-        return self._stack[-1] if self._stack else None
-
     def add_cost(self, units: float) -> None:
         """Charge work units to the innermost open span, if any."""
         if self._stack:

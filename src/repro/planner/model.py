@@ -194,25 +194,6 @@ class ClusterSnapshot:
                 return state
         raise KeyError(f"no class {context_key!r} in snapshot")
 
-    def classes_on(self, engine: str) -> list[ClassState]:
-        return [c for c in self.classes if c.pool == engine]
-
-    def pools_of_app(self, app: str) -> list[PoolState]:
-        return [
-            pool
-            for pool in self.pools
-            if any(owner == app for owner, _ in pool.replicas)
-        ]
-
-    def replica_pool(self, replica: str) -> PoolState:
-        for pool in self.pools:
-            if any(name == replica for _, name in pool.replicas):
-                return pool
-        raise KeyError(f"no pool hosts replica {replica!r}")
-
-    def violated_apps(self) -> list[str]:
-        return [a.app for a in self.apps if not a.sla_met]
-
 
 @dataclass(frozen=True)
 class WorkloadSummary:

@@ -31,17 +31,6 @@ class PlanStepKind(enum.Enum):
     CLEAR_QUOTA = "clear_quota"
 
 
-# Application order: structural steps first so later steps can reference
-# the pools they create, memory tuning last.
-_KIND_ORDER = {
-    PlanStepKind.ADD_REPLICA: 0,
-    PlanStepKind.RELEASE_REPLICA: 1,
-    PlanStepKind.MIGRATE_CLASS: 2,
-    PlanStepKind.CLEAR_QUOTA: 3,
-    PlanStepKind.SET_QUOTA: 4,
-}
-
-
 @dataclass(frozen=True)
 class PlanStep:
     """One actuatable change, with the prediction that justified it."""
@@ -57,15 +46,6 @@ class PlanStep:
     predicted_before: float | None = None
     predicted_after: float | None = None
     rationale: str = ""
-
-    @property
-    def order_key(self) -> tuple:
-        return (
-            _KIND_ORDER[self.kind],
-            self.app,
-            self.context_key or "",
-            self.pool or "",
-        )
 
     def to_jsonable(self) -> dict:
         return {
@@ -151,13 +131,6 @@ class CapacityPlan:
     @property
     def improvement(self) -> float:
         return self.score_before - self.score_after
-
-    def quota_steps(self) -> list[PlanStep]:
-        return [
-            s
-            for s in self.steps
-            if s.kind in (PlanStepKind.SET_QUOTA, PlanStepKind.CLEAR_QUOTA)
-        ]
 
     def to_jsonable(self) -> dict:
         return {

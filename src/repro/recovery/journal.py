@@ -17,9 +17,9 @@ export telemetry byte-identical to one without the journal installed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-__all__ = ["JournalRecord", "ActionJournal"]
+__all__ = ["JournalRecord", "ActionJournal", "journal_records"]
 
 INTENT = "intent"
 APPLIED = "applied"
@@ -29,7 +29,7 @@ CONTROL = "control"
 
 @dataclass(frozen=True)
 class JournalRecord:
-    """One journal entry (plain data, JSON-ready via :meth:`to_jsonable`)."""
+    """One journal entry (plain data; :func:`journal_records` exports it)."""
 
     seq: int
     kind: str  # intent | applied | fenced | control
@@ -53,22 +53,6 @@ class JournalRecord:
             self.context_key,
             self.quotas,
         )
-
-    def to_jsonable(self) -> dict:
-        return {
-            "seq": self.seq,
-            "kind": self.kind,
-            "epoch": self.epoch,
-            "interval_index": self.interval_index,
-            "timestamp": self.timestamp,
-            "action_kind": self.action_kind,
-            "app": self.app,
-            "replica": self.replica,
-            "context_key": self.context_key,
-            "quotas": [[context, pages] for context, pages in self.quotas],
-            "applied": self.applied,
-            "note": self.note,
-        }
 
 
 @dataclass
@@ -160,20 +144,17 @@ class ActionJournal:
         Open intents are exactly what reconcile must treat as "may or may
         not have happened": they are never blindly re-issued.
         """
-        open_records: list[JournalRecord] = []
-        for record in self.records:
-            if record.kind != APPLIED and record.kind != INTENT:
-                continue
-            if record.kind == INTENT:
-                confirmed = any(
-                    later.kind == APPLIED
-                    and later.seq > record.seq
-                    and later.payload_key() == record.payload_key()
-                    for later in self.records
-                )
-                if not confirmed:
-                    open_records.append(record)
-        return open_records
+        return [
+            record
+            for record in self.records
+            if record.kind == INTENT
+            and not any(
+                later.kind == APPLIED
+                and later.seq > record.seq
+                and later.payload_key() == record.payload_key()
+                for later in self.records
+            )
+        ]
 
     def duplicate_applied(self) -> list[tuple]:
         """Payload keys actuated (``applied=True``) more than once.
@@ -190,18 +171,14 @@ class ActionJournal:
                 seen[key] = seen.get(key, 0) + 1
         return [key for key, count in sorted(seen.items()) if count > 1]
 
-    # ------------------------------------------------------------------ #
-    # Export                                                             #
-    # ------------------------------------------------------------------ #
 
-    def to_jsonable(self) -> list[dict]:
-        return [record.to_jsonable() for record in self.records]
-
-    def to_jsonl(self) -> str:
-        """One canonical JSON object per line (the CI artifact format)."""
-        import json
-
-        return "".join(
-            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-            for record in self.to_jsonable()
-        )
+def journal_records(journal: ActionJournal) -> list[dict]:
+    """The journal as ``{"record": "journal", ...}`` dicts, in ``seq`` order."""
+    return [
+        {
+            "record": "journal",
+            **asdict(record),
+            "quotas": [list(quota) for quota in record.quotas],
+        }
+        for record in journal.records
+    ]

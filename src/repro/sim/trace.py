@@ -64,18 +64,6 @@ class PageAccessTrace:
     def classes(self) -> list[str]:
         return list(self._classes)
 
-    def filter_class(self, query_class: str) -> "PageAccessTrace":
-        """The sub-trace issued by one query class (order preserved)."""
-        result = PageAccessTrace()
-        for page, cls in zip(self._pages, self._classes):
-            if cls == query_class:
-                result.append(page, cls)
-        return result
-
-    def unique_pages(self) -> int:
-        """Number of distinct pages touched (the trace's footprint)."""
-        return len(set(self._pages))
-
     def tail(self, count: int) -> "PageAccessTrace":
         """The most recent ``count`` accesses as a new trace."""
         if count < 0:

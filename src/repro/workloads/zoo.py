@@ -143,11 +143,6 @@ class LabelStream:
     def anomalies(self) -> list[GroundTruthLabel]:
         return [label for label in self.labels if label.is_anomaly]
 
-    def true_contexts(self) -> set[str]:
-        return {
-            context for label in self.anomalies() for context in label.contexts
-        }
-
     def to_jsonable(self) -> list[dict]:
         return [
             {

@@ -122,3 +122,26 @@ class TestConfigValidation:
     def test_storm_must_fit_between_clear_and_stale_attempt(self):
         with pytest.raises(ValueError, match="storm"):
             ControlChaosConfig(crash_time=40.0, corruption_time=30.0)
+
+
+class TestJournalIsARecordStream:
+    def test_the_written_journal_renders_its_section(
+        self, outcome, tmp_path, capsys
+    ):
+        from repro.cli import main
+        from repro.obs import write_records
+        from repro.recovery.journal import journal_records
+
+        journal = outcome.supervisor.journal
+        path = write_records(tmp_path / "journal.jsonl", journal_records(journal))
+        assert main(["obs", "report", "--input", str(path)]) == 0
+        section = capsys.readouterr().out.split(
+            "Action journal (the controller's write-ahead log)\n"
+        )[1].splitlines()
+        assert section[0].split() == ["seq", "entry", "epoch", "interval",
+                                      "action", "app", "applied", "note"]
+        assert len(section) == 2 + len(journal)
+        assert [line.split()[1] for line in section[2:]] == [
+            record.kind for record in journal.records
+        ]
+        assert any(line.split()[1] == "fenced" for line in section[2:])

@@ -12,7 +12,14 @@ import json
 
 import pytest
 
-from repro.obs import NULL_OBS, Observability, telemetry_lines, write_telemetry
+from repro.obs import (
+    NULL_OBS,
+    Observability,
+    record_lines,
+    telemetry_lines,
+    telemetry_records,
+    write_telemetry,
+)
 from repro.experiments.runner import quickstart_scenario
 
 SCENARIO = dict(intervals=6, clients=12)
@@ -62,6 +69,11 @@ class TestByteIdenticalTelemetry:
     def test_golden_digest(self, first_run):
         lines = telemetry_lines(first_run[0], meta=META)
         blob = ("\n".join(lines) + "\n").encode()
+        assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256
+
+    def test_the_one_writer_produces_the_golden_bytes(self, first_run):
+        lines = record_lines(telemetry_records(first_run[0], META))
+        blob = "".join(line + "\n" for line in lines).encode()
         assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256
 
     def test_written_file_matches_lines(self, first_run, tmp_path):

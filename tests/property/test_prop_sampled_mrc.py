@@ -1,7 +1,6 @@
 """Property tests pinning ``sampled_mrc`` against the exact computation.
 
-Two contracts back the diagnosis-time fast path
-(``ControllerConfig.mrc_sampling_rate``):
+Two contracts (the ``ablation_sampled_mrc`` scenario rests on them):
 
 * ``rate=1.0`` is not "approximately" exact — the sampler short-circuits
   and the curve is **bitwise identical** to ``MissRatioCurve.from_trace``

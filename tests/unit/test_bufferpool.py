@@ -110,12 +110,6 @@ class TestLRUBufferPool:
         pool.prefetch([5])
         assert pool.access(5) is True
 
-    def test_evict_all(self):
-        pool = LRUBufferPool(4)
-        pool.access(1)
-        pool.evict_all()
-        assert len(pool) == 0
-
 
 class TestPartitionedBufferPool:
     def test_quota_reserved_partitions(self):

@@ -202,3 +202,216 @@ class TestObsCommand:
         replayed = capsys.readouterr().out
         # Summarising the exported file reproduces the live report.
         assert replayed.strip() in live
+
+    def test_two_same_seed_exports_are_byte_identical(self, tmp_path):
+        paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        for path in paths:
+            assert main(["obs", "report", "--scenario", "quickstart",
+                         "--intervals", "2", "--clients", "5",
+                         "--export", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("text, complaint", [
+        ('{"record":"meta"}\n[1,2]\n', "line 2: not a JSON object: [1,2]"),
+        ('{"record":"mystery"}\n', "line 1: unknown record kind 'mystery'"),
+        ('{"record":"metric","name":"x"}\n',
+         "line 1: metric record lacks type, labels"),
+        ('{"record":"span","name":"x"}\n',
+         "line 1: span record lacks start, end, cost"),
+        ('{"record":"quality","scenario":"s"}\n',
+         "line 1: quality record lacks precision"),
+        ('{"record":"meta"}\n{"record":"span","na', "line 2: not JSON"),
+        ("", "no records"),
+    ])
+    def test_malformed_input_exits_2_naming_the_line(
+        self, text, complaint, tmp_path, capsys
+    ):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(text)
+        assert main(["obs", "report", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"repro obs report: malformed telemetry in {path}: {complaint}"
+                in captured.err)
+
+    def test_unreadable_input_exits_2(self, tmp_path, capsys):
+        assert main(["obs", "report", "--input", str(tmp_path / "no")]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+
+class TestOptInCommandsExecute:
+    """``chaos``, ``zoo``, ``forecast`` and ``plan`` with the run stubbed by
+    a hand-built real result: what they print, return and write."""
+
+    def test_chaos_prints_series_and_reactions(self, monkeypatch, capsys):
+        from repro.experiments import chaos
+
+        seen = []
+        result = chaos.ChaosResult(
+            sla_latency=1.0,
+            latency_series=[(10.0, 0.4), (20.0, 1.7)],
+            sla_series=[True, False],
+            reroute_intervals=1,
+            quarantined_intervals=3,
+            final_latency=1.7,
+            faults_injected={"replica_crash": 1},
+        )
+        monkeypatch.setattr(
+            chaos, "run_chaos", lambda config: seen.append(config) or result
+        )
+        assert main(["chaos", "--clients", "9"]) == 0
+        assert seen == [chaos.ChaosConfig(clients=9)]
+        out = capsys.readouterr().out
+        assert "Chaos — mean latency" in out
+        assert "fault reactions" in out
+        assert "quarantined windows             3" in out
+        assert "faults injected: {'replica_crash': 1}" in out
+        assert "final latency: 1.700 s (SLA 1.0 s, met at end: False)" in out
+
+    def test_chaos_seed_prints_the_plan_then_the_outcome(
+        self, monkeypatch, capsys
+    ):
+        from repro.experiments import chaos
+
+        config = chaos.ChaosStormConfig(seed=3, events=2, intervals=8)
+        result = chaos.ChaosStormResult(
+            seed=3,
+            plan=chaos.build_storm_plan(config, "tpcw"),
+            sla_latency=1.0,
+            latency_series=[(10.0, 0.4)],
+            sla_series=[True],
+            controller_crashes=1,
+            controller_restarts=1,
+            epoch_final=2,
+        )
+        seen = []
+        monkeypatch.setattr(
+            chaos, "run_chaos_storm",
+            lambda config: seen.append(config) or result,
+        )
+        assert main(["chaos", "--seed", "3", "--events", "2",
+                     "--intervals", "8"]) == 0
+        assert seen == [config]
+        out = capsys.readouterr().out
+        assert out.index("storm plan (seed 3, 2 events)") < out.index(
+            "storm — mean latency (seed 3)") < out.index("storm outcome")
+        assert "final controller epoch  2" in out
+        assert "met at end: True" in out
+
+    @staticmethod
+    def _stub_zoo(monkeypatch):
+        from repro.analysis.quality import QualityReport
+        from repro.experiments import zoo
+        from repro.workloads.zoo import build_zoo_scenario
+
+        def run_zoo(name, seed):
+            return zoo.ZooRunResult(
+                scenario=build_zoo_scenario(name, seed=seed),
+                quality=QualityReport(
+                    scenario=name, intervals=26, tolerance=2,
+                    true_positives=5, false_positives=4,
+                    precision=0.555556, recall=1.0, f1=0.714286,
+                ),
+                actions=[(9, "apply_quotas", "tpcw/best_seller")],
+            )
+
+        monkeypatch.setattr(zoo, "run_zoo", run_zoo)
+
+    def test_zoo_export_is_a_file_obs_report_renders(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        self._stub_zoo(monkeypatch)
+        path = tmp_path / "quality.jsonl"
+        assert main(["zoo", "--scenario", "flash_crowd", "--seed", "11",
+                     "--export", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "workload zoo — detection quality (seed 11)" in out
+        assert "flash_crowd  0.556      1.000   0.714  5   4   0   1" in out
+        assert f"quality report written: {path}" in out
+        assert main(["obs", "report", "--input", str(path)]) == 0
+        report = capsys.readouterr().out
+        assert "runs=['flash_crowd'], scenario=zoo, seed=11" in report
+        assert "Detection quality vs injected ground truth" in report
+        assert "flash_crowd  0.556      1.000   0.714  5   4   0" in report
+
+    def test_zoo_unknown_scenario_exits_2(self, capsys):
+        assert main(["zoo", "--scenario", "nope"]) == 2
+        assert "unknown scenario(s) ['nope']" in capsys.readouterr().err
+
+    def test_forecast_records_are_a_file_obs_report_renders(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        from repro.experiments import forecast_eval
+        from repro.forecast.score import ForecastRecord, ForecastScore
+
+        record = ForecastRecord(
+            interval=7, app="tpcw", horizon=3, predicted_latency=1.2345678,
+            threshold=0.9, confidence=0.8125, decision="act", acted=True,
+            outcome="hit",
+        )
+
+        def run_forecast_eval(config):
+            return forecast_eval.ForecastEvalResult(
+                config=config,
+                outcomes=[forecast_eval.ScenarioOutcome(
+                    name="flash_crowd", app="tpcw",
+                    score=ForecastScore(
+                        acted=1, hits=1, violations_reactive=4,
+                        violations_predictive=1,
+                    ),
+                    stats={"budget_remaining": 2},
+                    records=[record],
+                    sla_reactive="..XXXX", sla_predictive="..X...",
+                )],
+            )
+
+        monkeypatch.setattr(forecast_eval, "run_forecast_eval",
+                            run_forecast_eval)
+        path = tmp_path / "forecast.jsonl"
+        assert main(["forecast", "--horizon", "3",
+                     "--records", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "reactive vs predictive (horizon 3, margin 0.9)" in out
+        assert "flash_crowd  4         1           3        1      1" in out
+        assert "SLA-violation intervals avoided: 3" in out
+        assert f"forecast records written: {path}" in out
+        assert main(["obs", "report", "--input", str(path)]) == 0
+        report = capsys.readouterr().out
+        assert "horizon=3, scenario=forecast_eval, seed=7" in report
+        assert "Forecast decisions (predictive SLA enforcement)" in report
+        assert "7         tpcw  1.235      0.900      0.81" in report
+        assert "Acted ahead 1× — 1 hits, 0 false alarms" in report
+
+    def test_plan_validate_exits_1_on_a_failing_validation(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        from repro.experiments import planner_sweep
+        from repro.planner.plan import CapacityPlan
+        from repro.planner.validate import ClassCheck, PlanValidation
+
+        plan = CapacityPlan(
+            seed=5, interval_index=8, score_before=1.0, score_after=0.5
+        )
+        checks = [ClassCheck("tpcw/best_seller", 0.1, 0.4, accesses=100,
+                             tolerance=0.25)]
+        monkeypatch.setattr(
+            planner_sweep, "plan_at_planning_point",
+            lambda config: (plan, None),
+        )
+        monkeypatch.setattr(
+            planner_sweep, "validate_at_planning_point",
+            lambda plan, config: PlanValidation(checks=checks),
+        )
+        path = tmp_path / "plan.json"
+        assert main(["plan", "--seed", "5", "--export", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "capacity plan @ interval 8 (seed 5)" in out
+        assert f"plan digest: {plan.digest()}" in out
+        assert f"plan written: {path}" in out
+        assert '"seed": 5' in path.read_text()
+        assert main(["plan", "--seed", "5", "--validate"]) == 1
+        assert "-> MISMATCH" in capsys.readouterr().out
+        checks[0] = ClassCheck("tpcw/best_seller", 0.4, 0.4, accesses=100,
+                               tolerance=0.25)
+        assert main(["plan", "--validate"]) == 0
+        assert "-> OK" in capsys.readouterr().out

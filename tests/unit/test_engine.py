@@ -112,13 +112,6 @@ class TestQuotaManagement:
         with pytest.raises(ValueError):
             make_engine().set_quota("app/q", 0)
 
-    def test_clear_all_quotas(self):
-        engine = make_engine(pool_pages=64)
-        engine.set_quota("app/a", 8)
-        engine.clear_all_quotas()
-        assert engine.quotas == {}
-        assert isinstance(engine.pool, LRUBufferPool)
-
 
 class TestIntrospection:
     def test_hit_ratio_delegates_to_pool(self):

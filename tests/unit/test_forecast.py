@@ -402,7 +402,8 @@ class TestPredictedSnapshot:
 
 class TestForecastExport:
     def test_jsonl_round_trips_through_obs_report(self, tmp_path):
-        from repro.analysis.export import export_forecast
+        from repro.forecast.score import forecast_records
+        from repro.obs import write_records
         from repro.obs.report import TelemetrySummary
 
         records = [
@@ -418,8 +419,9 @@ class TestForecastExport:
                 outcome="hit",
             )
         ]
-        path = export_forecast(
-            tmp_path / "forecast.jsonl", records, meta={"scenario": "t"}
+        path = write_records(
+            tmp_path / "forecast.jsonl",
+            [{"record": "meta", "scenario": "t"}, *forecast_records(records)],
         )
         lines = path.read_text().splitlines()
         assert json.loads(lines[0])["record"] == "meta"
@@ -427,7 +429,7 @@ class TestForecastExport:
         assert parsed["record"] == "forecast"
         assert parsed["predicted_latency"] == 0.612346  # rounded to 6
         summary = TelemetrySummary.from_lines(lines)
-        assert len(summary.forecasts) == 1
+        assert len(summary.records["forecast"]) == 1
         rendered = summary.render()
         assert "Forecast decisions" in rendered
         assert "1 hits, 0 false alarms" in rendered

@@ -64,10 +64,6 @@ class TestBTreeIndex:
         with pytest.raises(ValueError):
             index.range_path(0, 0)
 
-    def test_expected_lookup_pages_is_height(self):
-        index = make_index()
-        assert index.expected_lookup_pages() == index.height
-
     def test_rejects_tiny_fanout(self):
         with pytest.raises(ValueError):
             make_index(fanout=1)

@@ -156,19 +156,6 @@ class TestAnalyzerCaching:
         recomputed = analyzer.recompute_mrc("app/q")
         assert fresh == recomputed
 
-    def test_sampled_rate_records_reduced_work(self):
-        obs = Observability()
-        engine = make_engine()
-        analyzer = LogAnalyzer(engine, "s1", obs=obs, mrc_sampling_rate=0.5)
-        run_interval(engine, analyzer, [zipf_class(pages=50)], 50, {"app": True})
-        analyzer.mrc_cache.clear()
-        analyzer.recompute_mrc("app/q")
-        span = [
-            s for s in obs.tracer.finished_spans() if s.name == "mrc.recompute"
-        ][-1]
-        assert span.attrs["mode"] == "sampled"
-        assert 0 < span.attrs["sampled_units"] < span.attrs["exact_units"]
-
     def test_recent_slice_does_not_reuse_full_curve(self):
         obs, engine, analyzer, qc = self._warm_analyzer()
         analyzer.recompute_mrc("app/q")

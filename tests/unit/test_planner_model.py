@@ -160,12 +160,6 @@ class TestClusterSnapshot:
         assert snapshot.app_state("app").violation_streak == 2
         assert snapshot.pool("srv1:engine").pool_pages == 4096
         assert snapshot.class_state("app/hot").pressure == 900.0
-        assert [
-            c.context_key for c in snapshot.classes_on("srv1:engine")
-        ] == ["app/hot", "app/warm", "app/cold"]
-        assert snapshot.pools_of_app("app")[0].engine == "srv1:engine"
-        assert snapshot.replica_pool("app-replica-0").server == "srv1"
-        assert snapshot.violated_apps() == ["app"]
 
     def test_lookups_raise_on_unknown_names(self):
         snapshot = make_snapshot()
@@ -175,8 +169,6 @@ class TestClusterSnapshot:
             snapshot.pool("ghost")
         with pytest.raises(KeyError):
             snapshot.class_state("ghost")
-        with pytest.raises(KeyError):
-            snapshot.replica_pool("ghost")
 
     def test_suspect_statuses(self):
         base = make_snapshot().classes[0]

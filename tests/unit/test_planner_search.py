@@ -202,11 +202,10 @@ class TestCapacityPlanArtefact:
         assert ": " not in text and ", " not in text
         assert text.index('"score_after"') < text.index('"score_before"')
 
-    def test_quota_steps_filter(self):
+    def test_a_plan_without_steps_is_empty(self):
         plan = CapacityPlan(
             seed=0, interval_index=0, score_before=1.0, score_after=0.5
         )
-        assert plan.quota_steps() == []
         assert plan.empty
         assert plan.improvement == pytest.approx(0.5)
 

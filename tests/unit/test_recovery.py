@@ -17,6 +17,7 @@ from repro.core.controller import ControllerConfig
 from repro.core.diagnosis import Action, ActionKind
 from repro.experiments.runner import ClusterHarness
 from repro.faults import FaultPlan
+from repro.obs import read_records, record_lines
 from repro.recovery import state as recovery_state
 from repro.recovery import (
     ActionJournal,
@@ -26,6 +27,7 @@ from repro.recovery import (
     RecoveryConfig,
     StaleEpochError,
 )
+from repro.recovery.journal import journal_records
 from repro.workloads import build_tpcw
 
 
@@ -119,15 +121,15 @@ class TestActionJournal:
         records = journal.applied_after(0)
         assert [r.seq for r in records] == [1]
 
-    def test_to_jsonl_round_trips(self):
+    def test_journal_records_round_trip(self):
         journal = ActionJournal()
         journal.record_intent(quota_action(epoch=1), 1, 3, 30.0)
         journal.record_control("checkpoint#0", 1, 3, 30.0)
-        lines = journal.to_jsonl().splitlines()
-        assert len(lines) == 2
-        parsed = [json.loads(line) for line in lines]
-        assert parsed[0]["kind"] == "intent"
-        assert parsed[1]["note"] == "checkpoint#0"
+        records = journal_records(journal)
+        assert read_records(record_lines(records)) == records
+        assert [r["record"] for r in records] == ["journal", "journal"]
+        assert records[0]["kind"] == "intent"
+        assert records[1]["note"] == "checkpoint#0"
 
 
 class TestCheckpointStore:

@@ -105,12 +105,6 @@ class TestAllocation:
         replica = manager.allocate_replica(Scheduler("rubis"), 1.0, server="s0")
         assert replica.host.name == "s0"
 
-    def test_servers_hosting(self):
-        manager = make_manager(2)
-        scheduler = Scheduler("app")
-        replica = manager.allocate_replica(scheduler, 0.0)
-        assert manager.servers_hosting("app") == [replica.host.name]
-
 
 class TestHistoryAndRelease:
     def test_history_records_allocations(self):
@@ -121,13 +115,6 @@ class TestHistoryAndRelease:
         assert event.action == "allocate"
         assert event.timestamp == 5.0
         assert event.replica_count == 1
-
-    def test_allocation_timeline(self):
-        manager = make_manager(3)
-        scheduler = Scheduler("app")
-        manager.allocate_replica(scheduler, 0.0)
-        manager.allocate_replica(scheduler, 10.0)
-        assert manager.allocation_timeline("app") == [(0.0, 1), (10.0, 2)]
 
     def test_release_returns_server_to_pool(self):
         manager = make_manager(2)

@@ -154,7 +154,7 @@ class TestSLAAccounting:
         scheduler = make_scheduler(1)
         scheduler.submit(make_class(), 0.0)
         scheduler.close_interval()
-        assert scheduler.peek_metrics().queries == 0
+        assert scheduler.close_interval().queries == 0
 
     def test_interval_index_advances(self):
         scheduler = make_scheduler(1)

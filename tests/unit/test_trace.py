@@ -31,16 +31,6 @@ class TestPageAccessTrace:
         assert pages.dtype == np.int64
         assert pages.tolist() == [1, 2, 3]
 
-    def test_filter_class_preserves_order(self):
-        trace = PageAccessTrace()
-        trace.append(1, "a")
-        trace.append(2, "b")
-        trace.append(3, "a")
-        assert list(trace.filter_class("a")) == [1, 3]
-
-    def test_unique_pages(self):
-        assert PageAccessTrace([1, 1, 2, 3, 3]).unique_pages() == 3
-
     def test_tail(self):
         assert list(PageAccessTrace([1, 2, 3, 4]).tail(2)) == [3, 4]
 

@@ -164,7 +164,6 @@ class TestValidateCompression:
             trace, pool_pages=8192, tolerance=DEFAULT_TOLERANCE
         )
         assert report.within_tolerance, report.rows
-        assert report.max_error <= DEFAULT_TOLERANCE
 
 
 class TestFittedPattern:

@@ -63,7 +63,6 @@ class TestLabelStream:
         assert labels.label_at(3).cause == "stable"
         assert labels.label_at(4).cause == "drift"
         assert [label.cause for label in labels.anomalies()] == ["drift"]
-        assert labels.true_contexts() == {"app/x"}
 
 
 class TestScenarioRegistry:
