@@ -9,12 +9,25 @@ it) is microseconds per execution, best of ``REPEATS``.  The one assertion
 is that the shopping-mix-weighted mean is lower for the blocks — classes
 whose executions are hundreds of pages long (BestSeller) are expected to
 read about equal, the arithmetic being the cost there.
+
+Two more tables size *one int per page* (DESIGN §6) on the antagonist's
+1000-page uniform execution over a 7500-page working set: emitting it as a
+gather from the range's boxed ids against ``int64`` arithmetic, both followed
+by ``tolist()``; and an all-hit ``access_many`` of it probing with the very
+objects the pool stores against equal ints minted per batch, with 8 MB
+touched between batches so that the stored keys are as cold as thousands of
+batches make them in a run.  Each asserts "faster than", never a time.
 """
 
 import sys
 import timeit
 from pathlib import Path
+from time import perf_counter
 
+import numpy as np
+
+from repro.engine.bufferpool import LRUBufferPool
+from repro.engine.pages import PageRange
 from repro.workloads.tpcw import build_tpcw
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -22,6 +35,11 @@ from oracles.pagegen import per_execution_workload  # noqa: E402
 
 EXECUTIONS = 5_000
 REPEATS = 3
+
+BLOB = PageRange("blob", start=2_000_000, count=37_500)
+WORKING_SET = 7_500
+BATCH_PAGES = 1_000
+BATCHES = 100
 
 
 def _microseconds_per_execution(query_class) -> float:
@@ -51,3 +69,63 @@ def test_block_served_page_generation_beats_per_execution_on_the_tpcw_mix():
     print(f"{'mix-weighted mean':<32}{mean_oracle:>11.2f}{mean_blocks:>11.2f}")
 
     assert mean_blocks < mean_oracle
+
+
+def _offset_batches() -> list[np.ndarray]:
+    rng = np.random.default_rng(7)
+    return [rng.integers(0, WORKING_SET, BATCH_PAGES) for _ in range(BATCHES)]
+
+
+def _gathered(offsets: np.ndarray) -> list[int]:
+    return BLOB.page_ids[:WORKING_SET][offsets].tolist()
+
+
+def _minted(offsets: np.ndarray) -> list[int]:
+    return (BLOB.start + offsets).tolist()
+
+
+def test_a_uniform_execution_is_gathered_faster_than_it_is_minted():
+    batches = _offset_batches()
+    assert _gathered(batches[0]) == _minted(batches[0])
+
+    def microseconds(emit) -> float:
+        def run() -> None:
+            for offsets in batches:
+                emit(offsets)
+
+        return min(timeit.repeat(run, number=1, repeat=REPEATS)) / BATCHES * 1e6
+
+    minted, gathered = microseconds(_minted), microseconds(_gathered)
+    print(
+        f"1000-page execution, us: int64 add + tolist {minted:.1f}, "
+        f"gather + tolist {gathered:.1f}"
+    )
+    assert gathered < minted
+
+
+def _all_hit_ns_per_page(emit, batches: list[np.ndarray]) -> float:
+    pool = LRUBufferPool(WORKING_SET)
+    order = np.random.default_rng(11).permutation(WORKING_SET)
+    for first in range(0, WORKING_SET, 500):
+        pool.access_many(emit(order[first : first + 500]))
+    spoiler = np.zeros(8 * 1024 * 1024 // 8)
+    spent = 0.0
+    for offsets in batches:
+        pages = emit(offsets)
+        spoiler += 1.0  # 8 MB touched: the pool's keys leave the cache
+        started = perf_counter()
+        hits = pool.access_many(pages)
+        spent += perf_counter() - started
+        assert hits == BATCH_PAGES
+    return spent / (BATCHES * BATCH_PAGES) * 1e9
+
+
+def test_an_all_hit_batch_is_faster_with_the_pools_own_key_objects():
+    batches = _offset_batches()
+    identical = min(_all_hit_ns_per_page(_gathered, batches) for _ in range(REPEATS))
+    distinct = min(_all_hit_ns_per_page(_minted, batches) for _ in range(REPEATS))
+    print(
+        f"all-hit access_many, ns per page: distinct keys {distinct:.1f}, "
+        f"identical keys {identical:.1f}"
+    )
+    assert identical < distinct

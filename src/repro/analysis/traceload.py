@@ -308,7 +308,8 @@ class FittedPattern(AccessPattern):
             )
         self.model = model
         self.pages_per_execution = pages_per_execution
-        self._pages = np.asarray(model.pages, dtype=np.int64)
+        # Boxed once for both replay laws (see ``PageRange.page_array``).
+        self._pages = np.asarray(model.pages, dtype=np.int64).astype(object)
         self._cursor = 0
         self._zipf_replay = (
             ZipfPages(self._pages, model.theta, pages_per_execution, stream)

@@ -60,12 +60,6 @@ class ExecutionAccess:
     demand: list[int] = field(default_factory=list)
     prefetch: list[int] = field(default_factory=list)
 
-    def merged(self, other: "ExecutionAccess") -> "ExecutionAccess":
-        return ExecutionAccess(
-            demand=self.demand + other.demand,
-            prefetch=self.prefetch + other.prefetch,
-        )
-
     @property
     def total_pages(self) -> int:
         return len(self.demand) + len(self.prefetch)
@@ -123,7 +117,9 @@ class ZipfPages(BlockServedPattern):
             raise ValueError(f"pages per execution must be positive: {pages_per_execution}")
         super().__init__(pages_per_execution)
         self.pages_per_execution = pages_per_execution
-        self._pages_by_rank = pages_by_rank
+        # Boxed once (a no-op for a range's own objects): every execution
+        # then emits these ints, not fresh equal ones.
+        self._pages_by_rank = pages_by_rank.astype(object, copy=False)
         self._zipf = ZipfGenerator(len(pages_by_rank), theta, stream)
 
     def _generate(self, executions: int) -> list[int]:
@@ -182,9 +178,11 @@ class UniformWorkingSet(AccessPattern):
             raise ValueError(
                 f"working set {working_set} outside (0, {pages.count}]"
             )
+        if pages_per_execution <= 0:
+            raise ValueError(f"pages per execution must be positive: {pages_per_execution}")
         # Offsets are drawn from [0, working_set) and working_set fits the
         # range (checked above), so executions translate without re-checking.
-        self._start = pages.start
+        self._pages = pages.page_ids[:working_set]
         self.working_set = working_set
         self.pages_per_execution = pages_per_execution
         self._stream = stream
@@ -193,7 +191,7 @@ class UniformWorkingSet(AccessPattern):
         offsets = self._stream.integers_array(
             0, self.working_set, self.pages_per_execution
         )
-        return ExecutionAccess(demand=(self._start + offsets).tolist())
+        return ExecutionAccess(demand=self._pages[offsets].tolist())
 
     def footprint_pages(self) -> int:
         return self.working_set
@@ -224,7 +222,7 @@ class SequentialChunkScan(AccessPattern):
             raise ValueError(f"scan region must be positive: {self.region}")
         # Offsets are taken modulo region and region fits the range (clamped
         # above), so executions translate without re-checking.
-        self._start = pages.start
+        self._pages = pages.page_ids[: self.region]
         self.chunk = min(chunk, self.region)
         self.readahead = readahead
         self._cursor = 0
@@ -234,9 +232,9 @@ class SequentialChunkScan(AccessPattern):
         )
 
     def pages_for_execution(self) -> ExecutionAccess:
-        demand = (
-            self._start + (self._cursor + self._chunk_steps) % self.region
-        ).tolist()
+        demand = self._pages[
+            (self._cursor + self._chunk_steps) % self.region
+        ].tolist()
         self._cursor = (self._cursor + self.chunk) % self.region
         # Sequential read-ahead covers the chunk being scanned plus a
         # look-ahead beyond it: the engine recognises the sequential pattern
@@ -246,10 +244,9 @@ class SequentialChunkScan(AccessPattern):
         prefetch = list(demand)
         if len(self._readahead_steps):
             prefetch.extend(
-                (
-                    self._start
-                    + (self._cursor + self._readahead_steps) % self.region
-                ).tolist()
+                self._pages[
+                    (self._cursor + self._readahead_steps) % self.region
+                ].tolist()
             )
         return ExecutionAccess(demand=demand, prefetch=prefetch)
 
@@ -329,7 +326,7 @@ class IndexRangeScan(AccessPattern):
 
     def pages_for_execution(self) -> ExecutionAccess:
         start = self._zipf.sample()
-        demand = list(self.index.range_path(start, self.row_span))
+        demand = self.index.range_path(start, self.row_span)
         table = self.index.table
         matched_pages = max(1, int(self.row_span / table.rows_per_page))
         fetch = max(1, int(matched_pages * self.data_page_fraction))

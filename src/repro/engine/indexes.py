@@ -42,7 +42,7 @@ class BTreeIndex:
     def __post_init__(self) -> None:
         # The tree geometry never changes, so the per-level arithmetic of a
         # point lookup is tabulated once: top-down, one
-        # ``(stride, last_offset, first_page_id)`` per internal level, with
+        # ``(stride, last_offset, first_offset)`` per internal level, with
         # the clamp to the allocated internal range folded in.  Level L has
         # ceil(leaves / fanout^L) pages laid out consecutively after the
         # levels above it.
@@ -51,17 +51,16 @@ class BTreeIndex:
         while size > 1:
             size = -(-size // self.fanout)
             level_sizes.append(size)
-        start = self.internal_pages.start
         cap = self.internal_pages.count - 1
         levels: list[tuple[int, int, int]] = []
         offset_base = 0
         for size in reversed(level_sizes):
             stride = max(1, self.leaf_count // size)
             last = max(0, min(size - 1, cap - offset_base))
-            levels.append((stride, last, start + min(offset_base, cap)))
+            levels.append((stride, last, min(offset_base, cap)))
             offset_base += size
         if not levels:
-            levels = [(1, 0, start)]  # single-page tree: the root is the only internal page
+            levels = [(1, 0, 0)]  # single-page tree: the root is the only internal page
         self._levels = levels
 
     @classmethod
@@ -121,11 +120,12 @@ class BTreeIndex:
         that makes index traffic cache-friendly.
         """
         leaf_index = self._leaf_index(row)
+        internal = self.internal_pages.page_ids
         path = [
-            first + min(leaf_index // stride, last)
+            internal[first + min(leaf_index // stride, last)]
             for stride, last, first in self._levels
         ]
-        path.append(self.leaf_pages.start + leaf_index)
+        path.append(self.leaf_pages.page_ids[leaf_index])
         return path
 
     def lookup_path_columns(self, rows: np.ndarray) -> np.ndarray:
@@ -135,10 +135,11 @@ class BTreeIndex:
         ):
             raise IndexError(f"rows outside table {self.table.name!r}")
         leaf_index = np.minimum(rows // self.leaf_entries, self.leaf_pages.count - 1)
-        columns = np.empty((len(rows), len(self._levels) + 1), dtype=np.int64)
+        internal = self.internal_pages.page_ids
+        columns = np.empty((len(rows), len(self._levels) + 1), dtype=object)
         for column, (stride, last, first) in enumerate(self._levels):
-            columns[:, column] = first + np.minimum(leaf_index // stride, last)
-        columns[:, -1] = self.leaf_pages.start + leaf_index
+            columns[:, column] = internal[first + np.minimum(leaf_index // stride, last)]
+        columns[:, -1] = self.leaf_pages.page_ids[leaf_index]
         return columns
 
     def range_path(self, start_row: int, row_span: int) -> list[int]:
@@ -149,8 +150,8 @@ class BTreeIndex:
         first_leaf = min(start_row // self.leaf_entries, self.leaf_count - 1)
         last_row = min(start_row + row_span - 1, self.table.row_count - 1)
         last_leaf = min(last_row // self.leaf_entries, self.leaf_count - 1)
-        for leaf_index in range(first_leaf + 1, last_leaf + 1):
-            path.append(self.leaf_pages.page(leaf_index))
+        if last_leaf > first_leaf:
+            path += self.leaf_pages.slice(first_leaf + 1, last_leaf - first_leaf)
         return path
 
 

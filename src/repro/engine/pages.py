@@ -9,6 +9,7 @@ identifies which object (and which database) it belongs to.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +24,21 @@ def pages_for_bytes(num_bytes: int) -> int:
     if num_bytes < 0:
         raise ValueError(f"byte count must be non-negative: {num_bytes}")
     return max(1, -(-num_bytes // PAGE_SIZE_BYTES))
+
+
+@lru_cache(maxsize=None)
+def _page_objects(start: int, count: int) -> np.ndarray:
+    """The Python ints of ``[start, start + count)``, boxed once per process.
+
+    Every id a :class:`PageRange` emits is an element of this array, so a
+    resident page is found in the pool's dict by identity and a window entry
+    costs a pointer, not an ``int``.  Identity is only that shortcut: equal
+    ints from anywhere else behave the same.  Ranges of equal extent share
+    the array, hence read-only.
+    """
+    objects = np.arange(start, start + count).astype(object)
+    objects.flags.writeable = False
+    return objects
 
 
 @dataclass(frozen=True)
@@ -52,15 +68,21 @@ class PageRange:
             )
         return self.start + offset
 
+    @property
+    def page_ids(self) -> np.ndarray:
+        """Every page id of the range, in order: its own ``int`` objects in
+        one read-only object-dtype array (built on first use)."""
+        return _page_objects(self.start, self.count)
+
     def page_array(self, offsets: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`page`: page ids for a whole offset vector."""
-        if len(offsets) and (
+        """Vectorized :meth:`page`: bounds-checked gather from :attr:`page_ids`."""
+        if offsets.size and (
             int(offsets.min()) < 0 or int(offsets.max()) >= self.count
         ):
             raise IndexError(
                 f"offsets outside range {self.name!r} of {self.count} pages"
             )
-        return self.start + offsets.astype(np.int64, copy=False)
+        return self.page_ids[offsets]
 
     def contains(self, page_id: int) -> bool:
         return self.start <= page_id < self.end
@@ -69,8 +91,8 @@ class PageRange:
         """``count`` consecutive page ids starting at ``offset``, clipped."""
         if offset < 0:
             raise IndexError(f"negative offset {offset}")
-        stop = min(offset + count, self.count)
-        return list(range(self.start + offset, self.start + stop))
+        # A negative stop would count from the end; numpy clips a large one.
+        return self.page_ids[offset : max(offset + count, 0)].tolist()
 
 
 class PageSpaceAllocator:
@@ -100,13 +122,6 @@ class PageSpaceAllocator:
             return self._ranges[name]
         except KeyError:
             raise KeyError(f"no page range named {name!r}") from None
-
-    def owner_of(self, page_id: int) -> PageRange | None:
-        """The range containing ``page_id``, or ``None`` if unallocated."""
-        for page_range in self._ranges.values():
-            if page_range.contains(page_id):
-                return page_range
-        return None
 
     @property
     def total_pages(self) -> int:

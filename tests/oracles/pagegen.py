@@ -29,6 +29,7 @@ from repro.engine.access import (
     ZipfPages,
 )
 from repro.engine.locks import LockRequest, RowGroupLockPattern
+from repro.engine.pages import PageRange
 from repro.sim.rng import RandomStream, ZipfGenerator
 from repro.workloads.base import Workload
 
@@ -42,6 +43,7 @@ __all__ = [
     "per_execution_twin",
     "per_execution_locks",
     "per_execution_workload",
+    "assert_interned",
 ]
 
 
@@ -161,3 +163,20 @@ def per_execution_workload(workload: Workload) -> Workload:
         if isinstance(query_class.lock_pattern, RowGroupLockPattern):
             query_class.lock_pattern = per_execution_locks(query_class.lock_pattern)
     return workload
+
+
+def assert_interned(pages: list[int], ranges: list[PageRange]) -> None:
+    """Every emitted page is a plain ``int`` and the very object its owning
+    range hands out — the identity half of the page-generation contract."""
+    assert all(type(page) is int for page in pages)
+    ranges = sorted(ranges, key=lambda page_range: page_range.start)
+    ids = np.asarray(pages, dtype=np.int64)
+    owners = np.searchsorted([r.start for r in ranges], ids, side="right") - 1
+    assert len(ids) == 0 or owners.min() >= 0, "page below every allocated range"
+    for owner in np.unique(owners):
+        page_range = ranges[owner]
+        mine = owners == owner
+        # page_array raises IndexError for a page past the range's end.
+        canonical = page_range.page_array(ids[mine] - page_range.start)
+        emitted = [page for page, keep in zip(pages, mine) if keep]
+        assert all(a is b for a, b in zip(emitted, canonical, strict=True))

@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles.pagegen import (
     ZipfOracle,
+    assert_interned,
     per_execution_locks,
     per_execution_twin,
     per_execution_workload,
@@ -545,11 +546,14 @@ def test_lock_sets_take_the_ranks_of_scalar_draws(
 
 
 def _assert_same_workload_steps(workload, oracle, steps: int) -> None:
+    ranges = workload.schema.allocator.ranges()
     for query_class, expected in zip(workload.classes(), oracle.classes()):
         for _ in range(steps):
             access, wanted = query_class.execute_pages(), expected.execute_pages()
             assert access.demand == wanted.demand
             assert access.prefetch == wanted.prefetch
+            # Whatever was swapped in emits its range's own objects.
+            assert_interned(access.demand + access.prefetch, ranges)
             if query_class.lock_pattern is not None:
                 assert (
                     query_class.lock_pattern.requests()
@@ -656,7 +660,7 @@ def test_vectorised_lookups_reject_the_rows_the_scalar_ones_reject(rows):
 
 @given(
     working_set=st.integers(min_value=1, max_value=400),
-    per_execution=st.integers(min_value=0, max_value=60),
+    per_execution=st.integers(min_value=1, max_value=60),
     seed=seeds,
 )
 @settings(max_examples=100, deadline=None)
@@ -726,7 +730,9 @@ accesses = st.builds(ExecutionAccess, demand=page_lists, prefetch=page_lists)
 def test_composite_equals_a_fold_of_merged(parts):
     folded = ExecutionAccess()
     for access in parts:
-        folded = folded.merged(access)
+        folded = ExecutionAccess(
+            folded.demand + access.demand, folded.prefetch + access.prefetch
+        )
     before = [(list(a.demand), list(a.prefetch)) for a in parts]
     composite = CompositePattern([_Scripted([a]) for a in parts])
     result = composite.pages_for_execution()

@@ -28,13 +28,6 @@ def setup():
 
 
 class TestExecutionAccess:
-    def test_merged_concatenates(self):
-        a = ExecutionAccess(demand=[1], prefetch=[2])
-        b = ExecutionAccess(demand=[3], prefetch=[4])
-        merged = a.merged(b)
-        assert merged.demand == [1, 3]
-        assert merged.prefetch == [2, 4]
-
     def test_total_pages(self):
         assert ExecutionAccess(demand=[1, 2], prefetch=[3]).total_pages == 3
 
@@ -93,6 +86,16 @@ class TestUniformWorkingSet:
         _, table, _, seeds = setup
         pattern = UniformWorkingSet(table.pages, 33, 5, seeds.stream("u"))
         assert pattern.footprint_pages() == 33
+
+    @pytest.mark.parametrize("pages_per_execution", [0, -3])
+    def test_rejects_non_positive_pages_per_execution(self, setup, pages_per_execution):
+        """At construction, with ``ZipfPages``' error — not at the first draw."""
+        _, table, _, seeds = setup
+        stream = seeds.stream("u")
+        with pytest.raises(ValueError, match="pages per execution must be positive"):
+            UniformWorkingSet(table.pages, 20, pages_per_execution, stream)
+        with pytest.raises(ValueError, match="pages per execution must be positive"):
+            ZipfWorkingSet(table.pages, 20, 0.8, pages_per_execution, stream)
 
 
 class TestSequentialChunkScan:

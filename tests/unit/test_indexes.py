@@ -1,5 +1,6 @@
 """Unit tests for the B+-tree index model and the index catalog."""
 
+import numpy as np
 import pytest
 
 from repro.engine.indexes import BTreeIndex, IndexCatalog
@@ -58,6 +59,34 @@ class TestBTreeIndex:
         path = index.range_path(0, 250)
         leaves = [p for p in path if index.leaf_pages.contains(p)]
         assert len(leaves) == 3  # rows 0..249 cover leaves 0, 1, 2
+
+    def test_lookup_path_columns_are_the_ranges_own_ints(self):
+        index = make_index(rows=1_000_000, leaf_entries=400)
+        rows = np.array([0, 1234, 999_999, 1234])
+        columns = index.lookup_path_columns(rows)
+        assert columns.dtype == object
+        assert columns.shape == (4, len(index.lookup_path(0)))
+        assert columns.tolist() == [index.lookup_path(int(row)) for row in rows]
+        for path, row in zip(columns, rows):
+            scalar = index.lookup_path(int(row))
+            assert all(type(page) is int for page in path)
+            assert all(a is b for a, b in zip(path, scalar, strict=True))
+            assert path[-1] is index.leaf_pages.page_ids[row // 400]
+            assert all(index.internal_pages.contains(page) for page in path[:-1])
+
+    def test_lookup_path_columns_bounds(self):
+        index = make_index(rows=1000, leaf_entries=100)
+        for rows in ([-1], [1000], [0, 1000, 5]):
+            with pytest.raises(IndexError, match="rows outside table 't'"):
+                index.lookup_path_columns(np.array(rows))
+
+    def test_range_path_hands_out_the_ranges_own_ints(self):
+        index = make_index(rows=1000, leaf_entries=100)
+        path = index.range_path(150, 300)  # leaves 1..4
+        assert path[: -3] == index.lookup_path(150)
+        assert all(
+            a is b for a, b in zip(path[-4:], index.leaf_pages.page_ids[1:5], strict=True)
+        )
 
     def test_range_path_rejects_empty_span(self):
         index = make_index()

@@ -1,5 +1,6 @@
 """Unit tests for page-id spaces."""
 
+import numpy as np
 import pytest
 
 from repro.engine.pages import (
@@ -51,6 +52,29 @@ class TestPageRange:
         with pytest.raises(IndexError):
             PageRange("r", 0, 4).slice(-1, 2)
 
+    def test_slice_of_a_negative_count_is_empty(self):
+        assert PageRange("r", 0, 4).slice(3, -2) == []
+        assert PageRange("r", 0, 4).slice(3, -9) == []
+
+    def test_page_array_gathers_the_ranges_own_ints(self):
+        r = PageRange("r", 1000, 5)
+        offsets = np.array([[4, 0], [2, 2]])
+        pages = r.page_array(offsets)
+        assert pages.dtype == object and pages.shape == offsets.shape
+        assert pages.tolist() == [[1004, 1000], [1002, 1002]]
+        assert all(type(page) is int for page in pages.ravel())
+        assert pages[1, 0] is pages[1, 1] is r.page_ids[2]
+        assert r.page_array(np.empty(0, dtype=np.int64)).tolist() == []
+
+    @pytest.mark.parametrize("offsets", [[-1], [5], [0, 7, 1], [[0, 1], [-2, 3]]])
+    def test_page_array_out_of_range(self, offsets):
+        with pytest.raises(IndexError, match="offsets outside range 'r' of 5 pages"):
+            PageRange("r", 1000, 5).page_array(np.array(offsets))
+
+    def test_slice_hands_out_the_ranges_own_ints(self):
+        r = PageRange("r", 1000, 5)
+        assert all(a is b for a, b in zip(r.slice(1, 3), r.page_ids[1:4], strict=True))
+
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
             PageRange("r", 0, 0)
@@ -86,17 +110,6 @@ class TestPageSpaceAllocator:
     def test_get_unknown_raises(self):
         with pytest.raises(KeyError):
             PageSpaceAllocator().get("missing")
-
-    def test_owner_of_finds_range(self):
-        allocator = PageSpaceAllocator()
-        allocator.allocate("a", 10)
-        b = allocator.allocate("b", 10)
-        assert allocator.owner_of(15) is b
-
-    def test_owner_of_unallocated_is_none(self):
-        allocator = PageSpaceAllocator()
-        allocator.allocate("a", 10)
-        assert allocator.owner_of(99) is None
 
     def test_total_pages(self):
         allocator = PageSpaceAllocator()

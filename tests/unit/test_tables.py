@@ -1,5 +1,6 @@
 """Unit tests for tables and schemas."""
 
+import numpy as np
 import pytest
 
 from repro.engine.pages import PAGE_SIZE_BYTES, PageSpaceAllocator
@@ -30,6 +31,29 @@ class TestTable:
         table = Table.create(allocator, "t", row_count=10, row_bytes=1024)
         with pytest.raises(IndexError):
             table.page_of_row(10)
+
+    def test_page_of_row_array_gathers_the_ranges_own_ints(self):
+        allocator = PageSpaceAllocator(base=5000)
+        table = Table.create(allocator, "t", row_count=64, row_bytes=1024)
+        rows = np.array([[0, 15], [16, 63]])
+        pages = table.page_of_row_array(rows)
+        assert pages.dtype == object and pages.shape == rows.shape
+        assert pages.tolist() == [[5000, 5000], [5001, 5003]]
+        assert pages[0, 0] is pages[0, 1] is table.pages.page_ids[0]
+        assert all(type(page) is int for page in pages.ravel())
+
+    @pytest.mark.parametrize("rows", [[-1], [64], [3, 64], [[0, 1], [2, -1]]])
+    def test_page_of_row_array_out_of_range(self, rows):
+        table = Table.create(PageSpaceAllocator(), "t", row_count=64, row_bytes=1024)
+        with pytest.raises(IndexError, match="rows outside table 't'"):
+            table.page_of_row_array(np.array(rows))
+
+    def test_scan_pages_hands_out_the_ranges_own_ints(self):
+        table = Table.create(PageSpaceAllocator(5000), "t", row_count=64, row_bytes=1024)
+        assert all(
+            a is b
+            for a, b in zip(table.scan_pages(1, 2), table.pages.page_ids[1:3], strict=True)
+        )
 
     def test_scan_pages_full(self):
         allocator = PageSpaceAllocator()
