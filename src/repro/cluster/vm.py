@@ -145,11 +145,6 @@ class XenHost:
         self.vms[name] = vm
         return vm
 
-    def destroy_vm(self, name: str) -> None:
-        if name not in self.vms:
-            raise KeyError(f"no VM named {name!r} on host {self.server.name!r}")
-        del self.vms[name]
-
     def note_dom0_io(self, io_pages: float) -> None:
         self._dom0_load.note_demand(0.0, io_pages)
 

@@ -18,6 +18,7 @@ then goes straight to replica provisioning / application isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .analyzer import DecisionManager, LogAnalyzer
 from ..cluster.replica import Replica
@@ -47,11 +48,7 @@ _FINE_KINDS = frozenset(
 QUOTA_THRASH_BAND = 0.15
 """Re-imposing a near-identical quota only cold-restarts the partition, so a
 proposal within this relative band of the standing quota counts as already
-applied — on the quota path and for planner ``SET_QUOTA`` steps alike."""
-
-
-def _within_thrash_band(pages: int, current: int | None) -> bool:
-    return current is not None and abs(pages - current) <= QUOTA_THRASH_BAND * current
+applied."""
 
 
 @dataclass(frozen=True)
@@ -144,9 +141,9 @@ class ClusterController:
         self.plans: list = []  # CapacityPlans, when use_planner is on
         self.forecaster = None  # ForecastEngine, when use_forecast is on
         self._interval_index = 0
-        # Recovery hooks, installed by the ControlPlaneSupervisor when the
-        # harness enables recovery.  Both None by default: the classic
-        # actuation path then runs with zero extra work or telemetry.
+        # Recovery hooks, installed (both, together) by the
+        # ControlPlaneSupervisor when the harness enables recovery.  None by
+        # default: the classic actuation path then runs with zero extra work.
         self.fence = None  # EpochFence shared with schedulers/ResourceManager
         self.journal = None  # ActionJournal (write-ahead action log)
 
@@ -304,8 +301,13 @@ class ClusterController:
             self._low_util_streak[app] = 0
             return
         if self._low_util_streak[app] >= self.config.scale_down_patience:
-            newest = list(scheduler.replicas)[-1]  # insertion order = age
-            self.resource_manager.release_replica(scheduler, newest, timestamp)
+            release = Action(
+                kind=ActionKind.RELEASE_REPLICA,
+                app=app,
+                reason="sustained low CPU utilisation",
+                replica=list(scheduler.replicas)[-1],  # insertion order = age
+            )
+            self.apply_action(release, timestamp)
             self._low_util_streak[app] = 0
 
     # ------------------------------------------------------------------ #
@@ -537,12 +539,21 @@ class ClusterController:
 
     def _commit_plan(self, app: str, plan, timestamp: float) -> list[Action]:
         """Apply ``plan``; whatever it changed starts the action grace and
-        counts as fine-grained retuning tried."""
+        counts as fine-grained retuning tried — for ``app``, which the
+        journal learns from the markers around the plan's steps."""
+        self._journal_plan_marker(f"plan-begin:{app}", timestamp)
         actions = self.apply_plan(plan, timestamp)
+        self._journal_plan_marker(f"plan-end:{app}", timestamp)
         if actions:
             self._last_action_interval[app] = self._interval_index
             self._fine_action_tried[app] = True
         return actions
+
+    def _journal_plan_marker(self, note: str, timestamp: float) -> None:
+        if self.journal is not None:
+            self.journal.record_control(
+                note, self.fence.epoch, self._interval_index, timestamp
+            )
 
     def _actuate_all(
         self, app: str, actions: list[Action], timestamp: float
@@ -653,10 +664,11 @@ class ClusterController:
     def apply_plan(self, plan, timestamp: float) -> list[Action]:
         """Actuate a :class:`~repro.planner.plan.CapacityPlan`.
 
-        Steps are applied in plan order; ADD_REPLICA steps materialise the
+        Each step, in plan order, is resolved into one :class:`Action` and
+        sent through :meth:`apply_action`; ADD_REPLICA steps materialise the
         plan's placeholder pools and later steps resolve against the engines
         they created.  Returns the actions actually applied (releases follow
-        the scale-down precedent and emit no action).
+        the scale-down precedent and are not listed).
         """
         from ..planner.plan import PlanStepKind
 
@@ -666,126 +678,52 @@ class ClusterController:
             "planner.apply", attrs={"steps": len(plan.steps)}
         ) as span:
             for step in plan.steps:
-                action = self._apply_plan_step(
-                    step, PlanStepKind, placeholder_engines, timestamp
-                )
-                if action is not None:
+                action = self._resolve_step(step, PlanStepKind, placeholder_engines)
+                if action is None or not self.apply_action(action, timestamp):
+                    continue
+                if action.kind is ActionKind.PROVISION_REPLICA:
+                    # The newest replica: insertion order = age.
+                    newest = list(self.schedulers[step.app].replicas.values())[-1]
+                    placeholder_engines[step.pool] = newest.engine.name
+                    action = replace(action, replica=newest.name)
+                if action.kind is not ActionKind.RELEASE_REPLICA:
                     actions.append(action)
             span.set_attr("applied", len(actions))
             span.add_cost(len(plan.steps))
         return actions
 
-    def _engine_replica(self, engine_name: str, app: str | None = None):
-        """(scheduler, replica) serving ``engine_name``, optionally for one
-        application.  Raises ``KeyError`` when no replica matches."""
-        for name in sorted(self.schedulers):
-            if app is not None and name != app:
-                continue
-            scheduler = self.schedulers[name]
-            for replica_name in scheduler.replica_names():
-                replica = scheduler.replicas[replica_name]
-                if replica.engine.name == engine_name:
-                    return scheduler, replica
-        raise KeyError(
-            f"no replica of {app or 'any app'} serves engine {engine_name!r}"
-        )
-
-    def _apply_plan_step(
-        self, step, kinds, placeholder_engines: dict[str, str], timestamp: float
+    def _resolve_step(
+        self, step, kinds, placeholder_engines: dict[str, str]
     ) -> Action | None:
+        """``step`` as the :class:`Action` that says it on the live cluster:
+        a placeholder pool is the engine an earlier ADD_REPLICA of this plan
+        created, an engine is ``step.app``'s replica on it (``None`` when
+        there is none: the pool never materialised)."""
+        say = partial(Action, app=step.app, reason=f"planner: {step.rationale}")
         if step.kind is kinds.ADD_REPLICA:
-            scheduler = self.schedulers[step.app]
-            pool_pages = max(
-                (
-                    replica.engine.pool_pages
-                    for replica in scheduler.replicas.values()
-                ),
-                default=8192,
-            )
-            try:
-                replica = self.resource_manager.allocate_replica(
-                    scheduler,
-                    timestamp,
-                    pool_pages=pool_pages,
-                    server=step.server,
-                )
-            except (RuntimeError, KeyError):
-                return None  # server taken since planning; skip the branch
-            self.track_replica(replica)
-            placeholder_engines[step.pool] = replica.engine.name
-            return Action(
-                kind=ActionKind.PROVISION_REPLICA,
-                app=step.app,
-                reason=f"planner: {step.rationale}",
-                replica=replica.name,
-            )
+            return say(kind=ActionKind.PROVISION_REPLICA, server=step.server)
+        engine_name = placeholder_engines.get(step.pool, step.pool)
+        scheduler = self.schedulers[step.app]
+        for name in scheduler.replica_names():
+            if scheduler.replicas[name].engine.name == engine_name:
+                break
+        else:
+            return None
         if step.kind is kinds.MIGRATE_CLASS:
-            engine_name = placeholder_engines.get(step.pool, step.pool)
-            try:
-                scheduler, replica = self._engine_replica(
-                    engine_name, app=step.app
-                )
-            except KeyError:
-                return None  # target pool never materialised
-            if scheduler.placement_of(step.context_key) == [replica.name]:
-                return None  # already exactly there
-            scheduler.move_class(step.context_key, replica.name)
-            return Action(
+            return say(
                 kind=ActionKind.RESCHEDULE_CLASS,
-                app=step.app,
-                reason=f"planner: {step.rationale}",
-                replica=replica.name,
                 context_key=step.context_key,
-            )
-        if step.kind is kinds.SET_QUOTA:
-            engine_name = placeholder_engines.get(step.pool, step.pool)
-            try:
-                _, replica = self._engine_replica(engine_name)
-            except KeyError:
-                return None
-            if _within_thrash_band(
-                step.pages, replica.engine.quotas.get(step.context_key)
-            ):
-                return None
-            replica.engine.set_quota(step.context_key, step.pages)
-            return Action(
-                kind=ActionKind.APPLY_QUOTAS,
-                app=step.app,
-                reason=f"planner: {step.rationale}",
-                replica=replica.name,
-                quotas=((step.context_key, step.pages),),
-            )
-        if step.kind is kinds.CLEAR_QUOTA:
-            engine_name = placeholder_engines.get(step.pool, step.pool)
-            try:
-                _, replica = self._engine_replica(engine_name)
-            except KeyError:
-                return None
-            if step.context_key not in replica.engine.quotas:
-                return None
-            replica.engine.clear_quota(step.context_key)
-            return Action(
-                kind=ActionKind.APPLY_QUOTAS,
-                app=step.app,
-                reason=f"planner: {step.rationale}",
-                replica=replica.name,
+                target=name,
             )
         if step.kind is kinds.RELEASE_REPLICA:
-            # Mirrors _maybe_scale_down: releases change the allocation
-            # timeline (ResourceManager.history) but emit no Action.
-            try:
-                scheduler, replica = self._engine_replica(
-                    step.pool, app=step.app
-                )
-            except KeyError:
-                return None
-            if len(scheduler.replicas) <= 1:
-                return None
-            self.resource_manager.release_replica(
-                scheduler, replica.name, timestamp
-            )
-            return None
-        return None
+            return say(kind=ActionKind.RELEASE_REPLICA, replica=name)
+        # SET_QUOTA; a CLEAR_QUOTA is a quota of ``None`` pages.
+        pages = None if step.kind is kinds.CLEAR_QUOTA else step.pages
+        return say(
+            kind=ActionKind.APPLY_QUOTAS,
+            replica=name,
+            quotas=((step.context_key, pages),),
+        )
 
     def _degraded_evidence(self, app: str) -> str | None:
         """The quarantine reason when any analyzer serving ``app`` closed a
@@ -837,37 +775,54 @@ class ClusterController:
             action = replace(action, epoch=self.fence.epoch)
         if not self.fence.admits(action.epoch):
             self.fence.rejections += 1
-            if self.journal is not None:
-                self.journal.record_fenced(
-                    action, action.epoch, self._interval_index, timestamp
-                )
-            return False
-        if self.journal is not None:
-            self.journal.record_intent(
+            self.journal.record_fenced(
                 action, action.epoch, self._interval_index, timestamp
             )
+            return False
+        self.journal.record_intent(
+            action, action.epoch, self._interval_index, timestamp
+        )
         applied = self._actuate(action, timestamp)
-        if self.journal is not None:
-            self.journal.record_applied(
-                action, action.epoch, self._interval_index, timestamp, applied
-            )
+        self.journal.record_applied(
+            action, action.epoch, self._interval_index, timestamp, applied
+        )
         return applied
 
     def _actuate(self, action: Action, timestamp: float) -> bool:
         """Actuate one action; returns whether anything actually changed."""
         scheduler = self.schedulers[action.app]
         if action.kind is ActionKind.PROVISION_REPLICA:
-            return self._provision(scheduler, timestamp) is not None
+            replica = self._provision(scheduler, timestamp, server=action.server)
+            return replica is not None
         if action.kind is ActionKind.APPLY_QUOTAS:
-            replica = scheduler.replicas[action.replica]
+            engine = scheduler.replicas[action.replica].engine
             changed = False
-            existing = replica.engine.quotas
             for context, pages in action.quota_map().items():
-                if _within_thrash_band(pages, existing.get(context)):
-                    continue
-                replica.engine.set_quota(context, pages)
+                standing = engine.quotas.get(context)
+                if pages is None:
+                    if standing is None:
+                        continue  # nothing to clear
+                    engine.clear_quota(context)
+                elif standing is not None and (
+                    abs(pages - standing) <= QUOTA_THRASH_BAND * standing
+                ):
+                    continue  # as good as applied
+                else:
+                    engine.set_quota(context, pages)
                 changed = True
             return changed
+        if action.kind is ActionKind.RELEASE_REPLICA:
+            # Never the last replica reads can go to: another one must be
+            # believed up and have applied every committed write.
+            if not any(
+                name != action.replica and scheduler.health.is_up(name)
+                for name in scheduler.replication.current_replicas()
+            ):
+                return False
+            self.resource_manager.release_replica(
+                scheduler, action.replica, timestamp
+            )
+            return True
         if action.kind in (
             ActionKind.RESCHEDULE_CLASS,
             ActionKind.REMOVE_CLASS_FOR_IO,
@@ -879,6 +834,12 @@ class ClusterController:
             owner_scheduler = self.schedulers.get(owner_app)
             if owner_scheduler is None:
                 return False
+            if action.target is not None:  # a plan pins *onto* a replica
+                current = owner_scheduler.placement_of(action.context_key)
+                if current == [action.target]:
+                    return False  # already exactly there
+                owner_scheduler.move_class(action.context_key, action.target)
+                return True
             avoid_host = scheduler.replicas[action.replica].host.name
             return self._reschedule(
                 owner_scheduler, action.context_key, avoid_host, timestamp
@@ -894,14 +855,23 @@ class ClusterController:
         return False  # NO_ACTION applies nothing.
 
     def _provision(
-        self, scheduler: Scheduler, timestamp: float, exclusive: bool = False
+        self,
+        scheduler: Scheduler,
+        timestamp: float,
+        exclusive: bool = False,
+        server: str | None = None,
     ) -> Replica | None:
+        """One more replica of the stock size wherever the pool has room —
+        or, for a plan, of the app's largest size on the ``server`` named."""
+        sizing = {} if server is None else {
+            "pool_pages": max(r.engine.pool_pages for r in scheduler.replicas.values())
+        }
         try:
             replica = self.resource_manager.allocate_replica(
-                scheduler, timestamp, exclusive=exclusive
+                scheduler, timestamp, exclusive=exclusive, server=server, **sizing
             )
-        except RuntimeError:
-            return None  # pool exhausted; nothing to do
+        except (RuntimeError, KeyError):
+            return None  # pool exhausted, or the named server taken or gone
         self.track_replica(replica)
         return replica
 
@@ -941,9 +911,6 @@ class ClusterController:
     # ------------------------------------------------------------------ #
     # Reporting                                                          #
     # ------------------------------------------------------------------ #
-
-    def app_timeline(self, app: str) -> list[AppIntervalReport]:
-        return [report for report in self.reports if report.app == app]
 
     def actions_taken(self, app: str | None = None) -> list[Action]:
         actions = []

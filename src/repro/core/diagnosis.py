@@ -53,6 +53,7 @@ class ActionKind(str, Enum):
     REMOVE_CLASS_FOR_IO = "remove_class_for_io"
     REPORT_LOCK_CONTENTION = "report_lock_contention"
     COARSE_FALLBACK = "coarse_fallback"
+    RELEASE_REPLICA = "release_replica"  # never listed in a report's actions
     NO_ACTION = "no_action"
 
 
@@ -65,14 +66,16 @@ class Action:
     reason: str
     replica: str | None = None
     context_key: str | None = None
-    quotas: tuple[tuple[str, int], ...] = ()
+    quotas: tuple[tuple[str, int | None], ...] = ()  # None pages = clear it
+    server: str | None = None  # provision there (a plan names its servers)
+    target: str | None = None  # move onto it (``replica``: away from its host)
     epoch: int = 0
     """Controller incarnation that decided this action.  0 means unstamped
     (no recovery installed); the controller's fenced apply path stamps the
     current epoch, and actuation layers reject anything older — an
     in-flight action from a crashed incarnation must never land."""
 
-    def quota_map(self) -> dict[str, int]:
+    def quota_map(self) -> dict[str, int | None]:
         return dict(self.quotas)
 
 

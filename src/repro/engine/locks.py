@@ -86,10 +86,6 @@ class LockStats:
         for _, holder in grant.conflicts:
             self.conflicts[holder] = self.conflicts.get(holder, 0) + 1
 
-    @property
-    def mean_wait(self) -> float:
-        return self.total_wait_time / self.waits if self.waits else 0.0
-
 
 _UNCONTENDED = LockGrant(0.0)
 """The grant of every acquisition that found no conflict (a shared value)."""
@@ -299,9 +295,6 @@ class WaitsForGraph:
             (waiter, holder, weight)
             for (waiter, holder), weight in self._weights.items()
         )
-
-    def successors(self, node: str) -> set[str]:
-        return set(self._edges.get(node, ()))
 
     def find_cycles(self) -> list[list[str]]:
         """All elementary cycles, each rotated to start at its min node."""

@@ -219,10 +219,6 @@ class ClusterHarness:
         self.workloads[workload.app] = workload
         return driver
 
-    def detach_workload(self, app: str) -> None:
-        """Stop driving an application's clients (the scheduler remains)."""
-        self.drivers.pop(app, None)
-
     # ------------------------------------------------------------------ #
     # Fault injection                                                    #
     # ------------------------------------------------------------------ #

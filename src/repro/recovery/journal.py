@@ -26,6 +26,9 @@ APPLIED = "applied"
 FENCED = "fenced"
 CONTROL = "control"
 
+_PAYLOAD = ("app", "replica", "context_key", "quotas", "server", "target")
+"""The :class:`Action` fields a record copies (beside ``kind``)."""
+
 
 @dataclass(frozen=True)
 class JournalRecord:
@@ -40,19 +43,15 @@ class JournalRecord:
     app: str | None = None
     replica: str | None = None
     context_key: str | None = None
-    quotas: tuple[tuple[str, int], ...] = ()
+    quotas: tuple[tuple[str, int | None], ...] = ()
+    server: str | None = None
+    target: str | None = None
     applied: bool | None = None
     note: str = ""
 
     def payload_key(self) -> tuple:
         """What makes two actions "the same action" for duplicate checks."""
-        return (
-            self.action_kind,
-            self.app,
-            self.replica,
-            self.context_key,
-            self.quotas,
-        )
+        return (self.action_kind, *(getattr(self, name) for name in _PAYLOAD))
 
 
 @dataclass
@@ -71,19 +70,19 @@ class ActionJournal:
     def _append(self, kind: str, action, epoch: int, interval_index: int,
                 timestamp: float, applied: bool | None = None,
                 note: str = "") -> JournalRecord:
+        payload = {} if action is None else {
+            "action_kind": action.kind.value,
+            **{name: getattr(action, name) for name in _PAYLOAD},
+        }
         record = JournalRecord(
             seq=len(self.records),
             kind=kind,
             epoch=epoch,
             interval_index=interval_index,
             timestamp=timestamp,
-            action_kind=action.kind.value if action is not None else None,
-            app=action.app if action is not None else None,
-            replica=action.replica if action is not None else None,
-            context_key=action.context_key if action is not None else None,
-            quotas=tuple(action.quotas) if action is not None else (),
             applied=applied,
             note=note,
+            **payload,
         )
         self.records.append(record)
         return record
@@ -107,7 +106,8 @@ class ActionJournal:
 
     def record_control(self, note: str, epoch: int, interval_index: int,
                        timestamp: float) -> JournalRecord:
-        """A lifecycle marker: checkpoint, crash, restart, reconcile."""
+        """A lifecycle marker: checkpoint, crash, restart, reconcile, and
+        ``plan-begin:<app>`` / ``plan-end:<app>`` around one plan's steps."""
         return self._append(
             CONTROL, None, epoch, interval_index, timestamp, note=note
         )
@@ -134,6 +134,23 @@ class ActionJournal:
             for record in self.records
             if record.kind == APPLIED and record.seq > seq
         ]
+
+    def plans(self) -> list[tuple[str, list[JournalRecord], bool]]:
+        """Every journaled plan: the app it was searched for (whose grace it
+        starts; a step's own record names the app it *touches*), its
+        ``applied`` entries, and whether its ``plan-end`` marker was the
+        next marker after ``plan-begin`` (if not, a crash cut it short)."""
+        found: list[list] = []
+        for record in self.records:
+            running = found[-1] if found and found[-1][2] is None else None
+            if record.kind == APPLIED and running:
+                running[1].append(record)
+            elif record.kind == CONTROL:
+                if running:
+                    running[2] = record.note == f"plan-end:{running[0]}"
+                if record.note.startswith("plan-begin:"):
+                    found.append([record.note.partition(":")[2], [], None])
+        return [(app, steps, bool(done)) for app, steps, done in found]
 
     def open_intents(self) -> list[JournalRecord]:
         """Intents the crashed incarnation never confirmed as applied.
@@ -169,7 +186,7 @@ class ActionJournal:
             if record.kind == APPLIED and record.applied:
                 key = record.payload_key()
                 seen[key] = seen.get(key, 0) + 1
-        return [key for key, count in sorted(seen.items()) if count > 1]
+        return [key for key, count in seen.items() if count > 1]
 
 
 def journal_records(journal: ActionJournal) -> list[dict]:

@@ -9,12 +9,17 @@ placements, compares each against what the cluster actually has, and
 repairs only genuine divergence:
 
 * a quota the journal actuated but the engine no longer carries (or
-  carries at a different size) is re-imposed at the journaled value;
-* a class the journal pinned that routing no longer pins is re-isolated
-  through the controller's normal rescheduling path;
-* provisioning and lock-contention reports are durable or report-only —
-  the replica physically exists, the report was already made — so they
-  are confirmed without touching anything;
+  carries at a different size) is re-imposed at the journaled value
+  (``None`` pages: cleared again);
+* a class the journal pinned that routing no longer pins is re-isolated:
+  onto the replica a plan step named, else through the controller's
+  normal rescheduling path, away from the contended host;
+* provisioning, releases and lock-contention reports are durable or
+  report-only — the replica physically exists (or is gone), the report was
+  already made — so they are confirmed without touching anything;
+* a **plan cut short** (``plan-begin`` marker, no ``plan-end``) keeps the
+  steps that landed, folded as above, and is *not resumed*: like an open
+  intent, the rest of it stands on stale evidence;
 * **open intents** (a write-ahead entry with no matching applied entry:
   the crash landed mid-actuation) are *abandoned*, never re-issued — the
   evidence that justified them is one incarnation stale.
@@ -89,7 +94,10 @@ def reconcile(
         if actual == pages:
             report.confirmed.append(f"quota:{replica_name}:{context}={pages}")
             continue
-        replica.engine.set_quota(context, pages)
+        if pages is None:
+            replica.engine.clear_quota(context)
+        else:
+            replica.engine.set_quota(context, pages)
         report.repaired.append(
             f"quota:{replica_name}:{context}={pages} (was {actual})"
         )
@@ -99,6 +107,18 @@ def reconcile(
         owner_scheduler = controller.schedulers.get(owner_app)
         if owner_scheduler is None:
             report.abandoned.append(f"placement:{context} (app gone)")
+            continue
+        if record.target is not None:
+            # A plan step: the class was pinned *to* the replica it names.
+            if record.target not in owner_scheduler.replicas:
+                report.abandoned.append(
+                    f"placement:{context} (replica released)"
+                )
+            elif owner_scheduler.placement_of(context) == [record.target]:
+                report.confirmed.append(f"placement:{context}")
+            else:
+                owner_scheduler.move_class(context, record.target)
+                report.repaired.append(f"placement:{context}")
             continue
         if context in owner_scheduler.pinned_contexts():
             report.confirmed.append(f"placement:{context}")
@@ -123,6 +143,12 @@ def reconcile(
         ):
             report.confirmed.append(
                 f"{record.action_kind}:{record.app} (durable)"
+            )
+
+    for app, steps, finished in journal.plans():
+        if not finished:
+            report.abandoned.append(
+                f"plan:{app} (cut short after {len(steps)} steps, not resumed)"
             )
 
     for record in journal.open_intents():

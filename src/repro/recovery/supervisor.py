@@ -214,19 +214,27 @@ class ControlPlaneSupervisor:
         between the checkpoint and the crash exist only in the journal.
         Replaying them restores ``_last_action_interval`` (so the restarted
         controller honours the grace window of an action it no longer
-        remembers taking) and the fine-action escalation flags.
+        remembers taking) and the fine-action escalation flags, for the app
+        the live controller stamped: the action's own or, for a plan step,
+        the one the plan was searched for.  A release starts no grace.
         """
+        plan_app = {
+            record.seq: app
+            for app, steps, _ in self.journal.plans()
+            for record in steps
+        }
         for record in self.journal.applied_after(journal_seq - 1):
-            if not record.applied:
+            if not record.applied or record.action_kind == "release_replica":
                 continue
             self.replayed_records += 1
-            last = self.controller._last_action_interval.get(record.app)
+            app = plan_app.get(record.seq, record.app)
+            last = self.controller._last_action_interval.get(app)
             if last is None or record.interval_index > last:
-                self.controller._last_action_interval[record.app] = (
+                self.controller._last_action_interval[app] = (
                     record.interval_index
                 )
-            if record.action_kind in _FINE_ACTION_KINDS:
-                self.controller._fine_action_tried[record.app] = True
+            if record.seq in plan_app or record.action_kind in _FINE_ACTION_KINDS:
+                self.controller._fine_action_tried[app] = True
 
     def note_missed_interval(self) -> None:
         """The harness records each interval close skipped while down."""

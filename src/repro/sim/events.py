@@ -33,11 +33,6 @@ class Event:
     sequence: int
     handler: Callable[..., Any] = field(compare=False)
     args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
-
-    def cancel(self) -> None:
-        """Mark the event so the loop skips it when popped."""
-        self.cancelled = True
 
 
 class EventLoop:
@@ -56,7 +51,7 @@ class EventLoop:
 
     @property
     def pending(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
+        """Number of events still queued."""
         return len(self._heap)
 
     def schedule_at(self, timestamp: float, handler: Callable, *args) -> Event:
@@ -76,22 +71,18 @@ class EventLoop:
         return self.schedule_at(self.clock.now + delay, handler, *args)
 
     def peek_time(self) -> float | None:
-        """Timestamp of the next live event, or ``None`` when drained."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        """Timestamp of the next event, or ``None`` when drained."""
         return self._heap[0].timestamp if self._heap else None
 
     def step(self) -> bool:
         """Execute the next event.  Returns ``False`` when the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self.clock.advance_to(event.timestamp)
-            event.handler(*event.args)
-            self._processed += 1
-            return True
-        return False
+        if not self._heap:
+            return False
+        event = heapq.heappop(self._heap)
+        self.clock.advance_to(event.timestamp)
+        event.handler(*event.args)
+        self._processed += 1
+        return True
 
     def run_until(self, end_time: float) -> None:
         """Run events up to and including ``end_time``, then advance the clock.

@@ -5,13 +5,17 @@ check the acceptance properties independently — reaction speed, SLA
 recovery, plan shape, what-if accuracy, and the determinism golden.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
+from repro.cluster.resource_manager import allocation_records
+from repro.experiments import planner_sweep
 from repro.experiments.planner_sweep import (
     PlannerSweepConfig,
     plan_at_planning_point,
 )
+from repro.obs import Observability, record_lines, telemetry_records
 from repro.planner import PlanStepKind
 
 # Determinism golden: sha256 of the plan's canonical JSON at the frozen
@@ -21,6 +25,13 @@ from repro.planner import PlanStepKind
 # when a deliberate planner change moves it.
 GOLDEN_PLAN_DIGEST = (
     "41ba5a7694462e8eee4a2fadfe0df1a4e900e98f486fb789cec4be40d2d15597"
+)
+# Off is invisible: sha256 of the planner mode's telemetry export followed
+# by its allocation timeline, taken on the commit *before* plan steps went
+# through ``apply_action`` (PR 24).  Without recovery ``apply_action`` is
+# ``_actuate``, so one actuator must reproduce the two executors' bytes.
+GOLDEN_PLANNER_MODE_SHA256 = (
+    "fe388ab8e9e3ff615ab69a0fe91cd2c3ab4e3cac214a537383d1a76d80bb5356"
 )
 BASELINE = (
     Path(__file__).resolve().parent.parent.parent
@@ -81,3 +92,36 @@ class TestPlanDeterminism:
         assert plan.digest() == GOLDEN_PLAN_DIGEST
         again, _ = plan_at_planning_point(PlannerSweepConfig())
         assert again.canonical_json() == plan.canonical_json()
+
+
+class TestPlannerWithoutRecoveryIsByteIdentical:
+    def test_planner_mode_telemetry_and_history_match_the_parent(
+        self, monkeypatch
+    ):
+        built = []
+        build = planner_sweep._build_harness
+        monkeypatch.setattr(
+            planner_sweep, "_build_harness",
+            lambda *args, **kwargs: built.append(build(*args, **kwargs))
+            or built[-1],
+        )
+        obs = Observability()
+        outcome = planner_sweep._run_mode(
+            PlannerSweepConfig(), use_planner=True, obs=obs
+        )
+        (harness,) = built
+        manager = harness.resource_manager
+        # The plan searched for tpcw provisions and reschedules for rubis.
+        assert outcome.action_kinds == [
+            "apply_quotas", "provision_replica", "reschedule_class",
+        ]
+        assert [
+            (e.timestamp, e.app, e.action, e.server, e.replica)
+            for e in manager.history
+        ] == [(130.0, "rubis", "allocate", "server-spare-2", "rubis-r2")]
+        lines = record_lines(
+            telemetry_records(obs, {"scenario": "planner_sweep"})
+            + allocation_records(manager)
+        )
+        blob = ("\n".join(lines) + "\n").encode()
+        assert hashlib.sha256(blob).hexdigest() == GOLDEN_PLANNER_MODE_SHA256

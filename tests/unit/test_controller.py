@@ -238,13 +238,6 @@ class TestApplyActions:
 
 
 class TestReporting:
-    def test_app_timeline_filters(self):
-        _, controller, _ = make_cluster()
-        controller.close_interval(10.0)
-        controller.close_interval(20.0)
-        assert len(controller.app_timeline("app")) == 2
-        assert controller.app_timeline("ghost") == []
-
     def test_actions_taken_aggregates(self):
         _, controller, scheduler = make_cluster(
             config=ControllerConfig(startup_grace_intervals=0)
@@ -447,6 +440,171 @@ class TestApplyPlan:
             pool=scheduler.replicas[replica_name].engine.name,
         )
         assert controller.apply_plan(self.make_plan(step), 10.0) == []
+
+
+    def test_quota_step_on_a_shared_engine_names_the_apps_own_replica(self):
+        # Two apps in one engine: the step says app="tpcw", so the action
+        # must name tpcw's replica on that engine — not the alphabetically
+        # first app's, which schedulers["tpcw"] does not hold.
+        from repro.experiments.runner import ClusterHarness
+        from repro.planner.plan import PlanStep, PlanStepKind
+        from repro.workloads import build_rubis, build_tpcw
+
+        harness = ClusterHarness.shared_engine([build_tpcw(), build_rubis()])
+        controller = harness.controller
+
+        def step(kind, **fields):
+            return PlanStep(
+                kind=kind, app="tpcw", context_key="tpcw/home",
+                pool="shared-engine", **fields,
+            )
+
+        (action,) = controller.apply_plan(
+            self.make_plan(step(PlanStepKind.SET_QUOTA, pages=512)), 10.0
+        )
+        assert (action.app, action.replica) == ("tpcw", "tpcw-r1")
+        assert action.replica in controller.schedulers["tpcw"].replicas
+        engine = harness.scheduler("tpcw").replicas["tpcw-r1"].engine
+        assert engine.quotas == {"tpcw/home": 512}
+        (action,) = controller.apply_plan(
+            self.make_plan(step(PlanStepKind.CLEAR_QUOTA)), 20.0
+        )
+        assert (action.app, action.replica) == ("tpcw", "tpcw-r1")
+        assert action.quotas == (("tpcw/home", None),)
+        assert engine.quotas == {}
+
+    def test_every_step_leaves_through_apply_action(self, monkeypatch):
+        from repro.planner.plan import PlanStep, PlanStepKind
+
+        manager, controller, scheduler = make_cluster(servers=3)
+        (first,) = scheduler.replicas.values()
+        sent = []
+        real = ClusterController.apply_action
+
+        def spy(self, action, timestamp):
+            sent.append(action)
+            return real(self, action, timestamp)
+
+        monkeypatch.setattr(ClusterController, "apply_action", spy)
+        plan = self.make_plan(
+            PlanStep(PlanStepKind.ADD_REPLICA, "app", pool="new:app:s2", server="s2"),
+            PlanStep(PlanStepKind.MIGRATE_CLASS, "app", "app/q", pool="new:app:s2"),
+            PlanStep(PlanStepKind.SET_QUOTA, "app", "app/q", pool="new:app:s2",
+                     pages=700),
+            PlanStep(PlanStepKind.CLEAR_QUOTA, "app", "app/q", pool="new:app:s2"),
+            PlanStep(PlanStepKind.RELEASE_REPLICA, "app", pool=first.engine.name),
+        )
+        listed = controller.apply_plan(plan, 50.0)
+        assert [(a.kind, a.server, a.target, a.replica, a.quotas) for a in sent] == [
+            (ActionKind.PROVISION_REPLICA, "s2", None, None, ()),
+            (ActionKind.RESCHEDULE_CLASS, None, "app-r2", None, ()),
+            (ActionKind.APPLY_QUOTAS, None, None, "app-r2", (("app/q", 700),)),
+            (ActionKind.APPLY_QUOTAS, None, None, "app-r2", (("app/q", None),)),
+            (ActionKind.RELEASE_REPLICA, None, None, "app-r1", ()),
+        ]
+        # The listed provision carries the replica it created; the release
+        # is actuated but, like a scale-down, never listed.
+        assert [a.kind for a in listed] == [a.kind for a in sent[:4]]
+        assert listed[0].replica == "app-r2"
+        assert scheduler.replica_names() == ["app-r2"]
+        assert [event.action for event in manager.history] == [
+            "allocate", "allocate", "release",
+        ]
+
+
+class TestReleaseGuard:
+    """The one release branch: never the last replica reads can go to."""
+
+    def release(self, name):
+        return Action(
+            kind=ActionKind.RELEASE_REPLICA, app="app", reason="t", replica=name
+        )
+
+    def two_replicas(self):
+        manager, controller, scheduler = make_cluster(servers=2)
+        controller.track_replica(manager.allocate_replica(scheduler, 5.0))
+        return manager, controller, scheduler
+
+    def test_releases_when_the_other_replica_is_up_and_current(self):
+        manager, controller, scheduler = self.two_replicas()
+        assert controller.apply_action(self.release("app-r2"), 10.0)
+        assert scheduler.replica_names() == ["app-r1"]
+        assert manager.history[-1].action == "release"
+
+    def test_refuses_when_the_other_replica_is_believed_down(self):
+        manager, controller, scheduler = self.two_replicas()
+        scheduler.mark_down("app-r1", at=6.0, reason="test")
+        assert not controller.apply_action(self.release("app-r2"), 10.0)
+        assert scheduler.replica_names() == ["app-r1", "app-r2"]
+        assert manager.history[-1].action == "allocate"
+
+    def test_refuses_when_the_other_replica_is_one_write_behind(self):
+        # The seed-0 / seed-16 storm shape: during a write stall the
+        # survivor-to-be lags by one pending write, so the replica the
+        # plan releases is the only *current* one.
+        manager, controller, scheduler = self.two_replicas()
+        scheduler.replication.committed += 1
+        scheduler.replication.watermarks["app-r2"] += 1
+        assert not scheduler.replication.is_current("app-r1")
+        assert not controller.apply_action(self.release("app-r2"), 10.0)
+        assert scheduler.replica_names() == ["app-r1", "app-r2"]
+
+    def test_refuses_the_last_replica(self):
+        _, controller, scheduler = make_cluster()
+        assert not controller.apply_action(self.release("app-r1"), 10.0)
+        assert scheduler.replica_names() == ["app-r1"]
+
+    def test_scale_down_goes_through_apply_action(self, monkeypatch):
+        manager, controller, scheduler = make_cluster(
+            servers=2,
+            config=ControllerConfig(scale_down=True, scale_down_patience=1),
+        )
+        controller.track_replica(manager.allocate_replica(scheduler, 5.0))
+        sent = []
+        real = ClusterController.apply_action
+        monkeypatch.setattr(
+            ClusterController, "apply_action",
+            lambda self, action, ts: sent.append(action) or real(self, action, ts),
+        )
+        (report,) = controller.close_interval(10.0)
+        assert [(a.kind, a.replica) for a in sent] == [
+            (ActionKind.RELEASE_REPLICA, "app-r2")
+        ]
+        assert report.actions == []  # never listed: controller.actions{kind} stays put
+        assert scheduler.replica_names() == ["app-r1"]
+
+
+class TestOneActuator:
+    def test_only_the_actuator_calls_the_cluster_mutators(self):
+        """The fork cannot grow back: in ``core/controller.py`` the five
+        calls that change the cluster sit in ``_actuate`` and the two helpers
+        it owns — everything else has to go through ``apply_action``."""
+        import ast
+        import inspect
+
+        import repro.core.controller as module
+
+        mutators = {
+            "allocate_replica", "release_replica", "set_quota", "clear_quota",
+            "move_class",
+        }
+        owners = {"_actuate", "_provision", "_reschedule"}
+        tree = ast.parse(inspect.getsource(module))
+        found = {}
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in mutators
+                ):
+                    found.setdefault(node.func.attr, set()).add(function.name)
+        assert set(found) == mutators  # the scan sees every one of them
+        strays = {name: sorted(where - owners) for name, where in found.items()}
+        assert not any(strays.values()), strays
+        assert not hasattr(ClusterController, "_apply_plan_step")
 
 
 # --------------------------------------------------------------------- #

@@ -108,23 +108,6 @@ class TestRunUntil:
         assert order == ["edge"]
 
 
-class TestCancellation:
-    def test_cancelled_event_does_not_run(self):
-        loop = EventLoop()
-        order = []
-        event = loop.schedule_after(1.0, order.append, "x")
-        event.cancel()
-        loop.run()
-        assert order == []
-
-    def test_peek_skips_cancelled(self):
-        loop = EventLoop()
-        first = loop.schedule_after(1.0, lambda: None)
-        loop.schedule_after(2.0, lambda: None)
-        first.cancel()
-        assert loop.peek_time() == 2.0
-
-
 class TestStopSimulation:
     def test_stop_ends_run(self):
         loop = EventLoop()

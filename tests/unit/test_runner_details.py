@@ -56,13 +56,6 @@ class TestHarnessWiring:
         with pytest.raises(ValueError):
             harness.attach_workload(build_tpcw(seed=9), clients=2)
 
-    def test_detach_stops_driving(self):
-        harness = ClusterHarness.single_app(build_tpcw(seed=9), servers=1, clients=5)
-        harness.run(intervals=1)
-        harness.detach_workload("tpcw")
-        result = harness.run(intervals=1)
-        assert result.final_report("tpcw").throughput == 0.0
-
     def test_custom_cost_model_reaches_engines(self):
         model = CostModel(io_time_per_page=0.5)
         harness = ClusterHarness.single_app(

@@ -37,16 +37,6 @@ class TestXenHost:
         with pytest.raises(ValueError):
             host.create_vm("d2", vcpus=1)
 
-    def test_destroy_vm(self):
-        host = make_host()
-        host.create_vm("d1")
-        host.destroy_vm("d1")
-        assert "d1" not in host.vms
-
-    def test_destroy_unknown_raises(self):
-        with pytest.raises(KeyError):
-            make_host().destroy_vm("ghost")
-
 
 class TestDom0Sharing:
     def test_vm_io_lands_on_dom0(self):
