@@ -64,7 +64,7 @@ def test_steady_state_checkpoint_beats_per_element_encoding():
     curves = {
         id(curve): curve
         for analyzer in harness.controller.analyzers()
-        for curve in analyzer.mrc._curves.values()
+        for _, curve, _ in analyzer.mrc.curves()
     }
 
     def forget_texts() -> None:

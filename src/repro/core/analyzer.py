@@ -9,8 +9,8 @@ meets the detection algorithm:
   per-context metric vectors,
 * for applications whose SLA was met it refreshes stable-state signatures,
 * on demand it runs outlier detection against those signatures and manages
-  the per-context miss-ratio curves (initial computation on first
-  scheduling, lazy recomputation during diagnosis).
+  the per-context miss-ratio curves (taken on first scheduling, analysed
+  when first read, recomputed during diagnosis).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from ..engine.engine import DatabaseEngine
 from ..obs import NULL_OBS, Observability
 from .metrics import Metric, MetricVector, vector_from_stats
-from .mrc import MissRatioCurve, MRCCache, MRCCacheKey, MRCParameters, MRCTracker
+from .mrc import MRCCache, MRCCacheKey, MRCEntry, MRCParameters, MRCTracker
 from .outliers import OutlierReport, detect_outliers, top_k_heavyweight
 from .signature import SignatureStore
 
@@ -68,9 +68,10 @@ class LogAnalyzer:
         self.mrc = MRCTracker(
             server_memory_pages=engine.pool_pages, registry=self.obs.registry
         )
-        # Memo of the last stack-distance analysis per class, keyed by the
-        # access window's total_seen watermark and the pool size; serves the
-        # previous curve for free when nothing changed in between.
+        # Memo of the last curve taken per class (the tracker's own entry),
+        # keyed by the access window's total_seen watermark and the pool
+        # size; serves the previous curve for free when nothing changed in
+        # between.
         self.mrc_cache = MRCCache(registry=self.obs.registry)
         self._last_vectors: dict[str, MetricVector] = {}
         self._mrc_window_len: dict[str, int] = {}
@@ -107,10 +108,11 @@ class LogAnalyzer:
         subsequent ``detect`` calls).
 
         For contexts of *stable* applications that lack a miss-ratio curve,
-        the initial MRC is computed here — the paper determines a class's
-        MRC when it is first scheduled.  Contexts of violating applications
-        are deliberately left without an MRC so diagnosis recognises them as
-        newly scheduled problem classes.
+        the initial MRC is taken here — the paper determines a class's MRC
+        when it is first scheduled.  Contexts of violating applications are
+        deliberately left without an MRC so diagnosis recognises them as
+        newly scheduled problem classes.  Refreshes only record the window:
+        a curve nothing reads is never analysed.
         """
         with self.obs.tracer.span(
             "analyzer.drain",
@@ -168,7 +170,8 @@ class LogAnalyzer:
                 # filling: a curve computed over a short, cold-miss-dominated
                 # window badly underestimates memory needs.  Each refresh
                 # requires the window to have doubled, so a long-lived class
-                # is recomputed only O(log window-capacity) times.
+                # is re-recorded only O(log window-capacity) times, and a
+                # refresh replaces a pending curve without analysing it.
                 seen = self._mrc_window_len.get(key, 0)
                 if 0 < seen < window.capacity and len(window) >= 2 * seen:
                     self.recompute_mrc(key)
@@ -248,9 +251,7 @@ class LogAnalyzer:
         no telemetry (recovery's zero-byte default contract).
         """
         self.signatures = SignatureStore(server=self.server_name)
-        self.mrc._curves.clear()
-        self.mrc._parameters.clear()
-        self.mrc.recomputations = 0
+        self.mrc.reset()
         self.mrc_cache.reset()
         self._last_vectors = {}
         self._mrc_window_len = {}
@@ -383,31 +384,30 @@ class LogAnalyzer:
     # ------------------------------------------------------------------ #
 
     def ensure_mrc(self, context_key: str) -> MRCParameters | None:
-        """Compute the context's MRC if it does not exist yet.
+        """The context's MRC parameters, taking its curve if it has none yet.
 
         Returns ``None`` when the engine has no recent-access window for the
-        context (it has not executed here yet).
+        context (it has not executed here yet).  This is a read: a curve
+        still pending is analysed here.
         """
         if self.mrc.has(context_key):
             return self.mrc.parameters_of(context_key)
-        return self.recompute_mrc(context_key)
+        entry = self.recompute_mrc(context_key)
+        return entry.parameters if entry is not None else None
 
-    def _build_curve(self, trace, span) -> tuple[MissRatioCurve, MRCParameters]:
-        """One exact stack-distance analysis; the span records its work
-        units (``exact_units`` and ``cost`` are both the trace length)."""
+    @staticmethod
+    def _count_work(span, trace) -> None:
+        """The span's work units of one exact stack-distance analysis:
+        ``exact_units`` and ``cost`` are both the trace length, whenever the
+        analysis runs."""
         span.set_attr("exact_units", len(trace))
-        curve = MissRatioCurve.from_trace(trace)
         span.set_attr("mode", "exact")
         span.add_cost(len(trace))
-        params = curve.parameters(
-            self.mrc.server_memory_pages, self.mrc.acceptable_threshold
-        )
-        return curve, params
 
     def recompute_mrc(
         self, context_key: str, recent_only: bool = False, min_tail: int = 2000
-    ) -> MRCParameters | None:
-        """Recompute the MRC from the recent page-access window.
+    ) -> MRCEntry | None:
+        """Take the MRC of the recent page-access window.
 
         With ``recent_only`` the trace is limited to accesses issued over
         roughly the last two measurement intervals — the diagnosis path uses
@@ -420,6 +420,10 @@ class LogAnalyzer:
         the last recomputation of the same slice, the previous curve is
         served without any stack-distance work — and without incrementing
         the ``mrc.recomputations`` counter.
+
+        Returns the recorded :class:`MRCEntry` (``None`` without a window).
+        It is pending until something reads it: the stable-state refresh
+        only records, and the curve is analysed on the first read.
         """
         if not self.engine.log.has_window(context_key):
             return None
@@ -444,19 +448,19 @@ class LogAnalyzer:
         )
         cached = self.mrc_cache.get(context_key, cache_key)
         if cached is not None:
-            curve, params = cached
-            self.mrc.restore(context_key, curve, params)
+            (entry,) = cached
+            self.mrc.restore(context_key, entry)
         else:
             with self.obs.tracer.span(
                 "mrc.recompute",
                 attrs={"context": context_key, "recent_only": recent_only},
             ) as span:
-                curve, params = self._build_curve(trace, span)
-                self.mrc.store(context_key, curve, params)
-            self.mrc_cache.put(context_key, cache_key, (curve, params))
-        self.signatures.set_mrc(context_key, params)
+                self._count_work(span, trace)
+                entry = self.mrc.record(context_key, trace)
+            self.mrc_cache.put(context_key, cache_key, (entry,))
+        self.signatures.set_mrc(context_key, entry)
         self._mrc_window_len[context_key] = len(window)
-        return params
+        return entry
 
     def stored_mrc(self, context_key: str) -> MRCParameters | None:
         return self.signatures.mrc_of(context_key)
@@ -488,7 +492,8 @@ class LogAnalyzer:
         current MRC record (the paper's recomputation step).  Both curves
         go through the :class:`MRCCache`: re-assessing a class whose window
         has not advanced serves the previous pair without any new
-        stack-distance work.
+        stack-distance work.  The verdict reads both curves, so they are
+        analysed here, not left pending.
         """
         if not self.engine.log.has_window(context_key):
             return ("no-window", None)
@@ -517,14 +522,14 @@ class LogAnalyzer:
         )
         cached = self.mrc_cache.get(context_key, cache_key)
         if cached is not None:
-            recent_curve, recent_params, before_params = cached
-            self.mrc.restore(context_key, recent_curve, recent_params)
+            entry, before_params = cached
+            self.mrc.restore(context_key, entry)
         else:
             with self.obs.tracer.span(
                 "mrc.recompute", attrs={"context": context_key, "assess": True}
             ) as span:
-                recent_curve, recent_params = self._build_curve(recent, span)
-                self.mrc.store(context_key, recent_curve, recent_params)
+                self._count_work(span, recent)
+                entry = self.mrc.record(context_key, recent)
             before_params = None
             if not is_new and len(before) >= min(min_tail, tail) // 2:
                 with self.obs.tracer.span(
@@ -532,12 +537,15 @@ class LogAnalyzer:
                     attrs={"context": context_key, "assess": True,
                            "slice": "before"},
                 ) as span:
-                    _, before_params = self._build_curve(before, span)
-            self.mrc_cache.put(
-                context_key, cache_key,
-                (recent_curve, recent_params, before_params),
-            )
-        self.signatures.set_mrc(context_key, recent_params)
+                    self._count_work(span, before)
+                    before_params = MRCEntry(
+                        before,
+                        self.mrc.server_memory_pages,
+                        self.mrc.acceptable_threshold,
+                    ).parameters
+            self.mrc_cache.put(context_key, cache_key, (entry, before_params))
+        recent_params = entry.parameters
+        self.signatures.set_mrc(context_key, entry)
         self._mrc_window_len[context_key] = len(window)
         if is_new:
             return ("new", recent_params)

@@ -37,7 +37,7 @@ Two parameters summarise a curve (paper §3.3):
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +48,7 @@ __all__ = [
     "stack_distances",
     "MissRatioCurve",
     "MRCParameters",
+    "MRCEntry",
     "MRCTracker",
     "MRCCacheKey",
     "MRCCache",
@@ -357,6 +358,65 @@ class MRCParameters:
         )
 
 
+class MRCEntry:
+    """One recorded miss-ratio curve, analysed when something first reads it.
+
+    A recorded entry holds the page trace, the memory size and the threshold
+    the curve will be analysed against.  Mattson's pass, the histogram and
+    :meth:`MissRatioCurve.parameters` run on the first read of :attr:`curve`
+    or :attr:`parameters`; the results are kept and the trace is let go.  An
+    entry that is replaced or dropped before anything reads it is never
+    analysed (DESIGN §6, *Curves on demand*).
+    """
+
+    __slots__ = ("_pending", "_curve", "_params")
+
+    def __init__(
+        self,
+        trace: Sequence[int] | np.ndarray,
+        server_memory_pages: int,
+        acceptable_threshold: float,
+    ) -> None:
+        """``trace`` must not change afterwards: the analysis reads it later."""
+        self._pending: tuple | None = (
+            trace, server_memory_pages, acceptable_threshold
+        )
+        self._curve: MissRatioCurve | None = None
+        self._params: MRCParameters | None = None
+
+    @classmethod
+    def known(
+        cls, params: MRCParameters, curve: MissRatioCurve | None = None
+    ) -> "MRCEntry":
+        """An entry whose analysis is done, as a checkpoint restores it.
+
+        A signature's MRC is checkpointed as parameters alone, so its
+        restored entry has no curve.
+        """
+        entry = cls.__new__(cls)
+        entry._pending, entry._curve, entry._params = None, curve, params
+        return entry
+
+    def _analyse(self) -> None:
+        trace, server_memory_pages, acceptable_threshold = self._pending
+        curve = MissRatioCurve.from_trace(trace)
+        self._params = curve.parameters(server_memory_pages, acceptable_threshold)
+        self._curve = curve
+        self._pending = None
+
+    @property
+    def curve(self) -> MissRatioCurve | None:
+        if self._pending is not None:
+            self._analyse()
+        return self._curve
+
+    @property
+    def parameters(self) -> MRCParameters:
+        if self._pending is not None:
+            self._analyse()
+        return self._params
+
+
 @dataclass(frozen=True)
 class MRCCacheKey:
     """What a cached curve is valid for.
@@ -447,7 +507,10 @@ class MRCTracker:
     MRCs are computed when a class is first scheduled and are *not*
     recomputed unless an SLA violation occurs and the class's memory
     counters show outliers (paper §3.3) — recomputation is the expensive
-    step this laziness is protecting.
+    step this laziness is protecting.  A curve is recorded as a pending
+    :class:`MRCEntry` and analysed when something first reads it; a refresh,
+    :meth:`forget` or :meth:`reset` that comes first replaces or drops it
+    unanalysed.
     """
 
     def __init__(
@@ -463,67 +526,67 @@ class MRCTracker:
         self.server_memory_pages = server_memory_pages
         self.acceptable_threshold = acceptable_threshold
         self.registry = registry if registry is not None else NULL_REGISTRY
-        self._curves: dict[str, MissRatioCurve] = {}
-        self._parameters: dict[str, MRCParameters] = {}
+        self._entries: dict[str, MRCEntry] = {}
         self.recomputations = 0
 
-    def _record_recomputation(self, context_key: str, trace_length: int) -> None:
+    def has(self, context_key: str) -> bool:
+        return context_key in self._entries
+
+    def record(
+        self, context_key: str, trace: Sequence[int] | np.ndarray
+    ) -> MRCEntry:
+        """Record the curve of ``context_key``'s page trace, pending until read.
+
+        Counts as a recomputation now (``mrc.recomputations``, and the trace
+        length in ``mrc.trace_length``): the telemetry says when a curve was
+        taken, whenever it is analysed.
+        """
+        entry = MRCEntry(trace, self.server_memory_pages, self.acceptable_threshold)
+        self._entries[context_key] = entry
         self.recomputations += 1
         app = context_key.split("/", 1)[0]
         self.registry.counter("mrc.recomputations", app=app).inc()
-        self.registry.histogram("mrc.trace_length").observe(trace_length)
+        self.registry.histogram("mrc.trace_length").observe(len(trace))
+        return entry
 
-    def has(self, context_key: str) -> bool:
-        return context_key in self._parameters
+    def restore(self, context_key: str, entry: MRCEntry) -> None:
+        """Re-install an entry served from a cache or a checkpoint.
 
-    def compute(
-        self, context_key: str, trace: Sequence[int] | np.ndarray
-    ) -> MRCParameters:
-        """(Re)compute the curve of ``context_key`` from a page trace."""
-        curve = MissRatioCurve.from_trace(trace)
-        params = curve.parameters(
-            self.server_memory_pages, self.acceptable_threshold
-        )
-        self._curves[context_key] = curve
-        self._parameters[context_key] = params
-        self._record_recomputation(context_key, len(trace))
-        return params
-
-    def store(
-        self, context_key: str, curve: MissRatioCurve, params: MRCParameters
-    ) -> None:
-        """Record an externally computed curve (counts as a recomputation)."""
-        self._curves[context_key] = curve
-        self._parameters[context_key] = params
-        self._record_recomputation(context_key, curve.total_accesses)
-
-    def restore(
-        self, context_key: str, curve: MissRatioCurve, params: MRCParameters
-    ) -> None:
-        """Re-install a previously computed curve served from a cache.
-
-        Unlike :meth:`store` this does **not** count as a recomputation:
-        no stack-distance work happened, and the ``mrc.recomputations``
-        counter is the regression suite's evidence of exactly that.
+        Unlike :meth:`record` this does **not** count as a recomputation:
+        no new curve was taken, and the ``mrc.recomputations`` counter is the
+        regression suite's evidence of exactly that.
         """
-        self._curves[context_key] = curve
-        self._parameters[context_key] = params
+        self._entries[context_key] = entry
+
+    def _entry(self, context_key: str) -> MRCEntry:
+        try:
+            return self._entries[context_key]
+        except KeyError:
+            raise KeyError(f"no MRC recorded for context {context_key!r}") from None
 
     def parameters_of(self, context_key: str) -> MRCParameters:
-        try:
-            return self._parameters[context_key]
-        except KeyError:
-            raise KeyError(f"no MRC recorded for context {context_key!r}") from None
+        return self._entry(context_key).parameters
 
     def curve_of(self, context_key: str) -> MissRatioCurve:
-        try:
-            return self._curves[context_key]
-        except KeyError:
-            raise KeyError(f"no MRC recorded for context {context_key!r}") from None
+        return self._entry(context_key).curve
+
+    def curves(self) -> Iterator[tuple[str, MissRatioCurve, MRCParameters]]:
+        """``(context, curve, parameters)`` of every recorded context, in
+        recording order, analysing the pending ones (a checkpoint reads all)."""
+        for context_key, entry in self._entries.items():
+            yield context_key, entry.curve, entry.parameters
 
     def forget(self, context_key: str) -> None:
-        self._curves.pop(context_key, None)
-        self._parameters.pop(context_key, None)
+        self._entries.pop(context_key, None)
+
+    def reset(self) -> None:
+        """Back to the freshly constructed state: no curves, no recomputations.
+
+        Publishes nothing to the registry — the crash model
+        (``LogAnalyzer.amnesia``) must emit no telemetry of its own.
+        """
+        self._entries.clear()
+        self.recomputations = 0
 
     def contexts(self) -> list[str]:
-        return sorted(self._parameters)
+        return sorted(self._entries)

@@ -3,9 +3,10 @@
 "A stable state record of average values for all metrics is made whenever
 the SLA is continuously met for an application during a measurement
 interval" (paper §1).  One signature is kept **per query context per
-server**; it also carries the context's MRC parameters, which are computed
-when the class is first scheduled and refreshed only when diagnosis
-recomputes them.
+server**; it also carries the context's MRC, which is taken when the class
+is first scheduled and refreshed only when diagnosis recomputes it.  The
+signature holds the tracker's :class:`~repro.core.mrc.MRCEntry`, so its
+parameters are analysed when first read (:meth:`SignatureStore.mrc_of`).
 """
 
 from __future__ import annotations
@@ -13,18 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .metrics import Metric, MetricVector
-from .mrc import MRCParameters
+from .mrc import MRCEntry, MRCParameters
 
 __all__ = ["StableStateSignature", "SignatureStore"]
 
 
 @dataclass
 class StableStateSignature:
-    """Last-known-good metric averages (and MRC parameters) of one context."""
+    """Last-known-good metric averages (and MRC) of one context."""
 
     context_key: str
     metrics: MetricVector
-    mrc: MRCParameters | None = None
+    mrc: MRCEntry | None = None
     recorded_at: float = 0.0
     intervals_observed: int = 1
 
@@ -80,8 +81,8 @@ class SignatureStore:
             )
         return signature
 
-    def set_mrc(self, context_key: str, params: MRCParameters) -> None:
-        """Attach MRC parameters to a context's signature.
+    def set_mrc(self, context_key: str, entry: MRCEntry) -> None:
+        """Attach an MRC to a context's signature, pending or not.
 
         Contexts can acquire an MRC before their first stable interval (the
         MRC is determined when a class is first scheduled); a placeholder
@@ -94,11 +95,14 @@ class SignatureStore:
                 metrics=MetricVector(context_key=context_key, values={}),
             )
             self._signatures[context_key] = signature
-        signature.mrc = params
+        signature.mrc = entry
 
     def mrc_of(self, context_key: str) -> MRCParameters | None:
+        """The context's MRC parameters, analysing a pending curve first."""
         signature = self._signatures.get(context_key)
-        return signature.mrc if signature else None
+        if signature is None or signature.mrc is None:
+            return None
+        return signature.mrc.parameters
 
     def stable_vectors(self) -> dict[str, MetricVector]:
         """Context -> stable metric vector, for contexts that have one."""

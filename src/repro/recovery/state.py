@@ -13,10 +13,12 @@ The export/restore pair is exact: restoring a snapshot and exporting again
 produces an equal payload, and a restored analyzer serves the same cached
 curves (without recomputation) as the original would have — the Hypothesis
 byte-identity suite pins both.  Restoration performs direct attribute
-assignment only; it never goes through ``store``/``put`` paths that would
-increment observability counters, preserving the recovery subsystem's
-zero-telemetry contract.
+assignment and ``MRCTracker.restore`` only; it never goes through the
+``record``/``put`` paths that would increment observability counters,
+preserving the recovery subsystem's zero-telemetry contract.
 
+A checkpoint reads every curve the analyzer holds, so the export analyses
+the curves still pending (``MRCEntry``); restored curves come back analysed.
 A miss-ratio curve is an immutable value, so its hit histogram is encoded
 once — one text of comma-separated counts, kept on the curve — and every
 later checkpoint, and both places a curve appears in the payload, reuse
@@ -32,7 +34,7 @@ from collections import deque
 import numpy as np
 
 from ..core.metrics import Metric, MetricVector
-from ..core.mrc import MissRatioCurve, MRCCacheKey, MRCParameters
+from ..core.mrc import MissRatioCurve, MRCCacheKey, MRCEntry, MRCParameters
 from ..core.signature import StableStateSignature
 
 __all__ = [
@@ -124,7 +126,7 @@ def export_analyzer_state(analyzer) -> dict:
         signatures.append({
             "context_key": key,
             "metrics": _vector_to_jsonable(signature.metrics),
-            "mrc": _params_to_jsonable(signature.mrc),
+            "mrc": _params_to_jsonable(analyzer.signatures.mrc_of(key)),
             "recorded_at": signature.recorded_at,
             "intervals_observed": signature.intervals_observed,
         })
@@ -133,11 +135,11 @@ def export_analyzer_state(analyzer) -> dict:
     cache_entries = []
     for key, (cache_key, value) in cache._entries.items():
         entry_value = {
-            "curve": _curve_to_jsonable(value[0]),
-            "params": _params_to_jsonable(value[1]),
+            "curve": _curve_to_jsonable(value[0].curve),
+            "params": _params_to_jsonable(value[0].parameters),
         }
-        if len(value) > 2:  # assessment entries carry the "before" params
-            entry_value["before"] = _params_to_jsonable(value[2])
+        if len(value) > 1:  # assessment entries carry the "before" params
+            entry_value["before"] = _params_to_jsonable(value[1])
         cache_entries.append({
             "context_key": key,
             "window_version": cache_key.window_version,
@@ -145,6 +147,10 @@ def export_analyzer_state(analyzer) -> dict:
             "variant": cache_key.variant,
             "value": entry_value,
         })
+    curves, parameters = {}, {}
+    for key, curve, params in tracker.curves():
+        curves[key] = _curve_to_jsonable(curve)
+        parameters[key] = _params_to_jsonable(params)
     return {
         "server": analyzer.server_name,
         "engine": analyzer.engine.name,
@@ -163,14 +169,8 @@ def export_analyzer_state(analyzer) -> dict:
         "signatures": signatures,
         "mrc": {
             "recomputations": tracker.recomputations,
-            "curves": {
-                key: _curve_to_jsonable(curve)
-                for key, curve in tracker._curves.items()
-            },
-            "parameters": {
-                key: _params_to_jsonable(params)
-                for key, params in tracker._parameters.items()
-            },
+            "curves": curves,
+            "parameters": parameters,
         },
         "mrc_cache": {
             "hits": cache.hits,
@@ -185,19 +185,21 @@ def restore_analyzer_state(analyzer, state: dict) -> None:
     analyzer.amnesia()
     for payload in state["signatures"]:
         key = payload["context_key"]
+        params = _params_from_jsonable(payload["mrc"])
         analyzer.signatures._signatures[key] = StableStateSignature(
             context_key=key,
             metrics=_vector_from_jsonable(key, payload["metrics"]),
-            mrc=_params_from_jsonable(payload["mrc"]),
+            mrc=None if params is None else MRCEntry.known(params),
             recorded_at=payload["recorded_at"],
             intervals_observed=payload["intervals_observed"],
         )
     tracker = analyzer.mrc
     tracker.recomputations = state["mrc"]["recomputations"]
+    parameters = state["mrc"]["parameters"]
     for key, payload in state["mrc"]["curves"].items():
-        tracker._curves[key] = _curve_from_jsonable(payload)
-    for key, payload in state["mrc"]["parameters"].items():
-        tracker._parameters[key] = _params_from_jsonable(payload)
+        tracker.restore(key, MRCEntry.known(
+            _params_from_jsonable(parameters[key]), _curve_from_jsonable(payload)
+        ))
     cache = analyzer.mrc_cache
     cache.hits = state["mrc_cache"]["hits"]
     cache.misses = state["mrc_cache"]["misses"]
@@ -208,12 +210,14 @@ def restore_analyzer_state(analyzer, state: dict) -> None:
             variant=entry["variant"],
         )
         payload = entry["value"]
-        curve = _curve_from_jsonable(payload["curve"])
-        params = _params_from_jsonable(payload["params"])
+        recorded = MRCEntry.known(
+            _params_from_jsonable(payload["params"]),
+            _curve_from_jsonable(payload["curve"]),
+        )
         if "before" in payload:
-            value = (curve, params, _params_from_jsonable(payload["before"]))
+            value = (recorded, _params_from_jsonable(payload["before"]))
         else:
-            value = (curve, params)
+            value = (recorded,)
         cache._entries[entry["context_key"]] = (cache_key, value)
     analyzer._intervals_closed = state["intervals_closed"]
     analyzer._first_seen = dict(state["first_seen"])

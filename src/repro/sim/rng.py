@@ -173,10 +173,13 @@ class ZipfGenerator:
         self.n = n
         self.theta = theta
         self._stream = stream
-        ranks = np.arange(1, n + 1, dtype=float)
-        weights = ranks ** (-theta)
-        self._cdf = np.cumsum(weights)
-        self._cdf /= self._cdf[-1]
+        # In place: the ranks become the weights, then their running sum,
+        # then the CDF — one n-double array, not three (bit-identical).
+        cdf = np.arange(1, n + 1, dtype=float)
+        cdf **= -theta
+        np.cumsum(cdf, out=cdf)
+        cdf /= cdf[-1]
+        self._cdf = cdf
         self._ranks = np.empty(0, dtype=np.int64)  # drawn ahead, unread from _next on
         self._next = 0
         self._state_after_refill: dict | None = None

@@ -1,10 +1,13 @@
 """Replay of real analysis windows against the Fenwick oracle.
 
 The differential suites feed ``stack_distances`` synthetic traces.  This one
-records the windows a seeded zoo episode actually hands to it — the initial
-and doubling refreshes of the stable state, the recent and before slices of
-diagnosis — and checks the end the artefacts depend on: the hit histogram
-and the MRC parameters extracted from it.
+records the windows a seeded zoo episode actually takes curves of — the
+initial and doubling refreshes of the stable state, the recent and before
+slices of diagnosis — and checks the end the artefacts depend on: the hit
+histogram and the MRC parameters extracted from it.  Windows are recorded
+where a trace enters an ``MRCEntry``, not where the kernel runs: most refresh
+curves are never read, so the kernel never sees them, and the replay must
+cover them all the same.
 """
 
 import numpy as np
@@ -19,14 +22,14 @@ from repro.experiments.zoo import run_zoo
 @pytest.fixture(scope="module")
 def recorded_windows():
     windows = []
-    kernel = mrc.stack_distances
+    enter = mrc.MRCEntry.__init__
 
-    def recording(trace):
+    def recording(entry, trace, *args):
         windows.append(np.array(trace, dtype=np.int64))
-        return kernel(trace)
+        enter(entry, trace, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mrc, "stack_distances", recording)
+        patch.setattr(mrc.MRCEntry, "__init__", recording)
         run_zoo("flash_crowd", seed=7)
     return windows
 

@@ -1,0 +1,224 @@
+"""Oracle: the analyzer that analyses every miss-ratio curve when it takes it.
+
+``repro.core.analyzer.LogAnalyzer`` records each curve as a pending
+``MRCEntry`` and runs Mattson's pass on the first read.  This is the
+formulation it replaced: the stable-state refresh, the diagnosis-time
+recomputation and the assessment build curve and parameters on the spot, and
+the tracker keeps them in two dicts.  It is the specification of *what* every
+read returns, what the telemetry says and what a checkpoint holds; the
+on-demand suite runs both side by side.
+
+Only the storage format follows the current code — signatures and the cache
+hold ``MRCEntry.known`` values, so that ``repro.recovery.state`` exports and
+restores both analyzers the same way.  :func:`eager_analyzers` makes every
+cluster built inside the block attach this analyzer.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterator
+from contextlib import contextmanager
+
+import repro.core.analyzer as analyzer_module
+from repro.core.analyzer import MAX_MRC_TRACE, LogAnalyzer
+from repro.core.mrc import (
+    DEFAULT_ACCEPTABLE_THRESHOLD,
+    MissRatioCurve,
+    MRCCacheKey,
+    MRCEntry,
+    MRCParameters,
+)
+from repro.obs.registry import NULL_REGISTRY
+
+__all__ = ["EagerMRCTracker", "EagerLogAnalyzer", "eager_analyzers"]
+
+
+class EagerMRCTracker:
+    """Curves and parameters in two dicts, computed before they are stored."""
+
+    def __init__(
+        self,
+        server_memory_pages: int,
+        acceptable_threshold: float = DEFAULT_ACCEPTABLE_THRESHOLD,
+        registry=None,
+    ) -> None:
+        self.server_memory_pages = server_memory_pages
+        self.acceptable_threshold = acceptable_threshold
+        self.registry = registry if registry is not None else NULL_REGISTRY
+        self._curves: dict[str, MissRatioCurve] = {}
+        self._parameters: dict[str, MRCParameters] = {}
+        self.recomputations = 0
+
+    def has(self, context_key: str) -> bool:
+        return context_key in self._parameters
+
+    def store(
+        self, context_key: str, curve: MissRatioCurve, params: MRCParameters
+    ) -> None:
+        self._curves[context_key] = curve
+        self._parameters[context_key] = params
+        self.recomputations += 1
+        app = context_key.split("/", 1)[0]
+        self.registry.counter("mrc.recomputations", app=app).inc()
+        self.registry.histogram("mrc.trace_length").observe(curve.total_accesses)
+
+    def restore(self, context_key: str, entry: MRCEntry) -> None:
+        self._curves[context_key] = entry.curve
+        self._parameters[context_key] = entry.parameters
+
+    def parameters_of(self, context_key: str) -> MRCParameters:
+        return self._parameters[context_key]
+
+    def curve_of(self, context_key: str) -> MissRatioCurve:
+        return self._curves[context_key]
+
+    def curves(self) -> Iterator[tuple[str, MissRatioCurve, MRCParameters]]:
+        for context_key, curve in self._curves.items():
+            yield context_key, curve, self._parameters[context_key]
+
+    def forget(self, context_key: str) -> None:
+        self._curves.pop(context_key, None)
+        self._parameters.pop(context_key, None)
+
+    def reset(self) -> None:
+        self._curves.clear()
+        self._parameters.clear()
+        self.recomputations = 0
+
+    def contexts(self) -> list[str]:
+        return sorted(self._parameters)
+
+
+class EagerLogAnalyzer(LogAnalyzer):
+    """``LogAnalyzer`` whose every curve is analysed where it is taken."""
+
+    def __init__(self, engine, server_name, obs=None) -> None:
+        super().__init__(engine, server_name, obs=obs)
+        self.mrc = EagerMRCTracker(
+            server_memory_pages=engine.pool_pages, registry=self.obs.registry
+        )
+
+    def ensure_mrc(self, context_key: str) -> MRCParameters | None:
+        if self.mrc.has(context_key):
+            return self.mrc.parameters_of(context_key)
+        entry = self.recompute_mrc(context_key)
+        return entry.parameters if entry is not None else None
+
+    def _build_curve(self, trace, span) -> tuple[MissRatioCurve, MRCParameters]:
+        span.set_attr("exact_units", len(trace))
+        curve = MissRatioCurve.from_trace(trace)
+        span.set_attr("mode", "exact")
+        span.add_cost(len(trace))
+        params = curve.parameters(
+            self.mrc.server_memory_pages, self.mrc.acceptable_threshold
+        )
+        return curve, params
+
+    def recompute_mrc(
+        self, context_key: str, recent_only: bool = False, min_tail: int = 2000
+    ) -> MRCEntry | None:
+        if not self.engine.log.has_window(context_key):
+            return None
+        window = self.engine.log.window_for(context_key)
+        keep = len(window)
+        variant = "full"
+        if recent_only:
+            marks = self._seen_marks.get(context_key)
+            base = marks[-2] if marks and len(marks) >= 2 else 0
+            variant = f"recent:{min_tail}:{base}"
+            if marks:
+                tail = window.total_seen - base
+                keep = max(min(tail, keep), min(min_tail, keep))
+        trace = window.snapshot(last=min(keep, MAX_MRC_TRACE))
+        cache_key = MRCCacheKey(
+            window_version=window.total_seen,
+            pool_pages=self.engine.pool_pages,
+            variant=variant,
+        )
+        cached = self.mrc_cache.get(context_key, cache_key)
+        if cached is not None:
+            (entry,) = cached
+            self.mrc.restore(context_key, entry)
+            params = entry.parameters
+        else:
+            with self.obs.tracer.span(
+                "mrc.recompute",
+                attrs={"context": context_key, "recent_only": recent_only},
+            ) as span:
+                curve, params = self._build_curve(trace, span)
+                self.mrc.store(context_key, curve, params)
+            entry = MRCEntry.known(params, curve)
+            self.mrc_cache.put(context_key, cache_key, (entry,))
+        self.signatures.set_mrc(context_key, MRCEntry.known(params))
+        self._mrc_window_len[context_key] = len(window)
+        return entry
+
+    def assess_recent_behaviour(
+        self,
+        context_key: str,
+        change_threshold: float,
+        min_tail: int = 2000,
+        new_class_horizon: int = 5,
+    ) -> tuple[str, MRCParameters | None]:
+        if not self.engine.log.has_window(context_key):
+            return ("no-window", None)
+        is_new = self.recently_scheduled(context_key, new_class_horizon)
+        window = self.engine.log.window_for(context_key)
+        trace = window.snapshot()
+        marks = self._seen_marks.get(context_key)
+        base = marks[-2] if marks and len(marks) >= 2 else 0
+        tail = window.total_seen - base
+        tail = max(min(tail, len(trace)), min(min_tail, len(trace)))
+        recent = trace[-tail:]
+        if len(recent) < min_tail:
+            return ("insufficient", None)
+        before = trace[: min(tail, len(trace) - tail)]
+        cache_key = MRCCacheKey(
+            window_version=window.total_seen,
+            pool_pages=self.engine.pool_pages,
+            variant=f"assess:{min_tail}:{base}:{int(is_new)}",
+        )
+        cached = self.mrc_cache.get(context_key, cache_key)
+        if cached is not None:
+            entry, before_params = cached
+            self.mrc.restore(context_key, entry)
+            recent_params = entry.parameters
+        else:
+            with self.obs.tracer.span(
+                "mrc.recompute", attrs={"context": context_key, "assess": True}
+            ) as span:
+                recent_curve, recent_params = self._build_curve(recent, span)
+                self.mrc.store(context_key, recent_curve, recent_params)
+            before_params = None
+            if not is_new and len(before) >= min(min_tail, tail) // 2:
+                with self.obs.tracer.span(
+                    "mrc.recompute",
+                    attrs={"context": context_key, "assess": True,
+                           "slice": "before"},
+                ) as span:
+                    _, before_params = self._build_curve(before, span)
+            self.mrc_cache.put(
+                context_key, cache_key,
+                (MRCEntry.known(recent_params, recent_curve), before_params),
+            )
+        self.signatures.set_mrc(context_key, MRCEntry.known(recent_params))
+        self._mrc_window_len[context_key] = len(window)
+        if is_new:
+            return ("new", recent_params)
+        if before_params is None:
+            return ("unchanged", recent_params)
+        changed = recent_params.significantly_differs_from(
+            before_params, change_threshold
+        )
+        return ("changed" if changed else "unchanged", recent_params)
+
+
+@contextmanager
+def eager_analyzers():
+    """Within the block every ``DecisionManager`` attaches the oracle."""
+    served = analyzer_module.LogAnalyzer
+    analyzer_module.LogAnalyzer = EagerLogAnalyzer
+    try:
+        yield
+    finally:
+        analyzer_module.LogAnalyzer = served

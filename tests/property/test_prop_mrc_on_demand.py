@@ -1,0 +1,248 @@
+"""Property: curves analysed on demand read exactly like curves analysed at once.
+
+``LogAnalyzer`` records every curve as a pending ``MRCEntry`` and runs
+Mattson's pass on the first read; ``tests/oracles/eager_mrc.py`` analyses each
+curve where it is taken.  Three pins:
+
+* a steady run — nothing reads a curve — makes no kernel call at all, and
+  its telemetry (``mrc.recomputations``, ``mrc.trace_length``, the
+  ``mrc.recompute`` spans and everything else) is the oracle's byte for byte;
+* any sequence of refreshes, reads, ``forget``, ``amnesia`` and checkpoint →
+  restore leaves both analyzers with the same parameters, the same hit
+  histograms and the same checkpoint bytes;
+* a pending curve that is superseded, forgotten or wiped is never analysed.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.core.mrc as mrc
+from oracles.eager_mrc import EagerLogAnalyzer, eager_analyzers
+from repro.core.analyzer import LogAnalyzer
+from repro.core.controller import ControllerConfig
+from repro.engine.access import ZipfWorkingSet
+from repro.engine.engine import DatabaseEngine, EngineConfig
+from repro.engine.pages import PageSpaceAllocator
+from repro.engine.query import QueryClass
+from repro.engine.tables import Table
+from repro.experiments.runner import ClusterHarness
+from repro.obs import Observability, telemetry_lines
+from repro.recovery.state import export_analyzer_state, restore_analyzer_state
+from repro.sim.rng import SeedSequenceFactory
+from repro.workloads import build_tpcw
+
+KEYS = ("app/hot", "app/wide")
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Lengths of the traces ``stack_distances`` is called on."""
+    calls = []
+    kernel = mrc.stack_distances
+
+    def counting(trace):
+        calls.append(len(trace))
+        return kernel(trace)
+
+    monkeypatch.setattr(mrc, "stack_distances", counting)
+    return calls
+
+
+# --------------------------------------------------------------------- #
+# A steady cluster                                                      #
+# --------------------------------------------------------------------- #
+
+
+def steady_telemetry(intervals=8):
+    obs = Observability()
+    harness = ClusterHarness.single_app(
+        build_tpcw(seed=7), servers=1, clients=14, pool_pages=4096,
+        config=ControllerConfig(startup_grace_intervals=10**9), obs=obs,
+    )
+    harness.run(intervals=intervals)
+    (analyzer,) = harness.controller.analyzers()
+    return telemetry_lines(obs, meta={"seed": 7}), analyzer
+
+
+def test_a_steady_run_analyses_no_curve_and_says_what_the_oracle_says(
+    kernel_calls,
+):
+    lines, analyzer = steady_telemetry()
+    assert kernel_calls == []
+    with eager_analyzers():
+        oracle_lines, oracle = steady_telemetry()
+    assert isinstance(oracle, EagerLogAnalyzer)
+    assert len(kernel_calls) == oracle.mrc.recomputations
+    assert analyzer.mrc.recomputations == oracle.mrc.recomputations > 3
+    assert lines == oracle_lines
+    records = [json.loads(line) for line in lines]
+    assert sum(r.get("name") == "mrc.recompute" for r in records) == len(
+        kernel_calls
+    )
+    assert any(r.get("name") == "mrc.trace_length" for r in records)
+
+
+# --------------------------------------------------------------------- #
+# One engine, two analyzers, any sequence                               #
+# --------------------------------------------------------------------- #
+
+
+def query_classes():
+    allocator = PageSpaceAllocator()
+    seeds = SeedSequenceFactory(99)
+    classes = []
+    for name, working_set, theta in (("hot", 60, 0.9), ("wide", 900, 0.3)):
+        table = Table.create(
+            allocator, f"t-{name}", row_count=160_000, row_bytes=1024
+        )
+        pattern = ZipfWorkingSet(
+            table.pages, working_set, theta, 20, seeds.stream(name)
+        )
+        classes.append(QueryClass(name, "app", 1, f"select {name}", pattern))
+    return classes
+
+
+class Side:
+    """One analyzer on its own engine, fed the same executions as the other."""
+
+    def __init__(self, analyzer_type):
+        self.engine = DatabaseEngine(EngineConfig(
+            name="e", pool_pages=256, log_buffer_capacity=4,
+            window_capacity=12_000,
+        ))
+        self.analyzer = analyzer_type(self.engine, "s1")
+        self.classes = query_classes()
+        self.now = 0.0
+
+    def interval(self, executions, sla_met):
+        for _ in range(executions):
+            for query_class in self.classes:
+                self.engine.execute(query_class)
+        self.now += 10.0
+        self.analyzer.close_interval(
+            10.0, {"app": sla_met}, self.now, initial_mrc_min_accesses=600
+        )
+
+    def checkpoint(self) -> str:
+        return json.dumps(export_analyzer_state(self.analyzer), sort_keys=True)
+
+    def restore(self, text: str) -> None:
+        restore_analyzer_state(self.analyzer, json.loads(text))
+
+    def reads(self, key):
+        analyzer = self.analyzer
+        tracked = None
+        if analyzer.mrc.has(key):
+            curve = analyzer.mrc.curve_of(key)
+            tracked = (
+                analyzer.mrc.parameters_of(key),
+                curve._hits.tolist(),
+                curve.cold_misses,
+            )
+        return tracked, analyzer.stored_mrc(key), analyzer.ensure_mrc(key)
+
+    def state(self):
+        analyzer = self.analyzer
+        return (
+            analyzer.mrc.contexts(),
+            analyzer.mrc.recomputations,
+            analyzer.mrc_cache.hits,
+            analyzer.mrc_cache.misses,
+            dict(analyzer._mrc_window_len),
+        )
+
+
+operations = st.one_of(
+    st.tuples(st.just("stable"), st.integers(5, 60)),
+    st.tuples(st.just("violating"), st.integers(5, 60)),
+    st.tuples(st.just("refresh"), st.sampled_from(KEYS), st.booleans()),
+    st.tuples(st.just("assess"), st.sampled_from(KEYS)),
+    st.tuples(st.just("read"), st.sampled_from(KEYS)),
+    st.tuples(st.just("forget"), st.sampled_from(KEYS)),
+    st.tuples(st.just("amnesia")),
+    st.tuples(st.just("checkpoint")),
+)
+
+
+@given(steps=st.lists(operations, min_size=1, max_size=14))
+@settings(max_examples=100, deadline=None)
+def test_any_sequence_reads_like_the_eager_oracle(steps):
+    lazy, eager = Side(LogAnalyzer), Side(EagerLogAnalyzer)
+    for step in [("stable", 40)] + steps:
+        kind = step[0]
+        if kind in ("stable", "violating"):
+            for side in (lazy, eager):
+                side.interval(step[1], sla_met=kind == "stable")
+        elif kind == "refresh":
+            for side in (lazy, eager):
+                side.analyzer.recompute_mrc(
+                    step[1], recent_only=step[2], min_tail=500
+                )
+        elif kind == "assess":
+            verdicts = [
+                side.analyzer.assess_recent_behaviour(
+                    step[1], 0.25, min_tail=500, new_class_horizon=1
+                )
+                for side in (lazy, eager)
+            ]
+            assert verdicts[0] == verdicts[1]
+        elif kind == "read":
+            assert lazy.reads(step[1]) == eager.reads(step[1])
+        elif kind == "forget":
+            for side in (lazy, eager):
+                side.analyzer.mrc.forget(step[1])
+        elif kind == "amnesia":
+            for side in (lazy, eager):
+                side.analyzer.amnesia()
+        else:
+            text = lazy.checkpoint()
+            assert text == eager.checkpoint()
+            for side in (lazy, eager):
+                side.restore(text)
+                assert side.checkpoint() == text
+        assert lazy.state() == eager.state()
+    assert lazy.checkpoint() == eager.checkpoint()
+    for key in KEYS:
+        assert lazy.reads(key) == eager.reads(key)
+
+
+# --------------------------------------------------------------------- #
+# What is never read is never analysed                                  #
+# --------------------------------------------------------------------- #
+
+
+def test_a_superseded_pending_curve_is_never_analysed(kernel_calls):
+    side = Side(LogAnalyzer)
+    analyzer = side.analyzer
+    side.interval(40, sla_met=True)  # the initial curves, 800 accesses each
+    superseded = analyzer.mrc._entries["app/hot"]
+    side.interval(40, sla_met=True)  # the window doubled: refreshed
+    current = analyzer.mrc._entries["app/hot"]
+    assert current is not superseded
+    assert kernel_calls == []
+
+    params = analyzer.ensure_mrc("app/hot")
+    assert kernel_calls == [1600]
+    assert superseded._pending is not None  # taken, replaced, never analysed
+    # The signature and the cache hold the same entry: no second analysis,
+    # and a cache hit puts it back into the tracker.
+    assert analyzer.stored_mrc("app/hot") is params
+    analyzer.mrc.forget("app/hot")
+    assert analyzer.recompute_mrc("app/hot") is current
+    assert analyzer.mrc.parameters_of("app/hot") is params
+    assert kernel_calls == [1600]
+
+    # Dropped pending curves are not analysed either.
+    analyzer.mrc.forget("app/wide")
+    analyzer.amnesia()
+    assert kernel_calls == [1600]
+
+    # A checkpoint reads every curve it holds: each pending one once.
+    side.interval(40, sla_met=True)
+    assert kernel_calls == [1600]
+    first = side.checkpoint()
+    assert kernel_calls == [1600, 2400, 2400]
+    assert side.checkpoint() == first
+    assert len(kernel_calls) == 3

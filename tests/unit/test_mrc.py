@@ -6,6 +6,7 @@ import pytest
 from oracles.fenwick import FenwickTree, stack_distances_fenwick
 from repro.core.mrc import (
     MissRatioCurve,
+    MRCEntry,
     MRCParameters,
     MRCTracker,
     stack_distances,
@@ -281,9 +282,12 @@ class TestSignificance:
 class TestMRCTracker:
     def test_compute_and_lookup(self):
         tracker = MRCTracker(server_memory_pages=100)
-        params = tracker.compute("app/q", list(range(10)) * 5)
+        trace = list(range(10)) * 5
+        entry = tracker.record("app/q", trace)
         assert tracker.has("app/q")
-        assert tracker.parameters_of("app/q") == params
+        params = tracker.parameters_of("app/q")
+        assert params == MissRatioCurve.from_trace(trace).parameters(100)
+        assert entry.parameters is params and tracker.curve_of("app/q") is entry.curve
 
     def test_unknown_context_raises(self):
         tracker = MRCTracker(server_memory_pages=100)
@@ -292,29 +296,51 @@ class TestMRCTracker:
 
     def test_recomputation_counter(self):
         tracker = MRCTracker(server_memory_pages=100)
-        tracker.compute("a", [1, 2, 3])
-        tracker.compute("a", [1, 2, 3, 4])
+        tracker.record("a", [1, 2, 3])
+        tracker.record("a", [1, 2, 3, 4])
         assert tracker.recomputations == 2
 
     def test_forget(self):
         tracker = MRCTracker(server_memory_pages=100)
-        tracker.compute("a", [1, 2])
+        tracker.record("a", [1, 2])
         tracker.forget("a")
         assert not tracker.has("a")
 
     def test_store_external_curve(self):
+        # A restored entry (cache hit, checkpoint) is served as it was built.
         tracker = MRCTracker(server_memory_pages=100)
         curve = MissRatioCurve.from_trace([1, 1, 2])
         params = curve.parameters(100)
-        tracker.store("x", curve, params)
+        tracker.restore("x", MRCEntry.known(params, curve))
         assert tracker.curve_of("x") is curve
         assert tracker.parameters_of("x") == params
+        assert tracker.recomputations == 0
 
     def test_contexts_sorted(self):
         tracker = MRCTracker(server_memory_pages=100)
-        tracker.compute("b", [1])
-        tracker.compute("a", [1])
+        tracker.record("b", [1])
+        tracker.record("a", [1])
         assert tracker.contexts() == ["a", "b"]
+
+    def test_curves_in_recording_order(self):
+        tracker = MRCTracker(server_memory_pages=100)
+        tracker.record("b", [1, 1])
+        tracker.record("a", [1, 2, 1])
+        tracker.record("b", [2, 2, 2])  # a refresh keeps the context's place
+        listed = [(key, curve.total_accesses, params.total_memory)
+                  for key, curve, params in tracker.curves()]
+        assert listed == [("b", 3, 1), ("a", 3, 2)]
+
+    def test_reset_forgets_curves_and_count_without_telemetry(self):
+        from repro.obs import MetricRegistry
+
+        registry = MetricRegistry()
+        tracker = MRCTracker(server_memory_pages=100, registry=registry)
+        tracker.record("tpcw/q1", [1, 2, 1])
+        published = registry.snapshot()
+        tracker.reset()
+        assert (tracker.contexts(), tracker.recomputations) == ([], 0)
+        assert registry.snapshot() == published
 
 
 class TestNoReuseEdgeCase:
@@ -360,9 +386,9 @@ class TestTrackerTelemetry:
 
         registry = MetricRegistry()
         tracker = MRCTracker(server_memory_pages=100, registry=registry)
-        tracker.compute("tpcw/q1", [1, 2, 1, 2])
-        tracker.compute("tpcw/q2", [1, 2, 3])
-        tracker.compute("rubis/q1", [5, 5])
+        tracker.record("tpcw/q1", [1, 2, 1, 2])
+        tracker.record("tpcw/q2", [1, 2, 3])
+        tracker.record("rubis/q1", [5, 5])
         assert registry.value("mrc.recomputations", app="tpcw") == 2.0
         assert registry.value("mrc.recomputations", app="rubis") == 1.0
         hist = registry.histogram("mrc.trace_length")
@@ -370,17 +396,19 @@ class TestTrackerTelemetry:
         assert hist.sum == 4 + 3 + 2
 
     def test_store_counts_as_recomputation(self):
+        # Recording counts at once, before (and whether or not) anything
+        # reads the curve.
         from repro.obs import MetricRegistry
 
         registry = MetricRegistry()
         tracker = MRCTracker(server_memory_pages=100, registry=registry)
-        curve = MissRatioCurve.from_trace([1, 1, 2])
-        tracker.store("tpcw/q1", curve, curve.parameters(100))
+        tracker.record("tpcw/q1", [1, 1, 2])
         assert registry.value("mrc.recomputations", app="tpcw") == 1.0
+        assert registry.histogram("mrc.trace_length").sum == 3
         assert tracker.recomputations == 1
 
     def test_default_registry_records_nothing(self):
         tracker = MRCTracker(server_memory_pages=100)
-        tracker.compute("tpcw/q1", [1, 2, 1])
+        tracker.record("tpcw/q1", [1, 2, 1])
         assert tracker.registry.snapshot() == []
         assert tracker.recomputations == 1

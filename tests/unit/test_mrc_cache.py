@@ -122,7 +122,7 @@ class TestAnalyzerCaching:
         obs, engine, analyzer, qc = self._warm_analyzer()
         recomputes = analyzer.mrc.recomputations
         before = analyzer.stored_mrc("app/q")
-        params = analyzer.recompute_mrc("app/q")
+        params = analyzer.recompute_mrc("app/q").parameters
         # Same window, same pool: served from cache — no new analysis.
         assert analyzer.mrc.recomputations == recomputes
         assert obs.registry.value("mrc.cache.hits") >= 1.0
@@ -151,9 +151,9 @@ class TestAnalyzerCaching:
 
     def test_cached_curve_is_identical(self):
         obs, engine, analyzer, qc = self._warm_analyzer()
-        fresh = analyzer.recompute_mrc("app/q")
+        fresh = analyzer.recompute_mrc("app/q").parameters
         analyzer.mrc_cache.clear()
-        recomputed = analyzer.recompute_mrc("app/q")
+        recomputed = analyzer.recompute_mrc("app/q").parameters
         assert fresh == recomputed
 
     def test_recent_slice_does_not_reuse_full_curve(self):

@@ -218,7 +218,7 @@ def tracked_curves(harness):
     return {
         (analyzer.server_name, key): curve
         for analyzer in harness.controller.analyzers()
-        for key, curve in analyzer.mrc._curves.items()
+        for key, curve, _ in analyzer.mrc.curves()
     }
 
 

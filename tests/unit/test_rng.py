@@ -126,3 +126,12 @@ class TestZipfGenerator:
         zipf = ZipfGenerator(10, 0.5, RandomStream(8, "z"))
         with pytest.raises(ValueError):
             zipf.sample_many(-1)
+
+    @pytest.mark.parametrize("theta", [0, 0.35, 0.5, 0.7, 0.8, 1.0, 1.2, 2.0])
+    def test_in_place_cdf_is_the_three_array_cdf_bit_for_bit(self, theta):
+        n = 100_003
+        ranks = np.arange(1, n + 1, dtype=float)
+        cdf = np.cumsum(ranks ** (-theta))
+        cdf /= cdf[-1]
+        zipf = ZipfGenerator(n, theta, RandomStream(9, "z"))
+        assert zipf._cdf.tobytes() == cdf.tobytes()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.metrics import Metric, MetricVector
-from repro.core.mrc import MRCParameters
+from repro.core.mrc import MissRatioCurve, MRCEntry, MRCParameters
 from repro.core.signature import SignatureStore, StableStateSignature
 
 
@@ -53,7 +53,7 @@ class TestSignatureStore:
     def test_set_mrc_creates_placeholder(self):
         store = SignatureStore("s")
         params = MRCParameters(100, 0.1, 80, 0.12)
-        store.set_mrc("app/q", params)
+        store.set_mrc("app/q", MRCEntry.known(params))
         assert store.mrc_of("app/q") == params
         # Placeholder signatures carry no stable metrics...
         assert store.stable_vectors() == {}
@@ -62,18 +62,25 @@ class TestSignatureStore:
         store = SignatureStore("s")
         store.record_stable({"app/q": vec()}, 10.0)
         params = MRCParameters(100, 0.1, 80, 0.12)
-        store.set_mrc("app/q", params)
+        store.set_mrc("app/q", MRCEntry.known(params))
         assert store.mrc_of("app/q") == params
         assert "app/q" in store.stable_vectors()
 
     def test_stable_vectors_excludes_placeholders(self):
         store = SignatureStore("s")
-        store.set_mrc("app/placeholder", MRCParameters(1, 0.0, 1, 0.0))
+        store.set_mrc("app/placeholder", MRCEntry.known(MRCParameters(1, 0.0, 1, 0.0)))
         store.record_stable({"app/real": vec(key="app/real")}, 10.0)
         assert list(store.stable_vectors()) == ["app/real"]
 
     def test_mrc_of_unknown_is_none(self):
         assert SignatureStore("s").mrc_of("ghost") is None
+
+    def test_mrc_of_analyses_a_pending_curve(self):
+        store = SignatureStore("s")
+        store.set_mrc("app/q", MRCEntry([1, 2, 1, 2], 100, 0.05))
+        assert store.mrc_of("app/q") == MissRatioCurve.from_trace(
+            [1, 2, 1, 2]
+        ).parameters(100, 0.05)
 
     def test_drop(self):
         store = SignatureStore("s")
