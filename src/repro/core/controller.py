@@ -68,6 +68,8 @@ class ControllerConfig:
     (:mod:`repro.planner`) instead of the single-server quota path.  Off by
     default: the flag must not change a byte of the classic behaviour."""
     planner_seed: int = 0
+    """Seed for every planner search: reactive plans and the ones the
+    forecaster fires (stamped on every forecast record)."""
     use_forecast: bool = False
     """Predictive SLA enforcement (:mod:`repro.forecast`): learn per-class
     and per-app dynamics online and fire the capacity planner against a
@@ -77,9 +79,6 @@ class ControllerConfig:
     forecast_horizon: int = 2
     """Intervals ahead the forecaster projects (and the window within which
     a predicted violation must materialise to count as a hit)."""
-    forecast_seed: int = 0
-    """Seed for planner searches fired by the forecaster (and stamped on
-    every forecast record)."""
     forecast_margin: float = 1.0
     """Predicted latency must exceed ``forecast_margin * sla_latency``
     before the act-ahead policy may fire (below 1.0 = act earlier)."""
@@ -396,7 +395,7 @@ class ClusterController:
             app,
             "forecast.plan",
             "forecast.plans",
-            self.config.forecast_seed,
+            self.config.planner_seed,
             horizon=forecast.horizon,
         )
         if plan.empty:
@@ -603,7 +602,7 @@ class ClusterController:
             self.forecaster = ForecastEngine(
                 ForecastConfig(
                     horizon=self.config.forecast_horizon,
-                    seed=self.config.forecast_seed,
+                    seed=self.config.planner_seed,
                 ),
                 PolicyConfig(margin=self.config.forecast_margin),
             )

@@ -315,31 +315,3 @@ class WaitsForGraph:
         for node in nodes:
             walk(node, node, [node], {node})
         return sorted(list(cycle) for cycle in cycles)
-
-    @property
-    def has_cycle(self) -> bool:
-        # Iterative three-colour DFS (cheaper than enumerating cycles).
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour: dict[str, int] = defaultdict(int)
-        for root in self._edges:
-            if colour[root] != WHITE:
-                continue
-            stack: list[tuple[str, iter]] = [(root, iter(sorted(self._edges[root])))]
-            colour[root] = GREY
-            while stack:
-                node, children = stack[-1]
-                advanced = False
-                for child in children:
-                    if colour[child] == GREY:
-                        return True
-                    if colour[child] == WHITE:
-                        colour[child] = GREY
-                        stack.append(
-                            (child, iter(sorted(self._edges.get(child, ()))))
-                        )
-                        advanced = True
-                        break
-                if not advanced:
-                    colour[node] = BLACK
-                    stack.pop()
-        return False

@@ -133,7 +133,7 @@ def _predictive_config(
     return ControllerConfig(
         use_forecast=True,
         forecast_horizon=config.horizon,
-        forecast_seed=config.planner_seed,
+        planner_seed=config.planner_seed,
         forecast_margin=config.margin,
         **overrides,
     )
@@ -209,7 +209,7 @@ def forecast_planning_scenario(
         startup_grace_intervals=_NEVER_REACT,
         use_forecast=True,
         forecast_horizon=config.horizon,
-        forecast_seed=config.planner_seed,
+        planner_seed=config.planner_seed,
         forecast_margin=config.margin,
     )
     from .index_drop import CPU_SCALE, scale_cpu_costs

@@ -4,7 +4,6 @@ from .base import MixEntry, Workload
 from .clients import ClientSession, ClosedLoopDriver
 from .load import BurstLoad, ConstantLoad, LoadFunction, SineLoad, StepLoad
 from .rubis import RUBIS_APP, RUBIS_MIXES, SEARCH_ITEMS_BY_REGION, build_rubis
-from .sessions import MarkovSessionModel, session_model_from_mix
 from .zoo import (
     GroundTruthLabel,
     LabelStream,
@@ -34,7 +33,6 @@ __all__ = [
     "GroundTruthLabel",
     "LabelStream",
     "LoadFunction",
-    "MarkovSessionModel",
     "MixEntry",
     "NEW_PRODUCTS",
     "O_DATE_INDEX",
@@ -54,6 +52,5 @@ __all__ = [
     "build_tpcw",
     "build_zoo_scenario",
     "inject_unqualified_admin_update",
-    "session_model_from_mix",
     "zoo_scenario_names",
 ]

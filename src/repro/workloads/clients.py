@@ -32,7 +32,6 @@ class ClientSession:
     client_id: int
     next_submit: float
     queries_issued: int = 0
-    current_class: str | None = None  # Markov-session position
 
 
 class ClosedLoopDriver:
@@ -45,7 +44,6 @@ class ClosedLoopDriver:
         load: LoadFunction | None = None,
         think_time_mean: float = 1.0,
         seeds: SeedSequenceFactory | None = None,
-        session_model=None,
     ) -> None:
         if think_time_mean <= 0:
             raise ValueError(f"think time must be positive: {think_time_mean}")
@@ -53,10 +51,6 @@ class ClosedLoopDriver:
         self.scheduler = scheduler
         self.load = load if load is not None else ConstantLoad(10)
         self.think_time_mean = think_time_mean
-        # Optional Markov session model (see workloads.sessions): when set,
-        # each client walks the interaction chain instead of sampling the
-        # mix i.i.d. — same marginal frequencies, realistic burstiness.
-        self.session_model = session_model
         seeds = seeds if seeds is not None else workload.seeds
         self._mix_stream: RandomStream = seeds.stream(f"{workload.app}-mix")
         self._think_stream: RandomStream = seeds.stream(f"{workload.app}-think")
@@ -108,7 +102,7 @@ class ClosedLoopDriver:
             session = self._sessions[client_id]
             while session.next_submit < end:
                 timestamp = max(session.next_submit, start)
-                query_class = self._next_class(session)
+                query_class = self.workload.sample_class(self._mix_stream)
                 record = self.scheduler.submit(query_class, timestamp)
                 think = self._think_stream.exponential(self.think_time_mean)
                 session.next_submit = timestamp + record.latency + think
@@ -116,15 +110,3 @@ class ClosedLoopDriver:
                 submitted += 1
         self.total_queries += submitted
         return submitted
-
-    def _next_class(self, session: ClientSession):
-        """The session's next interaction: mix draw or Markov step."""
-        if self.session_model is None:
-            return self.workload.sample_class(self._mix_stream)
-        if session.current_class is None:
-            session.current_class = self.session_model.start
-        else:
-            session.current_class = self.session_model.next_class(
-                session.current_class, self._mix_stream
-            )
-        return self.workload.class_named(session.current_class)

@@ -83,7 +83,6 @@ class TestDeadlockDetection:
     def test_cycle_detected(self):
         _, analyzer = self.run_interleaved()
         graph = analyzer.last_waits_for
-        assert graph.has_cycle
         assert ["bank/credit_debit", "bank/debit_credit"] in graph.find_cycles()
 
     def test_lock_waits_in_metric_pipeline(self):

@@ -27,7 +27,6 @@ from oracles.pagegen import (
     per_execution_twin,
     per_execution_workload,
 )
-from repro.analysis.traceload import ClassModel, FittedPattern
 from repro.engine.access import (
     BLOCK_PAGES,
     AccessPattern,
@@ -50,7 +49,6 @@ from repro.sim.rng import (
     RandomStream,
     ZipfGenerator,
 )
-from repro.workloads.sessions import MarkovSessionModel
 from repro.workloads.tpcw import (
     O_DATE_INDEX,
     build_tpcw,
@@ -176,31 +174,6 @@ def test_sampler_rejects_a_non_positive_sum(weights):
 def test_sampler_rejects_negative_probabilities():
     with pytest.raises(ValueError):
         CumulativeSampler.from_weights([2.0, -1.0])
-
-
-@given(
-    rows=st.lists(weight_vectors, min_size=1, max_size=6),
-    seed=seeds,
-)
-@settings(max_examples=100, deadline=None)
-def test_markov_step_equals_generator_choice_on_the_row(rows, seed):
-    """The old ``next_class`` handed the stored matrix row to ``choice``
-    as it was (normalised once at construction, not again per draw)."""
-    size = len(rows)
-    names = [f"c{i}" for i in range(size)]
-    transitions = {}
-    for source, weights in zip(names, rows):
-        row = {names[j]: w for j, w in enumerate(weights[:size]) if w > 0}
-        transitions[source] = row or {source: 1.0}
-    model = MarkovSessionModel(names, transitions)
-    stream, oracle = stream_pair(seed)
-    current = names[0]
-    for _ in range(40):
-        row = np.array([model.transition_probability(current, t) for t in names])
-        expected = names[int(oracle.choice(size, p=row))]
-        current = model.next_class(current, stream)
-        assert current == expected
-    assert_same_position(stream, oracle)
 
 
 # --------------------------------------------------------------------- #
@@ -429,34 +402,18 @@ def test_zipf_working_set_equals_range_page_array_of_the_layout(
     seed=seeds,
 )
 @settings(max_examples=40, deadline=None)
-def test_zipf_pages_and_the_trace_replay_equal_the_per_execution_oracle(
+def test_zipf_pages_equal_the_per_execution_oracle(
     footprint, theta, per_execution, seed
 ):
     """Also executions longer than a block (one execution per block)."""
-    model = ClassModel(
-        name="c",
-        kind="zipf",
-        accesses=10 * footprint,
-        footprint=footprint,
-        theta=theta,
-        pages=tuple(range(5000, 5000 + 3 * footprint, 3)),
-    )
+    pages_by_rank = np.arange(5000, 5000 + 3 * footprint, 3, dtype=np.int64)
     count = executions_crossing_two_refills(per_execution)
     stream, twin = twin_streams(seed)
-    pages_by_rank = np.asarray(model.pages, dtype=np.int64)
     assert_same_executions(
         ZipfPages(pages_by_rank, theta, per_execution, stream),
         per_execution_twin(ZipfPages(pages_by_rank, theta, per_execution, twin)),
         count,
     )
-    stream, twin = twin_streams(seed)
-    replay = FittedPattern(model, per_execution, stream)
-    assert_same_executions(
-        replay,
-        per_execution_twin(ZipfPages(pages_by_rank, theta, per_execution, twin)),
-        count,
-    )
-    assert replay.footprint_pages() == footprint
 
 
 @given(

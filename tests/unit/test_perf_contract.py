@@ -10,10 +10,15 @@ called with the counted argument passed by keyword (the callbacks index
 ``args[1]`` of ``access_many`` / ``prefetch_many`` / ``Scheduler.submit`` /
 ``LogAnalyzer.close_interval``, ``args[2]`` of ``record_window``, ``args[0]``
 of ``stack_distances``, and read ``.total_pages``, ``.waited``, ``.is_write``).
+The workloads are built from ``repro``'s public names and ``ControllerConfig``
+keywords, so those must keep resolving too.
 
 Reads ``benchmarks/perf/`` and ``BENCHMARK.json``; edits neither.
 """
 
+import ast
+import dataclasses
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -106,3 +111,24 @@ def test_uninstall_puts_the_originals_back():
     assert vars(Scheduler)["submit"].__wrapped__ is original
     tracer.uninstall()
     assert vars(Scheduler)["submit"] is original
+
+
+def test_the_frozen_benchmark_still_imports_and_configures_src():
+    """``benchmarks/perf/`` cannot change, so ``src/`` must keep every name
+    it imports and every ``ControllerConfig`` keyword it passes.  This is
+    what keeps ``use_planner`` / ``use_forecast``: ``incident_optin`` builds
+    ``ControllerConfig(use_planner=True, use_forecast=True)``."""
+    importlib.import_module("workloads")  # every ``from repro… import`` resolves
+
+    fields = {field.name for field in dataclasses.fields(ControllerConfig)}
+    passed = set()
+    for path in sorted((ROOT / "benchmarks" / "perf").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "ControllerConfig"
+            ):
+                passed.update(kw.arg for kw in node.keywords)
+    assert {"use_planner", "use_forecast"} <= passed
+    assert passed <= fields, f"not ControllerConfig fields: {passed - fields}"
