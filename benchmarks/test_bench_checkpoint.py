@@ -1,17 +1,20 @@
-"""Micro-benchmark of a control-plane checkpoint: encode-once against the oracle.
+"""Micro-benchmark of a control-plane checkpoint: curves as they are against the oracle.
 
 The cluster is the storm cluster of ``benchmarks/perf``'s ``incident_optin``
 (TPC-W, two replicas, asynchronous replication, recovery on) without the
 faults, run for ``INTERVALS`` intervals so the analyzers hold a few dozen
-miss-ratio curves.  ``checkpoint_now`` is then timed on that one controller
-three ways: as built with every curve's text forgotten (*first*: what the
-first checkpoint to see a curve pays), as built with the texts in place
-(*steady*: no new curve since the last checkpoint), and with the per-element
-pair of ``tests/oracles/checkpoint.py`` swapped in (what every checkpoint
-paid under payload version 1).  The table (``-rP`` shows it) is microseconds
-per checkpoint, best of ``REPEATS``, and payload bytes.  The one assertion on
-time is that the steady state beats the oracle; the payloads must hold the
-same state.
+miss-ratio curves, nearly all of them pending: nothing read them.
+``checkpoint_now`` is then timed on that one controller three ways, each from
+the state the run left (restored from its own checkpoint before every
+repeat): as built with the curves as they are (*pending*: each written as its
+window slice), with the per-element oracle of ``tests/oracles/checkpoint.py``
+swapped in (every curve analysed and listed count by count — what every
+checkpoint of a new curve paid before curves were written as references),
+and as built once every curve has been read (*all read*: the encode-once
+steady state).  The table (``-rP`` shows it) is microseconds per checkpoint,
+best of ``REPEATS``, and payload bytes.  The one assertion on time is that
+the pending checkpoint beats the oracle; the oracle's payload of the
+restored controller must equal its payload of the run's own curves.
 """
 
 import json
@@ -57,47 +60,56 @@ def storm_cluster() -> ClusterHarness:
     return harness
 
 
-def test_steady_state_checkpoint_beats_per_element_encoding():
+def test_pending_checkpoint_beats_per_element_encoding():
     harness = storm_cluster()
     supervisor = harness.recovery
     now = harness.clock.now
-    curves = {
-        id(curve): curve
-        for analyzer in harness.controller.analyzers()
-        for _, curve, _ in analyzer.mrc.curves()
-    }
+    analyzers = harness.controller.analyzers()
+    built = json.dumps(supervisor.snapshot(), separators=(",", ":"))
+    with per_element_checkpoints():
+        # The run's own curves, read and listed: what the references in
+        # ``built`` must restore to.
+        expected = json.dumps(supervisor.snapshot(), separators=(",", ":"))
 
-    def forget_texts() -> None:
-        for curve in curves.values():
-            curve._encoded_hits = None
+    def restore() -> None:
+        supervisor.restore_state(json.loads(built))
 
     def checkpoint() -> None:
         supervisor.checkpoint_now(now)
 
-    def microseconds(setup=lambda: None) -> float:
+    def microseconds(setup=restore) -> float:
         return min(timeit.repeat(checkpoint, setup, number=1, repeat=REPEATS)) * 1e6
 
-    first = microseconds(forget_texts)
-    steady = microseconds()
-    built = supervisor.checkpoints.latest()
+    pending = microseconds()
+    pending_payload = supervisor.checkpoints.latest().payload
     with per_element_checkpoints():
         oracle = microseconds()
-        listed = supervisor.checkpoints.latest()
+        listed = supervisor.checkpoints.latest().payload
+    restore()
+    curves = [
+        entry.curve for analyzer in analyzers for _, entry in analyzer.mrc.entries()
+    ]
+    all_read = microseconds(setup=lambda: None)
+    read_payload = supervisor.checkpoints.latest().payload
 
-    state = json.loads(built.payload)
-    for analyzer in state["analyzers"]:
-        held = list(analyzer["mrc"]["curves"].values()) + [
-            entry["value"]["curve"] for entry in analyzer["mrc_cache"]["entries"]
-        ]
-        for curve in held:
-            curve["hits"] = [int(count) for count in curve["hits"].split(",")]
-    assert state == json.loads(listed.payload)
+    # Restored from the references and read, the controller lists what the
+    # run's own curves listed.
+    assert pending_payload == built
+    assert listed == expected
+    rows = [
+        row
+        for analyzer in json.loads(pending_payload)["analyzers"]
+        for row in analyzer["mrc"]["entries"]
+    ]
+    references = sum("watermark" in row for row in rows)
 
-    counts = sum(len(curve._hits) for curve in curves.values())
-    print(f"{len(curves)} curves, {counts} hit counts, {INTERVALS} intervals")
+    counts = sum(len(curve._hits) for curve in curves)
+    print(f"{len(curves)} curves ({references} pending), {counts} hit counts, "
+          f"{INTERVALS} intervals")
     print(f"{'checkpoint_now':<28}{'us':>10}{'payload bytes':>16}")
-    print(f"{'oracle (per element)':<28}{oracle:>10.0f}{len(listed.payload):>16}")
-    print(f"{'as built, first':<28}{first:>10.0f}{len(built.payload):>16}")
-    print(f"{'as built, steady state':<28}{steady:>10.0f}{len(built.payload):>16}")
+    print(f"{'oracle (per element)':<28}{oracle:>10.0f}{len(listed):>16}")
+    print(f"{'as built, pending':<28}{pending:>10.0f}{len(pending_payload):>16}")
+    print(f"{'as built, all read':<28}{all_read:>10.0f}{len(read_payload):>16}")
 
-    assert steady < oracle
+    assert references > 0
+    assert pending < oracle

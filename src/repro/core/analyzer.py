@@ -456,7 +456,7 @@ class LogAnalyzer:
                 attrs={"context": context_key, "recent_only": recent_only},
             ) as span:
                 self._count_work(span, trace)
-                entry = self.mrc.record(context_key, trace)
+                entry = self.mrc.record(context_key, trace, window.total_seen)
             self.mrc_cache.put(context_key, cache_key, (entry,))
         self.signatures.set_mrc(context_key, entry)
         self._mrc_window_len[context_key] = len(window)
@@ -529,7 +529,7 @@ class LogAnalyzer:
                 "mrc.recompute", attrs={"context": context_key, "assess": True}
             ) as span:
                 self._count_work(span, recent)
-                entry = self.mrc.record(context_key, recent)
+                entry = self.mrc.record(context_key, recent, window.total_seen)
             before_params = None
             if not is_new and len(before) >= min(min_tail, tail) // 2:
                 with self.obs.tracer.span(
@@ -542,6 +542,7 @@ class LogAnalyzer:
                         before,
                         self.mrc.server_memory_pages,
                         self.mrc.acceptable_threshold,
+                        window.total_seen - len(trace) + len(before),
                     ).parameters
             self.mrc_cache.put(context_key, cache_key, (entry, before_params))
         recent_params = entry.parameters

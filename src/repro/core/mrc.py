@@ -362,7 +362,8 @@ class MRCEntry:
     """One recorded miss-ratio curve, analysed when something first reads it.
 
     A recorded entry holds the page trace, the memory size and the threshold
-    the curve will be analysed against.  Mattson's pass, the histogram and
+    the curve will be analysed against, and the access-window watermark the
+    trace ended at.  Mattson's pass, the histogram and
     :meth:`MissRatioCurve.parameters` run on the first read of :attr:`curve`
     or :attr:`parameters`; the results are kept and the trace is let go.  An
     entry that is replaced or dropped before anything reads it is never
@@ -376,29 +377,37 @@ class MRCEntry:
         trace: Sequence[int] | np.ndarray,
         server_memory_pages: int,
         acceptable_threshold: float,
+        watermark: int,
     ) -> None:
-        """``trace`` must not change afterwards: the analysis reads it later."""
+        """``trace`` must not change afterwards: the analysis reads it later.
+
+        ``watermark`` is the window's ``total_seen`` just after the trace's
+        last access, so the trace is the window's ``len(trace)`` accesses
+        that ended there (``AccessWindow.ending_at``).
+        """
         self._pending: tuple | None = (
-            trace, server_memory_pages, acceptable_threshold
+            trace, server_memory_pages, acceptable_threshold, watermark
         )
         self._curve: MissRatioCurve | None = None
         self._params: MRCParameters | None = None
 
     @classmethod
-    def known(
-        cls, params: MRCParameters, curve: MissRatioCurve | None = None
-    ) -> "MRCEntry":
-        """An entry whose analysis is done, as a checkpoint restores it.
-
-        A signature's MRC is checkpointed as parameters alone, so its
-        restored entry has no curve.
-        """
+    def known(cls, params: MRCParameters, curve: MissRatioCurve) -> "MRCEntry":
+        """An entry whose analysis is done, as a checkpoint restores it."""
         entry = cls.__new__(cls)
         entry._pending, entry._curve, entry._params = None, curve, params
         return entry
 
+    @property
+    def pending_slice(self) -> tuple[int, int] | None:
+        """``(watermark, length)`` of the window slice a pending entry will
+        analyse; ``None`` once it has been analysed."""
+        if self._pending is None:
+            return None
+        return self._pending[3], len(self._pending[0])
+
     def _analyse(self) -> None:
-        trace, server_memory_pages, acceptable_threshold = self._pending
+        trace, server_memory_pages, acceptable_threshold, _ = self._pending
         curve = MissRatioCurve.from_trace(trace)
         self._params = curve.parameters(server_memory_pages, acceptable_threshold)
         self._curve = curve
@@ -533,15 +542,18 @@ class MRCTracker:
         return context_key in self._entries
 
     def record(
-        self, context_key: str, trace: Sequence[int] | np.ndarray
+        self, context_key: str, trace: Sequence[int] | np.ndarray, watermark: int
     ) -> MRCEntry:
         """Record the curve of ``context_key``'s page trace, pending until read.
 
-        Counts as a recomputation now (``mrc.recomputations``, and the trace
-        length in ``mrc.trace_length``): the telemetry says when a curve was
-        taken, whenever it is analysed.
+        ``watermark`` is the access window's ``total_seen`` the trace ended
+        at.  Counts as a recomputation now (``mrc.recomputations``, and the
+        trace length in ``mrc.trace_length``): the telemetry says when a
+        curve was taken, whenever it is analysed.
         """
-        entry = MRCEntry(trace, self.server_memory_pages, self.acceptable_threshold)
+        entry = MRCEntry(
+            trace, self.server_memory_pages, self.acceptable_threshold, watermark
+        )
         self._entries[context_key] = entry
         self.recomputations += 1
         app = context_key.split("/", 1)[0]
@@ -570,11 +582,10 @@ class MRCTracker:
     def curve_of(self, context_key: str) -> MissRatioCurve:
         return self._entry(context_key).curve
 
-    def curves(self) -> Iterator[tuple[str, MissRatioCurve, MRCParameters]]:
-        """``(context, curve, parameters)`` of every recorded context, in
-        recording order, analysing the pending ones (a checkpoint reads all)."""
-        for context_key, entry in self._entries.items():
-            yield context_key, entry.curve, entry.parameters
+    def entries(self) -> Iterator[tuple[str, MRCEntry]]:
+        """``(context, entry)`` of every recorded context, in recording
+        order; pending entries stay pending (a checkpoint reads none)."""
+        return iter(self._entries.items())
 
     def forget(self, context_key: str) -> None:
         self._entries.pop(context_key, None)

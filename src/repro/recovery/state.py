@@ -9,21 +9,30 @@ Engine buffer pools, statistics logs and replica placement are data-plane
 state: they persist across a control-plane crash and are *not* snapshotted
 (the reconcile pass diffs against them instead).
 
-The export/restore pair is exact: restoring a snapshot and exporting again
-produces an equal payload, and a restored analyzer serves the same cached
-curves (without recomputation) as the original would have — the Hypothesis
-byte-identity suite pins both.  Restoration performs direct attribute
-assignment and ``MRCTracker.restore`` only; it never goes through the
-``record``/``put`` paths that would increment observability counters,
-preserving the recovery subsystem's zero-telemetry contract.
+The export/restore pair is exact given the surviving data plane: restoring
+a snapshot and exporting again produces an equal payload, and a restored
+analyzer serves the same cached curves (without recomputation) as the
+original would have — the Hypothesis byte-identity suite pins both.
+Restoration performs direct attribute assignment and
+``MRCTracker.restore`` only; it never goes through the ``record``/``put``
+paths that would increment observability counters, preserving the
+recovery subsystem's zero-telemetry contract.
 
-A checkpoint reads every curve the analyzer holds, so the export analyses
-the curves still pending (``MRCEntry``); restored curves come back analysed.
-A miss-ratio curve is an immutable value, so its hit histogram is encoded
-once — one text of comma-separated counts, kept on the curve — and every
-later checkpoint, and both places a curve appears in the payload, reuse
-that text; restore hands the text it parsed to the restored curve.  A
-checkpoint therefore costs what changed since the last one (DESIGN §13).
+Each distinct ``MRCEntry`` the analyzer holds — the tracker, the MRC cache
+and the signatures share them — is written once, into one table that the
+three refer to by position, and restore hands the same rebuilt entry back
+to all three.  A checkpoint reads no curve: an entry still pending is
+written as a reference to the slice of the engine's access window it will
+analyse (the window is data-plane state and survives the crash), and
+restore re-reads that slice into a pending entry.  A slice the window no
+longer holds at restore leaves its class without a curve, cold like any
+class the analyzer has not seen; one the window had already lost when the
+checkpoint was taken is analysed and written like any analysed entry.  An
+analysed curve is an immutable value, so its hit histogram is encoded once
+— one text of comma-separated counts, kept on the curve — and every later
+checkpoint reuses that text; restore hands the text it parsed to the
+restored curve.  A checkpoint therefore costs what changed since the last
+one (DESIGN §13).
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ import numpy as np
 from ..core.metrics import Metric, MetricVector
 from ..core.mrc import MissRatioCurve, MRCCacheKey, MRCEntry, MRCParameters
 from ..core.signature import StableStateSignature
+from ..sim.trace import AccessWindow
 
 __all__ = [
     "export_controller_state",
@@ -47,7 +57,7 @@ __all__ = [
     "wipe_cluster_state",
 ]
 
-STATE_VERSION = 2
+STATE_VERSION = 3
 
 
 # ---------------------------------------------------------------------- #
@@ -108,6 +118,39 @@ def _curve_from_jsonable(payload: dict) -> MissRatioCurve:
     return curve
 
 
+def _entry_to_jsonable(entry: MRCEntry, window: AccessWindow) -> dict:
+    """A pending entry whose slice ``window`` still holds as the slice's
+    ``(watermark, length)``; any other as its curve and parameters."""
+    pending = entry.pending_slice
+    if pending is not None and window.holds(*pending):
+        watermark, length = pending
+        return {"watermark": watermark, "length": length}
+    return {
+        "curve": _curve_to_jsonable(entry.curve),
+        "params": _params_to_jsonable(entry.parameters),
+    }
+
+
+def _entry_from_jsonable(
+    payload: dict, window: AccessWindow, tracker
+) -> MRCEntry | None:
+    """The entry a table row describes; ``None`` when it references a slice
+    the window has evicted since the checkpoint."""
+    if "watermark" not in payload:
+        return MRCEntry.known(
+            _params_from_jsonable(payload["params"]),
+            _curve_from_jsonable(payload["curve"]),
+        )
+    watermark = payload["watermark"]
+    trace = window.ending_at(watermark, payload["length"])
+    if trace is None:
+        return None
+    return MRCEntry(
+        trace, tracker.server_memory_pages, tracker.acceptable_threshold,
+        watermark,
+    )
+
+
 # ---------------------------------------------------------------------- #
 # Analyzer state                                                         #
 # ---------------------------------------------------------------------- #
@@ -121,36 +164,41 @@ def export_analyzer_state(analyzer) -> dict:
     starts its next interval clean, exactly as a rebooted monitoring agent
     would.
     """
+    log = analyzer.engine.log
+    table: list[dict] = []
+    rows: dict[int, int] = {}  # id(entry) -> its row in ``table``
+
+    def row(key: str, entry: MRCEntry) -> int:
+        at = rows.get(id(entry))
+        if at is None:
+            at = rows[id(entry)] = len(table)
+            table.append(_entry_to_jsonable(entry, log.window_for(key)))
+        return at
+
     signatures = []
     for key, signature in analyzer.signatures._signatures.items():
         signatures.append({
             "context_key": key,
             "metrics": _vector_to_jsonable(signature.metrics),
-            "mrc": _params_to_jsonable(analyzer.signatures.mrc_of(key)),
+            "mrc": None if signature.mrc is None else row(key, signature.mrc),
             "recorded_at": signature.recorded_at,
             "intervals_observed": signature.intervals_observed,
         })
     tracker = analyzer.mrc
+    tracked = {key: row(key, entry) for key, entry in tracker.entries()}
     cache = analyzer.mrc_cache
     cache_entries = []
     for key, (cache_key, value) in cache._entries.items():
-        entry_value = {
-            "curve": _curve_to_jsonable(value[0].curve),
-            "params": _params_to_jsonable(value[0].parameters),
-        }
-        if len(value) > 1:  # assessment entries carry the "before" params
-            entry_value["before"] = _params_to_jsonable(value[1])
-        cache_entries.append({
+        cached = {
             "context_key": key,
             "window_version": cache_key.window_version,
             "pool_pages": cache_key.pool_pages,
             "variant": cache_key.variant,
-            "value": entry_value,
-        })
-    curves, parameters = {}, {}
-    for key, curve, params in tracker.curves():
-        curves[key] = _curve_to_jsonable(curve)
-        parameters[key] = _params_to_jsonable(params)
+            "entry": row(key, value[0]),
+        }
+        if len(value) > 1:  # assessment entries carry the "before" params
+            cached["before"] = _params_to_jsonable(value[1])
+        cache_entries.append(cached)
     return {
         "server": analyzer.server_name,
         "engine": analyzer.engine.name,
@@ -169,8 +217,8 @@ def export_analyzer_state(analyzer) -> dict:
         "signatures": signatures,
         "mrc": {
             "recomputations": tracker.recomputations,
-            "curves": curves,
-            "parameters": parameters,
+            "entries": table,
+            "tracked": tracked,
         },
         "mrc_cache": {
             "hits": cache.hits,
@@ -181,44 +229,58 @@ def export_analyzer_state(analyzer) -> dict:
 
 
 def restore_analyzer_state(analyzer, state: dict) -> None:
-    """Refill a (wiped) analyzer from an exported snapshot."""
+    """Refill a (wiped) analyzer from an exported snapshot.
+
+    Every table row is rebuilt once, on its first reference, and the same
+    entry goes to each holder that referenced it.  A row whose slice the
+    engine's window has evicted restores as no curve at all: the signature
+    keeps its metrics without an MRC, and the tracker and cache hold
+    nothing for it.
+    """
     analyzer.amnesia()
+    log = analyzer.engine.log
+    tracker = analyzer.mrc
+    table = state["mrc"]["entries"]
+    built: dict[int, MRCEntry | None] = {}
+
+    def entry(key: str, at: int) -> MRCEntry | None:
+        if at not in built:
+            built[at] = _entry_from_jsonable(table[at], log.window_for(key), tracker)
+        return built[at]
+
     for payload in state["signatures"]:
         key = payload["context_key"]
-        params = _params_from_jsonable(payload["mrc"])
+        at = payload["mrc"]
         analyzer.signatures._signatures[key] = StableStateSignature(
             context_key=key,
             metrics=_vector_from_jsonable(key, payload["metrics"]),
-            mrc=None if params is None else MRCEntry.known(params),
+            mrc=None if at is None else entry(key, at),
             recorded_at=payload["recorded_at"],
             intervals_observed=payload["intervals_observed"],
         )
-    tracker = analyzer.mrc
     tracker.recomputations = state["mrc"]["recomputations"]
-    parameters = state["mrc"]["parameters"]
-    for key, payload in state["mrc"]["curves"].items():
-        tracker.restore(key, MRCEntry.known(
-            _params_from_jsonable(parameters[key]), _curve_from_jsonable(payload)
-        ))
+    for key, at in state["mrc"]["tracked"].items():
+        recorded = entry(key, at)
+        if recorded is not None:
+            tracker.restore(key, recorded)
     cache = analyzer.mrc_cache
     cache.hits = state["mrc_cache"]["hits"]
     cache.misses = state["mrc_cache"]["misses"]
-    for entry in state["mrc_cache"]["entries"]:
+    for payload in state["mrc_cache"]["entries"]:
+        key = payload["context_key"]
+        recorded = entry(key, payload["entry"])
+        if recorded is None:
+            continue
         cache_key = MRCCacheKey(
-            window_version=entry["window_version"],
-            pool_pages=entry["pool_pages"],
-            variant=entry["variant"],
-        )
-        payload = entry["value"]
-        recorded = MRCEntry.known(
-            _params_from_jsonable(payload["params"]),
-            _curve_from_jsonable(payload["curve"]),
+            window_version=payload["window_version"],
+            pool_pages=payload["pool_pages"],
+            variant=payload["variant"],
         )
         if "before" in payload:
             value = (recorded, _params_from_jsonable(payload["before"]))
         else:
             value = (recorded,)
-        cache._entries[entry["context_key"]] = (cache_key, value)
+        cache._entries[key] = (cache_key, value)
     analyzer._intervals_closed = state["intervals_closed"]
     analyzer._first_seen = dict(state["first_seen"])
     analyzer._seen_marks = {

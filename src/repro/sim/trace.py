@@ -132,6 +132,25 @@ class AccessWindow:
         )
         return newest_first[::-1]
 
+    def holds(self, watermark: int, count: int) -> bool:
+        """Whether the ``count`` accesses that ended at ``watermark`` (a past
+        :attr:`total_seen`) are all still in the window."""
+        oldest = self._total_seen - len(self._buffer)  # watermark before the oldest
+        return 0 <= count <= watermark - oldest and watermark <= self._total_seen
+
+    def ending_at(self, watermark: int, count: int) -> np.ndarray | None:
+        """The ``count`` accesses that ended at ``watermark``, oldest first, as
+        an int64 array — what ``snapshot(last=count)`` returned when
+        :attr:`total_seen` was ``watermark`` — or ``None`` once any of them
+        has been evicted."""
+        if not self.holds(watermark, count):
+            return None
+        newest_first = np.fromiter(
+            islice(reversed(self._buffer), self._total_seen - watermark, None),
+            dtype=np.int64, count=count,
+        )
+        return newest_first[::-1]
+
     def clear(self) -> None:
         self._buffer.clear()
 

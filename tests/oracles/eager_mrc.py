@@ -3,15 +3,17 @@
 ``repro.core.analyzer.LogAnalyzer`` records each curve as a pending
 ``MRCEntry`` and runs Mattson's pass on the first read.  This is the
 formulation it replaced: the stable-state refresh, the diagnosis-time
-recomputation and the assessment build curve and parameters on the spot, and
-the tracker keeps them in two dicts.  It is the specification of *what* every
-read returns, what the telemetry says and what a checkpoint holds; the
-on-demand suite runs both side by side.
+recomputation and the assessment build curve and parameters on the spot.  It
+is the specification of *what* every read returns, what the telemetry says
+and what a restored analyzer reads; the on-demand suite runs both side by
+side.
 
-Only the storage format follows the current code — signatures and the cache
-hold ``MRCEntry.known`` values, so that ``repro.recovery.state`` exports and
-restores both analyzers the same way.  :func:`eager_analyzers` makes every
-cluster built inside the block attach this analyzer.
+Only the storage format follows the current code — the tracker, the cache and
+the signature share one ``MRCEntry.known`` value per curve taken, so that
+``repro.recovery.state`` exports and restores both analyzers the same way
+(every entry here is analysed, so its checkpoint holds curves where the
+on-demand analyzer's holds window references).  :func:`eager_analyzers` makes
+every cluster built inside the block attach this analyzer.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ __all__ = ["EagerMRCTracker", "EagerLogAnalyzer", "eager_analyzers"]
 
 
 class EagerMRCTracker:
-    """Curves and parameters in two dicts, computed before they are stored."""
+    """Entries whose curve and parameters are computed before they are stored."""
 
     def __init__(
         self,
@@ -45,48 +47,43 @@ class EagerMRCTracker:
         self.server_memory_pages = server_memory_pages
         self.acceptable_threshold = acceptable_threshold
         self.registry = registry if registry is not None else NULL_REGISTRY
-        self._curves: dict[str, MissRatioCurve] = {}
-        self._parameters: dict[str, MRCParameters] = {}
+        self._entries: dict[str, MRCEntry] = {}
         self.recomputations = 0
 
     def has(self, context_key: str) -> bool:
-        return context_key in self._parameters
+        return context_key in self._entries
 
     def store(
         self, context_key: str, curve: MissRatioCurve, params: MRCParameters
-    ) -> None:
-        self._curves[context_key] = curve
-        self._parameters[context_key] = params
+    ) -> MRCEntry:
+        entry = self._entries[context_key] = MRCEntry.known(params, curve)
         self.recomputations += 1
         app = context_key.split("/", 1)[0]
         self.registry.counter("mrc.recomputations", app=app).inc()
         self.registry.histogram("mrc.trace_length").observe(curve.total_accesses)
+        return entry
 
     def restore(self, context_key: str, entry: MRCEntry) -> None:
-        self._curves[context_key] = entry.curve
-        self._parameters[context_key] = entry.parameters
+        self._entries[context_key] = entry
 
     def parameters_of(self, context_key: str) -> MRCParameters:
-        return self._parameters[context_key]
+        return self._entries[context_key].parameters
 
     def curve_of(self, context_key: str) -> MissRatioCurve:
-        return self._curves[context_key]
+        return self._entries[context_key].curve
 
-    def curves(self) -> Iterator[tuple[str, MissRatioCurve, MRCParameters]]:
-        for context_key, curve in self._curves.items():
-            yield context_key, curve, self._parameters[context_key]
+    def entries(self) -> Iterator[tuple[str, MRCEntry]]:
+        return iter(self._entries.items())
 
     def forget(self, context_key: str) -> None:
-        self._curves.pop(context_key, None)
-        self._parameters.pop(context_key, None)
+        self._entries.pop(context_key, None)
 
     def reset(self) -> None:
-        self._curves.clear()
-        self._parameters.clear()
+        self._entries.clear()
         self.recomputations = 0
 
     def contexts(self) -> list[str]:
-        return sorted(self._parameters)
+        return sorted(self._entries)
 
 
 class EagerLogAnalyzer(LogAnalyzer):
@@ -139,17 +136,15 @@ class EagerLogAnalyzer(LogAnalyzer):
         if cached is not None:
             (entry,) = cached
             self.mrc.restore(context_key, entry)
-            params = entry.parameters
         else:
             with self.obs.tracer.span(
                 "mrc.recompute",
                 attrs={"context": context_key, "recent_only": recent_only},
             ) as span:
                 curve, params = self._build_curve(trace, span)
-                self.mrc.store(context_key, curve, params)
-            entry = MRCEntry.known(params, curve)
+                entry = self.mrc.store(context_key, curve, params)
             self.mrc_cache.put(context_key, cache_key, (entry,))
-        self.signatures.set_mrc(context_key, MRCEntry.known(params))
+        self.signatures.set_mrc(context_key, entry)
         self._mrc_window_len[context_key] = len(window)
         return entry
 
@@ -182,13 +177,12 @@ class EagerLogAnalyzer(LogAnalyzer):
         if cached is not None:
             entry, before_params = cached
             self.mrc.restore(context_key, entry)
-            recent_params = entry.parameters
         else:
             with self.obs.tracer.span(
                 "mrc.recompute", attrs={"context": context_key, "assess": True}
             ) as span:
                 recent_curve, recent_params = self._build_curve(recent, span)
-                self.mrc.store(context_key, recent_curve, recent_params)
+                entry = self.mrc.store(context_key, recent_curve, recent_params)
             before_params = None
             if not is_new and len(before) >= min(min_tail, tail) // 2:
                 with self.obs.tracer.span(
@@ -197,11 +191,9 @@ class EagerLogAnalyzer(LogAnalyzer):
                            "slice": "before"},
                 ) as span:
                     _, before_params = self._build_curve(before, span)
-            self.mrc_cache.put(
-                context_key, cache_key,
-                (MRCEntry.known(recent_params, recent_curve), before_params),
-            )
-        self.signatures.set_mrc(context_key, MRCEntry.known(recent_params))
+            self.mrc_cache.put(context_key, cache_key, (entry, before_params))
+        recent_params = entry.parameters
+        self.signatures.set_mrc(context_key, entry)
         self._mrc_window_len[context_key] = len(window)
         if is_new:
             return ("new", recent_params)

@@ -6,10 +6,12 @@ Two pins, both byte-level on exported telemetry:
   exactly the bytes of a run without recovery, and
 * interrupting a run at an arbitrary interval with checkpoint → wipe →
   restore, then resuming, exports exactly the bytes of the uninterrupted
-  run — the serialized state is *complete*: nothing the rest of the run
-  depends on lives outside it.  The split comes after at least two
-  checkpoints, so the snapshot is built from curve texts that earlier
-  checkpoints encoded and left on the curves (encode-once, DESIGN §13).
+  run — the serialized state is *complete* given the surviving data plane:
+  nothing the rest of the run depends on lives outside it and the engines'
+  access windows, from which restore re-reads the curves still pending
+  (DESIGN §13, *Curves as references*).  The split comes after at least two
+  checkpoints.  ``tests/integration/test_recovery_splits.py`` interrupts
+  zoo episodes whose restored curves are read.
 
 Every Hypothesis example runs two full simulations, so the example
 budgets are deliberately small; the split point and cluster shape are the

@@ -283,7 +283,7 @@ class TestMRCTracker:
     def test_compute_and_lookup(self):
         tracker = MRCTracker(server_memory_pages=100)
         trace = list(range(10)) * 5
-        entry = tracker.record("app/q", trace)
+        entry = tracker.record("app/q", trace, len(trace))
         assert tracker.has("app/q")
         params = tracker.parameters_of("app/q")
         assert params == MissRatioCurve.from_trace(trace).parameters(100)
@@ -296,13 +296,13 @@ class TestMRCTracker:
 
     def test_recomputation_counter(self):
         tracker = MRCTracker(server_memory_pages=100)
-        tracker.record("a", [1, 2, 3])
-        tracker.record("a", [1, 2, 3, 4])
+        tracker.record("a", [1, 2, 3], 3)
+        tracker.record("a", [1, 2, 3, 4], 4)
         assert tracker.recomputations == 2
 
     def test_forget(self):
         tracker = MRCTracker(server_memory_pages=100)
-        tracker.record("a", [1, 2])
+        tracker.record("a", [1, 2], 2)
         tracker.forget("a")
         assert not tracker.has("a")
 
@@ -318,25 +318,28 @@ class TestMRCTracker:
 
     def test_contexts_sorted(self):
         tracker = MRCTracker(server_memory_pages=100)
-        tracker.record("b", [1])
-        tracker.record("a", [1])
+        tracker.record("b", [1], 1)
+        tracker.record("a", [1], 1)
         assert tracker.contexts() == ["a", "b"]
 
     def test_curves_in_recording_order(self):
         tracker = MRCTracker(server_memory_pages=100)
-        tracker.record("b", [1, 1])
-        tracker.record("a", [1, 2, 1])
-        tracker.record("b", [2, 2, 2])  # a refresh keeps the context's place
-        listed = [(key, curve.total_accesses, params.total_memory)
-                  for key, curve, params in tracker.curves()]
-        assert listed == [("b", 3, 1), ("a", 3, 2)]
+        tracker.record("b", [1, 1], 2)
+        tracker.record("a", [1, 2, 1], 3)
+        tracker.record("b", [2, 2, 2], 5)  # a refresh keeps the context's place
+        # Listing reads nothing: every entry is still pending.
+        listed = [(key, entry.pending_slice) for key, entry in tracker.entries()]
+        assert listed == [("b", (5, 3)), ("a", (3, 3))]
+        assert [entry.parameters.total_memory
+                for _, entry in tracker.entries()] == [1, 2]
+        assert all(entry.pending_slice is None for _, entry in tracker.entries())
 
     def test_reset_forgets_curves_and_count_without_telemetry(self):
         from repro.obs import MetricRegistry
 
         registry = MetricRegistry()
         tracker = MRCTracker(server_memory_pages=100, registry=registry)
-        tracker.record("tpcw/q1", [1, 2, 1])
+        tracker.record("tpcw/q1", [1, 2, 1], 3)
         published = registry.snapshot()
         tracker.reset()
         assert (tracker.contexts(), tracker.recomputations) == ([], 0)
@@ -386,9 +389,9 @@ class TestTrackerTelemetry:
 
         registry = MetricRegistry()
         tracker = MRCTracker(server_memory_pages=100, registry=registry)
-        tracker.record("tpcw/q1", [1, 2, 1, 2])
-        tracker.record("tpcw/q2", [1, 2, 3])
-        tracker.record("rubis/q1", [5, 5])
+        tracker.record("tpcw/q1", [1, 2, 1, 2], 4)
+        tracker.record("tpcw/q2", [1, 2, 3], 3)
+        tracker.record("rubis/q1", [5, 5], 2)
         assert registry.value("mrc.recomputations", app="tpcw") == 2.0
         assert registry.value("mrc.recomputations", app="rubis") == 1.0
         hist = registry.histogram("mrc.trace_length")
@@ -402,13 +405,13 @@ class TestTrackerTelemetry:
 
         registry = MetricRegistry()
         tracker = MRCTracker(server_memory_pages=100, registry=registry)
-        tracker.record("tpcw/q1", [1, 1, 2])
+        tracker.record("tpcw/q1", [1, 1, 2], 3)
         assert registry.value("mrc.recomputations", app="tpcw") == 1.0
         assert registry.histogram("mrc.trace_length").sum == 3
         assert tracker.recomputations == 1
 
     def test_default_registry_records_nothing(self):
         tracker = MRCTracker(server_memory_pages=100)
-        tracker.record("tpcw/q1", [1, 2, 1])
+        tracker.record("tpcw/q1", [1, 2, 1], 3)
         assert tracker.registry.snapshot() == []
         assert tracker.recomputations == 1

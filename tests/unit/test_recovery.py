@@ -13,11 +13,17 @@ import json
 import pytest
 
 from oracles.checkpoint import per_element_checkpoints
+from repro.core.analyzer import LogAnalyzer
 from repro.core.controller import ControllerConfig
 from repro.core.diagnosis import Action, ActionKind
+from repro.engine.access import ZipfWorkingSet
+from repro.engine.engine import DatabaseEngine, EngineConfig
+from repro.engine.pages import PageSpaceAllocator
+from repro.engine.query import QueryClass
+from repro.engine.tables import Table
 from repro.experiments.runner import ClusterHarness
 from repro.faults import FaultPlan
-from repro.obs import read_records, record_lines
+from repro.obs import Observability, read_records, record_lines, telemetry_lines
 from repro.recovery import state as recovery_state
 from repro.recovery import (
     ActionJournal,
@@ -28,6 +34,8 @@ from repro.recovery import (
     StaleEpochError,
 )
 from repro.recovery.journal import journal_records
+from repro.recovery.state import export_analyzer_state, restore_analyzer_state
+from repro.sim.rng import SeedSequenceFactory
 from repro.workloads import build_tpcw
 
 
@@ -196,18 +204,19 @@ class TestStateRoundTrip:
         state["version"] = 99
         with pytest.raises(ValueError, match="version"):
             supervisor.restore_state(state)
-        # A version-1 payload (list-encoded hits, planner_seed present) is
-        # refused by its version, before the curve decoder ever sees a list.
+        # A version-1 payload (list-encoded hits) or a version-2 one (every
+        # curve analysed) is refused by its version, before the decoder ever
+        # sees a list where it expects a text or a table row.
         with per_element_checkpoints():
             old = supervisor.snapshot()
-        old["version"] = 1
-        old["controller"]["planner_seed"] = 0
-        curves = old["analyzers"][0]["mrc"]["curves"]
-        assert curves and all(
-            isinstance(curve["hits"], list) for curve in curves.values()
-        )
-        with pytest.raises(ValueError, match="unsupported checkpoint version: 1"):
-            supervisor.restore_state(json.loads(json.dumps(old)))
+        rows = old["analyzers"][0]["mrc"]["entries"]
+        assert rows and all(isinstance(row["curve"]["hits"], list) for row in rows)
+        for version in (1, 2):
+            old["version"] = version
+            with pytest.raises(
+                ValueError, match=f"unsupported checkpoint version: {version}"
+            ):
+                supervisor.restore_state(json.loads(json.dumps(old)))
 
     def test_planner_seed_is_config_not_state(self):
         _, supervisor, _ = make_harness()
@@ -215,10 +224,11 @@ class TestStateRoundTrip:
 
 
 def tracked_curves(harness):
+    """Every tracked curve, read: a pending one is analysed here."""
     return {
-        (analyzer.server_name, key): curve
+        (analyzer.server_name, key): entry.curve
         for analyzer in harness.controller.analyzers()
-        for key, curve, _ in analyzer.mrc.curves()
+        for key, entry in analyzer.mrc.entries()
     }
 
 
@@ -227,6 +237,14 @@ def curve_values(harness):
         key: (curve._hits.tolist(), curve.cold_misses)
         for key, curve in tracked_curves(harness).items()
     }
+
+
+def table_rows(payload):
+    return [
+        row
+        for analyzer in payload["analyzers"]
+        for row in analyzer["mrc"]["entries"]
+    ]
 
 
 class TestCurvesEncodedOnce:
@@ -249,8 +267,8 @@ class TestCurvesEncodedOnce:
         calls = self.count_encodings(monkeypatch)
         first = supervisor.checkpoint_now(harness.clock.now)
         curves = tracked_curves(harness)
-        # Every curve is encoded once although tracker and cache both
-        # hold it, and not again by the next checkpoint.
+        # Every curve is encoded once although tracker, cache and signature
+        # all hold it, and not again by the next checkpoint.
         assert len(calls) == len({id(c) for c in curves.values()}) > 0
         del calls[:]
         second = supervisor.checkpoint_now(harness.clock.now)
@@ -268,6 +286,13 @@ class TestCurvesEncodedOnce:
     def test_export_restore_export_is_the_same_payload(self, monkeypatch):
         harness, supervisor, _ = make_harness(clients=14)
         harness.run(intervals=5)
+        entries = [
+            entry
+            for analyzer in harness.controller.analyzers()
+            for _, entry in analyzer.mrc.entries()
+        ]
+        for entry in entries[::2]:
+            entry.curve  # read every other curve: both kinds of row
         payload = json.dumps(supervisor.snapshot(), separators=(",", ":"))
         supervisor.wipe()
         parsed = json.loads(payload)
@@ -276,31 +301,133 @@ class TestCurvesEncodedOnce:
         again = supervisor.snapshot()
         assert calls == []  # restored curves carry the text they came from
         assert json.dumps(again, separators=(",", ":")) == payload
-        assert any(a["mrc"]["curves"] for a in parsed["analyzers"])
-        for before, after in zip(parsed["analyzers"], again["analyzers"]):
-            for key, curve in before["mrc"]["curves"].items():
-                assert after["mrc"]["curves"][key]["hits"] is curve["hits"]
+        rows = table_rows(parsed)
+        assert {"watermark" in row for row in rows} == {True, False}
+        for before, after in zip(rows, table_rows(again)):
+            if "curve" in before:
+                assert after["curve"]["hits"] is before["curve"]["hits"]
 
     def test_corruption_falls_back_across_shared_encodings(self):
         harness, supervisor, _ = make_harness(clients=14)
-        harness.run(intervals=4)
-        at_four = curve_values(harness)
-        harness.run(intervals=2)  # checkpoints at 2, 4, 6 share curve texts
-        texts = [
-            {
-                curve["hits"]
-                for analyzer in json.loads(checkpoint.payload)["analyzers"]
-                for curve in analyzer["mrc"]["curves"].values()
-            }
+        harness.run(intervals=4)  # checkpoints 2 and 4 reference pending curves
+        at_four = curve_values(harness)  # reads every curve
+        harness.run(intervals=2)  # checkpoint 6 writes the curves read as texts
+        payloads = [
+            json.loads(checkpoint.payload)
             for checkpoint in supervisor.checkpoints.checkpoints
         ]
-        assert texts[1] & texts[2]
+        assert any("watermark" in row for row in table_rows(payloads[1]))
+        assert any("curve" in row for row in table_rows(payloads[2]))
         supervisor.corrupt_latest_checkpoint()
         supervisor.crash(harness.clock.now)
         supervisor.restart(harness.clock.now + 1.0)
         assert supervisor.restored_interval == 4
         assert supervisor.checkpoints.corrupt_skipped == 1
         assert curve_values(harness) == at_four
+
+
+class TestPendingCurvesAreReferences:
+    def test_a_checkpoint_reads_no_curve(self, kernel_calls):
+        harness, supervisor, _ = make_harness(clients=14)
+        harness.run(intervals=5)
+        seen = len(kernel_calls)
+        checkpoint = supervisor.checkpoint_now(harness.clock.now)
+        assert len(kernel_calls) == seen
+        rows = table_rows(json.loads(checkpoint.payload))
+        assert rows and all(set(row) == {"watermark", "length"} for row in rows)
+
+    def test_restore_shares_one_entry_per_curve(self, kernel_calls):
+        harness, supervisor, _ = make_harness(clients=14)
+        harness.run(intervals=5)
+        state = json.loads(json.dumps(supervisor.snapshot()))
+        supervisor.wipe()
+        seen = len(kernel_calls)
+        supervisor.restore_state(state)
+        assert len(kernel_calls) == seen  # restore re-reads slices, no curve
+        restored = 0
+        for analyzer in harness.controller.analyzers():
+            for key, entry in analyzer.mrc.entries():
+                assert entry.pending_slice is not None
+                assert analyzer.signatures.get(key).mrc is entry
+                assert analyzer.mrc_cache._entries[key][1][0] is entry
+                params = analyzer.stored_mrc(key)  # one read, one kernel call
+                assert len(kernel_calls) == seen + 1
+                assert params is analyzer.mrc.parameters_of(key)
+                assert analyzer.ensure_mrc(key) is params
+                assert len(kernel_calls) == seen + 1
+                seen += 1
+                restored += 1
+        assert restored > 0
+
+
+def small_window_analyzer(window, obs):
+    engine = DatabaseEngine(EngineConfig(
+        name="e", pool_pages=256, log_buffer_capacity=4, window_capacity=window,
+    ))
+    table = Table.create(
+        PageSpaceAllocator(), "t-q", row_count=160_000, row_bytes=1024
+    )
+    pattern = ZipfWorkingSet(
+        table.pages, 50, 0.5, 20, SeedSequenceFactory(99).stream("q")
+    )
+    query_class = QueryClass("q", "app", 1, "select q", pattern)
+
+    def execute(times):  # 20 accesses each
+        for _ in range(times):
+            engine.execute(query_class)
+
+    return LogAnalyzer(engine, "s1", obs=obs), execute
+
+
+class TestEvictedSlices:
+    """A pending curve is checkpointed as its slice of the window, so what
+    restore can rebuild depends on what the window still holds."""
+
+    def test_a_slice_lost_after_the_checkpoint_restores_the_class_cold(
+        self, kernel_calls
+    ):
+        obs = Observability()
+        analyzer, execute = small_window_analyzer(3_000, obs)
+        execute(100)
+        analyzer.close_interval(10.0, {"app": True}, 10.0)
+        assert analyzer.mrc._entries["app/q"].pending_slice == (2_000, 2_000)
+        state = json.loads(json.dumps(export_analyzer_state(analyzer)))
+        assert state["mrc"]["entries"] == [{"watermark": 2_000, "length": 2_000}]
+
+        execute(100)  # the window now holds accesses 1000..4000 only
+        telemetry = telemetry_lines(obs)
+        restore_analyzer_state(analyzer, state)
+        assert telemetry_lines(obs) == telemetry  # restore says nothing
+        assert kernel_calls == []
+        assert not analyzer.mrc.has("app/q")
+        assert analyzer.stored_mrc("app/q") is None
+        assert "app/q" in analyzer.signatures
+        assert len(analyzer.mrc_cache) == 0
+        assert analyzer.mrc.recomputations == 1
+
+        # Cold, like a class the analyzer has not seen: the next stable close
+        # takes a curve of the window as it is now.
+        analyzer.close_interval(10.0, {"app": True}, 20.0)
+        assert analyzer.mrc._entries["app/q"].pending_slice == (4_000, 3_000)
+        assert analyzer.mrc.recomputations == 2
+        assert kernel_calls == []
+
+    def test_a_slice_lost_before_the_checkpoint_is_written_analysed(
+        self, kernel_calls
+    ):
+        analyzer, execute = small_window_analyzer(3_000, Observability())
+        execute(100)
+        analyzer.close_interval(10.0, {"app": True}, 10.0)
+        execute(100)
+        state = json.loads(json.dumps(export_analyzer_state(analyzer)))
+        assert kernel_calls == [2_000]  # the entry's own trace, read once
+        (row,) = state["mrc"]["entries"]
+        assert set(row) == {"curve", "params"}
+        params = analyzer.mrc.parameters_of("app/q")
+        restore_analyzer_state(analyzer, state)
+        assert analyzer.mrc.parameters_of("app/q") == params
+        assert analyzer.stored_mrc("app/q") is analyzer.mrc.parameters_of("app/q")
+        assert kernel_calls == [2_000]
 
 
 class TestForecasterDiesWithTheController:

@@ -11,6 +11,11 @@ def vec(key="app/q", latency=0.5):
     return MetricVector(key, {Metric.LATENCY: latency})
 
 
+def known(params):
+    """An analysed entry with ``params``; the store never looks at its curve."""
+    return MRCEntry.known(params, MissRatioCurve.from_trace([1]))
+
+
 class TestStableStateSignature:
     def test_refresh_overwrites_metrics(self):
         sig = StableStateSignature("app/q", vec(latency=0.5))
@@ -53,7 +58,7 @@ class TestSignatureStore:
     def test_set_mrc_creates_placeholder(self):
         store = SignatureStore("s")
         params = MRCParameters(100, 0.1, 80, 0.12)
-        store.set_mrc("app/q", MRCEntry.known(params))
+        store.set_mrc("app/q", known(params))
         assert store.mrc_of("app/q") == params
         # Placeholder signatures carry no stable metrics...
         assert store.stable_vectors() == {}
@@ -62,13 +67,13 @@ class TestSignatureStore:
         store = SignatureStore("s")
         store.record_stable({"app/q": vec()}, 10.0)
         params = MRCParameters(100, 0.1, 80, 0.12)
-        store.set_mrc("app/q", MRCEntry.known(params))
+        store.set_mrc("app/q", known(params))
         assert store.mrc_of("app/q") == params
         assert "app/q" in store.stable_vectors()
 
     def test_stable_vectors_excludes_placeholders(self):
         store = SignatureStore("s")
-        store.set_mrc("app/placeholder", MRCEntry.known(MRCParameters(1, 0.0, 1, 0.0)))
+        store.set_mrc("app/placeholder", known(MRCParameters(1, 0.0, 1, 0.0)))
         store.record_stable({"app/real": vec(key="app/real")}, 10.0)
         assert list(store.stable_vectors()) == ["app/real"]
 
@@ -77,7 +82,7 @@ class TestSignatureStore:
 
     def test_mrc_of_analyses_a_pending_curve(self):
         store = SignatureStore("s")
-        store.set_mrc("app/q", MRCEntry([1, 2, 1, 2], 100, 0.05))
+        store.set_mrc("app/q", MRCEntry([1, 2, 1, 2], 100, 0.05, 4))
         assert store.mrc_of("app/q") == MissRatioCurve.from_trace(
             [1, 2, 1, 2]
         ).parameters(100, 0.05)

@@ -95,6 +95,30 @@ class TestAccessWindow:
         with pytest.raises(ValueError):
             window.snapshot(last=-1)
 
+    def test_ending_at_reads_what_the_snapshot_read_then(self):
+        window = AccessWindow(10)
+        taken = []
+        for batch in (range(0, 4), range(4, 9), range(9, 16)):
+            window.record_many(list(batch))
+            for last in (0, 1, 3, len(window)):
+                taken.append((window.total_seen, window.snapshot(last=last)))
+        for watermark, trace in taken:
+            again = window.ending_at(watermark, len(trace))
+            if window.holds(watermark, len(trace)):
+                assert again.dtype == np.int64
+                assert again.tolist() == trace.tolist()
+            else:
+                assert again is None
+        # The window holds accesses 6..15: a slice that reaches below 6, or
+        # past what was ever seen, is gone or never was.
+        assert window.holds(16, 10) and window.holds(9, 3)
+        assert not window.holds(9, 4)
+        assert not window.holds(17, 1)
+        assert not window.holds(9, -1)
+        window.clear()
+        assert window.ending_at(16, 1) is None
+        assert window.ending_at(16, 0).tolist() == []
+
 
 class TestInterleave:
     def test_round_robin_chunks(self):
