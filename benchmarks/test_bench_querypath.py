@@ -65,7 +65,7 @@ def _record_ns() -> tuple[float, float]:
 
     def built() -> None:
         for _ in range(OPERATIONS):
-            ExecutionRecord(1.5, "tpcw/q", 0.013, len(demand), 2, 1, 3, demand)
+            ExecutionRecord(1.5, "tpcw/q", 0.013, len(demand), 2, 1, 3)
 
     def oracle() -> None:
         for _ in range(OPERATIONS):

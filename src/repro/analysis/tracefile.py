@@ -17,8 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..sim.trace import PageAccessTrace
-
 __all__ = [
     "FORMAT_VERSION",
     "save_traces",
@@ -32,7 +30,7 @@ _META_KEY = "__meta__"
 
 def save_traces(
     path: str | Path | io.IOBase,
-    traces: dict[str, PageAccessTrace | np.ndarray | list[int]],
+    traces: dict[str, np.ndarray | list[int]],
 ) -> None:
     """Write per-context traces to a compressed archive."""
     if not traces:
@@ -41,10 +39,7 @@ def save_traces(
     for key, trace in traces.items():
         if key == _META_KEY:
             raise ValueError(f"context key {key!r} is reserved")
-        if isinstance(trace, PageAccessTrace):
-            array = trace.pages()
-        else:
-            array = np.asarray(trace, dtype=np.int64)
+        array = np.asarray(trace, dtype=np.int64)
         if array.ndim != 1:
             raise ValueError(f"trace {key!r} must be one-dimensional")
         arrays[key] = array

@@ -440,7 +440,6 @@ class LogAnalyzer:
             if marks:
                 tail = window.total_seen - base
                 keep = max(min(tail, keep), min(min_tail, keep))
-        trace = window.snapshot(last=min(keep, MAX_MRC_TRACE))
         cache_key = MRCCacheKey(
             window_version=window.total_seen,
             pool_pages=self.engine.pool_pages,
@@ -451,12 +450,15 @@ class LogAnalyzer:
             (entry,) = cached
             self.mrc.restore(context_key, entry)
         else:
+            trace = window.slice_ending_at(
+                window.total_seen, min(keep, MAX_MRC_TRACE)
+            )
             with self.obs.tracer.span(
                 "mrc.recompute",
                 attrs={"context": context_key, "recent_only": recent_only},
             ) as span:
                 self._count_work(span, trace)
-                entry = self.mrc.record(context_key, trace, window.total_seen)
+                entry = self.mrc.record(context_key, trace)
             self.mrc_cache.put(context_key, cache_key, (entry,))
         self.signatures.set_mrc(context_key, entry)
         self._mrc_window_len[context_key] = len(window)
@@ -499,24 +501,24 @@ class LogAnalyzer:
             return ("no-window", None)
         is_new = self.recently_scheduled(context_key, new_class_horizon)
         window = self.engine.log.window_for(context_key)
-        trace = window.snapshot()
+        seen, size = window.total_seen, len(window)
         marks = self._seen_marks.get(context_key)
         base = marks[-2] if marks and len(marks) >= 2 else 0
-        tail = window.total_seen - base
-        tail = max(min(tail, len(trace)), min(min_tail, len(trace)))
-        recent = trace[-tail:]
-        if len(recent) < min_tail:
+        tail = seen - base
+        tail = max(min(tail, size), min(min_tail, size))
+        recent_length = tail or size  # no tail at all reads the whole window
+        if recent_length < min_tail:
             return ("insufficient", None)
         # The comparison slice comes from the *oldest* end of the window:
         # a change is typically noticed one interval after it happens (the
         # violation has to build up first), so the slice immediately before
         # the recent tail may already exhibit the new behaviour.  The oldest
         # resident history is the best stable-era evidence available.
-        before = trace[: min(tail, len(trace) - tail)]
+        before_length = min(tail, size - tail)
         # is_new participates in the key: an established class needs the
         # "before" curve the new-class assessment never computed.
         cache_key = MRCCacheKey(
-            window_version=window.total_seen,
+            window_version=seen,
             pool_pages=self.engine.pool_pages,
             variant=f"assess:{min_tail}:{base}:{int(is_new)}",
         )
@@ -525,13 +527,17 @@ class LogAnalyzer:
             entry, before_params = cached
             self.mrc.restore(context_key, entry)
         else:
+            recent = window.slice_ending_at(seen, recent_length)
             with self.obs.tracer.span(
                 "mrc.recompute", attrs={"context": context_key, "assess": True}
             ) as span:
                 self._count_work(span, recent)
-                entry = self.mrc.record(context_key, recent, window.total_seen)
+                entry = self.mrc.record(context_key, recent)
             before_params = None
-            if not is_new and len(before) >= min(min_tail, tail) // 2:
+            if not is_new and before_length >= min(min_tail, tail) // 2:
+                before = window.slice_ending_at(
+                    seen - size + before_length, before_length
+                )
                 with self.obs.tracer.span(
                     "mrc.recompute",
                     attrs={"context": context_key, "assess": True,
@@ -542,12 +548,11 @@ class LogAnalyzer:
                         before,
                         self.mrc.server_memory_pages,
                         self.mrc.acceptable_threshold,
-                        window.total_seen - len(trace) + len(before),
                     ).parameters
             self.mrc_cache.put(context_key, cache_key, (entry, before_params))
         recent_params = entry.parameters
         self.signatures.set_mrc(context_key, entry)
-        self._mrc_window_len[context_key] = len(window)
+        self._mrc_window_len[context_key] = size
         if is_new:
             return ("new", recent_params)
         if before_params is None:

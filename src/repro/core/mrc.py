@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..obs.registry import MetricRegistry, NULL_REGISTRY
+from ..sim.trace import WindowSlice
 
 __all__ = [
     "stack_distances",
@@ -361,32 +362,26 @@ class MRCParameters:
 class MRCEntry:
     """One recorded miss-ratio curve, analysed when something first reads it.
 
-    A recorded entry holds the page trace, the memory size and the threshold
-    the curve will be analysed against, and the access-window watermark the
-    trace ended at.  Mattson's pass, the histogram and
-    :meth:`MissRatioCurve.parameters` run on the first read of :attr:`curve`
-    or :attr:`parameters`; the results are kept and the trace is let go.  An
-    entry that is replaced or dropped before anything reads it is never
-    analysed (DESIGN §6, *Curves on demand*).
+    A recorded entry holds a reference to its slice of the class's access
+    window (:class:`~repro.sim.trace.WindowSlice`) and the memory size and
+    threshold the curve will be analysed against.  Mattson's pass, the
+    histogram and :meth:`MissRatioCurve.parameters` run on the first read of
+    :attr:`curve` or :attr:`parameters`; the results are kept and the slice
+    is let go.  An entry that is replaced or dropped before anything reads it
+    is never analysed, and its slice is never copied out of the window
+    (DESIGN §6, *Curves on demand*).
     """
 
     __slots__ = ("_pending", "_curve", "_params")
 
     def __init__(
         self,
-        trace: Sequence[int] | np.ndarray,
+        trace: WindowSlice,
         server_memory_pages: int,
         acceptable_threshold: float,
-        watermark: int,
     ) -> None:
-        """``trace`` must not change afterwards: the analysis reads it later.
-
-        ``watermark`` is the window's ``total_seen`` just after the trace's
-        last access, so the trace is the window's ``len(trace)`` accesses
-        that ended there (``AccessWindow.ending_at``).
-        """
         self._pending: tuple | None = (
-            trace, server_memory_pages, acceptable_threshold, watermark
+            trace, server_memory_pages, acceptable_threshold
         )
         self._curve: MissRatioCurve | None = None
         self._params: MRCParameters | None = None
@@ -404,11 +399,12 @@ class MRCEntry:
         analyse; ``None`` once it has been analysed."""
         if self._pending is None:
             return None
-        return self._pending[3], len(self._pending[0])
+        trace = self._pending[0]
+        return trace.watermark, trace.length
 
     def _analyse(self) -> None:
-        trace, server_memory_pages, acceptable_threshold, _ = self._pending
-        curve = MissRatioCurve.from_trace(trace)
+        trace, server_memory_pages, acceptable_threshold = self._pending
+        curve = MissRatioCurve.from_trace(trace.read())
         self._params = curve.parameters(server_memory_pages, acceptable_threshold)
         self._curve = curve
         self._pending = None
@@ -541,19 +537,14 @@ class MRCTracker:
     def has(self, context_key: str) -> bool:
         return context_key in self._entries
 
-    def record(
-        self, context_key: str, trace: Sequence[int] | np.ndarray, watermark: int
-    ) -> MRCEntry:
-        """Record the curve of ``context_key``'s page trace, pending until read.
+    def record(self, context_key: str, trace: WindowSlice) -> MRCEntry:
+        """Record the curve of ``context_key``'s window slice, pending until read.
 
-        ``watermark`` is the access window's ``total_seen`` the trace ended
-        at.  Counts as a recomputation now (``mrc.recomputations``, and the
-        trace length in ``mrc.trace_length``): the telemetry says when a
-        curve was taken, whenever it is analysed.
+        Counts as a recomputation now (``mrc.recomputations``, and the trace
+        length in ``mrc.trace_length``): the telemetry says when a curve was
+        taken, whenever it is analysed.
         """
-        entry = MRCEntry(
-            trace, self.server_memory_pages, self.acceptable_threshold, watermark
-        )
+        entry = MRCEntry(trace, self.server_memory_pages, self.acceptable_threshold)
         self._entries[context_key] = entry
         self.recomputations += 1
         app = context_key.split("/", 1)[0]

@@ -80,7 +80,8 @@ class DatabaseEngine:
         self.obs = engine_obs()
         self.pool: BufferPool = LRUBufferPool(config.pool_pages)
         self.executor = QueryExecutor(
-            self.pool, config.cost_model, obs=self.obs, engine_name=config.name
+            self.pool, self.log, config.cost_model, obs=self.obs,
+            engine_name=config.name,
         )
         self._threads = [
             ThreadLogBuffer(self.log, config.log_buffer_capacity)
@@ -100,7 +101,11 @@ class DatabaseEngine:
         cpu_factor: float = 1.0,
         io_factor: float = 1.0,
     ) -> ExecutionRecord:
-        """Execute one query on the next worker thread and log the record."""
+        """Execute one query on the next worker thread and log the record.
+
+        The executor has already appended the demand pages to the class's
+        access window; the worker thread's buffer takes the counters only.
+        """
         self.apps.add(query_class.app)
         record = self.executor.execute(query_class, timestamp, cpu_factor, io_factor)
         if query_class.lock_pattern is not None:
@@ -119,7 +124,6 @@ class DatabaseEngine:
                     lock_waits=1,
                     lock_wait_time=grant.wait_time,
                 )
-        self.log.record_window(record.context_key, record.pages)
         thread = self._threads[self._next_thread]
         self._next_thread = (self._next_thread + 1) % len(self._threads)
         thread.log(record)
@@ -190,7 +194,8 @@ class DatabaseEngine:
             pool = LRUBufferPool(self.config.pool_pages)
         self.pool = pool
         self.executor = QueryExecutor(
-            pool, self.config.cost_model, obs=self.obs, engine_name=self.name
+            pool, self.log, self.config.cost_model, obs=self.obs,
+            engine_name=self.name,
         )
 
     # ------------------------------------------------------------------ #

@@ -4,10 +4,15 @@ One execution of a query class:
 
 1. asks the class's access pattern for its demand and prefetch pages,
 2. drives them through the engine's buffer pool (demand accesses count hits
-   and misses; prefetch pages count read-ahead I/O), and
-3. converts the observed hit/miss mix into a latency using a linear cost
+   and misses; prefetch pages count read-ahead I/O),
+3. appends the demand pages to the class's recent-access window in the
+   engine's statistics log, the vector's only reader, and
+4. converts the observed hit/miss mix into a latency using a linear cost
    model scaled by the hosting server's current CPU and I/O contention
    factors.
+
+The execution record carries counters only: the demand vector is let go
+when the execution ends, not when the record's thread buffer is flushed.
 
 The cost model is deliberately simple — the paper's detection algorithm only
 consumes *relative* changes in latency and counters, which a linear model
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from ..obs import NULL_OBS, Observability
 from .bufferpool import BufferPool
 from .query import QueryClass
-from .statslog import ExecutionRecord
+from .statslog import EngineLog, ExecutionRecord
 
 __all__ = ["CostModel", "QueryExecutor"]
 
@@ -74,21 +79,25 @@ class QueryExecutor:
     """Runs query classes against one buffer pool and emits execution records.
 
     Page vectors go through the pool's batched access path in whole-execution
-    units.  When an :class:`~repro.obs.Observability` handle is attached the
-    executor publishes an ``engine.pages_per_sec`` gauge (pages pushed
-    through the pool per second of pool time) and an ``engine.batch_pages``
-    histogram of demand-vector sizes; the default ``NULL_OBS`` handle keeps
-    the hot path free of clock reads and instrument calls.
+    units, and then into the class's recent-access window in ``log``, in
+    execution order.  When an
+    :class:`~repro.obs.Observability` handle is attached the executor
+    publishes an ``engine.pages_per_sec`` gauge (pages pushed through the
+    pool per second of pool time) and an ``engine.batch_pages`` histogram of
+    demand-vector sizes; the default ``NULL_OBS`` handle keeps the hot path
+    free of clock reads and instrument calls.
     """
 
     def __init__(
         self,
         pool: BufferPool,
+        log: EngineLog,
         cost_model: CostModel | None = None,
         obs: Observability | None = None,
         engine_name: str = "",
     ) -> None:
         self.pool = pool
+        self.log = log
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.executions = 0
         self.obs = obs if obs is not None else NULL_OBS
@@ -105,14 +114,10 @@ class QueryExecutor:
         timestamp: float = 0.0,
         cpu_factor: float = 1.0,
         io_factor: float = 1.0,
-        record_pages: bool = True,
     ) -> ExecutionRecord:
         """Execute one instance of ``query_class`` and return its record.
 
-        ``record_pages`` controls whether the demand-page vector is carried
-        on the record (the statistics log feeds it into the class's
-        recent-access window; disable for bulk replay where windows are not
-        needed).  The vector is passed through as-is — no tuple copy.
+        The demand vector goes to the log's window as-is — no tuple copy.
         """
         access = query_class.execute_pages()
         demand, prefetch = access.demand, access.prefetch
@@ -132,6 +137,7 @@ class QueryExecutor:
             self._batch_hist.observe(page_accesses)
             if self._pool_seconds > 0.0:
                 self._pps_gauge.set(self._pool_pages / self._pool_seconds)
+        self.log.record_window(key, demand)
         latency = self.cost_model.latency(
             query_class.cpu_cost, hits, misses, readahead_fetches, cpu_factor, io_factor
         )
@@ -145,5 +151,4 @@ class QueryExecutor:
             misses,
             readahead_fetches,
             misses + readahead_fetches,
-            demand if record_pages else (),
         )

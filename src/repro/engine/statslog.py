@@ -10,9 +10,15 @@ This module reproduces that pipeline:
 
 * :class:`ThreadLogBuffer` — the private, lock-free per-thread buffer,
 * :class:`EngineLog` — the per-engine sink aggregating flushed records into
-  per-interval, per-class accumulators and per-class access windows, and
+  per-interval, per-class accumulators, and keeping the per-class access
+  windows, and
 * :class:`ClassIntervalStats` — the aggregate handed to the log analyzer at
   each measurement-interval boundary.
+
+The two halves travel separately.  An :class:`ExecutionRecord` carries
+counters only, so a thread buffer holds no page vectors; the demand vector
+reaches the class's window through :meth:`EngineLog.record_window` at
+execution time, in true execution order, and is let go there.
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ class ExecutionRecord(NamedTuple):
     misses: int
     readaheads: int
     io_block_requests: int
-    pages: Sequence[int] = ()
     lock_waits: int = 0
     lock_wait_time: float = 0.0
 
@@ -138,7 +143,7 @@ class EngineLog:
 
         Page-access windows are *not* fed here: thread buffers flush in
         batches, which would scramble the global access order and corrupt
-        reuse distances.  The engine records windows synchronously at
+        reuse distances.  The executor records windows synchronously at
         execution time via :meth:`record_window`.
         """
         for record in records:
@@ -153,8 +158,9 @@ class EngineLog:
         self, context_key: str, pages: Sequence[int] | np.ndarray
     ) -> None:
         """Append one execution's demand pages to the context's window, in
-        true execution order.  Accepts any page vector — list, tuple, or
-        ndarray — and hands it to the window in one call."""
+        true execution order; the executor calls it as the execution ends.
+        Accepts any page vector — list, tuple, or ndarray — and hands it to
+        the window in one call."""
         if len(pages):
             self.window_for(context_key).record_many(pages)
 

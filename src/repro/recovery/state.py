@@ -24,10 +24,11 @@ three refer to by position, and restore hands the same rebuilt entry back
 to all three.  A checkpoint reads no curve: an entry still pending is
 written as a reference to the slice of the engine's access window it will
 analyse (the window is data-plane state and survives the crash), and
-restore re-reads that slice into a pending entry.  A slice the window no
-longer holds at restore leaves its class without a curve, cold like any
-class the analyzer has not seen; one the window had already lost when the
-checkpoint was taken is analysed and written like any analysed entry.  An
+restore references that slice again from a pending entry, copying nothing.
+A slice the window no longer holds at restore leaves its class without a
+curve, cold like any class the analyzer has not seen; one the window had
+already overwritten when the checkpoint was taken (the window copied it out
+first) is analysed and written like any analysed entry.  An
 analysed curve is an immutable value, so its hit histogram is encoded once
 — one text of comma-separated counts, kept on the curve — and every later
 checkpoint reuses that text; restore hands the text it parsed to the
@@ -141,13 +142,12 @@ def _entry_from_jsonable(
             _params_from_jsonable(payload["params"]),
             _curve_from_jsonable(payload["curve"]),
         )
-    watermark = payload["watermark"]
-    trace = window.ending_at(watermark, payload["length"])
-    if trace is None:
+    watermark, length = payload["watermark"], payload["length"]
+    if not window.holds(watermark, length):
         return None
     return MRCEntry(
-        trace, tracker.server_memory_pages, tracker.acceptable_threshold,
-        watermark,
+        window.slice_ending_at(watermark, length),
+        tracker.server_memory_pages, tracker.acceptable_threshold,
     )
 
 

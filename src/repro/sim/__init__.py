@@ -3,7 +3,7 @@
 from .clock import Interval, IntervalTimer, SimClock
 from .events import Event, EventLoop, StopSimulation
 from .rng import RandomStream, SeedSequenceFactory, ZipfGenerator
-from .trace import AccessWindow, PageAccess, PageAccessTrace, interleave_traces
+from .trace import AccessWindow
 
 __all__ = [
     "AccessWindow",
@@ -11,12 +11,9 @@ __all__ = [
     "EventLoop",
     "Interval",
     "IntervalTimer",
-    "PageAccess",
-    "PageAccessTrace",
     "RandomStream",
     "SeedSequenceFactory",
     "SimClock",
     "StopSimulation",
     "ZipfGenerator",
-    "interleave_traces",
 ]

@@ -1,77 +1,60 @@
-"""Page-access traces and bounded recent-access windows.
+"""Bounded recent-access windows and references into them.
 
 The paper's engine instrumentation keeps, per query class, "a window of the
 most recent page accesses issued by the DBMS on behalf of the queries
 belonging to each specific query class".  Miss-ratio curves are recomputed
 from this window when a class becomes suspect.
 
-A :class:`PageAccessTrace` is an append-only sequence of page ids (optionally
-tagged with the issuing query class), and :class:`AccessWindow` is the bounded
-ring buffer the MRC tracker consumes.
+:class:`AccessWindow` is that bounded ring buffer.  A curve taken from it
+does not copy its trace: it holds a :class:`WindowSlice`, a reference to the
+``length`` accesses that ended at a ``total_seen`` watermark.  The window
+keeps weak references to its live slices and copies a slice out — once,
+just before an append would overwrite the slice's oldest access — so a
+slice reads back the same accesses whether or not it was copied, and one
+that is dropped before the window wraps past it is never copied at all.
 """
 
 from __future__ import annotations
 
+import sys
+import weakref
 from collections import deque
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import islice
 
 import numpy as np
 
-__all__ = ["PageAccess", "PageAccessTrace", "AccessWindow", "interleave_traces"]
+__all__ = ["AccessWindow", "WindowSlice"]
+
+_NEVER = sys.maxsize
+"""The guard of a window no live slice pins: no append reaches it."""
 
 
-@dataclass(frozen=True)
-class PageAccess:
-    """One logical page reference."""
+class WindowSlice:
+    """The ``length`` accesses of one window that ended at ``watermark``.
 
-    page_id: int
-    query_class: str = ""
-    timestamp: float = 0.0
-
-
-class PageAccessTrace:
-    """An append-only trace of page ids with an optional query-class tag.
-
-    Stored columnar (numpy-backed on freeze) so that multi-million access
-    traces stay compact and MRC computation can run vectorised.
+    Reads back, oldest first, what ``window.snapshot(last=length)`` returned
+    when the window's ``total_seen`` was ``watermark`` — from the window
+    while it still holds them, from the copy the window made before
+    overwriting them after that.
     """
 
-    def __init__(self, accesses: Iterable[int] | None = None) -> None:
-        self._pages: list[int] = list(accesses) if accesses is not None else []
-        self._classes: list[str] = [""] * len(self._pages)
+    __slots__ = ("window", "watermark", "length", "_copy", "__weakref__")
+
+    def __init__(self, window: "AccessWindow", watermark: int, length: int) -> None:
+        self.window = window
+        self.watermark = watermark
+        self.length = length
+        self._copy: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self._pages)
+        return self.length
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._pages)
-
-    def append(self, page_id: int, query_class: str = "") -> None:
-        self._pages.append(int(page_id))
-        self._classes.append(query_class)
-
-    def extend(self, page_ids: Iterable[int], query_class: str = "") -> None:
-        before = len(self._pages)
-        self._pages.extend(int(p) for p in page_ids)
-        self._classes.extend([query_class] * (len(self._pages) - before))
-
-    def pages(self) -> np.ndarray:
-        """The whole trace as an int64 array."""
-        return np.asarray(self._pages, dtype=np.int64)
-
-    def classes(self) -> list[str]:
-        return list(self._classes)
-
-    def tail(self, count: int) -> "PageAccessTrace":
-        """The most recent ``count`` accesses as a new trace."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative: {count}")
-        result = PageAccessTrace()
-        for page, cls in zip(self._pages[-count:], self._classes[-count:]):
-            result.append(page, cls)
-        return result
+    def read(self) -> np.ndarray:
+        """The slice as an int64 array, oldest first."""
+        if self._copy is not None:
+            return self._copy
+        return self.window.ending_at(self.watermark, self.length)
 
 
 class AccessWindow:
@@ -83,6 +66,12 @@ class AccessWindow:
         self.capacity = capacity
         self._buffer: deque[int] = deque(maxlen=capacity)
         self._total_seen = 0
+        self._slices: weakref.WeakSet[WindowSlice] = weakref.WeakSet()
+        # The total_seen past which an append overwrites the oldest access
+        # of some live slice; every append compares against it.
+        self._guard = _NEVER
+        self.copied_accesses = 0
+        """Accesses copied out of the window for slices about to be overwritten."""
 
     def __len__(self) -> int:
         return len(self._buffer)
@@ -92,28 +81,54 @@ class AccessWindow:
         """Total accesses ever recorded, including those evicted."""
         return self._total_seen
 
-    @property
-    def full(self) -> bool:
-        return len(self._buffer) == self.capacity
-
     def record(self, page_id: int) -> None:
-        self._buffer.append(int(page_id))
-        self._total_seen += 1
+        self.record_many((int(page_id),))
 
     def record_many(self, page_ids: Iterable[int] | np.ndarray) -> None:
         """Append a whole page vector in one deque extend.
 
         ``deque.extend`` with ``maxlen`` drops the oldest entries exactly as
         repeated appends would, so this is equivalent to :meth:`record` per
-        page at a fraction of the cost; ndarrays are converted once.
+        page at a fraction of the cost; ndarrays are converted once.  Live
+        slices the extend would overwrite are copied out first.
         """
         if not isinstance(page_ids, (list, tuple)):  # the engine hands over lists
             if isinstance(page_ids, np.ndarray):
                 page_ids = page_ids.tolist()
             else:
                 page_ids = [int(page_id) for page_id in page_ids]
+        seen = self._total_seen + len(page_ids)
+        if seen > self._guard:
+            self._copy_out(seen)
         self._buffer.extend(page_ids)
-        self._total_seen += len(page_ids)
+        self._total_seen = seen
+
+    def slice_ending_at(self, watermark: int, count: int) -> WindowSlice:
+        """A reference to the ``count`` accesses that ended at ``watermark``,
+        which the window must still hold (:meth:`holds`)."""
+        if not self.holds(watermark, count):
+            raise ValueError(
+                f"the window no longer holds {count} accesses ending at {watermark}"
+            )
+        reference = WindowSlice(self, watermark, count)
+        self._slices.add(reference)
+        self._guard = min(self._guard, watermark - count + self.capacity)
+        return reference
+
+    def _copy_out(self, seen: int) -> None:
+        """Copy every live slice whose oldest access an append that brings
+        :attr:`total_seen` to ``seen`` overwrites, and release it."""
+        oldest = seen - self.capacity  # the oldest access kept after the append
+        guard = _NEVER
+        for reference in list(self._slices):
+            start = reference.watermark - reference.length
+            if start < oldest:
+                reference._copy = self.ending_at(reference.watermark, reference.length)
+                self.copied_accesses += reference.length
+                self._slices.discard(reference)
+            else:
+                guard = min(guard, start + self.capacity)
+        self._guard = guard
 
     def snapshot(self, last: int | None = None) -> np.ndarray:
         """The window contents, oldest first, as an int64 array.
@@ -145,43 +160,14 @@ class AccessWindow:
         has been evicted."""
         if not self.holds(watermark, count):
             return None
+        skip_newest = self._total_seen - watermark
+        skip_oldest = len(self._buffer) - skip_newest - count
+        if skip_oldest <= skip_newest:  # nearer the oldest end: read forwards
+            return np.fromiter(
+                islice(self._buffer, skip_oldest, None), dtype=np.int64, count=count
+            )
         newest_first = np.fromiter(
-            islice(reversed(self._buffer), self._total_seen - watermark, None),
+            islice(reversed(self._buffer), skip_newest, None),
             dtype=np.int64, count=count,
         )
         return newest_first[::-1]
-
-    def clear(self) -> None:
-        self._buffer.clear()
-
-
-def interleave_traces(
-    traces: dict[str, PageAccessTrace], chunk: int = 64
-) -> PageAccessTrace:
-    """Round-robin interleave per-class traces into one engine-level trace.
-
-    Models concurrent execution of several query classes against one buffer
-    pool: each class contributes ``chunk`` consecutive accesses per turn,
-    approximating the page-reference mixing a real multi-threaded engine
-    produces.  Classes are visited in sorted-name order for determinism.
-    """
-    if chunk <= 0:
-        raise ValueError(f"chunk must be positive: {chunk}")
-    result = PageAccessTrace()
-    cursors = {name: 0 for name in traces}
-    names = sorted(traces)
-    pending = {name: traces[name].pages() for name in names}
-    while True:
-        progressed = False
-        for name in names:
-            pages = pending[name]
-            cursor = cursors[name]
-            if cursor >= len(pages):
-                continue
-            stop = min(cursor + chunk, len(pages))
-            result.extend(pages[cursor:stop].tolist(), name)
-            cursors[name] = stop
-            progressed = True
-        if not progressed:
-            break
-    return result

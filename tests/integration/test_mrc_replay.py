@@ -25,7 +25,7 @@ def recorded_windows():
     enter = mrc.MRCEntry.__init__
 
     def recording(entry, trace, *args):
-        windows.append(np.array(trace, dtype=np.int64))
+        windows.append(trace.read())  # the window slice the entry references
         enter(entry, trace, *args)
 
     with pytest.MonkeyPatch.context() as patch:

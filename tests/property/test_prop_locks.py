@@ -169,7 +169,7 @@ tied_calls = st.lists(
 @settings(max_examples=150, deadline=None)
 def test_tuple_heap_manager_matches_the_heap_of_holds(calls):
     manager, oracle = LockManager(), PerHoldHeapManager()
-    now = 0.0
+    now = last_release = 0.0
     for owner, groups, mode, gap, hold in calls:
         now += gap
         requests = [LockRequest(("t", g), mode) for g in sorted(set(groups))]
@@ -181,5 +181,8 @@ def test_tuple_heap_manager_matches_the_heap_of_holds(calls):
         assert manager.stats == oracle.stats
         assert manager.waits_for.edges() == oracle.waits_for.edges()
         assert len(manager._expiry) == len(oracle._expiry)
-    assert manager.held_resources(now + 10.0) == oracle.held_resources(now + 10.0) == 0
+        last_release = max(last_release, now + grant.wait_time + hold)
+    # Waits chain, so the last hold can end long after ``now``: look past it.
+    after_all = last_release + 1.0
+    assert manager.held_resources(after_all) == oracle.held_resources(after_all) == 0
     assert not manager._holds and not manager._expiry

@@ -1,19 +1,25 @@
 """Property: curves analysed on demand read exactly like curves analysed at once.
 
-``LogAnalyzer`` records every curve as a pending ``MRCEntry`` and runs
-Mattson's pass on the first read; ``tests/oracles/eager_mrc.py`` analyses each
-curve where it is taken.  Three pins:
+``LogAnalyzer`` records every curve as a pending ``MRCEntry`` that references
+its slice of the access window, and runs Mattson's pass on the first read;
+``tests/oracles/eager_mrc.py`` analyses each curve where it is taken, and
+``tests/oracles/eager_window.py`` copies each slice where it is taken instead
+of just before the window overwrites it.  Three pins:
 
-* a steady run — nothing reads a curve — makes no kernel call at all, and
-  its telemetry (``mrc.recomputations``, ``mrc.trace_length``, the
-  ``mrc.recompute`` spans and everything else) is the oracle's byte for byte;
+* a steady run — nothing reads a curve — makes no kernel call at all and
+  copies no window access, and its telemetry (``mrc.recomputations``,
+  ``mrc.trace_length``, the ``mrc.recompute`` spans and everything else) is
+  the oracle's byte for byte;
 * any sequence of refreshes, reads, ``forget``, ``amnesia`` and checkpoint →
-  restore leaves both analyzers with the same parameters and the same hit
-  histograms, and export → restore → export gives back the same checkpoint
-  on both sides (the two checkpoints differ: a pending curve is written as
-  its window slice, not analysed);
+  restore, over a window large enough to keep every slice or small enough
+  to overwrite slices before they are read, leaves all three analyzers with
+  the same parameters and the same hit histograms, export → restore →
+  export gives back the same checkpoint on every side, and the copying
+  window's checkpoint is the referencing one's byte for byte (the analysing
+  oracle's differs: a pending curve is written as its window slice, not
+  analysed);
 * a pending curve that is superseded, forgotten, wiped or checkpointed is
-  never analysed.
+  never analysed, and one whose slice is overwritten is copied, not analysed.
 """
 
 import json
@@ -21,6 +27,7 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from oracles.eager_mrc import EagerLogAnalyzer, eager_analyzers
+from oracles.eager_window import EagerCopyWindow
 from repro.core.analyzer import LogAnalyzer
 from repro.core.controller import ControllerConfig
 from repro.engine.access import ZipfWorkingSet
@@ -32,9 +39,13 @@ from repro.experiments.runner import ClusterHarness
 from repro.obs import Observability, telemetry_lines
 from repro.recovery.state import export_analyzer_state, restore_analyzer_state
 from repro.sim.rng import SeedSequenceFactory
+from repro.sim.trace import AccessWindow
 from repro.workloads import build_tpcw
 
 KEYS = ("app/hot", "app/wide")
+WINDOWS = (12_000, 1_200)
+"""Access-window capacities: one keeps every slice the sequences take, one
+overwrites them within an interval or two (20 pages per execution)."""
 
 
 # --------------------------------------------------------------------- #
@@ -58,6 +69,10 @@ def test_a_steady_run_analyses_no_curve_and_says_what_the_oracle_says(
 ):
     lines, analyzer = steady_telemetry()
     assert kernel_calls == []
+    log = analyzer.engine.log
+    assert sum(
+        log.window_for(key).copied_accesses for key in log.context_keys()
+    ) == 0
     with eager_analyzers():
         oracle_lines, oracle = steady_telemetry()
     assert isinstance(oracle, EagerLogAnalyzer)
@@ -92,13 +107,15 @@ def query_classes():
 
 
 class Side:
-    """One analyzer on its own engine, fed the same executions as the other."""
+    """One analyzer on its own engine, fed the same executions as the others."""
 
-    def __init__(self, analyzer_type):
+    def __init__(self, analyzer_type, window_capacity=12_000, window_type=AccessWindow):
         self.engine = DatabaseEngine(EngineConfig(
             name="e", pool_pages=256, log_buffer_capacity=4,
-            window_capacity=12_000,
+            window_capacity=window_capacity,
         ))
+        for key in KEYS:
+            self.engine.log._windows[key] = window_type(window_capacity)
         self.analyzer = analyzer_type(self.engine, "s1")
         self.classes = query_classes()
         self.now = 0.0
@@ -153,17 +170,24 @@ operations = st.one_of(
 )
 
 
-@given(steps=st.lists(operations, min_size=1, max_size=14))
+@given(
+    steps=st.lists(operations, min_size=1, max_size=14),
+    window_capacity=st.sampled_from(WINDOWS),
+)
 @settings(max_examples=100, deadline=None)
-def test_any_sequence_reads_like_the_eager_oracle(steps):
-    lazy, eager = Side(LogAnalyzer), Side(EagerLogAnalyzer)
+def test_any_sequence_reads_like_the_eager_oracle(steps, window_capacity):
+    sides = (
+        Side(LogAnalyzer, window_capacity),
+        Side(LogAnalyzer, window_capacity, EagerCopyWindow),
+        Side(EagerLogAnalyzer, window_capacity),
+    )
     for step in [("stable", 40)] + steps:
         kind = step[0]
         if kind in ("stable", "violating"):
-            for side in (lazy, eager):
+            for side in sides:
                 side.interval(step[1], sla_met=kind == "stable")
         elif kind == "refresh":
-            for side in (lazy, eager):
+            for side in sides:
                 side.analyzer.recompute_mrc(
                     step[1], recent_only=step[2], min_tail=500
                 )
@@ -172,25 +196,31 @@ def test_any_sequence_reads_like_the_eager_oracle(steps):
                 side.analyzer.assess_recent_behaviour(
                     step[1], 0.25, min_tail=500, new_class_horizon=1
                 )
-                for side in (lazy, eager)
+                for side in sides
             ]
-            assert verdicts[0] == verdicts[1]
+            assert verdicts[0] == verdicts[1] == verdicts[2]
         elif kind == "read":
-            assert lazy.reads(step[1]) == eager.reads(step[1])
+            reads = [side.reads(step[1]) for side in sides]
+            assert reads[0] == reads[1] == reads[2]
         elif kind == "forget":
-            for side in (lazy, eager):
+            for side in sides:
                 side.analyzer.mrc.forget(step[1])
         elif kind == "amnesia":
-            for side in (lazy, eager):
+            for side in sides:
                 side.analyzer.amnesia()
         else:
-            for side in (lazy, eager):
+            texts = []
+            for side in sides:
                 text = side.checkpoint()
                 side.restore(text)
                 assert side.checkpoint() == text
-        assert lazy.state() == eager.state()
+                texts.append(text)
+            assert texts[0] == texts[1]
+        states = [side.state() for side in sides]
+        assert states[0] == states[1] == states[2]
     for key in KEYS:
-        assert lazy.reads(key) == eager.reads(key)
+        reads = [side.reads(key) for side in sides]
+        assert reads[0] == reads[1] == reads[2]
 
 
 # --------------------------------------------------------------------- #
@@ -233,3 +263,25 @@ def test_a_superseded_pending_curve_is_never_analysed(kernel_calls):
     assert kernel_calls == [1600]
     assert analyzer.stored_mrc("app/hot") is analyzer.mrc.parameters_of("app/hot")
     assert kernel_calls == [1600, 2400]
+
+
+def test_an_overwritten_pending_slice_is_copied_not_analysed(kernel_calls):
+    lazy, copying, eager = (
+        Side(LogAnalyzer, 1_200),
+        Side(LogAnalyzer, 1_200, EagerCopyWindow),
+        Side(EagerLogAnalyzer, 1_200),
+    )
+    for side in (lazy, copying):
+        side.interval(40, sla_met=True)  # the initial curves, 800 accesses each
+    windows = [lazy.engine.log.window_for(key) for key in KEYS]
+    assert [window.copied_accesses for window in windows] == [0, 0]
+    for side in (lazy, copying):
+        side.interval(40, sla_met=True)  # 1 600 seen: accesses 0..399 overwritten
+    assert [window.copied_accesses for window in windows] == [800, 800]
+    assert kernel_calls == []
+    assert lazy.checkpoint() == copying.checkpoint()
+    eager.interval(40, sla_met=True)
+    eager.interval(40, sla_met=True)
+    for key in KEYS:
+        assert lazy.reads(key) == copying.reads(key) == eager.reads(key)
+    assert [window.copied_accesses for window in windows] == [800, 800]

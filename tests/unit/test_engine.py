@@ -55,6 +55,28 @@ class TestExecution:
         # Two records buffered in each thread.
         assert all(len(t) == 2 for t in engine._threads)
 
+    def test_thread_buffers_hold_counters_only(self):
+        # A 1000-page demand vector goes to the window at execution: the
+        # buffered records hold no page vector, and a close empties them.
+        engine = make_engine(threads=2, buffer_capacity=100)
+        scan = make_class(demand=range(1000))
+        for _ in range(3):
+            engine.execute(scan)
+        buffered = [record for thread in engine._threads for record in thread._records]
+        assert len(buffered) == 3
+        assert all(
+            isinstance(value, (int, float, str)) for record in buffered for value in record
+        )
+        assert len(engine.log.window_for("app/q")) == 3000
+        engine.flush_logs()
+        assert all(len(thread) == 0 for thread in engine._threads)
+
+    def test_window_fed_after_a_pool_rebuild(self):
+        engine = make_engine()
+        engine.set_quota("app/q", 16)
+        engine.execute(make_class(demand=[7, 8]))
+        assert engine.log.window_for("app/q").snapshot().tolist() == [7, 8]
+
     def test_apps_tracked(self):
         engine = make_engine()
         engine.execute(make_class(app="tpcw"))

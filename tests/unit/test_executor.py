@@ -6,6 +6,7 @@ from repro.engine.access import AccessPattern, ExecutionAccess
 from repro.engine.bufferpool import LRUBufferPool
 from repro.engine.executor import CostModel, QueryExecutor
 from repro.engine.query import QueryClass
+from repro.engine.statslog import EngineLog
 from repro.obs import NULL_OBS, Observability
 
 
@@ -64,66 +65,64 @@ class TestCostModel:
 
 class TestQueryExecutor:
     def test_cold_execution_all_misses(self):
-        executor = QueryExecutor(LRUBufferPool(10))
+        executor = QueryExecutor(LRUBufferPool(10), EngineLog())
         record = executor.execute(make_class([1, 2, 3]))
         assert record.misses == 3
         assert record.page_accesses == 3
 
     def test_warm_execution_hits(self):
-        executor = QueryExecutor(LRUBufferPool(10))
+        executor = QueryExecutor(LRUBufferPool(10), EngineLog())
         executor.execute(make_class([1, 2, 3]))
         record = executor.execute(make_class([1, 2, 3]))
         assert record.misses == 0
 
     def test_prefetch_precedes_demand(self):
         # Demand pages covered by this execution's own prefetch must hit.
-        executor = QueryExecutor(LRUBufferPool(10))
+        executor = QueryExecutor(LRUBufferPool(10), EngineLog())
         record = executor.execute(make_class([5, 6], prefetch=[5, 6]))
         assert record.misses == 0
         assert record.readaheads == 2
 
     def test_io_block_requests_sum_misses_and_readahead(self):
-        executor = QueryExecutor(LRUBufferPool(10))
+        executor = QueryExecutor(LRUBufferPool(10), EngineLog())
         record = executor.execute(make_class([1, 2], prefetch=[3]))
         assert record.io_block_requests == record.misses + record.readaheads
 
     def test_latency_reflects_contention_factors(self):
-        executor = QueryExecutor(LRUBufferPool(10))
+        executor = QueryExecutor(LRUBufferPool(10), EngineLog())
         quiet = executor.execute(make_class([1, 2, 3]))
-        executor2 = QueryExecutor(LRUBufferPool(10))
+        executor2 = QueryExecutor(LRUBufferPool(10), EngineLog())
         loaded = executor2.execute(make_class([1, 2, 3]), io_factor=5.0)
         assert loaded.latency > quiet.latency
 
-    def test_record_pages_carried_by_default(self):
-        # The demand vector rides on the record as-is (no tuple copy); the
-        # contract is the page sequence, not the container type.
-        executor = QueryExecutor(LRUBufferPool(10))
+    def test_demand_pages_reach_the_log_window(self):
+        # The demand vector goes to the class's window at execution, in
+        # execution order; the record carries counters only.
+        log = EngineLog()
+        executor = QueryExecutor(LRUBufferPool(10), log)
         record = executor.execute(make_class([1, 2]))
-        assert list(record.pages) == [1, 2]
-
-    def test_record_pages_suppressible(self):
-        executor = QueryExecutor(LRUBufferPool(10))
-        record = executor.execute(make_class([1, 2]), record_pages=False)
-        assert len(record.pages) == 0
+        executor.execute(make_class([3]))
+        assert log.window_for("app/q").snapshot().tolist() == [1, 2, 3]
+        assert "pages" not in record._fields
 
     def test_execution_counter(self):
-        executor = QueryExecutor(LRUBufferPool(10))
+        executor = QueryExecutor(LRUBufferPool(10), EngineLog())
         executor.execute(make_class([1]))
         executor.execute(make_class([1]))
         assert executor.executions == 2
 
     def test_context_key_on_record(self):
-        executor = QueryExecutor(LRUBufferPool(10))
+        executor = QueryExecutor(LRUBufferPool(10), EngineLog())
         assert executor.execute(make_class([1])).context_key == "app/q"
 
 
 class TestExecutorMetrics:
     def test_defaults_to_null_obs(self):
-        assert QueryExecutor(LRUBufferPool(10)).obs is NULL_OBS
+        assert QueryExecutor(LRUBufferPool(10), EngineLog()).obs is NULL_OBS
 
     def test_pages_per_sec_gauge_and_batch_histogram(self):
         obs = Observability()
-        executor = QueryExecutor(LRUBufferPool(10), obs=obs, engine_name="e0")
+        executor = QueryExecutor(LRUBufferPool(10), EngineLog(), obs=obs, engine_name="e0")
         executor.execute(make_class([1, 2, 3], prefetch=[4]))
         gauge = obs.registry.gauge("engine.pages_per_sec", engine="e0")
         hist = obs.registry.histogram("engine.batch_pages", engine="e0")
@@ -133,7 +132,7 @@ class TestExecutorMetrics:
 
     def test_batch_histogram_counts_every_execution(self):
         obs = Observability()
-        executor = QueryExecutor(LRUBufferPool(10), obs=obs)
+        executor = QueryExecutor(LRUBufferPool(10), EngineLog(), obs=obs)
         for _ in range(3):
             executor.execute(make_class([1, 2]))
         hist = obs.registry.histogram("engine.batch_pages")

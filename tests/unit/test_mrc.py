@@ -12,6 +12,16 @@ from repro.core.mrc import (
     stack_distances,
 )
 from repro.engine.bufferpool import LRUBufferPool
+from repro.sim.trace import AccessWindow
+
+
+def sliced(trace, watermark=None):
+    """A reference to ``trace`` as the newest accesses of a window that has
+    seen ``watermark`` accesses (``len(trace)`` by default)."""
+    watermark = len(trace) if watermark is None else watermark
+    window = AccessWindow(max(1, watermark))
+    window.record_many([0] * (watermark - len(trace)) + list(trace))
+    return window.slice_ending_at(watermark, len(trace))
 
 
 class TestFenwickTree:
@@ -283,7 +293,7 @@ class TestMRCTracker:
     def test_compute_and_lookup(self):
         tracker = MRCTracker(server_memory_pages=100)
         trace = list(range(10)) * 5
-        entry = tracker.record("app/q", trace, len(trace))
+        entry = tracker.record("app/q", sliced(trace))
         assert tracker.has("app/q")
         params = tracker.parameters_of("app/q")
         assert params == MissRatioCurve.from_trace(trace).parameters(100)
@@ -296,13 +306,13 @@ class TestMRCTracker:
 
     def test_recomputation_counter(self):
         tracker = MRCTracker(server_memory_pages=100)
-        tracker.record("a", [1, 2, 3], 3)
-        tracker.record("a", [1, 2, 3, 4], 4)
+        tracker.record("a", sliced([1, 2, 3]))
+        tracker.record("a", sliced([1, 2, 3, 4]))
         assert tracker.recomputations == 2
 
     def test_forget(self):
         tracker = MRCTracker(server_memory_pages=100)
-        tracker.record("a", [1, 2], 2)
+        tracker.record("a", sliced([1, 2]))
         tracker.forget("a")
         assert not tracker.has("a")
 
@@ -318,15 +328,16 @@ class TestMRCTracker:
 
     def test_contexts_sorted(self):
         tracker = MRCTracker(server_memory_pages=100)
-        tracker.record("b", [1], 1)
-        tracker.record("a", [1], 1)
+        tracker.record("b", sliced([1]))
+        tracker.record("a", sliced([1]))
         assert tracker.contexts() == ["a", "b"]
 
     def test_curves_in_recording_order(self):
         tracker = MRCTracker(server_memory_pages=100)
-        tracker.record("b", [1, 1], 2)
-        tracker.record("a", [1, 2, 1], 3)
-        tracker.record("b", [2, 2, 2], 5)  # a refresh keeps the context's place
+        tracker.record("b", sliced([1, 1]))
+        tracker.record("a", sliced([1, 2, 1]))
+        # A refresh keeps the context's place.
+        tracker.record("b", sliced([2, 2, 2], 5))
         # Listing reads nothing: every entry is still pending.
         listed = [(key, entry.pending_slice) for key, entry in tracker.entries()]
         assert listed == [("b", (5, 3)), ("a", (3, 3))]
@@ -339,7 +350,7 @@ class TestMRCTracker:
 
         registry = MetricRegistry()
         tracker = MRCTracker(server_memory_pages=100, registry=registry)
-        tracker.record("tpcw/q1", [1, 2, 1], 3)
+        tracker.record("tpcw/q1", sliced([1, 2, 1]))
         published = registry.snapshot()
         tracker.reset()
         assert (tracker.contexts(), tracker.recomputations) == ([], 0)
@@ -389,9 +400,9 @@ class TestTrackerTelemetry:
 
         registry = MetricRegistry()
         tracker = MRCTracker(server_memory_pages=100, registry=registry)
-        tracker.record("tpcw/q1", [1, 2, 1, 2], 4)
-        tracker.record("tpcw/q2", [1, 2, 3], 3)
-        tracker.record("rubis/q1", [5, 5], 2)
+        tracker.record("tpcw/q1", sliced([1, 2, 1, 2]))
+        tracker.record("tpcw/q2", sliced([1, 2, 3]))
+        tracker.record("rubis/q1", sliced([5, 5]))
         assert registry.value("mrc.recomputations", app="tpcw") == 2.0
         assert registry.value("mrc.recomputations", app="rubis") == 1.0
         hist = registry.histogram("mrc.trace_length")
@@ -405,13 +416,13 @@ class TestTrackerTelemetry:
 
         registry = MetricRegistry()
         tracker = MRCTracker(server_memory_pages=100, registry=registry)
-        tracker.record("tpcw/q1", [1, 1, 2], 3)
+        tracker.record("tpcw/q1", sliced([1, 1, 2]))
         assert registry.value("mrc.recomputations", app="tpcw") == 1.0
         assert registry.histogram("mrc.trace_length").sum == 3
         assert tracker.recomputations == 1
 
     def test_default_registry_records_nothing(self):
         tracker = MRCTracker(server_memory_pages=100)
-        tracker.record("tpcw/q1", [1, 2, 1], 3)
+        tracker.record("tpcw/q1", sliced([1, 2, 1]))
         assert tracker.registry.snapshot() == []
         assert tracker.recomputations == 1

@@ -164,3 +164,25 @@ class TestAnalyzerCaching:
         # Different slice of the window: a cached full curve must not
         # answer for the recent-only variant.
         assert analyzer.mrc.recomputations == recomputes + 1
+
+    def test_a_hit_reads_nothing_from_the_window(self, monkeypatch):
+        # The cache key needs only the window's total_seen: a hit takes no
+        # slice and copies nothing.
+        obs, engine, analyzer, qc = self._warm_analyzer()
+        window = engine.log.window_for("app/q")
+
+        def untouchable(*args, **kwargs):
+            raise AssertionError("a cache hit read the access window")
+
+        def served_twice(read):
+            read()
+            with monkeypatch.context() as patch:
+                for name in ("slice_ending_at", "ending_at", "snapshot"):
+                    patch.setattr(window, name, untouchable)
+                return read()
+
+        served_twice(lambda: analyzer.recompute_mrc("app/q"))
+        served_twice(
+            lambda: analyzer.assess_recent_behaviour("app/q", 0.25, min_tail=500)
+        )
+        assert obs.registry.value("mrc.cache.hits") >= 2.0

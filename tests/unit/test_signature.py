@@ -5,6 +5,7 @@ import pytest
 from repro.core.metrics import Metric, MetricVector
 from repro.core.mrc import MissRatioCurve, MRCEntry, MRCParameters
 from repro.core.signature import SignatureStore, StableStateSignature
+from repro.sim.trace import AccessWindow
 
 
 def vec(key="app/q", latency=0.5):
@@ -82,7 +83,9 @@ class TestSignatureStore:
 
     def test_mrc_of_analyses_a_pending_curve(self):
         store = SignatureStore("s")
-        store.set_mrc("app/q", MRCEntry([1, 2, 1, 2], 100, 0.05, 4))
+        window = AccessWindow(4)
+        window.record_many([1, 2, 1, 2])
+        store.set_mrc("app/q", MRCEntry(window.slice_ending_at(4, 4), 100, 0.05))
         assert store.mrc_of("app/q") == MissRatioCurve.from_trace(
             [1, 2, 1, 2]
         ).parameters(100, 0.05)

@@ -19,13 +19,12 @@ def record(key="app/q", latency=0.1, pages=(1, 2), misses=1, readaheads=0):
         misses=misses,
         readaheads=readaheads,
         io_block_requests=misses + readaheads,
-        pages=pages,
     )
 
 
 class TestExecutionRecord:
     def test_field_order_and_defaults(self):
-        positional = ExecutionRecord(1.5, "app/q", 0.25, 3, 2, 1, 3, [7, 8, 9])
+        positional = ExecutionRecord(1.5, "app/q", 0.25, 3, 2, 1, 3)
         by_keyword = ExecutionRecord(
             timestamp=1.5,
             context_key="app/q",
@@ -34,17 +33,15 @@ class TestExecutionRecord:
             misses=2,
             readaheads=1,
             io_block_requests=3,
-            pages=[7, 8, 9],
             lock_waits=0,
             lock_wait_time=0.0,
         )
         assert positional == by_keyword
         assert ExecutionRecord._fields == (
             "timestamp", "context_key", "latency", "page_accesses", "misses",
-            "readaheads", "io_block_requests", "pages", "lock_waits",
-            "lock_wait_time",
+            "readaheads", "io_block_requests", "lock_waits", "lock_wait_time",
         )
-        assert ExecutionRecord(0.0, "app/q", 0.1, 0, 0, 0, 0)[7:] == ((), 0, 0.0)
+        assert ExecutionRecord(0.0, "app/q", 0.1, 0, 0, 0, 0)[7:] == (0, 0.0)
 
     def test_is_immutable(self):
         with pytest.raises(AttributeError):
@@ -57,13 +54,12 @@ class TestExecutionRecord:
         after = before._replace(latency=0.1 + 0.4, lock_waits=1, lock_wait_time=0.4)
         assert (after.latency, after.lock_waits, after.lock_wait_time) == (0.5, 1, 0.4)
         assert before.latency == 0.1 and before.lock_waits == 0
-        assert after[:2] == before[:2] and after[3:8] == before[3:8]
+        assert after[:2] == before[:2] and after[3:7] == before[3:7]
 
     def test_replace_yields_the_retry_delay_record(self):
         before = record(latency=0.1)
         after = before._replace(latency=before.latency + 0.05)
         assert after.latency == pytest.approx(0.15)
-        assert after.pages is before.pages
         assert after[:2] + after[3:] == before[:2] + before[3:]
 
 
@@ -163,6 +159,7 @@ class TestEngineLog:
         # Thread buffers flush in batches that would scramble access order.
         log = EngineLog()
         log.ingest([record(pages=(1, 2, 3))])
+        assert log.records_ingested == 1
         assert not log.has_window("app/q")
 
     def test_windows_survive_snapshot(self):

@@ -1,42 +1,9 @@
-"""Unit tests for page-access traces and windows."""
+"""Unit tests for access windows and the slices curves reference."""
 
 import numpy as np
 import pytest
 
-from repro.sim.trace import AccessWindow, PageAccessTrace, interleave_traces
-
-
-class TestPageAccessTrace:
-    def test_starts_empty(self):
-        assert len(PageAccessTrace()) == 0
-
-    def test_append_and_iterate(self):
-        trace = PageAccessTrace()
-        trace.append(1)
-        trace.append(2)
-        assert list(trace) == [1, 2]
-
-    def test_construct_from_iterable(self):
-        assert list(PageAccessTrace([3, 4, 5])) == [3, 4, 5]
-
-    def test_extend_tags_class(self):
-        trace = PageAccessTrace()
-        trace.extend([1, 2], "q1")
-        trace.append(3, "q2")
-        assert trace.classes() == ["q1", "q1", "q2"]
-
-    def test_pages_returns_int64_array(self):
-        trace = PageAccessTrace([1, 2, 3])
-        pages = trace.pages()
-        assert pages.dtype == np.int64
-        assert pages.tolist() == [1, 2, 3]
-
-    def test_tail(self):
-        assert list(PageAccessTrace([1, 2, 3, 4]).tail(2)) == [3, 4]
-
-    def test_tail_rejects_negative(self):
-        with pytest.raises(ValueError):
-            PageAccessTrace().tail(-1)
+from repro.sim.trace import AccessWindow
 
 
 class TestAccessWindow:
@@ -60,19 +27,6 @@ class TestAccessWindow:
         window.record_many([1, 2, 3, 4, 5])
         assert window.total_seen == 5
         assert len(window) == 2
-
-    def test_full_flag(self):
-        window = AccessWindow(2)
-        assert not window.full
-        window.record_many([1, 2])
-        assert window.full
-
-    def test_clear_resets_contents_not_total(self):
-        window = AccessWindow(5)
-        window.record_many([1, 2, 3])
-        window.clear()
-        assert len(window) == 0
-        assert window.total_seen == 3
 
     def test_snapshot_dtype(self):
         window = AccessWindow(4)
@@ -115,36 +69,72 @@ class TestAccessWindow:
         assert not window.holds(9, 4)
         assert not window.holds(17, 1)
         assert not window.holds(9, -1)
-        window.clear()
+        window.record_many(range(16, 26))  # now holds 16..25
         assert window.ending_at(16, 1) is None
         assert window.ending_at(16, 0).tolist() == []
 
 
-class TestInterleave:
-    def test_round_robin_chunks(self):
-        traces = {
-            "a": PageAccessTrace([1, 2, 3, 4]),
-            "b": PageAccessTrace([10, 20]),
-        }
-        merged = interleave_traces(traces, chunk=2)
-        assert list(merged) == [1, 2, 10, 20, 3, 4]
+class TestWindowSlice:
+    """A slice reads back what ``snapshot(last=length)`` read when it was
+    taken; the window copies it out once, just before an append would
+    overwrite its oldest access, and never copies a slice nobody holds."""
 
-    def test_class_tags_preserved(self):
-        traces = {"a": PageAccessTrace([1]), "b": PageAccessTrace([2])}
-        merged = interleave_traces(traces, chunk=1)
-        assert merged.classes() == ["a", "b"]
+    def test_reads_its_slice_across_wrap_around(self):
+        window = AccessWindow(10)
+        window.record_many(range(27))  # wrapped: holds 17..26
+        taken = window.snapshot(last=6)
+        reference = window.slice_ending_at(window.total_seen, 6)
+        window.record_many(range(27, 31))  # wraps again, 21..26 still held
+        assert len(reference) == 6 and reference.read().dtype == np.int64
+        assert reference.read().tolist() == taken.tolist() == list(range(21, 27))
+        assert window.copied_accesses == 0
+        window.record_many(range(31, 45))  # overwrites all of them
+        assert reference.read().tolist() == taken.tolist()
+        assert window.copied_accesses == 6
 
-    def test_deterministic_order_by_name(self):
-        traces = {"z": PageAccessTrace([9]), "a": PageAccessTrace([1])}
-        assert list(interleave_traces(traces, chunk=1)) == [1, 9]
+    def test_copies_at_the_exact_boundary(self):
+        window = AccessWindow(10)
+        window.record_many(range(10))
+        reference = window.slice_ending_at(10, 4)  # accesses 6..9
+        window.record_many(range(10, 15))
+        window.record(15)  # one access short: 6 is still the oldest
+        assert window.copied_accesses == 0 and reference._copy is None
+        assert window.snapshot().tolist()[0] == 6
+        window.record(16)  # overwrites 6: copied first
+        assert window.copied_accesses == 4
+        assert reference.read().tolist() == [6, 7, 8, 9]
+        window.record_many(range(17, 40))  # copied once
+        assert window.copied_accesses == 4
+        assert reference.read().tolist() == [6, 7, 8, 9]
 
-    def test_rejects_nonpositive_chunk(self):
+    def test_several_references_share_one_window(self):
+        window = AccessWindow(8)
+        window.record_many(range(6))
+        early = window.slice_ending_at(4, 3)  # 1..3
+        whole = window.slice_ending_at(6, 6)  # 0..5
+        window.record_many(range(6, 9))  # overwrites 0: only ``whole`` copied
+        assert window.copied_accesses == 6
+        late = window.slice_ending_at(9, 2)  # 7..8
+        window.record_many(range(9, 11))  # overwrites 1..2: ``early`` copied
+        assert window.copied_accesses == 9
+        assert early.read().tolist() == [1, 2, 3]
+        assert whole.read().tolist() == list(range(6))
+        assert late.read().tolist() == [7, 8]
+        assert late._copy is None
+
+    def test_a_dropped_reference_costs_no_copy(self):
+        window = AccessWindow(5)
+        window.record_many(range(5))
+        reference = window.slice_ending_at(5, 5)
+        del reference
+        window.record_many(range(5, 50))
+        assert window.copied_accesses == 0
+
+    def test_a_slice_must_still_be_held(self):
+        window = AccessWindow(4)
+        window.record_many(range(10))
+        assert window.slice_ending_at(10, 4).read().tolist() == [6, 7, 8, 9]
         with pytest.raises(ValueError):
-            interleave_traces({}, chunk=0)
-
-    def test_total_length_preserved(self):
-        traces = {
-            "a": PageAccessTrace(range(10)),
-            "b": PageAccessTrace(range(100, 107)),
-        }
-        assert len(interleave_traces(traces, chunk=3)) == 17
+            window.slice_ending_at(10, 5)
+        with pytest.raises(ValueError):
+            window.slice_ending_at(11, 1)

@@ -15,7 +15,6 @@ from repro.analysis.tracefile import (
 from repro.core.diagnosis import Action, ActionKind
 from repro.core.mrc import MRCParameters
 from repro.experiments.results import MemoryContentionResult, PlacementRow
-from repro.sim.trace import PageAccessTrace
 
 
 class TestTraceRoundTrip:
@@ -25,12 +24,6 @@ class TestTraceRoundTrip:
         loaded = load_traces(path)
         assert loaded["app/q"].tolist() == [1, 2, 3]
         assert loaded["app/r"].tolist() == [0, 1, 2, 3, 4]
-
-    def test_round_trip_page_access_trace(self, tmp_path):
-        path = tmp_path / "traces.npz"
-        trace = PageAccessTrace([7, 8, 7])
-        save_traces(path, {"app/q": trace})
-        assert load_traces(path)["app/q"].tolist() == [7, 8, 7]
 
     def test_dtype_is_int64(self, tmp_path):
         path = tmp_path / "traces.npz"
