@@ -87,7 +87,7 @@ def test_pending_checkpoint_beats_per_element_encoding():
         listed = supervisor.checkpoints.latest().payload
     restore()
     curves = [
-        entry.curve for analyzer in analyzers for _, entry in analyzer.mrc.entries()
+        slot.entry.curve for analyzer in analyzers for _, slot in analyzer.mrc.slots()
     ]
     all_read = microseconds(setup=lambda: None)
     read_payload = supervisor.checkpoints.latest().payload
@@ -99,7 +99,7 @@ def test_pending_checkpoint_beats_per_element_encoding():
     rows = [
         row
         for analyzer in json.loads(pending_payload)["analyzers"]
-        for row in analyzer["mrc"]["entries"]
+        for row in analyzer["mrc"]["slots"]
     ]
     references = sum("watermark" in row for row in rows)
 

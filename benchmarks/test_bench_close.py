@@ -8,8 +8,9 @@ replaced:
   newest 60 000 accesses (``MAX_MRC_TRACE``).  As built the curve references
   its slice of the window; through the copying window of
   ``tests/oracles/eager_window.py`` the slice is copied out where it is
-  taken, as every refresh did before curves became references.  The cache
-  is cleared before each refresh, so both sides take a new curve every time.
+  taken, as every refresh did before curves became references.  The MRC
+  store is emptied before each refresh, so both sides take a new curve every
+  time.
 * the flush of one worker thread's full log buffer — 256 records that
   ``QueryExecutor.execute`` returned for a sequential scan reading 1 000
   pages an execution, as ``hog_scan``'s scan does — into the engine log.
@@ -60,7 +61,7 @@ def _refresh_us(window_type) -> float:
     analyzer = LogAnalyzer(engine, "s1")
 
     def refresh() -> None:
-        analyzer.mrc_cache.clear()
+        analyzer.mrc.reset()
         entry = analyzer.recompute_mrc(KEY)
         assert entry.pending_slice == (engine.log.window_for(KEY).total_seen, MAX_MRC_TRACE)
 

@@ -37,7 +37,6 @@ from .core import (
     MetricVector,
     MissRatioCurve,
     MRCParameters,
-    MRCTracker,
     OutlierReport,
     Severity,
     detect_outliers,
@@ -83,7 +82,6 @@ __all__ = [
     "HarnessResult",
     "LRUBufferPool",
     "MRCParameters",
-    "MRCTracker",
     "Metric",
     "MetricRegistry",
     "MetricVector",

@@ -1,7 +1,6 @@
-"""Result analysis helpers: tables, series, latency, traces, export."""
+"""Result analysis helpers: tables, series, traces, export."""
 
 from .export import export_result, to_jsonable
-from .latency import LatencyAggregate, summarize_latencies
 from .quality import (
     DetectionEvent,
     QualityReport,
@@ -13,7 +12,6 @@ from .tracefile import load_traces, save_traces, trace_summary
 
 __all__ = [
     "DetectionEvent",
-    "LatencyAggregate",
     "QualityReport",
     "Table",
     "export_result",
@@ -23,7 +21,6 @@ __all__ = [
     "quality_records",
     "save_traces",
     "score_detections",
-    "summarize_latencies",
     "to_jsonable",
     "trace_summary",
 ]

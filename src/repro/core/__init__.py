@@ -28,7 +28,6 @@ from .mrc import (
     DEFAULT_ACCEPTABLE_THRESHOLD,
     MissRatioCurve,
     MRCParameters,
-    MRCTracker,
     stack_distances,
 )
 from .outliers import (
@@ -43,7 +42,6 @@ from .outliers import (
     top_k_heavyweight,
 )
 from .quota import QuotaPlan, find_quotas, placement_fits_totals
-from .signature import SignatureStore, StableStateSignature
 
 __all__ = [
     "Action",
@@ -66,15 +64,12 @@ __all__ = [
     "MetricVector",
     "MissRatioCurve",
     "MRCParameters",
-    "MRCTracker",
     "OutlierPoint",
     "OutlierReport",
     "QuotaPlan",
     "ReplicaView",
     "Severity",
     "SamplingStats",
-    "SignatureStore",
-    "StableStateSignature",
     "compute_impact_values",
     "compute_weights",
     "detect_outliers",

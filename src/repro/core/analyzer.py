@@ -7,9 +7,11 @@ meets the detection algorithm:
 
 * at every interval boundary it drains the engine's statistics log into
   per-context metric vectors,
-* for applications whose SLA was met it refreshes stable-state signatures,
+* for applications whose SLA was met it refreshes stable-state signatures —
+  each context's last stable metric vector, nothing more (paper §1),
 * on demand it runs outlier detection against those signatures and manages
-  the per-context miss-ratio curves (taken on first scheduling, analysed
+  the per-context miss-ratio curves, one slot per context in one
+  :class:`~repro.core.mrc.MRCCache` (taken on first scheduling, analysed
   when first read, recomputed during diagnosis).
 """
 
@@ -22,9 +24,8 @@ from dataclasses import dataclass
 from ..engine.engine import DatabaseEngine
 from ..obs import NULL_OBS, Observability
 from .metrics import Metric, MetricVector, vector_from_stats
-from .mrc import MRCCache, MRCCacheKey, MRCEntry, MRCParameters, MRCTracker
+from .mrc import MRCCache, MRCCacheKey, MRCEntry, MRCParameters
 from .outliers import OutlierReport, detect_outliers, top_k_heavyweight
-from .signature import SignatureStore
 
 __all__ = ["LogAnalyzer", "DecisionManager"]
 
@@ -64,17 +65,13 @@ class LogAnalyzer:
         self.engine = engine
         self.server_name = server_name
         self.obs = obs if obs is not None else NULL_OBS
-        self.signatures = SignatureStore(server=server_name)
-        self.mrc = MRCTracker(
+        # Stable-state signatures: each context's metric averages over the
+        # last interval in which its application met the SLA.
+        self.signatures: dict[str, MetricVector] = {}
+        self.mrc = MRCCache(
             server_memory_pages=engine.pool_pages, registry=self.obs.registry
         )
-        # Memo of the last curve taken per class (the tracker's own entry),
-        # keyed by the access window's total_seen watermark and the pool
-        # size; serves the previous curve for free when nothing changed in
-        # between.
-        self.mrc_cache = MRCCache(registry=self.obs.registry)
         self._last_vectors: dict[str, MetricVector] = {}
-        self._mrc_window_len: dict[str, int] = {}
         self._intervals_closed = 0
         self._first_seen: dict[str, int] = {}
         # Lock-contention evidence from the interval just closed.
@@ -99,7 +96,6 @@ class LogAnalyzer:
         self,
         interval_length: float,
         sla_met_by_app: dict[str, bool],
-        timestamp: float,
         initial_mrc_min_accesses: int = 2000,
     ) -> dict[str, MetricVector]:
         """Drain the engine log and refresh signatures for stable apps.
@@ -119,8 +115,7 @@ class LogAnalyzer:
             attrs={"engine": self.engine.name, "server": self.server_name},
         ) as span:
             vectors = self._drain(
-                interval_length, sla_met_by_app, timestamp,
-                initial_mrc_min_accesses, span,
+                interval_length, sla_met_by_app, initial_mrc_min_accesses, span
             )
         return vectors
 
@@ -128,7 +123,6 @@ class LogAnalyzer:
         self,
         interval_length: float,
         sla_met_by_app: dict[str, bool],
-        timestamp: float,
         initial_mrc_min_accesses: int,
         span,
     ) -> dict[str, MetricVector]:
@@ -158,11 +152,11 @@ class LogAnalyzer:
             for key, vector in vectors.items()
             if sla_met_by_app.get(_app_of(key), False)
         }
-        if stable_updates:
-            self.signatures.record_stable(stable_updates, timestamp)
+        self.signatures.update(stable_updates)
         for key in stable_updates:
             window = self.engine.log.window_for(key)
-            if not self.mrc.has(key):
+            slot = self.mrc.slot(key)
+            if slot is None:
                 if len(window) >= initial_mrc_min_accesses:
                     self.recompute_mrc(key)
             else:
@@ -172,7 +166,8 @@ class LogAnalyzer:
                 # requires the window to have doubled, so a long-lived class
                 # is re-recorded only O(log window-capacity) times, and a
                 # refresh replaces a pending curve without analysing it.
-                seen = self._mrc_window_len.get(key, 0)
+                # The window held this many accesses when the curve was taken.
+                seen = min(slot.key.window_version, window.capacity)
                 if 0 < seen < window.capacity and len(window) >= 2 * seen:
                     self.recompute_mrc(key)
         for key in vectors:
@@ -243,18 +238,16 @@ class LogAnalyzer:
 
         A monitoring-agent restart keeps its configuration (engine
         attachment, server identity) but loses process
-        memory: signatures, miss-ratio curves and their cache, window
+        memory: signatures, miss-ratio curves, window
         watermarks, quarantine history and any armed fault hooks.  The
         data plane — the engine's statistics log and buffer pool — is
         untouched; it belongs to the database process, not the monitor.
         Counters are reset by direct assignment so amnesia itself emits
         no telemetry (recovery's zero-byte default contract).
         """
-        self.signatures = SignatureStore(server=self.server_name)
+        self.signatures = {}
         self.mrc.reset()
-        self.mrc_cache.reset()
         self._last_vectors = {}
-        self._mrc_window_len = {}
         self._intervals_closed = 0
         self._first_seen = {}
         self.last_waits_for = None
@@ -324,11 +317,12 @@ class LogAnalyzer:
         """
         if self.degraded_last_interval is None:
             return self.current_vectors(app)
-        stable = self.signatures.stable_vectors()
         if app is None:
-            return dict(stable)
+            return dict(self.signatures)
         return {
-            key: vector for key, vector in stable.items() if _app_of(key) == app
+            key: vector
+            for key, vector in self.signatures.items()
+            if _app_of(key) == app
         }
 
     # ------------------------------------------------------------------ #
@@ -341,7 +335,7 @@ class LogAnalyzer:
         current = self.current_vectors(app)
         stable = {
             key: vector
-            for key, vector in self.signatures.stable_vectors().items()
+            for key, vector in self.signatures.items()
             if key in current
         }
         return detect_outliers(current, stable)
@@ -415,11 +409,10 @@ class LogAnalyzer:
         new workload) reflects the changed plan rather than a blend of old
         and new history.
 
-        The analysis itself goes through the per-class :class:`MRCCache`:
-        if the window has not advanced (and the pool was not resized) since
-        the last recomputation of the same slice, the previous curve is
-        served without any stack-distance work — and without incrementing
-        the ``mrc.recomputations`` counter.
+        The class's slot in :class:`MRCCache` is read first: if the window
+        has not advanced since the class's curve was taken of the same
+        slice, that curve is served without any stack-distance work — and
+        without incrementing the ``mrc.recomputations`` counter.
 
         Returns the recorded :class:`MRCEntry` (``None`` without a window).
         It is pending until something reads it: the stable-state refresh
@@ -440,16 +433,9 @@ class LogAnalyzer:
             if marks:
                 tail = window.total_seen - base
                 keep = max(min(tail, keep), min(min_tail, keep))
-        cache_key = MRCCacheKey(
-            window_version=window.total_seen,
-            pool_pages=self.engine.pool_pages,
-            variant=variant,
-        )
-        cached = self.mrc_cache.get(context_key, cache_key)
-        if cached is not None:
-            (entry,) = cached
-            self.mrc.restore(context_key, entry)
-        else:
+        key = MRCCacheKey(window.total_seen, variant)
+        slot = self.mrc.get(context_key, key)
+        if slot is None:
             trace = window.slice_ending_at(
                 window.total_seen, min(keep, MAX_MRC_TRACE)
             )
@@ -458,14 +444,13 @@ class LogAnalyzer:
                 attrs={"context": context_key, "recent_only": recent_only},
             ) as span:
                 self._count_work(span, trace)
-                entry = self.mrc.record(context_key, trace)
-            self.mrc_cache.put(context_key, cache_key, (entry,))
-        self.signatures.set_mrc(context_key, entry)
-        self._mrc_window_len[context_key] = len(window)
-        return entry
+                slot = self.mrc.record(context_key, key, trace)
+        return slot.entry
 
     def stored_mrc(self, context_key: str) -> MRCParameters | None:
-        return self.signatures.mrc_of(context_key)
+        """The context's MRC parameters, if it has a curve; a read."""
+        slot = self.mrc.slot(context_key)
+        return None if slot is None else slot.entry.parameters
 
     def assess_recent_behaviour(
         self,
@@ -491,11 +476,11 @@ class LogAnalyzer:
         * ``"changed"`` / ``"unchanged"`` — the significance verdict.
 
         Whenever a recent curve is computed it is stored as the context's
-        current MRC record (the paper's recomputation step).  Both curves
-        go through the :class:`MRCCache`: re-assessing a class whose window
-        has not advanced serves the previous pair without any new
-        stack-distance work.  The verdict reads both curves, so they are
-        analysed here, not left pending.
+        current MRC record (the paper's recomputation step), and the
+        "before" parameters beside it in the class's slot: re-assessing a
+        class whose window has not advanced serves the previous pair without
+        any new stack-distance work.  The verdict reads both curves, so they
+        are analysed here, not left pending.
         """
         if not self.engine.log.has_window(context_key):
             return ("no-window", None)
@@ -517,23 +502,15 @@ class LogAnalyzer:
         before_length = min(tail, size - tail)
         # is_new participates in the key: an established class needs the
         # "before" curve the new-class assessment never computed.
-        cache_key = MRCCacheKey(
-            window_version=seen,
-            pool_pages=self.engine.pool_pages,
-            variant=f"assess:{min_tail}:{base}:{int(is_new)}",
-        )
-        cached = self.mrc_cache.get(context_key, cache_key)
-        if cached is not None:
-            entry, before_params = cached
-            self.mrc.restore(context_key, entry)
-        else:
+        key = MRCCacheKey(seen, f"assess:{min_tail}:{base}:{int(is_new)}")
+        slot = self.mrc.get(context_key, key)
+        if slot is None:
             recent = window.slice_ending_at(seen, recent_length)
             with self.obs.tracer.span(
                 "mrc.recompute", attrs={"context": context_key, "assess": True}
             ) as span:
                 self._count_work(span, recent)
-                entry = self.mrc.record(context_key, recent)
-            before_params = None
+                slot = self.mrc.record(context_key, key, recent)
             if not is_new and before_length >= min(min_tail, tail) // 2:
                 before = window.slice_ending_at(
                     seen - size + before_length, before_length
@@ -549,10 +526,9 @@ class LogAnalyzer:
                         self.mrc.server_memory_pages,
                         self.mrc.acceptable_threshold,
                     ).parameters
-            self.mrc_cache.put(context_key, cache_key, (entry, before_params))
-        recent_params = entry.parameters
-        self.signatures.set_mrc(context_key, entry)
-        self._mrc_window_len[context_key] = size
+                slot.before = before_params
+        recent_params = slot.entry.parameters
+        before_params = slot.before
         if is_new:
             return ("new", recent_params)
         if before_params is None:
@@ -598,7 +574,6 @@ class DecisionManager:
         self,
         interval_length: float,
         sla_met_by_app: dict[str, bool],
-        timestamp: float,
     ) -> None:
         for analyzer in self.analyzers():
-            analyzer.close_interval(interval_length, sla_met_by_app, timestamp)
+            analyzer.close_interval(interval_length, sla_met_by_app)

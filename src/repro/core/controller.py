@@ -240,7 +240,7 @@ class ClusterController:
                 host.close_interval(length)
 
             for manager in self._decision_managers.values():
-                manager.close_interval(length, sla_met, timestamp)
+                manager.close_interval(length, sla_met)
 
             if self.config.use_forecast:
                 self._observe_forecasts(app_metrics, sla_met)

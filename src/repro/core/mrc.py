@@ -33,6 +33,11 @@ Two parameters summarise a curve (paper §3.3):
 * **acceptable memory needed** — the smallest size whose miss ratio is
   within a fixed threshold of the ideal; its miss ratio is the **acceptable
   miss ratio**.
+
+A log analyzer keeps its classes' curves in one :class:`MRCCache`, one slot
+per class: the class's :class:`MRCEntry` (pending until something reads it),
+the :class:`MRCCacheKey` it was taken under and, after an assessment, the
+parameters of the slice it was compared against (DESIGN §6).
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ __all__ = [
     "MissRatioCurve",
     "MRCParameters",
     "MRCEntry",
-    "MRCTracker",
     "MRCCacheKey",
+    "MRCSlot",
     "MRCCache",
 ]
 
@@ -424,98 +429,53 @@ class MRCEntry:
 
 @dataclass(frozen=True)
 class MRCCacheKey:
-    """What a cached curve is valid for.
+    """What a class's curve was taken under.
 
     * ``window_version`` — the access window's ``total_seen`` watermark (a
       strictly increasing version number: any page access advances it, so
       an advanced window can never serve a stale curve);
-    * ``pool_pages`` — the buffer-pool size the parameters were extracted
-      against (a resize changes the total/acceptable clamping, so the curve
-      must be re-derived);
     * ``variant`` — which slice of the window was analysed (full window,
       recent tail, assessment pair, ...), including anything else the slice
       bounds depend on.
+
+    The pool size needs no place here: an engine's configuration is frozen.
     """
 
     window_version: int
-    pool_pages: int
     variant: str = "full"
 
 
+@dataclass(slots=True)
+class MRCSlot:
+    """One class's curve: the entry, the key it was taken under and, after
+    an assessment, the parameters of the slice it was compared against."""
+
+    key: MRCCacheKey
+    entry: MRCEntry
+    before: MRCParameters | None = None
+
+
 class MRCCache:
-    """Per-query-class memo of the most recent stack-distance analysis.
+    """Each query class's miss-ratio curve, in one slot per class.
+
+    MRCs are taken when a class is first scheduled and are *not* retaken
+    unless an SLA violation occurs and the class's memory counters show
+    outliers (paper §3.3) — recomputation is the expensive step this
+    laziness is protecting.  :meth:`record` puts a pending :class:`MRCEntry`
+    in the class's slot, replacing whatever was there unanalysed; the curve
+    is analysed when something first reads it.
 
     Stack-distance analysis is the O(N log N) hot path of diagnosis; when a
-    class's access window has not advanced since the last recomputation the
-    previous curve is *exactly* correct and the whole pass can be skipped.
-    Each class keeps one entry (the diagnosis loop only ever wants the
-    latest window), invalidated implicitly when the lookup key no longer
-    matches — window advance, buffer-pool resize, or a different slice
-    variant — and explicitly via :meth:`invalidate`.
+    class's access window has not advanced since its curve was taken, that
+    curve is *exactly* correct and the whole pass can be skipped: :meth:`get`
+    serves the slot whose key matches.  A mismatch (window advance, a
+    different slice variant) leaves the slot as it is until :meth:`record`
+    replaces it.
 
     Hits and misses are published to the metric registry as
     ``mrc.cache.hits`` / ``mrc.cache.misses`` so regression tests can
     assert that a stale curve is never served (a hit never increments the
     ``mrc.recomputations`` counter).
-    """
-
-    def __init__(self, registry: MetricRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else NULL_REGISTRY
-        self._entries: dict[str, tuple[MRCCacheKey, object]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, context_key: str, key: MRCCacheKey):
-        """The cached value if it is still valid for ``key``, else ``None``.
-
-        A mismatching entry (advanced window, resized pool) is dropped on
-        the spot: it can never become valid again.
-        """
-        entry = self._entries.get(context_key)
-        if entry is not None and entry[0] == key:
-            self.hits += 1
-            self.registry.counter("mrc.cache.hits").inc()
-            return entry[1]
-        if entry is not None:
-            del self._entries[context_key]
-        self.misses += 1
-        self.registry.counter("mrc.cache.misses").inc()
-        return None
-
-    def put(self, context_key: str, key: MRCCacheKey, value) -> None:
-        self._entries[context_key] = (key, value)
-
-    def invalidate(self, context_key: str) -> None:
-        """Explicitly drop one class's entry (e.g. its window was cleared)."""
-        self._entries.pop(context_key, None)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def reset(self) -> None:
-        """Back to the freshly constructed state: no entries, zero tallies.
-
-        Publishes nothing to the registry — the crash model
-        (``LogAnalyzer.amnesia``) must emit no telemetry of its own.
-        """
-        self.clear()
-        self.hits = 0
-        self.misses = 0
-
-
-class MRCTracker:
-    """Per-query-context MRC bookkeeping.
-
-    MRCs are computed when a class is first scheduled and are *not*
-    recomputed unless an SLA violation occurs and the class's memory
-    counters show outliers (paper §3.3) — recomputation is the expensive
-    step this laziness is protecting.  A curve is recorded as a pending
-    :class:`MRCEntry` and analysed when something first reads it; a refresh,
-    :meth:`forget` or :meth:`reset` that comes first replaces or drops it
-    unanalysed.
     """
 
     def __init__(
@@ -531,39 +491,55 @@ class MRCTracker:
         self.server_memory_pages = server_memory_pages
         self.acceptable_threshold = acceptable_threshold
         self.registry = registry if registry is not None else NULL_REGISTRY
-        self._entries: dict[str, MRCEntry] = {}
+        self._slots: dict[str, MRCSlot] = {}
         self.recomputations = 0
+        self.hits = 0
 
-    def has(self, context_key: str) -> bool:
-        return context_key in self._entries
+    def __len__(self) -> int:
+        return len(self._slots)
 
-    def record(self, context_key: str, trace: WindowSlice) -> MRCEntry:
-        """Record the curve of ``context_key``'s window slice, pending until read.
+    def get(self, context_key: str, key: MRCCacheKey) -> MRCSlot | None:
+        """The class's slot if its curve was taken under ``key``, else ``None``."""
+        slot = self._slots.get(context_key)
+        if slot is not None and slot.key == key:
+            self.hits += 1
+            self.registry.counter("mrc.cache.hits").inc()
+            return slot
+        self.registry.counter("mrc.cache.misses").inc()
+        return None
+
+    def record(
+        self, context_key: str, key: MRCCacheKey, trace: WindowSlice
+    ) -> MRCSlot:
+        """Take the curve of ``context_key``'s window slice, pending until read.
 
         Counts as a recomputation now (``mrc.recomputations``, and the trace
         length in ``mrc.trace_length``): the telemetry says when a curve was
         taken, whenever it is analysed.
         """
         entry = MRCEntry(trace, self.server_memory_pages, self.acceptable_threshold)
-        self._entries[context_key] = entry
+        slot = self._slots[context_key] = MRCSlot(key, entry)
         self.recomputations += 1
         app = context_key.split("/", 1)[0]
         self.registry.counter("mrc.recomputations", app=app).inc()
         self.registry.histogram("mrc.trace_length").observe(len(trace))
-        return entry
+        return slot
 
-    def restore(self, context_key: str, entry: MRCEntry) -> None:
-        """Re-install an entry served from a cache or a checkpoint.
+    def slot(self, context_key: str) -> MRCSlot | None:
+        """The class's slot, if it has one; counts nothing."""
+        return self._slots.get(context_key)
 
-        Unlike :meth:`record` this does **not** count as a recomputation:
-        no new curve was taken, and the ``mrc.recomputations`` counter is the
-        regression suite's evidence of exactly that.
-        """
-        self._entries[context_key] = entry
+    def slots(self) -> Iterator[tuple[str, MRCSlot]]:
+        """``(context, slot)`` of every class with a curve, in the order the
+        classes first got one; pending entries stay pending."""
+        return iter(self._slots.items())
+
+    def has(self, context_key: str) -> bool:
+        return context_key in self._slots
 
     def _entry(self, context_key: str) -> MRCEntry:
         try:
-            return self._entries[context_key]
+            return self._slots[context_key].entry
         except KeyError:
             raise KeyError(f"no MRC recorded for context {context_key!r}") from None
 
@@ -573,22 +549,15 @@ class MRCTracker:
     def curve_of(self, context_key: str) -> MissRatioCurve:
         return self._entry(context_key).curve
 
-    def entries(self) -> Iterator[tuple[str, MRCEntry]]:
-        """``(context, entry)`` of every recorded context, in recording
-        order; pending entries stay pending (a checkpoint reads none)."""
-        return iter(self._entries.items())
-
-    def forget(self, context_key: str) -> None:
-        self._entries.pop(context_key, None)
+    def contexts(self) -> list[str]:
+        return sorted(self._slots)
 
     def reset(self) -> None:
-        """Back to the freshly constructed state: no curves, no recomputations.
+        """Back to the freshly constructed state: no slots, zero tallies.
 
         Publishes nothing to the registry — the crash model
         (``LogAnalyzer.amnesia``) must emit no telemetry of its own.
         """
-        self._entries.clear()
+        self._slots.clear()
         self.recomputations = 0
-
-    def contexts(self) -> list[str]:
-        return sorted(self._entries)
+        self.hits = 0

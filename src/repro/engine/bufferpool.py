@@ -196,7 +196,7 @@ class LRUBufferPool(BufferPool):
     """A fixed-capacity page cache with strict LRU replacement.
 
     LRU obeys Mattson's inclusion property, which is what lets the MRC
-    tracker predict this pool's miss ratio at any capacity from one pass
+    store predict this pool's miss ratio at any capacity from one pass
     over the trace.
     """
 

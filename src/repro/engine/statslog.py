@@ -178,7 +178,7 @@ class EngineLog:
     def interval_snapshot(self) -> dict[str, ClassIntervalStats]:
         """Return and reset the per-class accumulators for the ending interval.
 
-        Access windows are *not* reset: the MRC tracker wants continuity of
+        Access windows are *not* reset: the MRC store wants continuity of
         recent history across intervals.
         """
         snapshot = self._current

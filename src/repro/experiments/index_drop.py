@@ -95,7 +95,7 @@ def run_index_drop(
     # Snapshot the pre-drop stable state: the violation builds up over a
     # couple of intervals, during which the live signatures absorb post-drop
     # behaviour; the Figure 4 panels compare against *pre-change* stability.
-    stable_snapshot = dict(analyzer.signatures.stable_vectors())
+    stable_snapshot = dict(analyzer.signatures)
 
     # Phase B: drop the index; run until the violation is diagnosed.
     workload.catalog.drop(O_DATE_INDEX)

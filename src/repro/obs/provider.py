@@ -2,7 +2,7 @@
 
 One :class:`Observability` bundles a metric registry and a tracer; the
 controller hands its handle down to everything it wires (schedulers,
-decision managers, log analyzers, MRC trackers), so a single object enables
+decision managers, log analyzers, MRC stores), so a single object enables
 telemetry for an entire cluster.  The default is :data:`NULL_OBS`, whose
 parts are shared no-op singletons — instrumented call sites pay one
 attribute lookup and an empty method call, nothing more.

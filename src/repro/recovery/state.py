@@ -3,37 +3,35 @@
 What must survive a controller crash is exactly what cannot be re-derived
 from the data plane: violation streaks and action-grace bookkeeping on the
 controller, and per-engine learned state on every log analyzer — stable
-signatures, miss-ratio curves and their parameters, the MRC cache with its
-hit/miss counters, measurement-window watermarks and first-seen indexes.
+signatures, each class's miss-ratio-curve slot with the store's hit and
+recomputation tallies, measurement-window watermarks and first-seen indexes.
 Engine buffer pools, statistics logs and replica placement are data-plane
 state: they persist across a control-plane crash and are *not* snapshotted
 (the reconcile pass diffs against them instead).
 
 The export/restore pair is exact given the surviving data plane: restoring
 a snapshot and exporting again produces an equal payload, and a restored
-analyzer serves the same cached curves (without recomputation) as the
-original would have — the Hypothesis byte-identity suite pins both.
-Restoration performs direct attribute assignment and
-``MRCTracker.restore`` only; it never goes through the ``record``/``put``
-paths that would increment observability counters, preserving the
-recovery subsystem's zero-telemetry contract.
+analyzer serves the same curves (without recomputation) as the original
+would have — the Hypothesis byte-identity suite pins both.  Restoration
+performs direct attribute assignment only; it never goes through
+``MRCCache.get``/``record``, which would increment observability counters,
+preserving the recovery subsystem's zero-telemetry contract.
 
-Each distinct ``MRCEntry`` the analyzer holds — the tracker, the MRC cache
-and the signatures share them — is written once, into one table that the
-three refer to by position, and restore hands the same rebuilt entry back
-to all three.  A checkpoint reads no curve: an entry still pending is
-written as a reference to the slice of the engine's access window it will
-analyse (the window is data-plane state and survives the crash), and
-restore references that slice again from a pending entry, copying nothing.
-A slice the window no longer holds at restore leaves its class without a
-curve, cold like any class the analyzer has not seen; one the window had
-already overwritten when the checkpoint was taken (the window copied it out
-first) is analysed and written like any analysed entry.  An
-analysed curve is an immutable value, so its hit histogram is encoded once
-— one text of comma-separated counts, kept on the curve — and every later
-checkpoint reuses that text; restore hands the text it parsed to the
-restored curve.  A checkpoint therefore costs what changed since the last
-one (DESIGN §13).
+Payload version 4 writes each analyzer's curves as one list of slot rows,
+one per class: the key the curve was taken under, the "before" parameters
+of an assessment, and the curve itself.  A checkpoint reads no curve: an
+entry still pending is written as a reference to the slice of the engine's
+access window it will analyse (the window is data-plane state and survives
+the crash), and restore references that slice again from a pending entry,
+copying nothing.  A slice the window no longer holds at restore leaves its
+class without a slot, cold like any class the analyzer has not seen; one
+the window had already overwritten when the checkpoint was taken (the
+window copied it out first) is analysed and written like any analysed
+entry.  An analysed curve is an immutable value, so its hit histogram is
+encoded once — one text of comma-separated counts, kept on the curve — and
+every later checkpoint reuses that text; restore hands the text it parsed
+to the restored curve.  A checkpoint therefore costs what changed since the
+last one (DESIGN §13).
 """
 
 from __future__ import annotations
@@ -44,8 +42,14 @@ from collections import deque
 import numpy as np
 
 from ..core.metrics import Metric, MetricVector
-from ..core.mrc import MissRatioCurve, MRCCacheKey, MRCEntry, MRCParameters
-from ..core.signature import StableStateSignature
+from ..core.mrc import (
+    MissRatioCurve,
+    MRCCache,
+    MRCCacheKey,
+    MRCEntry,
+    MRCParameters,
+    MRCSlot,
+)
 from ..sim.trace import AccessWindow
 
 __all__ = [
@@ -58,7 +62,7 @@ __all__ = [
     "wipe_cluster_state",
 ]
 
-STATE_VERSION = 3
+STATE_VERSION = 4
 
 
 # ---------------------------------------------------------------------- #
@@ -79,9 +83,7 @@ def _vector_from_jsonable(context_key: str, pairs: list) -> MetricVector:
     )
 
 
-def _params_to_jsonable(params: MRCParameters | None) -> dict | None:
-    if params is None:
-        return None
+def _params_to_jsonable(params: MRCParameters) -> dict:
     return {
         "total_memory": params.total_memory,
         "ideal_miss_ratio": params.ideal_miss_ratio,
@@ -133,9 +135,9 @@ def _entry_to_jsonable(entry: MRCEntry, window: AccessWindow) -> dict:
 
 
 def _entry_from_jsonable(
-    payload: dict, window: AccessWindow, tracker
+    payload: dict, window: AccessWindow, store: MRCCache
 ) -> MRCEntry | None:
-    """The entry a table row describes; ``None`` when it references a slice
+    """The entry a slot row describes; ``None`` when it references a slice
     the window has evicted since the checkpoint."""
     if "watermark" not in payload:
         return MRCEntry.known(
@@ -147,8 +149,20 @@ def _entry_from_jsonable(
         return None
     return MRCEntry(
         window.slice_ending_at(watermark, length),
-        tracker.server_memory_pages, tracker.acceptable_threshold,
+        store.server_memory_pages, store.acceptable_threshold,
     )
+
+
+def _slot_to_jsonable(key: str, slot: MRCSlot, window: AccessWindow) -> dict:
+    row = {
+        "context_key": key,
+        "window_version": slot.key.window_version,
+        "variant": slot.key.variant,
+        **_entry_to_jsonable(slot.entry, window),
+    }
+    if slot.before is not None:  # an assessment's comparison slice
+        row["before"] = _params_to_jsonable(slot.before)
+    return row
 
 
 # ---------------------------------------------------------------------- #
@@ -165,40 +179,7 @@ def export_analyzer_state(analyzer) -> dict:
     would.
     """
     log = analyzer.engine.log
-    table: list[dict] = []
-    rows: dict[int, int] = {}  # id(entry) -> its row in ``table``
-
-    def row(key: str, entry: MRCEntry) -> int:
-        at = rows.get(id(entry))
-        if at is None:
-            at = rows[id(entry)] = len(table)
-            table.append(_entry_to_jsonable(entry, log.window_for(key)))
-        return at
-
-    signatures = []
-    for key, signature in analyzer.signatures._signatures.items():
-        signatures.append({
-            "context_key": key,
-            "metrics": _vector_to_jsonable(signature.metrics),
-            "mrc": None if signature.mrc is None else row(key, signature.mrc),
-            "recorded_at": signature.recorded_at,
-            "intervals_observed": signature.intervals_observed,
-        })
-    tracker = analyzer.mrc
-    tracked = {key: row(key, entry) for key, entry in tracker.entries()}
-    cache = analyzer.mrc_cache
-    cache_entries = []
-    for key, (cache_key, value) in cache._entries.items():
-        cached = {
-            "context_key": key,
-            "window_version": cache_key.window_version,
-            "pool_pages": cache_key.pool_pages,
-            "variant": cache_key.variant,
-            "entry": row(key, value[0]),
-        }
-        if len(value) > 1:  # assessment entries carry the "before" params
-            cached["before"] = _params_to_jsonable(value[1])
-        cache_entries.append(cached)
+    store = analyzer.mrc
     return {
         "server": analyzer.server_name,
         "engine": analyzer.engine.name,
@@ -207,23 +188,23 @@ def export_analyzer_state(analyzer) -> dict:
         "seen_marks": {
             key: list(marks) for key, marks in analyzer._seen_marks.items()
         },
-        "mrc_window_len": dict(analyzer._mrc_window_len),
         "last_vectors": {
             key: _vector_to_jsonable(vector)
             for key, vector in analyzer._last_vectors.items()
         },
         "quarantined_intervals": analyzer.quarantined_intervals,
         "degraded_last_interval": analyzer.degraded_last_interval,
-        "signatures": signatures,
-        "mrc": {
-            "recomputations": tracker.recomputations,
-            "entries": table,
-            "tracked": tracked,
+        "signatures": {
+            key: _vector_to_jsonable(vector)
+            for key, vector in analyzer.signatures.items()
         },
-        "mrc_cache": {
-            "hits": cache.hits,
-            "misses": cache.misses,
-            "entries": cache_entries,
+        "mrc": {
+            "recomputations": store.recomputations,
+            "hits": store.hits,
+            "slots": [
+                _slot_to_jsonable(key, slot, log.window_for(key))
+                for key, slot in store.slots()
+            ],
         },
     }
 
@@ -231,63 +212,33 @@ def export_analyzer_state(analyzer) -> dict:
 def restore_analyzer_state(analyzer, state: dict) -> None:
     """Refill a (wiped) analyzer from an exported snapshot.
 
-    Every table row is rebuilt once, on its first reference, and the same
-    entry goes to each holder that referenced it.  A row whose slice the
-    engine's window has evicted restores as no curve at all: the signature
-    keeps its metrics without an MRC, and the tracker and cache hold
-    nothing for it.
+    A slot whose slice the engine's window has evicted restores as no curve
+    at all: the class keeps its signature and gets no slot.
     """
     analyzer.amnesia()
     log = analyzer.engine.log
-    tracker = analyzer.mrc
-    table = state["mrc"]["entries"]
-    built: dict[int, MRCEntry | None] = {}
-
-    def entry(key: str, at: int) -> MRCEntry | None:
-        if at not in built:
-            built[at] = _entry_from_jsonable(table[at], log.window_for(key), tracker)
-        return built[at]
-
-    for payload in state["signatures"]:
-        key = payload["context_key"]
-        at = payload["mrc"]
-        analyzer.signatures._signatures[key] = StableStateSignature(
-            context_key=key,
-            metrics=_vector_from_jsonable(key, payload["metrics"]),
-            mrc=None if at is None else entry(key, at),
-            recorded_at=payload["recorded_at"],
-            intervals_observed=payload["intervals_observed"],
-        )
-    tracker.recomputations = state["mrc"]["recomputations"]
-    for key, at in state["mrc"]["tracked"].items():
-        recorded = entry(key, at)
-        if recorded is not None:
-            tracker.restore(key, recorded)
-    cache = analyzer.mrc_cache
-    cache.hits = state["mrc_cache"]["hits"]
-    cache.misses = state["mrc_cache"]["misses"]
-    for payload in state["mrc_cache"]["entries"]:
-        key = payload["context_key"]
-        recorded = entry(key, payload["entry"])
-        if recorded is None:
-            continue
-        cache_key = MRCCacheKey(
-            window_version=payload["window_version"],
-            pool_pages=payload["pool_pages"],
-            variant=payload["variant"],
-        )
-        if "before" in payload:
-            value = (recorded, _params_from_jsonable(payload["before"]))
-        else:
-            value = (recorded,)
-        cache._entries[key] = (cache_key, value)
+    analyzer.signatures = {
+        key: _vector_from_jsonable(key, pairs)
+        for key, pairs in state["signatures"].items()
+    }
+    store = analyzer.mrc
+    store.recomputations = state["mrc"]["recomputations"]
+    store.hits = state["mrc"]["hits"]
+    for row in state["mrc"]["slots"]:
+        key = row["context_key"]
+        entry = _entry_from_jsonable(row, log.window_for(key), store)
+        if entry is not None:
+            store._slots[key] = MRCSlot(
+                MRCCacheKey(row["window_version"], row["variant"]),
+                entry,
+                _params_from_jsonable(row.get("before")),
+            )
     analyzer._intervals_closed = state["intervals_closed"]
     analyzer._first_seen = dict(state["first_seen"])
     analyzer._seen_marks = {
         key: deque(marks, maxlen=3)
         for key, marks in state["seen_marks"].items()
     }
-    analyzer._mrc_window_len = dict(state["mrc_window_len"])
     analyzer._last_vectors = {
         key: _vector_from_jsonable(key, pairs)
         for key, pairs in state["last_vectors"].items()

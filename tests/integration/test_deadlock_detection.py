@@ -70,7 +70,7 @@ class TestDeadlockDetection:
             engine.execute(a, timestamp=timestamp)
             engine.execute(b, timestamp=timestamp + 0.05)
             timestamp += 0.2
-        analyzer.close_interval(10.0, {"bank": False}, 10.0)
+        analyzer.close_interval(10.0, {"bank": False})
         return engine, analyzer
 
     def test_mutual_waits_recorded(self):

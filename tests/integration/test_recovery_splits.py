@@ -42,10 +42,10 @@ def run_episode(name, use_planner, splits):
         supervisor.restore_state(state)
         controller.reports, controller.diagnoses, controller.plans = logs
         restored.extend(
-            entry
+            slot.entry
             for analyzer in controller.analyzers()
-            for _, entry in analyzer.mrc.entries()
-            if entry.pending_slice is not None
+            for _, slot in analyzer.mrc.slots()
+            if slot.entry.pending_slice is not None
         )
 
     def with_recovery(scenario, obs, config):

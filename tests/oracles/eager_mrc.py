@@ -8,8 +8,8 @@ is the specification of *what* every read returns, what the telemetry says
 and what a restored analyzer reads; the on-demand suite runs both side by
 side.
 
-Only the storage format follows the current code — the tracker, the cache and
-the signature share one ``MRCEntry.known`` value per curve taken, so that
+Only the storage format follows the current code — one ``MRCCache`` slot per
+class, holding an ``MRCEntry.known`` value per curve taken, so that
 ``repro.recovery.state`` exports and restores both analyzers the same way
 (every entry here is analysed, so its checkpoint holds curves where the
 on-demand analyzer's holds window references).  :func:`eager_analyzers` makes
@@ -18,72 +18,39 @@ every cluster built inside the block attach this analyzer.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from contextlib import contextmanager
 
 import repro.core.analyzer as analyzer_module
 from repro.core.analyzer import MAX_MRC_TRACE, LogAnalyzer
 from repro.core.mrc import (
-    DEFAULT_ACCEPTABLE_THRESHOLD,
     MissRatioCurve,
+    MRCCache,
     MRCCacheKey,
     MRCEntry,
     MRCParameters,
+    MRCSlot,
 )
-from repro.obs.registry import NULL_REGISTRY
 
-__all__ = ["EagerMRCTracker", "EagerLogAnalyzer", "eager_analyzers"]
+__all__ = ["EagerMRCCache", "EagerLogAnalyzer", "eager_analyzers"]
 
 
-class EagerMRCTracker:
-    """Entries whose curve and parameters are computed before they are stored."""
-
-    def __init__(
-        self,
-        server_memory_pages: int,
-        acceptable_threshold: float = DEFAULT_ACCEPTABLE_THRESHOLD,
-        registry=None,
-    ) -> None:
-        self.server_memory_pages = server_memory_pages
-        self.acceptable_threshold = acceptable_threshold
-        self.registry = registry if registry is not None else NULL_REGISTRY
-        self._entries: dict[str, MRCEntry] = {}
-        self.recomputations = 0
-
-    def has(self, context_key: str) -> bool:
-        return context_key in self._entries
+class EagerMRCCache(MRCCache):
+    """Slots whose curve and parameters are computed before they are stored."""
 
     def store(
-        self, context_key: str, curve: MissRatioCurve, params: MRCParameters
-    ) -> MRCEntry:
-        entry = self._entries[context_key] = MRCEntry.known(params, curve)
+        self,
+        context_key: str,
+        key: MRCCacheKey,
+        curve: MissRatioCurve,
+        params: MRCParameters,
+    ) -> MRCSlot:
+        slot = MRCSlot(key, MRCEntry.known(params, curve))
+        self._slots[context_key] = slot
         self.recomputations += 1
         app = context_key.split("/", 1)[0]
         self.registry.counter("mrc.recomputations", app=app).inc()
         self.registry.histogram("mrc.trace_length").observe(curve.total_accesses)
-        return entry
-
-    def restore(self, context_key: str, entry: MRCEntry) -> None:
-        self._entries[context_key] = entry
-
-    def parameters_of(self, context_key: str) -> MRCParameters:
-        return self._entries[context_key].parameters
-
-    def curve_of(self, context_key: str) -> MissRatioCurve:
-        return self._entries[context_key].curve
-
-    def entries(self) -> Iterator[tuple[str, MRCEntry]]:
-        return iter(self._entries.items())
-
-    def forget(self, context_key: str) -> None:
-        self._entries.pop(context_key, None)
-
-    def reset(self) -> None:
-        self._entries.clear()
-        self.recomputations = 0
-
-    def contexts(self) -> list[str]:
-        return sorted(self._entries)
+        return slot
 
 
 class EagerLogAnalyzer(LogAnalyzer):
@@ -91,7 +58,7 @@ class EagerLogAnalyzer(LogAnalyzer):
 
     def __init__(self, engine, server_name, obs=None) -> None:
         super().__init__(engine, server_name, obs=obs)
-        self.mrc = EagerMRCTracker(
+        self.mrc = EagerMRCCache(
             server_memory_pages=engine.pool_pages, registry=self.obs.registry
         )
 
@@ -127,26 +94,16 @@ class EagerLogAnalyzer(LogAnalyzer):
                 tail = window.total_seen - base
                 keep = max(min(tail, keep), min(min_tail, keep))
         trace = window.snapshot(last=min(keep, MAX_MRC_TRACE))
-        cache_key = MRCCacheKey(
-            window_version=window.total_seen,
-            pool_pages=self.engine.pool_pages,
-            variant=variant,
-        )
-        cached = self.mrc_cache.get(context_key, cache_key)
-        if cached is not None:
-            (entry,) = cached
-            self.mrc.restore(context_key, entry)
-        else:
+        key = MRCCacheKey(window.total_seen, variant)
+        slot = self.mrc.get(context_key, key)
+        if slot is None:
             with self.obs.tracer.span(
                 "mrc.recompute",
                 attrs={"context": context_key, "recent_only": recent_only},
             ) as span:
                 curve, params = self._build_curve(trace, span)
-                entry = self.mrc.store(context_key, curve, params)
-            self.mrc_cache.put(context_key, cache_key, (entry,))
-        self.signatures.set_mrc(context_key, entry)
-        self._mrc_window_len[context_key] = len(window)
-        return entry
+                slot = self.mrc.store(context_key, key, curve, params)
+        return slot.entry
 
     def assess_recent_behaviour(
         self,
@@ -168,33 +125,25 @@ class EagerLogAnalyzer(LogAnalyzer):
         if len(recent) < min_tail:
             return ("insufficient", None)
         before = trace[: min(tail, len(trace) - tail)]
-        cache_key = MRCCacheKey(
-            window_version=window.total_seen,
-            pool_pages=self.engine.pool_pages,
-            variant=f"assess:{min_tail}:{base}:{int(is_new)}",
+        key = MRCCacheKey(
+            window.total_seen, f"assess:{min_tail}:{base}:{int(is_new)}"
         )
-        cached = self.mrc_cache.get(context_key, cache_key)
-        if cached is not None:
-            entry, before_params = cached
-            self.mrc.restore(context_key, entry)
-        else:
+        slot = self.mrc.get(context_key, key)
+        if slot is None:
             with self.obs.tracer.span(
                 "mrc.recompute", attrs={"context": context_key, "assess": True}
             ) as span:
                 recent_curve, recent_params = self._build_curve(recent, span)
-                entry = self.mrc.store(context_key, recent_curve, recent_params)
-            before_params = None
+                slot = self.mrc.store(context_key, key, recent_curve, recent_params)
             if not is_new and len(before) >= min(min_tail, tail) // 2:
                 with self.obs.tracer.span(
                     "mrc.recompute",
                     attrs={"context": context_key, "assess": True,
                            "slice": "before"},
                 ) as span:
-                    _, before_params = self._build_curve(before, span)
-            self.mrc_cache.put(context_key, cache_key, (entry, before_params))
-        recent_params = entry.parameters
-        self.signatures.set_mrc(context_key, entry)
-        self._mrc_window_len[context_key] = len(window)
+                    _, slot.before = self._build_curve(before, span)
+        recent_params = slot.entry.parameters
+        before_params = slot.before
         if is_new:
             return ("new", recent_params)
         if before_params is None:

@@ -10,7 +10,7 @@ of just before the window overwrites it.  Three pins:
   copies no window access, and its telemetry (``mrc.recomputations``,
   ``mrc.trace_length``, the ``mrc.recompute`` spans and everything else) is
   the oracle's byte for byte;
-* any sequence of refreshes, reads, ``forget``, ``amnesia`` and checkpoint →
+* any sequence of refreshes, assessments, reads, ``amnesia`` and checkpoint →
   restore, over a window large enough to keep every slice or small enough
   to overwrite slices before they are read, leaves all three analyzers with
   the same parameters and the same hit histograms, export → restore →
@@ -18,7 +18,7 @@ of just before the window overwrites it.  Three pins:
   window's checkpoint is the referencing one's byte for byte (the analysing
   oracle's differs: a pending curve is written as its window slice, not
   analysed);
-* a pending curve that is superseded, forgotten, wiped or checkpointed is
+* a pending curve that is superseded, wiped or checkpointed is
   never analysed, and one whose slice is overwritten is copied, not analysed.
 """
 
@@ -118,15 +118,13 @@ class Side:
             self.engine.log._windows[key] = window_type(window_capacity)
         self.analyzer = analyzer_type(self.engine, "s1")
         self.classes = query_classes()
-        self.now = 0.0
 
     def interval(self, executions, sla_met):
         for _ in range(executions):
             for query_class in self.classes:
                 self.engine.execute(query_class)
-        self.now += 10.0
         self.analyzer.close_interval(
-            10.0, {"app": sla_met}, self.now, initial_mrc_min_accesses=600
+            10.0, {"app": sla_met}, initial_mrc_min_accesses=600
         )
 
     def checkpoint(self) -> str:
@@ -152,9 +150,8 @@ class Side:
         return (
             analyzer.mrc.contexts(),
             analyzer.mrc.recomputations,
-            analyzer.mrc_cache.hits,
-            analyzer.mrc_cache.misses,
-            dict(analyzer._mrc_window_len),
+            analyzer.mrc.hits,
+            [(key, slot.key, slot.before) for key, slot in analyzer.mrc.slots()],
         )
 
 
@@ -164,7 +161,6 @@ operations = st.one_of(
     st.tuples(st.just("refresh"), st.sampled_from(KEYS), st.booleans()),
     st.tuples(st.just("assess"), st.sampled_from(KEYS)),
     st.tuples(st.just("read"), st.sampled_from(KEYS)),
-    st.tuples(st.just("forget"), st.sampled_from(KEYS)),
     st.tuples(st.just("amnesia")),
     st.tuples(st.just("checkpoint")),
 )
@@ -202,9 +198,6 @@ def test_any_sequence_reads_like_the_eager_oracle(steps, window_capacity):
         elif kind == "read":
             reads = [side.reads(step[1]) for side in sides]
             assert reads[0] == reads[1] == reads[2]
-        elif kind == "forget":
-            for side in sides:
-                side.analyzer.mrc.forget(step[1])
         elif kind == "amnesia":
             for side in sides:
                 side.analyzer.amnesia()
@@ -232,30 +225,28 @@ def test_a_superseded_pending_curve_is_never_analysed(kernel_calls):
     side = Side(LogAnalyzer)
     analyzer = side.analyzer
     side.interval(40, sla_met=True)  # the initial curves, 800 accesses each
-    superseded = analyzer.mrc._entries["app/hot"]
+    superseded = analyzer.mrc.slot("app/hot").entry
     side.interval(40, sla_met=True)  # the window doubled: refreshed
-    current = analyzer.mrc._entries["app/hot"]
+    current = analyzer.mrc.slot("app/hot").entry
     assert current is not superseded
     assert kernel_calls == []
 
     params = analyzer.ensure_mrc("app/hot")
     assert kernel_calls == [1600]
     assert superseded._pending is not None  # taken, replaced, never analysed
-    # The signature and the cache hold the same entry: no second analysis,
-    # and a cache hit puts it back into the tracker.
+    # Every read goes to the one slot: no second analysis, and a hit serves
+    # the entry already there.
     assert analyzer.stored_mrc("app/hot") is params
-    analyzer.mrc.forget("app/hot")
     assert analyzer.recompute_mrc("app/hot") is current
     assert analyzer.mrc.parameters_of("app/hot") is params
     assert kernel_calls == [1600]
 
     # Dropped pending curves are not analysed either.
-    analyzer.mrc.forget("app/wide")
     analyzer.amnesia()
     assert kernel_calls == [1600]
 
     # A checkpoint reads no curve, and restore rebuilds each pending one
-    # from its window slice once, for every holder.
+    # from its window slice.
     side.interval(40, sla_met=True)
     first = side.checkpoint()
     side.restore(first)

@@ -10,7 +10,10 @@ Two pins, both byte-level on exported telemetry:
   nothing the rest of the run depends on lives outside it and the engines'
   access windows, from which restore re-reads the curves still pending
   (DESIGN §13, *Curves as references*).  The split comes after at least two
-  checkpoints.  ``tests/integration/test_recovery_splits.py`` interrupts
+  checkpoints, and the controller runs classic or under the planner, whose
+  snapshot reads restored curves.  ``use_forecast`` stays out: the
+  forecaster is not checkpointed and restarts cold, so its gauges differ
+  after a restore.  ``tests/integration/test_recovery_splits.py`` interrupts
   zoo episodes whose restored curves are read.
 
 Every Hypothesis example runs two full simulations, so the example
@@ -29,26 +32,28 @@ from repro.workloads import build_tpcw
 META = {"scenario": "prop-recovery", "seed": 7}
 
 
-def make_harness(clients, obs):
+CONFIGS = (ControllerConfig(), ControllerConfig(use_planner=True))
+
+
+def make_harness(clients, obs, config):
     workload = build_tpcw(seed=7)
     return ClusterHarness.single_app(
-        workload, servers=2, clients=clients,
-        config=ControllerConfig(), obs=obs,
+        workload, servers=2, clients=clients, config=config, obs=obs,
     )
 
 
-def run_uninterrupted(clients, intervals, recovery):
+def run_uninterrupted(clients, intervals, recovery, config=CONFIGS[0]):
     obs = Observability()
-    harness = make_harness(clients, obs)
+    harness = make_harness(clients, obs, config)
     if recovery:
         harness.enable_recovery(RecoveryConfig(checkpoint_every_intervals=1))
     harness.run(intervals=intervals)
     return telemetry_lines(obs, meta=META)
 
 
-def run_interrupted(clients, intervals, split):
+def run_interrupted(clients, intervals, split, config):
     obs = Observability()
-    harness = make_harness(clients, obs)
+    harness = make_harness(clients, obs, config)
     supervisor = harness.enable_recovery(
         RecoveryConfig(checkpoint_every_intervals=1)
     )
@@ -76,14 +81,17 @@ def test_recovery_enabled_is_byte_invisible(clients, intervals):
 @given(
     clients=st.integers(min_value=6, max_value=14),
     intervals=st.integers(min_value=3, max_value=6),
+    config=st.sampled_from(CONFIGS),
     data=st.data(),
 )
 @settings(max_examples=8, deadline=None)
-def test_checkpoint_restore_resume_is_byte_identical(clients, intervals, data):
+def test_checkpoint_restore_resume_is_byte_identical(
+    clients, intervals, config, data
+):
     """Interrupt anywhere: restore must reproduce the uninterrupted run."""
     split = data.draw(
         st.integers(min_value=2, max_value=intervals - 1), label="split"
     )
-    interrupted = run_interrupted(clients, intervals, split)
-    uninterrupted = run_uninterrupted(clients, intervals, recovery=True)
+    interrupted = run_interrupted(clients, intervals, split, config)
+    uninterrupted = run_uninterrupted(clients, intervals, True, config)
     assert interrupted == uninterrupted

@@ -1,8 +1,7 @@
-"""Unit tests for the reporting and latency-analysis helpers."""
+"""Unit tests for the reporting helpers."""
 
 import pytest
 
-from repro.analysis.latency import LatencyAggregate, summarize_latencies
 from repro.analysis.report import Table, format_series, format_table
 
 
@@ -40,36 +39,3 @@ class TestFormatSeries:
         rendered = format_series("S", [(0.0, 1.5), (10.0, 2.5)])
         assert "1.5000" in rendered and "10.0" in rendered
 
-
-class TestSummarizeLatencies:
-    def test_empty_sample(self):
-        agg = summarize_latencies([])
-        assert agg.count == 0 and agg.mean == 0.0
-
-    def test_single_sample(self):
-        agg = summarize_latencies([0.5])
-        assert agg.p50 == 0.5 and agg.p95 == 0.5 and agg.maximum == 0.5
-
-    def test_mean_and_max(self):
-        agg = summarize_latencies([1.0, 2.0, 3.0])
-        assert agg.mean == pytest.approx(2.0)
-        assert agg.maximum == 3.0
-
-    def test_median_interpolated(self):
-        agg = summarize_latencies([1.0, 2.0, 3.0, 4.0])
-        assert agg.p50 == pytest.approx(2.5)
-
-    def test_p95_near_tail(self):
-        latencies = list(range(1, 101))
-        agg = summarize_latencies([float(x) for x in latencies])
-        assert 95.0 <= agg.p95 <= 96.0
-
-    def test_exceeds_sla(self):
-        agg = LatencyAggregate(count=1, mean=1.5, p50=1.5, p95=1.5, maximum=1.5)
-        assert agg.exceeds(1.0)
-        assert not agg.exceeds(2.0)
-
-    def test_order_independent(self):
-        a = summarize_latencies([3.0, 1.0, 2.0])
-        b = summarize_latencies([1.0, 2.0, 3.0])
-        assert a == b

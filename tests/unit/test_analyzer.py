@@ -30,11 +30,11 @@ def zipf_class(name="q", app="app", working_set=50, pages=20, seed_name=None):
     return QueryClass(name, app, 1, f"select {name}", pattern)
 
 
-def run_interval(engine, analyzer, classes, executions, sla_met, timestamp=10.0):
+def run_interval(engine, analyzer, classes, executions, sla_met):
     for _ in range(executions):
         for qc in classes:
             engine.execute(qc)
-    return analyzer.close_interval(10.0, sla_met, timestamp)
+    return analyzer.close_interval(10.0, sla_met)
 
 
 class TestCloseInterval:
@@ -57,6 +57,26 @@ class TestCloseInterval:
         analyzer = LogAnalyzer(engine, "s1")
         run_interval(engine, analyzer, [zipf_class()], 5, {"app": False})
         assert "app/q" not in analyzer.signatures
+
+    def test_stable_refresh_overwrites_signature(self):
+        engine = make_engine()
+        analyzer = LogAnalyzer(engine, "s1")
+        qc = zipf_class()
+        run_interval(engine, analyzer, [qc], 5, {"app": True})
+        latest = run_interval(engine, analyzer, [qc], 9, {"app": True})
+        assert analyzer.signatures == {"app/q": latest["app/q"]}
+        assert latest["app/q"].get(Metric.PAGE_ACCESSES) == 180.0
+
+    def test_a_curve_creates_no_signature(self):
+        # A class gets its curve before its first stable interval without
+        # a placeholder signature: signatures are metric averages only.
+        engine = make_engine()
+        analyzer = LogAnalyzer(engine, "s1")
+        run_interval(engine, analyzer, [zipf_class(pages=50)], 50, {"app": False})
+        assert analyzer.ensure_mrc("app/q") is not None
+        analyzer.assess_recent_behaviour("app/q", 0.25, min_tail=1000)
+        assert analyzer.mrc.has("app/q")
+        assert analyzer.signatures == {}
 
     def test_initial_mrc_computed_when_window_large(self):
         engine = make_engine()
@@ -205,5 +225,5 @@ class TestDecisionManager:
         engine = make_engine()
         analyzer = manager.attach_engine(engine)
         engine.execute(zipf_class())
-        manager.close_interval(10.0, {"app": True}, 10.0)
+        manager.close_interval(10.0, {"app": True})
         assert "app/q" in analyzer.current_vectors()

@@ -45,11 +45,11 @@ class _ScriptedPattern(AccessPattern):
         return 1
 
 
-def run_interval(engine, analyzer, classes, executions, sla_met, timestamp=10.0):
+def run_interval(engine, analyzer, classes, executions, sla_met):
     for _ in range(executions):
         for qc in classes:
             engine.execute(qc)
-    return analyzer.close_interval(10.0, sla_met, timestamp)
+    return analyzer.close_interval(10.0, sla_met)
 
 
 class TestStatsGapQuarantine:
@@ -121,7 +121,7 @@ class TestEffectiveVectors:
         engine = make_engine()
         analyzer = LogAnalyzer(engine, "s1")
         run_interval(engine, analyzer, [zipf_class()], 5, {"app": True})
-        stable = analyzer.signatures.stable_vectors()
+        stable = dict(analyzer.signatures)
         analyzer.inject_stats_gap()
         run_interval(engine, analyzer, [zipf_class()], 5, {"app": True})
         assert analyzer.current_vectors() == {}
@@ -148,7 +148,7 @@ class TestEmptyWindows:
         engine = make_engine()
         manager = DecisionManager("s1")
         analyzer = manager.attach_engine(engine)
-        manager.close_interval(10.0, {"app": True}, 10.0)
+        manager.close_interval(10.0, {"app": True})
         assert analyzer.current_vectors() == {}
         assert analyzer.degraded_last_interval is None
 
@@ -160,7 +160,7 @@ class TestEmptyWindows:
         run_interval(engine, analyzer, [qc], 5, {"app": True})
         # Interval 2: the class completes nothing; its accumulator is gone
         # from the snapshot rather than present with zero executions.
-        manager.close_interval(10.0, {"app": True}, 20.0)
+        manager.close_interval(10.0, {"app": True})
         assert analyzer.current_vectors() == {}
 
     def test_zero_execution_stats_yield_finite_vector(self):

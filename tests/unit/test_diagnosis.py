@@ -61,7 +61,7 @@ def run_interval(engine, analyzer, classes, executions, sla_met):
     for _ in range(executions):
         for qc in classes:
             engine.execute(qc)
-    analyzer.close_interval(10.0, sla_met, 10.0)
+    analyzer.close_interval(10.0, sla_met)
 
 
 class TestCpuPath:

@@ -64,7 +64,7 @@ def run_contended_interval(engine, analyzer, sla_met=False):
         engine.execute(reader, timestamp=timestamp + 0.1)
         engine.execute(reader, timestamp=timestamp + 0.2)
         timestamp += 0.3
-    analyzer.close_interval(10.0, {"app": sla_met}, 10.0)
+    analyzer.close_interval(10.0, {"app": sla_met})
 
 
 class TestLockDiagnosis:
@@ -97,7 +97,7 @@ class TestLockDiagnosis:
         for _ in range(20):
             engine.execute(loner, timestamp=timestamp)
             timestamp += 1.0  # holds expire long before the next arrival
-        analyzer.close_interval(10.0, {"app": False}, 10.0)
+        analyzer.close_interval(10.0, {"app": False})
         diagnosis = diagnose("app", scheduler, [view])
         assert diagnosis.primary.kind is not ActionKind.REPORT_LOCK_CONTENTION
 
@@ -127,7 +127,7 @@ class TestLockDiagnosis:
             engine.execute(a, timestamp=timestamp)
             engine.execute(b, timestamp=timestamp + 0.1)
             timestamp += 0.3
-        analyzer.close_interval(10.0, {"app": False}, 10.0)
+        analyzer.close_interval(10.0, {"app": False})
         diagnosis = diagnose("app", scheduler, [view])
         action = diagnosis.primary
         assert action.kind is ActionKind.REPORT_LOCK_CONTENTION

@@ -6,9 +6,11 @@ import pytest
 from oracles.fenwick import FenwickTree, stack_distances_fenwick
 from repro.core.mrc import (
     MissRatioCurve,
+    MRCCache,
+    MRCCacheKey,
     MRCEntry,
     MRCParameters,
-    MRCTracker,
+    MRCSlot,
     stack_distances,
 )
 from repro.engine.bufferpool import LRUBufferPool
@@ -289,71 +291,76 @@ class TestSignificance:
             self.base().significantly_differs_from(self.base(), relative=-1)
 
 
+def take(store, context_key, trace, watermark=None):
+    """Record ``trace`` for ``context_key`` under the window version it ends at."""
+    slice_ = sliced(trace, watermark)
+    return store.record(context_key, MRCCacheKey(slice_.watermark), slice_)
+
+
 class TestMRCTracker:
+    """Taking and reading curves in the per-class store."""
+
     def test_compute_and_lookup(self):
-        tracker = MRCTracker(server_memory_pages=100)
+        store = MRCCache(server_memory_pages=100)
         trace = list(range(10)) * 5
-        entry = tracker.record("app/q", sliced(trace))
-        assert tracker.has("app/q")
-        params = tracker.parameters_of("app/q")
+        entry = take(store, "app/q", trace).entry
+        assert store.has("app/q")
+        params = store.parameters_of("app/q")
         assert params == MissRatioCurve.from_trace(trace).parameters(100)
-        assert entry.parameters is params and tracker.curve_of("app/q") is entry.curve
+        assert entry.parameters is params and store.curve_of("app/q") is entry.curve
 
     def test_unknown_context_raises(self):
-        tracker = MRCTracker(server_memory_pages=100)
+        store = MRCCache(server_memory_pages=100)
         with pytest.raises(KeyError):
-            tracker.parameters_of("ghost")
+            store.parameters_of("ghost")
 
     def test_recomputation_counter(self):
-        tracker = MRCTracker(server_memory_pages=100)
-        tracker.record("a", sliced([1, 2, 3]))
-        tracker.record("a", sliced([1, 2, 3, 4]))
-        assert tracker.recomputations == 2
-
-    def test_forget(self):
-        tracker = MRCTracker(server_memory_pages=100)
-        tracker.record("a", sliced([1, 2]))
-        tracker.forget("a")
-        assert not tracker.has("a")
+        store = MRCCache(server_memory_pages=100)
+        take(store, "a", [1, 2, 3])
+        take(store, "a", [1, 2, 3, 4])
+        assert store.recomputations == 2
+        assert len(store) == 1  # one slot per class
 
     def test_store_external_curve(self):
-        # A restored entry (cache hit, checkpoint) is served as it was built.
-        tracker = MRCTracker(server_memory_pages=100)
+        # A known entry (as a checkpoint restores it) is served as it was
+        # built, and serving it takes no curve.
+        store = MRCCache(server_memory_pages=100)
         curve = MissRatioCurve.from_trace([1, 1, 2])
         params = curve.parameters(100)
-        tracker.restore("x", MRCEntry.known(params, curve))
-        assert tracker.curve_of("x") is curve
-        assert tracker.parameters_of("x") == params
-        assert tracker.recomputations == 0
+        store._slots["x"] = MRCSlot(MRCCacheKey(3), MRCEntry.known(params, curve))
+        assert store.get("x", MRCCacheKey(3)).entry.curve is curve
+        assert store.parameters_of("x") == params
+        assert (store.recomputations, store.hits) == (0, 1)
 
     def test_contexts_sorted(self):
-        tracker = MRCTracker(server_memory_pages=100)
-        tracker.record("b", sliced([1]))
-        tracker.record("a", sliced([1]))
-        assert tracker.contexts() == ["a", "b"]
+        store = MRCCache(server_memory_pages=100)
+        take(store, "b", [1])
+        take(store, "a", [1])
+        assert store.contexts() == ["a", "b"]
 
     def test_curves_in_recording_order(self):
-        tracker = MRCTracker(server_memory_pages=100)
-        tracker.record("b", sliced([1, 1]))
-        tracker.record("a", sliced([1, 2, 1]))
+        store = MRCCache(server_memory_pages=100)
+        take(store, "b", [1, 1])
+        take(store, "a", [1, 2, 1])
         # A refresh keeps the context's place.
-        tracker.record("b", sliced([2, 2, 2], 5))
+        take(store, "b", [2, 2, 2], 5)
         # Listing reads nothing: every entry is still pending.
-        listed = [(key, entry.pending_slice) for key, entry in tracker.entries()]
+        listed = [(key, slot.entry.pending_slice) for key, slot in store.slots()]
         assert listed == [("b", (5, 3)), ("a", (3, 3))]
-        assert [entry.parameters.total_memory
-                for _, entry in tracker.entries()] == [1, 2]
-        assert all(entry.pending_slice is None for _, entry in tracker.entries())
+        assert [slot.entry.parameters.total_memory
+                for _, slot in store.slots()] == [1, 2]
+        assert all(slot.entry.pending_slice is None for _, slot in store.slots())
 
     def test_reset_forgets_curves_and_count_without_telemetry(self):
         from repro.obs import MetricRegistry
 
         registry = MetricRegistry()
-        tracker = MRCTracker(server_memory_pages=100, registry=registry)
-        tracker.record("tpcw/q1", sliced([1, 2, 1]))
+        store = MRCCache(server_memory_pages=100, registry=registry)
+        slot = take(store, "tpcw/q1", [1, 2, 1])
+        store.get("tpcw/q1", slot.key)
         published = registry.snapshot()
-        tracker.reset()
-        assert (tracker.contexts(), tracker.recomputations) == ([], 0)
+        store.reset()
+        assert (store.contexts(), store.recomputations, store.hits) == ([], 0, 0)
         assert registry.snapshot() == published
 
 
@@ -399,10 +406,10 @@ class TestTrackerTelemetry:
         from repro.obs import MetricRegistry
 
         registry = MetricRegistry()
-        tracker = MRCTracker(server_memory_pages=100, registry=registry)
-        tracker.record("tpcw/q1", sliced([1, 2, 1, 2]))
-        tracker.record("tpcw/q2", sliced([1, 2, 3]))
-        tracker.record("rubis/q1", sliced([5, 5]))
+        store = MRCCache(server_memory_pages=100, registry=registry)
+        take(store, "tpcw/q1", [1, 2, 1, 2])
+        take(store, "tpcw/q2", [1, 2, 3])
+        take(store, "rubis/q1", [5, 5])
         assert registry.value("mrc.recomputations", app="tpcw") == 2.0
         assert registry.value("mrc.recomputations", app="rubis") == 1.0
         hist = registry.histogram("mrc.trace_length")
@@ -415,14 +422,15 @@ class TestTrackerTelemetry:
         from repro.obs import MetricRegistry
 
         registry = MetricRegistry()
-        tracker = MRCTracker(server_memory_pages=100, registry=registry)
-        tracker.record("tpcw/q1", sliced([1, 1, 2]))
+        store = MRCCache(server_memory_pages=100, registry=registry)
+        take(store, "tpcw/q1", [1, 1, 2])
         assert registry.value("mrc.recomputations", app="tpcw") == 1.0
         assert registry.histogram("mrc.trace_length").sum == 3
-        assert tracker.recomputations == 1
+        assert store.recomputations == 1
 
     def test_default_registry_records_nothing(self):
-        tracker = MRCTracker(server_memory_pages=100)
-        tracker.record("tpcw/q1", sliced([1, 2, 1]))
-        assert tracker.registry.snapshot() == []
-        assert tracker.recomputations == 1
+        store = MRCCache(server_memory_pages=100)
+        take(store, "tpcw/q1", [1, 2, 1])
+        store.get("tpcw/q1", MRCCacheKey(0))
+        assert store.registry.snapshot() == []
+        assert store.recomputations == 1

@@ -1,12 +1,11 @@
-"""Unit tests for the per-class MRC cache.
+"""Unit tests for the per-class MRC store's lookup.
 
-The cache's contract is *never serve a stale curve*: a hit is only legal
-when the page-access window has not advanced and the buffer pool has not
-been resized since the curve was computed.  The evidence throughout is the
-observability registry — ``mrc.recomputations`` counts real
-stack-distance work, ``mrc.cache.hits`` / ``mrc.cache.misses`` count the
-cache's answers — so staleness would show up as a hit without a matching
-recomputation.
+Each class has one slot, and the lookup's contract is *never serve a stale
+curve*: a hit is only legal when the page-access window has not advanced
+since the curve was taken of the same slice.  The evidence throughout is the
+observability registry — ``mrc.recomputations`` counts curves taken,
+``mrc.cache.hits`` / ``mrc.cache.misses`` count the lookup's answers — so
+staleness would show up as a hit without a matching recomputation.
 """
 
 from repro.core.analyzer import LogAnalyzer
@@ -18,6 +17,7 @@ from repro.engine.query import QueryClass
 from repro.engine.tables import Table
 from repro.obs import Observability
 from repro.sim.rng import SeedSequenceFactory
+from repro.sim.trace import AccessWindow
 
 
 def make_engine(pool=256, window=50_000):
@@ -36,73 +36,81 @@ def zipf_class(name="q", app="app", working_set=50, pages=20):
     return QueryClass(name, app, 1, f"select {name}", pattern)
 
 
-def run_interval(engine, analyzer, classes, executions, sla_met, timestamp=10.0):
+def run_interval(engine, analyzer, classes, executions, sla_met):
     for _ in range(executions):
         for qc in classes:
             engine.execute(qc)
-    return analyzer.close_interval(10.0, sla_met, timestamp)
+    return analyzer.close_interval(10.0, sla_met)
+
+
+def take(cache, context_key, key, trace=(1, 2, 1)):
+    """Record ``trace`` for ``context_key`` under ``key``."""
+    window = AccessWindow(len(trace))
+    window.record_many(list(trace))
+    return cache.record(
+        context_key, key, window.slice_ending_at(len(trace), len(trace))
+    )
 
 
 class TestMRCCacheUnit:
     def test_get_on_empty_is_miss(self):
-        cache = MRCCache()
-        assert cache.get("app/q", MRCCacheKey(10, 256)) is None
-        assert cache.misses == 1 and cache.hits == 0
+        obs = Observability()
+        cache = MRCCache(server_memory_pages=256, registry=obs.registry)
+        assert cache.get("app/q", MRCCacheKey(10)) is None
+        assert cache.hits == 0 and cache.recomputations == 0
+        assert obs.registry.value("mrc.cache.misses") == 1.0
 
     def test_hit_on_exact_key(self):
-        cache = MRCCache()
-        key = MRCCacheKey(window_version=10, pool_pages=256)
-        cache.put("app/q", key, "value")
-        assert cache.get("app/q", key) == "value"
-        assert cache.hits == 1 and cache.misses == 0
+        cache = MRCCache(server_memory_pages=256)
+        key = MRCCacheKey(window_version=10)
+        slot = take(cache, "app/q", key)
+        assert cache.get("app/q", key) is slot
+        assert cache.hits == 1 and cache.recomputations == 1
 
-    def test_window_advance_is_miss_and_evicts(self):
-        cache = MRCCache()
-        cache.put("app/q", MRCCacheKey(10, 256), "stale")
-        assert cache.get("app/q", MRCCacheKey(11, 256)) is None
-        # The stale entry must be gone — not even its own key finds it.
-        assert cache.get("app/q", MRCCacheKey(10, 256)) is None
-        assert len(cache) == 0
-
-    def test_pool_resize_is_miss(self):
-        cache = MRCCache()
-        cache.put("app/q", MRCCacheKey(10, 256), "stale")
-        assert cache.get("app/q", MRCCacheKey(10, 512)) is None
+    def test_window_advance_is_miss_and_keeps_the_slot(self):
+        cache = MRCCache(server_memory_pages=256)
+        slot = take(cache, "app/q", MRCCacheKey(10))
+        assert cache.get("app/q", MRCCacheKey(11)) is None
+        # The class keeps its curve until a new one is recorded.
+        assert cache.slot("app/q") is slot and len(cache) == 1
+        assert cache.get("app/q", MRCCacheKey(10)) is slot
+        replaced = take(cache, "app/q", MRCCacheKey(11))
+        assert cache.slot("app/q") is replaced and len(cache) == 1
 
     def test_variant_mismatch_is_miss(self):
-        cache = MRCCache()
-        cache.put("app/q", MRCCacheKey(10, 256, "full"), "full-curve")
-        assert cache.get("app/q", MRCCacheKey(10, 256, "recent:2000:5")) is None
+        cache = MRCCache(server_memory_pages=256)
+        take(cache, "app/q", MRCCacheKey(10, "full"))
+        assert cache.get("app/q", MRCCacheKey(10, "recent:2000:5")) is None
 
     def test_contexts_are_independent(self):
-        cache = MRCCache()
-        key = MRCCacheKey(10, 256)
-        cache.put("app/a", key, "a")
-        cache.put("app/b", key, "b")
-        assert cache.get("app/a", key) == "a"
-        cache.invalidate("app/a")
+        cache = MRCCache(server_memory_pages=256)
+        key = MRCCacheKey(10)
+        a = take(cache, "app/a", key)
+        b = take(cache, "app/b", key)
+        assert cache.get("app/a", key) is a
+        take(cache, "app/a", MRCCacheKey(12))
         assert cache.get("app/a", key) is None
-        assert cache.get("app/b", key) == "b"
+        assert cache.get("app/b", key) is b
 
     def test_counters_reach_registry(self):
         obs = Observability()
-        cache = MRCCache(registry=obs.registry)
-        key = MRCCacheKey(1, 64)
+        cache = MRCCache(server_memory_pages=64, registry=obs.registry)
+        key = MRCCacheKey(1)
         cache.get("c", key)
-        cache.put("c", key, "v")
+        take(cache, "c", key)
         cache.get("c", key)
         assert obs.registry.value("mrc.cache.hits") == 1.0
         assert obs.registry.value("mrc.cache.misses") == 1.0
 
     def test_reset_forgets_entries_and_tallies_without_telemetry(self):
         obs = Observability()
-        cache = MRCCache(registry=obs.registry)
-        key = MRCCacheKey(1, 64)
+        cache = MRCCache(server_memory_pages=64, registry=obs.registry)
+        key = MRCCacheKey(1)
         cache.get("c", key)
-        cache.put("c", key, "v")
+        take(cache, "c", key)
         cache.get("c", key)
         cache.reset()
-        assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
+        assert (len(cache), cache.hits, cache.recomputations) == (0, 0, 0)
         # the registry keeps what was published; reset itself publishes nothing
         assert obs.registry.value("mrc.cache.hits") == 1.0
         assert obs.registry.value("mrc.cache.misses") == 1.0
@@ -123,7 +131,7 @@ class TestAnalyzerCaching:
         recomputes = analyzer.mrc.recomputations
         before = analyzer.stored_mrc("app/q")
         params = analyzer.recompute_mrc("app/q").parameters
-        # Same window, same pool: served from cache — no new analysis.
+        # Same window: served from the slot — no new analysis.
         assert analyzer.mrc.recomputations == recomputes
         assert obs.registry.value("mrc.cache.hits") >= 1.0
         assert params == before
@@ -137,22 +145,10 @@ class TestAnalyzerCaching:
         analyzer.recompute_mrc("app/q")
         assert analyzer.mrc.recomputations == recomputes + 1
 
-    def test_miss_after_pool_resize(self, monkeypatch):
-        obs, engine, analyzer, qc = self._warm_analyzer()
-        analyzer.recompute_mrc("app/q")
-        recomputes = analyzer.mrc.recomputations
-        # Same window but a resized pool: the cached parameters were
-        # extracted against the old size, so the curve must be rebuilt.
-        monkeypatch.setattr(
-            type(engine), "pool_pages", property(lambda self: 4096)
-        )
-        analyzer.recompute_mrc("app/q")
-        assert analyzer.mrc.recomputations == recomputes + 1
-
     def test_cached_curve_is_identical(self):
         obs, engine, analyzer, qc = self._warm_analyzer()
         fresh = analyzer.recompute_mrc("app/q").parameters
-        analyzer.mrc_cache.clear()
+        analyzer.mrc.reset()
         recomputed = analyzer.recompute_mrc("app/q").parameters
         assert fresh == recomputed
 

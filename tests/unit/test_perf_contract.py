@@ -79,7 +79,14 @@ def two_replicas_with_quotas() -> ClusterHarness:
 
 @pytest.mark.parametrize("build", [single_app, two_replicas_with_quotas])
 def test_every_data_plane_layer_records_and_no_count_callback_raises(tracer, build):
-    build().run(3)  # a callback that cannot read its argument raises here
+    harness = build()
+    harness.run(3)  # a callback that cannot read its argument raises here
+    analyzers = harness.controller.analyzers()
+    # The same class's curve twice over an unchanged window: the second
+    # lookup hits, which the runs above never do.
+    key = analyzers[0].engine.log.context_keys()[0]
+    analyzers[0].recompute_mrc(key)
+    analyzers[0].recompute_mrc(key)
 
     ledger = tracer.ledger()
     silent = [layer for layer in layers.DATA_PLANE if ledger[layer][1] == 0]
@@ -96,6 +103,14 @@ def test_every_data_plane_layer_records_and_no_count_callback_raises(tracer, bui
         assert tracer.counts["cluster.scheduler.submit.writes"] > 0
         assert tracer.counts["engine.bufferpool.prefetch_many.pages"] > 0
         assert ledger["engine.locks.acquire"][1] > 0
+    # Every lookup of a class's curve goes through the traced ``get``.
+    stores = [analyzer.mrc for analyzer in analyzers]
+    assert ledger["core.mrc.cache.get"][1] == sum(
+        store.hits + store.recomputations for store in stores
+    )
+    assert tracer.counts["core.mrc.cache.get.hits"] == sum(
+        store.hits for store in stores
+    ) >= 1
 
     metrics = layers.per_layer_metrics(
         tracer, dict.fromkeys(layers.RECORDER_COUNTS, 0), wall_s=1.0

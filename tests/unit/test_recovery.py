@@ -204,14 +204,15 @@ class TestStateRoundTrip:
         state["version"] = 99
         with pytest.raises(ValueError, match="version"):
             supervisor.restore_state(state)
-        # A version-1 payload (list-encoded hits) or a version-2 one (every
-        # curve analysed) is refused by its version, before the decoder ever
-        # sees a list where it expects a text or a table row.
+        # A version-1 payload (list-encoded hits), a version-2 one (every
+        # curve analysed) or a version-3 one (an entry table shared by
+        # tracker, cache and signatures) is refused by its version, before
+        # the decoder ever sees a list where it expects a text or a slot row.
         with per_element_checkpoints():
             old = supervisor.snapshot()
-        rows = old["analyzers"][0]["mrc"]["entries"]
+        rows = old["analyzers"][0]["mrc"]["slots"]
         assert rows and all(isinstance(row["curve"]["hits"], list) for row in rows)
-        for version in (1, 2):
+        for version in (1, 2, 3):
             old["version"] = version
             with pytest.raises(
                 ValueError, match=f"unsupported checkpoint version: {version}"
@@ -224,11 +225,11 @@ class TestStateRoundTrip:
 
 
 def tracked_curves(harness):
-    """Every tracked curve, read: a pending one is analysed here."""
+    """Every class's curve, read: a pending one is analysed here."""
     return {
-        (analyzer.server_name, key): entry.curve
+        (analyzer.server_name, key): slot.entry.curve
         for analyzer in harness.controller.analyzers()
-        for key, entry in analyzer.mrc.entries()
+        for key, slot in analyzer.mrc.slots()
     }
 
 
@@ -243,7 +244,7 @@ def table_rows(payload):
     return [
         row
         for analyzer in payload["analyzers"]
-        for row in analyzer["mrc"]["entries"]
+        for row in analyzer["mrc"]["slots"]
     ]
 
 
@@ -267,8 +268,7 @@ class TestCurvesEncodedOnce:
         calls = self.count_encodings(monkeypatch)
         first = supervisor.checkpoint_now(harness.clock.now)
         curves = tracked_curves(harness)
-        # Every curve is encoded once although tracker, cache and signature
-        # all hold it, and not again by the next checkpoint.
+        # Every curve is encoded once, and not again by the next checkpoint.
         assert len(calls) == len({id(c) for c in curves.values()}) > 0
         del calls[:]
         second = supervisor.checkpoint_now(harness.clock.now)
@@ -287,9 +287,9 @@ class TestCurvesEncodedOnce:
         harness, supervisor, _ = make_harness(clients=14)
         harness.run(intervals=5)
         entries = [
-            entry
+            slot.entry
             for analyzer in harness.controller.analyzers()
-            for _, entry in analyzer.mrc.entries()
+            for _, slot in analyzer.mrc.slots()
         ]
         for entry in entries[::2]:
             entry.curve  # read every other curve: both kinds of row
@@ -334,9 +334,13 @@ class TestPendingCurvesAreReferences:
         checkpoint = supervisor.checkpoint_now(harness.clock.now)
         assert len(kernel_calls) == seen
         rows = table_rows(json.loads(checkpoint.payload))
-        assert rows and all(set(row) == {"watermark", "length"} for row in rows)
+        assert rows and all(
+            {"watermark", "length"} <= set(row) and "curve" not in row
+            for row in rows
+        )
 
-    def test_restore_shares_one_entry_per_curve(self, kernel_calls):
+    def test_restore_gives_one_slot_per_class(self, kernel_calls):
+        """One slot per class, and one kernel call per curve read."""
         harness, supervisor, _ = make_harness(clients=14)
         harness.run(intervals=5)
         state = json.loads(json.dumps(supervisor.snapshot()))
@@ -345,11 +349,16 @@ class TestPendingCurvesAreReferences:
         supervisor.restore_state(state)
         assert len(kernel_calls) == seen  # restore re-reads slices, no curve
         restored = 0
-        for analyzer in harness.controller.analyzers():
-            for key, entry in analyzer.mrc.entries():
-                assert entry.pending_slice is not None
-                assert analyzer.signatures.get(key).mrc is entry
-                assert analyzer.mrc_cache._entries[key][1][0] is entry
+        for analyzer, payload in zip(
+            harness.controller.analyzers(), state["analyzers"]
+        ):
+            rows = payload["mrc"]["slots"]
+            assert [key for key, _ in analyzer.mrc.slots()] == [
+                row["context_key"] for row in rows
+            ]
+            assert len(analyzer.mrc) == len({row["context_key"] for row in rows})
+            for key, slot in analyzer.mrc.slots():
+                assert slot.entry.pending_slice is not None
                 params = analyzer.stored_mrc(key)  # one read, one kernel call
                 assert len(kernel_calls) == seen + 1
                 assert params is analyzer.mrc.parameters_of(key)
@@ -389,10 +398,13 @@ class TestEvictedSlices:
         obs = Observability()
         analyzer, execute = small_window_analyzer(3_000, obs)
         execute(100)
-        analyzer.close_interval(10.0, {"app": True}, 10.0)
-        assert analyzer.mrc._entries["app/q"].pending_slice == (2_000, 2_000)
+        analyzer.close_interval(10.0, {"app": True})
+        assert analyzer.mrc.slot("app/q").entry.pending_slice == (2_000, 2_000)
         state = json.loads(json.dumps(export_analyzer_state(analyzer)))
-        assert state["mrc"]["entries"] == [{"watermark": 2_000, "length": 2_000}]
+        assert state["mrc"]["slots"] == [{
+            "context_key": "app/q", "window_version": 2_000, "variant": "full",
+            "watermark": 2_000, "length": 2_000,
+        }]
 
         execute(100)  # the window now holds accesses 1000..4000 only
         telemetry = telemetry_lines(obs)
@@ -402,13 +414,13 @@ class TestEvictedSlices:
         assert not analyzer.mrc.has("app/q")
         assert analyzer.stored_mrc("app/q") is None
         assert "app/q" in analyzer.signatures
-        assert len(analyzer.mrc_cache) == 0
+        assert len(analyzer.mrc) == 0
         assert analyzer.mrc.recomputations == 1
 
         # Cold, like a class the analyzer has not seen: the next stable close
         # takes a curve of the window as it is now.
-        analyzer.close_interval(10.0, {"app": True}, 20.0)
-        assert analyzer.mrc._entries["app/q"].pending_slice == (4_000, 3_000)
+        analyzer.close_interval(10.0, {"app": True})
+        assert analyzer.mrc.slot("app/q").entry.pending_slice == (4_000, 3_000)
         assert analyzer.mrc.recomputations == 2
         assert kernel_calls == []
 
@@ -417,12 +429,14 @@ class TestEvictedSlices:
     ):
         analyzer, execute = small_window_analyzer(3_000, Observability())
         execute(100)
-        analyzer.close_interval(10.0, {"app": True}, 10.0)
+        analyzer.close_interval(10.0, {"app": True})
         execute(100)
         state = json.loads(json.dumps(export_analyzer_state(analyzer)))
         assert kernel_calls == [2_000]  # the entry's own trace, read once
-        (row,) = state["mrc"]["entries"]
-        assert set(row) == {"curve", "params"}
+        (row,) = state["mrc"]["slots"]
+        assert set(row) == {
+            "context_key", "window_version", "variant", "curve", "params"
+        }
         params = analyzer.mrc.parameters_of("app/q")
         restore_analyzer_state(analyzer, state)
         assert analyzer.mrc.parameters_of("app/q") == params
