@@ -17,6 +17,10 @@ by ``tolist()``; and an all-hit ``access_many`` of it probing with the very
 objects the pool stores against equal ints minted per batch, with 8 MB
 touched between batches so that the stored keys are as cold as thousands of
 batches make them in a run.  Each asserts "faster than", never a time.
+
+A last table sizes the shared Zipf CDFs (DESIGN §6): ``build_tpcw(7)`` on a
+warm memo, every ``(n, theta)`` already computed in the process, against a
+build that clears the memo first and so computes every table again.
 """
 
 import sys
@@ -28,6 +32,7 @@ import numpy as np
 
 from repro.engine.bufferpool import LRUBufferPool
 from repro.engine.pages import PageRange
+from repro.sim.rng import _zipf_cdf
 from repro.workloads.tpcw import build_tpcw
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -129,3 +134,19 @@ def test_an_all_hit_batch_is_faster_with_the_pools_own_key_objects():
         f"identical keys {identical:.1f}"
     )
     assert identical < distinct
+
+
+def _cold_build() -> None:
+    _zipf_cdf.cache_clear()
+    build_tpcw(seed=7)
+
+
+def test_a_workload_build_on_a_warm_cdf_memo_beats_a_cold_one():
+    build_tpcw(seed=7)  # every (n, theta) of the workload in the memo
+    warm = min(timeit.repeat(lambda: build_tpcw(seed=7), number=1, repeat=REPEATS))
+    cold = min(timeit.repeat(_cold_build, number=1, repeat=REPEATS))
+    print(
+        f"workload build, ms: cold memo {cold * 1e3:.2f}, "
+        f"warm memo {warm * 1e3:.2f}"
+    )
+    assert warm < cold

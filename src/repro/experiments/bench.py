@@ -838,9 +838,9 @@ ZOO_QUALITY_FLOORS = {
 ``diurnal`` is the false-positive control (pure CPU saturation, no guilty
 class): any class-level detection there is a regression.  The other
 precision floors are deliberately low: they pin the detector's *measured*
-false-positive behaviour (collateral outliers whose stable miss counts are
-near zero), not an aspirational one.  Raising a floor must come from a
-detector improvement, not from relabelling."""
+false-positive behaviour (collateral outliers: the pool's heaviest tenants,
+hurt by whoever pollutes it), not an aspirational one.  Raising a floor must
+come from a detector improvement, not from relabelling."""
 
 
 def _run_zoo(name: str) -> dict:

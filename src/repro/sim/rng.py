@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from collections.abc import Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,6 +144,24 @@ class SeedSequenceFactory:
         return SeedSequenceFactory(_derive_seed(self.root_seed, f"fork:{name}"))
 
 
+@lru_cache(maxsize=None)
+def _zipf_cdf(n: int, theta: float) -> np.ndarray:
+    """The CDF of Zipf(``n``, ``theta``) over ranks ``0 … n-1``, computed once
+    per process.
+
+    It depends on ``(n, theta)`` alone, never on a seed, so every generator
+    of equal support and exponent shares the array, hence read-only.  Built
+    in place: the ranks become the weights, then their running sum, then the
+    CDF — one n-double array, not three (bit-identical).
+    """
+    cdf = np.arange(1, n + 1, dtype=float)
+    cdf **= -theta
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
 class ZipfGenerator:
     """Zipf-distributed integers over ``[0, n)`` with exponent ``theta``.
 
@@ -150,8 +169,9 @@ class ZipfGenerator:
     follow a Zipf-like law, which is what makes small buffer pools effective
     and gives miss-ratio curves their characteristic knee.
 
-    The implementation precomputes the CDF and samples by inverse transform,
-    so draws are O(log n) and the distribution is exact (unlike
+    The implementation precomputes the CDF (:func:`_zipf_cdf`, shared by every
+    generator of equal ``(n, theta)``) and samples by inverse transform, so
+    draws are O(log n) and the distribution is exact (unlike
     ``numpy.random.zipf``, which is unbounded).
 
     *Draw-ahead.*  Uniforms are drawn and looked up :data:`ZIPF_BLOCK_DRAWS`
@@ -168,18 +188,12 @@ class ZipfGenerator:
     def __init__(self, n: int, theta: float, stream: RandomStream) -> None:
         if n <= 0:
             raise ValueError(f"Zipf support size must be positive: {n}")
-        if theta < 0:
+        if not theta >= 0:  # NaN fails this too
             raise ValueError(f"Zipf exponent must be non-negative: {theta}")
         self.n = n
         self.theta = theta
         self._stream = stream
-        # In place: the ranks become the weights, then their running sum,
-        # then the CDF — one n-double array, not three (bit-identical).
-        cdf = np.arange(1, n + 1, dtype=float)
-        cdf **= -theta
-        np.cumsum(cdf, out=cdf)
-        cdf /= cdf[-1]
-        self._cdf = cdf
+        self._cdf = _zipf_cdf(n, theta)
         self._ranks = np.empty(0, dtype=np.int64)  # drawn ahead, unread from _next on
         self._next = 0
         self._state_after_refill: dict | None = None

@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from oracles.pagegen import ZipfOracle
 
-from repro.sim.rng import RandomStream, SeedSequenceFactory, ZipfGenerator
+from repro.sim.rng import (
+    RandomStream,
+    SeedSequenceFactory,
+    ZipfGenerator,
+    _zipf_cdf,
+)
+from repro.workloads.tpcw import build_tpcw
 
 
 class TestRandomStream:
@@ -87,6 +94,10 @@ class TestZipfGenerator:
         with pytest.raises(ValueError):
             ZipfGenerator(10, -0.5, RandomStream(1, "z"))
 
+    def test_rejects_nan_theta(self):
+        with pytest.raises(ValueError):
+            ZipfGenerator(10, float("nan"), RandomStream(1, "z"))
+
     def test_samples_within_range(self):
         zipf = ZipfGenerator(100, 0.9, RandomStream(2, "z"))
         samples = [zipf.sample() for _ in range(500)]
@@ -135,3 +146,46 @@ class TestZipfGenerator:
         cdf /= cdf[-1]
         zipf = ZipfGenerator(n, theta, RandomStream(9, "z"))
         assert zipf._cdf.tobytes() == cdf.tobytes()
+
+
+class TestSharedCdf:
+    """One CDF per ``(n, theta)`` per process: generators share it, never write it."""
+
+    def test_equal_support_and_exponent_share_one_array(self):
+        a = ZipfGenerator(1_000, 0.8, RandomStream(1, "a"))
+        b = ZipfGenerator(1_000, 0.8, RandomStream(2, "b"))
+        assert a._cdf is b._cdf
+        assert ZipfGenerator(1_000, 0.9, RandomStream(1, "a"))._cdf is not a._cdf
+
+    def test_shared_array_is_read_only(self):
+        cdf = ZipfGenerator(1_000, 0.8, RandomStream(1, "a"))._cdf
+        with pytest.raises(ValueError):
+            cdf[0] = 1.0
+
+    def test_sharing_generators_each_draw_their_own_oracle_sequence(self):
+        n, theta = 5_000, 1.2
+        a = ZipfGenerator(n, theta, RandomStream(1, "a"))
+        b = ZipfGenerator(n, theta, RandomStream(2, "b"))
+        assert a._cdf is b._cdf
+        oracle_a = ZipfOracle(n, theta, RandomStream(1, "a"))
+        oracle_b = ZipfOracle(n, theta, RandomStream(2, "b"))
+        counts = np.random.default_rng(0).integers(0, 700, 40)
+        for step, count in enumerate(counts.tolist()):
+            for served, oracle in ((a, oracle_a), (b, oracle_b)):
+                if step % 3 == 0:
+                    assert served.sample() == oracle.sample()
+                else:
+                    assert np.array_equal(
+                        served.sample_many(count), oracle.sample_many(count)
+                    )
+
+    def test_a_second_build_computes_no_cdf_and_draws_as_the_first(self):
+        _zipf_cdf.cache_clear()
+        cold = build_tpcw(seed=7)
+        misses = _zipf_cdf.cache_info().misses
+        warm = build_tpcw(seed=7)
+        assert misses > 0
+        assert _zipf_cdf.cache_info().misses == misses
+        for first, second in zip(cold.classes(), warm.classes(), strict=True):
+            for _ in range(3):
+                assert first.execute_pages() == second.execute_pages()
