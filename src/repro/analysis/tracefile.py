@@ -48,21 +48,38 @@ def save_traces(
 
 
 def load_traces(path: str | Path | io.IOBase) -> dict[str, np.ndarray]:
-    """Read a trace archive back into {context key: int64 array}."""
+    """Read a trace archive back into {context key: int64 array}.
+
+    Anything :func:`save_traces` would not have written raises
+    ``ValueError``: malformed metadata, no trace at all, or a trace that is
+    not a one-dimensional integer array.
+    """
     with np.load(path) as archive:
         if _META_KEY not in archive:
             raise ValueError("not a repro trace archive (missing metadata)")
-        version = int(archive[_META_KEY][0])
+        meta = archive[_META_KEY]
+        if meta.shape != (1,) or meta.dtype.kind not in "iu":
+            raise ValueError(
+                f"malformed trace archive metadata: {meta.dtype} {meta.shape}"
+            )
+        version = int(meta[0])
         if version > FORMAT_VERSION:
             raise ValueError(
                 f"trace archive version {version} is newer than supported "
                 f"({FORMAT_VERSION})"
             )
-        return {
-            key: archive[key].astype(np.int64)
-            for key in archive.files
-            if key != _META_KEY
+        traces = {
+            key: archive[key] for key in archive.files if key != _META_KEY
         }
+    if not traces:
+        raise ValueError("trace archive holds no trace")
+    for key, array in traces.items():
+        if array.ndim != 1 or array.dtype.kind not in "iu":
+            raise ValueError(
+                f"trace {key!r} must be a one-dimensional integer array, "
+                f"not {array.dtype} {array.shape}"
+            )
+    return {key: array.astype(np.int64) for key, array in traces.items()}
 
 
 def trace_summary(traces: dict[str, np.ndarray]) -> dict[str, dict[str, int]]:

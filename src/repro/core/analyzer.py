@@ -22,6 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..engine.engine import DatabaseEngine
+from ..engine.query import app_of
 from ..obs import NULL_OBS, Observability
 from .metrics import Metric, MetricVector, vector_from_stats
 from .mrc import MRCCache, MRCCacheKey, MRCEntry, MRCParameters
@@ -32,11 +33,6 @@ __all__ = ["LogAnalyzer", "DecisionManager"]
 MAX_MRC_TRACE = 60_000
 """Stack-distance analysis is O(n log n); traces are clipped to this many
 accesses, which is ample for working sets up to the pool size."""
-
-
-def _app_of(context_key: str) -> str:
-    """Query contexts are keyed ``app/class``; recover the app."""
-    return context_key.split("/", 1)[0]
 
 
 def _vector_sane(vector: MetricVector) -> bool:
@@ -150,7 +146,7 @@ class LogAnalyzer:
         stable_updates = {
             key: vector
             for key, vector in vectors.items()
-            if sla_met_by_app.get(_app_of(key), False)
+            if sla_met_by_app.get(app_of(key), False)
         }
         self.signatures.update(stable_updates)
         for key in stable_updates:
@@ -303,7 +299,7 @@ class LogAnalyzer:
         return {
             key: vector
             for key, vector in self._last_vectors.items()
-            if _app_of(key) == app
+            if app_of(key) == app
         }
 
     def effective_vectors(self, app: str | None = None) -> dict[str, MetricVector]:
@@ -322,7 +318,7 @@ class LogAnalyzer:
         return {
             key: vector
             for key, vector in self.signatures.items()
-            if _app_of(key) == app
+            if app_of(key) == app
         }
 
     # ------------------------------------------------------------------ #

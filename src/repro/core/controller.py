@@ -24,8 +24,10 @@ from .analyzer import DecisionManager, LogAnalyzer
 from ..cluster.replica import Replica
 from ..cluster.resource_manager import ResourceManager
 from ..cluster.scheduler import AppIntervalMetrics, Scheduler
+from ..engine.query import app_of
 from ..obs import NULL_OBS, Observability
 from .diagnosis import (
+    FINE_ACTION_KINDS,
     Action,
     ActionKind,
     Diagnosis,
@@ -35,15 +37,6 @@ from .diagnosis import (
 )
 
 __all__ = ["ControllerConfig", "AppIntervalReport", "ClusterController"]
-
-_FINE_KINDS = frozenset(
-    {
-        ActionKind.APPLY_QUOTAS,
-        ActionKind.RESCHEDULE_CLASS,
-        ActionKind.REMOVE_CLASS_FOR_IO,
-        ActionKind.REPORT_LOCK_CONTENTION,
-    }
-)
 
 QUOTA_THRASH_BAND = 0.15
 """Re-imposing a near-identical quota only cold-restarts the partition, so a
@@ -469,7 +462,8 @@ class ClusterController:
         # when the patience ladder is exhausted and diagnosis still only
         # proposes fine-grained moves (or nothing).
         if self._exhausted(app) and all(
-            a.kind in _FINE_KINDS or a.kind is ActionKind.NO_ACTION for a in actions
+            a.kind in FINE_ACTION_KINDS or a.kind is ActionKind.NO_ACTION
+            for a in actions
         ):
             actions = [
                 Action(
@@ -482,7 +476,7 @@ class ClusterController:
                     ),
                 )
             ]
-        if any(a.kind in _FINE_KINDS for a in actions):
+        if any(a.kind in FINE_ACTION_KINDS for a in actions):
             self._fine_action_tried[app] = True
         if self._actuate_all(app, actions, timestamp):
             self._last_action_interval[app] = self._interval_index
@@ -829,7 +823,7 @@ class ClusterController:
             # The context may belong to a *different* application than the
             # violated one (cross-application memory interference): move it
             # within its owner's scheduler, away from the contended host.
-            owner_app = action.context_key.split("/", 1)[0]
+            owner_app = app_of(action.context_key)
             owner_scheduler = self.schedulers.get(owner_app)
             if owner_scheduler is None:
                 return False

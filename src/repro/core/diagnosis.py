@@ -36,6 +36,7 @@ from .quota import find_quotas, placement_fits_totals
 
 __all__ = [
     "ActionKind",
+    "FINE_ACTION_KINDS",
     "Action",
     "DiagnosisConfig",
     "ReplicaView",
@@ -55,6 +56,17 @@ class ActionKind(str, Enum):
     COARSE_FALLBACK = "coarse_fallback"
     RELEASE_REPLICA = "release_replica"  # never listed in a report's actions
     NO_ACTION = "no_action"
+
+
+FINE_ACTION_KINDS = frozenset(
+    {
+        ActionKind.APPLY_QUOTAS,
+        ActionKind.RESCHEDULE_CLASS,
+        ActionKind.REMOVE_CLASS_FOR_IO,
+        ActionKind.REPORT_LOCK_CONTENTION,
+    }
+)
+"""The fine-grained reactions: each acts on one query context, not a replica."""
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine.query import app_of
 from ..obs.registry import MetricRegistry, NULL_REGISTRY
 from ..sim.trace import WindowSlice
 
@@ -520,7 +521,7 @@ class MRCCache:
         entry = MRCEntry(trace, self.server_memory_pages, self.acceptable_threshold)
         slot = self._slots[context_key] = MRCSlot(key, entry)
         self.recomputations += 1
-        app = context_key.split("/", 1)[0]
+        app = app_of(context_key)
         self.registry.counter("mrc.recomputations", app=app).inc()
         self.registry.histogram("mrc.trace_length").observe(len(trace))
         return slot

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..obs import NULL_OBS, Observability
 from .bufferpool import BufferPool, LRUBufferPool, PartitionedBufferPool
 from .executor import CostModel, QueryExecutor
 from .indexes import IndexCatalog
@@ -22,31 +21,10 @@ from .locks import LockManager
 from .query import QueryClass
 from .statslog import EngineLog, ExecutionRecord, ThreadLogBuffer
 
-__all__ = ["EngineConfig", "DatabaseEngine", "set_engine_obs", "engine_obs"]
+__all__ = ["EngineConfig", "DatabaseEngine"]
 
 DEFAULT_POOL_PAGES = 8192
 """128 MiB of 16 KiB pages — the paper's per-instance buffer-pool size."""
-
-_ENGINE_OBS: Observability | None = None
-
-
-def set_engine_obs(obs: Observability | None) -> None:
-    """Attach engine-level page-throughput telemetry to ``obs``.
-
-    Engines constructed after this call publish the ``engine.pages_per_sec``
-    gauge and the ``engine.batch_pages`` histogram through their executors.
-    The hook is deliberately separate from the controller's observability
-    wiring: the gauge is wall-clock derived and therefore machine-dependent,
-    so it must never leak into the byte-reproducible telemetry exports of
-    instrumented scenario runs.  Pass ``None`` to detach.
-    """
-    global _ENGINE_OBS
-    _ENGINE_OBS = obs
-
-
-def engine_obs() -> Observability:
-    """The handle new engines bind their executors to (``NULL_OBS`` default)."""
-    return _ENGINE_OBS if _ENGINE_OBS is not None else NULL_OBS
 
 
 @dataclass(frozen=True)
@@ -77,12 +55,8 @@ class DatabaseEngine:
         self.locks = LockManager()
         self.log = EngineLog(window_capacity=config.window_capacity)
         self._quotas: dict[str, int] = {}
-        self.obs = engine_obs()
         self.pool: BufferPool = LRUBufferPool(config.pool_pages)
-        self.executor = QueryExecutor(
-            self.pool, self.log, config.cost_model, obs=self.obs,
-            engine_name=config.name,
-        )
+        self.executor = QueryExecutor(self.pool, self.log, config.cost_model)
         self._threads = [
             ThreadLogBuffer(self.log, config.log_buffer_capacity)
             for _ in range(config.worker_threads)
@@ -193,10 +167,7 @@ class DatabaseEngine:
         else:
             pool = LRUBufferPool(self.config.pool_pages)
         self.pool = pool
-        self.executor = QueryExecutor(
-            pool, self.log, self.config.cost_model, obs=self.obs,
-            engine_name=self.name,
-        )
+        self.executor = QueryExecutor(pool, self.log, self.config.cost_model)
 
     # ------------------------------------------------------------------ #
     # Introspection                                                      #

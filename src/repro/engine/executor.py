@@ -21,10 +21,8 @@ reproduces faithfully.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from ..obs import NULL_OBS, Observability
 from .bufferpool import BufferPool
 from .query import QueryClass
 from .statslog import EngineLog, ExecutionRecord
@@ -80,12 +78,7 @@ class QueryExecutor:
 
     Page vectors go through the pool's batched access path in whole-execution
     units, and then into the class's recent-access window in ``log``, in
-    execution order.  When an
-    :class:`~repro.obs.Observability` handle is attached the executor
-    publishes an ``engine.pages_per_sec`` gauge (pages pushed through the
-    pool per second of pool time) and an ``engine.batch_pages`` histogram of
-    demand-vector sizes; the default ``NULL_OBS`` handle keeps the hot path
-    free of clock reads and instrument calls.
+    execution order.
     """
 
     def __init__(
@@ -93,20 +86,11 @@ class QueryExecutor:
         pool: BufferPool,
         log: EngineLog,
         cost_model: CostModel | None = None,
-        obs: Observability | None = None,
-        engine_name: str = "",
     ) -> None:
         self.pool = pool
         self.log = log
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.executions = 0
-        self.obs = obs if obs is not None else NULL_OBS
-        labels = {"engine": engine_name} if engine_name else {}
-        registry = self.obs.registry
-        self._batch_hist = registry.histogram("engine.batch_pages", **labels)
-        self._pps_gauge = registry.gauge("engine.pages_per_sec", **labels)
-        self._pool_pages = 0
-        self._pool_seconds = 0.0
 
     def execute(
         self,
@@ -123,20 +107,12 @@ class QueryExecutor:
         demand, prefetch = access.demand, access.prefetch
         key = query_class.context_key
         pool = self.pool
-        instrumented = self.obs.enabled
-        started = time.perf_counter() if instrumented else 0.0
         # Read-ahead is issued first: it anticipates the demand accesses, so
         # prefetched pages are resident by the time the query touches them.
         readahead_fetches = pool.prefetch_many(prefetch, key) if len(prefetch) else 0
         hits = pool.access_many(demand, key)
         page_accesses = len(demand)
         misses = page_accesses - hits
-        if instrumented:
-            self._pool_seconds += time.perf_counter() - started
-            self._pool_pages += page_accesses + len(prefetch)
-            self._batch_hist.observe(page_accesses)
-            if self._pool_seconds > 0.0:
-                self._pps_gauge.set(self._pool_pages / self._pool_seconds)
         self.log.record_window(key, demand)
         latency = self.cost_model.latency(
             query_class.cpu_cost, hits, misses, readahead_fetches, cpu_factor, io_factor

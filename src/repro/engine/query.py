@@ -21,6 +21,8 @@ from .access import AccessPattern, ExecutionAccess
 
 __all__ = [
     "normalize_template",
+    "make_context_key",
+    "app_of",
     "QueryClass",
     "QueryInstance",
     "QueryClassRegistry",
@@ -75,7 +77,7 @@ class QueryClass:
     def context_key(self) -> str:
         """Globally unique identifier of this query context (``app`` and
         ``name`` are never reassigned, so it is formatted once)."""
-        return f"{self.app}/{self.name}"
+        return make_context_key(self.app, self.name)
 
     def execute_pages(self) -> ExecutionAccess:
         """Page references of one execution (delegates to the pattern)."""
@@ -83,6 +85,16 @@ class QueryClass:
 
     def footprint_pages(self) -> int:
         return self.pattern.footprint_pages()
+
+
+def make_context_key(app: str, name: str) -> str:
+    """The key of query class ``name`` of ``app``: ``app/name``."""
+    return f"{app}/{name}"
+
+
+def app_of(context_key: str) -> str:
+    """The application an ``app/name`` context key belongs to."""
+    return context_key.split("/", 1)[0]
 
 
 @dataclass

@@ -30,7 +30,7 @@ Everything else derives from :data:`SCENARIOS`:
   moves when behaviour moves and not otherwise.  ``--check`` fails on
   artefact drift (:func:`compare_with_baseline`), on a broken invariant of
   the artefact just produced, and on a committed baseline no scenario owns.
-  Speed is tracked by ``benchmarks/perf/``; ``--profile`` is the drill-down;
+  Speed is tracked by ``benchmarks/perf/``;
 * :func:`run_bench_command` is the driver behind ``repro bench`` (and
   ``benchmarks/baseline.py``, the same command from a checkout).
 """
@@ -60,7 +60,6 @@ __all__ = [
     "DEFAULT_BASELINE_DIR",
     "positive_int",
     "run_bench",
-    "run_bench_profiled",
     "artefact_lines",
     "artefact_digest",
     "baseline_path",
@@ -928,38 +927,6 @@ def _timed_scenario(name: str) -> BenchRun:
     return BenchRun(name, artefact, time.perf_counter() - start)
 
 
-def run_bench_profiled(
-    names: list[str], top: int = 15
-) -> tuple[list[BenchRun], dict[str, str]]:
-    """Run scenarios serially under ``cProfile``; also return report text.
-
-    Per scenario the report holds the ``top`` entries sorted by cumulative
-    time — the view that finds the hot path across the engine stack.  The
-    artefacts are the same as an unprofiled run (scenarios are seeded);
-    only the seconds carry profiler overhead.
-    """
-    import cProfile
-    import io
-    import pstats
-
-    runs: list[BenchRun] = []
-    reports: dict[str, str] = {}
-    for name in names:
-        profiler = cProfile.Profile()
-        start = time.perf_counter()
-        profiler.enable()
-        artefact = SCENARIOS[name].artefact()
-        profiler.disable()
-        seconds = time.perf_counter() - start
-        stream = io.StringIO()
-        pstats.Stats(profiler, stream=stream).sort_stats(
-            "cumulative"
-        ).print_stats(top)
-        runs.append(BenchRun(name=name, artefact=artefact, seconds=seconds))
-        reports[name] = stream.getvalue()
-    return runs, reports
-
-
 def resolve_names(only: str | None = None) -> list[str]:
     """The scenario subset a ``--only a,b,c`` selector names (all when
     empty), in registry order, with unknown names rejected."""
@@ -1130,14 +1097,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fresh-dir", type=str, default=None,
                         help="also write this run's BENCH_<name>.json here "
                              "(e.g. for upload as a CI artifact)")
-    parser.add_argument("--profile", action="store_true",
-                        help="run each scenario under cProfile (serial) and "
-                             "print the hottest functions by cumulative "
-                             "time; seconds include profiler overhead")
-    parser.add_argument("--profile-top", type=positive_int, default=15,
-                        metavar="N",
-                        help="rows per scenario in the --profile report "
-                             "(default: %(default)s)")
     parser.add_argument("--list", action="store_true", dest="list_scenarios",
                         help="list the registered scenarios and exit")
 
@@ -1155,17 +1114,7 @@ def run_bench_command(args: argparse.Namespace) -> int:
         print(f"repro bench: {error.args[0]}")
         return 2
     workers = getattr(args, "parallel", None)
-    profiling = bool(getattr(args, "profile", False))
-    profiles: dict[str, str] = {}
-    if profiling:
-        if workers and workers > 1:
-            print("repro bench: --profile runs serially; ignoring --parallel")
-            workers = None
-        runs, profiles = run_bench_profiled(
-            names, top=getattr(args, "profile_top", 15)
-        )
-    else:
-        runs = run_bench(names, workers=workers)
+    runs = run_bench(names, workers=workers)
 
     baseline_dir = Path(getattr(args, "baseline_dir", DEFAULT_BASELINE_DIR))
     check = bool(getattr(args, "check", False))
@@ -1204,11 +1153,6 @@ def run_bench_command(args: argparse.Namespace) -> int:
         )
     print(table.render())
     print(f"\nartefact digest: {artefact_digest(runs)}")
-
-    for name in names:
-        if name in profiles:
-            print(f"\n--- profile: {name} (cumulative) ---")
-            print(profiles[name].rstrip())
 
     if getattr(args, "write_baselines", False):
         for run in runs:

@@ -35,10 +35,6 @@ class Observability:
         if self.enabled:  # never mutate the shared no-op singletons
             self.tracer.bind_clock(clock)
 
-    def reset(self) -> None:
-        self.registry.reset()
-        self.tracer.reset()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "enabled" if self.enabled else "disabled"
         return f"Observability({state})"

@@ -5,9 +5,8 @@ Three instrument kinds, mirroring the usual telemetry vocabulary:
 * :class:`Counter` — a monotonically increasing total (actions taken, MRC
   recomputations, queries routed);
 * :class:`Gauge` — a point-in-time value (queue depth, resident pages);
-* :class:`Histogram` — a fixed-bucket distribution with conservation-safe
-  merging and monotone quantile estimation (interval latencies, trace
-  lengths).
+* :class:`Histogram` — a fixed-bucket distribution: bucket counts, count,
+  sum, min and max (interval latencies, trace lengths).
 
 Instruments are keyed by ``(name, labels)``; asking the registry for the
 same key twice returns the same instrument, so call sites never cache
@@ -18,7 +17,7 @@ wall clock, no randomness — which keeps snapshots byte-reproducible.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 __all__ = [
     "Counter",
@@ -87,9 +86,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def add(self, delta: float) -> None:
-        self.value += delta
-
     def snapshot(self) -> dict:
         return {
             "type": self.kind,
@@ -100,14 +96,11 @@ class Gauge:
 
 
 class Histogram:
-    """A fixed-bucket histogram with merge and quantile estimation.
+    """A fixed-bucket histogram.
 
     ``bounds`` are strictly increasing bucket *upper* bounds; an observation
     ``v`` lands in the first bucket whose bound is ``>= v``, and values above
-    the last bound land in an implicit overflow bucket.  Two histograms with
-    identical bounds merge by adding bucket counts — merging is associative
-    and commutative on the integer state (counts, min, max), so sharded
-    registries can be combined in any order without losing observations.
+    the last bound land in an implicit overflow bucket.
     """
 
     __slots__ = ("name", "labels", "bounds", "bucket_counts", "count", "sum",
@@ -145,10 +138,6 @@ class Histogram:
         if value > self._max:
             self._max = value
 
-    def observe_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.observe(value)
-
     @property
     def min(self) -> float:
         return self._min if self.count else 0.0
@@ -160,56 +149,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """A new histogram holding both operands' observations."""
-        if self.bounds != other.bounds:
-            raise ValueError(
-                f"cannot merge histograms with different bounds: "
-                f"{self.bounds} vs {other.bounds}"
-            )
-        merged = Histogram(self.name, self.labels, self.bounds)
-        merged.bucket_counts = [
-            a + b for a, b in zip(self.bucket_counts, other.bucket_counts)
-        ]
-        merged.count = self.count + other.count
-        merged.sum = self.sum + other.sum
-        merged._min = min(self._min, other._min)
-        merged._max = max(self._max, other._max)
-        return merged
-
-    def quantile(self, q: float) -> float:
-        """Estimate the ``q``-quantile by linear interpolation within the
-        bucket containing the target rank.
-
-        The estimate is clamped to the observed ``[min, max]`` range and is
-        monotone non-decreasing in ``q`` by construction: the target rank
-        grows with ``q``, cumulative counts fix the bucket walk, and the
-        per-bucket interpolant is an increasing function of the rank.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1]: {q}")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        cumulative = 0
-        for index, bucket_count in enumerate(self.bucket_counts):
-            if bucket_count == 0:
-                continue
-            if cumulative + bucket_count >= target:
-                lower = self.bounds[index - 1] if index > 0 else self._min
-                upper = (
-                    self.bounds[index]
-                    if index < len(self.bounds)
-                    else self._max
-                )
-                lower = min(lower, upper)
-                fraction = (target - cumulative) / bucket_count
-                fraction = min(max(fraction, 0.0), 1.0)
-                value = lower + (upper - lower) * fraction
-                return min(max(value, self._min), self._max)
-            cumulative += bucket_count
-        return self._max
 
     def snapshot(self) -> dict:
         return {
@@ -280,27 +219,6 @@ class MetricRegistry:
             return 0.0
         return getattr(instrument, "value", 0.0)
 
-    def merge(self, other: "MetricRegistry") -> None:
-        """Fold another registry's instruments into this one.
-
-        Counters add, histograms merge bucket-wise, gauges take the other
-        registry's (more recent) value.
-        """
-        for key, instrument in other._instruments.items():
-            name, labels = key
-            if isinstance(instrument, Counter):
-                self._get(Counter, name, dict(labels)).inc(instrument.value)
-            elif isinstance(instrument, Histogram):
-                mine = self._get(
-                    Histogram, name, dict(labels), bounds=instrument.bounds
-                )
-                self._instruments[key] = mine.merge(instrument)
-            elif isinstance(instrument, Gauge):
-                self._get(Gauge, name, dict(labels)).set(instrument.value)
-
-    def reset(self) -> None:
-        self._instruments.clear()
-
 
 class _NullCounter(Counter):
     __slots__ = ()
@@ -313,9 +231,6 @@ class _NullGauge(Gauge):
     __slots__ = ()
 
     def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
         pass
 
 
@@ -350,9 +265,6 @@ class NullRegistry(MetricRegistry):
 
     def snapshot(self) -> list[dict]:
         return []
-
-    def merge(self, other: MetricRegistry) -> None:
-        pass
 
 
 NULL_REGISTRY = NullRegistry()

@@ -137,16 +137,6 @@ class Tracer:
         span.end = max(self.now, span.start)
         self._finished.append(span)
 
-    def add_cost(self, units: float) -> None:
-        """Charge work units to the innermost open span, if any."""
-        if self._stack:
-            self._stack[-1].add_cost(units)
-
-    def set_attr(self, key: str, value: object) -> None:
-        """Set an attribute on the innermost open span, if any."""
-        if self._stack:
-            self._stack[-1].set_attr(key, value)
-
     def finished_spans(self) -> list[Span]:
         """Completed spans in completion order (children before parents)."""
         return list(self._finished)
@@ -154,11 +144,6 @@ class Tracer:
     @property
     def open_depth(self) -> int:
         return len(self._stack)
-
-    def reset(self) -> None:
-        self._stack.clear()
-        self._finished.clear()
-        self._next_id = 1
 
 
 class _NullSpan(Span):
@@ -194,12 +179,6 @@ class NullTracer(Tracer):
         start: float | None = None,
     ) -> Span:
         return self._null_span
-
-    def add_cost(self, units: float) -> None:
-        pass
-
-    def set_attr(self, key: str, value: object) -> None:
-        pass
 
     def finished_spans(self) -> list[Span]:
         return []

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 from ..core.metrics import Metric
 from ..core.mrc import MRCParameters
+from ..engine.query import app_of
 from ..obs import NULL_OBS, Observability
 
 __all__ = [
@@ -253,10 +254,6 @@ class WorkloadSummary:
         )
 
 
-def _app_of(context_key: str) -> str:
-    return context_key.split("/", 1)[0]
-
-
 def build_snapshot(
     controller,
     app: str | None = None,
@@ -358,7 +355,7 @@ def _assemble(
             if info is not None:
                 info["replicas"].add((name, replica_name))
         for key in per_class:
-            if _app_of(key) == name:
+            if app_of(key) == name:
                 placements[key] = tuple(scheduler.placement_of(key))
         streak = controller.violation_streak(name)
         report = last_report.get(name)
@@ -414,7 +411,7 @@ def _assemble(
         classes.append(
             ClassState(
                 context_key=key,
-                app=_app_of(key),
+                app=app_of(key),
                 pool=home,
                 placement=placement,
                 pressure=entry["pressure"],

@@ -32,12 +32,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..core.diagnosis import ActionKind
+from ..engine.query import app_of
 from .journal import ActionJournal
 
 __all__ = ["ReconcileReport", "reconcile"]
 
-_QUOTA_KIND = "apply_quotas"
-_PLACEMENT_KINDS = ("reschedule_class", "remove_class_for_io")
+_QUOTA_KIND = ActionKind.APPLY_QUOTAS.value
+_PLACEMENT_KINDS = (
+    ActionKind.RESCHEDULE_CLASS.value,
+    ActionKind.REMOVE_CLASS_FOR_IO.value,
+)
 
 
 @dataclass
@@ -103,7 +108,7 @@ def reconcile(
         )
 
     for context, record in sorted(placements.items()):
-        owner_app = context.split("/", 1)[0]
+        owner_app = app_of(context)
         owner_scheduler = controller.schedulers.get(owner_app)
         if owner_scheduler is None:
             report.abandoned.append(f"placement:{context} (app gone)")

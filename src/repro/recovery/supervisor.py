@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.diagnosis import FINE_ACTION_KINDS, ActionKind
 from .checkpoint import Checkpoint, CheckpointStore
 from .fence import EpochFence
 from .journal import ActionJournal
@@ -43,12 +44,8 @@ from .state import (
 
 __all__ = ["RecoveryConfig", "ControlPlaneSupervisor"]
 
-_FINE_ACTION_KINDS = frozenset({
-    "apply_quotas",
-    "reschedule_class",
-    "remove_class_for_io",
-    "report_lock_contention",
-})
+_FINE_KIND_VALUES = frozenset(kind.value for kind in FINE_ACTION_KINDS)
+"""The journal spells an action's kind as its ``ActionKind`` value."""
 
 
 @dataclass(frozen=True)
@@ -223,8 +220,9 @@ class ControlPlaneSupervisor:
             for app, steps, _ in self.journal.plans()
             for record in steps
         }
+        release = ActionKind.RELEASE_REPLICA.value
         for record in self.journal.applied_after(journal_seq - 1):
-            if not record.applied or record.action_kind == "release_replica":
+            if not record.applied or record.action_kind == release:
                 continue
             self.replayed_records += 1
             app = plan_app.get(record.seq, record.app)
@@ -233,7 +231,7 @@ class ControlPlaneSupervisor:
                 self.controller._last_action_interval[app] = (
                     record.interval_index
                 )
-            if record.seq in plan_app or record.action_kind in _FINE_ACTION_KINDS:
+            if record.seq in plan_app or record.action_kind in _FINE_KIND_VALUES:
                 self.controller._fine_action_tried[app] = True
 
     def note_missed_interval(self) -> None:

@@ -48,7 +48,7 @@ from ..engine.access import (
     ZipfWorkingSet,
 )
 from ..engine.indexes import IndexCatalog
-from ..engine.query import QueryClass
+from ..engine.query import QueryClass, make_context_key
 from ..engine.tables import PageSpaceAllocator, Schema
 from ..sim.rng import SeedSequenceFactory
 from .base import MixEntry, Workload
@@ -251,10 +251,6 @@ def _draw_int(stream, envelope: tuple[float, float]) -> int:
     return int(stream.integers(int(low), int(high) + 1))
 
 
-def _context(workload: Workload, class_name: str) -> str:
-    return f"{workload.app}/{class_name}"
-
-
 # --------------------------------------------------------------------- #
 # The antagonist application                                            #
 # --------------------------------------------------------------------- #
@@ -419,7 +415,7 @@ def build_flash_crowd(seed: int = 7) -> ZooScenario:
                 starts_at,
                 ends_at,
                 "flash_crowd",
-                (_context(workload, "best_seller"),),
+                (make_context_key(workload.app, "best_seller"),),
             ),
             GroundTruthLabel(ends_at, intervals, STABLE),
         ],
@@ -474,7 +470,7 @@ def build_working_set_drift(seed: int = 7) -> ZooScenario:
                 drift_at,
                 intervals,
                 "working_set_drift",
-                (_context(workload, "new_products"),),
+                (make_context_key(workload.app, "new_products"),),
             ),
         ],
     )
@@ -536,7 +532,7 @@ def build_olap_storm(seed: int = 7) -> ZooScenario:
                 storm_at,
                 intervals,
                 "scan_storm",
-                (_context(workload, "olap_report"),),
+                (make_context_key(workload.app, "olap_report"),),
             ),
         ],
     )
@@ -607,7 +603,9 @@ def build_write_burst(seed: int = 7) -> ZooScenario:
         )
         hosting.class_named("buy_confirm").pattern = saved["pattern"]
 
-    contexts = tuple(_context(workload, name) for name in WRITE_BURST_CLASSES)
+    contexts = tuple(
+        make_context_key(workload.app, name) for name in WRITE_BURST_CLASSES
+    )
     labels = LabelStream(
         intervals,
         [
@@ -664,7 +662,7 @@ def build_noisy_neighbour(seed: int = 7) -> ZooScenario:
                 starts_at,
                 intervals,
                 "noisy_neighbour",
-                (_context(antagonist, "hog_scan"),),
+                (make_context_key(antagonist.app, "hog_scan"),),
             ),
         ],
     )
@@ -737,7 +735,7 @@ def probe_trace(
         for _ in range(samples):
             query_class = workload.sample_class(stream)
             access = query_class.execute_pages()
-            classes.append(f"{query_class.app}/{query_class.name}")
+            classes.append(query_class.context_key)
             pages.extend(access.demand)
             pages.extend(access.prefetch)
     return classes, np.asarray(pages, dtype=np.int64)

@@ -412,7 +412,7 @@ class TestCheckCommand:
 
 
 class TestArguments:
-    @pytest.mark.parametrize("flag", ["--parallel", "--profile-top"])
+    @pytest.mark.parametrize("flag", ["--parallel"])
     @pytest.mark.parametrize("value", ["0", "-2", "two"])
     def test_counts_below_one_are_usage_errors(self, flag, value, capsys):
         parser = argparse.ArgumentParser()

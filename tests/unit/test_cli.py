@@ -66,7 +66,6 @@ COUNT_FLAGS = [
     ("all", "--clients"), ("all", "--intervals"), ("all", "--executions"),
     ("chaos", "--clients"), ("chaos", "--intervals"), ("chaos", "--events"),
     ("forecast", "--horizon"), ("bench", "--parallel"),
-    ("bench", "--profile-top"),
 ]
 
 

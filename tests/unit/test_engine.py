@@ -4,9 +4,8 @@ import pytest
 
 from repro.engine.access import AccessPattern, ExecutionAccess
 from repro.engine.bufferpool import LRUBufferPool, PartitionedBufferPool
-from repro.engine.engine import DatabaseEngine, EngineConfig, engine_obs, set_engine_obs
+from repro.engine.engine import DatabaseEngine, EngineConfig
 from repro.engine.query import QueryClass
-from repro.obs import NULL_OBS, Observability
 
 
 class _ScriptedPattern(AccessPattern):
@@ -154,53 +153,3 @@ class TestIntrospection:
             EngineConfig(name="bad", pool_pages=0)
         with pytest.raises(ValueError):
             EngineConfig(name="bad", worker_threads=0)
-
-
-class TestEngineObsHook:
-    def test_default_is_null_obs(self):
-        assert engine_obs() is NULL_OBS
-        assert make_engine().obs is NULL_OBS
-
-    def test_hook_binds_new_engines_and_publishes_throughput(self):
-        obs = Observability()
-        set_engine_obs(obs)
-        try:
-            engine = make_engine()
-            assert engine.obs is obs
-            engine.execute(make_class(demand=[1, 2]))
-            gauge = obs.registry.gauge("engine.pages_per_sec", engine="e")
-            hist = obs.registry.histogram("engine.batch_pages", engine="e")
-            assert gauge.value > 0.0
-            assert hist.count == 1
-        finally:
-            set_engine_obs(None)
-        assert engine_obs() is NULL_OBS
-
-    def test_hook_changes_nothing_the_simulation_sees(self):
-        def drive(engine):
-            records = [
-                engine.execute(make_class(name, demand=demand))
-                for name, demand in (("a", [1, 2, 3]), ("b", [3, 4]), ("a", [1, 2, 3]))
-            ]
-            engine.flush_logs()
-            return records, engine.log.peek()
-
-        plain = drive(make_engine(pool_pages=4))
-        set_engine_obs(Observability())
-        try:
-            hooked = drive(make_engine(pool_pages=4))
-        finally:
-            set_engine_obs(None)
-        assert hooked == plain
-
-    def test_hook_survives_pool_rebuild(self):
-        obs = Observability()
-        set_engine_obs(obs)
-        try:
-            engine = make_engine(pool_pages=64)
-            engine.set_quota("app/q", 8)  # rebuilds pool + executor
-            engine.execute(make_class(demand=[1, 2, 3]))
-            hist = obs.registry.histogram("engine.batch_pages", engine="e")
-            assert hist.count == 1
-        finally:
-            set_engine_obs(None)

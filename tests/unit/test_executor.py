@@ -7,7 +7,6 @@ from repro.engine.bufferpool import LRUBufferPool
 from repro.engine.executor import CostModel, QueryExecutor
 from repro.engine.query import QueryClass
 from repro.engine.statslog import EngineLog
-from repro.obs import NULL_OBS, Observability
 
 
 class _ScriptedPattern(AccessPattern):
@@ -114,27 +113,3 @@ class TestQueryExecutor:
     def test_context_key_on_record(self):
         executor = QueryExecutor(LRUBufferPool(10), EngineLog())
         assert executor.execute(make_class([1])).context_key == "app/q"
-
-
-class TestExecutorMetrics:
-    def test_defaults_to_null_obs(self):
-        assert QueryExecutor(LRUBufferPool(10), EngineLog()).obs is NULL_OBS
-
-    def test_pages_per_sec_gauge_and_batch_histogram(self):
-        obs = Observability()
-        executor = QueryExecutor(LRUBufferPool(10), EngineLog(), obs=obs, engine_name="e0")
-        executor.execute(make_class([1, 2, 3], prefetch=[4]))
-        gauge = obs.registry.gauge("engine.pages_per_sec", engine="e0")
-        hist = obs.registry.histogram("engine.batch_pages", engine="e0")
-        assert gauge.value > 0.0
-        assert hist.count == 1
-        assert hist.sum == 3  # demand-vector size; prefetch not in the histogram
-
-    def test_batch_histogram_counts_every_execution(self):
-        obs = Observability()
-        executor = QueryExecutor(LRUBufferPool(10), EngineLog(), obs=obs)
-        for _ in range(3):
-            executor.execute(make_class([1, 2]))
-        hist = obs.registry.histogram("engine.batch_pages")
-        assert hist.count == 3
-        assert hist.sum == 6

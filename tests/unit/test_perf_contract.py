@@ -147,3 +147,31 @@ def test_the_frozen_benchmark_still_imports_and_configures_src():
                 passed.update(kw.arg for kw in node.keywords)
     assert {"use_planner", "use_forecast"} <= passed
     assert passed <= fields, f"not ControllerConfig fields: {passed - fields}"
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Top-level names of every module ``path`` imports, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_one_wall_clock_ruler_in_src():
+    """``benchmarks/perf/`` is the wall-clock ruler; inside ``src/`` only the
+    scenario table's ``seconds`` column reads a clock, and nothing profiles
+    (``python -m cProfile -m repro bench --only <name>`` does that from
+    outside)."""
+    src = ROOT / "src" / "repro"
+    imports = {
+        path.relative_to(src).as_posix(): _imported_modules(path)
+        for path in sorted(src.rglob("*.py"))
+    }
+    assert "experiments/bench.py" in imports
+    clocked = sorted(path for path, names in imports.items() if "time" in names)
+    assert clocked == ["experiments/bench.py"]
+    profiled = sorted(path for path, names in imports.items() if "cProfile" in names)
+    assert profiled == []

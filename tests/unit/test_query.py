@@ -7,6 +7,8 @@ from repro.engine.query import (
     QueryClass,
     QueryClassRegistry,
     QueryInstance,
+    app_of,
+    make_context_key,
     normalize_template,
 )
 
@@ -62,6 +64,11 @@ class TestQueryClass:
     def test_context_key_combines_app_and_name(self):
         qc = QueryClass("q", "app", 1, "select 1", _FixedPattern())
         assert qc.context_key == "app/q"
+
+    def test_app_of_inverts_the_key(self):
+        qc = QueryClass("search/by_region", "rubis", 1, "select 1", _FixedPattern())
+        assert qc.context_key == make_context_key("rubis", "search/by_region")
+        assert app_of(qc.context_key) == "rubis"
 
     def test_execute_pages_delegates(self):
         qc = QueryClass("q", "app", 1, "select 1", _FixedPattern())

@@ -56,6 +56,36 @@ class TestTraceRoundTrip:
         with pytest.raises(ValueError):
             load_traces(path)
 
+    def test_empty_metadata_rejected(self, tmp_path):
+        path = tmp_path / "empty_meta.npz"
+        np.savez_compressed(
+            path, __meta__=np.asarray([], dtype=np.int64), a=np.arange(3)
+        )
+        with pytest.raises(ValueError, match="metadata"):
+            load_traces(path)
+
+    def test_multidimensional_trace_rejected_on_load(self, tmp_path):
+        path = tmp_path / "matrix.npz"
+        np.savez_compressed(
+            path, __meta__=np.asarray([FORMAT_VERSION]), a=np.zeros((2, 2), int)
+        )
+        with pytest.raises(ValueError, match="one-dimensional"):
+            load_traces(path)
+
+    def test_float_trace_rejected_not_truncated(self, tmp_path):
+        path = tmp_path / "floats.npz"
+        np.savez_compressed(
+            path, __meta__=np.asarray([FORMAT_VERSION]), a=np.asarray([1.7, 2.2])
+        )
+        with pytest.raises(ValueError, match="integer"):
+            load_traces(path)
+
+    def test_archive_without_traces_rejected(self, tmp_path):
+        path = tmp_path / "meta_only.npz"
+        np.savez_compressed(path, __meta__=np.asarray([FORMAT_VERSION]))
+        with pytest.raises(ValueError, match="no trace"):
+            load_traces(path)
+
     def test_summary(self, tmp_path):
         path = tmp_path / "traces.npz"
         save_traces(path, {"a": [1, 1, 2]})
