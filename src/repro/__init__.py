@@ -62,7 +62,6 @@ from .workloads import (
     ClosedLoopDriver,
     ConstantLoad,
     SineLoad,
-    StepLoad,
     Workload,
     build_rubis,
     build_tpcw,
@@ -101,7 +100,6 @@ __all__ = [
     "ServerSpec",
     "Severity",
     "SineLoad",
-    "StepLoad",
     "TPCW_APP",
     "Tracer",
     "VirtualMachine",

@@ -32,17 +32,27 @@ def save_traces(
     path: str | Path | io.IOBase,
     traces: dict[str, np.ndarray | list[int]],
 ) -> None:
-    """Write per-context traces to a compressed archive."""
+    """Write per-context traces to a compressed archive.
+
+    A trace must be one-dimensional and hold integers: a float or boolean
+    trace raises ``ValueError`` rather than being truncated to page ids, as
+    :func:`load_traces` refuses it on the way back.
+    """
     if not traces:
         raise ValueError("nothing to save: the trace dictionary is empty")
     arrays: dict[str, np.ndarray] = {}
     for key, trace in traces.items():
         if key == _META_KEY:
             raise ValueError(f"context key {key!r} is reserved")
-        array = np.asarray(trace, dtype=np.int64)
+        array = np.asarray(trace)
         if array.ndim != 1:
             raise ValueError(f"trace {key!r} must be one-dimensional")
-        arrays[key] = array
+        # An empty list has no integer dtype to carry, and nothing to truncate.
+        if array.size and array.dtype.kind not in "iu":
+            raise ValueError(
+                f"trace {key!r} must hold integer page ids, not {array.dtype}"
+            )
+        arrays[key] = array.astype(np.int64)
     arrays[_META_KEY] = np.asarray([FORMAT_VERSION], dtype=np.int64)
     np.savez_compressed(path, **arrays)
 

@@ -71,7 +71,3 @@ class ReplicaHealth:
     @property
     def any_down(self) -> bool:
         return bool(self._down)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        down = ",".join(sorted(self._down)) or "-"
-        return f"ReplicaHealth(down=[{down}])"

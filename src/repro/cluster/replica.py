@@ -122,10 +122,3 @@ class Replica:
         self.online = True
         if reset_pool:
             self.engine.reset_pool()
-
-    def __repr__(self) -> str:
-        state = "online" if self.online else "OFFLINE"
-        return (
-            f"Replica(name={self.name!r}, app={self.app!r}, "
-            f"host={self.host.name!r}, {state})"
-        )

@@ -214,10 +214,3 @@ class PhysicalServer:
     @property
     def io_saturated(self) -> bool:
         return self.load.io_utilisation >= self.io_saturation_threshold
-
-    def __repr__(self) -> str:
-        return (
-            f"PhysicalServer(name={self.name!r}, "
-            f"cpu={self.load.cpu_utilisation:.2f}, "
-            f"io={self.load.io_utilisation:.2f})"
-        )

@@ -89,9 +89,6 @@ class VirtualMachine:
         contended, regardless of their own demand."""
         return self.host.io_contended
 
-    def __repr__(self) -> str:
-        return f"VirtualMachine(name={self.name!r}, host={self.host.server.name!r})"
-
 
 class XenHost:
     """A physical server running Xen, hosting guest domains.

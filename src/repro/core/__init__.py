@@ -6,10 +6,7 @@ from .advisor import (
     PlanAssessment,
     PoolAssignment,
     assess_cluster,
-    assess_plan,
     assess_pool,
-    predict_miss_ratios,
-    predict_pool_miss_ratios,
     shared_partition_pages,
 )
 from .analyzer import DecisionManager, LogAnalyzer
@@ -78,10 +75,7 @@ __all__ = [
     "iqr_fences",
     "placement_fits_totals",
     "assess_cluster",
-    "assess_plan",
     "assess_pool",
-    "predict_miss_ratios",
-    "predict_pool_miss_ratios",
     "shared_partition_pages",
     "sample_trace",
     "sampled_mrc",

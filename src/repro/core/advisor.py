@@ -1,46 +1,35 @@
-"""What-if advisor: predict per-class miss ratios for a quota plan.
+"""What-if advisor: predict per-class miss ratios for a proposed arrangement.
 
 The paper's quota heuristic promises that, at the chosen quotas, "the miss
 ratios for all QC and the rest of the application queries scheduled on the
 same physical server are predicted to be their respective acceptable miss
 ratios by the MRC algorithm".  This module makes that prediction a public,
-testable API:
-
-* :func:`predict_miss_ratios` evaluates each class's stored curve at the
-  memory it would receive under a proposed partitioning (its own quota, or
-  the shared remainder), and
-* :func:`assess_plan` folds the predictions into a verdict against each
-  class's acceptable miss ratio.
+testable API: :func:`assess_pool` evaluates each class's curve at the
+memory it would receive in one pool — its own quota, or its slice of the
+shared remainder — against its acceptable miss ratio, and
+:func:`assess_cluster` does so for every pool of a proposed cluster state
+(the capacity planner's scoring backend).
 
 Because Mattson curves are exact for LRU, the prediction for a quota'd
-class is exact up to trace drift; for classes sharing the default partition
-it is optimistic (they compete inside it), which is the same approximation
-the paper's heuristic makes.
-
-The cluster-scope extension (:func:`predict_pool_miss_ratios`,
-:func:`assess_cluster`) drops that optimism where it matters: when the
-sharers' combined working sets overcommit the shared partition, each sharer
-is evaluated at a *pressure-proportional* slice of it instead of the whole
-remainder.  This is what lets the capacity planner see cross-class memory
-contention inside one pool — the single-server path never needed to,
-because its quota search already guarantees the shared floor.
+class is exact up to trace drift.  Sharers of the default partition see the
+whole remainder while their combined working sets fit it (the paper's
+optimistic approximation: they compete inside it); when they overcommit it,
+each is evaluated at a *pressure-proportional* slice instead
+(:func:`shared_partition_pages`).  This is what lets the capacity planner
+see cross-class memory contention inside one pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .mrc import MissRatioCurve, MRCParameters
-from .quota import QuotaPlan
+from .mrc import MRCParameters
 
 __all__ = [
     "ClassPrediction",
     "PlanAssessment",
     "PoolAssignment",
     "ClusterAssessment",
-    "predict_miss_ratios",
-    "predict_pool_miss_ratios",
-    "assess_plan",
     "assess_pool",
     "assess_cluster",
 ]
@@ -55,79 +44,12 @@ class ClassPrediction:
     predicted_miss_ratio: float
     acceptable_miss_ratio: float
 
-    @property
-    def meets_acceptable(self) -> bool:
-        return self.predicted_miss_ratio <= self.acceptable_miss_ratio + 1e-9
-
 
 @dataclass
 class PlanAssessment:
     """The advisor's verdict on a whole plan."""
 
     predictions: dict[str, ClassPrediction] = field(default_factory=dict)
-
-    @property
-    def all_acceptable(self) -> bool:
-        return all(p.meets_acceptable for p in self.predictions.values())
-
-    def failing(self) -> list[str]:
-        return sorted(
-            key
-            for key, prediction in self.predictions.items()
-            if not prediction.meets_acceptable
-        )
-
-
-def predict_miss_ratios(
-    curves: dict[str, MissRatioCurve],
-    quotas: dict[str, int],
-    pool_pages: int,
-) -> dict[str, float]:
-    """Predicted miss ratio of each class under the proposed quotas.
-
-    Classes named in ``quotas`` run in their own partition of that size;
-    every other class is evaluated at the shared remainder.
-    """
-    if pool_pages <= 0:
-        raise ValueError(f"pool size must be positive: {pool_pages}")
-    reserved = sum(quotas.values())
-    if reserved >= pool_pages:
-        raise ValueError(
-            f"quotas reserve {reserved} of {pool_pages} pages; nothing left "
-            "for the shared partition"
-        )
-    unknown = sorted(set(quotas) - set(curves))
-    if unknown:
-        raise KeyError(f"no curves for quota'd contexts: {unknown}")
-    shared = pool_pages - reserved
-    return {
-        key: curve.miss_ratio(quotas.get(key, shared))
-        for key, curve in curves.items()
-    }
-
-
-def assess_plan(
-    curves: dict[str, MissRatioCurve],
-    parameters: dict[str, MRCParameters],
-    plan: QuotaPlan,
-    pool_pages: int,
-) -> PlanAssessment:
-    """Check a quota plan against every class's acceptable miss ratio."""
-    if not plan.feasible:
-        raise ValueError("cannot assess an infeasible plan")
-    predicted = predict_miss_ratios(curves, plan.quotas, pool_pages)
-    assessment = PlanAssessment()
-    shared = pool_pages - plan.reserved_pages
-    for key, ratio in predicted.items():
-        params = parameters.get(key)
-        acceptable = params.acceptable_miss_ratio if params else 1.0
-        assessment.predictions[key] = ClassPrediction(
-            context_key=key,
-            memory_pages=plan.quotas.get(key, shared),
-            predicted_miss_ratio=ratio,
-            acceptable_miss_ratio=acceptable,
-        )
-    return assessment
 
 
 # --------------------------------------------------------------------- #
@@ -163,18 +85,6 @@ class ClusterAssessment:
     """Per-pool advisor verdicts over a whole proposed cluster state."""
 
     pools: dict[str, PlanAssessment] = field(default_factory=dict)
-
-    @property
-    def all_acceptable(self) -> bool:
-        return all(pa.all_acceptable for pa in self.pools.values())
-
-    def failing(self) -> list[tuple[str, str]]:
-        """Every (pool, context) pair predicted above its acceptable ratio."""
-        return sorted(
-            (pool, key)
-            for pool, pa in self.pools.items()
-            for key in pa.failing()
-        )
 
     def prediction_of(self, context_key: str) -> ClassPrediction | None:
         for pa in self.pools.values():
@@ -245,33 +155,6 @@ def shared_partition_pages(
             max(1, int(budget * weights[key] / total_weight)),
         )
         for key in sharers
-    }
-
-
-def predict_pool_miss_ratios(
-    curves: dict[str, object],
-    quotas: dict[str, int],
-    pool_pages: int,
-    demands: dict[str, int] | None = None,
-    pressures: dict[str, float] | None = None,
-    extra_demand: int = 0,
-) -> dict[str, float]:
-    """Contention-aware variant of :func:`predict_miss_ratios`.
-
-    Quota'd classes are evaluated at their quota (exact, as before);
-    sharers at their effective shared-partition slice from
-    :func:`shared_partition_pages`.
-    """
-    unknown = sorted(set(quotas) - set(curves))
-    if unknown:
-        raise KeyError(f"no curves for quota'd contexts: {unknown}")
-    effective = shared_partition_pages(
-        curves, quotas, pool_pages,
-        demands=demands, pressures=pressures, extra_demand=extra_demand,
-    )
-    return {
-        key: curve.miss_ratio(quotas.get(key, effective.get(key, 1)))
-        for key, curve in sorted(curves.items())
     }
 
 

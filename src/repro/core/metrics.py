@@ -29,9 +29,6 @@ class Metric(str, Enum):
     LOCK_WAITS = "lock_waits"
     LOCK_WAIT_TIME = "lock_wait_time"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 MEMORY_METRICS: tuple[Metric, ...] = (
     Metric.PAGE_ACCESSES,
@@ -50,9 +47,6 @@ class MetricVector:
 
     def get(self, metric: Metric) -> float:
         return self.values.get(metric, 0.0)
-
-    def __getitem__(self, metric: Metric) -> float:
-        return self.get(metric)
 
     def ratio_to(self, stable: "MetricVector") -> dict[Metric, float]:
         """Current value divided by the stable-state value, per metric.
@@ -76,9 +70,6 @@ class MetricVector:
             else:
                 ratios[metric] = 1.0  # 0/0: unchanged
         return ratios
-
-    def metrics(self) -> list[Metric]:
-        return list(self.values.keys())
 
 
 def vector_from_stats(

@@ -16,13 +16,11 @@ from .bufferpool import (
     LRUBufferPool,
     PartitionedBufferPool,
     PoolStats,
-    replay_trace,
 )
 from .engine import DEFAULT_POOL_PAGES, DatabaseEngine, EngineConfig
 from .executor import CostModel, QueryExecutor
 from .indexes import BTreeIndex, IndexCatalog
 from .locks import (
-    CompositeLockPattern,
     LockGrant,
     LockManager,
     LockMode,
@@ -31,8 +29,8 @@ from .locks import (
     RowGroupLockPattern,
     WaitsForGraph,
 )
-from .pages import PAGE_SIZE_BYTES, PageRange, PageSpaceAllocator, pages_for_bytes
-from .query import QueryClass, QueryClassRegistry, QueryInstance, normalize_template
+from .pages import PAGE_SIZE_BYTES, PageRange, PageSpaceAllocator
+from .query import QueryClass, QueryClassRegistry
 from .statslog import ClassIntervalStats, EngineLog, ExecutionRecord, ThreadLogBuffer
 from .tables import Schema, Table
 
@@ -50,7 +48,6 @@ __all__ = [
     "ExecutionAccess",
     "ExecutionRecord",
     "IndexCatalog",
-    "CompositeLockPattern",
     "LockGrant",
     "LockManager",
     "LockMode",
@@ -70,14 +67,10 @@ __all__ = [
     "WaitsForGraph",
     "QueryClassRegistry",
     "QueryExecutor",
-    "QueryInstance",
     "Schema",
     "SequentialChunkScan",
     "Table",
     "ThreadLogBuffer",
     "UniformWorkingSet",
     "ZipfWorkingSet",
-    "normalize_template",
-    "pages_for_bytes",
-    "replay_trace",
 ]

@@ -71,10 +71,6 @@ class AccessPattern:
     def pages_for_execution(self) -> ExecutionAccess:
         raise NotImplementedError
 
-    def footprint_pages(self) -> int:
-        """Upper bound on distinct pages this pattern can ever touch."""
-        raise NotImplementedError
-
 
 class BlockServedPattern(AccessPattern):
     """Executions of a fixed page count, generated a block at a time.
@@ -125,9 +121,6 @@ class ZipfPages(BlockServedPattern):
     def _generate(self, executions: int) -> list[int]:
         ranks = self._zipf.sample_many(executions * self.pages_per_execution)
         return self._pages_by_rank[ranks].tolist()
-
-    def footprint_pages(self) -> int:
-        return len(self._pages_by_rank)
 
 
 class ZipfWorkingSet(ZipfPages):
@@ -193,9 +186,6 @@ class UniformWorkingSet(AccessPattern):
         )
         return ExecutionAccess(demand=self._pages[offsets].tolist())
 
-    def footprint_pages(self) -> int:
-        return self.working_set
-
 
 class SequentialChunkScan(AccessPattern):
     """A cyclic sequential scan consuming ``chunk`` pages per execution.
@@ -250,9 +240,6 @@ class SequentialChunkScan(AccessPattern):
             )
         return ExecutionAccess(demand=demand, prefetch=prefetch)
 
-    def footprint_pages(self) -> int:
-        return self.region
-
 
 class IndexLookup(BlockServedPattern):
     """Point lookups through a B+-tree followed by data-page fetches."""
@@ -295,13 +282,6 @@ class IndexLookup(BlockServedPattern):
         # One row per lookup: root, internals, leaf, then the data pages.
         return np.concatenate((path, data), axis=1).ravel().tolist()
 
-    def footprint_pages(self) -> int:
-        return (
-            self.index.internal_pages.count
-            + self.index.leaf_count
-            + self.index.table.page_count
-        )
-
 
 class IndexRangeScan(AccessPattern):
     """Range predicates served from index leaves plus matching data pages."""
@@ -334,13 +314,6 @@ class IndexRangeScan(AccessPattern):
         demand.extend(table.scan_pages(first_page, fetch))
         return ExecutionAccess(demand=demand)
 
-    def footprint_pages(self) -> int:
-        return (
-            self.index.internal_pages.count
-            + self.index.leaf_count
-            + self.index.table.page_count
-        )
-
 
 class PlanSwitchingPattern(AccessPattern):
     """Chooses between an indexed plan and a fallback plan at each execution.
@@ -371,10 +344,6 @@ class PlanSwitchingPattern(AccessPattern):
         plan = self.indexed_plan if self.using_index else self.fallback_plan
         return plan.pages_for_execution()
 
-    def footprint_pages(self) -> int:
-        plan = self.indexed_plan if self.using_index else self.fallback_plan
-        return plan.footprint_pages()
-
 
 class CompositePattern(AccessPattern):
     """Concatenates several sub-patterns' references in one execution.
@@ -396,6 +365,3 @@ class CompositePattern(AccessPattern):
             demand += access.demand
             prefetch += access.prefetch
         return ExecutionAccess(demand, prefetch)
-
-    def footprint_pages(self) -> int:
-        return sum(part.footprint_pages() for part in self.parts)

@@ -9,14 +9,12 @@ Two pool organisations are provided:
   a problem query class is pinned to a dedicated partition of fixed size and
   everything else shares the remainder, each partition running its own LRU.
 
-Both organisations expose the same ``access`` / ``prefetch`` interface and
-keep per-query-class hit/miss/read-ahead counters, which is exactly the
-signal the outlier detector consumes.
-
-Every pool also exposes a *batched* fast path — :meth:`BufferPool.access_many`
-and :meth:`BufferPool.prefetch_many` — that takes one execution's whole page
-vector (a Python list; that is what every access pattern emits) per call and
-keeps the per-page work inside the C-implemented ``OrderedDict``:
+Both organisations expose the same two calls, :meth:`BufferPool.access_many`
+(demand) and :meth:`BufferPool.prefetch_many` (read-ahead), and keep
+per-query-class hit/miss/read-ahead counters, which is exactly the signal
+the outlier detector consumes.  Each call takes one execution's whole page
+vector (a Python list; that is what every access pattern emits) and keeps
+the per-page work inside the C-implemented ``OrderedDict``:
 
 * a demand batch's leading run of hits is one ``map(move_to_end, ...)``
   drained in C; ``move_to_end`` raises ``KeyError`` at the first non-resident
@@ -29,10 +27,11 @@ keeps the per-page work inside the C-implemented ``OrderedDict``:
   :class:`PoolStats` once per batch.
 
 There is one demand path and one read-ahead path, whatever the batch size or
-hit ratio.  Both are bit-exact with per-page :meth:`BufferPool.access` /
-a per-page read-ahead loop: same hit/miss/eviction sequence, same LRU order,
-same counters (``tests/property/test_prop_bufferpool_batched.py`` pins this
-against the per-page oracles in ``tests/oracles/``).
+hit ratio.  Both are bit-exact with a per-page loop — one residency probe,
+one admission, one stats update per page: same hit/miss/eviction sequence,
+same LRU order, same counters.  Those loops are the semantic contract and
+live in ``tests/oracles/lru.py``; ``tests/property/test_prop_bufferpool_batched.py``
+pins the pools against them.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ __all__ = [
     "BufferPool",
     "LRUBufferPool",
     "PartitionedBufferPool",
-    "replay_trace",
 ]
 
 # Consumes an iterator at C speed, keeping nothing (the itertools recipe).
@@ -79,14 +77,6 @@ class PoolStats:
             self.per_class[query_class] = {"hits": 0, "misses": 0, "readaheads": 0}
         return self.per_class[query_class]
 
-    def record_hit(self, query_class: str) -> None:
-        self.hits += 1
-        self._bucket(query_class)["hits"] += 1
-
-    def record_miss(self, query_class: str) -> None:
-        self.misses += 1
-        self._bucket(query_class)["misses"] += 1
-
     def record_readahead(self, query_class: str, count: int = 1) -> None:
         self.readaheads += count
         self._bucket(query_class)["readaheads"] += count
@@ -97,16 +87,16 @@ class PoolStats:
     def record_batch(self, query_class: str, hits: int, misses: int) -> None:
         """Fold one batch's hit/miss outcome in with two bucket lookups.
 
-        Equivalent to ``hits`` ``record_hit`` calls plus ``misses``
-        ``record_miss`` calls; the batched access path uses it to keep the
-        per-page stats work out of the pool's hot loop.
+        Equivalent to counting each page's hit or miss on its own; the
+        batched access path uses it to keep the per-page stats work out of
+        the pool's hot loop.
         """
         if hits < 0 or misses < 0:
             raise ValueError(
                 f"batch counts cannot be negative: hits={hits} misses={misses}"
             )
         if hits == 0 and misses == 0:
-            return  # zero record_* calls: do not materialise a class bucket
+            return  # nothing counted: do not materialise a class bucket
         self.hits += hits
         self.misses += misses
         bucket = self._bucket(query_class)
@@ -122,28 +112,6 @@ class PoolStats:
         """Overall hit ratio; 1.0 on an untouched pool by convention."""
         return self.hits / self.accesses if self.accesses else 1.0
 
-    @property
-    def miss_ratio(self) -> float:
-        return 1.0 - self.hit_ratio
-
-    def class_hit_ratio(self, query_class: str) -> float:
-        bucket = self.per_class.get(query_class)
-        if not bucket:
-            return 1.0
-        total = bucket["hits"] + bucket["misses"]
-        return bucket["hits"] / total if total else 1.0
-
-    def class_misses(self, query_class: str) -> int:
-        bucket = self.per_class.get(query_class)
-        return bucket["misses"] if bucket else 0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.readaheads = 0
-        self.evictions = 0
-        self.per_class.clear()
-
 
 class BufferPool:
     """Common interface of every pool organisation."""
@@ -151,36 +119,23 @@ class BufferPool:
     capacity: int
     stats: PoolStats
 
-    def access(self, page_id: int, query_class: str = "") -> bool:
-        """Reference one page; returns ``True`` on a hit."""
-        raise NotImplementedError
-
-    def prefetch(self, page_ids: Iterable[int], query_class: str = "") -> int:
-        """Read-ahead: load pages without counting demand misses.
-
-        Returns the number of pages actually fetched from storage (pages
-        already resident are skipped).  Each fetched page is one I/O block
-        request and one read-ahead request in the per-class counters.
-        """
-        raise NotImplementedError
-
     def access_many(
         self, page_ids: Sequence[int] | np.ndarray, query_class: str = ""
     ) -> int:
-        """Reference a whole page vector; returns the number of hits.
-
-        Bit-exact with calling :meth:`access` per page, in order.
-        """
+        """Reference a whole page vector, in order; returns the number of
+        hits."""
         raise NotImplementedError
 
     def prefetch_many(
         self, page_ids: Sequence[int] | np.ndarray, query_class: str = ""
     ) -> int:
-        """:meth:`prefetch` of one execution's read-ahead vector; returns the
-        number of pages fetched."""
-        raise NotImplementedError
+        """Read-ahead: load one execution's read-ahead vector without
+        counting demand misses.
 
-    def resident(self, page_id: int) -> bool:
+        Returns the number of pages actually fetched from storage (pages
+        already resident are skipped).  Each fetched page is one I/O block
+        request and one read-ahead request in the per-class counters.
+        """
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -214,19 +169,11 @@ class LRUBufferPool(BufferPool):
     def __len__(self) -> int:
         return len(self._pages)
 
-    def resident(self, page_id: int) -> bool:
-        return page_id in self._pages
-
-    def access(self, page_id: int, query_class: str = "") -> bool:
-        if page_id in self._pages:
-            self._pages.move_to_end(page_id)
-            self.stats.record_hit(query_class)
-            return True
-        self._admit(page_id)
-        self.stats.record_miss(query_class)
-        return False
-
-    def prefetch(self, page_ids: Iterable[int], query_class: str = "") -> int:
+    def prefetch_many(
+        self, page_ids: Sequence[int] | np.ndarray, query_class: str = ""
+    ) -> int:
+        if isinstance(page_ids, np.ndarray):
+            page_ids = page_ids.tolist()
         pages = self._pages
         pop = pages.popitem
         capacity = self.capacity
@@ -250,7 +197,7 @@ class LRUBufferPool(BufferPool):
     def access_many(
         self, page_ids: Sequence[int] | np.ndarray, query_class: str = ""
     ) -> int:
-        """Batched :meth:`access` over one execution's demand vector.
+        """Demand accesses of one execution's page vector.
 
         The leading run of hits is reordered without leaving C; from the
         first miss on, residency probes, LRU reordering and eviction run
@@ -300,25 +247,6 @@ class LRUBufferPool(BufferPool):
         self.stats.record_batch(query_class, total - misses, misses)
         return total - misses
 
-    def prefetch_many(
-        self, page_ids: Sequence[int] | np.ndarray, query_class: str = ""
-    ) -> int:
-        """:meth:`prefetch` of one execution's read-ahead vector; like
-        :meth:`access_many` a trace point that ``benchmarks/perf`` wraps by
-        owner and name."""
-        if isinstance(page_ids, np.ndarray):
-            page_ids = page_ids.tolist()
-        return self.prefetch(page_ids, query_class)
-
-    def _admit(self, page_id: int) -> None:
-        evicted = 0
-        while len(self._pages) >= self.capacity:
-            self._pages.popitem(last=False)
-            evicted += 1
-        self._pages[page_id] = None
-        if evicted:
-            self._record_evictions(evicted)
-
     def _record_evictions(self, count: int) -> None:
         self.stats.record_eviction(count)
         if self._eviction_sink is not None:
@@ -327,10 +255,6 @@ class LRUBufferPool(BufferPool):
     @property
     def total_evictions(self) -> int:
         return self.stats.evictions
-
-    def lru_order(self) -> list[int]:
-        """Resident page ids from least to most recently used."""
-        return list(self._pages.keys())
 
 
 class PartitionedBufferPool(BufferPool):
@@ -391,23 +315,6 @@ class PartitionedBufferPool(BufferPool):
     def __len__(self) -> int:
         return sum(len(pool) for pool in self._partitions.values())
 
-    def resident(self, page_id: int) -> bool:
-        return any(pool.resident(page_id) for pool in self._partitions.values())
-
-    def access(self, page_id: int, query_class: str = "") -> bool:
-        hit = self._pool_for(query_class).access(page_id, query_class)
-        if hit:
-            self.stats.record_hit(query_class)
-        else:
-            self.stats.record_miss(query_class)
-        return hit
-
-    def prefetch(self, page_ids: Iterable[int], query_class: str = "") -> int:
-        fetched = self._pool_for(query_class).prefetch(page_ids, query_class)
-        if fetched:
-            self.stats.record_readahead(query_class, fetched)
-        return fetched
-
     def access_many(
         self, page_ids: Sequence[int] | np.ndarray, query_class: str = ""
     ) -> int:
@@ -430,35 +337,3 @@ class PartitionedBufferPool(BufferPool):
     def total_evictions(self) -> int:
         return sum(pool.stats.evictions for pool in self._partitions.values())
 
-    def partition_stats(self, partition: str) -> PoolStats:
-        return self._partitions[partition].stats
-
-
-def replay_trace(
-    pool: BufferPool,
-    pages: Iterable[int],
-    query_class: str = "",
-    classes: Iterable[str] | None = None,
-) -> PoolStats:
-    """Drive ``pool`` with a page trace and return the pool's stats object.
-
-    When ``classes`` is given it must parallel ``pages`` and supplies the
-    per-access query-class tag (for interleaved multi-class traces).  The
-    trace runs through the batched access path: single-class traces go down
-    in one call, tagged traces as one batch per run of consecutive
-    same-class accesses, which preserves the exact access interleaving.
-    """
-    if classes is None:
-        pool.access_many(pages, query_class)
-        return pool.stats
-    run_pages: list[int] = []
-    run_class = ""
-    for page_id, cls in zip(pages, classes):
-        if cls != run_class and run_pages:
-            pool.access_many(run_pages, run_class)
-            run_pages = []
-        run_class = cls
-        run_pages.append(page_id)
-    if run_pages:
-        pool.access_many(run_pages, run_class)
-    return pool.stats

@@ -112,10 +112,6 @@ class DatabaseEngine:
         for thread in self._threads:
             thread.flush()
 
-    def shutdown(self) -> None:
-        for thread in self._threads:
-            thread.shutdown()
-
     # ------------------------------------------------------------------ #
     # Buffer-pool reconfiguration (the paper's quota-enforcement action)  #
     # ------------------------------------------------------------------ #
@@ -176,16 +172,3 @@ class DatabaseEngine:
     @property
     def pool_pages(self) -> int:
         return self.config.pool_pages
-
-    def hit_ratio(self) -> float:
-        return self.pool.stats.hit_ratio
-
-    def class_hit_ratio(self, context_key: str) -> float:
-        return self.pool.stats.class_hit_ratio(context_key)
-
-    def __repr__(self) -> str:
-        organisation = "partitioned" if self._quotas else "shared"
-        return (
-            f"DatabaseEngine(name={self.name!r}, pool={self.config.pool_pages}p "
-            f"{organisation}, apps={sorted(self.apps)})"
-        )

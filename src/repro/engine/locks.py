@@ -34,7 +34,6 @@ __all__ = [
     "LockGrant",
     "LockStats",
     "LockManager",
-    "CompositeLockPattern",
     "RowGroupLockPattern",
     "WaitsForGraph",
 ]
@@ -175,11 +174,6 @@ class LockManager:
         self.stats[owner].record(grant)
         return grant
 
-    def held_resources(self, now: float) -> int:
-        """Number of resources with at least one live hold."""
-        self._expire(now)
-        return len(self._holds)
-
     def interval_snapshot(self) -> dict[str, LockStats]:
         """Return and reset the per-class lock statistics."""
         snapshot = dict(self.stats)
@@ -245,30 +239,6 @@ class RowGroupLockPattern:
             for offset in range(self.span):
                 wanted.add((start + offset) % self.group_count)
         return [self._request(group) for group in sorted(wanted)]
-
-
-class CompositeLockPattern:
-    """A multi-table transaction's lock demand: several patterns at once.
-
-    Multi-statement transactions lock rows in more than one table; the
-    composite simply unions its parts' lock sets.  Two classes locking the
-    same pair of tables produce the classic deadlock-prone shape the
-    waits-for graph exists to catch.
-    """
-
-    def __init__(self, parts: list) -> None:
-        if not parts:
-            raise ValueError("composite lock pattern needs at least one part")
-        self.parts = list(parts)
-
-    def requests(self) -> list[LockRequest]:
-        combined: dict[tuple[str, int], LockRequest] = {}
-        for part in self.parts:
-            for request in part.requests():
-                existing = combined.get(request.resource)
-                if existing is None or request.mode is LockMode.EXCLUSIVE:
-                    combined[request.resource] = request
-        return [combined[key] for key in sorted(combined)]
 
 
 class WaitsForGraph:

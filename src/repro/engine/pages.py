@@ -13,17 +13,10 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["PAGE_SIZE_BYTES", "pages_for_bytes", "PageRange", "PageSpaceAllocator"]
+__all__ = ["PAGE_SIZE_BYTES", "PageRange", "PageSpaceAllocator"]
 
 PAGE_SIZE_BYTES = 16 * 1024
 """Bytes per page (InnoDB default)."""
-
-
-def pages_for_bytes(num_bytes: int) -> int:
-    """Number of pages needed to hold ``num_bytes`` (rounded up, at least 1)."""
-    if num_bytes < 0:
-        raise ValueError(f"byte count must be non-negative: {num_bytes}")
-    return max(1, -(-num_bytes // PAGE_SIZE_BYTES))
 
 
 @lru_cache(maxsize=None)

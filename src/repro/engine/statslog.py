@@ -124,10 +124,6 @@ class ThreadLogBuffer:
             self.flushes += 1
         return flushed
 
-    def shutdown(self) -> None:
-        """Thread exit: flush whatever remains."""
-        self.flush()
-
 
 class EngineLog:
     """Per-engine statistics sink and per-class recent-access windows."""

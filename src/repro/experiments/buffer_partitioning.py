@@ -73,13 +73,11 @@ def _replay(
         pool = pool_for[group]
         access = query_class.execute_pages()
         if access.prefetch:
-            pool.prefetch(access.prefetch, group)
-        measured = index >= warmup
-        for page_id in access.demand:
-            hit = pool.access(page_id, group)
-            if measured:
-                outcome[group][0] += int(hit)
-                outcome[group][1] += 1
+            pool.prefetch_many(access.prefetch, group)
+        hits = pool.access_many(access.demand, group)
+        if index >= warmup:
+            outcome[group][0] += hits
+            outcome[group][1] += len(access.demand)
     return {group: (hits, total) for group, (hits, total) in outcome.items()}
 
 

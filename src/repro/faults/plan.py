@@ -16,7 +16,7 @@ generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from ..sim.rng import RandomStream
@@ -37,9 +37,6 @@ class FaultKind(str, Enum):
     CONTROLLER_CRASH = "controller_crash"
     CONTROLLER_RESTART = "controller_restart"
     CHECKPOINT_CORRUPTION = "checkpoint_corruption"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 _TARGETED_AT_REPLICAS = (FaultKind.REPLICA_CRASH, FaultKind.REPLICA_RECOVER)
@@ -217,9 +214,8 @@ class FaultPlan:
         """Re-check the whole plan's crash/recovery pairing; returns self.
 
         The fluent builders validate on every append, but plans can also be
-        assembled from raw event lists (``FaultPlan(events=[...])`` or
-        :meth:`shifted`); the injector calls this before scheduling as the
-        backstop.  Negative timestamps are impossible by construction —
+        assembled from raw event lists (``FaultPlan(events=[...])``); the
+        injector calls this before scheduling as the backstop.  Negative timestamps are impossible by construction —
         :class:`FaultEvent` rejects them.
         """
         for recover_kind, crash_kind in _RECOVERY_PAIRS.items():
@@ -240,40 +236,6 @@ class FaultPlan:
         return sorted(
             self.events, key=lambda e: e.at
         )  # Python's sort is stable, so ties preserve insertion order.
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.ordered())
-
-    @property
-    def empty(self) -> bool:
-        return not self.events
-
-    def kinds(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind.value] = counts.get(event.kind.value, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def shifted(self, delta: float) -> "FaultPlan":
-        """A copy of the plan with every event moved by ``delta`` seconds."""
-        return FaultPlan([replace(e, at=e.at + delta) for e in self.events])
-
-    def to_jsonable(self) -> list[dict]:
-        """JSON-ready event list (for artefacts and telemetry meta)."""
-        return [
-            {
-                "at": event.at,
-                "kind": event.kind.value,
-                "target": event.target,
-                "duration": event.duration,
-                "factor": event.factor,
-                "ramp_steps": event.ramp_steps,
-            }
-            for event in self.ordered()
-        ]
 
     # ------------------------------------------------------------------ #
     # Seeded generation                                                  #

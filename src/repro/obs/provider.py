@@ -35,10 +35,6 @@ class Observability:
         if self.enabled:  # never mutate the shared no-op singletons
             self.tracer.bind_clock(clock)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "enabled" if self.enabled else "disabled"
-        return f"Observability({state})"
-
 
 NULL_OBS = Observability(
     registry=NULL_REGISTRY, tracer=NULL_TRACER, enabled=False

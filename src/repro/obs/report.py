@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable
 
 from ..analysis.report import Table
-from .export import read_records, telemetry_records
+from .export import read_records
 
 __all__ = ["StageProfile", "SECTIONS", "TelemetrySummary"]
 
@@ -104,12 +104,6 @@ class TelemetrySummary:
     def from_lines(cls, lines: Iterable[str]) -> "TelemetrySummary":
         """Parse and validate JSONL lines (``ValueError`` on a bad one)."""
         return cls.from_records(read_records(lines))
-
-    @classmethod
-    def from_observability(
-        cls, observability, meta: dict | None = None
-    ) -> "TelemetrySummary":
-        return cls.from_records(telemetry_records(observability, meta))
 
     @property
     def meta(self) -> dict:

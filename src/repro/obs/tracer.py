@@ -71,10 +71,6 @@ class Span:
         self.tracer._finish(self)
         return False  # never swallow the exception
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = f"end={self.end}" if self.finished else "open"
-        return f"Span({self.name!r}, id={self.span_id}, {state})"
-
 
 class Tracer:
     """Produces nested spans stamped with simulated time.

@@ -60,9 +60,6 @@ class CheckpointStore:
         self.taken = 0
         self.corrupt_skipped = 0
 
-    def __len__(self) -> int:
-        return len(self.checkpoints)
-
     def save(
         self,
         state: dict,

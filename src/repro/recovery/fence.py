@@ -61,6 +61,3 @@ class EpochFence:
         if not self.admits(epoch):
             self.rejections += 1
             raise StaleEpochError(epoch, self.epoch, what)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EpochFence(epoch={self.epoch})"

@@ -1,6 +1,6 @@
 """Deterministic simulation kernel: clock, events, seeded randomness, traces."""
 
-from .clock import Interval, IntervalTimer, SimClock
+from .clock import SimClock
 from .events import Event, EventLoop, StopSimulation
 from .rng import RandomStream, SeedSequenceFactory, ZipfGenerator
 from .trace import AccessWindow
@@ -9,8 +9,6 @@ __all__ = [
     "AccessWindow",
     "Event",
     "EventLoop",
-    "Interval",
-    "IntervalTimer",
     "RandomStream",
     "SeedSequenceFactory",
     "SimClock",

@@ -1,19 +1,13 @@
 """Simulated time for the cluster simulator.
 
 The reproduction runs in *simulated* seconds so that every experiment is
-deterministic and fast.  Two notions of time coexist:
-
-* a fine-grained continuous clock (``SimClock``) advanced by the event loop
-  and by query executions, and
-* *measurement intervals* (``IntervalTimer``), the paper's unit of SLA
-  accounting: statistics are aggregated per interval and stable-state
-  signatures are recorded for intervals in which the SLA was continuously
-  met.
+deterministic and fast.  :class:`SimClock` is the one clock: the event loop
+moves it forward to each event's timestamp.  Measurement intervals, the
+paper's unit of SLA accounting, are the harness's fixed-length steps of that
+clock (``ClusterHarness.interval_length``), not a separate timer.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 
 class SimClock:
@@ -29,13 +23,6 @@ class SimClock:
         """Current simulated time in seconds."""
         return self._now
 
-    def advance(self, delta: float) -> float:
-        """Move the clock forward by ``delta`` seconds and return the new time."""
-        if delta < 0:
-            raise ValueError(f"cannot advance clock backwards (delta={delta})")
-        self._now += delta
-        return self._now
-
     def advance_to(self, timestamp: float) -> float:
         """Move the clock forward to an absolute ``timestamp``.
 
@@ -48,60 +35,3 @@ class SimClock:
             )
         self._now = float(timestamp)
         return self._now
-
-    def __repr__(self) -> str:
-        return f"SimClock(now={self._now:.6f})"
-
-
-@dataclass
-class Interval:
-    """One closed measurement interval ``[start, end)``."""
-
-    index: int
-    start: float
-    end: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    def contains(self, timestamp: float) -> bool:
-        """Whether ``timestamp`` falls inside this interval."""
-        return self.start <= timestamp < self.end
-
-
-@dataclass
-class IntervalTimer:
-    """Divides simulated time into fixed-length measurement intervals.
-
-    The paper aggregates all metrics over measurement intervals; an interval
-    in which the SLA was continuously met is a *stable* interval and refreshes
-    the stable-state signature of every query class involved.
-    """
-
-    length: float = 10.0
-    origin: float = 0.0
-    _completed: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise ValueError(f"interval length must be positive: {self.length}")
-
-    def interval_at(self, timestamp: float) -> Interval:
-        """Return the interval that contains ``timestamp``."""
-        if timestamp < self.origin:
-            raise ValueError(
-                f"timestamp {timestamp} precedes interval origin {self.origin}"
-            )
-        index = int((timestamp - self.origin) // self.length)
-        start = self.origin + index * self.length
-        return Interval(index=index, start=start, end=start + self.length)
-
-    def boundaries(self, until: float) -> list[float]:
-        """All interval boundaries in ``(origin, until]``."""
-        result = []
-        boundary = self.origin + self.length
-        while boundary <= until + 1e-12:
-            result.append(boundary)
-            boundary += self.length
-        return result

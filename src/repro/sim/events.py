@@ -2,7 +2,7 @@
 
 Client emulators schedule session events (issue a request, think, retry) on
 this queue; the cluster harness drains events in timestamp order while the
-interval timer slices the run into measurement intervals.
+harness slices the run into measurement intervals.
 
 Events with equal timestamps are delivered in scheduling order (FIFO), which
 keeps runs deterministic regardless of hash ordering.
@@ -49,11 +49,6 @@ class EventLoop:
         """Number of events executed so far."""
         return self._processed
 
-    @property
-    def pending(self) -> int:
-        """Number of events still queued."""
-        return len(self._heap)
-
     def schedule_at(self, timestamp: float, handler: Callable, *args) -> Event:
         """Schedule ``handler(*args)`` at absolute simulated ``timestamp``."""
         if timestamp < self.clock.now - 1e-12:
@@ -63,12 +58,6 @@ class EventLoop:
         event = Event(max(timestamp, self.clock.now), next(self._counter), handler, args)
         heapq.heappush(self._heap, event)
         return event
-
-    def schedule_after(self, delay: float, handler: Callable, *args) -> Event:
-        """Schedule ``handler(*args)`` ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative: {delay}")
-        return self.schedule_at(self.clock.now + delay, handler, *args)
 
     def peek_time(self) -> float | None:
         """Timestamp of the next event, or ``None`` when drained."""
@@ -100,14 +89,3 @@ class EventLoop:
             return
         if self.clock.now < end_time:
             self.clock.advance_to(end_time)
-
-    def run(self, max_events: int | None = None) -> None:
-        """Drain the queue entirely (or until ``max_events`` executions)."""
-        executed = 0
-        try:
-            while self.step():
-                executed += 1
-                if max_events is not None and executed >= max_events:
-                    return
-        except StopSimulation:
-            return

@@ -57,9 +57,6 @@ class RandomStream:
             raise ValueError(f"exponential mean must be positive: {mean}")
         return float(self._rng.exponential(mean))
 
-    def normal(self, mean: float, std: float) -> float:
-        return float(self._rng.normal(mean, std))
-
     def integers(self, low: int, high: int) -> int:
         """A uniform integer in ``[low, high)``."""
         return int(self._rng.integers(low, high))
@@ -83,9 +80,6 @@ class RandomStream:
 
     def shuffle(self, items: list) -> None:
         self._rng.shuffle(items)
-
-    def __repr__(self) -> str:
-        return f"RandomStream(name={self.name!r}, seed={self.seed})"
 
 
 class CumulativeSampler:
@@ -138,10 +132,6 @@ class SeedSequenceFactory:
         if name not in self._streams:
             self._streams[name] = RandomStream(self.root_seed, name)
         return self._streams[name]
-
-    def fork(self, name: str) -> "SeedSequenceFactory":
-        """A child factory whose streams are independent of this factory's."""
-        return SeedSequenceFactory(_derive_seed(self.root_seed, f"fork:{name}"))
 
 
 @lru_cache(maxsize=None)

@@ -81,9 +81,6 @@ class AccessWindow:
         """Total accesses ever recorded, including those evicted."""
         return self._total_seen
 
-    def record(self, page_id: int) -> None:
-        self.record_many((int(page_id),))
-
     def record_many(self, page_ids: Iterable[int] | np.ndarray) -> None:
         """Append a whole page vector in one deque extend.
 

@@ -2,7 +2,7 @@
 
 from .base import MixEntry, Workload
 from .clients import ClientSession, ClosedLoopDriver
-from .load import BurstLoad, ConstantLoad, LoadFunction, SineLoad, StepLoad
+from .load import BurstLoad, ConstantLoad, LoadFunction, SineLoad
 from .rubis import RUBIS_APP, RUBIS_MIXES, SEARCH_ITEMS_BY_REGION, build_rubis
 from .zoo import (
     GroundTruthLabel,
@@ -40,7 +40,6 @@ __all__ = [
     "RUBIS_MIXES",
     "SEARCH_ITEMS_BY_REGION",
     "SineLoad",
-    "StepLoad",
     "TPCW_APP",
     "TPCW_MIXES",
     "Workload",

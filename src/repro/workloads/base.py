@@ -61,18 +61,11 @@ class Workload:
         self._sampled_mix: tuple[MixEntry, ...] | None = None
         self._sampler: CumulativeSampler | None = None
 
-    @property
-    def registry(self) -> QueryClassRegistry:
-        return self._registry
-
     def classes(self) -> list[QueryClass]:
         return [entry.query_class for entry in self.mix]
 
     def class_named(self, name: str) -> QueryClass:
         return self._registry.by_name(name)
-
-    def weights(self) -> list[float]:
-        return [entry.weight for entry in self.mix]
 
     @property
     def write_fraction(self) -> float:

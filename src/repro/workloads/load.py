@@ -1,7 +1,7 @@
 """Client-load functions: how many emulated clients are active over time.
 
 The Figure 3 experiment drives TPC-W with a sinusoid client population plus
-random noise; other experiments use constant or stepped populations.  A load
+random noise; other experiments use constant or bursty populations.  A load
 function maps simulated time to an integer client count.
 """
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from ..sim.rng import RandomStream
 
-__all__ = ["LoadFunction", "ConstantLoad", "StepLoad", "SineLoad", "BurstLoad"]
+__all__ = ["LoadFunction", "ConstantLoad", "SineLoad", "BurstLoad"]
 
 
 class LoadFunction:
@@ -34,30 +34,6 @@ class ConstantLoad(LoadFunction):
 
     def clients_at(self, timestamp: float) -> int:
         return self.clients
-
-
-class StepLoad(LoadFunction):
-    """A piecewise-constant population: ``[(start_time, clients), ...]``."""
-
-    def __init__(self, steps: list[tuple[float, int]]) -> None:
-        if not steps:
-            raise ValueError("step load needs at least one step")
-        ordered = sorted(steps)
-        if ordered[0][0] > 0:
-            ordered.insert(0, (0.0, ordered[0][1]))
-        for _, clients in ordered:
-            if clients < 0:
-                raise ValueError(f"client count must be non-negative: {clients}")
-        self._steps = ordered
-
-    def clients_at(self, timestamp: float) -> int:
-        current = self._steps[0][1]
-        for start, clients in self._steps:
-            if timestamp >= start:
-                current = clients
-            else:
-                break
-        return current
 
 
 @dataclass(frozen=True)

@@ -30,16 +30,13 @@ Scenario parameters are drawn from the scenario's seed inside *declared
 envelopes* (:data:`ZOO_ENVELOPES`), so every seed yields a slightly
 different but bounded run — and the property suite can assert the bounds.
 Builders are pure: building the same scenario twice from the same seed
-yields byte-identical behaviour (see :func:`probe_trace`).
+yields byte-identical behaviour (``tests/zoo_probe.py`` fingerprints it).
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..engine.access import (
     CompositePattern,
@@ -64,8 +61,6 @@ __all__ = [
     "build_antagonist",
     "build_zoo_scenario",
     "zoo_scenario_names",
-    "probe_trace",
-    "probe_digest",
 ]
 
 # The antagonist application's pages must not collide with TPC-W (base 0)
@@ -708,43 +703,3 @@ def build_zoo_scenario(name: str, seed: int = 7) -> ZooScenario:
             f"unknown zoo scenario {name!r}; choose from {zoo_scenario_names()}"
         )
     return ZOO_SCENARIOS[name](seed)
-
-
-# --------------------------------------------------------------------- #
-# Determinism probe                                                     #
-# --------------------------------------------------------------------- #
-
-
-def probe_trace(
-    scenario: ZooScenario, samples: int = 300
-) -> tuple[list[str], np.ndarray]:
-    """Sample the scenario's mixes and patterns into a flat access trace.
-
-    Draws ``samples`` queries from every workload's mix (via a probe stream
-    derived from the scenario seed) and concatenates the page accesses each
-    execution produces.  Two scenarios built from the same seed yield
-    byte-identical probes; a probe consumes pattern state, so build a fresh
-    scenario per probe rather than probing one scenario twice.
-    """
-    stream = SeedSequenceFactory(scenario.seed).stream(
-        f"zoo-probe-{scenario.name}"
-    )
-    classes: list[str] = []
-    pages: list[int] = []
-    for workload in scenario.workloads:
-        for _ in range(samples):
-            query_class = workload.sample_class(stream)
-            access = query_class.execute_pages()
-            classes.append(query_class.context_key)
-            pages.extend(access.demand)
-            pages.extend(access.prefetch)
-    return classes, np.asarray(pages, dtype=np.int64)
-
-
-def probe_digest(scenario: ZooScenario, samples: int = 300) -> str:
-    """SHA-256 over the probe trace — the byte-identity fingerprint."""
-    classes, pages = probe_trace(scenario, samples=samples)
-    digest = hashlib.sha256()
-    digest.update("\n".join(classes).encode())
-    digest.update(pages.tobytes())
-    return digest.hexdigest()

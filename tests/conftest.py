@@ -1,7 +1,8 @@
 """Puts ``tests/`` on ``sys.path`` so every suite can import ``oracles``:
 the slow reference implementations that fast paths in ``src/`` are checked
 against, and that are not product code.  Also the one fixture two suites
-share, ``kernel_calls``."""
+share, ``kernel_calls``, and the rule that ``ledger`` tests run only when a
+``-m`` expression names them."""
 
 import sys
 from pathlib import Path
@@ -25,3 +26,12 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(mrc, "stack_distances", counting)
     return calls
+
+
+def pytest_collection_modifyitems(config, items):
+    if "ledger" in config.getoption("markexpr"):
+        return
+    ledger = [item for item in items if item.get_closest_marker("ledger")]
+    if ledger:
+        config.hook.pytest_deselected(items=ledger)
+        items[:] = [item for item in items if not item.get_closest_marker("ledger")]

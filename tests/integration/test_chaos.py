@@ -100,13 +100,13 @@ class TestChaosPlan:
     def test_plan_is_deterministic_data(self):
         config = ChaosConfig()
         assert (
-            build_chaos_plan(config, "tpcw").to_jsonable()
-            == build_chaos_plan(config, "tpcw").to_jsonable()
+            build_chaos_plan(config, "tpcw").events
+            == build_chaos_plan(config, "tpcw").events
         )
 
     def test_plan_covers_the_full_catalogue(self):
         plan = build_chaos_plan(ChaosConfig(), "tpcw")
-        assert set(plan.kinds()) == {
+        assert {event.kind.value for event in plan.events} == {
             "io_slowdown", "write_stall", "replica_crash",
             "replica_recover", "stats_gap", "metric_corruption",
         }

@@ -9,11 +9,7 @@ catch — the "deadlock situations" of the paper's future work.
 from repro.core.analyzer import LogAnalyzer
 from repro.engine.access import AccessPattern, ExecutionAccess
 from repro.engine.engine import DatabaseEngine, EngineConfig
-from repro.engine.locks import (
-    CompositeLockPattern,
-    LockMode,
-    RowGroupLockPattern,
-)
+from repro.engine.locks import LockMode, LockRequest, RowGroupLockPattern
 from repro.engine.query import QueryClass
 from repro.sim.rng import SeedSequenceFactory
 
@@ -22,8 +18,22 @@ class _FewPages(AccessPattern):
     def pages_for_execution(self):
         return ExecutionAccess(demand=[1, 2])
 
-    def footprint_pages(self):
-        return 2
+
+class CompositeLockPattern:
+    """A multi-table transaction's lock demand: the union of its parts' lock
+    sets (exclusive wins), in resource order."""
+
+    def __init__(self, parts: list) -> None:
+        self.parts = list(parts)
+
+    def requests(self) -> list[LockRequest]:
+        combined: dict[tuple[str, int], LockRequest] = {}
+        for part in self.parts:
+            for request in part.requests():
+                existing = combined.get(request.resource)
+                if existing is None or request.mode is LockMode.EXCLUSIVE:
+                    combined[request.resource] = request
+        return [combined[key] for key in sorted(combined)]
 
 
 def make_transfer_classes():

@@ -26,7 +26,7 @@ from repro.engine.locks import (
     _Hold,
 )
 
-__all__ = ["requests_per_execution", "PerHoldHeapManager", "live_holds"]
+__all__ = ["requests_per_execution", "PerHoldHeapManager", "live_holds", "held_resources"]
 
 
 def requests_per_execution(pattern: RowGroupLockPattern, zipf=None) -> list[LockRequest]:
@@ -93,6 +93,12 @@ class PerHoldHeapManager(LockManager):
         grant = LockGrant(wait_time=wait_time, conflicts=tuple(conflicts))
         self.stats[owner].record(grant)
         return grant
+
+
+def held_resources(manager: LockManager, now: float) -> int:
+    """Number of resources with at least one hold still live at ``now``."""
+    manager._expire(now)
+    return len(manager._holds)
 
 
 def live_holds(manager: LockManager) -> dict:

@@ -83,9 +83,6 @@ class ZipfPagesOracle(AccessPattern):
         ranks = self._zipf.sample_many(self.pages_per_execution)
         return ExecutionAccess(demand=self._pages_by_rank[ranks].tolist())
 
-    def footprint_pages(self) -> int:
-        return len(self._pages_by_rank)
-
 
 class IndexLookupOracle(AccessPattern):
     """``IndexLookup``: one scalar rank, one tree walk, one page per row."""
@@ -105,9 +102,6 @@ class IndexLookupOracle(AccessPattern):
             for offset in range(pattern.rows_per_lookup):
                 demand.append(table.page_of_row(min(row + offset, table.row_count - 1)))
         return ExecutionAccess(demand=demand)
-
-    def footprint_pages(self) -> int:
-        return self._pattern.footprint_pages()
 
 
 class RowGroupLockOracle:

@@ -9,6 +9,7 @@ from collections import OrderedDict
 
 from hypothesis import given, settings, strategies as st
 
+from oracles.lru import lru_order, resident
 from repro.engine.bufferpool import LRUBufferPool, PartitionedBufferPool
 
 traces = st.lists(st.integers(min_value=0, max_value=30), min_size=0, max_size=250)
@@ -20,9 +21,9 @@ def test_inclusion_property(trace, capacity):
     small = LRUBufferPool(capacity)
     large = LRUBufferPool(capacity + 1)
     for page in trace:
-        small.access(page)
-        large.access(page)
-    assert set(small.lru_order()).issubset(set(large.lru_order()))
+        small.access_many([page])
+        large.access_many([page])
+    assert set(lru_order(small)).issubset(set(lru_order(large)))
 
 
 @given(trace=traces, capacity=st.integers(min_value=1, max_value=20))
@@ -39,8 +40,8 @@ def test_matches_reference_lru(trace, capacity):
             if len(reference) >= capacity:
                 reference.popitem(last=False)
             reference[page] = None
-        assert pool.access(page) == expected_hit
-    assert pool.lru_order() == list(reference.keys())
+        assert pool.access_many([page]) == expected_hit
+    assert lru_order(pool) == list(reference.keys())
 
 
 @given(trace=traces, capacity=st.integers(min_value=1, max_value=20))
@@ -48,7 +49,7 @@ def test_matches_reference_lru(trace, capacity):
 def test_occupancy_never_exceeds_capacity(trace, capacity):
     pool = LRUBufferPool(capacity)
     for page in trace:
-        pool.access(page)
+        pool.access_many([page])
         assert len(pool) <= capacity
 
 
@@ -57,7 +58,7 @@ def test_occupancy_never_exceeds_capacity(trace, capacity):
 def test_hits_plus_misses_equals_accesses(trace):
     pool = LRUBufferPool(8)
     for page in trace:
-        pool.access(page)
+        pool.access_many([page])
     assert pool.stats.hits + pool.stats.misses == len(trace)
 
 
@@ -81,14 +82,15 @@ def test_partitioned_equals_two_independent_lrus(trace, quota):
     rest_ref = LRUBufferPool(total - quota)
     for page, group in trace:
         reference = hog_ref if group == "hog" else rest_ref
-        assert partitioned.access(page, group) == reference.access(page, group)
+        hit = reference.access_many([page], group)
+        assert partitioned.access_many([page], group) == hit
 
 
 @given(trace=traces, capacity=st.integers(min_value=1, max_value=20))
 @settings(max_examples=40, deadline=None)
 def test_prefetched_pages_resident_until_evicted(trace, capacity):
     pool = LRUBufferPool(capacity)
-    pool.prefetch(trace[: capacity // 2 + 1])
+    pool.prefetch_many(trace[: capacity // 2 + 1])
     recent = trace[: capacity // 2 + 1][-capacity:]
     for page in recent[-min(len(recent), capacity):]:
-        assert pool.resident(page)
+        assert resident(pool, page)

@@ -1,6 +1,6 @@
 """Differential properties: batched pool paths vs the per-page loops.
 
-The batched paths (``access_many`` / ``prefetch`` / ``prefetch_many``) keep
+The batched paths (``access_many`` / ``prefetch_many``) keep
 their per-page work inside the C ``OrderedDict`` and promise to be
 *bit-exact* with the per-page loops in ``tests/oracles/lru.py``: identical
 hit returns, identical :class:`PoolStats` (global and per class), identical
@@ -17,13 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles.lru import access_per_page, prefetch_per_page
-from repro.engine.bufferpool import (
-    LRUBufferPool,
-    PartitionedBufferPool,
-    PoolStats,
-    replay_trace,
-)
+from itertools import groupby
+
+from oracles.lru import access_per_page, lru_order, prefetch_per_page
+from repro.engine.bufferpool import LRUBufferPool, PartitionedBufferPool, PoolStats
 
 CLASSES = ["alpha", "beta", "gamma"]
 
@@ -43,6 +40,10 @@ def stats_fields(stats: PoolStats) -> dict:
         "evictions": stats.evictions,
         "per_class": stats.per_class,
     }
+
+
+def class_misses(stats: PoolStats, cls: str) -> int:
+    return stats.per_class.get(cls, {}).get("misses", 0)
 
 
 def apply_per_page(pool, kind, cls, pages):
@@ -68,8 +69,8 @@ def apply_batched(pool, kind, cls, pages, container="list"):
 
 
 def assert_same_pool(fast: LRUBufferPool, base: LRUBufferPool) -> None:
-    assert fast.lru_order() == base.lru_order()
-    assert all(type(page) is int for page in fast.lru_order())
+    assert lru_order(fast) == lru_order(base)
+    assert all(type(page) is int for page in lru_order(fast))
     assert fast.total_evictions == base.total_evictions
     assert stats_fields(fast.stats) == stats_fields(base.stats)
 
@@ -123,9 +124,9 @@ def test_partitioned_batched_matches_per_page(
     for name in base.partition_names:
         # Private access: the per-partition LRU order is the strongest
         # equivalence there is, and no public API exposes it.
-        assert fast._partitions[name].lru_order() == base._partitions[name].lru_order()
-        assert stats_fields(fast.partition_stats(name)) == stats_fields(
-            base.partition_stats(name)
+        assert lru_order(fast._partitions[name]) == lru_order(base._partitions[name])
+        assert stats_fields(fast._partitions[name].stats) == stats_fields(
+            base._partitions[name].stats
         )
 
 
@@ -137,7 +138,7 @@ def test_partitioned_batched_matches_per_page(
 )
 @settings(max_examples=60, deadline=None)
 def test_replay_trace_matches_per_page(trace, capacity, tagged, seed):
-    """``replay_trace`` (which batches runs of same-class accesses) is
+    """A trace replayed as one batch per run of same-class accesses is
     equivalent to the naive per-page loop, tagged or untagged."""
     rng = np.random.default_rng(seed)
     classes = (
@@ -145,16 +146,14 @@ def test_replay_trace_matches_per_page(trace, capacity, tagged, seed):
         if tagged
         else None
     )
+    tags = classes if classes is not None else ["q"] * len(trace)
     base = LRUBufferPool(capacity)
-    if classes is None:
-        for page in trace:
-            base.access(page, "q")
-    else:
-        for page, cls in zip(trace, classes):
-            base.access(page, cls)
+    for page, cls in zip(trace, tags):
+        access_per_page(base, [page], cls)
     fast = LRUBufferPool(capacity)
-    replay_trace(fast, list(trace), query_class="q", classes=classes)
-    assert fast.lru_order() == base.lru_order()
+    for cls, run in groupby(zip(trace, tags), key=lambda pair: pair[1]):
+        fast.access_many([page for page, _ in run], cls)
+    assert lru_order(fast) == lru_order(base)
     assert stats_fields(fast.stats) == stats_fields(base.stats)
 
 
@@ -172,15 +171,13 @@ def test_batched_equivalence_survives_pool_rebuild(
     capacity) preserves the batched/per-page equivalence on both sides."""
     base = LRUBufferPool(cap_before)
     fast = LRUBufferPool(cap_before)
-    for page in before:
-        base.access(page, "q")
+    access_per_page(base, before, "q")
     fast.access_many(before, "q")
     base = LRUBufferPool(cap_after)
     fast = LRUBufferPool(cap_after)
-    for page in after:
-        base.access(page, "q")
+    access_per_page(base, after, "q")
     fast.access_many(np.asarray(after, dtype=np.int64), "q")
-    assert fast.lru_order() == base.lru_order()
+    assert lru_order(fast) == lru_order(base)
     assert stats_fields(fast.stats) == stats_fields(base.stats)
 
 
@@ -192,9 +189,8 @@ def test_batched_equivalence_survives_pool_rebuild(
 def twin_pools(capacity: int, warm: list[int]) -> tuple[LRUBufferPool, LRUBufferPool]:
     base = LRUBufferPool(capacity)
     fast = LRUBufferPool(capacity)
-    for page in warm:
-        base.access(page, "warm")
-        fast.access(page, "warm")
+    access_per_page(base, warm, "warm")
+    access_per_page(fast, warm, "warm")
     return base, fast
 
 
@@ -217,9 +213,9 @@ def test_access_many_edges(batch, hits, order):
     base, fast = twin_pools(4, [1, 2, 3, 4])
     assert access_per_page(base, batch, "q") == hits
     assert fast.access_many(batch, "q") == hits
-    assert base.lru_order() == order
+    assert lru_order(base) == order
     assert_same_pool(fast, base)
-    assert fast.stats.class_misses("q") == len(batch) - hits
+    assert class_misses(fast.stats, "q") == len(batch) - hits
     assert ("q" in fast.stats.per_class) == bool(batch)
 
 
@@ -243,14 +239,14 @@ def test_prefetch_edges(batch, fetched, order, evictions):
     many = LRUBufferPool(4)
     many.access_many([1, 2, 3], "warm")
     assert prefetch_per_page(base, batch, "q") == fetched
-    assert fast.prefetch(batch, "q") == fetched
+    assert fast.prefetch_many(batch, "q") == fetched
     assert many.prefetch_many(batch, "q") == fetched
-    assert base.lru_order() == order
+    assert lru_order(base) == order
     assert base.total_evictions == evictions
     assert_same_pool(fast, base)
     assert_same_pool(many, base)
     # Read-ahead does not move a resident page and counts no demand access.
-    assert fast.stats.class_misses("q") == 0
+    assert class_misses(fast.stats, "q") == 0
     assert ("q" in fast.stats.per_class) == bool(fetched)
 
 
@@ -265,7 +261,7 @@ def test_capacity_one_pool():
             base, kind, "q", batch
         )
         assert_same_pool(fast, base)
-    assert fast.lru_order() == [1]
+    assert lru_order(fast) == [1]
     assert stats_fields(fast.stats) == {
         "hits": 4,
         "misses": 3,
@@ -314,7 +310,7 @@ def test_a_generator_that_raises_keyerror_is_not_mistaken_for_a_miss():
     pool.access_many([1, 2], "warm")
     with pytest.raises(KeyError):
         pool.access_many(pages(), "q")
-    assert pool.lru_order() == [1, 2]
+    assert lru_order(pool) == [1, 2]
     assert "q" not in pool.stats.per_class
 
 
@@ -337,7 +333,7 @@ def test_partitioned_child_evictions_reach_the_top_level_sink():
     assert stats_fields(fast.stats) == stats_fields(base.stats)
     assert fast.stats.evictions == fast.total_evictions == 5
     assert fast.stats.evictions == sum(
-        fast.partition_stats(name).evictions for name in fast.partition_names
+        fast._partitions[name].stats.evictions for name in fast.partition_names
     )
     for name in base.partition_names:
         assert_same_pool(fast._partitions[name], base._partitions[name])

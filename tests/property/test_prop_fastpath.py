@@ -674,9 +674,6 @@ class _Scripted(AccessPattern):
     def pages_for_execution(self):
         return next(self._accesses)
 
-    def footprint_pages(self):
-        return 0
-
 
 page_lists = st.lists(st.integers(min_value=0, max_value=10_000), max_size=12)
 accesses = st.builds(ExecutionAccess, demand=page_lists, prefetch=page_lists)

@@ -26,7 +26,7 @@ def test_random_plan_is_a_pure_function_of_its_seed(seed, events):
     )
     first = FaultPlan.random(seed, **kwargs)
     second = FaultPlan.random(seed, **kwargs)
-    assert first.to_jsonable() == second.to_jsonable()
+    assert first.events == second.events
 
 
 @given(seed=seeds)
@@ -40,17 +40,6 @@ def test_random_plan_never_strands_a_replica(seed):
                 continue
             balance += 1 if event.kind is FaultKind.REPLICA_CRASH else -1
         assert balance == 0
-
-
-@given(seed=seeds, delta=st.floats(min_value=0.0, max_value=50.0,
-                                   allow_nan=False))
-@settings(max_examples=50, deadline=None)
-def test_shifting_preserves_order_and_spacing(seed, delta):
-    plan = FaultPlan.random(seed, replicas=["r1"], hosts=["h"], events=6)
-    shifted = plan.shifted(delta)
-    originals = [e.at for e in plan.ordered()]
-    moved = [e.at for e in shifted.ordered()]
-    assert moved == [at + delta for at in originals]
 
 
 def storm_plan(seed: int) -> FaultPlan:
@@ -89,7 +78,10 @@ def run_under(plan: FaultPlan):
 @settings(max_examples=5, deadline=None)
 def test_replaying_a_plan_yields_byte_identical_telemetry(seed):
     plan = storm_plan(seed)
-    meta = {"scenario": "fault-replay", "plan": plan.to_jsonable()}
+    meta = {
+        "scenario": "fault-replay",
+        "plan": [[e.at, e.kind.value, e.target] for e in plan.ordered()],
+    }
     obs_a, result_a = run_under(plan)
     obs_b, result_b = run_under(storm_plan(seed))
     assert (telemetry_lines(obs_a, meta=meta)

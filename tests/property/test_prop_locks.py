@@ -2,7 +2,12 @@
 
 from hypothesis import given, settings, strategies as st
 
-from oracles.locks import PerHoldHeapManager, live_holds, requests_per_execution
+from oracles.locks import (
+    PerHoldHeapManager,
+    held_resources,
+    live_holds,
+    requests_per_execution,
+)
 from repro.engine.locks import (
     LockManager,
     LockMode,
@@ -184,5 +189,5 @@ def test_tuple_heap_manager_matches_the_heap_of_holds(calls):
         last_release = max(last_release, now + grant.wait_time + hold)
     # Waits chain, so the last hold can end long after ``now``: look past it.
     after_all = last_release + 1.0
-    assert manager.held_resources(after_all) == oracle.held_resources(after_all) == 0
+    assert held_resources(manager, after_all) == held_resources(oracle, after_all) == 0
     assert not manager._holds and not manager._expiry

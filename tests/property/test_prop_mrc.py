@@ -20,8 +20,7 @@ def test_mattson_matches_lru_pool(trace, capacity):
     """hits predicted at capacity c == hits of a real LRU pool of size c."""
     curve = MissRatioCurve.from_trace(trace)
     pool = LRUBufferPool(capacity)
-    for page in trace:
-        pool.access(page)
+    pool.access_many(trace)
     assert curve.hits_at(capacity) == pool.stats.hits
 
 

@@ -8,7 +8,7 @@ entry a pointer.  Three things are pinned here:
   zoo scenarios swap in — *is* the object its owning range hands out, and its
   value is what the per-execution oracles of ``tests/oracles/pagegen.py`` emit;
 * pools and windows cannot tell interned ints from equal ints minted anywhere
-  else (tests, ``replay_trace``, fitted traces): same hits, misses, evictions,
+  else (tests, trace replays, fitted traces): same hits, misses, evictions,
   LRU order and window contents;
 * the shared array is read-only and shared exactly between ranges of equal
   extent.
@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.lru import lru_order
 from oracles.pagegen import assert_interned, per_execution_workload
 from repro.engine.access import (
     BlockServedPattern,
@@ -148,7 +149,7 @@ def pool_state(pool) -> dict:
             (s.hits, s.misses, s.readaheads, s.evictions, s.per_class)
             for s in [pool.stats] + [p.stats for p in partitions]
         ],
-        "lru": [p.lru_order() for p in partitions],
+        "lru": [lru_order(p) for p in partitions],
     }
 
 

@@ -34,9 +34,6 @@ class _OnePage(AccessPattern):
     def pages_for_execution(self):
         return ExecutionAccess(demand=[1])
 
-    def footprint_pages(self):
-        return 1
-
 
 def make_class(name, write=False):
     return QueryClass(name, "app", 1, f"sql {name}", _OnePage(), is_write=write)

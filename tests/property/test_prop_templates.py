@@ -1,38 +1,8 @@
-"""Property-based tests for template normalisation and seeded randomness."""
+"""Property-based tests for seeded randomness (named streams, Zipf draws)."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.query import normalize_template
 from repro.sim.rng import RandomStream, SeedSequenceFactory, ZipfGenerator
-
-sql_fragments = st.text(
-    alphabet="abcdefghijklmnopqrstuvwxyz_ =<>*,().", min_size=0, max_size=60
-)
-numbers = st.integers(min_value=0, max_value=10**9)
-
-
-@given(fragment=sql_fragments, number=numbers)
-@settings(max_examples=100, deadline=None)
-def test_numeric_literals_always_stripped(fragment, number):
-    template = normalize_template(f"select * from t where x = {number} {fragment}")
-    assert str(number) not in template or number <= 9 and "?" in template
-
-
-@given(fragment=sql_fragments)
-@settings(max_examples=100, deadline=None)
-def test_normalisation_idempotent(fragment):
-    once = normalize_template(fragment)
-    assert normalize_template(once) == once
-
-
-@given(a=numbers, b=numbers, fragment=sql_fragments)
-@settings(max_examples=100, deadline=None)
-def test_argument_values_never_split_classes(a, b, fragment):
-    """Two instances differing only in literals share a template."""
-    one = normalize_template(f"select {fragment} from t where k = {a}")
-    two = normalize_template(f"select {fragment} from t where k = {b}")
-    assert one == two
-
 
 @given(seed=st.integers(min_value=0, max_value=2**31), name=st.text(max_size=10))
 @settings(max_examples=50, deadline=None)

@@ -15,12 +15,8 @@ the committed baseline seed:
 
 from hypothesis import given, settings, strategies as st
 
-from repro.workloads.zoo import (
-    ZOO_ENVELOPES,
-    build_zoo_scenario,
-    probe_digest,
-    zoo_scenario_names,
-)
+from repro.workloads.zoo import ZOO_ENVELOPES, build_zoo_scenario, zoo_scenario_names
+from zoo_probe import probe_digest
 
 SCENARIOS = zoo_scenario_names()
 

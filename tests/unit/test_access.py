@@ -47,11 +47,6 @@ class TestZipfWorkingSet:
         assert len(pages) <= 50
         assert all(table.pages.contains(p) for p in pages)
 
-    def test_footprint_is_working_set(self, setup):
-        _, table, _, seeds = setup
-        pattern = ZipfWorkingSet(table.pages, 77, 0.8, 10, seeds.stream("z"))
-        assert pattern.footprint_pages() == 77
-
     def test_rejects_oversized_working_set(self, setup):
         _, table, _, seeds = setup
         with pytest.raises(ValueError):
@@ -81,11 +76,6 @@ class TestUniformWorkingSet:
         for _ in range(100):
             pages.update(pattern.pages_for_execution().demand)
         assert len(pages) == 20  # every page of a tiny set eventually touched
-
-    def test_footprint(self, setup):
-        _, table, _, seeds = setup
-        pattern = UniformWorkingSet(table.pages, 33, 5, seeds.stream("u"))
-        assert pattern.footprint_pages() == 33
 
     @pytest.mark.parametrize("pages_per_execution", [0, -3])
     def test_rejects_non_positive_pages_per_execution(self, setup, pages_per_execution):
@@ -124,11 +114,6 @@ class TestSequentialChunkScan:
         _, table, _, _ = setup
         scan = SequentialChunkScan(table.pages, chunk=10, region=10**9)
         assert scan.region == table.page_count
-
-    def test_footprint_is_region(self, setup):
-        _, table, _, _ = setup
-        scan = SequentialChunkScan(table.pages, chunk=10, region=500)
-        assert scan.footprint_pages() == 500
 
     def test_zero_region_is_rejected_not_read_as_whole_range(self, setup):
         _, table, _, _ = setup
@@ -229,17 +214,6 @@ class TestPlanSwitchingPattern:
         assert not pattern.using_index
         assert len(pattern.pages_for_execution().demand) == 50
 
-    def test_footprint_follows_active_plan(self, setup):
-        allocator, table, index, seeds = setup
-        catalog = IndexCatalog()
-        catalog.add(index)
-        indexed = ZipfWorkingSet(table.pages, 10, 0.5, 5, seeds.stream("i"))
-        fallback = SequentialChunkScan(table.pages, chunk=50, region=400)
-        pattern = PlanSwitchingPattern(catalog, "idx", indexed, fallback)
-        assert pattern.footprint_pages() == 10
-        catalog.drop("idx")
-        assert pattern.footprint_pages() == 400
-
 
 class TestCompositePattern:
     def test_concatenates_parts(self, setup):
@@ -252,16 +226,6 @@ class TestCompositePattern:
         )
         access = pattern.pages_for_execution()
         assert len(access.demand) == 7
-
-    def test_footprint_sums(self, setup):
-        _, table, _, seeds = setup
-        pattern = CompositePattern(
-            [
-                ZipfWorkingSet(table.pages, 10, 0.5, 3, seeds.stream("a")),
-                SequentialChunkScan(table.pages, chunk=4, region=50),
-            ]
-        )
-        assert pattern.footprint_pages() == 60
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

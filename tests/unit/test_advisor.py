@@ -1,10 +1,10 @@
-"""Unit tests for the what-if quota advisor."""
+"""Unit tests for the what-if quota advisor, one pool at a time."""
 
 import pytest
 
-from repro.core.advisor import assess_plan, predict_miss_ratios
+from repro.core.advisor import PoolAssignment, assess_pool
 from repro.core.mrc import MissRatioCurve
-from repro.core.quota import QuotaPlan, find_quotas
+from repro.core.quota import find_quotas
 
 
 def looping_curve(pages: int, repeats: int = 30) -> MissRatioCurve:
@@ -12,6 +12,34 @@ def looping_curve(pages: int, repeats: int = 30) -> MissRatioCurve:
     from ~1.0 below the working-set size to ~cold-only at or above it."""
     trace = list(range(pages)) * repeats
     return MissRatioCurve.from_trace(trace)
+
+
+def predict_miss_ratios(curves, quotas, pool_pages):
+    """Predicted miss ratio of each class in one pool under ``quotas``."""
+    assessment = assess_pool(
+        PoolAssignment("pool", pool_pages, curves=curves, quotas=quotas)
+    )
+    return {
+        key: prediction.predicted_miss_ratio
+        for key, prediction in assessment.predictions.items()
+    }
+
+
+def assess(curves, parameters, quotas, pool_pages):
+    return assess_pool(
+        PoolAssignment(
+            "pool", pool_pages, curves=curves, parameters=parameters, quotas=quotas
+        )
+    )
+
+
+def failing(assessment):
+    """Classes predicted above their acceptable miss ratio."""
+    return sorted(
+        key
+        for key, prediction in assessment.predictions.items()
+        if prediction.predicted_miss_ratio > prediction.acceptable_miss_ratio + 1e-9
+    )
 
 
 class TestPredictMissRatios:
@@ -39,10 +67,6 @@ class TestPredictMissRatios:
         with pytest.raises(ValueError):
             predict_miss_ratios(curves, {"a": 200}, pool_pages=200)
 
-    def test_rejects_unknown_quota_context(self):
-        with pytest.raises(KeyError):
-            predict_miss_ratios({}, {"ghost": 10}, pool_pages=100)
-
     def test_rejects_bad_pool(self):
         with pytest.raises(ValueError):
             predict_miss_ratios({}, {}, pool_pages=0)
@@ -62,33 +86,24 @@ class TestAssessPlan:
         plan = find_quotas(
             {"hog": parameters["hog"]}, {"rest": parameters["rest"]}, pool
         )
-        assessment = assess_plan(curves, parameters, plan, pool)
-        assert assessment.all_acceptable
-        assert assessment.failing() == []
+        assessment = assess(curves, parameters, plan.quotas, pool)
+        assert failing(assessment) == []
 
     def test_starving_plan_flagged(self):
         pool = 400
         curves, parameters = self.make_world(pool)
-        plan = QuotaPlan(feasible=True, quotas={"hog": 30}, shared_pages=370)
-        assessment = assess_plan(curves, parameters, plan, pool)
-        assert not assessment.all_acceptable
-        assert assessment.failing() == ["hog"]
+        assessment = assess(curves, parameters, {"hog": 30}, pool)
+        assert failing(assessment) == ["hog"]
 
     def test_prediction_details_exposed(self):
         pool = 400
         curves, parameters = self.make_world(pool)
-        plan = QuotaPlan(feasible=True, quotas={"hog": 160}, shared_pages=240)
-        assessment = assess_plan(curves, parameters, plan, pool)
+        assessment = assess(curves, parameters, {"hog": 160}, pool)
         hog = assessment.predictions["hog"]
         assert hog.memory_pages == 160
         assert 0.0 <= hog.predicted_miss_ratio <= 1.0
         rest = assessment.predictions["rest"]
         assert rest.memory_pages == 240  # the shared remainder
-
-    def test_infeasible_plan_rejected(self):
-        curves, parameters = self.make_world()
-        with pytest.raises(ValueError):
-            assess_plan(curves, parameters, QuotaPlan(feasible=False), 400)
 
     def test_quota_search_plans_keep_their_promise(self):
         """The paper's claim, verified: at the searched quotas every class is
@@ -106,5 +121,9 @@ class TestAssessPlan:
             pool,
         )
         assert plan.feasible
-        assessment = assess_plan(curves, parameters, plan, pool)
-        assert assessment.all_acceptable
+        assessment = assess(curves, parameters, plan.quotas, pool)
+        assert failing(assessment) == []
+        assert {
+            key: prediction.memory_pages
+            for key, prediction in assessment.predictions.items()
+        } == {"a": 120, "b": 180, "rest": 200}

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles.lru import prefetch_per_page
-from repro.engine.bufferpool import (
-    LRUBufferPool,
-    PartitionedBufferPool,
-    PoolStats,
-    replay_trace,
-)
+from oracles.lru import lru_order, prefetch_per_page, resident
+from repro.engine.bufferpool import LRUBufferPool, PartitionedBufferPool, PoolStats
 
 
 class TestPoolStats:
@@ -18,36 +13,23 @@ class TestPoolStats:
 
     def test_counts_accumulate(self):
         stats = PoolStats()
-        stats.record_hit("q")
-        stats.record_miss("q")
-        stats.record_miss("q")
+        stats.record_batch("q", hits=1, misses=0)
+        stats.record_batch("q", hits=0, misses=2)
         assert stats.accesses == 3
         assert stats.hit_ratio == pytest.approx(1 / 3)
-        assert stats.miss_ratio == pytest.approx(2 / 3)
 
     def test_per_class_isolation(self):
         stats = PoolStats()
-        stats.record_hit("a")
-        stats.record_miss("b")
-        assert stats.class_hit_ratio("a") == 1.0
-        assert stats.class_hit_ratio("b") == 0.0
-
-    def test_unknown_class_hit_ratio_is_one(self):
-        assert PoolStats().class_hit_ratio("nope") == 1.0
+        stats.record_batch("a", hits=1, misses=0)
+        stats.record_batch("b", hits=0, misses=1)
+        assert stats.per_class["a"] == {"hits": 1, "misses": 0, "readaheads": 0}
+        assert stats.per_class["b"] == {"hits": 0, "misses": 1, "readaheads": 0}
 
     def test_readahead_counts(self):
         stats = PoolStats()
         stats.record_readahead("q", 5)
         assert stats.readaheads == 5
         assert stats.per_class["q"]["readaheads"] == 5
-
-    def test_reset_clears_everything(self):
-        stats = PoolStats()
-        stats.record_hit("q")
-        stats.record_readahead("q")
-        stats.reset()
-        assert stats.accesses == 0
-        assert stats.per_class == {}
 
 
 class TestLRUBufferPool:
@@ -57,58 +39,58 @@ class TestLRUBufferPool:
 
     def test_first_access_misses(self):
         pool = LRUBufferPool(4)
-        assert pool.access(1) is False
+        assert pool.access_many([1]) == 0
 
     def test_second_access_hits(self):
         pool = LRUBufferPool(4)
-        pool.access(1)
-        assert pool.access(1) is True
+        pool.access_many([1])
+        assert pool.access_many([1]) == 1
 
     def test_capacity_enforced(self):
         pool = LRUBufferPool(2)
         for page in (1, 2, 3):
-            pool.access(page)
+            pool.access_many([page])
         assert len(pool) == 2
 
     def test_lru_eviction_order(self):
         pool = LRUBufferPool(2)
-        pool.access(1)
-        pool.access(2)
-        pool.access(3)  # evicts 1
-        assert not pool.resident(1)
-        assert pool.resident(2) and pool.resident(3)
+        pool.access_many([1])
+        pool.access_many([2])
+        pool.access_many([3])  # evicts 1
+        assert not resident(pool, 1)
+        assert resident(pool, 2) and resident(pool, 3)
 
     def test_access_refreshes_recency(self):
         pool = LRUBufferPool(2)
-        pool.access(1)
-        pool.access(2)
-        pool.access(1)  # 1 is now MRU
-        pool.access(3)  # evicts 2
-        assert pool.resident(1) and not pool.resident(2)
+        pool.access_many([1])
+        pool.access_many([2])
+        pool.access_many([1])  # 1 is now MRU
+        pool.access_many([3])  # evicts 2
+        assert resident(pool, 1) and not resident(pool, 2)
 
     def test_lru_order_reports_least_recent_first(self):
         pool = LRUBufferPool(3)
         for page in (1, 2, 3):
-            pool.access(page)
-        pool.access(1)
-        assert pool.lru_order() == [2, 3, 1]
+            pool.access_many([page])
+        pool.access_many([1])
+        assert lru_order(pool) == [2, 3, 1]
 
     def test_prefetch_loads_pages_without_demand_misses(self):
         pool = LRUBufferPool(4)
-        fetched = pool.prefetch([1, 2], "q")
+        fetched = pool.prefetch_many([1, 2], "q")
         assert fetched == 2
         assert pool.stats.misses == 0
         assert pool.stats.readaheads == 2
 
     def test_prefetch_skips_resident_pages(self):
         pool = LRUBufferPool(4)
-        pool.access(1)
-        assert pool.prefetch([1, 2]) == 1
+        pool.access_many([1])
+        assert pool.prefetch_many([1, 2]) == 1
 
     def test_demand_after_prefetch_hits(self):
         pool = LRUBufferPool(4)
-        pool.prefetch([5])
-        assert pool.access(5) is True
+        pool.prefetch_many([5])
+        assert pool.access_many([5]) == 1
 
 
 class TestPartitionedBufferPool:
@@ -134,10 +116,10 @@ class TestPartitionedBufferPool:
         pool.assign("scan", "hog")
         # Fill the hog partition beyond quota; default stays untouched.
         for page in (1, 2, 3):
-            pool.access(page, "scan")
-        assert not pool.resident(1)  # evicted within the 2-page partition
-        pool.access(100, "other")
-        assert pool.resident(100)
+            pool.access_many([page], "scan")
+        assert not resident(pool, 1)  # evicted within the 2-page partition
+        pool.access_many([100], "other")
+        assert resident(pool, 100)
 
     def test_assign_to_unknown_partition_rejected(self):
         pool = PartitionedBufferPool(10, quotas={"hog": 4})
@@ -147,91 +129,93 @@ class TestPartitionedBufferPool:
     def test_isolation_between_partitions(self):
         pool = PartitionedBufferPool(8, quotas={"hog": 4})
         pool.assign("scan", "hog")
-        pool.access(1, "victim")  # default partition
+        pool.access_many([1], "victim")  # default partition
         # Scan floods its own partition only.
         for page in range(100, 120):
-            pool.access(page, "scan")
-        assert pool.resident(1)
+            pool.access_many([page], "scan")
+        assert resident(pool, 1)
 
     def test_global_stats_aggregate(self):
         pool = PartitionedBufferPool(8, quotas={"hog": 4})
         pool.assign("scan", "hog")
-        pool.access(1, "scan")
-        pool.access(1, "scan")
-        pool.access(2, "other")
+        pool.access_many([1], "scan")
+        pool.access_many([1], "scan")
+        pool.access_many([2], "other")
         assert pool.stats.hits == 1
         assert pool.stats.misses == 2
 
     def test_len_sums_partitions(self):
         pool = PartitionedBufferPool(8, quotas={"hog": 4})
         pool.assign("scan", "hog")
-        pool.access(1, "scan")
-        pool.access(2, "other")
+        pool.access_many([1], "scan")
+        pool.access_many([2], "other")
         assert len(pool) == 2
 
     def test_prefetch_respects_partition(self):
         pool = PartitionedBufferPool(6, quotas={"hog": 2})
         pool.assign("scan", "hog")
-        pool.prefetch([1, 2, 3], "scan")
+        pool.prefetch_many([1, 2, 3], "scan")
         assert len(pool) == 2  # clipped to the hog partition's quota
 
     def test_partition_stats_accessible(self):
         pool = PartitionedBufferPool(8, quotas={"hog": 4})
         pool.assign("scan", "hog")
-        pool.access(1, "scan")
-        assert pool.partition_stats("hog").misses == 1
+        pool.access_many([1], "scan")
+        assert pool._partitions["hog"].stats.misses == 1
 
 
 class TestReplayTrace:
     def test_single_class_replay(self):
         pool = LRUBufferPool(2)
-        stats = replay_trace(pool, [1, 2, 1, 3, 1])
-        assert stats.accesses == 5
-        assert stats.hits == 2  # the two re-references to page 1
+        pool.access_many([1, 2, 1, 3, 1])
+        assert pool.stats.accesses == 5
+        assert pool.stats.hits == 2  # the two re-references to page 1
 
     def test_replay_with_class_tags(self):
+        # An interleaved trace goes down as one batch per run of one class.
         pool = LRUBufferPool(4)
-        stats = replay_trace(pool, [1, 2, 1], classes=["a", "b", "a"])
-        assert stats.class_hit_ratio("a") == pytest.approx(0.5)
-        assert stats.class_hit_ratio("b") == 0.0
+        for page, query_class in zip([1, 2, 1], ["a", "b", "a"]):
+            pool.access_many([page], query_class)
+        assert pool.stats.per_class["a"]["hits"] == 1
+        assert pool.stats.per_class["a"]["misses"] == 1
+        assert pool.stats.per_class["b"]["misses"] == 1
+        assert pool.stats.per_class["b"]["hits"] == 0
 
 
 class TestEvictionCounters:
     def test_no_evictions_below_capacity(self):
         pool = LRUBufferPool(4)
-        replay_trace(pool, [1, 2, 3])
+        pool.access_many([1, 2, 3])
         assert pool.stats.evictions == 0
         assert pool.total_evictions == 0
 
     def test_every_overflow_admission_evicts_once(self):
         pool = LRUBufferPool(2)
-        replay_trace(pool, [1, 2, 3, 4, 5])
+        pool.access_many([1, 2, 3, 4, 5])
         # Pool holds 2 pages; admissions 3..5 each push one victim out.
         assert pool.total_evictions == 3
         assert len(pool) == 2
 
     def test_prefetch_evictions_counted(self):
         pool = LRUBufferPool(2)
-        pool.prefetch([1, 2, 3, 4])
+        pool.prefetch_many([1, 2, 3, 4])
         assert pool.total_evictions == 2
 
-    def test_record_eviction_and_reset(self):
+    def test_record_eviction_accumulates(self):
         stats = PoolStats()
         stats.record_eviction()
         stats.record_eviction(2)
         assert stats.evictions == 3
-        stats.reset()
-        assert stats.evictions == 0
 
     def test_partitioned_pool_sums_partition_evictions(self):
         pool = PartitionedBufferPool(6, quotas={"scan": 2})
         pool.assign("scan-class", "scan")
         # The scan partition holds 2 pages: the third access evicts one.
         for page in (100, 101, 102):
-            pool.access(page, "scan-class")
+            pool.access_many([page], "scan-class")
         # The 4-page default partition sees five distinct pages: one eviction.
         for page in (1, 2, 3, 4, 5):
-            pool.access(page, "other")
+            pool.access_many([page], "other")
         assert pool.total_evictions == 2
 
 
@@ -252,11 +236,12 @@ class TestEvictionAccounting:
     child-partition evictions reach the partitioned pool's top-level stats."""
 
     def test_admit_routes_through_record_eviction(self):
+        # One page per batch: every admission past capacity reports itself.
         pool = LRUBufferPool(2)
         pool.stats = _EvictionSpyStats()
         for page in (1, 2, 3, 4):
-            pool.access(page)
-        assert pool.stats.record_eviction_calls > 0
+            pool.access_many([page])
+        assert pool.stats.record_eviction_calls == 2
         assert pool.stats.evictions == 2
 
     def test_batched_access_routes_through_record_eviction(self):
@@ -270,9 +255,9 @@ class TestEvictionAccounting:
         pool = PartitionedBufferPool(6, quotas={"hog": 2})
         pool.assign("scan", "hog")
         for page in range(5):
-            pool.access(page, "scan")
+            pool.access_many([page], "scan")
         for page in range(100, 106):
-            pool.access(page, "other")
+            pool.access_many([page], "other")
         assert pool.stats.evictions > 0
         assert pool.stats.evictions == pool.total_evictions
 
@@ -285,7 +270,7 @@ class TestEvictionAccounting:
     def test_partitioned_prefetch_evictions_reach_top_level_stats(self):
         pool = PartitionedBufferPool(6, quotas={"hog": 2})
         pool.assign("scan", "hog")
-        pool.prefetch([1, 2, 3, 4], "scan")
+        pool.prefetch_many([1, 2, 3, 4], "scan")
         assert pool.stats.evictions == pool.total_evictions == 2
 
 
@@ -298,7 +283,7 @@ class TestBatchedAccess:
         pool = LRUBufferPool(4)
         hits = pool.access_many(np.asarray([1, 2, 1], dtype=np.int64))
         assert hits == 1
-        assert pool.lru_order() == [2, 1]
+        assert lru_order(pool) == [2, 1]
 
     def test_access_many_updates_per_class_stats(self):
         pool = LRUBufferPool(4)
@@ -318,8 +303,8 @@ class TestBatchedAccess:
             pool = LRUBufferPool(8)
             fetched = pool.prefetch_many(vector, "q")
             assert fetched == 3
-            assert pool.lru_order() == [5, 3, 7]
-            assert all(type(page) is int for page in pool.lru_order())
+            assert lru_order(pool) == [5, 3, 7]
+            assert all(type(page) is int for page in lru_order(pool))
             assert pool.stats.readaheads == 3
 
     def test_prefetch_many_overflow_matches_per_page_loop(self):
@@ -330,7 +315,7 @@ class TestBatchedAccess:
         assert fast.prefetch_many(np.asarray(vector), "q") == 4
         slow = LRUBufferPool(2)
         prefetch_per_page(slow, vector, "q")
-        assert fast.lru_order() == slow.lru_order()
+        assert lru_order(fast) == lru_order(slow)
         assert fast.stats.readaheads == slow.stats.readaheads
         assert fast.total_evictions == slow.total_evictions
 
@@ -341,4 +326,4 @@ class TestBatchedAccess:
         pool.access_many([9], "other")
         assert pool.stats.hits == 1
         assert pool.stats.misses == 3
-        assert pool.partition_stats("hog").misses == 2
+        assert pool._partitions["hog"].stats.misses == 2

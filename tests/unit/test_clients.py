@@ -7,8 +7,15 @@ from repro.cluster.scheduler import Scheduler
 from repro.cluster.server import PhysicalServer
 from repro.sim.rng import SeedSequenceFactory
 from repro.workloads.clients import ClosedLoopDriver
-from repro.workloads.load import ConstantLoad, SineLoad, StepLoad
+from repro.workloads.load import ConstantLoad, LoadFunction, SineLoad
 from repro.workloads.tpcw import build_tpcw
+
+
+class _TenThenThree(LoadFunction):
+    """Ten clients for the first ten seconds, three after."""
+
+    def clients_at(self, timestamp: float) -> int:
+        return 10 if timestamp < 10.0 else 3
 
 
 def make_driver(clients=5, think=1.0):
@@ -52,8 +59,7 @@ class TestClosedLoopDriver:
         workload = build_tpcw(seed=3)
         scheduler = Scheduler(workload.app)
         scheduler.add_replica(Replica.create("r1", workload.app, PhysicalServer("s")))
-        load = StepLoad([(0.0, 10), (10.0, 3)])
-        driver = ClosedLoopDriver(workload, scheduler, load=load)
+        driver = ClosedLoopDriver(workload, scheduler, load=_TenThenThree())
         driver.run_interval(0.0, 10.0)
         driver.run_interval(10.0, 10.0)
         assert driver.active_clients == 3
@@ -84,20 +90,6 @@ class TestLoadFunctions:
     def test_constant_rejects_negative(self):
         with pytest.raises(ValueError):
             ConstantLoad(-1)
-
-    def test_step_transitions(self):
-        load = StepLoad([(0.0, 5), (100.0, 20)])
-        assert load.clients_at(50.0) == 5
-        assert load.clients_at(100.0) == 20
-        assert load.clients_at(500.0) == 20
-
-    def test_step_before_first_uses_first(self):
-        load = StepLoad([(10.0, 5)])
-        assert load.clients_at(0.0) == 5
-
-    def test_step_rejects_empty(self):
-        with pytest.raises(ValueError):
-            StepLoad([])
 
     def test_sine_oscillates(self):
         load = SineLoad(base=100, amplitude=50, period=100.0)

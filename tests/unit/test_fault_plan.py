@@ -5,6 +5,14 @@ import pytest
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 
 
+def kinds(plan: FaultPlan) -> dict[str, int]:
+    """How many events of each kind the plan holds."""
+    counts: dict[str, int] = {}
+    for event in plan.events:
+        counts[event.kind.value] = counts.get(event.kind.value, 0) + 1
+    return dict(sorted(counts.items()))
+
+
 class TestFaultEventValidation:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -52,8 +60,8 @@ class TestPlanBuilders:
             .metric_corruption(14.0, "engine")
             .write_stall(16.0, "app", duration=5.0)
         )
-        assert len(plan) == 7
-        assert plan.kinds() == {
+        assert len(plan.events) == 7
+        assert kinds(plan) == {
             "cpu_slowdown": 1,
             "io_slowdown": 1,
             "metric_corruption": 1,
@@ -65,10 +73,8 @@ class TestPlanBuilders:
 
     def test_empty_plan(self):
         plan = FaultPlan()
-        assert plan.empty
-        assert len(plan) == 0
-        assert list(plan) == []
-        assert plan.to_jsonable() == []
+        assert plan.events == []
+        assert plan.ordered() == []
 
     def test_ordered_sorts_by_time(self):
         plan = FaultPlan().crash(20.0, "r1").stats_gap(5.0, "e")
@@ -78,28 +84,6 @@ class TestPlanBuilders:
         plan = FaultPlan().crash(10.0, "r1").stats_gap(10.0, "e")
         kinds = [e.kind for e in plan.ordered()]
         assert kinds == [FaultKind.REPLICA_CRASH, FaultKind.STATS_GAP]
-
-    def test_shifted_moves_every_event(self):
-        plan = FaultPlan().crash(10.0, "r1").recover(20.0, "r1")
-        shifted = plan.shifted(5.0)
-        assert [e.at for e in shifted.ordered()] == [15.0, 25.0]
-        # The original is untouched.
-        assert [e.at for e in plan.ordered()] == [10.0, 20.0]
-
-    def test_to_jsonable_round_trips_fields(self):
-        plan = FaultPlan().io_slowdown(
-            2.0, "host", factor=2.5, duration=8.0, ramp_steps=4
-        )
-        [entry] = plan.to_jsonable()
-        assert entry == {
-            "at": 2.0,
-            "kind": "io_slowdown",
-            "target": "host",
-            "duration": 8.0,
-            "factor": 2.5,
-            "ramp_steps": 4,
-        }
-
 
 class TestRandomPlans:
     def test_same_seed_same_plan(self):
@@ -113,19 +97,19 @@ class TestRandomPlans:
         )
         first = FaultPlan.random(3, **kwargs)
         second = FaultPlan.random(3, **kwargs)
-        assert first.to_jsonable() == second.to_jsonable()
+        assert first.events == second.events
 
     def test_different_seeds_differ(self):
         kwargs = dict(replicas=["r1", "r2"], hosts=["h1"], events=8)
         assert (
-            FaultPlan.random(1, **kwargs).to_jsonable()
-            != FaultPlan.random(2, **kwargs).to_jsonable()
+            FaultPlan.random(1, **kwargs).events
+            != FaultPlan.random(2, **kwargs).events
         )
 
     def test_crashes_always_pair_with_recovery(self):
         plan = FaultPlan.random(11, replicas=["r1", "r2", "r3"], events=12)
-        kinds = plan.kinds()
-        assert kinds.get("replica_crash", 0) == kinds.get("replica_recover", 0)
+        counts = kinds(plan)
+        assert counts.get("replica_crash", 0) == counts.get("replica_recover", 0)
         # Per replica, every crash has a later recovery.
         for replica in ("r1", "r2", "r3"):
             events = [e for e in plan.ordered() if e.target == replica]
@@ -158,7 +142,7 @@ class TestRandomPlans:
 
     def test_kinds_restricted_to_named_targets(self):
         plan = FaultPlan.random(9, replicas=["r1"], events=10)
-        assert set(plan.kinds()) <= {"replica_crash", "replica_recover"}
+        assert set(kinds(plan)) <= {"replica_crash", "replica_recover"}
 
 
 class TestControllerBuilders:
@@ -169,7 +153,7 @@ class TestControllerBuilders:
             .controller_crash(100.0)
             .controller_restart(130.0)
         )
-        assert plan.kinds() == {
+        assert kinds(plan) == {
             "checkpoint_corruption": 1,
             "controller_crash": 1,
             "controller_restart": 1,
@@ -195,9 +179,9 @@ class TestRecoveryPairingValidation:
         plan = FaultPlan().crash(50.0, "r1")
         with pytest.raises(ValueError):
             plan.recover(20.0, "r1")
-        assert len(plan) == 1
+        assert len(plan.events) == 1
         plan.recover(60.0, "r1")  # a correct pairing still works afterwards
-        assert len(plan) == 2
+        assert len(plan.events) == 2
 
     def test_recover_without_any_crash_rejected(self):
         with pytest.raises(ValueError, match="nothing is down"):
@@ -222,7 +206,7 @@ class TestRecoveryPairingValidation:
             .crash(30.0, "r1")
             .recover(40.0, "r1")
         )
-        assert len(plan.validate()) == 4
+        assert len(plan.validate().events) == 4
 
     def test_double_recovery_of_one_outage_rejected(self):
         plan = FaultPlan().crash(10.0, "r1").recover(20.0, "r1")
@@ -244,7 +228,7 @@ class TestRecoveryPairingValidation:
         assert plan.validate() is plan
 
     def test_checkpoint_corruption_needs_no_pairing(self):
-        assert len(FaultPlan().checkpoint_corruption(5.0).validate()) == 1
+        assert len(FaultPlan().checkpoint_corruption(5.0).validate().events) == 1
 
 
 class TestRandomControllerStorms:
@@ -252,20 +236,20 @@ class TestRandomControllerStorms:
         plan = FaultPlan.random(
             13, replicas=["r1"], events=16, controller=True, horizon=400.0
         )
-        kinds = plan.kinds()
-        assert kinds.get("controller_crash", 0) >= 1  # seed 13 draws some
-        assert kinds.get("controller_crash", 0) == kinds.get(
+        counts = kinds(plan)
+        assert counts.get("controller_crash", 0) >= 1  # seed 13 draws some
+        assert counts.get("controller_crash", 0) == counts.get(
             "controller_restart", 0
         )
         plan.validate()
 
     def test_controller_disabled_by_default(self):
         plan = FaultPlan.random(13, replicas=["r1"], events=16, horizon=400.0)
-        assert "controller_crash" not in plan.kinds()
+        assert "controller_crash" not in kinds(plan)
 
     def test_same_seed_same_controller_storm(self):
         kwargs = dict(replicas=["r1"], events=10, controller=True)
         assert (
-            FaultPlan.random(4, **kwargs).to_jsonable()
-            == FaultPlan.random(4, **kwargs).to_jsonable()
+            FaultPlan.random(4, **kwargs).events
+            == FaultPlan.random(4, **kwargs).events
         )

@@ -18,9 +18,6 @@ class _FewPages(AccessPattern):
     def pages_for_execution(self):
         return ExecutionAccess(demand=[1])
 
-    def footprint_pages(self):
-        return 1
-
 
 def make_world():
     engine = DatabaseEngine(EngineConfig(name="e", pool_pages=128, log_buffer_capacity=4))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles.locks import held_resources
 from repro.engine.locks import (
     _Hold,
     LockGrant,
@@ -109,8 +110,8 @@ class TestLockManager:
     def test_held_resources(self):
         manager = LockManager()
         manager.acquire("a", [req(0), req(1)], now=0.0, hold_for=2.0)
-        assert manager.held_resources(1.0) == 2
-        assert manager.held_resources(3.0) == 0
+        assert held_resources(manager, 1.0) == 2
+        assert held_resources(manager, 3.0) == 0
 
     def test_rejects_negative_hold(self):
         with pytest.raises(ValueError):
@@ -143,8 +144,8 @@ class TestHoldExpiry:
         manager.acquire("a", [shared], now=0.0, hold_for=2.0)
         manager.acquire("b", [shared], now=0.0, hold_for=2.0)
         assert [h.owner for h in manager._holds[("t", 0)]] == ["a", "b"]
-        assert manager.held_resources(1.0) == 1
-        assert manager.held_resources(2.0 + 1e-9) == 0
+        assert held_resources(manager, 1.0) == 1
+        assert held_resources(manager, 2.0 + 1e-9) == 0
         assert not manager._holds and not manager._expiry
 
     def test_equal_release_times_on_different_resources(self):
@@ -158,9 +159,9 @@ class TestHoldExpiry:
         assert [h.owner for h in manager._holds[("t", 0)]] == ["a", "c"]
         assert [h.owner for h in manager._holds[("t", 1)]] == ["b"]
         # a and b expire together; c (installed at t=2, held to t=5) stays.
-        assert manager.held_resources(2.5) == 1
+        assert held_resources(manager, 2.5) == 1
         assert [h.owner for h in manager._holds[("t", 0)]] == ["c"]
-        assert manager.held_resources(5.0) == 0
+        assert held_resources(manager, 5.0) == 0
 
     def test_expiry_ties_never_compare_holds(self):
         # Equal release times fall through to the install sequence; a hold
@@ -169,8 +170,8 @@ class TestHoldExpiry:
         for owner in "abcdefgh":
             manager.acquire(owner, [req(0, LockMode.SHARED), req(1, LockMode.SHARED)],
                             now=0.0, hold_for=1.0)
-        assert manager.held_resources(0.5) == 2
-        assert manager.held_resources(1.0) == 0
+        assert held_resources(manager, 0.5) == 2
+        assert held_resources(manager, 1.0) == 0
 
 
 class TestLockStats:

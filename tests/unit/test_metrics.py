@@ -31,12 +31,12 @@ class TestVectorFromStats:
 
     def test_throughput_normalised_by_interval(self):
         vector = vector_from_stats(stats(executions=20), interval_length=10.0)
-        assert vector[Metric.THROUGHPUT] == 2.0
+        assert vector.get(Metric.THROUGHPUT) == 2.0
 
     def test_latency_is_mean(self):
         # 5.0 seconds spread over 10 executions -> 0.5 s mean latency.
         vector = vector_from_stats(stats(executions=10, latency=5.0), 10.0)
-        assert vector[Metric.LATENCY] == pytest.approx(0.5)
+        assert vector.get(Metric.LATENCY) == pytest.approx(0.5)
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
@@ -52,25 +52,25 @@ class TestRatioTo:
     def test_plain_ratio(self):
         current = self.vec(misses=30.0)
         stable = self.vec(misses=10.0)
-        assert current.ratio_to(stable)[Metric.MISSES] == 3.0
+        assert current.ratio_to(stable).get(Metric.MISSES) == 3.0
 
     def test_zero_over_zero_is_unchanged(self):
         current = self.vec(readaheads=0.0)
         stable = self.vec(readaheads=0.0)
-        assert current.ratio_to(stable)[Metric.READAHEADS] == 1.0
+        assert current.ratio_to(stable).get(Metric.READAHEADS) == 1.0
 
     def test_positive_over_zero_is_laplace_smoothed(self):
         # (current + 1) / (0 + 1): inflation scales with the absolute
         # change instead of the old flat 1e6 cap.
         current = self.vec(readaheads=50.0)
         stable = self.vec(readaheads=0.0)
-        ratio = current.ratio_to(stable)[Metric.READAHEADS]
+        ratio = current.ratio_to(stable).get(Metric.READAHEADS)
         assert ratio == 51.0
 
     def test_missing_stable_metric_treated_as_zero(self):
         current = self.vec(misses=5.0)
         stable = MetricVector("app/q", {})
-        assert current.ratio_to(stable)[Metric.MISSES] == 6.0
+        assert current.ratio_to(stable).get(Metric.MISSES) == 6.0
 
     def test_small_absolute_drift_from_zero_stays_near_one(self):
         # The collateral-flag case the smoothing exists for: a class whose
@@ -78,7 +78,7 @@ class TestRatioTo:
         # unbounded increase.
         current = self.vec(misses=2.0)
         stable = self.vec(misses=0.0)
-        assert current.ratio_to(stable)[Metric.MISSES] == 3.0
+        assert current.ratio_to(stable).get(Metric.MISSES) == 3.0
 
     def test_get_defaults_to_zero(self):
         assert MetricVector("app/q", {}).get(Metric.LATENCY) == 0.0

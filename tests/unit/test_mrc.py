@@ -198,8 +198,7 @@ class TestMissRatioCurve:
         curve = MissRatioCurve.from_trace(trace)
         for capacity in (1, 4, 16, 64):
             pool = LRUBufferPool(capacity)
-            for page in trace:
-                pool.access(int(page))
+            pool.access_many(trace)
             assert curve.hits_at(capacity) == pool.stats.hits
 
     def test_cyclic_scan_is_lru_pathological(self):

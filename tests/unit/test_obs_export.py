@@ -32,7 +32,7 @@ def instrumented_run() -> Observability:
     with tracer.span("controller.interval", attrs={"interval": 0}):
         with tracer.span("mrc.recompute", attrs={"context": "tpcw/q1"}) as span:
             span.add_cost(100)
-        clock.advance(10.0)
+        clock.advance_to(clock.now + 10.0)
     registry.counter("mrc.recomputations", app="tpcw").inc(2)
     registry.counter("controller.actions", app="tpcw", kind="apply_quotas").inc()
     registry.counter("scheduler.sla_violations", app="tpcw").inc(3)
@@ -111,7 +111,7 @@ class TestSummary:
             TelemetrySummary.from_lines(['{"record":"mystery"}'])
 
     def test_stage_profiles_ranked_by_work(self):
-        summary = TelemetrySummary.from_observability(instrumented_run())
+        summary = TelemetrySummary.from_records(telemetry_records(instrumented_run()))
         profiles = summary.stage_profiles()
         assert [p.name for p in profiles] == [
             "mrc.recompute", "controller.interval",
@@ -122,14 +122,14 @@ class TestSummary:
         assert recompute.mean_work == 100
 
     def test_queries(self):
-        summary = TelemetrySummary.from_observability(instrumented_run())
+        summary = TelemetrySummary.from_records(telemetry_records(instrumented_run()))
         assert summary.mrc_recomputations_by_app() == {"tpcw": 2.0}
         assert summary.action_histogram() == {"apply_quotas": 1.0}
         assert summary.sla_violations_by_app() == {"tpcw": 3.0}
 
     def test_render_contains_required_sections(self):
-        summary = TelemetrySummary.from_observability(
-            instrumented_run(), meta={"scenario": "unit"}
+        summary = TelemetrySummary.from_records(
+            telemetry_records(instrumented_run(), meta={"scenario": "unit"})
         )
         text = summary.render()
         assert "Pipeline stages (top spans by work)" in text
@@ -191,7 +191,7 @@ class TestAllocationHistory:
     def test_no_allocations_no_section(self):
         # Fault-free telemetry carries no allocation records; the report
         # must not grow a section (the goldens pin its exact output).
-        text = TelemetrySummary.from_observability(instrumented_run()).render()
+        text = TelemetrySummary.from_records(telemetry_records(instrumented_run())).render()
         assert "Machine allocation timeline" not in text
 
 

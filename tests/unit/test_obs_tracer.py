@@ -60,7 +60,7 @@ class TestSimClockTiming:
         clock = SimClock()
         tracer = Tracer(clock)
         with tracer.span("interval") as span:
-            clock.advance(10.0)
+            clock.advance_to(clock.now + 10.0)
         assert span.start == 0.0
         assert span.end == 10.0
         assert span.duration == 10.0
@@ -71,9 +71,9 @@ class TestSimClockTiming:
         with tracer.span("parent") as parent:
             for _ in range(3):
                 with tracer.span("child") as child:
-                    clock.advance(2.0)
+                    clock.advance_to(clock.now + 2.0)
                 assert child.duration == 2.0
-            clock.advance(1.0)
+            clock.advance_to(clock.now + 1.0)
         children = [s for s in tracer.finished_spans() if s.name == "child"]
         assert sum(c.duration for c in children) <= parent.duration
         for child in children:
@@ -82,7 +82,7 @@ class TestSimClockTiming:
 
     def test_explicit_start_stretches_back(self):
         clock = SimClock()
-        clock.advance(10.0)
+        clock.advance_to(clock.now + 10.0)
         tracer = Tracer(clock)
         with tracer.span("interval", start=0.0) as span:
             pass
@@ -91,7 +91,7 @@ class TestSimClockTiming:
 
     def test_end_never_precedes_start(self):
         clock = SimClock()
-        clock.advance(5.0)
+        clock.advance_to(clock.now + 5.0)
         tracer = Tracer(clock)
         with tracer.span("future", start=8.0) as span:
             pass
@@ -103,7 +103,7 @@ class TestSimClockTiming:
         with tracer.span("before") as before:
             pass
         clock = SimClock()
-        clock.advance(3.0)
+        clock.advance_to(clock.now + 3.0)
         tracer.bind_clock(clock)
         with tracer.span("after") as after:
             pass

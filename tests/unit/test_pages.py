@@ -3,27 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine.pages import (
-    PAGE_SIZE_BYTES,
-    PageRange,
-    PageSpaceAllocator,
-    pages_for_bytes,
-)
-
-
-class TestPagesForBytes:
-    def test_zero_bytes_needs_one_page(self):
-        assert pages_for_bytes(0) == 1
-
-    def test_exact_page(self):
-        assert pages_for_bytes(PAGE_SIZE_BYTES) == 1
-
-    def test_one_byte_over_rounds_up(self):
-        assert pages_for_bytes(PAGE_SIZE_BYTES + 1) == 2
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            pages_for_bytes(-1)
+from repro.engine.pages import PageRange, PageSpaceAllocator
 
 
 class TestPageRange:

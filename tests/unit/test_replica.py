@@ -12,9 +12,6 @@ class _ScriptedPattern(AccessPattern):
     def pages_for_execution(self):
         return ExecutionAccess(demand=[1, 2, 3])
 
-    def footprint_pages(self):
-        return 3
-
 
 def make_class(app="app"):
     return QueryClass("q", app, 1, "select 1", _ScriptedPattern(), cpu_cost=0.01)
@@ -84,9 +81,3 @@ class TestWrites:
         replica.apply_write(1)
         with pytest.raises(ValueError):
             replica.apply_write(3)
-
-    def test_repr_shows_state(self):
-        replica = Replica.create("r1", "app", PhysicalServer("s"))
-        assert "online" in repr(replica)
-        replica.fail()
-        assert "OFFLINE" in repr(replica)

@@ -74,16 +74,6 @@ class TestSeedSequenceFactory:
         f1.stream("a")  # extra stream created first
         assert f1.stream("b").uniform() == f2.stream("b").uniform()
 
-    def test_fork_creates_independent_namespace(self):
-        factory = SeedSequenceFactory(1)
-        child = factory.fork("child")
-        assert factory.stream("a").uniform() != child.stream("a").uniform()
-
-    def test_fork_deterministic(self):
-        a = SeedSequenceFactory(1).fork("c").stream("x").uniform()
-        b = SeedSequenceFactory(1).fork("c").stream("x").uniform()
-        assert a == b
-
 
 class TestZipfGenerator:
     def test_rejects_bad_support(self):

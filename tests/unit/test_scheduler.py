@@ -13,9 +13,6 @@ class _ScriptedPattern(AccessPattern):
     def pages_for_execution(self):
         return ExecutionAccess(demand=[1])
 
-    def footprint_pages(self):
-        return 1
-
 
 def make_class(name="q", app="app", write=False):
     return QueryClass(

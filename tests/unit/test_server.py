@@ -126,6 +126,3 @@ class TestPhysicalServer:
     def test_memory_pages_from_spec(self):
         server = PhysicalServer("s", ServerSpec(memory_pages=1234))
         assert server.memory_pages == 1234
-
-    def test_repr(self):
-        assert "s1" in repr(PhysicalServer("s1"))

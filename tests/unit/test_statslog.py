@@ -123,13 +123,6 @@ class TestThreadLogBuffer:
         assert buffer.flush() == 0
         assert buffer.flushes == 0
 
-    def test_shutdown_flushes_remainder(self):
-        log = EngineLog()
-        buffer = ThreadLogBuffer(log, capacity=100)
-        buffer.log(record())
-        buffer.shutdown()
-        assert log.records_ingested == 1
-
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
             ThreadLogBuffer(EngineLog(), capacity=0)

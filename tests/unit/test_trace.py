@@ -13,8 +13,8 @@ class TestAccessWindow:
 
     def test_records_accesses(self):
         window = AccessWindow(10)
-        window.record(1)
-        window.record(2)
+        window.record_many([1])
+        window.record_many([2])
         assert window.snapshot().tolist() == [1, 2]
 
     def test_evicts_oldest_beyond_capacity(self):
@@ -30,7 +30,7 @@ class TestAccessWindow:
 
     def test_snapshot_dtype(self):
         window = AccessWindow(4)
-        window.record(7)
+        window.record_many([7])
         assert window.snapshot().dtype == np.int64
 
     @pytest.mark.parametrize("recorded", [6, 10, 27], ids=["unwrapped", "full", "wrapped"])
@@ -45,7 +45,7 @@ class TestAccessWindow:
 
     def test_snapshot_rejects_negative_last(self):
         window = AccessWindow(4)
-        window.record(7)
+        window.record_many([7])
         with pytest.raises(ValueError):
             window.snapshot(last=-1)
 
@@ -97,10 +97,10 @@ class TestWindowSlice:
         window.record_many(range(10))
         reference = window.slice_ending_at(10, 4)  # accesses 6..9
         window.record_many(range(10, 15))
-        window.record(15)  # one access short: 6 is still the oldest
+        window.record_many([15])  # one access short: 6 is still the oldest
         assert window.copied_accesses == 0 and reference._copy is None
         assert window.snapshot().tolist()[0] == 6
-        window.record(16)  # overwrites 6: copied first
+        window.record_many([16])  # overwrites 6: copied first
         assert window.copied_accesses == 4
         assert reference.read().tolist() == [6, 7, 8, 9]
         window.record_many(range(17, 40))  # copied once

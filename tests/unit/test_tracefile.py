@@ -80,6 +80,21 @@ class TestTraceRoundTrip:
         with pytest.raises(ValueError, match="integer"):
             load_traces(path)
 
+    @pytest.mark.parametrize(
+        "trace", [[1.7, 2.2], [True, False], np.asarray([1.0, 2.0])],
+        ids=["floats", "bools", "float-array"],
+    )
+    def test_non_integer_trace_rejected_on_save(self, tmp_path, trace):
+        path = tmp_path / "bad.npz"
+        with pytest.raises(ValueError, match="integer"):
+            save_traces(path, {"app/q": trace})
+        assert not path.exists()
+
+    def test_empty_trace_saved(self, tmp_path):
+        path = tmp_path / "empty.npz"
+        save_traces(path, {"app/q": []})
+        assert load_traces(path)["app/q"].tolist() == []
+
     def test_archive_without_traces_rejected(self, tmp_path):
         path = tmp_path / "meta_only.npz"
         np.savez_compressed(path, __meta__=np.asarray([FORMAT_VERSION]))

@@ -8,9 +8,9 @@ from repro.workloads.zoo import (
     ZOO_SCENARIOS,
     build_antagonist,
     build_zoo_scenario,
-    probe_digest,
     zoo_scenario_names,
 )
+from zoo_probe import probe_digest
 
 
 class TestGroundTruthLabel:
