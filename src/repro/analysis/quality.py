@@ -162,7 +162,7 @@ def quality_records(report: QualityReport) -> list[dict]:
     """A quality report as ``{"record": "quality", ...}`` dicts.
 
     One summary record per scenario — the shape ``repro obs report``
-    renders and ``repro zoo --export`` writes.
+    renders and ``repro zoo --records`` writes.
     """
     return [
         {

@@ -16,7 +16,7 @@ queries (one-interval feedback lag, like a real monitoring loop).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["ServerSpec", "IntervalLoad", "LoadModel", "PhysicalServer"]
 

@@ -160,6 +160,12 @@ def shared_partition_pages(
 
 def assess_pool(assignment: PoolAssignment) -> PlanAssessment:
     """Advisor verdict on one pool of a proposed cluster arrangement."""
+    unknown = sorted(set(assignment.quotas) - set(assignment.curves))
+    if unknown:
+        raise ValueError(
+            f"quota for class(es) {unknown} with no miss-ratio curve: their "
+            "pages would be reserved and never assessed"
+        )
     effective = shared_partition_pages(
         assignment.curves,
         assignment.quotas,

@@ -32,7 +32,6 @@ import numpy as np
 from ..sim.rng import RandomStream, ZipfGenerator
 from .indexes import BTreeIndex, IndexCatalog
 from .pages import PageRange
-from .tables import Table
 
 __all__ = [
     "ExecutionAccess",

@@ -16,7 +16,6 @@ stack); leaf pages are as numerous as the data demands.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

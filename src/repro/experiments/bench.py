@@ -9,18 +9,23 @@ forecast) — is declared here exactly once, as a :class:`Scenario`:
   configuration;
 * its **artefact**: the result projected to plain JSON types — latencies,
   quotas, feasibility flags, *never* a wall-clock value;
-* its **rendering** (the paper's eight commands): the reproduced table or
-  series next to the paper's reference numbers;
+* its **rendering** (the entries that name a command): the reproduced table
+  or series next to the paper's reference numbers;
 * its **invariants**: one predicate ``artefact -> list[str]`` naming the
   properties the artefact breaks — the paper's *shape* (who wins, by roughly
   what factor) or the contract a subsystem exists to provide *whatever the
   baseline says* (quarantined windows emit no action, detection-quality
-  floors, no ungated act-ahead, ...).
+  floors, no ungated act-ahead, ...);
+* optionally its **records** (the JSONL ``--records`` writes) and when a run
+  **fails** (``plan`` and ``forecast`` on a failed what-if validation).
 
 Everything else derives from :data:`SCENARIOS`:
 
-* ``repro fig3 … locks``, ``list`` and ``all`` loop over the entries that
-  name a command (:mod:`repro.cli`);
+* ``repro <command>``, ``list`` and ``all`` loop over the entries that name
+  a command (:mod:`repro.cli`); the knobs of a run, ``seed`` included, are
+  its command's flags.  ``chaos``, ``storm``, ``plan``, ``zoo`` and
+  ``forecast`` are commands only (``bench=False``): everything below skips
+  them;
 * :func:`run_bench` runs any subset, serially or sharded across a process
   pool (``repro bench --parallel N``); the scenarios are seeded end-to-end,
   so a parallel run's artefacts are byte-identical to a serial run's —
@@ -59,6 +64,8 @@ __all__ = [
     "BenchRun",
     "DEFAULT_BASELINE_DIR",
     "positive_int",
+    "non_negative_int",
+    "bench_names",
     "run_bench",
     "artefact_lines",
     "artefact_digest",
@@ -97,9 +104,16 @@ class Scenario:
     """``repro <command>`` prints :attr:`render` of a run; ``None`` keeps
     the scenario to ``repro bench``."""
     help: str = ""
+    bench: bool = True
+    """``False`` keeps the entry to its command: ``repro bench``, its
+    baselines and the artefact digest skip it."""
     project: Callable[[Any], Any] = to_jsonable
     render: Callable[[Any], str] | None = None
     check: Callable[[dict], list[str]] | None = None
+    records: Callable[[Any], list[dict]] | None = None
+    """The JSONL records ``repro <command> --records PATH`` writes."""
+    fails: Callable[[Any], bool] | None = None
+    """When it holds of a run, ``repro <command>`` exits 1."""
 
     def artefact(self) -> dict:
         """Run at the committed configuration; the artefact as plain JSON."""
@@ -119,22 +133,35 @@ class Scenario:
         self.check = check
         return check
 
+    def recording(self, records: Callable[[Any], list[dict]]):
+        self.records = records
+        return records
+
+    def failing(self, fails: Callable[[Any], bool]):
+        self.fails = fails
+        return fails
+
 
 SCENARIOS: dict[str, Scenario] = {}
 """Name → scenario, in declaration order (the order of every report and of
 the artefact digest)."""
 
 
-def scenario(command: str | None = None, help: str = ""):
+def scenario(command: str | None = None, help: str = "", bench: bool = True):
     """Register the decorated seeded run as a scenario of the same name."""
 
     def register(run: Callable[..., Any]) -> Scenario:
         entry = SCENARIOS[run.__name__] = Scenario(
-            run.__name__, run, command, help
+            run.__name__, run, command, help, bench
         )
         return entry
 
     return register
+
+
+def bench_names() -> list[str]:
+    """The scenarios ``repro bench`` runs and pins, in registry order."""
+    return [name for name, entry in SCENARIOS.items() if entry.bench]
 
 
 def _broken(*checks: tuple[bool, str]) -> list[str]:
@@ -151,6 +178,13 @@ def _attributes(*names: str) -> Callable[[Any], dict]:
     return project
 
 
+def _table(title: str, headers: list[str], rows) -> str:
+    table = Table(title=title, headers=headers)
+    for row in rows:
+        table.add_row(*row)
+    return table.render()
+
+
 # Imports live inside each run: scenario modules pull in the whole cluster
 # stack, and worker processes only pay for what they run.
 #
@@ -158,13 +192,18 @@ def _attributes(*names: str) -> Callable[[Any], dict]:
 # the properties its artefact ``a`` breaks, empty when it breaks none.  A
 # shape the artefact does not hold (fig. 4's read-ahead ratio, fig. 5's
 # degraded curve, ...) is pinned by the scenario's integration test instead.
+#
+# A command-only entry (``bench=False``) follows the benchmarked entry whose
+# driver it calls.
 
 
 @scenario(command="fig3", help="sine client load, reactive CPU provisioning")
-def fig3_cpu_saturation(intervals: int = 72):
+def fig3_cpu_saturation(intervals: int = 72, seed: int = 7):
     from .cpu_saturation import CPUSaturationConfig, run_cpu_saturation
 
-    return run_cpu_saturation(CPUSaturationConfig(intervals=intervals))
+    return run_cpu_saturation(
+        CPUSaturationConfig(intervals=intervals, seed=seed)
+    )
 
 
 fig3_cpu_saturation.projection(
@@ -214,10 +253,10 @@ def check_fig3_cpu_saturation(a: dict) -> list[str]:
 
 
 @scenario(command="fig4", help="index drop: metric ratios, outliers, quota")
-def fig4_index_drop(clients: int = 60):
+def fig4_index_drop(clients: int = 60, seed: int = 7):
     from .index_drop import IndexDropConfig, run_index_drop
 
-    return run_index_drop(IndexDropConfig(clients=clients))
+    return run_index_drop(IndexDropConfig(clients=clients, seed=seed))
 
 
 @fig4_index_drop.projection
@@ -288,13 +327,15 @@ def _check_acceptable_memory(floor: int, a: dict) -> list[str]:
 
 
 @scenario(command="fig5", help="BestSeller miss-ratio curve")
-def fig5_mrc_bestseller(executions: int = 400):
+def fig5_mrc_bestseller(executions: int = 400, seed: int = 7):
     """The indexed curve, and the degraded one the command prints beside it."""
     from .mrc_curves import run_fig5_bestseller, run_fig5_bestseller_degraded
 
     return (
-        run_fig5_bestseller(executions=executions),
-        run_fig5_bestseller_degraded(executions=max(1, executions // 5)),
+        run_fig5_bestseller(executions=executions, seed=seed),
+        run_fig5_bestseller_degraded(
+            executions=max(1, executions // 5), seed=seed
+        ),
     )
 
 
@@ -325,10 +366,10 @@ fig5_mrc_bestseller.invariants(partial(_check_acceptable_memory, 5000))
 
 
 @scenario(command="fig6", help="SearchItemsByRegion miss-ratio curve")
-def fig6_mrc_rubis(executions: int = 200):
+def fig6_mrc_rubis(executions: int = 200, seed: int = 11):
     from .mrc_curves import run_fig6_search_items_by_region
 
-    return run_fig6_search_items_by_region(executions=executions)
+    return run_fig6_search_items_by_region(executions=executions, seed=seed)
 
 
 fig6_mrc_rubis.projection(_mrc_artefact)
@@ -348,13 +389,13 @@ fig6_mrc_rubis.invariants(partial(_check_acceptable_memory, 6500))
 
 
 @scenario(command="table1", help="buffer-pool organisations: hit ratios")
-def table1_buffer_partitioning():
+def table1_buffer_partitioning(seed: int = 7):
     from .buffer_partitioning import (
         BufferPartitioningConfig,
         run_buffer_partitioning,
     )
 
-    return run_buffer_partitioning(BufferPartitioningConfig())
+    return run_buffer_partitioning(BufferPartitioningConfig(seed=seed))
 
 
 @table1_buffer_partitioning.rendering
@@ -385,10 +426,10 @@ def check_table1_buffer_partitioning(a: dict) -> list[str]:
 @scenario(
     command="table2", help="shared-pool memory contention (TPC-W + RUBiS)"
 )
-def table2_memory_contention():
+def table2_memory_contention(seed: int = 7):
     from .memory_contention import MemoryContentionConfig, run_memory_contention
 
-    return run_memory_contention(MemoryContentionConfig())
+    return run_memory_contention(MemoryContentionConfig(seed=seed))
 
 
 table2_memory_contention.projection(_attributes("rows", "rescheduled_context"))
@@ -423,10 +464,12 @@ def check_table2_memory_contention(a: dict) -> list[str]:
 
 
 @scenario(command="table3", help="Xen dom0 I/O contention (two RUBiS domains)")
-def table3_io_contention(clients: int = 150):
+def table3_io_contention(clients: int = 150, seed: int = 11):
     from .io_contention import IOContentionConfig, run_io_contention
 
-    return run_io_contention(IOContentionConfig(clients_per_instance=clients))
+    return run_io_contention(
+        IOContentionConfig(clients_per_instance=clients, seed=seed)
+    )
 
 
 table3_io_contention.projection(
@@ -468,10 +511,10 @@ def check_table3_io_contention(a: dict) -> list[str]:
 @scenario(
     command="locks", help="lock-contention anomaly (the paper's future work)"
 )
-def lock_contention(clients: int = 50):
+def lock_contention(clients: int = 50, seed: int = 7):
     from .lock_contention import LockContentionConfig, run_lock_contention
 
-    return run_lock_contention(LockContentionConfig(clients=clients))
+    return run_lock_contention(LockContentionConfig(clients=clients, seed=seed))
 
 
 lock_contention.projection(
@@ -689,10 +732,10 @@ def check_ablation_sampled_mrc(a: dict) -> list[str]:
 
 
 @scenario()
-def chaos_failover():
+def chaos_failover(seed: int = 7):
     from .chaos import ChaosConfig, run_chaos
 
-    return run_chaos(ChaosConfig())
+    return run_chaos(ChaosConfig(seed=seed))
 
 
 chaos_failover.projection(
@@ -731,11 +774,84 @@ def check_chaos_failover(a: dict) -> list[str]:
     )
 
 
+def _faults_and_end(result) -> str:
+    return (
+        f"\nfaults injected: {result.faults_injected}\nfinal latency: "
+        f"{result.final_latency:.3f} s (SLA {result.sla_latency:.1f} s, "
+        f"met at end: {result.sla_met_at_end()})"
+    )
+
+
+@scenario(command="chaos", help="fault-injection storm: failover, quarantine, "
+          "recovery", bench=False)
+def chaos(intervals: int = 32, clients: int = 90, seed: int = 7):
+    from .chaos import ChaosConfig, run_chaos
+
+    return run_chaos(ChaosConfig(intervals=intervals, clients=clients, seed=seed))
+
+
+chaos.projection(chaos_failover.project)
+
+
+@chaos.rendering
+def _(result) -> str:
+    series = format_series(
+        "Chaos — mean latency (crash at t=125, recovery at t=205)",
+        result.latency_series, x_label="t (s)", y_label="latency",
+    )
+    reactions = _table("fault reactions", ["measure", "value"], [
+        ("re-route intervals after crash", result.reroute_intervals),
+        ("quarantined windows", result.quarantined_intervals),
+        ("violating+degraded intervals", result.violating_degraded_intervals),
+        ("actions during quarantine", result.actions_during_quarantine),
+        ("SLA violations during outage", result.violations_during_outage),
+        ("intervals to SLA recovery", result.sla_recovery_intervals),
+        ("stale pending writes dropped", result.pending_stale_dropped),
+    ])
+    return f"{series}\n{reactions}\n{_faults_and_end(result)}"
+
+
+@scenario(command="storm", help="seeded random fault storm, controller "
+          "crashes included", bench=False)
+def storm(seed: int = 7, events: int = 6, intervals: int = 32, clients: int = 90):
+    """The same seed replays the same storm; the command prints its plan."""
+    from .chaos import ChaosStormConfig, run_chaos_storm
+
+    return run_chaos_storm(ChaosStormConfig(
+        seed=seed, events=events, intervals=intervals, clients=clients
+    ))
+
+
+@storm.rendering
+def _(result) -> str:
+    plan = _table(
+        f"storm plan (seed {result.seed}, {result.events} events)",
+        ["t (s)", "fault", "target", "duration (s)"],
+        [(f"{event.at:.1f}", event.kind.value, event.target,
+          f"{event.duration:.1f}" if event.duration else "-")
+         for event in result.plan.ordered()],
+    )
+    series = format_series(
+        f"storm — mean latency (seed {result.seed})",
+        result.latency_series, x_label="t (s)", y_label="latency",
+    )
+    outcome = _table("storm outcome", ["measure", "value"], [
+        ("SLA violations", result.violations),
+        ("controller crashes", result.controller_crashes),
+        ("controller restarts", result.controller_restarts),
+        ("interval closes missed", result.missed_intervals),
+        ("final controller epoch", result.epoch_final),
+        ("duplicate actions", result.duplicate_actions),
+        ("unmatched faults", result.unmatched_faults),
+    ])
+    return f"{plan}\n\n{series}\n{outcome}\n{_faults_and_end(result)}"
+
+
 @scenario()
-def chaos_control_plane() -> dict:
+def chaos_control_plane(seed: int = 7) -> dict:
     from .control_chaos import ControlChaosConfig, run_control_chaos
 
-    result = run_control_chaos(ControlChaosConfig())
+    result = run_control_chaos(ControlChaosConfig(seed=seed))
     supervisor = result.supervisor
     journal = supervisor.journal
     reconcile = supervisor.last_reconcile
@@ -792,10 +908,10 @@ def check_chaos_control_plane(a: dict) -> list[str]:
 
 
 @scenario()
-def planner_sweep():
-    from .planner_sweep import run_planner_sweep
+def planner_sweep(seed: int = 7):
+    from .planner_sweep import PlannerSweepConfig, run_planner_sweep
 
-    return run_planner_sweep()
+    return run_planner_sweep(PlannerSweepConfig(seed=seed))
 
 
 @planner_sweep.invariants
@@ -827,6 +943,49 @@ def check_planner_sweep(a: dict) -> list[str]:
     )
 
 
+@scenario(command="plan", help="capacity planner: print/validate/apply a "
+          "cluster plan", bench=False)
+def plan(
+    seed: int = 7, planner_seed: int = 0, validate: bool = False,
+    apply: bool = False,
+):
+    """``planner_sweep``'s plan at its contended planning point, replayed in
+    a rebuilt harness (``validate``) and actuated on the scenario copy
+    (``apply``): ``(plan, validation, actions, releases)``."""
+    from .planner_sweep import (
+        PlannerSweepConfig,
+        plan_at_planning_point,
+        validate_at_planning_point,
+    )
+
+    config = PlannerSweepConfig(seed=seed, planner_seed=planner_seed)
+    searched, harness = plan_at_planning_point(config)
+    validation = validate_at_planning_point(searched, config) if validate else None
+    if not apply:
+        return searched, validation, None, 0
+    actions = harness.controller.apply_plan(searched, harness.clock.now)
+    history = harness.controller.resource_manager.history
+    releases = sum(event.action == "release" for event in history)
+    return searched, validation, actions, releases
+
+
+plan.projection(lambda result: result[0].to_jsonable())
+plan.failing(lambda result: result[1] is not None and not result[1].ok)
+
+
+@plan.rendering
+def _(result) -> str:
+    searched, validation, actions, releases = result
+    lines = [searched.render(), f"\nplan digest: {searched.digest()}"]
+    if validation is not None:
+        lines += ["", validation.render()]
+    if actions is not None:
+        lines.append(f"\napplied {len(actions)} actions:")
+        lines += [f"  {action.kind.value}: {action.reason}" for action in actions]
+        lines += [f"  plus {releases} replica release(s)"] if releases else []
+    return "\n".join(lines)
+
+
 ZOO_QUALITY_FLOORS = {
     "diurnal": (1.0, 1.0),
     "flash_crowd": (0.55, 0.99),
@@ -842,10 +1001,10 @@ hurt by whoever pollutes it), not an aspirational one.  Raising a floor must
 come from a detector improvement, not from relabelling."""
 
 
-def _run_zoo(name: str) -> dict:
+def _run_zoo(name: str, seed: int = 7) -> dict:
     from .zoo import run_zoo, zoo_artefact
 
-    return zoo_artefact(run_zoo(name))
+    return zoo_artefact(run_zoo(name, seed=seed))
 
 
 def _check_zoo_quality(
@@ -871,11 +1030,58 @@ for _name in ZOO_SCENARIOS:
     )
 
 
-@scenario()
-def forecast_eval() -> dict:
-    from .forecast_eval import forecast_eval_artefact, run_forecast_eval
+@scenario(command="zoo", help="workload zoo: anomaly scenarios, detection "
+          "quality", bench=False)
+def zoo(scenario: str | None = None, seed: int = 7):
+    """Every zoo scenario, or the one named, scored against its labels."""
+    from .zoo import run_zoo
 
-    return forecast_eval_artefact(run_forecast_eval())
+    names = [scenario] if scenario else sorted(ZOO_SCENARIOS)
+    return [run_zoo(name, seed=seed) for name in names]
+
+
+@zoo.projection
+def _(results) -> list[dict]:
+    from .zoo import zoo_artefact
+
+    return [zoo_artefact(result) for result in results]
+
+
+@zoo.rendering
+def _(results) -> str:
+    return _table(
+        f"workload zoo — detection quality (seed {results[0].scenario.seed})",
+        ["scenario", "precision", "recall", "F1", "tp", "fp", "fn", "actions"],
+        [(result.scenario.name, f"{quality.precision:.3f}",
+          f"{quality.recall:.3f}", f"{quality.f1:.3f}", quality.true_positives,
+          quality.false_positives, quality.false_negatives, len(result.actions))
+         for result in results for quality in [result.quality]],
+    )
+
+
+@zoo.recording
+def _(results) -> list[dict]:
+    from ..analysis.quality import quality_records
+
+    meta = {"record": "meta", "scenario": "zoo", "seed": results[0].scenario.seed,
+            "runs": [result.scenario.name for result in results]}
+    return [meta, *(
+        record for result in results for record in quality_records(result.quality)
+    )]
+
+
+@scenario()
+def forecast_eval(seed: int = 7):
+    from .forecast_eval import ForecastEvalConfig, run_forecast_eval
+
+    return run_forecast_eval(ForecastEvalConfig(seed=seed))
+
+
+@forecast_eval.projection
+def _forecast_artefact(result) -> dict:
+    from .forecast_eval import forecast_eval_artefact
+
+    return forecast_eval_artefact(result)
 
 
 @forecast_eval.invariants
@@ -907,6 +1113,62 @@ def check_forecast_eval(a: dict) -> list[str]:
     return _broken(*checks)
 
 
+@scenario(command="forecast", help="predictive SLA enforcement: reactive vs "
+          "forecast", bench=False)
+def forecast(horizon: int = 2, margin: float = 0.9, seed: int = 7):
+    from .forecast_eval import ForecastEvalConfig, run_forecast_eval
+
+    return run_forecast_eval(
+        ForecastEvalConfig(seed=seed, horizon=horizon, margin=margin)
+    )
+
+
+forecast.projection(_forecast_artefact)
+forecast.failing(
+    lambda result: result.validation is not None and not result.validation.ok
+)
+
+
+@forecast.rendering
+def _(result) -> str:
+    config, outcomes = result.config, result.outcomes
+    table = _table(
+        f"reactive vs predictive (horizon {config.horizon}, "
+        f"margin {config.margin:g})",
+        ["scenario", "reactive", "predictive", "avoided", "acted", "hits",
+         "false alarms", "budget left"],
+        [(outcome.name, outcome.score.violations_reactive,
+          outcome.score.violations_predictive, outcome.score.intervals_avoided,
+          outcome.score.acted, outcome.score.hits, outcome.score.false_alarms,
+          outcome.stats.get("budget_remaining", 0)) for outcome in outcomes],
+    )
+    lines = [table, ""]
+    for outcome in outcomes:
+        lines += [f"{outcome.name:12s} reactive   {outcome.sla_reactive}",
+                  f"{'':12s} predictive {outcome.sla_predictive}"]
+    lines.append(
+        f"\nSLA-violation intervals avoided: {result.total_intervals_avoided}"
+    )
+    if result.plan is not None:
+        lines.append(f"planning-point plan: {len(result.plan.steps)} steps, "
+                     f"digest {result.plan.digest()[:16]}")
+    if result.validation is not None:
+        # Rounded as in the artefact, so the line reads what --export writes.
+        error = round(result.validation.max_relative_error, 6)
+        lines.append(f"predicted vs simulated: max relative error {error:.4f} "
+                     f"(ok: {result.validation.ok})")
+    return "\n".join(lines)
+
+
+@forecast.recording
+def _(result) -> list[dict]:
+    from ..forecast.score import forecast_records
+
+    meta = {"record": "meta", "scenario": "forecast_eval",
+            "seed": result.config.seed, "horizon": result.config.horizon}
+    return [meta, *forecast_records(result.records())]
+
+
 # --------------------------------------------------------------------- #
 # Execution                                                             #
 # --------------------------------------------------------------------- #
@@ -930,16 +1192,16 @@ def _timed_scenario(name: str) -> BenchRun:
 def resolve_names(only: str | None = None) -> list[str]:
     """The scenario subset a ``--only a,b,c`` selector names (all when
     empty), in registry order, with unknown names rejected."""
+    names = bench_names()
     if not only:
-        return list(SCENARIOS)
+        return names
     wanted = [name.strip() for name in only.split(",") if name.strip()]
-    unknown = sorted(set(wanted) - set(SCENARIOS))
+    unknown = sorted(set(wanted) - set(names))
     if unknown:
         raise KeyError(
-            f"unknown benchmark scenario(s) {unknown}; "
-            f"known: {sorted(SCENARIOS)}"
+            f"unknown benchmark scenario(s) {unknown}; known: {sorted(names)}"
         )
-    return [name for name in SCENARIOS if name in wanted]
+    return [name for name in names if name in wanted]
 
 
 def run_bench(
@@ -950,7 +1212,7 @@ def run_bench(
     Timings are measured inside each worker around the scenario call, so a
     parallel run reports per-scenario costs, not wall-clock shares.
     """
-    names = list(SCENARIOS) if names is None else names
+    names = bench_names() if names is None else names
     return run_sweep(
         [
             SweepTask(name=f"bench/{name}", fn=_timed_scenario, args=(name,))
@@ -1013,7 +1275,7 @@ def load_baseline(directory: str | Path, name: str) -> dict | None:
 def orphan_baselines(directory: str | Path) -> list[str]:
     """``BENCH_*.json`` files in ``directory`` that no scenario owns: what a
     rename or a removal leaves behind, committed and never checked again."""
-    owned = {baseline_path(directory, name) for name in SCENARIOS}
+    owned = {baseline_path(directory, name) for name in bench_names()}
     return sorted(
         path.name
         for path in Path(directory).glob("BENCH_*.json")
@@ -1066,12 +1328,21 @@ def compare_with_baseline(run: BenchRun, baseline: dict) -> list[str]:
 # --------------------------------------------------------------------- #
 
 
+def _int_at_least(low: int, text: str) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}: {value}")
+    return value
+
+
 def positive_int(text: str) -> int:
     """argparse ``type=`` of every count-like flag: an integer ≥ 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
-    return value
+    return _int_at_least(1, text)
+
+
+def non_negative_int(text: str) -> int:
+    """argparse ``type=`` of every seed flag: an integer ≥ 0."""
+    return _int_at_least(0, text)
 
 
 def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
@@ -1104,7 +1375,7 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
 def run_bench_command(args: argparse.Namespace) -> int:
     if getattr(args, "list_scenarios", False):
         print("Benchmark scenarios:")
-        for name in SCENARIOS:
+        for name in bench_names():
             print(f"  {name}")
         return 0
     only = getattr(args, "only", None)

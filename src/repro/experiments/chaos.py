@@ -227,7 +227,7 @@ def run_chaos(
 
 
 # --------------------------------------------------------------------- #
-# Seeded random storms (`repro chaos --seed N`)                          #
+# Seeded random storms (`repro storm --seed N`)                          #
 # --------------------------------------------------------------------- #
 
 
@@ -257,6 +257,8 @@ class ChaosStormResult:
     """One seeded storm's outcome."""
 
     seed: int
+    events: int
+    """The events drawn; a crash adds its recovery to the plan on top."""
     plan: FaultPlan
     sla_latency: float
     latency_series: list[tuple[float, float]] = field(default_factory=list)
@@ -281,8 +283,7 @@ def build_storm_plan(config: ChaosStormConfig, app: str) -> FaultPlan:
     Targets mirror :func:`build_chaos_plan`: only the first replica can
     crash (the survivor keeps the application alive), slowdowns hit its
     host, and the stats faults land on the surviving engine.  The same
-    seed and config always yield the same plan, so the CLI can print the
-    plan and then replay it from scratch.
+    seed and config always yield the same plan.
     """
     return FaultPlan.random(
         seed=config.seed,
@@ -307,7 +308,8 @@ def run_chaos_storm(config: ChaosStormConfig | None = None) -> ChaosStormResult:
     injector = harness.install_faults(plan)
 
     result = ChaosStormResult(
-        seed=config.seed, plan=plan, sla_latency=config.sla_latency
+        seed=config.seed, events=config.events, plan=plan,
+        sla_latency=config.sla_latency,
     )
     for _ in range(config.intervals):
         step = harness.run(intervals=1)

@@ -15,7 +15,7 @@ added, throughput recovers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..cluster.scheduler import Scheduler
 from ..sim.rng import RandomStream, SeedSequenceFactory

@@ -41,9 +41,8 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("obs", "report", "--input", "{dir}/telemetry.jsonl"),
     ("plan", "--validate", "--apply", "--export", "{dir}/plan.json"),
     ("chaos",),
-    ("chaos", "--seed", "0"),
-    ("zoo",),
-    ("zoo", "--list"),
+    ("storm", "--seed", "0"),
+    ("zoo", "--records", "{dir}/zoo.jsonl"),
     ("forecast", "--export", "{dir}/forecast.json",
      "--records", "{dir}/forecast.jsonl"),
 )

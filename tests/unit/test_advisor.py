@@ -71,6 +71,15 @@ class TestPredictMissRatios:
         with pytest.raises(ValueError):
             predict_miss_ratios({}, {}, pool_pages=0)
 
+    def test_rejects_a_quota_for_a_class_with_no_curve(self):
+        # The quota would reserve 10 pages that no prediction accounts for.
+        with pytest.raises(ValueError, match="ghost"):
+            predict_miss_ratios({}, {"ghost": 10}, pool_pages=100)
+        with pytest.raises(ValueError, match="ghost"):
+            predict_miss_ratios(
+                {"a": looping_curve(10)}, {"a": 20, "ghost": 10}, pool_pages=100
+            )
+
 
 class TestAssessPlan:
     def make_world(self, pool=400):

@@ -16,6 +16,8 @@ pinned to the table: one file per scenario, none left over, no ``timing``.
 
 import argparse
 import copy
+import importlib
+import inspect
 import json
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from repro.experiments.bench import (
     Scenario,
     add_bench_arguments,
     artefact_digest,
+    bench_names,
     artefact_lines,
     baseline_path,
     compare_with_baseline,
@@ -37,6 +40,7 @@ from repro.experiments.bench import (
     run_bench_command,
     write_baseline,
 )
+from repro.workloads.zoo import ZOO_SCENARIOS
 
 COMMITTED = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
 
@@ -55,17 +59,29 @@ def baseline_for(run: BenchRun) -> dict:
     }
 
 
+BENCHED = bench_names()
+
+COMMAND_ONLY = ["chaos", "storm", "plan", "zoo", "forecast"]
+
+
 class TestResolveNames:
     def test_empty_selects_all_in_registry_order(self):
-        assert resolve_names(None) == list(SCENARIOS)
+        assert resolve_names(None) == BENCHED
+        assert len(BENCHED) == 22
 
     def test_subset_keeps_registry_order(self):
-        last, first = list(SCENARIOS)[-1], list(SCENARIOS)[0]
+        last, first = BENCHED[-1], BENCHED[0]
         assert resolve_names(f"{last},{first}") == [first, last]
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
             resolve_names("no_such_scenario")
+
+    def test_command_only_entries_are_not_benchmarked(self):
+        assert sorted(set(SCENARIOS) - set(BENCHED)) == sorted(COMMAND_ONLY)
+        for name in COMMAND_ONLY:
+            with pytest.raises(KeyError):
+                resolve_names(name)
 
 
 class TestDigest:
@@ -137,12 +153,12 @@ class TestCommittedBaselines:
     def test_one_baseline_per_scenario_and_none_left_over(self):
         committed = {path.name for path in COMMITTED.glob("BENCH_*.json")}
         assert committed == {
-            baseline_path(COMMITTED, name).name for name in SCENARIOS
+            baseline_path(COMMITTED, name).name for name in BENCHED
         }
         assert orphan_baselines(COMMITTED) == []
 
     def test_baselines_hold_the_artefact_and_nothing_of_the_machine(self):
-        for name in SCENARIOS:
+        for name in BENCHED:
             assert sorted(load_baseline(COMMITTED, name)) == [
                 "artefact", "name", "schema",
             ]
@@ -323,7 +339,7 @@ CHECKED = sorted(name for name, entry in SCENARIOS.items() if entry.check)
 
 class TestInvariants:
     def test_the_paper_and_every_gated_layer_have_a_predicate(self):
-        unchecked = sorted(set(SCENARIOS) - set(CHECKED))
+        unchecked = sorted(set(BENCHED) - set(CHECKED))
         assert unchecked == [
             "zoo_olap_storm", "zoo_working_set_drift", "zoo_write_burst",
         ]
@@ -410,6 +426,17 @@ class TestCheckCommand:
         code, out = bench_command("--check", "--only", "demo")
         assert code == 0 and "FAILURE" not in out
 
+    def test_a_command_only_entry_is_not_run_listed_or_owning(
+        self, bench_command, tmp_path
+    ):
+        bench.SCENARIOS["cmd"] = Scenario("cmd", lambda: 1 / 0, bench=False)
+        write_baseline(BenchRun("cmd", RUN.artefact, RUN.seconds), tmp_path)
+        code, out = bench_command("--check")
+        assert code == 1
+        assert "FAILURE: BENCH_cmd.json: committed baseline without" in out
+        _, listed = bench_command("--list")
+        assert listed.split() == ["Benchmark", "scenarios:", "demo"]
+
 
 class TestArguments:
     @pytest.mark.parametrize("flag", ["--parallel"])
@@ -421,3 +448,71 @@ class TestArguments:
             parser.parse_args([flag, value])
         assert usage.value.code == 2
         assert flag in capsys.readouterr().err
+
+
+class Reached(Exception):
+    """Raised by a stubbed driver: the run got there, with these arguments."""
+
+
+SEED_DRIVERS = {
+    "fig3_cpu_saturation": ("cpu_saturation", "run_cpu_saturation"),
+    "fig4_index_drop": ("index_drop", "run_index_drop"),
+    "fig5_mrc_bestseller": ("mrc_curves", "run_fig5_bestseller"),
+    "fig6_mrc_rubis": ("mrc_curves", "run_fig6_search_items_by_region"),
+    "table1_buffer_partitioning": (
+        "buffer_partitioning", "run_buffer_partitioning",
+    ),
+    "table2_memory_contention": ("memory_contention", "run_memory_contention"),
+    "table3_io_contention": ("io_contention", "run_io_contention"),
+    "lock_contention": ("lock_contention", "run_lock_contention"),
+    "chaos_failover": ("chaos", "run_chaos"),
+    "chaos": ("chaos", "run_chaos"),
+    "storm": ("chaos", "run_chaos_storm"),
+    "chaos_control_plane": ("control_chaos", "run_control_chaos"),
+    "planner_sweep": ("planner_sweep", "run_planner_sweep"),
+    "plan": ("planner_sweep", "plan_at_planning_point"),
+    **{f"zoo_{name}": ("zoo", "run_zoo") for name in ZOO_SCENARIOS},
+    "zoo": ("zoo", "run_zoo"),
+    "forecast_eval": ("forecast_eval", "run_forecast_eval"),
+    "forecast": ("forecast_eval", "run_forecast_eval"),
+}
+"""Every entry whose run takes ``seed``, and the driver the seed must reach."""
+
+
+def seed_default(entry: Scenario):
+    parameter = inspect.signature(entry.run).parameters.get("seed")
+    return None if parameter is None else parameter.default
+
+
+class TestSeedKnob:
+    """``seed`` is a knob of every seeded run; the drivers are stubbed, so
+    nothing is simulated."""
+
+    def test_every_seeded_entry_is_listed_and_four_drivers_seed_themselves(self):
+        defaults = {name: seed_default(entry) for name, entry in SCENARIOS.items()}
+        assert sorted(name for name, seed in defaults.items() if seed is not None) == (
+            sorted(SEED_DRIVERS)
+        )
+        assert [name for name, seed in defaults.items() if seed is None] == [
+            "sweep_client_load", "sweep_pool_size", "ablations",
+            "ablation_sampled_mrc",
+        ]
+        assert {name for name, seed in defaults.items() if seed == 11} == {
+            "fig6_mrc_rubis", "table3_io_contention",
+        }
+        assert set(defaults.values()) == {None, 7, 11}
+
+    @pytest.mark.parametrize("name", sorted(SEED_DRIVERS))
+    def test_the_seed_given_reaches_the_driver(self, name, monkeypatch):
+        module, driver = SEED_DRIVERS[name]
+
+        def stub(*args, **kwargs):
+            raise Reached(args, kwargs)
+
+        monkeypatch.setattr(
+            importlib.import_module(f"repro.experiments.{module}"), driver, stub
+        )
+        with pytest.raises(Reached) as reached:
+            SCENARIOS[name].run(seed=4242)
+        args, kwargs = reached.value.args
+        assert (kwargs["seed"] if "seed" in kwargs else args[0].seed) == 4242

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+from functools import partial
+
 import pytest
 
 from repro import cli
@@ -8,6 +10,7 @@ from repro.experiments.bench import SCENARIOS
 
 PAPER_COMMANDS = ["fig3", "fig4", "fig5", "fig6", "table1", "table2", "table3",
                   "locks"]
+TABLE_COMMANDS = [*PAPER_COMMANDS, "chaos", "storm", "plan", "zoo", "forecast"]
 
 
 class TestParser:
@@ -28,16 +31,38 @@ class TestParser:
 
     def test_every_scenario_with_a_command_parses_with_its_knobs(self):
         commands = [entry for entry in SCENARIOS.values() if entry.command]
-        assert [entry.command for entry in commands] == PAPER_COMMANDS
+        assert [entry.command for entry in commands] == TABLE_COMMANDS
+        assert list(cli.PAPER_SCENARIOS) == PAPER_COMMANDS
         parser = build_parser()
         for entry in commands:
             assert entry.render is not None
-            argv = [entry.command]
+            argv, expected = [entry.command], {}
             for knob in cli._knobs(entry):
-                argv += [f"--{knob}", "3"]
+                kind, _ = cli.KNOBS[knob]
+                flag = f"--{knob.replace('_', '-')}"
+                if kind is bool:
+                    argv.append(flag)
+                    expected[knob] = True
+                elif isinstance(kind, tuple):
+                    argv += [flag, kind[0]]
+                    expected[knob] = kind[0]
+                else:
+                    argv += [flag, "3"]
+                    expected[knob] = 3
             args = parser.parse_args(argv)
             assert args.command == entry.command
-            assert all(getattr(args, knob) == 3 for knob in cli._knobs(entry))
+            assert {knob: getattr(args, knob) for knob in expected} == expected
+
+    def test_every_scenario_command_and_all_take_a_seed_of_zero(self):
+        parser = build_parser()
+        seeded = [command for command, entry in cli.COMMAND_SCENARIOS.items()
+                  if "seed" in cli._knobs(entry)]
+        assert seeded == TABLE_COMMANDS
+        for command in [*seeded, "all"]:
+            assert parser.parse_args([command, "--seed", "0"]).seed == 0
+        with pytest.raises(SystemExit):
+            parser.parse_args(["fig4", "--seed", "-1"])
+        assert parser.parse_args(["plan", "--planner-seed", "0"]).planner_seed == 0
 
     def test_a_knob_the_scenario_does_not_have_is_rejected(self):
         with pytest.raises(SystemExit):
@@ -60,11 +85,21 @@ class TestParser:
         assert args.export == "a.json"
         assert args.records == "r.jsonl"
 
+    def test_export_on_every_scenario_command_records_only_where_kept(self):
+        parser = build_parser()
+        for command, entry in cli.COMMAND_SCENARIOS.items():
+            assert parser.parse_args([command, "--export", "a"]).export == "a"
+            if entry.records is None:
+                with pytest.raises(SystemExit):
+                    parser.parse_args([command, "--records", "r"])
+        assert [command for command, entry in cli.COMMAND_SCENARIOS.items()
+                if entry.records] == ["zoo", "forecast"]
+
 
 COUNT_FLAGS = [
     ("fig3", "--intervals"), ("fig4", "--clients"), ("fig5", "--executions"),
     ("all", "--clients"), ("all", "--intervals"), ("all", "--executions"),
-    ("chaos", "--clients"), ("chaos", "--intervals"), ("chaos", "--events"),
+    ("chaos", "--clients"), ("chaos", "--intervals"), ("storm", "--events"),
     ("forecast", "--horizon"), ("bench", "--parallel"),
 ]
 
@@ -127,6 +162,18 @@ class TestAllCommand:
             if line.startswith("=" * 20)
         ]
         assert banners == PAPER_COMMANDS
+
+    def test_seed_reaches_every_paper_run(self, monkeypatch, capsys):
+        seen = {}
+
+        def record(command, seed=7):
+            seen[command] = seed
+
+        for command, entry in cli.PAPER_SCENARIOS.items():
+            monkeypatch.setattr(entry, "run", partial(record, command))
+            monkeypatch.setattr(entry, "render", lambda result: "")
+        assert main(["all", "--seed", "3"]) == 0
+        assert seen == dict.fromkeys(PAPER_COMMANDS, 3)
 
 
 class TestFastCommands:
@@ -239,8 +286,8 @@ class TestObsCommand:
 
 
 class TestOptInCommandsExecute:
-    """``chaos``, ``zoo``, ``forecast`` and ``plan`` with the run stubbed by
-    a hand-built real result: what they print, return and write."""
+    """``chaos``, ``storm``, ``zoo``, ``forecast`` and ``plan`` with the run
+    stubbed by a hand-built real result: what they print, return and write."""
 
     def test_chaos_prints_series_and_reactions(self, monkeypatch, capsys):
         from repro.experiments import chaos
@@ -267,7 +314,7 @@ class TestOptInCommandsExecute:
         assert "faults injected: {'replica_crash': 1}" in out
         assert "final latency: 1.700 s (SLA 1.0 s, met at end: False)" in out
 
-    def test_chaos_seed_prints_the_plan_then_the_outcome(
+    def test_storm_prints_the_plan_then_the_outcome(
         self, monkeypatch, capsys
     ):
         from repro.experiments import chaos
@@ -275,6 +322,7 @@ class TestOptInCommandsExecute:
         config = chaos.ChaosStormConfig(seed=3, events=2, intervals=8)
         result = chaos.ChaosStormResult(
             seed=3,
+            events=2,
             plan=chaos.build_storm_plan(config, "tpcw"),
             sla_latency=1.0,
             latency_series=[(10.0, 0.4)],
@@ -288,7 +336,7 @@ class TestOptInCommandsExecute:
             chaos, "run_chaos_storm",
             lambda config: seen.append(config) or result,
         )
-        assert main(["chaos", "--seed", "3", "--events", "2",
+        assert main(["storm", "--seed", "3", "--events", "2",
                      "--intervals", "8"]) == 0
         assert seen == [config]
         out = capsys.readouterr().out
@@ -316,26 +364,30 @@ class TestOptInCommandsExecute:
 
         monkeypatch.setattr(zoo, "run_zoo", run_zoo)
 
-    def test_zoo_export_is_a_file_obs_report_renders(
+    def test_zoo_records_are_a_file_obs_report_renders(
         self, monkeypatch, capsys, tmp_path
     ):
         self._stub_zoo(monkeypatch)
         path = tmp_path / "quality.jsonl"
         assert main(["zoo", "--scenario", "flash_crowd", "--seed", "11",
-                     "--export", str(path)]) == 0
+                     "--records", str(path)]) == 0
         out = capsys.readouterr().out
         assert "workload zoo — detection quality (seed 11)" in out
         assert "flash_crowd  0.556      1.000   0.714  5   4   0   1" in out
-        assert f"quality report written: {path}" in out
+        assert f"records written: {path}" in out
         assert main(["obs", "report", "--input", str(path)]) == 0
         report = capsys.readouterr().out
         assert "runs=['flash_crowd'], scenario=zoo, seed=11" in report
         assert "Detection quality vs injected ground truth" in report
         assert "flash_crowd  0.556      1.000   0.714  5   4   0" in report
 
-    def test_zoo_unknown_scenario_exits_2(self, capsys):
-        assert main(["zoo", "--scenario", "nope"]) == 2
-        assert "unknown scenario(s) ['nope']" in capsys.readouterr().err
+    def test_zoo_unknown_scenario_exits_2_naming_the_known_ones(self, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main(["zoo", "--scenario", "nope"])
+        assert usage.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --scenario: invalid choice: 'nope'" in err
+        assert "'flash_crowd'" in err and "'write_burst'" in err
 
     def test_forecast_records_are_a_file_obs_report_renders(
         self, monkeypatch, capsys, tmp_path
@@ -373,7 +425,7 @@ class TestOptInCommandsExecute:
         assert "reactive vs predictive (horizon 3, margin 0.9)" in out
         assert "flash_crowd  4         1           3        1      1" in out
         assert "SLA-violation intervals avoided: 3" in out
-        assert f"forecast records written: {path}" in out
+        assert f"records written: {path}" in out
         assert main(["obs", "report", "--input", str(path)]) == 0
         report = capsys.readouterr().out
         assert "horizon=3, scenario=forecast_eval, seed=7" in report
@@ -393,22 +445,24 @@ class TestOptInCommandsExecute:
         )
         checks = [ClassCheck("tpcw/best_seller", 0.1, 0.4, accesses=100,
                              tolerance=0.25)]
+        configs = []
         monkeypatch.setattr(
             planner_sweep, "plan_at_planning_point",
-            lambda config: (plan, None),
+            lambda config: configs.append(config) or (plan, None),
         )
         monkeypatch.setattr(
             planner_sweep, "validate_at_planning_point",
             lambda plan, config: PlanValidation(checks=checks),
         )
         path = tmp_path / "plan.json"
-        assert main(["plan", "--seed", "5", "--export", str(path)]) == 0
+        assert main(["plan", "--planner-seed", "5", "--export", str(path)]) == 0
+        assert configs == [planner_sweep.PlannerSweepConfig(planner_seed=5)]
         out = capsys.readouterr().out
         assert "capacity plan @ interval 8 (seed 5)" in out
         assert f"plan digest: {plan.digest()}" in out
-        assert f"plan written: {path}" in out
+        assert f"artefact written: {path}" in out
         assert '"seed": 5' in path.read_text()
-        assert main(["plan", "--seed", "5", "--validate"]) == 1
+        assert main(["plan", "--planner-seed", "5", "--validate"]) == 1
         assert "-> MISMATCH" in capsys.readouterr().out
         checks[0] = ClassCheck("tpcw/best_seller", 0.4, 0.4, accesses=100,
                                tolerance=0.25)

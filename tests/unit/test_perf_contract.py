@@ -175,3 +175,42 @@ def test_one_wall_clock_ruler_in_src():
     assert clocked == ["experiments/bench.py"]
     profiled = sorted(path for path, names in imports.items() if "cProfile" in names)
     assert profiled == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names ``path`` imports and never reads (``__all__`` counts as a read,
+    ``from __future__`` imports are directives, not names)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            read.update(
+                elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)
+            )
+    return sorted(
+        f"{name} (line {line})" for name, line in imported.items() if name not in read
+    )
+
+
+def test_no_src_module_imports_a_name_it_never_uses():
+    """No linter is installed, so this AST walk is the check; package
+    ``__init__.py`` files import to re-export and are skipped."""
+    src = ROOT / "src" / "repro"
+    unused = {
+        path.relative_to(src).as_posix(): names
+        for path in sorted(src.rglob("*.py"))
+        if path.name != "__init__.py" and (names := _unused_imports(path))
+    }
+    assert unused == {}
