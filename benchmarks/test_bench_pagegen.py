@@ -18,9 +18,14 @@ objects the pool stores against equal ints minted per batch, with 8 MB
 touched between batches so that the stored keys are as cold as thousands of
 batches make them in a run.  Each asserts "faster than", never a time.
 
-A last table sizes the shared Zipf CDFs (DESIGN §6): ``build_tpcw(7)`` on a
+Another table sizes the shared Zipf CDFs (DESIGN §6): ``build_tpcw(7)`` on a
 warm memo, every ``(n, theta)`` already computed in the process, against a
 build that clears the memo first and so computes every table again.
+
+The last one sizes the Zipf bucket table (DESIGN §6) on BestSeller's
+``(7000, 0.35)`` working set: a refill's 1024 fresh uniforms mapped to ranks
+through the table against one ``searchsorted`` over the CDF, the formula it
+replaced.
 """
 
 import sys
@@ -32,7 +37,7 @@ import numpy as np
 
 from repro.engine.bufferpool import LRUBufferPool
 from repro.engine.pages import PageRange
-from repro.sim.rng import _zipf_cdf
+from repro.sim.rng import ZIPF_BLOCK_DRAWS, _zipf_buckets, _zipf_cdf, _zipf_ranks
 from repro.workloads.tpcw import build_tpcw
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -150,3 +155,27 @@ def test_a_workload_build_on_a_warm_cdf_memo_beats_a_cold_one():
         f"warm memo {warm * 1e3:.2f}"
     )
     assert warm < cold
+
+
+def test_the_bucket_lookup_beats_searchsorted_on_fresh_uniforms():
+    cdf, table = _zipf_cdf(7000, 0.35), _zipf_buckets(7000, 0.35)
+    rng = np.random.default_rng(7)
+    blocks = [rng.random(ZIPF_BLOCK_DRAWS) for _ in range(200)]
+    assert _zipf_ranks(cdf, table, blocks[0]).tolist() == (
+        cdf.searchsorted(blocks[0], "left").tolist()
+    )
+
+    def microseconds(lookup) -> float:
+        def run() -> None:
+            for us in blocks:
+                lookup(us)
+
+        return min(timeit.repeat(run, number=1, repeat=REPEATS)) / len(blocks) * 1e6
+
+    searched = microseconds(lambda us: cdf.searchsorted(us, "left"))
+    bucketed = microseconds(lambda us: _zipf_ranks(cdf, table, us))
+    print(
+        f"(7000, 0.35), 1024 fresh uniforms, us: searchsorted {searched:.1f}, "
+        f"bucket table {bucketed:.1f}"
+    )
+    assert bucketed < searched

@@ -15,12 +15,15 @@ structure that the paper's experiments hinge on:
   degenerate into.
 
 Patterns whose executions are a few dozen pages long (:class:`ZipfPages`,
-:class:`IndexLookup`) derive from :class:`BlockServedPattern`: they draw, map
-and translate about :data:`BLOCK_PAGES` pages' worth of executions in one numpy
-pass and hand each execution a slice of the resulting list, because at that
-size numpy's per-call overhead, not the arithmetic, is the cost.  This is
-invisible to every seeded artefact as long as each pattern is the only
-consumer of its stream (see :class:`~repro.sim.rng.ZipfGenerator`).
+:class:`IndexLookup`, :class:`IndexRangeScan`) derive from
+:class:`BlockServedPattern`: they draw, map and translate about
+:data:`BLOCK_PAGES` pages' worth of executions in one numpy pass and hand each
+execution a slice of the resulting list, because at that size numpy's per-call
+overhead, not the arithmetic, is the cost.  This is invisible to every seeded
+artefact as long as each pattern is the only consumer of its stream (see
+:class:`~repro.sim.rng.ZipfGenerator`) and draws ahead for itself alone: a
+:class:`CompositePattern` takes one execution from each part per execution,
+because a class's pattern may be wrapped and unwrapped again mid-run.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ __all__ = [
 ]
 
 
-BLOCK_PAGES = 1024
+BLOCK_PAGES = 2048
 """Pages a :class:`BlockServedPattern` generates ahead (at least one execution)."""
 
 
@@ -72,11 +75,14 @@ class AccessPattern:
 
 
 class BlockServedPattern(AccessPattern):
-    """Executions of a fixed page count, generated a block at a time.
+    """Executions generated a block at a time.
 
     Subclasses implement :meth:`_generate`; executions are handed out first
     in, first out, so execution *k* receives exactly the pages it would have
-    received had each execution been generated on its own.
+    received had each execution been generated on its own.  Served here
+    when every execution is ``pages_per_execution`` long; a pattern of
+    varying widths (:class:`IndexRangeScan`) passes its typical width, which
+    only sizes the block, and serves its executions itself.
     """
 
     def __init__(self, pages_per_execution: int) -> None:
@@ -282,8 +288,21 @@ class IndexLookup(BlockServedPattern):
         return np.concatenate((path, data), axis=1).ravel().tolist()
 
 
-class IndexRangeScan(AccessPattern):
-    """Range predicates served from index leaves plus matching data pages."""
+def _runs(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges ``[firsts[i], firsts[i] + counts[i])``, concatenated."""
+    skipped = np.cumsum(counts) - counts
+    return np.repeat(firsts - skipped, counts) + np.arange(int(counts.sum()))
+
+
+class IndexRangeScan(BlockServedPattern):
+    """Range predicates served from index leaves plus matching data pages.
+
+    An execution walks to its start row's leaf, follows the leaves its
+    ``row_span`` rows reach, then fetches ``data_page_fraction`` of the data
+    pages they match, clipped at the table's end.  Executions therefore
+    differ in width: a block is one page list plus the list of where each
+    execution ends in it.
+    """
 
     def __init__(
         self,
@@ -297,21 +316,51 @@ class IndexRangeScan(AccessPattern):
             raise ValueError(f"row span must be positive: {row_span}")
         if not 0 <= data_page_fraction <= 1:
             raise ValueError("data page fraction must be in [0, 1]")
+        table = index.table
+        matched_pages = max(1, int(row_span / table.rows_per_page))
+        self._fetch = max(1, int(matched_pages * data_page_fraction))
+        self._path = len(index.lookup_path(0))
+        super().__init__(self._path + row_span // index.leaf_entries + self._fetch)
         self.index = index
         self.row_span = row_span
         self.data_page_fraction = data_page_fraction
-        starts = max(1, index.table.row_count - row_span)
+        starts = max(1, table.row_count - row_span)
         self._zipf = ZipfGenerator(starts, start_theta, stream)
+        self._ends: list[int] = []
+        self._served = 0
+
+    def _generate(self, executions: int) -> list[int]:
+        index = self.index
+        table = index.table
+        starts = self._zipf.sample_many(executions)
+        path = index.lookup_path_columns(starts)
+        last_leaf = index.leaf_count - 1
+        first_leaf = np.minimum(starts // index.leaf_entries, last_leaf)
+        last_row = np.minimum(starts + (self.row_span - 1), table.row_count - 1)
+        leaves = np.minimum(last_row // index.leaf_entries, last_leaf) - first_leaf
+        first_page = starts // table.rows_per_page
+        fetched = np.minimum(self._fetch, table.page_count - first_page)
+        ends = np.cumsum(self._path + leaves + fetched)
+        walked = ends - fetched
+        # Each execution: its lookup path, its further leaves, its data pages.
+        block = np.empty(int(ends[-1]), dtype=object)
+        block[(walked - leaves - self._path)[:, None] + np.arange(self._path)] = path
+        block[_runs(walked - leaves, leaves)] = index.leaf_pages.page_ids[
+            _runs(first_leaf + 1, leaves)
+        ]
+        block[_runs(walked, fetched)] = table.pages.page_ids[_runs(first_page, fetched)]
+        self._ends = ends.tolist()
+        return block.tolist()
 
     def pages_for_execution(self) -> ExecutionAccess:
-        start = self._zipf.sample()
-        demand = self.index.range_path(start, self.row_span)
-        table = self.index.table
-        matched_pages = max(1, int(self.row_span / table.rows_per_page))
-        fetch = max(1, int(matched_pages * self.data_page_fraction))
-        first_page = table.page_of_row(start) - table.pages.start
-        demand.extend(table.scan_pages(first_page, fetch))
-        return ExecutionAccess(demand=demand)
+        served = self._served
+        if served == len(self._ends):
+            self._block = self._generate(self._block_executions)
+            self._next = served = 0
+        start = self._next
+        self._next = end = self._ends[served]
+        self._served = served + 1
+        return ExecutionAccess(self._block[start:end])
 
 
 class PlanSwitchingPattern(AccessPattern):

@@ -270,6 +270,21 @@ def _(result) -> dict:
     return {**latencies_and_outliers(result), "quotas": quotas}
 
 
+def _latencies(result) -> str:
+    """Fig. 4's latency line; ``latency_violation`` is 0.0 when no interval
+    after the drop broke the SLA, which is no latency to print."""
+    if result.latency_violation == 0.0:
+        return (
+            f"latency: {result.latency_before:.2f} s before the drop, "
+            "no interval violated the SLA after it, "
+            f"{result.latency_after:.2f} s in recovery"
+        )
+    return (
+        f"latency: {result.latency_before:.2f} s -> "
+        f"{result.latency_violation:.2f} s -> {result.latency_after:.2f} s"
+    )
+
+
 @fig4_index_drop.rendering
 def _(result) -> str:
     return "\n".join(
@@ -279,8 +294,7 @@ def _(result) -> str:
                 for metric in ("latency", "throughput", "misses", "readaheads")
             ),
             f"outlier contexts: {result.outlier_contexts}",
-            f"latency: {result.latency_before:.2f} s -> "
-            f"{result.latency_violation:.2f} s -> {result.latency_after:.2f} s",
+            _latencies(result),
             *(
                 f"quota enforced: {context} = {pages} pages (paper: 3695)"
                 for action in result.actions
@@ -366,10 +380,11 @@ fig5_mrc_bestseller.invariants(partial(_check_acceptable_memory, 5000))
 
 
 @scenario(command="fig6", help="SearchItemsByRegion miss-ratio curve")
-def fig6_mrc_rubis(executions: int = 200, seed: int = 11):
+def fig6_mrc_rubis(executions: int = 200, seed: int = 7):
     from .mrc_curves import run_fig6_search_items_by_region
 
-    return run_fig6_search_items_by_region(executions=executions, seed=seed)
+    # RUBiS runs at seed + 4, as in Table 2: seed 7 is the committed 11.
+    return run_fig6_search_items_by_region(executions=executions, seed=seed + 4)
 
 
 fig6_mrc_rubis.projection(_mrc_artefact)
@@ -464,11 +479,12 @@ def check_table2_memory_contention(a: dict) -> list[str]:
 
 
 @scenario(command="table3", help="Xen dom0 I/O contention (two RUBiS domains)")
-def table3_io_contention(clients: int = 150, seed: int = 11):
+def table3_io_contention(clients: int = 150, seed: int = 7):
     from .io_contention import IOContentionConfig, run_io_contention
 
+    # RUBiS runs at seed + 4, as in Table 2: seed 7 is the committed 11.
     return run_io_contention(
-        IOContentionConfig(clients_per_instance=clients, seed=seed)
+        IOContentionConfig(clients_per_instance=clients, seed=seed + 4)
     )
 
 

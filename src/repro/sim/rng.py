@@ -30,6 +30,9 @@ __all__ = [
 ZIPF_BLOCK_DRAWS = 1024
 """Uniforms a :class:`ZipfGenerator` draws and looks up per refill."""
 
+ZIPF_BUCKETS = 1 << 14
+"""The most buckets a Zipf bucket table has (:func:`_zipf_buckets`)."""
+
 
 def _derive_seed(root_seed: int, name: str) -> int:
     """Derive a 64-bit child seed from a root seed and a stream name."""
@@ -152,6 +155,44 @@ def _zipf_cdf(n: int, theta: float) -> np.ndarray:
     return cdf
 
 
+@lru_cache(maxsize=None)
+def _zipf_buckets(n: int, theta: float) -> np.ndarray:
+    """The bucket table of Zipf(``n``, ``theta``): ``m`` buckets of width
+    ``1/m`` over ``[0, 1)``, computed once per process (read-only, shared
+    like :func:`_zipf_cdf`).
+
+    ``m`` is a power of two, at least ``16 n`` up to :data:`ZIPF_BUCKETS`, so
+    at most one bucket in 16 holds a CDF step while the support is small.
+    With ``lo[j] = cdf.searchsorted(j / m, "left")``, entry ``b`` is
+    ``lo[b]`` where ``lo[b] == lo[b + 1]`` — the rank of every uniform in
+    ``[b/m, (b+1)/m)`` — and ``-1`` where they differ: a CDF step falls
+    inside that bucket.
+    """
+    cdf = _zipf_cdf(n, theta)
+    m = min(ZIPF_BUCKETS, 1 << (16 * n - 1).bit_length())
+    lo = cdf.searchsorted(np.arange(m + 1) / m, "left").astype(np.int32)
+    table = lo[:-1]
+    table[table != lo[1:]] = -1
+    table.flags.writeable = False
+    return table
+
+
+def _zipf_ranks(cdf: np.ndarray, buckets: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(us, "left")`` for uniforms in ``[0, 1)``, as int64.
+
+    Exact without a search wherever the bucket of ``u`` holds no CDF step:
+    for a power-of-two ``m``, ``u·m`` and ``b/m`` are exact, so ``u`` lies in
+    bucket ``b = ⌊u·m⌋``, and ``searchsorted`` is monotone in ``u``, so
+    ``lo[b] ≤ rank(u) ≤ lo[b+1]`` — equal ends pin the rank.  Only the
+    uniforms in the buckets marked ``-1`` go through ``searchsorted``.
+    """
+    ranks = buckets[(us * len(buckets)).astype(np.intp)].astype(np.int64)
+    ambiguous = np.flatnonzero(ranks < 0)
+    if len(ambiguous):
+        ranks[ambiguous] = cdf.searchsorted(us[ambiguous], "left")
+    return ranks
+
+
 class ZipfGenerator:
     """Zipf-distributed integers over ``[0, n)`` with exponent ``theta``.
 
@@ -161,8 +202,10 @@ class ZipfGenerator:
 
     The implementation precomputes the CDF (:func:`_zipf_cdf`, shared by every
     generator of equal ``(n, theta)``) and samples by inverse transform, so
-    draws are O(log n) and the distribution is exact (unlike
-    ``numpy.random.zipf``, which is unbounded).
+    the distribution is exact (unlike ``numpy.random.zipf``, which is
+    unbounded).  The inverse is read off the bucket table
+    (:func:`_zipf_buckets`, built at the first refill) by :func:`_zipf_ranks`:
+    a uniform in a bucket without a CDF step needs no search.
 
     *Draw-ahead.*  Uniforms are drawn and looked up :data:`ZIPF_BLOCK_DRAWS`
     at a time, and :meth:`sample` and :meth:`sample_many` hand the resulting
@@ -184,6 +227,7 @@ class ZipfGenerator:
         self.theta = theta
         self._stream = stream
         self._cdf = _zipf_cdf(n, theta)
+        self._buckets: np.ndarray | None = None
         self._ranks = np.empty(0, dtype=np.int64)  # drawn ahead, unread from _next on
         self._next = 0
         self._state_after_refill: dict | None = None
@@ -202,7 +246,9 @@ class ZipfGenerator:
             )
         us = rng.random(max(ZIPF_BLOCK_DRAWS, shortfall))
         self._state_after_refill = rng.bit_generator.state
-        fresh = self._cdf.searchsorted(us, "left")
+        if self._buckets is None:
+            self._buckets = _zipf_buckets(self.n, self.theta)
+        fresh = _zipf_ranks(self._cdf, self._buckets, us)
         tail = self._ranks[self._next :]
         self._ranks = np.concatenate((tail, fresh)) if len(tail) else fresh
         self._next = 0

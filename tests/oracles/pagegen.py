@@ -1,10 +1,12 @@
 """Oracles: page generation one execution at a time.
 
-``ZipfGenerator`` draws ahead a block of uniforms, and ``ZipfPages`` /
-``IndexLookup`` generate a block of executions in one numpy pass.  These are
-the formulas they replaced — one ``random()`` and one ``searchsorted`` per
-scalar rank, one ``random(k)`` per vector of ranks, one ``lookup_path`` and
-one ``page_of_row`` per looked-up row — and they are the specification: fed
+``ZipfGenerator`` draws ahead a block of uniforms and reads their ranks off a
+bucket table, and ``ZipfPages`` / ``IndexLookup`` / ``IndexRangeScan``
+generate a block of executions in one numpy pass.  These are the formulas
+they replaced — one ``random()`` and one ``searchsorted`` per scalar rank,
+one ``random(k)`` per vector of ranks, one ``lookup_path`` and one
+``page_of_row`` per looked-up row, one ``range_path`` and one ``scan_pages``
+per range scan — and they are the specification: fed
 an equally seeded stream, every execution of a block-served pattern must
 equal the same execution here.
 
@@ -14,8 +16,6 @@ can be run both ways from one seed.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "ZipfOracle",
     "ZipfPagesOracle",
     "IndexLookupOracle",
+    "IndexRangeScanOracle",
     "RowGroupLockOracle",
     "per_execution_twin",
     "per_execution_locks",
@@ -104,6 +105,26 @@ class IndexLookupOracle(AccessPattern):
         return ExecutionAccess(demand=demand)
 
 
+class IndexRangeScanOracle(AccessPattern):
+    """``IndexRangeScan``: one scalar start rank, one leaf walk, one slice of
+    data pages clipped at the table's end."""
+
+    def __init__(self, pattern: IndexRangeScan, zipf: ZipfOracle) -> None:
+        self._pattern = pattern
+        self._zipf = zipf
+
+    def pages_for_execution(self) -> ExecutionAccess:
+        pattern = self._pattern
+        start = self._zipf.sample()
+        demand = pattern.index.range_path(start, pattern.row_span)
+        table = pattern.index.table
+        matched_pages = max(1, int(pattern.row_span / table.rows_per_page))
+        fetch = max(1, int(matched_pages * pattern.data_page_fraction))
+        first_page = table.page_of_row(start) - table.pages.start
+        demand.extend(table.scan_pages(first_page, fetch))
+        return ExecutionAccess(demand=demand)
+
+
 class RowGroupLockOracle:
     """``RowGroupLockPattern.requests``: one scalar rank per locked group."""
 
@@ -139,10 +160,7 @@ def per_execution_twin(pattern: AccessPattern) -> AccessPattern:
     if isinstance(pattern, IndexLookup):
         return IndexLookupOracle(pattern, ZipfOracle.replacing(pattern._zipf))
     if isinstance(pattern, IndexRangeScan):
-        # Per-execution in src too; only its start rank is drawn ahead.
-        twin = copy.copy(pattern)
-        twin._zipf = ZipfOracle.replacing(pattern._zipf)
-        return twin
+        return IndexRangeScanOracle(pattern, ZipfOracle.replacing(pattern._zipf))
     return pattern
 
 

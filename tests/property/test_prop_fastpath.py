@@ -45,9 +45,13 @@ from repro.engine.pages import PageRange, PageSpaceAllocator
 from repro.engine.tables import Table
 from repro.sim.rng import (
     ZIPF_BLOCK_DRAWS,
+    ZIPF_BUCKETS,
     CumulativeSampler,
     RandomStream,
     ZipfGenerator,
+    _zipf_buckets,
+    _zipf_cdf,
+    _zipf_ranks,
 )
 from repro.workloads.tpcw import (
     O_DATE_INDEX,
@@ -269,6 +273,95 @@ def test_zipf_ties_fall_on_the_lower_rank(n, theta):
     assert zipf.sample_many(len(ties)).tolist() == expected
 
 
+def edge_uniforms(cdf: np.ndarray, m: int) -> np.ndarray:
+    """Every uniform in ``[0, 1)`` on which a bucket lookup can slip: each
+    bucket's lower edge ``b/m``, the largest double below its upper edge
+    ``(b+1)/m``, and every CDF value below 1 with its two neighbours."""
+    edges = np.arange(m) / m
+    below = np.nextafter(np.arange(1, m + 1) / m, 0.0)
+    steps = cdf[cdf < 1.0]
+    around = np.concatenate((np.nextafter(steps, 0.0), np.nextafter(steps, 1.0)))
+    return np.concatenate((edges, below, steps, around[around < 1.0]))
+
+
+def assert_lookup_is_searchsorted(n, theta, lookup=_zipf_ranks, buckets=_zipf_buckets):
+    cdf = _zipf_cdf(n, theta)
+    table = buckets(n, theta)
+    us = edge_uniforms(cdf, len(table))
+    ranks = lookup(cdf, table, us)
+    assert ranks.dtype == np.int64
+    assert ranks.tolist() == cdf.searchsorted(us, "left").tolist()
+
+
+@given(
+    n=st.one_of(st.just(1), st.integers(min_value=1, max_value=9000)),
+    theta=st.one_of(
+        st.just(0.0),
+        st.floats(min_value=0.0, max_value=1.5),
+        st.floats(min_value=2.0, max_value=8.0),
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_bucket_lookup_equals_searchsorted_on_every_edge(n, theta):
+    assert_lookup_is_searchsorted(n, theta)
+
+
+@pytest.mark.parametrize(
+    "n,theta",
+    [(1, 0.0), (1, 0.8), (7, 0.0), (300, 0.6), (7000, 0.35), (897_000, 1.2), (50, 7.5)],
+)
+def test_zipf_generator_reads_edge_uniforms_off_the_table_exactly(n, theta):
+    """The same edges through the generator (``_refill`` and its table)."""
+    cdf = _zipf_cdf(n, theta)
+    table = _zipf_buckets(n, theta)
+    assert table.dtype == np.int32 and not table.flags.writeable
+    m = len(table)
+    assert m & (m - 1) == 0 and min(16 * n, ZIPF_BUCKETS) <= m <= ZIPF_BUCKETS
+    us = edge_uniforms(cdf, m)
+    stream = RandomStream(0, "edges")
+    zipf = ZipfGenerator(n, theta, stream)
+    stream._rng = _FixedUniforms(us)
+    assert zipf.sample_many(len(us)).tolist() == cdf.searchsorted(us, "left").tolist()
+    assert zipf._buckets is table
+
+
+def _without_fallback(cdf, table, us):
+    """Mutant: reads every bucket off the table, marked ones too."""
+    return table[(us * len(table)).astype(np.intp)].astype(np.int64)
+
+
+def _rounded(cdf, table, us):
+    """Mutant: the nearest bucket edge instead of the floor."""
+    m = len(table)
+    ranks = table[np.minimum(np.rint(us * m), m - 1).astype(np.intp)].astype(np.int64)
+    ambiguous = np.flatnonzero(ranks < 0)
+    ranks[ambiguous] = cdf.searchsorted(us[ambiguous], "left")
+    return ranks
+
+
+def _off_by_one(n, theta):
+    """Mutant: entry ``b`` holds bucket ``b + 1``'s rank."""
+    table = np.array(_zipf_buckets(n, theta))
+    table[:-1] = table[1:]
+    return table
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        {"lookup": _without_fallback},
+        {"lookup": _rounded},
+        {"buckets": _off_by_one},
+    ],
+    ids=["no_ambiguous_fallback", "round_not_floor", "table_off_by_one"],
+)
+@pytest.mark.parametrize("n,theta", [(300, 0.6), (7000, 0.35)])
+def test_the_bucket_check_catches_each_mutant(mutant, n, theta):
+    assert_lookup_is_searchsorted(n, theta)
+    with pytest.raises(AssertionError):
+        assert_lookup_is_searchsorted(n, theta, **mutant)
+
+
 # --------------------------------------------------------------------- #
 # Point-lookup path: tabulated levels == per-lookup derivation          #
 # --------------------------------------------------------------------- #
@@ -451,25 +544,62 @@ def test_index_lookup_equals_the_per_row_tree_walk(
 
 
 @given(
-    rows=st.integers(min_value=2, max_value=200_000),
-    leaf_entries=st.integers(min_value=1, max_value=500),
     span=st.integers(min_value=1, max_value=3000),
-    theta=st.floats(min_value=0.0, max_value=1.5),
+    rows=st.integers(min_value=1, max_value=200_000),
+    margin=st.one_of(st.none(), st.integers(min_value=-60, max_value=60)),
+    fanout=st.integers(min_value=2, max_value=300),
+    leaf_entries=st.integers(min_value=1, max_value=500),
+    fraction=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+    row_bytes=st.sampled_from([64, 512, 5000, 16 * 1024]),
+    theta=st.floats(min_value=0.0, max_value=2.0),
     seed=seeds,
 )
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=40, deadline=None)
 def test_index_range_scan_takes_the_ranks_of_scalar_draws(
-    rows, leaf_entries, span, theta, seed
+    span, rows, margin, fanout, leaf_entries, fraction, row_bytes, theta, seed
 ):
-    index = make_index(rows, 50, leaf_entries)
-    stream, twin = twin_streams(seed)
-    assert_same_executions(
-        IndexRangeScan(index, stream, row_span=span, start_theta=theta),
-        per_execution_twin(
-            IndexRangeScan(index, twin, row_span=span, start_theta=theta)
-        ),
-        executions_crossing_two_refills(1),
+    """Blocks against the scalar walk, across two refills and so at least
+    two blocks.  Tables are drawn at any size or, with a ``margin``, about as
+    large as the span: at or below it every start is row 0 and a large
+    enough data-page fraction runs past the table's end, where the slice is
+    clipped."""
+    if margin is not None:
+        rows = max(1, span + margin)
+    allocator = PageSpaceAllocator(base=1000)
+    table = Table.create(allocator, "t", row_count=rows, row_bytes=row_bytes)
+    index = BTreeIndex.create(
+        allocator, "idx", table, fanout=fanout, leaf_entries=leaf_entries
     )
+    stream, twin = twin_streams(seed)
+
+    def build(on: RandomStream) -> IndexRangeScan:
+        return IndexRangeScan(
+            index, on, row_span=span, start_theta=theta, data_page_fraction=fraction
+        )
+
+    pattern = build(stream)
+    assert executions_crossing_two_refills(1) > 2 * pattern._block_executions
+    assert_same_executions(
+        pattern, per_execution_twin(build(twin)), executions_crossing_two_refills(1)
+    )
+    assert_interned(pattern.pages_for_execution().demand, allocator.ranges())
+
+
+def test_a_range_scan_past_the_table_end_is_clipped():
+    """The case the property above draws now and then, pinned: 100 one-row
+    pages, a 120-row span fetching all 120 of its pages from row 0."""
+    allocator = PageSpaceAllocator()
+    table = Table.create(allocator, "t", row_count=100, row_bytes=16 * 1024)
+    index = BTreeIndex.create(allocator, "idx", table, fanout=4, leaf_entries=10)
+    stream, twin = twin_streams(3)
+    pattern = IndexRangeScan(index, stream, row_span=120, data_page_fraction=1.0)
+    oracle = per_execution_twin(
+        IndexRangeScan(index, twin, row_span=120, data_page_fraction=1.0)
+    )
+    assert_same_executions(pattern, oracle, 2 * pattern._block_executions + 3)
+    demand = pattern.pages_for_execution().demand
+    assert demand[-100:] == table.pages.page_ids.tolist()
+    assert len(demand) == len(index.lookup_path(0)) + 9 + 100
 
 
 @given(
@@ -565,14 +695,19 @@ def test_tpcw_survives_swaps_in_the_middle_of_a_block(seed):
 
 @pytest.mark.parametrize("mutant", [_LastInFirstOut, _TailDiscardingRefill])
 def test_the_pattern_check_catches_a_reordering_or_lossy_block(mutant, monkeypatch):
-    pages = PageRange("t", start=0, count=500)
+    """On a range scan: its block of start ranks is smaller than a refill, so
+    a refill leaves a tail (a ``ZipfPages`` block takes at least one whole
+    refill, and neither mutant shows there)."""
+    index = make_index(20_000, 50, 40)
 
     def differential() -> None:
         stream, twin = twin_streams(11)
         assert_same_executions(
-            ZipfWorkingSet(pages, 300, 0.6, 7, stream),
-            per_execution_twin(ZipfWorkingSet(pages, 300, 0.6, 7, twin)),
-            executions_crossing_two_refills(7),
+            IndexRangeScan(index, stream, row_span=100, start_theta=0.6),
+            per_execution_twin(
+                IndexRangeScan(index, twin, row_span=100, start_theta=0.6)
+            ),
+            executions_crossing_two_refills(1),
         )
 
     differential()

@@ -29,6 +29,7 @@ from oracles.pagegen import assert_interned, per_execution_workload
 from repro.engine.access import (
     BlockServedPattern,
     CompositePattern,
+    IndexRangeScan,
     PlanSwitchingPattern,
 )
 from repro.engine.bufferpool import LRUBufferPool, PartitionedBufferPool
@@ -51,6 +52,8 @@ def leaves(pattern):
 
 
 def executions_crossing_two_block_refills(pattern) -> int:
+    """Counted in executions: a block holds ``_block_executions`` of them,
+    of one width or (``IndexRangeScan``) of several."""
     blocks = [
         leaf._block_executions
         for leaf in leaves(pattern)
@@ -75,6 +78,11 @@ def assert_workload_emits_its_ranges_objects(workload, oracle) -> None:
 @pytest.mark.parametrize("mix", ["shopping", "ordering"])
 def test_tpcw_emits_its_ranges_own_objects(mix, indexed):
     workload = build_tpcw(seed=7, mix=mix)
+    assert any(
+        isinstance(leaf, IndexRangeScan)
+        for query_class in workload.classes()
+        for leaf in leaves(query_class.pattern)
+    )
     oracle = per_execution_workload(build_tpcw(seed=7, mix=mix))
     if not indexed:
         workload.catalog.drop(O_DATE_INDEX)

@@ -16,6 +16,7 @@ from repro.engine.indexes import BTreeIndex, IndexCatalog
 from repro.engine.pages import PageSpaceAllocator
 from repro.engine.tables import Table
 from repro.sim.rng import SeedSequenceFactory
+from repro.workloads.tpcw import build_tpcw
 
 
 @pytest.fixture
@@ -230,3 +231,62 @@ class TestCompositePattern:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             CompositePattern([])
+
+
+class _FusedComposite(CompositePattern):
+    """Mutant: draws a block of executions from its parts at once and serves
+    them one by one — draw-ahead on behalf of other pattern objects."""
+
+    def pages_for_execution(self) -> ExecutionAccess:
+        if not getattr(self, "_ahead", None):
+            draw = super().pages_for_execution
+            self._ahead = [draw() for _ in range(64)][::-1]
+        return self._ahead.pop()
+
+
+class TestPatternSwap:
+    """A class's pattern wrapped in a composite mid-block for a few
+    executions, then restored, as zoo ``write_burst``'s hook does.  No pattern
+    draws ahead on behalf of another pattern object, so the wrapped pattern's
+    own sequence goes on where the wrapper left it."""
+
+    BEFORE, DURING, AFTER = 37, 5, 300
+
+    def run(self, class_name: str, wrapper) -> list[list[int]]:
+        workload = build_tpcw(seed=7)
+        query_class = workload.class_named(class_name)
+        saved = query_class.pattern
+        steps = [query_class.execute_pages().demand for _ in range(self.BEFORE)]
+        query_class.pattern = wrapper([saved, self.scan(workload)])
+        steps += [query_class.execute_pages().demand for _ in range(self.DURING)]
+        query_class.pattern = saved
+        steps += [query_class.execute_pages().demand for _ in range(self.AFTER)]
+        return steps
+
+    @staticmethod
+    def scan(workload) -> SequentialChunkScan:
+        return SequentialChunkScan(
+            workload.schema.table("cc_xacts").pages, chunk=40, readahead=0, region=2000
+        )
+
+    def uninterrupted(self, class_name: str) -> list[list[int]]:
+        workload = build_tpcw(seed=7)
+        pattern = workload.class_named(class_name).pattern
+        scan = self.scan(workload)
+        steps = [
+            pattern.pages_for_execution().demand
+            for _ in range(self.BEFORE + self.DURING + self.AFTER)
+        ]
+        for step in range(self.BEFORE, self.BEFORE + self.DURING):
+            steps[step] = steps[step] + scan.pages_for_execution().demand
+        return steps
+
+    @pytest.mark.parametrize("class_name", ["buy_confirm", "search_title"])
+    def test_the_restored_pattern_goes_on_where_it_stopped(self, class_name):
+        assert self.run(class_name, CompositePattern) == self.uninterrupted(class_name)
+
+    @pytest.mark.parametrize("class_name", ["buy_confirm", "search_title"])
+    def test_a_composite_drawing_ahead_for_its_parts_loses_their_draws(
+        self, class_name
+    ):
+        assert self.run(class_name, _FusedComposite) != self.uninterrupted(class_name)

@@ -478,6 +478,9 @@ SEED_DRIVERS = {
 }
 """Every entry whose run takes ``seed``, and the driver the seed must reach."""
 
+RUBIS_ENTRIES = ("fig6_mrc_rubis", "table3_io_contention")
+"""Entries whose driver gets ``seed + 4`` (the committed 11 at the default 7)."""
+
 
 def seed_default(entry: Scenario):
     parameter = inspect.signature(entry.run).parameters.get("seed")
@@ -497,10 +500,7 @@ class TestSeedKnob:
             "sweep_client_load", "sweep_pool_size", "ablations",
             "ablation_sampled_mrc",
         ]
-        assert {name for name, seed in defaults.items() if seed == 11} == {
-            "fig6_mrc_rubis", "table3_io_contention",
-        }
-        assert set(defaults.values()) == {None, 7, 11}
+        assert set(defaults.values()) == {None, 7}
 
     @pytest.mark.parametrize("name", sorted(SEED_DRIVERS))
     def test_the_seed_given_reaches_the_driver(self, name, monkeypatch):
@@ -515,4 +515,6 @@ class TestSeedKnob:
         with pytest.raises(Reached) as reached:
             SCENARIOS[name].run(seed=4242)
         args, kwargs = reached.value.args
-        assert (kwargs["seed"] if "seed" in kwargs else args[0].seed) == 4242
+        # RUBiS-only entries run at seed + 4, as Table 2's RUBiS does.
+        offset = 4 if name in RUBIS_ENTRIES else 0
+        assert (kwargs["seed"] if "seed" in kwargs else args[0].seed) == 4242 + offset

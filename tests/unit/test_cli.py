@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import importlib
 from functools import partial
 
 import pytest
@@ -7,10 +8,22 @@ import pytest
 from repro import cli
 from repro.cli import build_parser, main
 from repro.experiments.bench import SCENARIOS
+from repro.experiments.results import IndexDropResult
 
 PAPER_COMMANDS = ["fig3", "fig4", "fig5", "fig6", "table1", "table2", "table3",
                   "locks"]
 TABLE_COMMANDS = [*PAPER_COMMANDS, "chaos", "storm", "plan", "zoo", "forecast"]
+PAPER_DRIVERS = {
+    "fig3": ("cpu_saturation", "run_cpu_saturation"),
+    "fig4": ("index_drop", "run_index_drop"),
+    "fig5": ("mrc_curves", "run_fig5_bestseller"),
+    "fig6": ("mrc_curves", "run_fig6_search_items_by_region"),
+    "table1": ("buffer_partitioning", "run_buffer_partitioning"),
+    "table2": ("memory_contention", "run_memory_contention"),
+    "table3": ("io_contention", "run_io_contention"),
+    "locks": ("lock_contention", "run_lock_contention"),
+}
+"""Paper command → (module under ``repro.experiments``, driver its run calls)."""
 
 
 class TestParser:
@@ -174,6 +187,54 @@ class TestAllCommand:
             monkeypatch.setattr(entry, "render", lambda result: "")
         assert main(["all", "--seed", "3"]) == 0
         assert seen == dict.fromkeys(PAPER_COMMANDS, 3)
+
+    def test_all_at_seed_7_hands_every_paper_driver_its_committed_seed(
+        self, monkeypatch, capsys
+    ):
+        """``all --seed 7`` is ``all``: fig6 and table3 run RUBiS at seed + 4,
+        as Table 2 does, so 7 reaches their drivers as the committed 11."""
+
+        def driver_seeds(argv) -> dict:
+            seen = {}
+            for command, entry in cli.PAPER_SCENARIOS.items():
+                module, driver = PAPER_DRIVERS[command]
+
+                def stub(*args, command=command, **kwargs):
+                    seen[command] = kwargs["seed"] if "seed" in kwargs else args[0].seed
+
+                monkeypatch.setattr(
+                    importlib.import_module(f"repro.experiments.{module}"), driver, stub
+                )
+                monkeypatch.setattr(entry, "render", lambda result: "")
+            assert main(argv) == 0
+            return seen
+
+        committed = {**dict.fromkeys(PAPER_COMMANDS, 7), "fig6": 11, "table3": 11}
+        assert driver_seeds(["all"]) == committed
+        assert driver_seeds(["all", "--seed", "7"]) == committed
+
+
+class TestFig4Rendering:
+    """Fig. 4's text from stub results; ``latency_violation`` stays 0.0 in
+    the artefact when no interval after the drop broke the SLA."""
+
+    @staticmethod
+    def render(violation: float) -> str:
+        result = IndexDropResult(
+            latency_before=0.11, latency_violation=violation, latency_after=0.77
+        )
+        return cli.PAPER_SCENARIOS["fig4"].render(result)
+
+    def test_no_violation_is_said_and_not_printed_as_a_latency(self):
+        out = self.render(0.0)
+        assert (
+            "latency: 0.11 s before the drop, no interval violated the SLA "
+            "after it, 0.77 s in recovery"
+        ) in out
+        assert "0.00 s" not in out
+
+    def test_a_violation_prints_the_three_latencies(self):
+        assert "latency: 0.11 s -> 1.52 s -> 0.77 s" in self.render(1.52)
 
 
 class TestFastCommands:

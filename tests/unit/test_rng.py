@@ -9,6 +9,7 @@ from repro.sim.rng import (
     RandomStream,
     SeedSequenceFactory,
     ZipfGenerator,
+    _zipf_buckets,
     _zipf_cdf,
 )
 from repro.workloads.tpcw import build_tpcw
@@ -169,17 +170,24 @@ class TestSharedCdf:
                     assert np.array_equal(
                         served.sample_many(count), oracle.sample_many(count)
                     )
+        assert a._buckets is b._buckets
 
     def test_a_second_build_computes_no_cdf_and_draws_as_the_first(self):
+        """Bucket tables too, which are built at a generator's first refill."""
         _zipf_cdf.cache_clear()
+        _zipf_buckets.cache_clear()
         cold = build_tpcw(seed=7)
         misses = _zipf_cdf.cache_info().misses
+        assert _zipf_buckets.cache_info().currsize == 0
         warm = build_tpcw(seed=7)
         assert misses > 0
         assert _zipf_cdf.cache_info().misses == misses
-        for first, second in zip(cold.classes(), warm.classes(), strict=True):
-            for _ in range(3):
-                assert first.execute_pages() == second.execute_pages()
+        drawn = [[c.execute_pages() for _ in range(3)] for c in cold.classes()]
+        tables = _zipf_buckets.cache_info().misses
+        assert tables > 0
+        again = [[c.execute_pages() for _ in range(3)] for c in warm.classes()]
+        assert again == drawn
+        assert _zipf_buckets.cache_info().misses == tables
 
 
 # Seeded-randomness properties (named streams, Zipf draws).
