@@ -23,8 +23,15 @@ the per-page work inside the C-implemented ``OrderedDict``:
 * a read-ahead batch goes through ``filterfalse(pages.__contains__, ...)``,
   which probes the *live* dict lazily, one page at a time, so only pages that
   must be fetched ever reach Python;
+* admissions are counted against the free slots a batch starts with
+  (``capacity - len(pages)``, read once): each takes a free slot while one is
+  left and otherwise evicts exactly one page, the least recently used; a
+  pool's capacity never changes, only these two calls insert and a pool never
+  holds more than its capacity, so a per-admission length check could never
+  evict more than that one page;
 * hit/miss, read-ahead and eviction counts accumulate in plain ints and reach
-  :class:`PoolStats` once per batch.
+  :class:`PoolStats` once per batch; a batch's evictions are its admissions
+  minus the free slots it took.
 
 There is one demand path and one read-ahead path, whatever the batch size or
 hit ratio.  Both are bit-exact with a per-page loop — one residency probe,
@@ -176,20 +183,20 @@ class LRUBufferPool(BufferPool):
             page_ids = page_ids.tolist()
         pages = self._pages
         pop = pages.popitem
-        capacity = self.capacity
+        start_free = free = self.capacity - len(pages)
         fetched = 0
-        evicted = 0
         # filterfalse probes the live dict one page at a time, so a page
         # evicted by an admission of this very batch, or a duplicate of a
         # page it admitted, is judged as the per-page loop would judge it.
         for page_id in filterfalse(pages.__contains__, page_ids):
-            while len(pages) >= capacity:
-                pop(last=False)
-                evicted += 1
+            if free:
+                free -= 1
+            else:
+                pop(False)  # the LRU page; a keyword is parsed on every call
             pages[page_id] = None
             fetched += 1
-        if evicted:
-            self._record_evictions(evicted)
+        if fetched > start_free:
+            self._record_evictions(fetched - start_free)
         if fetched:
             self.stats.record_readahead(query_class, fetched)
         return fetched
@@ -222,28 +229,29 @@ class LRUBufferPool(BufferPool):
             self.stats.record_batch(query_class, total, 0)
             return total
         pop = pages.popitem
-        capacity = self.capacity
+        start_free = free = self.capacity - len(pages)
         misses = 1
-        evicted = 0
         # Admit the first miss, then finish `rest` page by page.  (Chaining
-        # the page back in front of `rest` would save these four lines and
+        # the page back in front of `rest` would save these five lines and
         # cost every later page an extra iterator hop: +7 % on miss-heavy
         # workloads.)
-        while len(pages) >= capacity:
-            pop(last=False)
-            evicted += 1
+        if free:
+            free -= 1
+        else:
+            pop(False)
         pages[page_id] = None
         for page_id in rest:
             if page_id in pages:
                 move(page_id)
             else:
                 misses += 1
-                while len(pages) >= capacity:
-                    pop(last=False)
-                    evicted += 1
+                if free:
+                    free -= 1
+                else:
+                    pop(False)
                 pages[page_id] = None
-        if evicted:
-            self._record_evictions(evicted)
+        if misses > start_free:
+            self._record_evictions(misses - start_free)
         self.stats.record_batch(query_class, total - misses, misses)
         return total - misses
 

@@ -135,13 +135,13 @@ class DatabaseEngine:
                 f"quota of {pages} pages cannot consume the whole "
                 f"{self.config.pool_pages}-page pool"
             )
-        self._quotas[context_key] = pages
-        self._rebuild_pool()
+        self._rebuild_pool({**self._quotas, context_key: pages})
 
     def clear_quota(self, context_key: str) -> None:
         """Remove one context's quota; the pool reverts to shared if none remain."""
-        self._quotas.pop(context_key, None)
-        self._rebuild_pool()
+        self._rebuild_pool(
+            {key: pages for key, pages in self._quotas.items() if key != context_key}
+        )
 
     def reset_pool(self) -> None:
         """Discard every resident page and all pool counters (crash restart).
@@ -151,17 +151,20 @@ class DatabaseEngine:
         zero, so hit ratios and MRC windows measured after a failure are
         not flattered by warm pre-crash state.
         """
-        self._rebuild_pool()
+        self._rebuild_pool(self._quotas)
 
-    def _rebuild_pool(self) -> None:
-        if self._quotas:
+    def _rebuild_pool(self, quotas: dict[str, int]) -> None:
+        """Build a cold pool for ``quotas`` and only then adopt both, so a
+        quota map the pool refuses leaves the engine as it was."""
+        if quotas:
             pool: BufferPool = PartitionedBufferPool(
-                self.config.pool_pages, quotas=dict(self._quotas)
+                self.config.pool_pages, quotas=quotas
             )
-            for context_key in self._quotas:
+            for context_key in quotas:
                 pool.assign(context_key, context_key)
         else:
             pool = LRUBufferPool(self.config.pool_pages)
+        self._quotas = dict(quotas)
         self.pool = pool
         self.executor = QueryExecutor(pool, self.log, self.config.cost_model)
 

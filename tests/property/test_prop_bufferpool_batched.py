@@ -6,11 +6,14 @@ their per-page work inside the C ``OrderedDict`` and promise to be
 hit returns, identical :class:`PoolStats` (global and per class), identical
 LRU order, identical eviction counts — for both pool organisations, under
 interleaved multi-class traffic, list, tuple, ndarray or generator inputs,
-and mid-trace partition reassignment.  These properties are the contract
-that lets every engine-level caller use the batched paths without
-re-validating the simulation.  The explicit cases below pin the edges of the
-C hit run (where the first miss falls) and of the lazy read-ahead filter
-(duplicates, pages evicted by their own batch).
+mid-trace partition reassignment, and pools that start empty, full or one
+slot short of full.  These properties are the contract that lets every
+engine-level caller use the batched paths without re-validating the
+simulation.  The explicit cases below pin the edges of the C hit run (where
+the first miss falls), of the lazy read-ahead filter (duplicates, pages
+evicted by their own batch) and of the free-slot count a batch's admissions
+are taken against (a pool that fills at a batch's last admission, a batch
+that evicts its own admissions).
 """
 
 import numpy as np
@@ -181,6 +184,74 @@ def test_batched_equivalence_survives_pool_rebuild(
     assert stats_fields(fast.stats) == stats_fields(base.stats)
 
 
+# A batch counts its admissions against the free slots it starts with, so
+# the pools below start with none (full) or exactly one (one slot short).
+# The fill pages overlap the traffic's 0…30 by a drawn offset, so the first
+# batches hit, miss and evict in every mix.
+free_at_start = st.sampled_from([0, 1])
+
+
+def prefill(pool, query_class: str, pages: int, offset: int) -> None:
+    access_per_page(pool, range(offset, offset + pages), query_class)
+
+
+@given(
+    ops=batch_ops,
+    capacity=st.integers(1, 12),
+    free=free_at_start,
+    offset=st.integers(0, 30),
+    container=containers,
+)
+@settings(max_examples=120, deadline=None)
+def test_lru_batched_matches_per_page_from_a_prefilled_pool(
+    ops, capacity, free, offset, container
+):
+    base = LRUBufferPool(capacity, eviction_sink=PoolStats())
+    fast = LRUBufferPool(capacity, eviction_sink=PoolStats())
+    for pool in (base, fast):
+        prefill(pool, "warm", capacity - free, offset)
+    assert len(fast) == capacity - free
+    for kind, cls, pages in ops:
+        expected = apply_per_page(base, kind, cls, pages)
+        got = apply_batched(fast, kind, cls, pages, container)
+        assert got == expected
+        assert len(fast) == len(base) <= capacity
+    assert_same_pool(fast, base)
+    assert stats_fields(fast._eviction_sink) == stats_fields(base._eviction_sink)
+
+
+@given(
+    ops=batch_ops,
+    capacity=st.integers(4, 16),
+    quota=st.integers(1, 3),
+    free=free_at_start,
+    offset=st.integers(0, 30),
+    container=containers,
+)
+@settings(max_examples=120, deadline=None)
+def test_partitioned_batched_matches_per_page_from_prefilled_partitions(
+    ops, capacity, quota, free, offset, container
+):
+    """Both partitions start full or one slot short: ``alpha`` reads the
+    ``hog`` partition, ``beta`` and ``gamma`` the default one."""
+    base = PartitionedBufferPool(capacity, quotas={"hog": quota})
+    fast = PartitionedBufferPool(capacity, quotas={"hog": quota})
+    for pool in (base, fast):
+        pool.assign("alpha", "hog")
+        prefill(pool, "alpha", quota - free, offset)
+        prefill(pool, "beta", capacity - quota - free, offset + quota)
+    assert len(fast) == capacity - 2 * free
+    for kind, cls, pages in ops:
+        expected = apply_per_page(base, kind, cls, pages)
+        got = apply_batched(fast, kind, cls, pages, container)
+        assert got == expected
+    assert fast.total_evictions == base.total_evictions == fast.stats.evictions
+    assert stats_fields(fast.stats) == stats_fields(base.stats)
+    for name in base.partition_names:
+        assert_same_pool(fast._partitions[name], base._partitions[name])
+        assert len(fast._partitions[name]) <= fast.quota_of(name)
+
+
 # --------------------------------------------------------------------- #
 # Explicit edges of the C hit run and of the lazy read-ahead filter     #
 # --------------------------------------------------------------------- #
@@ -335,5 +406,83 @@ def test_partitioned_child_evictions_reach_the_top_level_sink():
     assert fast.stats.evictions == sum(
         fast._partitions[name].stats.evictions for name in fast.partition_names
     )
+    for name in base.partition_names:
+        assert_same_pool(fast._partitions[name], base._partitions[name])
+
+
+# --------------------------------------------------------------------- #
+# Explicit edges of the free-slot count                                 #
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("kind", ["access", "prefetch"])
+def test_pool_fills_exactly_at_the_last_admission(kind):
+    """Two free slots, two admissions, the second the batch's last page:
+    nothing is evicted, and the next admission evicts exactly one page."""
+    base, fast = twin_pools(4, [1, 2])
+    assert apply_batched(fast, kind, "q", [1, 3, 2, 4]) == apply_per_page(
+        base, kind, "q", [1, 3, 2, 4]
+    )
+    assert len(fast) == 4
+    assert fast.total_evictions == 0
+    assert_same_pool(fast, base)
+    assert apply_batched(fast, kind, "q", [5]) == apply_per_page(base, kind, "q", [5])
+    assert fast.total_evictions == 1
+    assert_same_pool(fast, base)
+
+
+def test_demand_batch_with_more_misses_than_the_capacity_evicts_its_own_admissions():
+    # Two free slots; seven misses: 5 and 6 take the slots, 7 … 10 evict
+    # 1, 2, 5, 6, and the second 5 (evicted by its own batch) misses again.
+    base, fast = twin_pools(4, [1, 2])
+    batch = [5, 6, 7, 8, 9, 10, 5]
+    assert access_per_page(base, batch, "q") == 0
+    assert fast.access_many(batch, "q") == 0
+    assert lru_order(fast) == [8, 9, 10, 5]
+    assert fast.total_evictions == len(batch) - 2
+    assert class_misses(fast.stats, "q") == len(batch)
+    assert_same_pool(fast, base)
+
+
+def test_readahead_longer_than_its_partition_refetches_an_evicted_duplicate():
+    # An empty 2-page partition: 1 and 2 take the free slots, 3 evicts 1,
+    # so the second 1 is fetched again (evicting 2).
+    base = PartitionedBufferPool(8, quotas={"hog": 2})
+    fast = PartitionedBufferPool(8, quotas={"hog": 2})
+    for pool in (base, fast):
+        pool.assign("scan", "hog")
+    batch = [1, 2, 3, 1]
+    assert prefetch_per_page(base, batch, "scan") == 4
+    assert fast.prefetch_many(batch, "scan") == 4
+    assert lru_order(fast._partitions["hog"]) == [3, 1]
+    assert fast.stats.evictions == fast.total_evictions == 2
+    assert stats_fields(fast.stats) == stats_fields(base.stats)
+    for name in base.partition_names:
+        assert_same_pool(fast._partitions[name], base._partitions[name])
+
+
+def test_prefilled_partition_evictions_reach_the_top_level_sink():
+    """Child pools that start one slot short report only the admissions
+    past that slot, and every one of them reaches the parent's stats."""
+    base = PartitionedBufferPool(10, quotas={"hog": 3})
+    fast = PartitionedBufferPool(10, quotas={"hog": 3})
+    for pool in (base, fast):
+        pool.assign("scan", "hog")
+        access_per_page(pool, [1, 2], "scan")  # hog: one free slot
+        access_per_page(pool, range(20, 26), "other")  # default: one free slot
+    assert fast.stats.evictions == 0
+    steps = [
+        ("access", "scan", [2, 3, 4, 5]),  # 3 takes the slot, 4, 5 evict
+        ("prefetch", "other", [26, 27, 25, 28]),  # 26 the slot, 27 and 28 evict
+        ("prefetch", "scan", [6, 7, 8, 9]),  # all four evict
+    ]
+    for kind, cls, batch in steps:
+        assert apply_batched(fast, kind, cls, batch) == apply_per_page(
+            base, kind, cls, batch
+        )
+    assert fast._partitions["hog"].stats.evictions == 2 + 4
+    assert fast._partitions["default"].stats.evictions == 2
+    assert fast.stats.evictions == fast.total_evictions == 8
+    assert stats_fields(fast.stats) == stats_fields(base.stats)
     for name in base.partition_names:
         assert_same_pool(fast._partitions[name], base._partitions[name])

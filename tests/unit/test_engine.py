@@ -125,6 +125,23 @@ class TestQuotaManagement:
         with pytest.raises(ValueError):
             make_engine().set_quota("app/q", 0)
 
+    def test_refused_quota_leaves_the_engine_as_it_was(self):
+        # 60 + 50 pages of a 100-page pool leave nothing for the default
+        # partition: the pool refuses the map, and neither the quota map nor
+        # the pool may have moved, or every later rebuild raises too.
+        engine = make_engine(pool_pages=100)
+        engine.set_quota("a/x", 60)
+        pool = engine.pool
+        with pytest.raises(ValueError, match="quotas reserve 110 pages"):
+            engine.set_quota("b/y", 50)
+        assert engine.quotas == {"a/x": 60}
+        assert engine.pool is pool
+        engine.reset_pool()
+        assert engine.pool.quota_of("a/x") == 60
+        engine.clear_quota("a/x")
+        assert engine.quotas == {}
+        assert isinstance(engine.pool, LRUBufferPool)
+
 
 class TestIntrospection:
     def test_hit_ratio_delegates_to_pool(self):
