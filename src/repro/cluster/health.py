@@ -29,29 +29,35 @@ class HealthTransition:
 
 @dataclass
 class ReplicaHealth:
-    """Belief-state registry for one scheduler's replica set."""
+    """Belief-state registry for one scheduler's replica set.
 
-    _down: dict[str, HealthTransition] = field(default_factory=dict)
+    ``down`` maps each replica believed down to the transition that took it
+    down; routing tests membership in it directly, once per replica per
+    read.  Only :meth:`mark_down`, :meth:`mark_up` and :meth:`forget` change
+    it.
+    """
+
+    down: dict[str, HealthTransition] = field(default_factory=dict)
     transitions: list[HealthTransition] = field(default_factory=list)
 
     def is_up(self, replica: str) -> bool:
         """Whether the scheduler currently believes the replica serves."""
-        return replica not in self._down
+        return replica not in self.down
 
     def mark_down(self, replica: str, at: float, reason: str = "") -> bool:
         """Record a failure; returns ``True`` on an UP → DOWN transition."""
-        if replica in self._down:
+        if replica in self.down:
             return False
         transition = HealthTransition(replica, up=False, at=at, reason=reason)
-        self._down[replica] = transition
+        self.down[replica] = transition
         self.transitions.append(transition)
         return True
 
     def mark_up(self, replica: str, at: float, reason: str = "") -> bool:
         """Re-admit a replica; returns ``True`` on a DOWN → UP transition."""
-        if replica not in self._down:
+        if replica not in self.down:
             return False
-        del self._down[replica]
+        del self.down[replica]
         self.transitions.append(
             HealthTransition(replica, up=True, at=at, reason=reason)
         )
@@ -59,15 +65,15 @@ class ReplicaHealth:
 
     def forget(self, replica: str) -> None:
         """Drop all state for a replica leaving the set."""
-        self._down.pop(replica, None)
+        self.down.pop(replica, None)
 
     def down_replicas(self) -> list[str]:
-        return sorted(self._down)
+        return sorted(self.down)
 
     def down_since(self, replica: str) -> float | None:
-        transition = self._down.get(replica)
+        transition = self.down.get(replica)
         return transition.at if transition is not None else None
 
     @property
     def any_down(self) -> bool:
-        return bool(self._down)
+        return bool(self.down)

@@ -90,7 +90,7 @@ class Replica:
         record = self.engine.execute(
             query_class, timestamp, host.cpu_factor, host.io_factor
         )
-        host.note_demand(query_class.cpu_cost, float(record.io_block_requests))
+        host.note_demand(query_class.cpu_cost, record.io_block_requests)
         return record
 
     def apply_write(self, sequence: int) -> None:

@@ -321,17 +321,17 @@ class Scheduler:
         pinned = self._placement.get(key)
         watermarks = self.replication.watermarks
         committed = self.replication.committed
-        is_up = self.health.is_up
+        down = self.health.down
         eligible = [
             name
             for name in (sorted(pinned) if pinned else self._replica_names)
-            if watermarks[name] == committed and is_up(name)
+            if watermarks[name] == committed and name not in down
         ]
         if not eligible and pinned:
             eligible = [
                 name
                 for name in self._replica_names
-                if watermarks[name] == committed and is_up(name)
+                if watermarks[name] == committed and name not in down
             ]
             if eligible:
                 registry = self.obs.registry

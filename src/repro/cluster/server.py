@@ -52,16 +52,14 @@ class ServerSpec:
 
 @dataclass
 class IntervalLoad:
-    """Demand accumulated on one server during one measurement interval."""
+    """Demand accumulated on one server during one measurement interval.
+
+    A host's ``note_demand`` checks a query's demand and adds to it
+    directly: one call per query, below ``Replica.execute``.
+    """
 
     cpu_seconds: float = 0.0
     io_pages: float = 0.0
-
-    def add(self, cpu_seconds: float, io_pages: float) -> None:
-        if cpu_seconds < 0 or io_pages < 0:
-            raise ValueError("demand must be non-negative")
-        self.cpu_seconds += cpu_seconds
-        self.io_pages += io_pages
 
 
 class LoadModel:
@@ -78,7 +76,7 @@ class LoadModel:
 
     def __init__(self, spec: ServerSpec) -> None:
         self.spec = spec
-        self._current = IntervalLoad()
+        self.current = IntervalLoad()  # the open interval's demand
         self.raw_cpu_utilisation = 0.0
         self.raw_io_utilisation = 0.0
         self.cpu_utilisation = 0.0
@@ -86,14 +84,11 @@ class LoadModel:
         self.cpu_factor = 1.0
         self.io_factor = 1.0
 
-    def note_demand(self, cpu_seconds: float, io_pages: float) -> None:
-        self._current.add(cpu_seconds, io_pages)
-
     def close_interval(self, interval_length: float) -> IntervalLoad:
         """Fold the interval's demand into utilisations and factors."""
         if interval_length <= 0:
             raise ValueError(f"interval length must be positive: {interval_length}")
-        closed = self._current
+        closed = self.current
         self.raw_cpu_utilisation = closed.cpu_seconds / (
             self.spec.cores * interval_length
         )
@@ -109,7 +104,7 @@ class LoadModel:
         )
         self.cpu_factor = self._cpu_inflation(self.cpu_utilisation, self.spec.cores)
         self.io_factor = self._io_inflation(self.io_utilisation)
-        self._current = IntervalLoad()
+        self.current = IntervalLoad()
         return closed
 
     @staticmethod
@@ -163,7 +158,11 @@ class PhysicalServer:
 
     def note_demand(self, cpu_seconds: float, io_pages: float) -> None:
         """Record demand generated by a query execution on this server."""
-        self.load.note_demand(cpu_seconds, io_pages)
+        if not (cpu_seconds >= 0 and io_pages >= 0):  # NaN fails this too
+            raise ValueError(f"demand must be non-negative: {cpu_seconds}, {io_pages}")
+        current = self.load.current
+        current.cpu_seconds += cpu_seconds
+        current.io_pages += io_pages
 
     def close_interval(self, interval_length: float) -> IntervalLoad:
         return self.load.close_interval(interval_length)
@@ -177,11 +176,11 @@ class PhysicalServer:
         multiplier untouched and vice versa.
         """
         if cpu is not None:
-            if cpu < 1.0:
+            if not cpu >= 1.0:  # NaN fails this too
                 raise ValueError(f"CPU slowdown cannot speed up: {cpu}")
             self.fault_cpu_multiplier = float(cpu)
         if io is not None:
-            if io < 1.0:
+            if not io >= 1.0:
                 raise ValueError(f"I/O slowdown cannot speed up: {io}")
             self.fault_io_multiplier = float(io)
 

@@ -60,8 +60,10 @@ class VirtualMachine:
 
     def note_demand(self, cpu_seconds: float, io_pages: float) -> None:
         """CPU demand stays in the guest; I/O demand goes through dom0."""
-        self._cpu_load.note_demand(cpu_seconds, 0.0)
-        self.host.note_dom0_io(io_pages)
+        if not (cpu_seconds >= 0 and io_pages >= 0):  # NaN fails this too
+            raise ValueError(f"demand must be non-negative: {cpu_seconds}, {io_pages}")
+        self._cpu_load.current.cpu_seconds += cpu_seconds
+        self.host.dom0_load.current.io_pages += io_pages
 
     def close_interval(self, interval_length: float) -> IntervalLoad:
         return self._cpu_load.close_interval(interval_length)
@@ -114,7 +116,8 @@ class XenHost:
         self.dom0_overhead = dom0_overhead
         self.contention_threshold = contention_threshold
         self.vms: dict[str, VirtualMachine] = {}
-        self._dom0_load = LoadModel(
+        # The shared channel: every guest's I/O demand lands here.
+        self.dom0_load = LoadModel(
             ServerSpec(
                 cores=server.spec.cores,
                 memory_pages=server.spec.memory_pages,
@@ -142,22 +145,19 @@ class XenHost:
         self.vms[name] = vm
         return vm
 
-    def note_dom0_io(self, io_pages: float) -> None:
-        self._dom0_load.note_demand(0.0, io_pages)
-
     def close_interval(self, interval_length: float) -> None:
         """Close the dom0 channel's interval and every guest's."""
-        self._dom0_load.close_interval(interval_length)
+        self.dom0_load.close_interval(interval_length)
         for vm in self.vms.values():
             vm.close_interval(interval_length)
 
     @property
     def dom0_io_factor(self) -> float:
-        return self._dom0_load.io_factor
+        return self.dom0_load.io_factor
 
     @property
     def dom0_io_utilisation(self) -> float:
-        return self._dom0_load.io_utilisation
+        return self.dom0_load.io_utilisation
 
     @property
     def io_contended(self) -> bool:
@@ -167,4 +167,4 @@ class XenHost:
         saturation: the dom0 channel serves *every* guest, so sustained high
         occupancy is already a multi-tenant interference signal.
         """
-        return self._dom0_load.io_utilisation >= self.contention_threshold
+        return self.dom0_load.io_utilisation >= self.contention_threshold

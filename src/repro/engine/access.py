@@ -28,7 +28,7 @@ because a class's pattern may be wrapped and unwrapped again mid-run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .indexes import BTreeIndex, IndexCatalog
 from .pages import PageRange
 
 __all__ = [
+    "NO_PAGES",
     "ExecutionAccess",
     "AccessPattern",
     "BlockServedPattern",
@@ -55,12 +56,28 @@ BLOCK_PAGES = 2048
 """Pages a :class:`BlockServedPattern` generates ahead (at least one execution)."""
 
 
-@dataclass(slots=True)
-class ExecutionAccess:
-    """Page references produced by one execution of a query."""
+NO_PAGES: list[int] = []
+"""The empty page list every execution without read-ahead shares (never
+appended to: the executor and :class:`CompositePattern` only read a list)."""
 
-    demand: list[int] = field(default_factory=list)
-    prefetch: list[int] = field(default_factory=list)
+
+@dataclass(slots=True, init=False)
+class ExecutionAccess:
+    """Page references produced by one execution of a query.
+
+    One is built per query, so its constructor takes the lists as given:
+    a missing list is the shared :data:`NO_PAGES`, not a fresh one from a
+    ``default_factory``.  Equality and ``repr`` are the dataclass's.
+    """
+
+    demand: list[int]
+    prefetch: list[int]
+
+    def __init__(
+        self, demand: list[int] = NO_PAGES, prefetch: list[int] = NO_PAGES
+    ) -> None:
+        self.demand = demand
+        self.prefetch = prefetch
 
     @property
     def total_pages(self) -> int:
@@ -411,5 +428,6 @@ class CompositePattern(AccessPattern):
         for part in self.parts:
             access = part.pages_for_execution()
             demand += access.demand
-            prefetch += access.prefetch
+            if access.prefetch:
+                prefetch += access.prefetch
         return ExecutionAccess(demand, prefetch)

@@ -62,6 +62,7 @@ class DatabaseEngine:
             for _ in range(config.worker_threads)
         ]
         self._next_thread = 0
+        self._last_thread = len(self._threads) - 1
         self.apps: set[str] = set()
 
     # ------------------------------------------------------------------ #
@@ -98,9 +99,9 @@ class DatabaseEngine:
                     lock_waits=1,
                     lock_wait_time=grant.wait_time,
                 )
-        thread = self._threads[self._next_thread]
-        self._next_thread = (self._next_thread + 1) % len(self._threads)
-        thread.log(record)
+        thread = self._next_thread
+        self._next_thread = thread + 1 if thread < self._last_thread else 0
+        self._threads[thread].log(record)
         return record
 
     def flush_logs(self) -> None:

@@ -29,6 +29,8 @@ from .statslog import EngineLog, ExecutionRecord
 
 __all__ = ["CostModel", "QueryExecutor"]
 
+_new_tuple = tuple.__new__
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -46,7 +48,8 @@ class CostModel:
     readahead_overlap: float = 0.15
 
     def __post_init__(self) -> None:
-        if self.io_time_per_page < 0 or self.hit_time_per_page < 0:
+        # Written ``not x >= bound`` so that NaN fails each check too.
+        if not (self.io_time_per_page >= 0 and self.hit_time_per_page >= 0):
             raise ValueError("cost-model times must be non-negative")
         if not 0 <= self.readahead_overlap <= 1:
             raise ValueError(
@@ -63,7 +66,7 @@ class CostModel:
         io_factor: float = 1.0,
     ) -> float:
         """Latency of one execution given its page-level outcome."""
-        if cpu_factor < 1.0 or io_factor < 1.0:
+        if not (cpu_factor >= 1.0 and io_factor >= 1.0):  # NaN fails this too
             raise ValueError("contention factors cannot be below 1.0")
         cpu_component = cpu_cost * cpu_factor
         memory_component = hits * self.hit_time_per_page
@@ -118,13 +121,20 @@ class QueryExecutor:
             query_class.cpu_cost, hits, misses, readahead_fetches, cpu_factor, io_factor
         )
         self.executions += 1
-        # Positional, in ExecutionRecord's field order (lock fields default).
-        return ExecutionRecord(
-            timestamp,
-            key,
-            latency,
-            page_accesses,
-            misses,
-            readahead_fetches,
-            misses + readahead_fetches,
+        # In ExecutionRecord's field order, lock fields at their defaults,
+        # through tuple.__new__: the NamedTuple's own __new__ is a Python
+        # function that only forwards its arguments there.
+        return _new_tuple(
+            ExecutionRecord,
+            (
+                timestamp,
+                key,
+                latency,
+                page_accesses,
+                misses,
+                readahead_fetches,
+                misses + readahead_fetches,
+                0,
+                0.0,
+            ),
         )

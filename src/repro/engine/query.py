@@ -44,7 +44,7 @@ class QueryClass:
     lock_pattern: object | None = None  # a locks.RowGroupLockPattern
 
     def __post_init__(self) -> None:
-        if self.cpu_cost < 0:
+        if not self.cpu_cost >= 0:  # NaN fails this too
             raise ValueError(f"cpu cost must be non-negative: {self.cpu_cost}")
 
     @cached_property

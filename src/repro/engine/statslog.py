@@ -38,8 +38,8 @@ class ExecutionRecord(NamedTuple):
     """One query execution as seen by the instrumentation layer.
 
     An immutable value built once per query, hence a tuple: the executor
-    builds it positionally (field order is pinned by a test) and the two
-    places that amend one use ``_replace``.
+    builds it positionally through ``tuple.__new__`` (field order is pinned
+    by a test) and the two places that amend one use ``_replace``.
     """
 
     timestamp: float
@@ -158,7 +158,10 @@ class EngineLog:
         Accepts any page vector — list, tuple, or ndarray — and hands it to
         the window in one call."""
         if len(pages):
-            self.window_for(context_key).record_many(pages)
+            window = self._windows.get(context_key)
+            if window is None:
+                window = self.window_for(context_key)
+            window.record_many(pages)
 
     def window_for(self, context_key: str) -> AccessWindow:
         """The recent-page-access window of one query context."""

@@ -76,16 +76,17 @@ class FaultEvent:
     ramp_steps: int = 1
 
     def __post_init__(self) -> None:
-        if self.at < 0:
+        # Written ``not x >= bound`` (or ``>``) so that NaN fails each check.
+        if not self.at >= 0:
             raise ValueError(f"fault time must be non-negative: {self.at}")
         if not self.target:
             raise ValueError("fault target must be a non-empty name")
         if self.kind in _TARGETED_AT_HOSTS:
-            if self.factor <= 1.0:
+            if not self.factor > 1.0:
                 raise ValueError(
                     f"slowdown factor must exceed 1.0: {self.factor}"
                 )
-            if self.duration <= 0:
+            if not self.duration > 0:
                 raise ValueError(
                     f"slowdown duration must be positive: {self.duration}"
                 )
@@ -93,7 +94,7 @@ class FaultEvent:
                 raise ValueError(
                     f"ramp steps must be at least 1: {self.ramp_steps}"
                 )
-        if self.kind in _TARGETED_AT_APPS and self.duration <= 0:
+        if self.kind in _TARGETED_AT_APPS and not self.duration > 0:
             raise ValueError(
                 f"write stall duration must be positive: {self.duration}"
             )

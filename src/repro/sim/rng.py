@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
 from functools import lru_cache
+from operator import length_hint
 
 import numpy as np
 
@@ -26,6 +27,13 @@ __all__ = [
     "ZipfGenerator",
 ]
 
+
+STREAM_BLOCK_DRAWS = 1024
+"""Values a :class:`RandomStream` draws ahead per block for
+:meth:`~RandomStream.random` and :meth:`~RandomStream.exponential`."""
+
+_NONE_LEFT: Iterator[float] = iter(())
+"""The unread tail of no block (an exhausted iterator, shared)."""
 
 ZIPF_BLOCK_DRAWS = 1024
 """Uniforms a :class:`ZipfGenerator` draws and looks up per refill."""
@@ -41,27 +49,95 @@ def _derive_seed(root_seed: int, name: str) -> int:
 
 
 class RandomStream:
-    """A named, independently seeded wrapper around ``numpy.random.Generator``."""
+    """A named, independently seeded wrapper around ``numpy.random.Generator``.
+
+    *Draws from a block.*  :meth:`random` and :meth:`exponential` — the
+    mix draw and the think time, one of each per emulated query — are
+    served from one block of :data:`STREAM_BLOCK_DRAWS` values drawn ahead
+    in one numpy call, because at one value per call numpy's per-call
+    overhead, not the arithmetic, is the cost.  The block holds values of
+    one kind: uniforms on ``[0, 1)``, or standard exponentials that
+    :meth:`exponential` scales by its mean as numpy's scalar draw does.
+    The k-th value handed out equals the k-th scalar draw bit for bit: a
+    block fills from the same per-element routine a scalar draw calls once.
+
+    Any other draw on the stream — :meth:`uniform`, :meth:`integers`,
+    :meth:`integers_array`, :meth:`choice` without weights, :meth:`shuffle`,
+    :attr:`generator` (and through it a :class:`ZipfGenerator` refill), or a
+    block of the other kind — first *rewinds*: it restores the bit-generator
+    state saved before the block and redraws only the values already handed
+    out, so the stream sits exactly where as many scalar draws would have
+    left it.  The block lives on the stream, not on its consumer, so any
+    number of consumers of one named stream still read the scalar sequence.
+    """
 
     def __init__(self, root_seed: int, name: str) -> None:
         self.name = name
         self.seed = _derive_seed(root_seed, name)
         self._rng = np.random.default_rng(self.seed)
+        # The block: its unread tail under its kind (the other kind's tail
+        # is empty), its size, the numpy draw that filled it and the
+        # bit-generator state before it (None: no block).
+        self._uniforms: Iterator[float] = _NONE_LEFT
+        self._exponentials: Iterator[float] = _NONE_LEFT
+        self._block_size = 0
+        self._block_draw: Callable[[int], np.ndarray] | None = None
+        self._state_before_block: dict | None = None
+
+    def _start_block(self, draw: Callable[[int], np.ndarray]) -> Iterator[float]:
+        """Rewind, then draw a block through ``draw``; returns its tail."""
+        self._rewind()
+        self._state_before_block = self._rng.bit_generator.state
+        self._block_draw = draw
+        self._block_size = STREAM_BLOCK_DRAWS
+        return iter(draw(STREAM_BLOCK_DRAWS).tolist())
+
+    def _rewind(self) -> None:
+        """Put the bit generator where the values handed out so far, drawn
+        one at a time, would have left it, and drop the block."""
+        state = self._state_before_block
+        if state is None:
+            return
+        unread = length_hint(self._uniforms) + length_hint(self._exponentials)
+        if unread:
+            self._rng.bit_generator.state = state
+            handed_out = self._block_size - unread
+            if handed_out:
+                self._block_draw(handed_out)
+        self._uniforms = self._exponentials = _NONE_LEFT
+        self._state_before_block = self._block_draw = None
 
     @property
     def generator(self) -> np.random.Generator:
+        """The bit-exact numpy generator, rewound for a direct draw."""
+        self._rewind()
         return self._rng
 
+    def random(self) -> float:
+        """A uniform double in ``[0, 1)``, served from the block."""
+        value = next(self._uniforms, None)
+        if value is None:
+            self._uniforms = self._start_block(self._rng.random)
+            value = next(self._uniforms)
+        return value
+
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        self._rewind()
         return float(self._rng.uniform(low, high))
 
     def exponential(self, mean: float) -> float:
-        if mean <= 0:
+        """An exponential draw of mean ``mean``, served from the block."""
+        if not mean > 0:  # NaN fails this too
             raise ValueError(f"exponential mean must be positive: {mean}")
-        return float(self._rng.exponential(mean))
+        value = next(self._exponentials, None)
+        if value is None:
+            self._exponentials = self._start_block(self._rng.standard_exponential)
+            value = next(self._exponentials)
+        return mean * value
 
     def integers(self, low: int, high: int) -> int:
         """A uniform integer in ``[low, high)``."""
+        self._rewind()
         return int(self._rng.integers(low, high))
 
     def integers_array(self, low: int, high: int, count: int) -> np.ndarray:
@@ -73,15 +149,17 @@ class RandomStream:
         """
         if count < 0:
             raise ValueError(f"count must be non-negative: {count}")
+        self._rewind()
         return self._rng.integers(low, high, size=count)
 
     def choice(self, items: Sequence, weights: Sequence[float] | None = None):
         """Pick one element, optionally with (unnormalised) weights."""
         if weights is None:
-            return items[int(self._rng.integers(0, len(items)))]
+            return items[self.integers(0, len(items))]
         return items[CumulativeSampler.from_weights(weights).draw(self)]
 
     def shuffle(self, items: list) -> None:
+        self._rewind()
         self._rng.shuffle(items)
 
 
@@ -120,7 +198,7 @@ class CumulativeSampler:
 
     def draw(self, stream: RandomStream) -> int:
         """One index in ``[0, len(p))``; consumes one double of ``stream``."""
-        return bisect_right(self._cdf, stream._rng.random())
+        return bisect_right(self._cdf, stream.random())
 
 
 class SeedSequenceFactory:
@@ -234,7 +312,7 @@ class ZipfGenerator:
 
     def _refill(self, shortfall: int) -> None:
         """Append at least ``shortfall`` fresh ranks to the unread tail."""
-        rng = self._stream._rng
+        rng = self._stream.generator
         if (
             self._state_after_refill is not None
             and rng.bit_generator.state != self._state_after_refill

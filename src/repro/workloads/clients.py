@@ -45,7 +45,7 @@ class ClosedLoopDriver:
         think_time_mean: float = 1.0,
         seeds: SeedSequenceFactory | None = None,
     ) -> None:
-        if think_time_mean <= 0:
+        if not think_time_mean > 0:  # NaN fails this too
             raise ValueError(f"think time must be positive: {think_time_mean}")
         self.workload = workload
         self.scheduler = scheduler
@@ -97,16 +97,25 @@ class ClosedLoopDriver:
             raise ValueError(f"interval length must be positive: {length}")
         end = start + length
         self._resize_population(self.load.clients_at(start), start)
+        # Looked up once per interval, not once per query.
+        sample_class = self.workload.sample_class
+        mix_stream = self._mix_stream
+        submit = self.scheduler.submit
+        think = self._think_stream.exponential
+        think_mean = self.think_time_mean
+        sessions = self._sessions
         submitted = 0
-        for client_id in sorted(self._sessions):
-            session = self._sessions[client_id]
-            while session.next_submit < end:
-                timestamp = max(session.next_submit, start)
-                query_class = self.workload.sample_class(self._mix_stream)
-                record = self.scheduler.submit(query_class, timestamp)
-                think = self._think_stream.exponential(self.think_time_mean)
-                session.next_submit = timestamp + record.latency + think
-                session.queries_issued += 1
-                submitted += 1
+        for client_id in sorted(sessions):
+            session = sessions[client_id]
+            next_submit = session.next_submit
+            issued = 0
+            while next_submit < end:
+                timestamp = start if start > next_submit else next_submit
+                record = submit(sample_class(mix_stream), timestamp)
+                next_submit = timestamp + record.latency + think(think_mean)
+                issued += 1
+            session.next_submit = next_submit
+            session.queries_issued += issued
+            submitted += issued
         self.total_queries += submitted
         return submitted

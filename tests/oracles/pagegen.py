@@ -17,6 +17,8 @@ can be run both ways from one seed.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from repro.engine.access import (
@@ -36,6 +38,7 @@ from repro.workloads.base import Workload
 from .locks import requests_per_execution
 
 __all__ = [
+    "FactoryExecutionAccess",
     "ZipfOracle",
     "ZipfPagesOracle",
     "IndexLookupOracle",
@@ -46,6 +49,16 @@ __all__ = [
     "per_execution_workload",
     "assert_interned",
 ]
+
+
+@dataclass(slots=True)
+class FactoryExecutionAccess:
+    """``ExecutionAccess`` as it was: a slotted dataclass whose lists default
+    through ``default_factory`` — a fresh read-ahead list for every
+    demand-only execution.  The query-path micro-benchmark builds both."""
+
+    demand: list[int] = field(default_factory=list)
+    prefetch: list[int] = field(default_factory=list)
 
 
 class ZipfOracle:

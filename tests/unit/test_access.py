@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine.access import (
+    NO_PAGES,
     CompositePattern,
     ExecutionAccess,
     IndexLookup,
@@ -15,6 +16,7 @@ from repro.engine.access import (
 from repro.engine.indexes import BTreeIndex, IndexCatalog
 from repro.engine.pages import PageSpaceAllocator
 from repro.engine.tables import Table
+from repro.experiments.runner import ClusterHarness
 from repro.sim.rng import SeedSequenceFactory
 from repro.workloads.tpcw import build_tpcw
 
@@ -31,6 +33,26 @@ def setup():
 class TestExecutionAccess:
     def test_total_pages(self):
         assert ExecutionAccess(demand=[1, 2], prefetch=[3]).total_pages == 3
+
+    def test_equal_by_value_and_unhashable(self):
+        assert ExecutionAccess([1, 2]) == ExecutionAccess([1, 2], [])
+        assert ExecutionAccess([1, 2]) != ExecutionAccess([1, 2], [3])
+        assert ExecutionAccess() == ExecutionAccess([], [])
+        assert ExecutionAccess([1]) != ([1], [])
+        assert repr(ExecutionAccess([1])) == "ExecutionAccess(demand=[1], prefetch=[])"
+        with pytest.raises(TypeError):
+            hash(ExecutionAccess([1]))
+
+    def test_a_missing_list_is_the_shared_empty_one(self):
+        access = ExecutionAccess([4])
+        assert access.prefetch is NO_PAGES and ExecutionAccess().demand is NO_PAGES
+        with pytest.raises(AttributeError):
+            access.pages = [1]  # slotted: no other attributes
+
+    def test_no_run_appends_to_the_shared_empty_list(self):
+        harness = ClusterHarness.single_app(build_tpcw(5), servers=1, clients=20)
+        harness.run(intervals=3)
+        assert NO_PAGES == []
 
 
 class TestZipfWorkingSet:

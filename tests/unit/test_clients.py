@@ -75,6 +75,13 @@ class TestClosedLoopDriver:
         with pytest.raises(ValueError):
             ClosedLoopDriver(workload, scheduler, think_time_mean=0.0)
 
+    def test_rejects_nan_think_time(self):
+        workload = build_tpcw(seed=3)
+        with pytest.raises(ValueError):
+            ClosedLoopDriver(
+                workload, Scheduler(workload.app), think_time_mean=float("nan")
+            )
+
     def test_rejects_bad_interval(self):
         _, _, driver = make_driver()
         with pytest.raises(ValueError):

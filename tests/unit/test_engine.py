@@ -52,6 +52,16 @@ class TestExecution:
         # Two records buffered in each thread.
         assert all(len(t) == 2 for t in engine._threads)
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_round_robin_visits_threads_in_order(self, threads):
+        engine = make_engine(threads=threads, buffer_capacity=100)
+        for timestamp in range(7):
+            engine.execute(make_class(), float(timestamp))
+        logged = [[r.timestamp for r in thread._records] for thread in engine._threads]
+        assert logged == [
+            [float(t) for t in range(first, 7, threads)] for first in range(threads)
+        ]
+
     def test_thread_buffers_hold_counters_only(self):
         # A 1000-page demand vector goes to the window at execution: the
         # buffered records hold no page vector, and a close empties them.

@@ -1,5 +1,7 @@
 """Unit tests for the query executor and its cost model."""
 
+from math import nan
+
 import pytest
 
 from repro.engine.access import AccessPattern, ExecutionAccess
@@ -57,6 +59,16 @@ class TestCostModel:
     def test_rejects_negative_times(self):
         with pytest.raises(ValueError):
             CostModel(io_time_per_page=-0.1)
+
+    @pytest.mark.parametrize("field", ["io_time_per_page", "hit_time_per_page"])
+    def test_rejects_nan_times(self, field):
+        with pytest.raises(ValueError):
+            CostModel(**{field: nan})
+
+    @pytest.mark.parametrize("factor", ["cpu_factor", "io_factor"])
+    def test_rejects_nan_factors(self, factor):
+        with pytest.raises(ValueError):
+            CostModel().latency(0.1, 3, 2, 1, **{factor: nan})
 
 
 class TestQueryExecutor:

@@ -28,6 +28,20 @@ class TestFaultEventValidation:
                 0.0, FaultKind.IO_SLOWDOWN, "host", duration=5.0, factor=1.0
             )
 
+    @pytest.mark.parametrize("kind", [FaultKind.IO_SLOWDOWN, FaultKind.CPU_SLOWDOWN])
+    def test_slowdown_factor_must_not_be_nan(self, kind):
+        with pytest.raises(ValueError):
+            FaultEvent(0.0, kind, "host", duration=10.0, factor=float("nan"))
+
+    def test_nan_time_and_durations_rejected(self):
+        nan = float("nan")
+        with pytest.raises(ValueError):
+            FaultEvent(nan, FaultKind.REPLICA_CRASH, "r1")
+        with pytest.raises(ValueError):
+            FaultEvent(0.0, FaultKind.IO_SLOWDOWN, "host", duration=nan, factor=2.0)
+        with pytest.raises(ValueError):
+            FaultEvent(0.0, FaultKind.WRITE_STALL, "app", duration=nan)
+
     def test_slowdown_needs_positive_duration(self):
         with pytest.raises(ValueError):
             FaultEvent(0.0, FaultKind.CPU_SLOWDOWN, "host", factor=2.0)

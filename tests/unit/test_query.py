@@ -29,6 +29,12 @@ class TestQueryClass:
         with pytest.raises(ValueError):
             QueryClass("q", "app", 1, "select 1", _FixedPattern(), cpu_cost=-1.0)
 
+    def test_rejects_nan_cpu_cost(self):
+        with pytest.raises(ValueError):
+            QueryClass(
+                "q", "app", 1, "select 1", _FixedPattern(), cpu_cost=float("nan")
+            )
+
 
 class TestQueryClassRegistry:
     def make_class(self, name="q1", template="select ? from t"):

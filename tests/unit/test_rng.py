@@ -39,6 +39,10 @@ class TestRandomStream:
         with pytest.raises(ValueError):
             RandomStream(3, "exp").exponential(0.0)
 
+    def test_exponential_rejects_nan_mean(self):
+        with pytest.raises(ValueError):
+            RandomStream(3, "exp").exponential(float("nan"))
+
     def test_integers_within_bounds(self):
         stream = RandomStream(4, "ints")
         values = [stream.integers(2, 7) for _ in range(200)]

@@ -2,12 +2,24 @@
 
 import pytest
 
+from repro.engine.access import AccessPattern, ExecutionAccess
+from repro.engine.bufferpool import LRUBufferPool
+from repro.engine.executor import QueryExecutor
+from repro.engine.query import QueryClass
 from repro.engine.statslog import (
     ClassIntervalStats,
     EngineLog,
     ExecutionRecord,
     ThreadLogBuffer,
 )
+
+
+class _Pages(AccessPattern):
+    def __init__(self, demand, prefetch):
+        self._access = (demand, prefetch)
+
+    def pages_for_execution(self):
+        return ExecutionAccess(*self._access)
 
 
 def record(key="app/q", latency=0.1, pages=(1, 2), misses=1, readaheads=0):
@@ -42,6 +54,16 @@ class TestExecutionRecord:
             "readaheads", "io_block_requests", "lock_waits", "lock_wait_time",
         )
         assert ExecutionRecord(0.0, "app/q", 0.1, 0, 0, 0, 0)[7:] == (0, 0.0)
+
+    def test_the_executor_builds_the_named_tuple_itself(self):
+        executor = QueryExecutor(LRUBufferPool(10), EngineLog())
+        query_class = QueryClass("q", "app", 1, "select 1", _Pages([1, 2, 1], [5]))
+        built = executor.execute(query_class, 2.5)
+        assert type(built) is ExecutionRecord
+        assert built == ExecutionRecord(
+            2.5, "app/q", built.latency, 3, 2, 1, 3
+        )
+        assert built.lock_waits == 0 and built.lock_wait_time == 0.0
 
     def test_is_immutable(self):
         with pytest.raises(AttributeError):

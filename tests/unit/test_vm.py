@@ -85,6 +85,19 @@ class TestDom0Sharing:
         assert not host.io_contended
 
 
+class TestVMDemand:
+    @pytest.mark.parametrize(
+        "cpu, io", [(-1.0, 0.0), (0.0, -1.0), (float("nan"), 0.0), (0.0, float("nan"))]
+    )
+    def test_rejects_negative_or_nan_demand(self, cpu, io):
+        host = make_host()
+        vm = host.create_vm("d1")
+        with pytest.raises(ValueError):
+            vm.note_demand(cpu, io)
+        assert vm.close_interval(10.0).cpu_seconds == 0.0
+        assert host.dom0_load.current.io_pages == 0.0
+
+
 class TestVMCpuIsolation:
     def test_cpu_stays_in_guest(self):
         host = make_host(cores=8)
