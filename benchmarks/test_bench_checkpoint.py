@@ -11,16 +11,19 @@ window slice), with the per-element oracle of ``tests/oracles/checkpoint.py``
 swapped in (every curve analysed and listed count by count — what every
 checkpoint of a new curve paid before curves were written as references),
 and as built once every curve has been read (*all read*: the encode-once
-steady state).  The table (``-rP`` shows it) is microseconds per checkpoint,
-best of ``REPEATS``, and payload bytes.  The one assertion on time is that
+steady state).  The three are timed in alternation (``alternate.py``), the
+oracle's ``per_element_checkpoints`` swap entered and left around each of its
+calls.  The table (``-rP`` shows it) is microseconds per checkpoint, best of
+``REPEATS`` each, and payload bytes.  The one assertion on time is that
 the pending checkpoint beats the oracle; the oracle's payload of the
 restored controller must equal its payload of the run's own curves.
 """
 
 import json
 import sys
-import timeit
 from pathlib import Path
+
+from alternate import best_in_alternation
 
 from repro.cluster.server import ServerSpec
 from repro.experiments.chaos import ChaosStormConfig
@@ -74,23 +77,38 @@ def test_pending_checkpoint_beats_per_element_encoding():
     def restore() -> None:
         supervisor.restore_state(json.loads(built))
 
+    def read_every_curve() -> None:
+        restore()
+        for analyzer in analyzers:
+            for _, slot in analyzer.mrc.slots():
+                slot.entry.curve
+
     def checkpoint() -> None:
         supervisor.checkpoint_now(now)
 
-    def microseconds(setup=restore) -> float:
-        return min(timeit.repeat(checkpoint, setup, number=1, repeat=REPEATS)) * 1e6
+    def per_element() -> None:
+        with per_element_checkpoints():
+            checkpoint()
 
-    pending = microseconds()
-    pending_payload = supervisor.checkpoints.latest().payload
-    with per_element_checkpoints():
-        oracle = microseconds()
-        listed = supervisor.checkpoints.latest().payload
-    restore()
+    oracle, pending, all_read = (
+        seconds * 1e6
+        for seconds in best_in_alternation(
+            (per_element, checkpoint, checkpoint),
+            REPEATS,
+            setups=(restore, restore, read_every_curve),
+        )
+    )
+    payloads = []
+    for setup, run in (
+        (restore, per_element), (restore, checkpoint), (read_every_curve, checkpoint)
+    ):
+        setup()
+        run()
+        payloads.append(supervisor.checkpoints.latest().payload)
+    listed, pending_payload, read_payload = payloads
     curves = [
         slot.entry.curve for analyzer in analyzers for _, slot in analyzer.mrc.slots()
     ]
-    all_read = microseconds(setup=lambda: None)
-    read_payload = supervisor.checkpoints.latest().payload
 
     # Restored from the references and read, the controller lists what the
     # run's own curves listed.

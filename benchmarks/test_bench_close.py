@@ -22,14 +22,16 @@ replaced:
   sides cost the same.
 
 The table (``-rP`` shows it) is microseconds per operation, best of
-``REPEATS``.  Each case asserts one "faster than" ratio and no absolute
-time: a reference at least ten times faster than the copy, a flush of
-counters at least twice as fast as one that frees the vectors.
+``REPEATS`` each, the two sides timed in alternation (``alternate.py``).
+Each case asserts one "faster than" ratio and no absolute time: a reference
+at least ten times faster than the copy, a flush of counters at least twice
+as fast as one that frees the vectors.
 """
 
 import sys
-import timeit
 from pathlib import Path
+
+from alternate import best_in_alternation
 
 from repro.core.analyzer import MAX_MRC_TRACE, LogAnalyzer
 from repro.engine.access import SequentialChunkScan
@@ -52,7 +54,8 @@ REPEATS = 20
 KEY = "app/scan"
 
 
-def _refresh_us(window_type) -> float:
+def _refresh(window_type):
+    """One refresh of a full window's curve, on a window of ``window_type``."""
     engine = DatabaseEngine(EngineConfig(name="e", window_capacity=WINDOW))
     engine.log._windows[KEY] = window_type(WINDOW)
     pages = list(range(SCAN_PAGES))
@@ -65,7 +68,7 @@ def _refresh_us(window_type) -> float:
         entry = analyzer.recompute_mrc(KEY)
         assert entry.pending_slice == (engine.log.window_for(KEY).total_seen, MAX_MRC_TRACE)
 
-    return min(timeit.repeat(refresh, number=1, repeat=REPEATS)) * 1e6
+    return refresh
 
 
 class _KeepingLog(EngineLog):
@@ -76,7 +79,8 @@ class _KeepingLog(EngineLog):
         self.last = pages
 
 
-def _flush_us(carry_vector: bool) -> float:
+def _flush(carry_vector: bool):
+    """One full buffer's flush, and the untimed fill before it."""
     log = _KeepingLog()
     executor = QueryExecutor(LRUBufferPool(4 * SCAN_PAGES), log)
     scan = QueryClass(
@@ -91,12 +95,12 @@ def _flush_us(carry_vector: bool) -> float:
             record = executor.execute(scan)
             if carry_vector:
                 record = PagedExecutionRecord(*record[:7], log.last)
-            buffer.log(record)
+            buffer.records.append(record)
 
     def flush() -> None:
         assert buffer.flush() == RECORDS
 
-    return min(timeit.repeat(flush, fill, number=1, repeat=REPEATS)) * 1e6
+    return flush, fill
 
 
 def _row(label: str, built: float, replaced: float) -> None:
@@ -104,14 +108,27 @@ def _row(label: str, built: float, replaced: float) -> None:
     print(f"{label:<48}{built:>10.1f}{replaced:>10.1f}")
 
 
+def _microseconds(runs, setups=None) -> list[float]:
+    return [
+        seconds * 1e6 for seconds in best_in_alternation(runs, REPEATS, setups)
+    ]
+
+
 def test_a_refresh_references_its_slice():
-    reference, copy = _refresh_us(AccessWindow), _refresh_us(EagerCopyWindow)
+    copy, reference = _microseconds(
+        (_refresh(EagerCopyWindow), _refresh(AccessWindow))
+    )
     _row(f"refresh, {MAX_MRC_TRACE}-access slice: reference / copy", reference, copy)
     assert reference < copy / 10
 
 
 def test_a_flush_frees_no_page_vectors():
-    counters, vectors = _flush_us(False), _flush_us(True)
+    (flush_vectors, fill_vectors), (flush_counters, fill_counters) = (
+        _flush(True), _flush(False)
+    )
+    vectors, counters = _microseconds(
+        (flush_vectors, flush_counters), setups=(fill_vectors, fill_counters)
+    )
     _row(f"flush, {RECORDS} x {SCAN_PAGES}-page records: counters / vector",
          counters, vectors)
     assert counters < vectors / 2

@@ -5,7 +5,8 @@ the same seed: through the patterns as built (``ZipfGenerator`` draws ahead,
 ``ZipfPages`` and ``IndexLookup`` hand out slices of a block) and through
 their per-execution oracles (``tests/oracles/pagegen.py``: one numpy call
 sequence per execution, what ``src`` did before).  The table (``-rP`` shows
-it) is microseconds per execution, best of ``REPEATS``.  The one assertion
+it) is microseconds per execution, best of ``REPEATS``.  Every comparison in
+this file is timed in alternation (``alternate.py``), side for side.  The one assertion
 is that the shopping-mix-weighted mean is lower for the blocks — classes
 whose executions are hundreds of pages long (BestSeller) are expected to
 read about equal, the arithmetic being the cost there.
@@ -24,16 +25,16 @@ build that clears the memo first and so computes every table again.
 
 The last one sizes the Zipf bucket table (DESIGN §6) on BestSeller's
 ``(7000, 0.35)`` working set: a refill's 1024 fresh uniforms mapped to ranks
-through the table against one ``searchsorted`` over the CDF, the formula it
-replaced.
+by the bounded search from their buckets' lower edges against one
+``searchsorted`` over the CDF, the formula the table replaced.
 """
 
 import sys
-import timeit
 from pathlib import Path
 from time import perf_counter
 
 import numpy as np
+from alternate import best_in_alternation
 
 from repro.engine.bufferpool import LRUBufferPool
 from repro.engine.pages import PageRange
@@ -52,13 +53,22 @@ BATCH_PAGES = 1_000
 BATCHES = 100
 
 
-def _microseconds_per_execution(query_class) -> float:
-    def run() -> None:
-        for _ in range(EXECUTIONS):
-            query_class.execute_pages()
+def _microseconds_per_execution(*query_classes) -> list[float]:
+    """Each class's best of ``REPEATS`` runs of ``EXECUTIONS`` executions,
+    the classes taken in alternation."""
 
-    run()  # first blocks, warm caches
-    return min(timeit.repeat(run, number=1, repeat=REPEATS)) / EXECUTIONS * 1e6
+    def executing(query_class):
+        def run() -> None:
+            for _ in range(EXECUTIONS):
+                query_class.execute_pages()
+
+        run()  # first blocks, warm caches
+        return run
+
+    runs = [executing(query_class) for query_class in query_classes]
+    return [
+        seconds / EXECUTIONS * 1e6 for seconds in best_in_alternation(runs, REPEATS)
+    ]
 
 
 def test_block_served_page_generation_beats_per_execution_on_the_tpcw_mix():
@@ -70,8 +80,7 @@ def test_block_served_page_generation_beats_per_execution_on_the_tpcw_mix():
     print(f"{'class':<24}{'weight':>8}{'oracle us':>11}{'blocks us':>11}")
     for served, reference in zip(blocks.classes(), oracle.classes()):
         assert served.execute_pages().demand == reference.execute_pages().demand
-        per_block = _microseconds_per_execution(served)
-        per_execution = _microseconds_per_execution(reference)
+        per_execution, per_block = _microseconds_per_execution(reference, served)
         weight = weights[served.name]
         mean_blocks += weight * per_block
         mean_oracle += weight * per_execution
@@ -98,14 +107,19 @@ def test_a_uniform_execution_is_gathered_faster_than_it_is_minted():
     batches = _offset_batches()
     assert _gathered(batches[0]) == _minted(batches[0])
 
-    def microseconds(emit) -> float:
+    def emitting(emit):
         def run() -> None:
             for offsets in batches:
                 emit(offsets)
 
-        return min(timeit.repeat(run, number=1, repeat=REPEATS)) / BATCHES * 1e6
+        return run
 
-    minted, gathered = microseconds(_minted), microseconds(_gathered)
+    minted, gathered = (
+        seconds / BATCHES * 1e6
+        for seconds in best_in_alternation(
+            (emitting(_minted), emitting(_gathered)), REPEATS
+        )
+    )
     print(
         f"1000-page execution, us: int64 add + tolist {minted:.1f}, "
         f"gather + tolist {gathered:.1f}"
@@ -132,8 +146,10 @@ def _all_hit_ns_per_page(emit, batches: list[np.ndarray]) -> float:
 
 def test_an_all_hit_batch_is_faster_with_the_pools_own_key_objects():
     batches = _offset_batches()
-    identical = min(_all_hit_ns_per_page(_gathered, batches) for _ in range(REPEATS))
-    distinct = min(_all_hit_ns_per_page(_minted, batches) for _ in range(REPEATS))
+    distinct = identical = float("inf")
+    for _ in range(REPEATS):  # in alternation; each pass times its own batches
+        distinct = min(distinct, _all_hit_ns_per_page(_minted, batches))
+        identical = min(identical, _all_hit_ns_per_page(_gathered, batches))
     print(
         f"all-hit access_many, ns per page: distinct keys {distinct:.1f}, "
         f"identical keys {identical:.1f}"
@@ -147,9 +163,10 @@ def _cold_build() -> None:
 
 
 def test_a_workload_build_on_a_warm_cdf_memo_beats_a_cold_one():
-    build_tpcw(seed=7)  # every (n, theta) of the workload in the memo
-    warm = min(timeit.repeat(lambda: build_tpcw(seed=7), number=1, repeat=REPEATS))
-    cold = min(timeit.repeat(_cold_build, number=1, repeat=REPEATS))
+    # The cold build leaves every (n, theta) of the workload in the memo.
+    cold, warm = best_in_alternation(
+        (_cold_build, lambda: build_tpcw(seed=7)), REPEATS
+    )
     print(
         f"workload build, ms: cold memo {cold * 1e3:.2f}, "
         f"warm memo {warm * 1e3:.2f}"
@@ -165,15 +182,23 @@ def test_the_bucket_lookup_beats_searchsorted_on_fresh_uniforms():
         cdf.searchsorted(blocks[0], "left").tolist()
     )
 
-    def microseconds(lookup) -> float:
+    def looking_up(lookup):
         def run() -> None:
             for us in blocks:
                 lookup(us)
 
-        return min(timeit.repeat(run, number=1, repeat=REPEATS)) / len(blocks) * 1e6
+        return run
 
-    searched = microseconds(lambda us: cdf.searchsorted(us, "left"))
-    bucketed = microseconds(lambda us: _zipf_ranks(cdf, table, us))
+    searched, bucketed = (
+        seconds / len(blocks) * 1e6
+        for seconds in best_in_alternation(
+            (
+                looking_up(lambda us: cdf.searchsorted(us, "left")),
+                looking_up(lambda us: _zipf_ranks(cdf, table, us)),
+            ),
+            REPEATS,
+        )
+    )
     print(
         f"(7000, 0.35), 1024 fresh uniforms, us: searchsorted {searched:.1f}, "
         f"bucket table {bucketed:.1f}"

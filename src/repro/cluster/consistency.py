@@ -16,13 +16,19 @@ replica never applies writes out of order and that one-copy serialisability
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = ["WriteToken", "ReplicationState"]
 
+_new_tuple = tuple.__new__
 
-@dataclass(frozen=True)
-class WriteToken:
-    """A serialised write: its application and global sequence number."""
+
+class WriteToken(NamedTuple):
+    """A serialised write: its application and global sequence number.
+
+    One is built per write, as :class:`~repro.engine.statslog.ExecutionRecord`
+    is per query: a tuple, made positionally through ``tuple.__new__``.
+    """
 
     app: str
     sequence: int
@@ -52,7 +58,7 @@ class ReplicationState:
     def begin_write(self) -> WriteToken:
         """Serialise the next write and return its token."""
         self.committed += 1
-        return WriteToken(app=self.app, sequence=self.committed)
+        return _new_tuple(WriteToken, (self.app, self.committed))
 
     def acknowledge(self, replica_name: str, token: WriteToken) -> None:
         """A replica reports having applied ``token`` (in order)."""

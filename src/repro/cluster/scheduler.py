@@ -30,7 +30,11 @@ __all__ = ["AppIntervalMetrics", "Scheduler"]
 
 @dataclass
 class AppIntervalMetrics:
-    """Application-level SLA accounting over one measurement interval."""
+    """Application-level SLA accounting over one measurement interval.
+
+    :meth:`Scheduler.submit` adds each completed query in: one more query,
+    its latency to the total, and the maximum kept.
+    """
 
     app: str
     interval_index: int
@@ -38,12 +42,6 @@ class AppIntervalMetrics:
     total_latency: float = 0.0
     max_latency: float = 0.0
     interval_length: float = 10.0
-
-    def observe(self, latency: float) -> None:
-        self.queries += 1
-        self.total_latency += latency
-        if latency > self.max_latency:
-            self.max_latency = latency
 
     @property
     def mean_latency(self) -> float:
@@ -264,7 +262,14 @@ class Scheduler:
                 record = self._submit_write(query_class, timestamp)
         else:
             record = self._submit_read(query_class, timestamp)
-        self._metrics.observe(record.latency)
+        # The interval's SLA accounting, here rather than in a method of
+        # AppIntervalMetrics: one frame less per query.
+        metrics = self._metrics
+        latency = record.latency
+        metrics.queries += 1
+        metrics.total_latency += latency
+        if latency > metrics.max_latency:
+            metrics.max_latency = latency
         return record
 
     def _submit_read(self, query_class: QueryClass, timestamp: float) -> ExecutionRecord:
@@ -322,17 +327,16 @@ class Scheduler:
         watermarks = self.replication.watermarks
         committed = self.replication.committed
         down = self.health.down
-        eligible = [
-            name
-            for name in (sorted(pinned) if pinned else self._replica_names)
-            if watermarks[name] == committed and name not in down
-        ]
+        # Loops, not comprehensions: before Python 3.12 a comprehension is a
+        # frame of its own, one more per read.
+        eligible = []
+        for name in sorted(pinned) if pinned else self._replica_names:
+            if watermarks[name] == committed and name not in down:
+                eligible.append(name)
         if not eligible and pinned:
-            eligible = [
-                name
-                for name in self._replica_names
-                if watermarks[name] == committed and name not in down
-            ]
+            for name in self._replica_names:
+                if watermarks[name] == committed and name not in down:
+                    eligible.append(name)
             if eligible:
                 registry = self.obs.registry
                 if registry.enabled:

@@ -55,6 +55,9 @@ __all__ = [
 BLOCK_PAGES = 2048
 """Pages a :class:`BlockServedPattern` generates ahead (at least one execution)."""
 
+UNIFORM_BLOCK_PAGES = 16384
+"""Pages a :class:`UniformWorkingSet` draws ahead (at least one execution)."""
+
 
 NO_PAGES: list[int] = []
 """The empty page list every execution without read-ahead shares (never
@@ -180,7 +183,16 @@ class ZipfWorkingSet(ZipfPages):
 
 
 class UniformWorkingSet(AccessPattern):
-    """Uniform references over a working set — a linear miss-ratio curve."""
+    """Uniform references over a working set — a linear miss-ratio curve.
+
+    Offsets are drawn ahead, about :data:`UNIFORM_BLOCK_PAGES` at a time in
+    one bounded-integer draw, and gathered into an object array of the
+    range's own ints; an execution is a ``tolist()`` of its slice.  numpy's
+    bounded draw consumes the stream per value, whatever the size of the
+    call, so execution *k* gets exactly the offsets a draw of its own would
+    have got — while this pattern is its stream's one consumer, which every
+    block checks (:meth:`~repro.sim.rng.RandomStream.draw_ahead_generator`).
+    """
 
     def __init__(
         self,
@@ -201,12 +213,25 @@ class UniformWorkingSet(AccessPattern):
         self.working_set = working_set
         self.pages_per_execution = pages_per_execution
         self._stream = stream
+        self._block_offsets = (
+            max(1, UNIFORM_BLOCK_PAGES // pages_per_execution) * pages_per_execution
+        )
+        self._block = self._pages[:0]
+        self._next = 0
+        self._state_after_block: dict | None = None
 
     def pages_for_execution(self) -> ExecutionAccess:
-        offsets = self._stream.integers_array(
-            0, self.working_set, self.pages_per_execution
-        )
-        return ExecutionAccess(demand=self._pages[offsets].tolist())
+        start = self._next
+        if start == len(self._block):
+            rng = self._stream.draw_ahead_generator(
+                self._state_after_block, "UniformWorkingSet"
+            )
+            offsets = rng.integers(0, self.working_set, size=self._block_offsets)
+            self._state_after_block = rng.bit_generator.state
+            self._block = self._pages[offsets]
+            start = 0
+        self._next = end = start + self.pages_per_execution
+        return ExecutionAccess(self._block[start:end].tolist())
 
 
 class SequentialChunkScan(AccessPattern):

@@ -106,7 +106,9 @@ class PoolStats:
             return  # nothing counted: do not materialise a class bucket
         self.hits += hits
         self.misses += misses
-        bucket = self._bucket(query_class)
+        bucket = self.per_class.get(query_class)  # _bucket, inline
+        if bucket is None:
+            bucket = self._bucket(query_class)
         bucket["hits"] += hits
         bucket["misses"] += misses
 
@@ -284,6 +286,9 @@ class PartitionedBufferPool(BufferPool):
         self.stats = PoolStats()
         self._partitions: dict[str, LRUBufferPool] = {}
         self._assignment: dict[str, str] = {}
+        # Each assigned class's partition pool, kept by assign: one lookup
+        # per batch, with the default partition as the fallback.
+        self._pool_of: dict[str, LRUBufferPool] = {}
         quotas = dict(quotas) if quotas else {}
         reserved = sum(quotas.values())
         if reserved >= capacity:
@@ -297,7 +302,7 @@ class PartitionedBufferPool(BufferPool):
             self._partitions[name] = LRUBufferPool(
                 quota, eviction_sink=self.stats
             )
-        self._partitions[self.DEFAULT] = LRUBufferPool(
+        self._default = self._partitions[self.DEFAULT] = LRUBufferPool(
             capacity - reserved, eviction_sink=self.stats
         )
 
@@ -313,12 +318,10 @@ class PartitionedBufferPool(BufferPool):
         if partition not in self._partitions:
             raise KeyError(f"no partition named {partition!r}")
         self._assignment[query_class] = partition
+        self._pool_of[query_class] = self._partitions[partition]
 
     def partition_for(self, query_class: str) -> str:
         return self._assignment.get(query_class, self.DEFAULT)
-
-    def _pool_for(self, query_class: str) -> LRUBufferPool:
-        return self._partitions[self.partition_for(query_class)]
 
     def __len__(self) -> int:
         return sum(len(pool) for pool in self._partitions.values())
@@ -329,14 +332,16 @@ class PartitionedBufferPool(BufferPool):
         """Batched access: one partition lookup and one stats flush per batch."""
         if not isinstance(page_ids, (list, tuple)):
             page_ids = _as_page_list(page_ids)
-        hits = self._pool_for(query_class).access_many(page_ids, query_class)
+        pool = self._pool_of.get(query_class, self._default)
+        hits = pool.access_many(page_ids, query_class)
         self.stats.record_batch(query_class, hits, len(page_ids) - hits)
         return hits
 
     def prefetch_many(
         self, page_ids: Sequence[int] | np.ndarray, query_class: str = ""
     ) -> int:
-        fetched = self._pool_for(query_class).prefetch_many(page_ids, query_class)
+        pool = self._pool_of.get(query_class, self._default)
+        fetched = pool.prefetch_many(page_ids, query_class)
         if fetched:
             self.stats.record_readahead(query_class, fetched)
         return fetched

@@ -93,7 +93,7 @@ class DatabaseEngine:
                 timestamp,
                 record.latency,
             )
-            if grant.waited:
+            if grant.wait_time:  # positive exactly when it waited
                 record = record._replace(
                     latency=record.latency + grant.wait_time,
                     lock_waits=1,
@@ -101,7 +101,11 @@ class DatabaseEngine:
                 )
         thread = self._next_thread
         self._next_thread = thread + 1 if thread < self._last_thread else 0
-        self._threads[thread].log(record)
+        buffer = self._threads[thread]
+        records = buffer.records
+        records.append(record)
+        if len(records) >= buffer.capacity:
+            buffer.flush()
         return record
 
     def flush_logs(self) -> None:

@@ -117,8 +117,17 @@ class QueryExecutor:
         page_accesses = len(demand)
         misses = page_accesses - hits
         self.log.record_window(key, demand)
-        latency = self.cost_model.latency(
-            query_class.cpu_cost, hits, misses, readahead_fetches, cpu_factor, io_factor
+        # CostModel.latency, inline (a frame per query): the same check and
+        # the same sums in the same association order, so the same double.
+        if not (cpu_factor >= 1.0 and io_factor >= 1.0):  # NaN fails this too
+            raise ValueError("contention factors cannot be below 1.0")
+        cost = self.cost_model
+        latency = (
+            query_class.cpu_cost * cpu_factor
+            + hits * cost.hit_time_per_page
+            + (misses + readahead_fetches * cost.readahead_overlap)
+            * cost.io_time_per_page
+            * io_factor
         )
         self.executions += 1
         # In ExecutionRecord's field order, lock fields at their defaults,

@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 __all__ = [
     "LockMode",
@@ -89,13 +91,20 @@ class LockStats:
 _UNCONTENDED = LockGrant(0.0)
 """The grant of every acquisition that found no conflict (a shared value)."""
 
+_new_tuple = tuple.__new__
 
-@dataclass(eq=False)
-class _Hold:
-    """One installed lock.  Identity equality: two holds with equal fields
-    are still two holds (expiry must remove the one that expired)."""
+
+class _Hold(NamedTuple):
+    """One installed lock, and its own entry on the expiry heap.
+
+    Heap order is ``(release_time, sequence)``: the install sequence is
+    unique, so ``heapq`` compares two holds in C and never reaches the third
+    field.  For the same reason two holds are never equal, so removing one
+    from its resource's list removes that very hold.
+    """
 
     release_time: float
+    sequence: int
     resource: tuple[str, int]
     mode: LockMode
     owner: str
@@ -112,28 +121,28 @@ class LockManager:
 
     def __init__(self) -> None:
         self._holds: dict[tuple[str, int], list[_Hold]] = defaultdict(list)
-        # Min-heap of (release time, install sequence, hold): the sequence
-        # breaks ties, so tuples compare in C and never reach the hold.
-        self._expiry: list[tuple[float, int, _Hold]] = []
+        # Min-heap of the same holds, by release time then install sequence.
+        self._expiry: list[_Hold] = []
         self._installed = 0
         self.stats: dict[str, LockStats] = defaultdict(LockStats)
         self.waits_for = WaitsForGraph()
 
     def _expire(self, now: float) -> None:
         expiry = self._expiry
+        holds = self._holds
         while expiry and expiry[0][0] <= now:
-            hold = heapq.heappop(expiry)[2]
+            hold = heapq.heappop(expiry)
             # Every hold on the heap is in its resource's list exactly once
             # (acquire installs both together, only this loop removes either).
-            holders = self._holds[hold.resource]
+            holders = holds[hold.resource]
             holders.remove(hold)
             if not holders:
-                del self._holds[hold.resource]
+                del holds[hold.resource]
 
     def acquire(
         self,
         owner: str,
-        requests: list[LockRequest],
+        requests: Sequence[LockRequest],
         now: float,
         hold_for: float,
     ) -> LockGrant:
@@ -145,7 +154,9 @@ class LockManager:
         """
         if hold_for < 0:
             raise ValueError(f"hold duration must be non-negative: {hold_for}")
-        self._expire(now)
+        expiry = self._expiry
+        if expiry and expiry[0][0] <= now:
+            self._expire(now)
         holds = self._holds
         wait_until = now
         conflicts: list[tuple[str, str]] = []
@@ -159,20 +170,23 @@ class LockManager:
                     conflicts.append((owner, hold.owner))
                     self.waits_for.add_edge(owner, hold.owner)
         release_time = wait_until + hold_for
-        expiry = self._expiry
         sequence = self._installed
         for request in requests:
-            resource = request.resource
-            hold = _Hold(release_time, resource, request.mode, owner)
-            holds[resource].append(hold)
             sequence += 1
-            heapq.heappush(expiry, (release_time, sequence, hold))
+            resource = request.resource
+            hold = _new_tuple(
+                _Hold, (release_time, sequence, resource, request.mode, owner)
+            )
+            holds[resource].append(hold)
+            heapq.heappush(expiry, hold)
         self._installed = sequence
-        grant = (
-            LockGrant(wait_until - now, tuple(conflicts)) if conflicts else _UNCONTENDED
-        )
-        self.stats[owner].record(grant)
-        return grant
+        if conflicts:
+            grant = LockGrant(wait_until - now, tuple(conflicts))
+            self.stats[owner].record(grant)
+            return grant
+        # What LockStats.record does with a grant that did not wait.
+        self.stats[owner].acquisitions += 1
+        return _UNCONTENDED
 
     def interval_snapshot(self) -> dict[str, LockStats]:
         """Return and reset the per-class lock statistics."""
@@ -220,25 +234,31 @@ class RowGroupLockPattern:
         self.groups_per_execution = groups_per_execution
         self.span = span
         self._zipf = ZipfGenerator(group_count, theta, stream)
-        # A request is a frozen value: one per row group, made on first use.
-        self._interned: dict[int, LockRequest] = {}
+        # A request is a frozen value, and a lock set a tuple of them: one
+        # 1-tuple per row group, made on first use.
+        self._interned: dict[int, tuple[LockRequest]] = {}
+        self._one_group = groups_per_execution == 1 and span == 1
 
-    def _request(self, group: int) -> LockRequest:
-        request = self._interned.get(group)
-        if request is None:
-            request = self._interned[group] = LockRequest((self.table, group), self.mode)
-        return request
+    def _single(self, group: int) -> tuple[LockRequest]:
+        lock_set = self._interned.get(group)
+        if lock_set is None:
+            lock_set = self._interned[group] = (
+                LockRequest((self.table, group), self.mode),
+            )
+        return lock_set
 
-    def requests(self) -> list[LockRequest]:
+    def requests(self) -> tuple[LockRequest, ...]:
         """The lock set of one execution."""
-        if self.groups_per_execution == 1 and self.span == 1:
-            return [self._request(self._zipf.sample())]
+        if self._one_group:
+            group = self._zipf.sample()
+            lock_set = self._interned.get(group)
+            return lock_set if lock_set is not None else self._single(group)
         wanted: set[int] = set()
         for _ in range(self.groups_per_execution):
             start = self._zipf.sample()
             for offset in range(self.span):
                 wanted.add((start + offset) % self.group_count)
-        return [self._request(group) for group in sorted(wanted)]
+        return tuple(self._single(group)[0] for group in sorted(wanted))
 
 
 class WaitsForGraph:

@@ -17,6 +17,7 @@ from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from functools import lru_cache
 from operator import length_hint
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,9 +63,10 @@ class RandomStream:
     block fills from the same per-element routine a scalar draw calls once.
 
     Any other draw on the stream — :meth:`uniform`, :meth:`integers`,
-    :meth:`integers_array`, :meth:`choice` without weights, :meth:`shuffle`,
-    :attr:`generator` (and through it a :class:`ZipfGenerator` refill), or a
-    block of the other kind — first *rewinds*: it restores the bit-generator
+    :meth:`choice` without weights, :meth:`shuffle`, :attr:`generator` (and
+    through it a :class:`ZipfGenerator` refill or a
+    :class:`~repro.engine.access.UniformWorkingSet` block), or a block of the
+    other kind — first *rewinds*: it restores the bit-generator
     state saved before the block and redraws only the values already handed
     out, so the stream sits exactly where as many scalar draws would have
     left it.  The block lives on the stream, not on its consumer, so any
@@ -113,6 +115,23 @@ class RandomStream:
         self._rewind()
         return self._rng
 
+    def draw_ahead_generator(
+        self, left_at: dict | None, consumer: str
+    ) -> np.random.Generator:
+        """:attr:`generator`, for a consumer that draws ahead on this stream
+        and last left its bit generator in state ``left_at`` (``None``: it
+        has not drawn yet).  Raises ``RuntimeError`` if anyone else has drawn
+        since: the values drawn ahead equal scalar draws only while the
+        consumer is the stream's one reader."""
+        rng = self.generator
+        if left_at is not None and rng.bit_generator.state != left_at:
+            raise RuntimeError(
+                f"stream {self.name!r} was drawn from by someone other than "
+                f"the {consumer} reading ahead on it: a draw-ahead stream "
+                "must have exactly one consumer"
+            )
+        return rng
+
     def random(self) -> float:
         """A uniform double in ``[0, 1)``, served from the block."""
         value = next(self._uniforms, None)
@@ -139,18 +158,6 @@ class RandomStream:
         """A uniform integer in ``[low, high)``."""
         self._rewind()
         return int(self._rng.integers(low, high))
-
-    def integers_array(self, low: int, high: int, count: int) -> np.ndarray:
-        """``count`` uniform integers in ``[low, high)`` as an int64 array.
-
-        numpy's batched draw consumes the bit stream exactly as ``count``
-        scalar :meth:`integers` calls would, so callers can vectorise the
-        hot path without perturbing any seeded sequence.
-        """
-        if count < 0:
-            raise ValueError(f"count must be non-negative: {count}")
-        self._rewind()
-        return self._rng.integers(low, high, size=count)
 
     def choice(self, items: Sequence, weights: Sequence[float] | None = None):
         """Pick one element, optionally with (unnormalised) weights."""
@@ -233,41 +240,57 @@ def _zipf_cdf(n: int, theta: float) -> np.ndarray:
     return cdf
 
 
+class ZipfBuckets(NamedTuple):
+    """The bucket table of one Zipf CDF (:func:`_zipf_buckets`)."""
+
+    lo: np.ndarray
+    """``lo[b]``: the rank of bucket ``b``'s lower edge ``b/m`` (int64)."""
+    steps: int
+    """Halving steps of the search, whose reach ``2^steps - 1`` covers the
+    widest bucket's count of CDF entries."""
+
+
 @lru_cache(maxsize=None)
-def _zipf_buckets(n: int, theta: float) -> np.ndarray:
+def _zipf_buckets(n: int, theta: float) -> ZipfBuckets:
     """The bucket table of Zipf(``n``, ``theta``): ``m`` buckets of width
     ``1/m`` over ``[0, 1)``, computed once per process (read-only, shared
     like :func:`_zipf_cdf`).
 
     ``m`` is a power of two, at least ``16 n`` up to :data:`ZIPF_BUCKETS`, so
-    at most one bucket in 16 holds a CDF step while the support is small.
-    With ``lo[j] = cdf.searchsorted(j / m, "left")``, entry ``b`` is
-    ``lo[b]`` where ``lo[b] == lo[b + 1]`` — the rank of every uniform in
-    ``[b/m, (b+1)/m)`` — and ``-1`` where they differ: a CDF step falls
-    inside that bucket.
+    most buckets hold no CDF step and none more than one while the support
+    is small.  ``lo[b] = cdf.searchsorted(b / m, "left")`` for every bucket,
+    and ``steps`` is the bit length of the widest bucket's count of CDF
+    entries, ``max(lo[b + 1] - lo[b])``, where ``lo[m]`` follows the same
+    formula.
     """
     cdf = _zipf_cdf(n, theta)
     m = min(ZIPF_BUCKETS, 1 << (16 * n - 1).bit_length())
-    lo = cdf.searchsorted(np.arange(m + 1) / m, "left").astype(np.int32)
-    table = lo[:-1]
-    table[table != lo[1:]] = -1
-    table.flags.writeable = False
-    return table
+    edges = cdf.searchsorted(np.arange(m + 1) / m, "left").astype(np.int64)
+    lo = edges[:-1]
+    lo.flags.writeable = False
+    return ZipfBuckets(lo, int(np.diff(edges).max()).bit_length())
 
 
-def _zipf_ranks(cdf: np.ndarray, buckets: np.ndarray, us: np.ndarray) -> np.ndarray:
+def _zipf_ranks(cdf: np.ndarray, buckets: ZipfBuckets, us: np.ndarray) -> np.ndarray:
     """``cdf.searchsorted(us, "left")`` for uniforms in ``[0, 1)``, as int64.
 
-    Exact without a search wherever the bucket of ``u`` holds no CDF step:
-    for a power-of-two ``m``, ``u·m`` and ``b/m`` are exact, so ``u`` lies in
+    For a power-of-two ``m``, ``u·m`` and ``b/m`` are exact, so ``u`` lies in
     bucket ``b = ⌊u·m⌋``, and ``searchsorted`` is monotone in ``u``, so
-    ``lo[b] ≤ rank(u) ≤ lo[b+1]`` — equal ends pin the rank.  Only the
-    uniforms in the buckets marked ``-1`` go through ``searchsorted``.
+    ``lo[b] ≤ rank(u) ≤ lo[b+1]``.  The rank is a lower bound that starts at
+    ``lo[b]`` and takes ``steps`` halving steps, ``2^(steps-1)`` down to 1,
+    each one gather and one compare for every uniform at once: it moves up
+    by a step where the entry just below it is still ``< u``.  The steps
+    reach ``lo[b] + 2^steps - 1 ≥ lo[b+1]``; every entry from ``lo[b+1]`` on
+    is ``≥ (b+1)/m > u`` and never moves it, and a probe past the end is
+    clipped to ``cdf[n-1] = 1 > u``, which does not either.
     """
-    ranks = buckets[(us * len(buckets)).astype(np.intp)].astype(np.int64)
-    ambiguous = np.flatnonzero(ranks < 0)
-    if len(ambiguous):
-        ranks[ambiguous] = cdf.searchsorted(us[ambiguous], "left")
+    lo, steps = buckets
+    ranks = lo[(us * len(lo)).astype(np.intp)]
+    for shift in range(steps - 1, 0, -1):
+        half = 1 << shift
+        ranks += half * (cdf.take(ranks + (half - 1), mode="clip") < us)
+    if steps:  # the step of 1 probes the rank itself
+        ranks += cdf.take(ranks, mode="clip") < us
     return ranks
 
 
@@ -283,7 +306,7 @@ class ZipfGenerator:
     the distribution is exact (unlike ``numpy.random.zipf``, which is
     unbounded).  The inverse is read off the bucket table
     (:func:`_zipf_buckets`, built at the first refill) by :func:`_zipf_ranks`:
-    a uniform in a bucket without a CDF step needs no search.
+    a bounded search that starts at the uniform's bucket.
 
     *Draw-ahead.*  Uniforms are drawn and looked up :data:`ZIPF_BLOCK_DRAWS`
     at a time, and :meth:`sample` and :meth:`sample_many` hand the resulting
@@ -305,23 +328,16 @@ class ZipfGenerator:
         self.theta = theta
         self._stream = stream
         self._cdf = _zipf_cdf(n, theta)
-        self._buckets: np.ndarray | None = None
+        self._buckets: ZipfBuckets | None = None
         self._ranks = np.empty(0, dtype=np.int64)  # drawn ahead, unread from _next on
         self._next = 0
         self._state_after_refill: dict | None = None
 
     def _refill(self, shortfall: int) -> None:
         """Append at least ``shortfall`` fresh ranks to the unread tail."""
-        rng = self._stream.generator
-        if (
-            self._state_after_refill is not None
-            and rng.bit_generator.state != self._state_after_refill
-        ):
-            raise RuntimeError(
-                f"stream {self._stream.name!r} was drawn from by someone other "
-                "than the ZipfGenerator reading ahead on it: a draw-ahead "
-                "stream must have exactly one consumer"
-            )
+        rng = self._stream.draw_ahead_generator(
+            self._state_after_refill, "ZipfGenerator"
+        )
         us = rng.random(max(ZIPF_BLOCK_DRAWS, shortfall))
         self._state_after_refill = rng.bit_generator.state
         if self._buckets is None:

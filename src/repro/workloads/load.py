@@ -52,11 +52,14 @@ class BurstLoad(LoadFunction):
     multiplier: float
 
     def __post_init__(self) -> None:
-        if self.base < 0:
+        # Written ``not x >= bound`` so that NaN fails each check too.
+        if not self.base >= 0:
             raise ValueError(f"base client count must be non-negative: {self.base}")
-        if self.duration <= 0:
+        if not self.start >= 0:
+            raise ValueError(f"burst start must be non-negative: {self.start}")
+        if not self.duration > 0:
             raise ValueError(f"burst duration must be positive: {self.duration}")
-        if self.multiplier < 1.0:
+        if not self.multiplier >= 1.0:
             raise ValueError(
                 f"burst multiplier must be >= 1: {self.multiplier}"
             )

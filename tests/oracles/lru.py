@@ -61,7 +61,8 @@ def _count(pool: BufferPool, query_class: str, outcome: str) -> None:
 
 def _access_one(pool: BufferPool, page_id: int, query_class: str) -> bool:
     if isinstance(pool, PartitionedBufferPool):
-        hit = _access_one(pool._pool_for(query_class), page_id, query_class)
+        child = pool._partitions[pool.partition_for(query_class)]
+        hit = _access_one(child, page_id, query_class)
     elif page_id in pool._pages:
         pool._pages.move_to_end(page_id)
         hit = True
@@ -96,7 +97,7 @@ def prefetch_per_page(
     it before the lazy filter (and ``PartitionedBufferPool.prefetch_many``
     on top of it)."""
     if isinstance(pool, PartitionedBufferPool):
-        child = pool._pool_for(query_class)
+        child = pool._partitions[pool.partition_for(query_class)]
         fetched = prefetch_per_page(child, page_ids, query_class)
         if fetched:
             pool.stats.record_readahead(query_class, fetched)

@@ -1,14 +1,20 @@
 """Oracles: page generation one execution at a time.
 
 ``ZipfGenerator`` draws ahead a block of uniforms and reads their ranks off a
-bucket table, and ``ZipfPages`` / ``IndexLookup`` / ``IndexRangeScan``
-generate a block of executions in one numpy pass.  These are the formulas
-they replaced — one ``random()`` and one ``searchsorted`` per scalar rank,
-one ``random(k)`` per vector of ranks, one ``lookup_path`` and one
-``page_of_row`` per looked-up row, one ``range_path`` and one ``scan_pages``
-per range scan — and they are the specification: fed
-an equally seeded stream, every execution of a block-served pattern must
-equal the same execution here.
+bucket table, ``ZipfPages`` / ``IndexLookup`` / ``IndexRangeScan`` generate a
+block of executions in one numpy pass, and ``UniformWorkingSet`` draws a
+block of offsets in one call.  These are the formulas they replaced — one
+``random()`` and one ``searchsorted`` per scalar rank, one ``random(k)`` per
+vector of ranks, one ``lookup_path`` and one ``page_of_row`` per looked-up
+row, one ``range_path`` and one ``scan_pages`` per range scan, one bounded
+integer draw per uniform execution — and they are the specification: fed an
+equally seeded stream, every execution of a block-served pattern must equal
+the same execution here.
+
+:func:`marked_buckets` / :func:`marked_ranks` are the bucket table of before:
+a bucket holding a CDF step marked ``-1``, and every uniform in a marked
+bucket looked up with ``searchsorted``.  They are the baseline the
+query-path micro-benchmark times the bounded search against.
 
 :func:`per_execution_twin` turns a *freshly built* pattern tree (one that has
 not drawn yet) into its oracle on the very same streams, so a whole workload
@@ -28,11 +34,12 @@ from repro.engine.access import (
     IndexLookup,
     IndexRangeScan,
     PlanSwitchingPattern,
+    UniformWorkingSet,
     ZipfPages,
 )
 from repro.engine.locks import LockRequest, RowGroupLockPattern
 from repro.engine.pages import PageRange
-from repro.sim.rng import RandomStream, ZipfGenerator
+from repro.sim.rng import ZIPF_BUCKETS, RandomStream, ZipfGenerator, _zipf_cdf
 from repro.workloads.base import Workload
 
 from .locks import requests_per_execution
@@ -43,7 +50,10 @@ __all__ = [
     "ZipfPagesOracle",
     "IndexLookupOracle",
     "IndexRangeScanOracle",
+    "UniformWorkingSetOracle",
     "RowGroupLockOracle",
+    "marked_buckets",
+    "marked_ranks",
     "per_execution_twin",
     "per_execution_locks",
     "per_execution_workload",
@@ -81,6 +91,28 @@ class ZipfOracle:
 
     def sample_many(self, count: int) -> np.ndarray:
         return self._cdf.searchsorted(self._rng.random(count), "left")
+
+
+def marked_buckets(n: int, theta: float) -> np.ndarray:
+    """The bucket table of before: ``m`` buckets as ``_zipf_buckets`` has
+    them, entry ``b`` the rank ``lo[b]`` where ``lo[b] == lo[b + 1]`` and
+    ``-1`` where a CDF step falls inside the bucket."""
+    cdf = _zipf_cdf(n, theta)
+    m = min(ZIPF_BUCKETS, 1 << (16 * n - 1).bit_length())
+    lo = cdf.searchsorted(np.arange(m + 1) / m, "left").astype(np.int32)
+    table = lo[:-1]
+    table[table != lo[1:]] = -1
+    return table
+
+
+def marked_ranks(cdf: np.ndarray, table: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(us, "left")`` through :func:`marked_buckets`: read
+    off the table where the bucket is unmarked, searched where it is."""
+    ranks = table[(us * len(table)).astype(np.intp)].astype(np.int64)
+    ambiguous = np.flatnonzero(ranks < 0)
+    if len(ambiguous):
+        ranks[ambiguous] = cdf.searchsorted(us[ambiguous], "left")
+    return ranks
 
 
 class ZipfPagesOracle(AccessPattern):
@@ -138,6 +170,21 @@ class IndexRangeScanOracle(AccessPattern):
         return ExecutionAccess(demand=demand)
 
 
+class UniformWorkingSetOracle(AccessPattern):
+    """``UniformWorkingSet``: one bounded integer draw per execution."""
+
+    def __init__(self, pattern: UniformWorkingSet) -> None:
+        assert pattern._state_after_block is None, "pattern has already drawn ahead"
+        self._pattern = pattern
+
+    def pages_for_execution(self) -> ExecutionAccess:
+        pattern = self._pattern
+        offsets = pattern._stream.generator.integers(
+            0, pattern.working_set, size=pattern.pages_per_execution
+        )
+        return ExecutionAccess(demand=pattern._pages[offsets].tolist())
+
+
 class RowGroupLockOracle:
     """``RowGroupLockPattern.requests``: one scalar rank per locked group."""
 
@@ -145,15 +192,15 @@ class RowGroupLockOracle:
         self._pattern = pattern
         self._zipf = zipf
 
-    def requests(self) -> list[LockRequest]:
+    def requests(self) -> tuple[LockRequest, ...]:
         return requests_per_execution(self._pattern, self._zipf)
 
 
 def per_execution_twin(pattern: AccessPattern) -> AccessPattern:
     """``pattern``'s oracle, reading the streams ``pattern`` was built on.
 
-    Patterns that are per-execution in ``src`` already (uniform working sets,
-    sequential scans) are returned as they are.
+    Patterns that are per-execution in ``src`` already (sequential scans)
+    are returned as they are.
     """
     if isinstance(pattern, CompositePattern):
         return CompositePattern([per_execution_twin(part) for part in pattern.parts])
@@ -174,6 +221,8 @@ def per_execution_twin(pattern: AccessPattern) -> AccessPattern:
         return IndexLookupOracle(pattern, ZipfOracle.replacing(pattern._zipf))
     if isinstance(pattern, IndexRangeScan):
         return IndexRangeScanOracle(pattern, ZipfOracle.replacing(pattern._zipf))
+    if isinstance(pattern, UniformWorkingSet):
+        return UniformWorkingSetOracle(pattern)
     return pattern
 
 

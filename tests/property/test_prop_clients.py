@@ -9,13 +9,13 @@ think times, population swaps up and down (``_resize_population`` staggers
 each new session with a ``uniform`` on the think stream, so a rewind lands
 wherever the block happens to be), two drivers built one after the other on
 one ``Workload``, and foreign draws straight on the mix and think streams
-(``integers``, ``integers_array``, ``shuffle``, ``uniform``, ``choice``,
-``generator``, a ``ZipfGenerator`` refill, and a draw of the other block
-kind).  Both sides must submit the same (class, timestamp, latency) sequence,
-return the same foreign values, and leave every stream at the same next
-scalar draw.  Block sizes of one to seven values put the rewinds at many
-offsets (1024 is the stock size), and a fixed test puts one at every offset
-of a five-value block, 0 and a full block included.
+(``integers``, ``shuffle``, ``uniform``, ``choice``, ``generator``, a
+``ZipfGenerator`` refill, a ``UniformWorkingSet`` block, and a draw of the
+other block kind).  Both sides must submit the same (class, timestamp,
+latency) sequence, return the same foreign values, and leave every stream
+at the same next scalar draw.  Block sizes of one to seven values put the
+rewinds at many offsets (1024 is the stock size), and a fixed test puts one
+at every offset of a five-value block, 0 and a full block included.
 
 Two mutants show the check has teeth: a rewind that redraws the whole block
 instead of the values handed out, and a ``uniform`` that draws without a
@@ -32,6 +32,8 @@ from hypothesis import given, settings, strategies as st
 from oracles.clients import ScalarDrawDriver, ScalarStream, StreamsOf
 
 import repro.sim.rng as rng_module
+from repro.engine.access import UniformWorkingSet
+from repro.engine.pages import PageRange
 from repro.sim.rng import STREAM_BLOCK_DRAWS, RandomStream, ZipfGenerator
 from repro.workloads.base import Workload
 from repro.workloads.clients import ClosedLoopDriver
@@ -83,8 +85,9 @@ def foreign_draw(stream: RandomStream, kind: str):
     """One draw straight on a stream, as someone other than the driver."""
     if kind == "integers":
         return stream.integers(0, 1000)
-    if kind == "integers_array":
-        return stream.integers_array(0, 1000, 3).tolist()
+    if kind == "uniform_set":
+        pages = PageRange("foreign", start=0, count=1000)
+        return UniformWorkingSet(pages, 1000, 3, stream).pages_for_execution().demand
     if kind == "shuffle":
         items = list(range(8))
         stream.shuffle(items)
@@ -125,7 +128,7 @@ steps = st.one_of(
         st.sampled_from([MIX, THINK]),
         st.sampled_from(
             [
-                "integers", "integers_array", "shuffle", "uniform", "choice",
+                "integers", "uniform_set", "shuffle", "uniform", "choice",
                 "generator", "zipf", "random", "exponential",
             ]
         ),

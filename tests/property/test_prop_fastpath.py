@@ -22,13 +22,17 @@ from hypothesis import given, settings, strategies as st
 
 from oracles.pagegen import (
     ZipfOracle,
+    marked_buckets,
+    marked_ranks,
     assert_interned,
     per_execution_locks,
     per_execution_twin,
     per_execution_workload,
 )
+import repro.engine.access as access_module
 from repro.engine.access import (
     BLOCK_PAGES,
+    UNIFORM_BLOCK_PAGES,
     AccessPattern,
     CompositePattern,
     ExecutionAccess,
@@ -287,10 +291,15 @@ def edge_uniforms(cdf: np.ndarray, m: int) -> np.ndarray:
 def assert_lookup_is_searchsorted(n, theta, lookup=_zipf_ranks, buckets=_zipf_buckets):
     cdf = _zipf_cdf(n, theta)
     table = buckets(n, theta)
-    us = edge_uniforms(cdf, len(table))
+    us = edge_uniforms(cdf, len(table.lo))
     ranks = lookup(cdf, table, us)
     assert ranks.dtype == np.int64
     assert ranks.tolist() == cdf.searchsorted(us, "left").tolist()
+
+
+# Tables capped at ZIPF_BUCKETS whose widest bucket needs more than one
+# halving step, next to the one-step tables of the small supports.
+MULTI_STEP = [(100_000, 0.8), (897_000, 1.2), (50_000, 0.6), (499_500, 0.7)]
 
 
 @given(
@@ -306,17 +315,34 @@ def test_bucket_lookup_equals_searchsorted_on_every_edge(n, theta):
     assert_lookup_is_searchsorted(n, theta)
 
 
+@given(
+    table=st.sampled_from(MULTI_STEP),
+    theta_shift=st.one_of(st.just(0.0), st.floats(min_value=-0.3, max_value=0.6)),
+)
+@settings(max_examples=12, deadline=None)
+def test_multi_step_lookup_equals_searchsorted_on_every_edge(table, theta_shift):
+    n, theta = table
+    assert _zipf_buckets(n, theta).steps > 1
+    assert_lookup_is_searchsorted(n, theta + theta_shift)
+
+
 @pytest.mark.parametrize(
     "n,theta",
-    [(1, 0.0), (1, 0.8), (7, 0.0), (300, 0.6), (7000, 0.35), (897_000, 1.2), (50, 7.5)],
+    [
+        (1, 0.0), (1, 0.8), (7, 0.0), (300, 0.6), (7000, 0.35), (897_000, 1.2),
+        (100_000, 0.8), (50, 7.5),
+    ],
 )
 def test_zipf_generator_reads_edge_uniforms_off_the_table_exactly(n, theta):
     """The same edges through the generator (``_refill`` and its table)."""
     cdf = _zipf_cdf(n, theta)
     table = _zipf_buckets(n, theta)
-    assert table.dtype == np.int32 and not table.flags.writeable
-    m = len(table)
+    assert table.lo.dtype == np.int64 and not table.lo.flags.writeable
+    m = len(table.lo)
     assert m & (m - 1) == 0 and min(16 * n, ZIPF_BUCKETS) <= m <= ZIPF_BUCKETS
+    edges = cdf.searchsorted(np.arange(m + 1) / m, "left")
+    assert table.lo.tolist() == edges[:-1].tolist()
+    assert table.steps == int(np.diff(edges).max()).bit_length()
     us = edge_uniforms(cdf, m)
     stream = RandomStream(0, "edges")
     zipf = ZipfGenerator(n, theta, stream)
@@ -325,41 +351,84 @@ def test_zipf_generator_reads_edge_uniforms_off_the_table_exactly(n, theta):
     assert zipf._buckets is table
 
 
-def _without_fallback(cdf, table, us):
-    """Mutant: reads every bucket off the table, marked ones too."""
-    return table[(us * len(table)).astype(np.intp)].astype(np.int64)
+def test_bestsellers_table_takes_one_step():
+    """BestSeller's (7000, 0.35): no bucket holds two CDF steps, so a rank
+    is one gather of ``lo`` and one compare."""
+    assert _zipf_buckets(7000, 0.35).steps == 1
+
+
+def test_the_bounded_search_equals_the_marked_table_it_replaced():
+    rng = np.random.default_rng(45)
+    for n, theta in [(300, 0.6), (7000, 0.35), *MULTI_STEP]:
+        cdf = _zipf_cdf(n, theta)
+        table = _zipf_buckets(n, theta)
+        us = np.concatenate((rng.random(4096), edge_uniforms(cdf, len(table.lo))))
+        assert np.array_equal(
+            _zipf_ranks(cdf, table, us), marked_ranks(cdf, marked_buckets(n, theta), us)
+        )
+
+
+def _one_step_too_few(cdf, table, us):
+    """Mutant: the search stops one halving step short."""
+    return _zipf_ranks(cdf, table._replace(steps=table.steps - 1), us)
+
+
+def _unclipped_probe(cdf, table, us):
+    """Mutant: a probe past the CDF's end is not clipped to its last entry."""
+    lo, steps = table
+    ranks = lo[(us * len(lo)).astype(np.intp)]
+    for shift in range(steps - 1, 0, -1):
+        half = 1 << shift
+        ranks += half * (cdf[ranks + (half - 1)] < us)
+    if steps:
+        ranks += cdf[ranks] < us
+    return ranks
 
 
 def _rounded(cdf, table, us):
     """Mutant: the nearest bucket edge instead of the floor."""
-    m = len(table)
-    ranks = table[np.minimum(np.rint(us * m), m - 1).astype(np.intp)].astype(np.int64)
-    ambiguous = np.flatnonzero(ranks < 0)
-    ranks[ambiguous] = cdf.searchsorted(us[ambiguous], "left")
+    m = len(table.lo)
+    ranks = table.lo[np.minimum(np.rint(us * m), m - 1).astype(np.intp)]
+    for shift in range(table.steps - 1, -1, -1):
+        half = 1 << shift
+        ranks += half * (cdf.take(ranks + (half - 1), mode="clip") < us)
     return ranks
 
 
 def _off_by_one(n, theta):
-    """Mutant: entry ``b`` holds bucket ``b + 1``'s rank."""
-    table = np.array(_zipf_buckets(n, theta))
-    table[:-1] = table[1:]
-    return table
+    """Mutant: entry ``b`` holds bucket ``b + 1``'s lower edge."""
+    table = _zipf_buckets(n, theta)
+    lo = np.array(table.lo)
+    lo[:-1] = lo[1:]
+    return table._replace(lo=lo)
+
+
+MUTANTS = {
+    "one_step_too_few": {"lookup": _one_step_too_few},
+    "unclipped_probe": {"lookup": _unclipped_probe},
+    "round_not_floor": {"lookup": _rounded},
+    "table_off_by_one": {"buckets": _off_by_one},
+}
 
 
 @pytest.mark.parametrize(
-    "mutant",
+    "n,theta,name",
     [
-        {"lookup": _without_fallback},
-        {"lookup": _rounded},
-        {"buckets": _off_by_one},
+        (n, theta, name)
+        for n, theta in [
+            (300, 0.6), (7000, 0.35), (100_000, 0.8), (499_500, 0.7), (897_000, 1.2)
+        ]
+        for name in MUTANTS
+        # A probe passes the end only where steps > 1 and the last bucket's
+        # entries fall short of 2^steps - 1 (not on (100_000, 0.8)); the
+        # other mutants meet one-step and capped multi-step tables alike.
+        if (n in (499_500, 897_000) if name == "unclipped_probe" else n != 499_500)
     ],
-    ids=["no_ambiguous_fallback", "round_not_floor", "table_off_by_one"],
 )
-@pytest.mark.parametrize("n,theta", [(300, 0.6), (7000, 0.35)])
-def test_the_bucket_check_catches_each_mutant(mutant, n, theta):
+def test_the_bucket_check_catches_each_mutant(n, theta, name):
     assert_lookup_is_searchsorted(n, theta)
-    with pytest.raises(AssertionError):
-        assert_lookup_is_searchsorted(n, theta, **mutant)
+    with pytest.raises((AssertionError, IndexError)):
+        assert_lookup_is_searchsorted(n, theta, **MUTANTS[name])
 
 
 # --------------------------------------------------------------------- #
@@ -750,27 +819,78 @@ def test_vectorised_lookups_reject_the_rows_the_scalar_ones_reject(rows):
     assert table.page_of_row_array(empty).tolist() == []
 
 
+def assert_uniform_equals_one_draw_per_execution(
+    working_set: int, per_execution: int, seed: int, count: int
+) -> None:
+    """``count`` executions of a block-drawn uniform set against one numpy
+    draw per execution translated by the range's own (min/max-checked)
+    ``page_array``, and against the per-execution oracle on a twin stream."""
+    pages = PageRange("t", start=700, count=400)
+    stream, twin = twin_streams(seed)
+    _, oracle = stream_pair(seed)
+    pattern = UniformWorkingSet(pages, working_set, per_execution, stream)
+    twin_oracle = per_execution_twin(
+        UniformWorkingSet(pages, working_set, per_execution, twin)
+    )
+    for _ in range(count):
+        offsets = oracle.integers(0, working_set, size=per_execution)
+        access = pattern.pages_for_execution()
+        assert access.demand == pages.page_array(offsets).tolist()
+        assert access.demand == twin_oracle.pages_for_execution().demand
+        assert all(type(page) is int for page in access.demand)
+        assert access.prefetch == []
+
+
 @given(
     working_set=st.integers(min_value=1, max_value=400),
     per_execution=st.integers(min_value=1, max_value=60),
+    block=st.integers(min_value=1, max_value=130),
     seed=seeds,
 )
 @settings(max_examples=100, deadline=None)
 def test_uniform_working_set_equals_range_page_array_of_the_offsets(
-    working_set, per_execution, seed
+    working_set, per_execution, block, seed
 ):
     """Bounds are checked at construction; each execution still emits what
-    the per-execution ``PageRange.page_array`` (min/max-checked) emitted."""
-    pages = PageRange("t", start=700, count=400)
-    stream, oracle = stream_pair(seed)
-    pattern = UniformWorkingSet(pages, working_set, per_execution, stream)
-    for _ in range(5):
-        offsets = oracle.integers(0, working_set, size=per_execution)
-        access = pattern.pages_for_execution()
-        assert access.demand == pages.page_array(offsets).tolist()
-        assert all(type(page) is int for page in access.demand)
-        assert access.prefetch == []
-    assert_same_position(stream, oracle)
+    the per-execution ``PageRange.page_array`` (min/max-checked) emitted,
+    over executions that cross at least two blocks of ``block`` pages (one
+    execution per block where an execution is longer)."""
+    saved = access_module.UNIFORM_BLOCK_PAGES
+    access_module.UNIFORM_BLOCK_PAGES = block  # read when a pattern is built
+    try:
+        assert_uniform_equals_one_draw_per_execution(
+            working_set, per_execution, seed, 2 * max(1, block // per_execution) + 3
+        )
+    finally:
+        access_module.UNIFORM_BLOCK_PAGES = saved
+
+
+@pytest.mark.parametrize("per_execution", [1000, 500, 7])
+def test_uniform_blocks_of_stock_size_equal_one_draw_per_execution(per_execution):
+    executions = 2 * max(1, UNIFORM_BLOCK_PAGES // per_execution) + 3
+    assert_uniform_equals_one_draw_per_execution(400, per_execution, 7, executions)
+
+
+@pytest.mark.parametrize(
+    "foreign",
+    [
+        lambda stream: stream.uniform(),
+        lambda stream: stream.integers(0, 5),
+        lambda stream: stream.random(),
+        lambda stream: UniformWorkingSet(
+            PageRange("u", start=0, count=10), 10, 3, stream
+        ).pages_for_execution(),
+    ],
+    ids=["uniform", "integers", "random_block", "second_uniform_set"],
+)
+def test_a_foreign_draw_between_uniform_blocks_is_an_error(foreign):
+    stream = RandomStream(3, "shared")
+    pattern = UniformWorkingSet(PageRange("t", start=0, count=100), 100, 4096, stream)
+    for _ in range(UNIFORM_BLOCK_PAGES // 4096):
+        pattern.pages_for_execution()  # one block, read to its end
+    foreign(stream)
+    with pytest.raises(RuntimeError, match="exactly one consumer"):
+        pattern.pages_for_execution()
 
 
 @given(

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles.locks import (
     PerHoldHeapManager,
+    TupleHeapManager,
     held_resources,
     live_holds,
     requests_per_execution,
@@ -122,7 +123,7 @@ def test_shared_only_traffic_never_waits(calls):
 
 
 # --------------------------------------------------------------------- #
-# Differential: interned lock sets and the tuple heap against the        #
+# Differential: interned lock sets and the hold-tuple heap against the   #
 # formulations they replaced (tests/oracles/locks.py)                    #
 # --------------------------------------------------------------------- #
 
@@ -191,3 +192,45 @@ def test_tuple_heap_manager_matches_the_heap_of_holds(calls):
     after_all = last_release + 1.0
     assert held_resources(manager, after_all) == held_resources(oracle, after_all) == 0
     assert not manager._holds and not manager._expiry
+
+
+# Clock steps that go back as well as forward: ClosedLoopDriver runs each
+# client through a whole interval before the next starts, so the manager sees
+# acquisitions out of time order.
+unordered_calls = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c", "d"]),
+        st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3),
+        st.sampled_from([LockMode.SHARED, LockMode.EXCLUSIVE]),
+        st.sampled_from([-2.0, -0.5, 0.0, 0.0, 0.5, 1.0, 3.0]),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(calls=unordered_calls)
+@settings(max_examples=150, deadline=None)
+def test_hold_tuples_match_both_older_managers_under_any_clock(calls):
+    """Grants, statistics, waits-for edges and live holds after every call,
+    against the manager of before (an expiry per call, a recorded grant per
+    call) and the one before that, with ``now`` going backwards too."""
+    manager, managers = LockManager(), (TupleHeapManager(), PerHoldHeapManager())
+    now = 0.0
+    for owner, groups, mode, step, hold in calls:
+        now += step
+        requests = tuple(LockRequest(("t", g), mode) for g in sorted(set(groups)))
+        grant = manager.acquire(owner, requests, now, hold)
+        for oracle in managers:
+            expected = oracle.acquire(owner, requests, now, hold)
+            assert grant == expected
+            assert grant.waited == expected.waited
+            assert live_holds(manager) == live_holds(oracle)
+            assert manager.stats == oracle.stats
+            assert manager.waits_for.edges() == oracle.waits_for.edges()
+    snapshot = manager.interval_snapshot()
+    for oracle in managers:
+        assert snapshot == oracle.stats
+        assert held_resources(manager, now) == held_resources(oracle, now)
+        assert live_holds(manager) == live_holds(oracle)

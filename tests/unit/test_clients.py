@@ -7,7 +7,7 @@ from repro.cluster.scheduler import Scheduler
 from repro.cluster.server import PhysicalServer
 from repro.sim.rng import SeedSequenceFactory
 from repro.workloads.clients import ClosedLoopDriver
-from repro.workloads.load import ConstantLoad, LoadFunction, SineLoad
+from repro.workloads.load import BurstLoad, ConstantLoad, LoadFunction, SineLoad
 from repro.workloads.tpcw import build_tpcw
 
 
@@ -119,3 +119,29 @@ class TestLoadFunctions:
     def test_sine_rejects_bad_period(self):
         with pytest.raises(ValueError):
             SineLoad(base=1, amplitude=1, period=0.0)
+
+    def test_burst_steps_up_inside_its_window_only(self):
+        load = BurstLoad(base=4, start=10.0, duration=5.0, multiplier=2.5)
+        assert [load.clients_at(t) for t in (9.9, 10.0, 14.9, 15.0)] == [4, 10, 10, 4]
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("base", -1),
+            ("base", float("nan")),
+            ("start", -1.0),
+            ("start", float("nan")),
+            ("duration", 0.0),
+            ("duration", float("nan")),
+            ("multiplier", 0.5),
+            ("multiplier", float("nan")),
+        ],
+    )
+    def test_burst_rejects_each_bad_field(self, field, value):
+        """NaN fails each check too (``not x >= bound``): a NaN duration
+        used to be accepted and never burst, a NaN multiplier to raise only at
+        the first ``clients_at`` inside its window, and the start was never
+        checked."""
+        fields = {"base": 4, "start": 10.0, "duration": 5.0, "multiplier": 2.0}
+        with pytest.raises(ValueError, match=field):
+            BurstLoad(**{**fields, field: value})

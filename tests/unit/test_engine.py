@@ -57,7 +57,7 @@ class TestExecution:
         engine = make_engine(threads=threads, buffer_capacity=100)
         for timestamp in range(7):
             engine.execute(make_class(), float(timestamp))
-        logged = [[r.timestamp for r in thread._records] for thread in engine._threads]
+        logged = [[r.timestamp for r in thread.records] for thread in engine._threads]
         assert logged == [
             [float(t) for t in range(first, 7, threads)] for first in range(threads)
         ]
@@ -69,7 +69,7 @@ class TestExecution:
         scan = make_class(demand=range(1000))
         for _ in range(3):
             engine.execute(scan)
-        buffered = [record for thread in engine._threads for record in thread._records]
+        buffered = [record for thread in engine._threads for record in thread.records]
         assert len(buffered) == 3
         assert all(
             isinstance(value, (int, float, str)) for record in buffered for value in record

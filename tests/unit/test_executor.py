@@ -103,6 +103,30 @@ class TestQueryExecutor:
         loaded = executor2.execute(make_class([1, 2, 3]), io_factor=5.0)
         assert loaded.latency > quiet.latency
 
+    @pytest.mark.parametrize(
+        "cpu_factor,io_factor", [(1.0, 1.0), (1.7, 1.0), (1.3, 4.1)]
+    )
+    def test_latency_is_the_cost_models_to_the_bit(self, cpu_factor, io_factor):
+        """The executor computes ``CostModel.latency`` inline: same check,
+        same association order, hence the same double."""
+        model = CostModel(io_time_per_page=0.0031, hit_time_per_page=0.00007)
+        pool = LRUBufferPool(4)
+        executor = QueryExecutor(pool, EngineLog(), model)
+        executor.execute(make_class([1, 2]))
+        query = make_class([1, 2, 3, 4, 5, 6], prefetch=[7, 8, 9], cpu=0.013)
+        record = executor.execute(query, cpu_factor=cpu_factor, io_factor=io_factor)
+        hits = record.page_accesses - record.misses
+        expected = model.latency(
+            0.013, hits, record.misses, record.readaheads, cpu_factor, io_factor
+        )
+        assert record.latency == expected
+
+    @pytest.mark.parametrize("factors", [{"cpu_factor": 0.5}, {"io_factor": nan}])
+    def test_execute_rejects_what_the_cost_model_rejects(self, factors):
+        executor = QueryExecutor(LRUBufferPool(4), EngineLog())
+        with pytest.raises(ValueError, match="contention factors"):
+            executor.execute(make_class([1]), **factors)
+
     def test_demand_pages_reach_the_log_window(self):
         # The demand vector goes to the class's window at execution, in
         # execution order; the record carries counters only.

@@ -129,14 +129,36 @@ class TestLockManager:
 
 class TestHoldExpiry:
     def test_holds_are_equal_only_to_themselves(self):
-        resource = ("t", 0)
-        one = _Hold(2.0, resource, LockMode.SHARED, "a")
-        other = _Hold(2.0, resource, LockMode.SHARED, "b")
+        # Two holds differ in their install sequence, whatever else they share.
+        manager = LockManager()
+        shared = req(0, LockMode.SHARED)
+        manager.acquire("a", [shared], now=0.0, hold_for=2.0)
+        manager.acquire("a", [shared], now=0.0, hold_for=2.0)
+        one, other = manager._holds[("t", 0)]
+        assert isinstance(one, _Hold) and one.sequence != other.sequence
+        assert one._replace(sequence=0) == other._replace(sequence=0)
         assert one != other
-        assert one != _Hold(2.0, resource, LockMode.SHARED, "a")
         holders = [one, other]
         holders.remove(other)
         assert holders == [one] and holders[0] is one
+
+    def test_each_hold_is_its_own_heap_entry(self):
+        manager = LockManager()
+        manager.acquire("a", [req(0), req(1)], now=0.0, hold_for=2.0)
+        manager.acquire("b", [req(2)], now=1.0, hold_for=0.5)
+        listed = [hold for holders in manager._holds.values() for hold in holders]
+        assert sorted(map(id, listed)) == sorted(map(id, manager._expiry))
+        assert manager._expiry[0].owner == "b"  # heap order: release, then sequence
+        assert [hold.owner for hold in sorted(manager._expiry)] == ["b", "a", "a"]
+
+    def test_holds_stay_until_the_heap_top_is_due(self):
+        manager = LockManager()
+        manager.acquire("a", [req(0)], now=0.0, hold_for=2.0)
+        manager.acquire("b", [req(1)], now=5.0, hold_for=1.0)  # a's hold expires
+        assert list(manager._holds) == [("t", 1)]
+        manager.acquire("c", [req(2)], now=1.0, hold_for=1.0)  # the clock went back
+        assert list(manager._holds) == [("t", 1), ("t", 2)]
+        assert held_resources(manager, 6.0) == 0
 
     def test_equal_release_times_on_one_resource_all_expire(self):
         manager = LockManager()

@@ -163,15 +163,30 @@ class TestSLAAccounting:
         assert metrics.sla_met(1.0)
 
     def test_sla_violated_by_high_mean(self):
-        metrics = AppIntervalMetrics(app="a", interval_index=0)
-        metrics.observe(5.0)
+        metrics = AppIntervalMetrics(
+            app="a", interval_index=0, queries=1, total_latency=5.0, max_latency=5.0
+        )
         assert not metrics.sla_met(1.0)
 
     def test_throughput_per_second(self):
-        metrics = AppIntervalMetrics(app="a", interval_index=0, interval_length=10.0)
-        for _ in range(20):
-            metrics.observe(0.1)
+        metrics = AppIntervalMetrics(
+            app="a", interval_index=0, queries=20, interval_length=10.0
+        )
         assert metrics.throughput == 2.0
+
+    def test_submit_adds_each_query_into_the_interval(self):
+        scheduler = make_scheduler(2)
+        records = [scheduler.submit(make_class(), float(t)) for t in range(3)]
+        records.append(scheduler.submit(make_class("w", write=True), 3.0))
+        metrics = scheduler.close_interval()
+        latencies = [record.latency for record in records]
+        assert metrics.queries == 4
+        total = 0.0
+        for latency in latencies:
+            total += latency
+        assert metrics.total_latency == total
+        assert metrics.max_latency == max(latencies)
+        assert scheduler.close_interval().queries == 0
 
     def test_rejects_bad_sla(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine.access import AccessPattern, ExecutionAccess
 from repro.engine.bufferpool import LRUBufferPool
+from repro.engine.engine import DatabaseEngine, EngineConfig
 from repro.engine.executor import QueryExecutor
 from repro.engine.query import QueryClass
 from repro.engine.statslog import (
@@ -114,27 +115,38 @@ class TestClassIntervalStats:
         assert stats.miss_ratio == 0.0
 
 
+def one_thread_engine(capacity: int) -> DatabaseEngine:
+    """An engine whose one worker thread buffers ``capacity`` records:
+    ``DatabaseEngine.execute`` appends each record and flushes a full buffer."""
+    return DatabaseEngine(
+        EngineConfig(name="e", worker_threads=1, log_buffer_capacity=capacity)
+    )
+
+
+def query() -> QueryClass:
+    return QueryClass("q", "app", 1, "select 1", _Pages([1, 2], []))
+
+
 class TestThreadLogBuffer:
     def test_buffers_until_capacity(self):
-        log = EngineLog()
-        buffer = ThreadLogBuffer(log, capacity=3)
-        buffer.log(record())
-        buffer.log(record())
-        assert log.records_ingested == 0  # nothing flushed yet
-        assert len(buffer) == 2
+        engine = one_thread_engine(capacity=3)
+        engine.execute(query())
+        engine.execute(query())
+        assert engine.log.records_ingested == 0  # nothing flushed yet
+        assert len(engine._threads[0]) == 2
 
     def test_flushes_at_capacity(self):
-        log = EngineLog()
-        buffer = ThreadLogBuffer(log, capacity=2)
-        buffer.log(record())
-        buffer.log(record())
-        assert log.records_ingested == 2
-        assert len(buffer) == 0
+        engine = one_thread_engine(capacity=2)
+        for _ in range(3):
+            engine.execute(query())
+        buffer = engine._threads[0]
+        assert engine.log.records_ingested == 2 and buffer.flushes == 1
+        assert len(buffer) == 1
 
     def test_manual_flush(self):
         log = EngineLog()
         buffer = ThreadLogBuffer(log, capacity=100)
-        buffer.log(record())
+        buffer.records.append(record())
         flushed = buffer.flush()
         assert flushed == 1
         assert log.records_ingested == 1
