@@ -11,15 +11,16 @@ replaced:
   taken, as every refresh did before curves became references.  The MRC
   store is emptied before each refresh, so both sides take a new curve every
   time.
-* the flush of one worker thread's full log buffer — 256 records that
+* the flush of an engine's pending records — 256 records that
   ``QueryExecutor.execute`` returned for a sequential scan reading 1 000
-  pages an execution, as ``hog_scan``'s scan does — into the engine log.
-  As built a record holds counters only, and the demand vector died at
-  execution.  The replaced side wraps each record as the
-  ``PagedExecutionRecord`` of ``tests/oracles/record.py``, carrying the
-  vector the executor handed to the window, so the flush frees 256 page
-  lists.  Should the executor's record carry the vector again, the two
-  sides cost the same.
+  pages an execution, as ``hog_scan``'s scan does — through
+  ``EngineLog.ingest``, after which the list is let go, as
+  ``DatabaseEngine.flush_logs`` does.  As built a record holds counters
+  only, and the demand vector died at execution.  The replaced side wraps
+  each record as the ``PagedExecutionRecord`` of ``tests/oracles/record.py``,
+  carrying the vector the executor handed to the window, so the flush frees
+  256 page lists.  Should the executor's record carry the vector again, the
+  two sides cost the same.
 
 The table (``-rP`` shows it) is microseconds per operation, best of
 ``REPEATS`` each, the two sides timed in alternation (``alternate.py``).
@@ -40,7 +41,7 @@ from repro.engine.engine import DatabaseEngine, EngineConfig
 from repro.engine.executor import QueryExecutor
 from repro.engine.pages import PageRange
 from repro.engine.query import QueryClass
-from repro.engine.statslog import EngineLog, ThreadLogBuffer
+from repro.engine.statslog import EngineLog
 from repro.sim.trace import AccessWindow
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -80,7 +81,8 @@ class _KeepingLog(EngineLog):
 
 
 def _flush(carry_vector: bool):
-    """One full buffer's flush, and the untimed fill before it."""
+    """One close's flush of the pending records, and the untimed fill
+    before it."""
     log = _KeepingLog()
     executor = QueryExecutor(LRUBufferPool(4 * SCAN_PAGES), log)
     scan = QueryClass(
@@ -88,17 +90,19 @@ def _flush(carry_vector: bool):
         SequentialChunkScan(PageRange("t", 1_000_000, 100_000), SCAN_PAGES),
         cpu_cost=0.001,
     )
-    buffer = ThreadLogBuffer(log, capacity=RECORDS + 1)
+    pending = []
 
     def fill() -> None:
         for _ in range(RECORDS):
             record = executor.execute(scan)
             if carry_vector:
                 record = PagedExecutionRecord(*record[:7], log.last)
-            buffer.records.append(record)
+            pending.append(record)
 
     def flush() -> None:
-        assert buffer.flush() == RECORDS
+        assert len(pending) == RECORDS
+        log.ingest(pending)
+        pending.clear()
 
     return flush, fill
 

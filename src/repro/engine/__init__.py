@@ -31,7 +31,7 @@ from .locks import (
 )
 from .pages import PAGE_SIZE_BYTES, PageRange, PageSpaceAllocator
 from .query import QueryClass, QueryClassRegistry
-from .statslog import ClassIntervalStats, EngineLog, ExecutionRecord, ThreadLogBuffer
+from .statslog import ClassIntervalStats, EngineLog, ExecutionRecord
 from .tables import Schema, Table
 
 __all__ = [
@@ -70,7 +70,6 @@ __all__ = [
     "Schema",
     "SequentialChunkScan",
     "Table",
-    "ThreadLogBuffer",
     "UniformWorkingSet",
     "ZipfWorkingSet",
 ]

@@ -2,7 +2,7 @@
 
 A :class:`DatabaseEngine` bundles everything one DBMS instance owns in the
 paper's architecture: a buffer pool (shared or quota-partitioned), an index
-catalog, worker threads with private log buffers, and the engine-level
+catalog, the interval's pending execution records, and the engine-level
 statistics log the per-server log analyzer reads.
 
 Several engines can run inside one VM, and several applications can run
@@ -19,7 +19,7 @@ from .executor import CostModel, QueryExecutor
 from .indexes import IndexCatalog
 from .locks import LockManager
 from .query import QueryClass
-from .statslog import EngineLog, ExecutionRecord, ThreadLogBuffer
+from .statslog import EngineLog, ExecutionRecord
 
 __all__ = ["EngineConfig", "DatabaseEngine"]
 
@@ -33,16 +33,16 @@ class EngineConfig:
 
     name: str
     pool_pages: int = DEFAULT_POOL_PAGES
-    worker_threads: int = 8
-    log_buffer_capacity: int = 256
     window_capacity: int = 150_000
     cost_model: CostModel = field(default_factory=CostModel)
 
     def __post_init__(self) -> None:
         if self.pool_pages <= 0:
             raise ValueError(f"pool pages must be positive: {self.pool_pages}")
-        if self.worker_threads <= 0:
-            raise ValueError(f"worker threads must be positive: {self.worker_threads}")
+        if self.window_capacity <= 0:
+            raise ValueError(
+                f"window capacity must be positive: {self.window_capacity}"
+            )
 
 
 class DatabaseEngine:
@@ -57,12 +57,7 @@ class DatabaseEngine:
         self._quotas: dict[str, int] = {}
         self.pool: BufferPool = LRUBufferPool(config.pool_pages)
         self.executor = QueryExecutor(self.pool, self.log, config.cost_model)
-        self._threads = [
-            ThreadLogBuffer(self.log, config.log_buffer_capacity)
-            for _ in range(config.worker_threads)
-        ]
-        self._next_thread = 0
-        self._last_thread = len(self._threads) - 1
+        self._records: list[ExecutionRecord] = []
         self.apps: set[str] = set()
 
     # ------------------------------------------------------------------ #
@@ -76,10 +71,10 @@ class DatabaseEngine:
         cpu_factor: float = 1.0,
         io_factor: float = 1.0,
     ) -> ExecutionRecord:
-        """Execute one query on the next worker thread and log the record.
+        """Execute one query and keep its record for the interval close.
 
         The executor has already appended the demand pages to the class's
-        access window; the worker thread's buffer takes the counters only.
+        access window; the pending list takes the counters only.
         """
         self.apps.add(query_class.app)
         record = self.executor.execute(query_class, timestamp, cpu_factor, io_factor)
@@ -99,23 +94,19 @@ class DatabaseEngine:
                     lock_waits=1,
                     lock_wait_time=grant.wait_time,
                 )
-        thread = self._next_thread
-        self._next_thread = thread + 1 if thread < self._last_thread else 0
-        buffer = self._threads[thread]
-        records = buffer.records
-        records.append(record)
-        if len(records) >= buffer.capacity:
-            buffer.flush()
+        self._records.append(record)
         return record
 
     def flush_logs(self) -> None:
-        """Flush every thread's private buffer into the engine log.
+        """Hand the interval's pending records to the engine log, in
+        execution order, and start a new list.
 
         Called at measurement-interval boundaries so the log analyzer sees a
         complete picture of the interval.
         """
-        for thread in self._threads:
-            thread.flush()
+        records = self._records
+        self._records = []
+        self.log.ingest(records)
 
     # ------------------------------------------------------------------ #
     # Buffer-pool reconfiguration (the paper's quota-enforcement action)  #

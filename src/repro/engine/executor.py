@@ -12,7 +12,8 @@ One execution of a query class:
    factors.
 
 The execution record carries counters only: the demand vector is let go
-when the execution ends, not when the record's thread buffer is flushed.
+when the execution ends, not when the engine's pending records are ingested
+at the interval close.
 
 The cost model is deliberately simple — the paper's detection algorithm only
 consumes *relative* changes in latency and counters, which a linear model

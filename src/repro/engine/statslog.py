@@ -1,22 +1,25 @@
 """Lightweight per-query-class statistics logging.
 
 The paper instruments MySQL so that each worker thread logs into a *private*
-buffer (avoiding lock contention) which is flushed to the engine-level log
-when full or at thread shutdown.  Per query class the engine tracks: latency,
-throughput, buffer-pool misses, page accesses, I/O block requests, read-ahead
-requests, and a window of the most recent page accesses.
+buffer, so that the threads do not contend on a lock, and flushes it to the
+engine-level log.  Per query class the engine tracks: latency, throughput,
+buffer-pool misses, page accesses, I/O block requests, read-ahead requests,
+and a window of the most recent page accesses.
 
-This module reproduces that pipeline:
+The simulator runs one thread, so it keeps one pending record list per
+engine (:class:`~repro.engine.engine.DatabaseEngine`) and hands it over at
+each interval close.  Every close takes every record, so the per-class
+accumulators are what per-thread buffers would give, up to the order in
+which float fields are summed.  This module holds the rest of the pipeline:
 
-* :class:`ThreadLogBuffer` — the private, lock-free per-thread buffer,
-* :class:`EngineLog` — the per-engine sink aggregating flushed records into
-  per-interval, per-class accumulators, and keeping the per-class access
+* :class:`EngineLog` — the per-engine sink aggregating the interval's
+  records into per-class accumulators, and keeping the per-class access
   windows, and
 * :class:`ClassIntervalStats` — the aggregate handed to the log analyzer at
   each measurement-interval boundary.
 
 The two halves travel separately.  An :class:`ExecutionRecord` carries
-counters only, so a thread buffer holds no page vectors; the demand vector
+counters only, so the pending list holds no page vectors; the demand vector
 reaches the class's window through :meth:`EngineLog.record_window` at
 execution time, in true execution order, and is let go there.
 """
@@ -31,7 +34,7 @@ import numpy as np
 
 from ..sim.trace import AccessWindow
 
-__all__ = ["ExecutionRecord", "ClassIntervalStats", "ThreadLogBuffer", "EngineLog"]
+__all__ = ["ExecutionRecord", "ClassIntervalStats", "EngineLog"]
 
 
 class ExecutionRecord(NamedTuple):
@@ -91,39 +94,6 @@ class ClassIntervalStats:
         return self.misses / self.page_accesses if self.page_accesses else 0.0
 
 
-class ThreadLogBuffer:
-    """A private, fixed-capacity log buffer owned by one worker thread.
-
-    Records accumulate locally and reach the shared :class:`EngineLog` only
-    on flush — when the buffer fills or the thread shuts down — mirroring the
-    paper's no-locking instrumentation design.  ``records`` is the buffered
-    list: the engine's worker appends each record to it and calls
-    :meth:`flush` once it holds ``capacity`` records (inline in
-    :meth:`DatabaseEngine.execute <repro.engine.engine.DatabaseEngine.execute>`,
-    a frame less per query than a method here).
-    """
-
-    def __init__(self, sink: "EngineLog", capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise ValueError(f"buffer capacity must be positive: {capacity}")
-        self._sink = sink
-        self.capacity = capacity
-        self.records: list[ExecutionRecord] = []
-        self.flushes = 0
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def flush(self) -> int:
-        """Push buffered records to the engine log; returns count flushed."""
-        flushed = len(self.records)
-        if flushed:
-            self._sink.ingest(self.records)
-            self.records = []
-            self.flushes += 1
-        return flushed
-
-
 class EngineLog:
     """Per-engine statistics sink and per-class recent-access windows."""
 
@@ -131,15 +101,14 @@ class EngineLog:
         self.window_capacity = window_capacity
         self._current: dict[str, ClassIntervalStats] = {}
         self._windows: dict[str, AccessWindow] = {}
-        self.records_ingested = 0
 
     def ingest(self, records: list[ExecutionRecord]) -> None:
-        """Absorb a flushed thread buffer (counter aggregation only).
+        """Absorb one interval's records, in execution order (counter
+        aggregation only).
 
-        Page-access windows are *not* fed here: thread buffers flush in
-        batches, which would scramble the global access order and corrupt
-        reuse distances.  The executor records windows synchronously at
-        execution time via :meth:`record_window`.
+        Page-access windows are *not* fed here: the records arrive in one
+        batch at the close, after the interval's accesses.  The executor
+        records windows as each execution ends via :meth:`record_window`.
         """
         for record in records:
             stats = self._current.get(record.context_key)
@@ -147,7 +116,6 @@ class EngineLog:
                 stats = ClassIntervalStats(record.context_key)
                 self._current[record.context_key] = stats
             stats.absorb(record)
-        self.records_ingested += len(records)
 
     def record_window(
         self, context_key: str, pages: Sequence[int] | np.ndarray
@@ -182,10 +150,6 @@ class EngineLog:
         snapshot = self._current
         self._current = {}
         return snapshot
-
-    def peek(self) -> dict[str, ClassIntervalStats]:
-        """Current accumulators without resetting (for mid-interval checks)."""
-        return dict(self._current)
 
     def context_keys(self) -> list[str]:
         return sorted(set(self._current) | set(self._windows))

@@ -30,8 +30,11 @@ GOLDEN_PLAN_DIGEST = (
 # by its allocation timeline, taken on the commit *before* plan steps went
 # through ``apply_action`` (PR 24).  Without recovery ``apply_action`` is
 # ``_actuate``, so one actuator must reproduce the two executors' bytes.
+# The golden fixes the spans' order too: a close recomputes its classes'
+# curves in the order the classes first executed in the interval (it was
+# taken again when that order replaced the worker round robin's).
 GOLDEN_PLANNER_MODE_SHA256 = (
-    "fe388ab8e9e3ff615ab69a0fe91cd2c3ab4e3cac214a537383d1a76d80bb5356"
+    "64ef2c023c06082a05340d80c96336ed8b9e81b0cf67f51ed3d5079a521ceaad"
 )
 BASELINE = (
     Path(__file__).resolve().parent.parent.parent

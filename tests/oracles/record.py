@@ -9,7 +9,7 @@ that carries counters only.  Two formulations it replaced:
   ``QueryExecutor.execute`` did.  It is the baseline the query-path
   micro-benchmark measures the record against.
 * :class:`PagedExecutionRecord` — the record while it still carried the
-  execution's demand vector into the worker thread's log buffer, where the
+  execution's demand vector into the engine's pending records, where the
   vector lived on, unread, until the interval close flushed and freed it.
   It is the baseline the interval-close micro-benchmark flushes against.
 """

@@ -111,8 +111,7 @@ class Side:
 
     def __init__(self, analyzer_type, window_capacity=12_000, window_type=AccessWindow):
         self.engine = DatabaseEngine(EngineConfig(
-            name="e", pool_pages=256, log_buffer_capacity=4,
-            window_capacity=window_capacity,
+            name="e", pool_pages=256, window_capacity=window_capacity,
         ))
         for key in KEYS:
             self.engine.log._windows[key] = window_type(window_capacity)

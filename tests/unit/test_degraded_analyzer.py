@@ -20,10 +20,7 @@ from repro.sim.rng import SeedSequenceFactory
 
 def make_engine(pool=256, window=50_000, name="e"):
     return DatabaseEngine(
-        EngineConfig(
-            name=name, pool_pages=pool, log_buffer_capacity=4,
-            window_capacity=window,
-        )
+        EngineConfig(name=name, pool_pages=pool, window_capacity=window)
     )
 
 

@@ -23,9 +23,7 @@ from repro.sim.rng import SeedSequenceFactory
 
 
 def make_world(pool=8192):
-    engine = DatabaseEngine(
-        EngineConfig(name="e", pool_pages=pool, log_buffer_capacity=4)
-    )
+    engine = DatabaseEngine(EngineConfig(name="e", pool_pages=pool))
     analyzer = LogAnalyzer(engine, "s1")
     server = PhysicalServer("s1")
     scheduler = Scheduler("app")

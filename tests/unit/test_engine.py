@@ -1,12 +1,17 @@
 """Unit tests for the DatabaseEngine facade."""
 
+from functools import reduce
+from operator import add
+
 import pytest
 
 from oracles.lru import resident
 from repro.engine.access import AccessPattern, ExecutionAccess
 from repro.engine.bufferpool import LRUBufferPool, PartitionedBufferPool
 from repro.engine.engine import DatabaseEngine, EngineConfig
+from repro.engine.locks import LockMode, RowGroupLockPattern
 from repro.engine.query import QueryClass
+from repro.sim.rng import SeedSequenceFactory
 
 
 class _ScriptedPattern(AccessPattern):
@@ -17,15 +22,8 @@ class _ScriptedPattern(AccessPattern):
         return ExecutionAccess(demand=list(self.demand))
 
 
-def make_engine(pool_pages=64, threads=2, buffer_capacity=4):
-    return DatabaseEngine(
-        EngineConfig(
-            name="e",
-            pool_pages=pool_pages,
-            worker_threads=threads,
-            log_buffer_capacity=buffer_capacity,
-        )
-    )
+def make_engine(pool_pages=64):
+    return DatabaseEngine(EngineConfig(name="e", pool_pages=pool_pages))
 
 
 def make_class(name="q", app="app", demand=(1, 2)):
@@ -39,44 +37,79 @@ class TestExecution:
         assert engine.log.window_for("app/q").snapshot().tolist() == [7, 8]
 
     def test_counters_arrive_after_flush(self):
-        engine = make_engine(buffer_capacity=100)
+        engine = make_engine()
         engine.execute(make_class())
-        assert engine.log.peek() == {}
+        assert engine.log.interval_snapshot() == {}
         engine.flush_logs()
-        assert engine.log.peek()["app/q"].executions == 1
+        assert engine.log.interval_snapshot()["app/q"].executions == 1
 
-    def test_round_robin_across_threads(self):
-        engine = make_engine(threads=2, buffer_capacity=100)
-        for _ in range(4):
-            engine.execute(make_class())
-        # Two records buffered in each thread.
-        assert all(len(t) == 2 for t in engine._threads)
-
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_round_robin_visits_threads_in_order(self, threads):
-        engine = make_engine(threads=threads, buffer_capacity=100)
-        for timestamp in range(7):
-            engine.execute(make_class(), float(timestamp))
-        logged = [[r.timestamp for r in thread.records] for thread in engine._threads]
-        assert logged == [
-            [float(t) for t in range(first, 7, threads)] for first in range(threads)
-        ]
-
-    def test_thread_buffers_hold_counters_only(self):
+    def test_pending_records_hold_counters_only(self):
         # A 1000-page demand vector goes to the window at execution: the
-        # buffered records hold no page vector, and a close empties them.
-        engine = make_engine(threads=2, buffer_capacity=100)
+        # pending records hold no page vector, and a close empties the list.
+        engine = make_engine()
         scan = make_class(demand=range(1000))
-        for _ in range(3):
-            engine.execute(scan)
-        buffered = [record for thread in engine._threads for record in thread.records]
-        assert len(buffered) == 3
+        executed = [engine.execute(scan, float(t)) for t in range(3)]
+        assert engine._records == executed
         assert all(
-            isinstance(value, (int, float, str)) for record in buffered for value in record
+            isinstance(value, (int, float, str))
+            for record in executed
+            for value in record
         )
         assert len(engine.log.window_for("app/q")) == 3000
         engine.flush_logs()
-        assert all(len(thread) == 0 for thread in engine._threads)
+        assert engine._records == []
+        assert engine.log.interval_snapshot()["app/q"].executions == 3
+
+    def test_close_sums_latencies_in_execution_order(self):
+        # Misses, hits and varying I/O factors give latencies whose float
+        # sum depends on the order: the close adds them left to right.
+        engine = make_engine(pool_pages=4)
+        latencies = [
+            engine.execute(
+                make_class(demand=[t % 7, t % 5]), float(t), io_factor=1 + t / 3
+            ).latency
+            for t in range(40)
+        ]
+        engine.flush_logs()
+        stats = engine.log.interval_snapshot()["app/q"]
+        assert stats.executions == len(latencies)
+        assert stats.total_latency == reduce(add, latencies, 0.0)
+
+    def test_pending_record_carries_the_lock_wait(self):
+        # Two classes take a table-wide X lock at one instant: the second
+        # waits, and the record the close ingests is the amended one.
+        engine = make_engine()
+        seeds = SeedSequenceFactory(1)
+
+        def writer(name):
+            return QueryClass(
+                name,
+                "app",
+                1,
+                f"update {name}",
+                _ScriptedPattern([1]),
+                is_write=True,
+                lock_pattern=RowGroupLockPattern(
+                    "t", 1, LockMode.EXCLUSIVE, seeds.stream(name)
+                ),
+            )
+
+        first = engine.execute(writer("w"), 0.0)
+        second = engine.execute(writer("v"), 0.0)
+        assert first.lock_waits == 0 and second.lock_waits == 1
+        assert second.lock_wait_time > 0
+        assert engine._records == [first, second]
+        engine.flush_logs()
+        snapshot = engine.log.interval_snapshot()
+        stats = snapshot["app/v"]
+        assert (stats.lock_waits, stats.lock_wait_time) == (1, second.lock_wait_time)
+        assert stats.total_latency == second.latency
+        assert snapshot["app/w"].lock_waits == 0
+
+    def test_window_capacity_reaches_the_log(self):
+        engine = DatabaseEngine(EngineConfig(name="e", window_capacity=3))
+        engine.execute(make_class(demand=range(10)))
+        assert engine.log.window_for("app/q").snapshot().tolist() == [7, 8, 9]
 
     def test_window_fed_after_a_pool_rebuild(self):
         engine = make_engine()
@@ -165,5 +198,9 @@ class TestIntrospection:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EngineConfig(name="bad", pool_pages=0)
-        with pytest.raises(ValueError):
-            EngineConfig(name="bad", worker_threads=0)
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_window_capacity_must_be_positive(self, capacity):
+        # Refused at construction, not at the first execution's window.
+        with pytest.raises(ValueError, match="window capacity must be positive"):
+            EngineConfig(name="bad", window_capacity=capacity)

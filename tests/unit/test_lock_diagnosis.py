@@ -20,7 +20,7 @@ class _FewPages(AccessPattern):
 
 
 def make_world():
-    engine = DatabaseEngine(EngineConfig(name="e", pool_pages=128, log_buffer_capacity=4))
+    engine = DatabaseEngine(EngineConfig(name="e", pool_pages=128))
     analyzer = LogAnalyzer(engine, "s1")
     scheduler = Scheduler("app")
     scheduler.add_replica(Replica("r1", "app", PhysicalServer("s1"), engine))

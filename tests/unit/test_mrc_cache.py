@@ -22,9 +22,7 @@ from repro.sim.trace import AccessWindow
 
 def make_engine(pool=256, window=50_000):
     return DatabaseEngine(
-        EngineConfig(
-            name="e", pool_pages=pool, log_buffer_capacity=4, window_capacity=window
-        )
+        EngineConfig(name="e", pool_pages=pool, window_capacity=window)
     )
 
 

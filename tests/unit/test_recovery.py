@@ -371,7 +371,7 @@ class TestPendingCurvesAreReferences:
 
 def small_window_analyzer(window, obs):
     engine = DatabaseEngine(EngineConfig(
-        name="e", pool_pages=256, log_buffer_capacity=4, window_capacity=window,
+        name="e", pool_pages=256, window_capacity=window,
     ))
     table = Table.create(
         PageSpaceAllocator(), "t-q", row_count=160_000, row_bytes=1024

@@ -1,4 +1,4 @@
-"""Unit tests for the private-buffer statistics logging pipeline."""
+"""Unit tests for the statistics logging pipeline."""
 
 import pytest
 
@@ -7,12 +7,7 @@ from repro.engine.bufferpool import LRUBufferPool
 from repro.engine.engine import DatabaseEngine, EngineConfig
 from repro.engine.executor import QueryExecutor
 from repro.engine.query import QueryClass
-from repro.engine.statslog import (
-    ClassIntervalStats,
-    EngineLog,
-    ExecutionRecord,
-    ThreadLogBuffer,
-)
+from repro.engine.statslog import ClassIntervalStats, EngineLog, ExecutionRecord
 
 
 class _Pages(AccessPattern):
@@ -115,51 +110,67 @@ class TestClassIntervalStats:
         assert stats.miss_ratio == 0.0
 
 
-def one_thread_engine(capacity: int) -> DatabaseEngine:
-    """An engine whose one worker thread buffers ``capacity`` records:
-    ``DatabaseEngine.execute`` appends each record and flushes a full buffer."""
-    return DatabaseEngine(
-        EngineConfig(name="e", worker_threads=1, log_buffer_capacity=capacity)
-    )
+def new_engine() -> DatabaseEngine:
+    return DatabaseEngine(EngineConfig(name="e"))
 
 
 def query() -> QueryClass:
     return QueryClass("q", "app", 1, "select 1", _Pages([1, 2], []))
 
 
-class TestThreadLogBuffer:
-    def test_buffers_until_capacity(self):
-        engine = one_thread_engine(capacity=3)
+class TestPendingRecords:
+    def test_flush_hands_the_pending_records_to_the_log(self):
+        engine = new_engine()
         engine.execute(query())
         engine.execute(query())
-        assert engine.log.records_ingested == 0  # nothing flushed yet
-        assert len(engine._threads[0]) == 2
+        engine.flush_logs()
+        assert engine._records == []
+        assert engine.log.interval_snapshot()["app/q"].executions == 2
 
-    def test_flushes_at_capacity(self):
-        engine = one_thread_engine(capacity=2)
+    def test_flush_with_nothing_pending_is_a_noop(self):
+        engine = new_engine()
+        engine.flush_logs()
+        assert engine.log.interval_snapshot() == {}
+
+    def test_records_keep_execution_order(self):
+        engine = new_engine()
+        for timestamp in (3.0, 1.0, 2.0, 0.5):
+            engine.execute(query(), timestamp)
+        assert [r.timestamp for r in engine._records] == [3.0, 1.0, 2.0, 0.5]
+
+    def test_a_second_flush_ingests_nothing_twice(self):
+        engine = new_engine()
         for _ in range(3):
             engine.execute(query())
-        buffer = engine._threads[0]
-        assert engine.log.records_ingested == 2 and buffer.flushes == 1
-        assert len(buffer) == 1
+        engine.flush_logs()
+        engine.flush_logs()
+        assert engine.log.interval_snapshot()["app/q"].executions == 3
 
-    def test_manual_flush(self):
-        log = EngineLog()
-        buffer = ThreadLogBuffer(log, capacity=100)
-        buffer.records.append(record())
-        flushed = buffer.flush()
-        assert flushed == 1
-        assert log.records_ingested == 1
+    def test_records_after_a_close_belong_to_the_next_interval(self):
+        engine = new_engine()
+        engine.execute(query())
+        engine.execute(query())
+        engine.flush_logs()
+        assert engine.log.interval_snapshot()["app/q"].executions == 2
+        engine.execute(query())
+        assert engine.log.interval_snapshot() == {}
+        engine.flush_logs()
+        assert engine.log.interval_snapshot()["app/q"].executions == 1
 
-    def test_flush_empty_is_noop(self):
-        log = EngineLog()
-        buffer = ThreadLogBuffer(log, capacity=4)
-        assert buffer.flush() == 0
-        assert buffer.flushes == 0
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            ThreadLogBuffer(EngineLog(), capacity=0)
+    def test_flush_aggregates_each_class_apart(self):
+        engine = new_engine()
+        other = QueryClass("r", "app", 2, "select 2", _Pages([3, 4, 5], []))
+        executed = [engine.execute(c) for c in (query(), other, query(), other, other)]
+        engine.flush_logs()
+        snapshot = engine.log.interval_snapshot()
+        assert {key: s.executions for key, s in snapshot.items()} == {
+            "app/q": 2,
+            "app/r": 3,
+        }
+        assert snapshot["app/r"].page_accesses == 9
+        assert snapshot["app/q"].total_latency == sum(
+            r.latency for r in executed if r.context_key == "app/q"
+        )
 
 
 class TestEngineLog:
@@ -183,11 +194,11 @@ class TestEngineLog:
         assert log.window_for("app/q").snapshot().tolist() == [5, 6, 7]
 
     def test_ingest_does_not_touch_windows(self):
-        # Thread buffers flush in batches that would scramble access order.
+        # Records arrive in one batch at the close, after their accesses.
         log = EngineLog()
         log.ingest([record(pages=(1, 2, 3))])
-        assert log.records_ingested == 1
         assert not log.has_window("app/q")
+        assert log.interval_snapshot()["app/q"].executions == 1
 
     def test_windows_survive_snapshot(self):
         log = EngineLog()
@@ -195,12 +206,6 @@ class TestEngineLog:
         log.ingest([record()])
         log.interval_snapshot()
         assert len(log.window_for("app/q")) == 2
-
-    def test_peek_does_not_reset(self):
-        log = EngineLog()
-        log.ingest([record()])
-        assert log.peek()["app/q"].executions == 1
-        assert log.interval_snapshot()["app/q"].executions == 1
 
     def test_window_capacity_respected(self):
         log = EngineLog(window_capacity=3)
